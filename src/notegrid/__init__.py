@@ -15,7 +15,7 @@ from .errors import (ContractError, DivergenceError, FormatError,
                      ValidationError)
 from .metrics import (DisagreementStats, EvalCounts, EvalResult, disagreement,
                       evaluate_against_reference, framewise_counts, prf,
-                      resample, truncate)
+                      resample, truncate, windowed_counts)
 from .midi import parse_midi
 from .quantize import (FrameGrid, LabelingFunction, LabelMatrix,
                        QuantizedInterval, ShiftStream, noise_ceiling,
@@ -39,7 +39,7 @@ __all__ = [
     "noise_ceiling",
     "DisagreementStats", "EvalCounts", "EvalResult", "disagreement",
     "evaluate_against_reference", "framewise_counts", "prf", "resample",
-    "truncate",
+    "truncate", "windowed_counts",
     "FeatureMatrix", "SynthConfig", "generate_corpus", "generate_piece",
     "label_templates", "render_features",
     "Dataset", "ExperimentRow", "ExperimentTable", "ModelParams",

@@ -9,6 +9,7 @@ and MidiPitch, followed by one whitespace-separated event per line.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import FormatError, RangeError, ValidationError
@@ -85,21 +86,23 @@ class ValidationReport:
 def validate(annotation: Annotation) -> ValidationReport:
     """Check all Annotation invariants and report every violation found.
 
-    Checks: positive label space, sorted event order, non-negative onsets,
-    strictly positive durations, labels within [0, num_labels), and no
-    event extending past duration_sec.
+    Checks: positive label space, sorted event order, finite times,
+    non-negative onsets, strictly positive durations, labels within
+    [0, num_labels), and no event extending past duration_sec.
     """
     violations: list[str] = []
     if annotation.num_labels <= 0:
         violations.append(f"num_labels must be positive, got {annotation.num_labels}")
-    if annotation.duration_sec < 0:
-        violations.append(f"duration_sec must be non-negative, got {annotation.duration_sec}")
+    if not 0 <= annotation.duration_sec < math.inf:
+        violations.append(f"duration_sec must be finite and >= 0, got {annotation.duration_sec}")
     previous_key = None
     for i, event in enumerate(annotation.events):
         key = _sort_key(event)
         if previous_key is not None and key < previous_key:
             violations.append(f"event {i}: out of sort order")
         previous_key = key
+        if not (math.isfinite(event.onset_sec) and math.isfinite(event.offset_sec)):
+            violations.append(f"event {i}: non-finite onset or offset")
         if event.onset_sec < 0:
             violations.append(f"event {i}: negative onset {event.onset_sec}")
         if event.offset_sec <= event.onset_sec:
@@ -159,6 +162,8 @@ def parse_tsv(text: str, *, pitch_offset: int = PIANO_PITCH_OFFSET,
         pitch = int(pitch_value)
         if not lowest <= pitch <= highest:
             raise RangeError(f"line {lineno}: MIDI pitch {pitch} outside [{lowest}, {highest}]")
+        if not (math.isfinite(onset) and math.isfinite(offset)):
+            raise ValidationError(f"line {lineno}: non-finite onset or offset")
         if onset < 0:
             raise ValidationError(f"line {lineno}: negative onset {onset}")
         if offset <= onset:

@@ -22,7 +22,7 @@ from . import __version__
 from .annotation import Annotation, parse_tsv, to_tsv, validate
 from .errors import (ContractError, DivergenceError, FormatError, NotegridError,
                      RangeError, UnsupportedError, ValidationError)
-from .metrics import disagreement, framewise_counts, prf, resample, truncate
+from .metrics import disagreement, evaluate_against_reference, prf, windowed_counts
 from .midi import parse_midi
 from .quantize import FrameGrid, LabelingFunction, rasterize
 from .synth import SynthConfig, generate_corpus, render_features
@@ -137,6 +137,7 @@ def cmd_eval(args, parser) -> int:
     if args.ref is not None:
         ref = io.read_label_matrix(Path(args.ref))
         inputs += [Path(args.ref), io.sidecar_path(Path(args.ref))]
+        result = prf(windowed_counts(pred, ref, args.window_sec))
     else:
         if args.ref_fps <= 0:
             parser.error("--ref-fps must be positive")
@@ -145,14 +146,10 @@ def cmd_eval(args, parser) -> int:
         ref_fn = LabelingFunction.from_letter(args.fn)
         if ref_fn.is_random and args.seed is None:
             parser.error(f"--seed is required for labeling function {ref_fn.letter}")
-        ref_grid = FrameGrid.covering(args.ref_fps, annotation.duration_sec)
-        ref = rasterize(annotation, ref_grid, ref_fn,
-                        args.seed if args.seed is not None else 0)
+        result = evaluate_against_reference(
+            pred, annotation, window_sec=args.window_sec, ref_fps=args.ref_fps,
+            reference_fn=ref_fn, reference_seed=args.seed if args.seed is not None else 0)
         inputs.append(Path(args.annotation))
-
-    pred_windowed = truncate(resample(pred, ref.grid), args.window_sec)
-    ref_windowed = truncate(ref, args.window_sec)
-    result = prf(framewise_counts(pred_windowed, ref_windowed))
 
     piece = Path(args.pred).stem
     fn_letter = pred.labeling_function.letter if pred.labeling_function else ""
@@ -248,10 +245,13 @@ def cmd_experiment(args, parser) -> int:
     if args.config:
         loaded = _load_config_file(Path(args.config))
         for key, value in loaded.items():
+            if key not in config:
+                parser.error(f"unknown experiment config key {key!r}")
             if key in ("synth", "train"):
-                config[key] = dict(value)
-            else:
-                config[key] = value
+                if not isinstance(value, dict):
+                    parser.error(f"experiment config key {key!r} must hold a JSON object")
+                value = dict(value)
+            config[key] = value
     if args.fns is not None:
         config["fns"] = [letter.strip() for letter in args.fns.split(",") if letter.strip()]
     if args.seeds is not None:

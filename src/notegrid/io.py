@@ -52,25 +52,24 @@ def _format_float(x: float) -> str:
     return repr(float(x))
 
 
-def write_label_matrix(matrix: LabelMatrix, csv_path: Path) -> None:
-    """Write frames as 0/1 CSV plus the one-line JSON sidecar."""
+def _write_matrix_csv(values: np.ndarray, format_cell, csv_path: Path,
+                      sidecar: dict) -> None:
+    """Write one CSV row of formatted cells per frame, then the sidecar."""
     csv_path = Path(csv_path)
-    lines = [",".join(str(int(v)) for v in row) for row in matrix.frames]
+    lines = [",".join(map(format_cell, row)) for row in values]
     atomic_write_text(csv_path, "\n".join(lines) + "\n")
-    sidecar = {
-        "fps": matrix.grid.fps,
-        "num_frames": matrix.num_frames,
-        "num_labels": matrix.num_labels,
-        "labeling_function": matrix.labeling_function.letter
-        if matrix.labeling_function is not None else None,
-        "seed": matrix.seed,
-    }
     atomic_write_text(sidecar_path(csv_path),
                       json.dumps(sidecar, sort_keys=True) + "\n")
 
 
-def read_label_matrix(csv_path: Path) -> LabelMatrix:
-    """Read a matrix CSV and its sidecar back into a LabelMatrix."""
+def _read_matrix_csv(csv_path: Path, parse_cell, cell_kind: str,
+                     width_key: str) -> tuple[dict, FrameGrid, np.ndarray]:
+    """Read a matrix CSV and its sidecar: (sidecar, grid, 2-D cell array).
+
+    Malformed input raises FormatError naming the file, and the line where
+    one is at fault. A missing sidecar, or one without fps, is a
+    ContractError.
+    """
     csv_path = Path(csv_path)
     side = sidecar_path(csv_path)
     if not side.exists():
@@ -78,7 +77,9 @@ def read_label_matrix(csv_path: Path) -> LabelMatrix:
     try:
         meta = json.loads(side.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
-        raise FormatError(f"unreadable sidecar {side}: {exc}") from None
+        raise FormatError(f"{side}: unreadable sidecar: {exc}") from None
+    if not isinstance(meta, dict):
+        raise FormatError(f"{side}: line 1: sidecar must hold a JSON object")
     if "fps" not in meta:
         raise ContractError(f"fps metadata missing from sidecar {side}")
 
@@ -87,59 +88,57 @@ def read_label_matrix(csv_path: Path) -> LabelMatrix:
         if not line.strip():
             continue
         try:
-            rows.append([int(v) for v in line.split(",")])
+            rows.append([parse_cell(v) for v in line.split(",")])
         except ValueError:
-            raise FormatError(f"{csv_path}: line {lineno}: non-integer cell") from None
+            raise FormatError(f"{csv_path}: line {lineno}: {cell_kind} cell") from None
+        if len(rows[-1]) != len(rows[0]):
+            raise FormatError(f"{csv_path}: line {lineno}: ragged row of "
+                              f"{len(rows[-1])} cells, expected {len(rows[0])}")
     if not rows:
-        raise FormatError(f"{csv_path}: empty matrix")
-    frames = np.array(rows, dtype=np.int64)
+        raise FormatError(f"{csv_path}: line 1: empty matrix")
+    for key, found in (("num_frames", len(rows)), (width_key, len(rows[0]))):
+        if meta.get(key, found) != found:
+            raise FormatError(f"{csv_path}: {found} {key} but sidecar says {meta[key]}")
+    return meta, FrameGrid(fps=float(meta["fps"]), num_frames=len(rows)), np.array(rows)
+
+
+def write_label_matrix(matrix: LabelMatrix, csv_path: Path) -> None:
+    """Write frames as 0/1 CSV plus the one-line JSON sidecar."""
+    _write_matrix_csv(matrix.frames, str, csv_path, {
+        "fps": matrix.grid.fps,
+        "num_frames": matrix.num_frames,
+        "num_labels": matrix.num_labels,
+        "labeling_function": matrix.labeling_function.letter
+        if matrix.labeling_function is not None else None,
+        "seed": matrix.seed,
+    })
+
+
+def read_label_matrix(csv_path: Path) -> LabelMatrix:
+    """Read a matrix CSV and its sidecar back into a LabelMatrix."""
+    meta, grid, frames = _read_matrix_csv(csv_path, int, "non-integer", "num_labels")
     if frames.min() < 0 or frames.max() > 1:
         raise FormatError(f"{csv_path}: cells must be 0 or 1")
-    if "num_frames" in meta and meta["num_frames"] != frames.shape[0]:
-        raise FormatError(
-            f"{csv_path}: {frames.shape[0]} rows but sidecar says {meta['num_frames']}")
-    if "num_labels" in meta and meta["num_labels"] != frames.shape[1]:
-        raise FormatError(
-            f"{csv_path}: {frames.shape[1]} columns but sidecar says {meta['num_labels']}")
-
     fn_letter = meta.get("labeling_function")
     return LabelMatrix(
         frames=frames.astype(np.uint8),
-        grid=FrameGrid(fps=float(meta["fps"]), num_frames=frames.shape[0]),
+        grid=grid,
         labeling_function=LabelingFunction.from_letter(fn_letter) if fn_letter else None,
         seed=meta.get("seed"),
     )
 
 
 def write_feature_matrix(features: FeatureMatrix, csv_path: Path) -> None:
-    csv_path = Path(csv_path)
-    lines = [",".join(_format_float(v) for v in row) for row in features.values]
-    atomic_write_text(csv_path, "\n".join(lines) + "\n")
-    sidecar = {
+    _write_matrix_csv(features.values, _format_float, csv_path, {
         "fps": features.grid.fps,
         "num_frames": features.num_frames,
         "feature_dim": features.feature_dim,
-    }
-    atomic_write_text(sidecar_path(csv_path),
-                      json.dumps(sidecar, sort_keys=True) + "\n")
+    })
 
 
 def read_feature_matrix(csv_path: Path) -> FeatureMatrix:
-    csv_path = Path(csv_path)
-    side = sidecar_path(csv_path)
-    if not side.exists():
-        raise ContractError(f"fps metadata missing: expected sidecar {side}")
-    meta = json.loads(side.read_text(encoding="utf-8"))
-    if "fps" not in meta:
-        raise ContractError(f"fps metadata missing from sidecar {side}")
-    values = np.array([
-        [float(v) for v in line.split(",")]
-        for line in csv_path.read_text(encoding="utf-8").splitlines() if line.strip()
-    ])
-    if values.size == 0:
-        raise FormatError(f"{csv_path}: empty matrix")
-    return FeatureMatrix(values=values,
-                         grid=FrameGrid(fps=float(meta["fps"]), num_frames=values.shape[0]))
+    _, grid, values = _read_matrix_csv(csv_path, float, "non-numeric", "feature_dim")
+    return FeatureMatrix(values=values, grid=grid)
 
 
 EVAL_CSV_HEADER = "piece,fn,seed,fps,tp,fp,fn,precision,recall,fmeasure"

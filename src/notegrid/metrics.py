@@ -69,15 +69,17 @@ def _check_comparable(a: LabelMatrix, b: LabelMatrix) -> None:
         raise ContractError(f"frame rate mismatch: {a.grid.fps} vs {b.grid.fps}")
 
 
+def count_cells(pred: np.ndarray, ref: np.ndarray) -> EvalCounts:
+    """Count TP/FP/FN cells between two boolean arrays of the same shape."""
+    return EvalCounts(tp=int(np.count_nonzero(pred & ref)),
+                      fp=int(np.count_nonzero(pred & ~ref)),
+                      fn_=int(np.count_nonzero(~pred & ref)))
+
+
 def framewise_counts(pred: LabelMatrix, ref: LabelMatrix) -> EvalCounts:
     """Count TP/FP/FN cells between a prediction and a reference matrix."""
     _check_comparable(pred, ref)
-    p = pred.frames.astype(bool)
-    r = ref.frames.astype(bool)
-    tp = int(np.count_nonzero(p & r))
-    fp = int(np.count_nonzero(p & ~r))
-    fn_ = int(np.count_nonzero(~p & r))
-    return EvalCounts(tp=tp, fp=fp, fn_=fn_)
+    return count_cells(pred.frames.astype(bool), ref.frames.astype(bool))
 
 
 def prf(counts: EvalCounts) -> EvalResult:
@@ -187,19 +189,24 @@ def disagreement(a: LabelMatrix, b: LabelMatrix, events: Annotation,
     )
 
 
+def windowed_counts(pred: LabelMatrix, ref: LabelMatrix,
+                    window_sec: float) -> EvalCounts:
+    """The evaluation protocol: resample the prediction to the reference
+    grid, truncate both sides to the first `window_sec` seconds, and count
+    TP/FP/FN cells."""
+    return framewise_counts(truncate(resample(pred, ref.grid), window_sec),
+                            truncate(ref, window_sec))
+
+
 def evaluate_against_reference(pred: LabelMatrix, annotation: Annotation, *,
                                window_sec: float = 30.0, ref_fps: float = 100.0,
                                reference_fn: LabelingFunction = LabelingFunction.A,
                                reference_seed: int = 0) -> EvalResult:
-    """Standard evaluation protocol for a prediction matrix.
+    """Standard evaluation of a prediction matrix against an annotation.
 
     The reference is the round-both rasterization of the annotation at
-    100 fps (both configurable); the prediction is resampled to the
-    reference grid, both sides are truncated to the first `window_sec`
-    seconds, and framewise precision/recall/f-measure are computed.
+    100 fps (both configurable), scored by windowed_counts.
     """
     ref_grid = FrameGrid.covering(ref_fps, annotation.duration_sec)
     ref = rasterize(annotation, ref_grid, reference_fn, reference_seed)
-    pred_windowed = truncate(resample(pred, ref_grid), window_sec)
-    ref_windowed = truncate(ref, window_sec)
-    return prf(framewise_counts(pred_windowed, ref_windowed))
+    return prf(windowed_counts(pred, ref, window_sec))

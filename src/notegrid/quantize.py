@@ -127,6 +127,8 @@ class FrameGrid:
         """Smallest grid at the given rate whose frames span `seconds`."""
         if not (fps > 0 and math.isfinite(fps)):
             raise ContractError(f"fps must be positive and finite, got {fps}")
+        if not math.isfinite(seconds * fps):
+            raise ContractError(f"cannot cover {seconds} s at {fps} fps: not finite")
         return cls(fps=fps, num_frames=max(1, math.ceil(seconds * fps)))
 
 

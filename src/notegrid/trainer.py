@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ContractError, DivergenceError
-from .metrics import EvalCounts, framewise_counts, prf, resample, truncate
+from .metrics import EvalCounts, count_cells, prf, windowed_counts
 from .quantize import FrameGrid, LabelingFunction, LabelMatrix, rasterize
 from .synth import FeatureMatrix, SynthConfig, generate_corpus, render_features
 from .util import MASK64, derive_seed
@@ -44,15 +44,6 @@ class Dataset:
     @property
     def num_examples(self) -> int:
         return self.inputs.shape[0]
-
-    @classmethod
-    def concat(cls, parts: list["Dataset"]) -> "Dataset":
-        if not parts:
-            raise ContractError("cannot concatenate zero datasets")
-        return cls(
-            inputs=np.concatenate([p.inputs for p in parts]),
-            targets=np.concatenate([p.targets for p in parts]),
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,12 +147,8 @@ def make_examples(features: FeatureMatrix, labels: LabelMatrix,
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # tanh saturates instead of overflowing, so no branch on the sign of z
+    return 0.5 + 0.5 * np.tanh(0.5 * z)
 
 
 def bce_loss(params: ModelParams, inputs: np.ndarray, targets: np.ndarray) -> float:
@@ -174,30 +161,27 @@ def bce_loss(params: ModelParams, inputs: np.ndarray, targets: np.ndarray) -> fl
     return float(np.mean(np.logaddexp(0.0, z) - targets * z))
 
 
-def bce_loss_and_gradient(params: ModelParams, inputs: np.ndarray,
-                          targets: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """Loss plus its analytic gradient with respect to weights and bias."""
-    z = inputs @ params.weights + params.bias
+def _loss_and_gradient(weights: np.ndarray, bias: np.ndarray, inputs: np.ndarray,
+                       targets: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    z = inputs @ weights + bias
     loss = float(np.mean(np.logaddexp(0.0, z) - targets * z))
     residual = (_sigmoid(z) - targets) / targets.size
-    grad_w = inputs.T @ residual
-    grad_b = residual.sum(axis=0)
-    return loss, grad_w, grad_b
+    return loss, inputs.T @ residual, residual.sum(axis=0)
+
+
+def bce_loss_and_gradient(params: ModelParams, inputs: np.ndarray,
+                          targets: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """Loss plus its analytic gradient with respect to weights and bias.
+
+    train() evaluates every mini-batch through the same kernel.
+    """
+    return _loss_and_gradient(params.weights, params.bias, inputs, targets)
 
 
 def _init_params(dim: int, num_labels: int, seed: int) -> ModelParams:
     rng = np.random.default_rng([seed & MASK64, 0])
     return ModelParams(weights=rng.normal(0.0, 0.01, size=(dim, num_labels)),
                        bias=np.zeros(num_labels))
-
-
-def _fmeasure_at_threshold(weights, bias, inputs, targets, threshold) -> float:
-    predicted = _sigmoid(inputs @ weights + bias) >= threshold
-    actual = targets >= 0.5
-    tp = int(np.count_nonzero(predicted & actual))
-    fp = int(np.count_nonzero(predicted & ~actual))
-    fn_ = int(np.count_nonzero(~predicted & actual))
-    return prf(EvalCounts(tp=tp, fp=fp, fn_=fn_)).fmeasure
 
 
 def train(train_set: Dataset, valid_set: Dataset,
@@ -246,25 +230,22 @@ def train(train_set: Dataset, valid_set: Dataset,
             idx = order[start:start + cfg.batch_size]
             x = train_set.inputs[idx]
             y = train_set.targets[idx]
-            look_w = weights + mu * velocity_w
-            look_b = bias + mu * velocity_b
-            z = x @ look_w + look_b
-            batch_loss = float(np.mean(np.logaddexp(0.0, z) - y * z))
+            batch_loss, grad_w, grad_b = _loss_and_gradient(
+                weights + mu * velocity_w, bias + mu * velocity_b, x, y)
             if not math.isfinite(batch_loss):
                 raise DivergenceError(
                     f"non-finite loss at epoch {epoch}, batch {batch_index}",
                     epoch=epoch, batch=batch_index)
-            residual = (_sigmoid(z) - y) / y.size
-            velocity_w = mu * velocity_w - lr * (x.T @ residual)
-            velocity_b = mu * velocity_b - lr * residual.sum(axis=0)
+            velocity_w = mu * velocity_w - lr * grad_w
+            velocity_b = mu * velocity_b - lr * grad_b
             weights = weights + velocity_w
             bias = bias + velocity_b
 
         epoch_params = ModelParams(weights=weights, bias=bias)
         train_losses.append(bce_loss(epoch_params, train_set.inputs, train_set.targets))
         valid_losses.append(bce_loss(epoch_params, valid_set.inputs, valid_set.targets))
-        train_fs.append(_fmeasure_at_threshold(
-            weights, bias, train_set.inputs, train_set.targets, cfg.threshold))
+        predicted = _sigmoid(train_set.inputs @ weights + bias) >= cfg.threshold
+        train_fs.append(prf(count_cells(predicted, train_set.targets >= 0.5)).fmeasure)
 
     return (ModelParams(weights=weights, bias=bias),
             TrainHistory(tuple(train_losses), tuple(valid_losses), tuple(train_fs)))
@@ -375,25 +356,23 @@ def run_sensitivity_experiment(synth_cfg: SynthConfig,
         train_idx, valid_idx, test_idx = _split_indices(len(corpus))
         features = [render_features(piece, train_grid, corpus_cfg, noise_seed=i)
                     for i, piece in enumerate(corpus)]
-        window_inputs = [_windows(f.values, train_cfg.context_frames) for f in features]
         cfg_seeded = replace(train_cfg, seed=derive_seed(train_cfg.seed, seed))
 
-        references = {
-            i: truncate(rasterize(corpus[i], eval_grid, reference_fn, 0), window_sec)
-            for i in test_idx
-        }
+        def inputs_for(indices: range) -> np.ndarray:
+            return np.concatenate([_windows(features[i].values, train_cfg.context_frames)
+                                   for i in indices])
+
+        def targets_for(fn: LabelingFunction, indices: range) -> np.ndarray:
+            return np.concatenate([
+                rasterize(corpus[i], train_grid, fn, derive_seed(seed, i)).frames
+                for i in indices]).astype(np.float64)
+
+        train_inputs, valid_inputs = inputs_for(train_idx), inputs_for(valid_idx)
+        references = {i: rasterize(corpus[i], eval_grid, reference_fn, 0) for i in test_idx}
 
         for fn in fns:
-            def targets_for(i: int) -> np.ndarray:
-                labels = rasterize(corpus[i], train_grid, fn, derive_seed(seed, i))
-                return labels.frames.astype(np.float64)
-
-            train_set = Dataset(
-                inputs=np.concatenate([window_inputs[i] for i in train_idx]),
-                targets=np.concatenate([targets_for(i) for i in train_idx]))
-            valid_set = Dataset(
-                inputs=np.concatenate([window_inputs[i] for i in valid_idx]),
-                targets=np.concatenate([targets_for(i) for i in valid_idx]))
+            train_set = Dataset(inputs=train_inputs, targets=targets_for(fn, train_idx))
+            valid_set = Dataset(inputs=valid_inputs, targets=targets_for(fn, valid_idx))
             try:
                 params, _ = train(train_set, valid_set, cfg_seeded)
             except DivergenceError as exc:
@@ -405,8 +384,7 @@ def run_sensitivity_experiment(synth_cfg: SynthConfig,
             for i in test_idx:
                 pred = predict(params, features[i], train_cfg.context_frames,
                                train_cfg.threshold)
-                pred_windowed = truncate(resample(pred, eval_grid), window_sec)
-                counts = framewise_counts(pred_windowed, references[i])
+                counts = windowed_counts(pred, references[i], window_sec)
                 tp += counts.tp
                 fp += counts.fp
                 fn_count += counts.fn_

@@ -32,6 +32,11 @@ class TestParseTsv:
         with pytest.raises(ValidationError, match="line 2"):
             parse_tsv(HEADER + "\n-0.5 1.0 60\n")
 
+    @pytest.mark.parametrize("line", ["nan 1.0 60", "0.5 inf 60", "-inf 1.0 60"])
+    def test_non_finite_time_rejected(self, line):
+        with pytest.raises(ValidationError, match="line 2: non-finite"):
+            parse_tsv(HEADER + "\n" + line + "\n")
+
     def test_malformed_header(self):
         with pytest.raises(FormatError):
             parse_tsv("Onset Offset Pitch\n0.5 1.0 60\n")
@@ -156,3 +161,11 @@ class TestValidate:
                          duration_sec=2.0)
         report = validate(ann)
         assert len(report.violations) == 3  # negative onset, label, past duration
+
+    def test_non_finite_times_reported(self):
+        ann = Annotation(events=(NoteEvent(float("nan"), 1.0, 0),
+                                 NoteEvent(0.5, float("inf"), 1)),
+                         num_labels=2, duration_sec=float("inf"))
+        violations = validate(ann).violations
+        assert any("duration_sec" in v for v in violations)
+        assert sum("non-finite" in v for v in violations) == 2

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import smf
-from notegrid import (Annotation, ContractError, FrameGrid, LabelingFunction,
-                      NoteEvent, framewise_counts, prf, rasterize, resample,
-                      to_tsv, truncate)
+from notegrid import (Annotation, ContractError, FormatError, FrameGrid,
+                      LabelingFunction, NoteEvent, framewise_counts, prf,
+                      rasterize, resample, to_tsv, truncate)
 from notegrid import io as ngio
 from notegrid.cli import main
 
@@ -68,6 +68,34 @@ class TestMatrixIo:
         assert np.array_equal(again.values, feats.values)  # repr round-trips
 
 
+MALFORMED_MATRICES = [
+    # (csv text, sidecar text, text the error must contain)
+    pytest.param("0,1\n1,0,1\n", '{"fps": 100.0}', "line 2", id="ragged-row"),
+    pytest.param("0,1\n\n1,x\n", '{"fps": 100.0}', "line 3", id="bad-cell"),
+    pytest.param("", '{"fps": 100.0}', "line 1", id="empty-file"),
+    pytest.param("0,1\n", '{"fps": 100.0', "line 1", id="unreadable-sidecar"),
+    pytest.param("0,1\n", '[100.0]', "line 1", id="non-object-sidecar"),
+]
+
+
+class TestMalformedMatrices:
+    @pytest.mark.parametrize("csv_text,sidecar_text,where", MALFORMED_MATRICES)
+    def test_label_matrix_exit_4(self, tmp_path, capsys, csv_text, sidecar_text, where):
+        (tmp_path / "m.csv").write_text(csv_text)
+        (tmp_path / "m.json").write_text(sidecar_text)
+        assert run_cli(["inspect", str(tmp_path / "m.csv")]) == 4
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        assert where in captured.err and "m." in captured.err
+
+    @pytest.mark.parametrize("csv_text,sidecar_text,where", MALFORMED_MATRICES)
+    def test_feature_matrix_format_error(self, tmp_path, csv_text, sidecar_text, where):
+        (tmp_path / "f.csv").write_text(csv_text)
+        (tmp_path / "f.json").write_text(sidecar_text)
+        with pytest.raises(FormatError, match=where):
+            ngio.read_feature_matrix(tmp_path / "f.csv")
+
+
 class TestRasterizeCommand:
     def test_writes_matrix_sidecar_manifest(self, tmp_path, notes_tsv):
         out = tmp_path / "out"
@@ -124,6 +152,15 @@ class TestRasterizeCommand:
         assert code == 4
         err = capsys.readouterr().err
         assert "broken.tsv" in err and "line 2" in err
+
+    @pytest.mark.parametrize("line", ["nan 1.0 60", "0.5 inf 60"])
+    def test_non_finite_time_exit_4(self, tmp_path, capsys, line):
+        bad = tmp_path / "broken.tsv"
+        bad.write_text(f"OnsetTime OffsetTime MidiPitch\n{line}\n")
+        assert run_cli(["rasterize", str(bad), "--fps", "100", "--fn", "a",
+                        "--out", str(tmp_path / "out")]) == 4
+        err = capsys.readouterr().err
+        assert "broken.tsv" in err and "line 2" in err and "Traceback" not in err
 
     def test_bad_extension_usage_error(self, tmp_path):
         weird = tmp_path / "notes.xyz"
@@ -312,6 +349,20 @@ class TestExperimentCommand:
         assert code == 3
         err = capsys.readouterr().err
         assert "fn=e" in err and "seed=4" in err
+
+    @pytest.mark.parametrize("config,key", [
+        ({"seed": [1]}, "seed"),
+        ({"synth": 5}, "synth"),
+        ({"train": [1, 2]}, "train"),
+    ])
+    def test_bad_config_usage_error(self, tmp_path, capsys, config, key):
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(config))
+        assert run_cli(["experiment", "--config", str(path),
+                        "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert repr(key) in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_empty_fns_usage_error(self, tmp_path):
         assert run_cli(["experiment", "--fns", "", "--seeds", "1",

@@ -6,7 +6,8 @@ import pytest
 from notegrid import (Annotation, ContractError, EvalCounts, FrameGrid,
                       LabelingFunction, LabelMatrix, NoteEvent, disagreement,
                       evaluate_against_reference, framewise_counts, prf,
-                      rasterize, rasterize_with_records, resample, truncate)
+                      rasterize, rasterize_with_records, resample, truncate,
+                      windowed_counts)
 
 A, C, E = LabelingFunction.A, LabelingFunction.C, LabelingFunction.E
 
@@ -263,4 +264,6 @@ class TestEvaluationProtocol:
         ref = truncate(rasterize(hundred_notes, ref_grid, A, 0), 30.0)
         manual = prf(framewise_counts(truncate(resample(pred, ref_grid), 30.0), ref))
         assert result == manual
+        full_ref = rasterize(hundred_notes, ref_grid, A, 0)
+        assert windowed_counts(pred, full_ref, 30.0) == manual.counts
         assert result.fmeasure < 1.0

@@ -170,6 +170,11 @@ class TestFrameGrid:
         with pytest.raises(ContractError):
             FrameGrid(fps=100.0, num_frames=0)
 
+    @pytest.mark.parametrize("seconds", [float("inf"), float("nan"), 1e307])
+    def test_covering_rejects_non_finite_span(self, seconds):
+        with pytest.raises(ContractError):
+            FrameGrid.covering(100.0, seconds)
+
 
 class TestLabelMatrix:
     def test_binary_enforced(self):

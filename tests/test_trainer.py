@@ -97,6 +97,13 @@ class TestLossAndGradient:
                   - bce_loss(ModelParams(params.weights, b_minus), x, y)) / (2 * eps)
             assert abs(fd - grad_b[j]) / max(abs(fd), 1e-12) <= 1e-5
 
+    def test_sigmoid_matches_logistic_and_saturates(self):
+        z = np.linspace(-40.0, 40.0, 100001)
+        assert np.abs(trainer_module._sigmoid(z) - 1.0 / (1.0 + np.exp(-z))).max() <= 1e-15
+        with np.errstate(all="raise"):
+            extremes = trainer_module._sigmoid(np.array([-1e308, 0.0, 1e308]))
+        assert extremes.tolist() == [0.0, 0.5, 1.0]
+
     def test_loss_stable_for_huge_logits(self):
         params = ModelParams(weights=np.full((2, 1), 500.0), bias=np.zeros(1))
         x = np.array([[1.0, 1.0], [-1.0, -1.0]])
@@ -114,6 +121,20 @@ class TestTrain:
         assert np.array_equal(params_a.bias, np.zeros(1))
         assert abs(params_a.weights.std() - 0.01) < 0.01
         assert history.train_loss == ()
+
+    def test_update_is_the_checked_gradient(self):
+        # one full-batch plain-SGD step at rate 1 must subtract exactly the
+        # gradient that the gradient check verifies
+        rng = np.random.default_rng(13)
+        ds = Dataset(inputs=rng.normal(0, 1, (40, 6)),
+                     targets=(rng.random((40, 3)) < 0.4).astype(float))
+        base = dict(learning_rate=1.0, momentum=0.0, batch_size=40,
+                    lr_schedule=(), context_frames=1, seed=8)
+        init, _ = train(ds, ds, TrainConfig(epochs=0, **base))
+        stepped, _ = train(ds, ds, TrainConfig(epochs=1, **base))
+        _, grad_w, grad_b = bce_loss_and_gradient(init, ds.inputs, ds.targets)
+        assert np.abs(stepped.weights - (init.weights - grad_w)).max() <= 1e-12
+        assert np.abs(stepped.bias - (init.bias - grad_b)).max() <= 1e-12
 
     def test_separable_toy_reaches_perfect_fmeasure(self):
         ds = two_cluster_dataset()

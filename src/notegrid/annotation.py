@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+
+import numpy as np
 
 from .errors import FormatError, RangeError, ValidationError
 
@@ -70,6 +73,17 @@ class Annotation:
 
     def __len__(self) -> int:
         return len(self.events)
+
+    @cached_property
+    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only (onsets, offsets, labels) arrays in event order."""
+        n = len(self.events)
+        out = (np.fromiter((e.onset_sec for e in self.events), np.float64, n),
+               np.fromiter((e.offset_sec for e in self.events), np.float64, n),
+               np.fromiter((e.label for e in self.events), np.int64, n))
+        for column in out:
+            column.setflags(write=False)
+        return out
 
 
 @dataclass(frozen=True)

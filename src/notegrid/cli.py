@@ -42,12 +42,12 @@ _EXPERIMENT_DEFAULTS = {
 
 def load_annotation(path: Path, pitch_offset: int, num_labels: int) -> Annotation:
     path = Path(path)
+    if path.suffix.lower() in (".mid", ".midi"):
+        parse, data = parse_midi, path.read_bytes()
+    else:
+        parse, data = parse_tsv, io.read_text(path)
     try:
-        if path.suffix.lower() in (".mid", ".midi"):
-            return parse_midi(path.read_bytes(), pitch_offset=pitch_offset,
-                              num_labels=num_labels)
-        return parse_tsv(path.read_text(encoding="utf-8"),
-                         pitch_offset=pitch_offset, num_labels=num_labels)
+        return parse(data, pitch_offset=pitch_offset, num_labels=num_labels)
     except NotegridError as exc:
         # surface the file name alongside the parser's line context
         raise type(exc)(f"{path.name}: {exc}") from None
@@ -55,7 +55,7 @@ def load_annotation(path: Path, pitch_offset: int, num_labels: int) -> Annotatio
 
 def _load_config_file(path: Path) -> dict:
     try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+        obj = json.loads(io.read_text(path))
     except json.JSONDecodeError as exc:
         raise FormatError(f"unreadable config {path}: {exc}") from None
     if not isinstance(obj, dict):
@@ -80,19 +80,6 @@ def _build_train_config(overrides: dict) -> TrainConfig:
         return TrainConfig(**overrides)
     except TypeError as exc:
         raise ContractError(f"bad train config: {exc}") from None
-
-
-def _serializable_train(cfg: TrainConfig) -> dict:
-    out = asdict(cfg)
-    if out["lr_schedule"] is not None:
-        out["lr_schedule"] = [list(entry) for entry in out["lr_schedule"]]
-    return out
-
-
-def _serializable_synth(cfg: SynthConfig) -> dict:
-    out = asdict(cfg)
-    out["duration_range"] = list(out["duration_range"])
-    return out
 
 
 def cmd_rasterize(args, parser) -> int:
@@ -229,9 +216,9 @@ def cmd_synth(args, parser) -> int:
         pieces_meta.append({"id": i, "noise_seed": i, "path": name,
                             "num_events": len(piece)})
     io.write_json(out_dir / "corpus.json",
-                  {"config": _serializable_synth(cfg), "pieces": pieces_meta})
+                  {"config": asdict(cfg), "pieces": pieces_meta})
     io.write_manifest(out_dir / "synth.manifest.json", "synth",
-                      {"synth": _serializable_synth(cfg), "features": bool(args.features),
+                      {"synth": asdict(cfg), "features": bool(args.features),
                        "fps": args.fps, "pitch_offset": args.pitch_offset},
                       [cfg.seed], [], __version__)
     print(f"wrote {len(corpus)} pieces to {out_dir}")
@@ -296,8 +283,8 @@ def cmd_experiment(args, parser) -> int:
         "train_fps": config["train_fps"],
         "eval_fps": config["eval_fps"],
         "window_sec": config["window_sec"],
-        "synth": _serializable_synth(synth_cfg),
-        "train": _serializable_train(train_cfg),
+        "synth": asdict(synth_cfg),
+        "train": asdict(train_cfg),
     }
     io.write_manifest(out_dir / "experiment.manifest.json", "experiment", resolved,
                       config["seeds"], [], __version__)

@@ -40,6 +40,17 @@ def atomic_write_text(path: Path, text: str) -> None:
         raise
 
 
+def read_text(path: Path) -> str:
+    """A UTF-8 file's text; other bytes are a FormatError naming the file
+    and line."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise FormatError(f"{path}: line {line}: not UTF-8 text") from None
+
+
 def write_json(path: Path, obj) -> None:
     atomic_write_text(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
@@ -75,16 +86,19 @@ def _read_matrix_csv(csv_path: Path, parse_cell, cell_kind: str,
     if not side.exists():
         raise ContractError(f"fps metadata missing: expected sidecar {side}")
     try:
-        meta = json.loads(side.read_text(encoding="utf-8"))
+        meta = json.loads(read_text(side))
     except json.JSONDecodeError as exc:
         raise FormatError(f"{side}: unreadable sidecar: {exc}") from None
     if not isinstance(meta, dict):
         raise FormatError(f"{side}: line 1: sidecar must hold a JSON object")
     if "fps" not in meta:
         raise ContractError(f"fps metadata missing from sidecar {side}")
+    fps = meta["fps"]
+    if isinstance(fps, bool) or not isinstance(fps, (int, float)):
+        raise FormatError(f"{side}: fps must be a number, got {fps!r}")
 
     rows = []
-    for lineno, line in enumerate(csv_path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(read_text(csv_path).splitlines(), start=1):
         if not line.strip():
             continue
         try:
@@ -99,7 +113,7 @@ def _read_matrix_csv(csv_path: Path, parse_cell, cell_kind: str,
     for key, found in (("num_frames", len(rows)), (width_key, len(rows[0]))):
         if meta.get(key, found) != found:
             raise FormatError(f"{csv_path}: {found} {key} but sidecar says {meta[key]}")
-    return meta, FrameGrid(fps=float(meta["fps"]), num_frames=len(rows)), np.array(rows)
+    return meta, FrameGrid(fps=float(fps), num_frames=len(rows)), np.array(rows)
 
 
 def write_label_matrix(matrix: LabelMatrix, csv_path: Path) -> None:
@@ -119,12 +133,19 @@ def read_label_matrix(csv_path: Path) -> LabelMatrix:
     meta, grid, frames = _read_matrix_csv(csv_path, int, "non-integer", "num_labels")
     if frames.min() < 0 or frames.max() > 1:
         raise FormatError(f"{csv_path}: cells must be 0 or 1")
-    fn_letter = meta.get("labeling_function")
+    side = sidecar_path(csv_path)
+    letter, seed = meta.get("labeling_function"), meta.get("seed")
+    if letter not in (None, "") and not (
+            isinstance(letter, str) and letter.lower() in [fn.letter for fn in LabelingFunction]):
+        raise FormatError(f"{side}: labeling_function must be one of a-f or null, "
+                          f"got {letter!r}")
+    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
+        raise FormatError(f"{side}: seed must be an integer or null, got {seed!r}")
     return LabelMatrix(
         frames=frames.astype(np.uint8),
         grid=grid,
-        labeling_function=LabelingFunction.from_letter(fn_letter) if fn_letter else None,
-        seed=meta.get("seed"),
+        labeling_function=LabelingFunction.from_letter(letter) if letter else None,
+        seed=seed,
     )
 
 

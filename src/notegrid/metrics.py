@@ -10,7 +10,6 @@ so batch evaluation stays total.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,7 +17,7 @@ import numpy as np
 from .annotation import Annotation
 from .errors import ContractError
 from .quantize import (FrameGrid, LabelingFunction, LabelMatrix,
-                       QuantizedInterval, rasterize, rasterize_with_records)
+                       QuantizedInterval, ShiftStream, quantize, rasterize)
 
 
 @dataclass(frozen=True)
@@ -102,18 +101,20 @@ def resample(matrix: LabelMatrix, target: FrameGrid) -> LabelMatrix:
     """Change a label matrix's frame rate by sample-and-hold.
 
     Target row t' copies source row min(floor(t' * src_fps / target_fps),
-    T_src - 1); works for both up- and downsampling and is the identity
-    when the grids match. The result carries no labeling-function
-    provenance since per-event indices are only meaningful at the source
-    rate.
+    T_src - 1), with the floor taken exactly in rational arithmetic; works
+    for both up- and downsampling and is the identity when the grids
+    match. The result carries no labeling-function provenance since
+    per-event indices are only meaningful at the source rate.
     """
     if matrix.frames.size == 0:
         raise ContractError("cannot resample an empty matrix")
     if matrix.grid.fps == target.fps and matrix.grid.num_frames == target.num_frames:
         return LabelMatrix(frames=matrix.frames, grid=matrix.grid)
-    ratio = matrix.grid.fps / target.fps
-    source_rows = np.floor(np.arange(target.num_frames) * ratio).astype(np.int64)
-    np.minimum(source_rows, matrix.num_frames - 1, out=source_rows)
+    (src_num, src_den), (tgt_num, tgt_den) = (matrix.grid.fps.as_integer_ratio(),
+                                              target.fps.as_integer_ratio())
+    # in Python integers, since t' * src_num * tgt_den can pass 2**63
+    rows = np.arange(target.num_frames, dtype=object) * (src_num * tgt_den) // (src_den * tgt_num)
+    source_rows = np.minimum(rows, matrix.num_frames - 1).astype(np.int64)
     return LabelMatrix(frames=matrix.frames[source_rows], grid=target)
 
 
@@ -135,16 +136,25 @@ def truncate(matrix: LabelMatrix, seconds: float) -> LabelMatrix:
     )
 
 
-def _records_for(matrix: LabelMatrix, events: Annotation,
-                 ) -> tuple[QuantizedInterval, ...] | None:
+def _boundaries(matrix: LabelMatrix, events: Annotation,
+                records: tuple[QuantizedInterval, ...] | None) -> np.ndarray | None:
+    """Per-event (t_s, t_e) rows behind a matrix, or None if unknown."""
+    if records is not None:
+        if len(records) != len(events):
+            raise ContractError("records do not match the annotation's event count")
+        return np.array([(q.t_s, q.t_e) for q in records], dtype=np.int64).reshape(-1, 2)
     fn = matrix.labeling_function
-    if fn is None:
+    if fn is None or (fn.is_random and matrix.seed is None):
         return None
-    if fn.is_random and matrix.seed is None:
-        return None
-    _, records = rasterize_with_records(events, matrix.grid, fn,
-                                        matrix.seed if matrix.seed is not None else 0)
-    return records
+    onsets, offsets, _ = events.columns
+    q = quantize(fn, onsets, offsets, matrix.grid.dt,
+                 ShiftStream(matrix.seed, fn) if fn.is_random else None)
+    return np.column_stack((q.t_s, q.t_e))
+
+
+def _shift_histogram(shifts: np.ndarray) -> dict[int, int]:
+    values, counts = np.unique(shifts[shifts != 0], return_counts=True)
+    return dict(zip(values.tolist(), counts.tolist()))
 
 
 def disagreement(a: LabelMatrix, b: LabelMatrix, events: Annotation,
@@ -163,29 +173,20 @@ def disagreement(a: LabelMatrix, b: LabelMatrix, events: Annotation,
     differing = int(np.count_nonzero(a.frames != b.frames))
     rate = differing / a.frames.size if a.frames.size else 0.0
 
-    if records_a is None:
-        records_a = _records_for(a, events)
-    if records_b is None:
-        records_b = _records_for(b, events)
-
-    onset_hist: Counter[int] = Counter()
-    offset_hist: Counter[int] = Counter()
-    if records_a is not None and records_b is not None:
-        if len(records_a) != len(events.events) or len(records_b) != len(events.events):
-            raise ContractError("records do not match the annotation's event count")
-        for qa, qb in zip(records_a, records_b):
-            d_on = qb.t_s - qa.t_s
-            d_off = qb.t_e - qa.t_e
-            if d_on:
-                onset_hist[d_on] += 1
-            if d_off:
-                offset_hist[d_off] += 1
+    bounds_a = _boundaries(a, events, records_a)
+    bounds_b = _boundaries(b, events, records_b)
+    onset_hist: dict[int, int] = {}
+    offset_hist: dict[int, int] = {}
+    if bounds_a is not None and bounds_b is not None:
+        shifts = bounds_b - bounds_a
+        onset_hist = _shift_histogram(shifts[:, 0])
+        offset_hist = _shift_histogram(shifts[:, 1])
 
     return DisagreementStats(
         differing_frames=differing,
         frame_rate_of_disagreement=rate,
-        onset_shift_histogram=dict(sorted(onset_hist.items())),
-        offset_shift_histogram=dict(sorted(offset_hist.items())),
+        onset_shift_histogram=onset_hist,
+        offset_shift_histogram=offset_hist,
     )
 
 

@@ -23,10 +23,11 @@ this package depend on the rounding behavior staying untouched.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -186,64 +187,138 @@ class LabelMatrix:
         return self.frames.shape[1]
 
 
-def _round_half_up(x: float) -> int:
-    return math.floor(x + 0.5)
+class QuantizedArrays(NamedTuple):
+    """The QuantizedInterval fields as arrays, one entry per interval."""
+
+    t_s: np.ndarray
+    t_e: np.ndarray
+    eps_s: np.ndarray
+    eps_e: np.ndarray
+    clamped: np.ndarray
+    degenerate: np.ndarray
+
+
+def quantize(fn: LabelingFunction, onsets, offsets, dt: float,
+             rng: Iterator[int] | None = None) -> QuantizedArrays:
+    """Map continuous intervals [onsets[i], offsets[i]) to frame indices.
+
+    `rng` must be given exactly for the random functions e and f. Draws
+    are taken in interval order: one per interval for e (a joint shift),
+    and for f an onset shift, then an offset shift. Negative indices after
+    shifting clamp to zero.
+    """
+    onsets = np.asarray(onsets, dtype=np.float64)
+    offsets = np.asarray(offsets, dtype=np.float64)
+    if onsets.ndim != 1 or onsets.shape != offsets.shape:
+        raise ContractError(f"onsets {onsets.shape} and offsets {offsets.shape} differ or not 1-D")
+    if not (dt > 0 and math.isfinite(dt)):
+        raise ContractError(f"dt must be positive and finite, got {dt}")
+    if fn.is_random != (rng is not None):
+        raise ContractError(f"labeling function {fn.letter} takes a draw stream "
+                            "if and only if it is random (e, f)")
+    # a NaN fails every comparison, so it fails this check too
+    bad = ~((onsets >= 0) & (offsets > onsets) & np.isfinite(offsets))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ContractError(f"interval {i} [{onsets[i]}, {offsets[i]}): "
+                            "times must be finite with 0 <= onset < offset")
+
+    x_s = onsets / dt
+    x_e = offsets / dt
+    # below 2**52 every index, and d's sum of two, is exact in float64
+    if x_e.size and x_e.max() >= 2.0 ** 52:
+        raise ContractError(f"offset {offsets.max()} is too many frames of {dt} s to index")
+    if fn is LabelingFunction.B:
+        t_s, t_e = np.ceil(x_s), np.ceil(x_e)
+    elif fn is LabelingFunction.C:
+        t_s, t_e = np.floor(x_s), np.floor(x_e)
+    elif fn is LabelingFunction.D:
+        t_s = np.floor(x_s)
+        t_e = t_s + np.floor((offsets - onsets) / dt)
+    else:  # a, and the base for e and f: round half up
+        t_s, t_e = np.floor(x_s + 0.5), np.floor(x_e + 0.5)
+    t_s = t_s.astype(np.int64)
+    t_e = t_e.astype(np.int64)
+
+    # errors of the pre-shift, pre-clamp indices
+    eps_s = t_s * dt - onsets
+    eps_e = t_e * dt - offsets
+
+    if fn.is_random:
+        per_interval = 2 if fn is LabelingFunction.F else 1
+        count = len(onsets) * per_interval
+        draws = np.fromiter(itertools.islice(rng, count), dtype=np.int64)
+        if len(draws) < count:
+            raise ContractError(f"draw stream ran out after {len(draws)} of {count} draws")
+        # e's one column shifts both boundaries; f has an onset and an offset column
+        shifts = draws.reshape(-1, per_interval)
+        t_s += shifts[:, 0]
+        t_e += shifts[:, -1]
+
+    clamped = (t_s < 0) | (t_e < 0)
+    np.maximum(t_s, 0, out=t_s)
+    np.maximum(t_e, 0, out=t_e)
+    return QuantizedArrays(t_s, t_e, eps_s, eps_e, clamped, t_e <= t_s)
 
 
 def quantize_interval(fn: LabelingFunction, onset_sec: float, offset_sec: float,
                       dt: float, rng: Iterator[int] | None = None) -> QuantizedInterval:
-    """Map one continuous interval to frame indices under a labeling function.
+    """Map one continuous interval to frame indices: quantize for one interval."""
+    q = quantize(fn, [onset_sec], [offset_sec], dt, rng)
+    return QuantizedInterval(*(field.item() for field in q))
 
-    `rng` must be given exactly for the random functions e and f (one draw
-    is consumed for e, two for f: onset shift first, then offset shift).
-    Negative indices after shifting clamp to zero.
+
+def paint_ranges(num_frames: int, num_labels: int, starts, ends, labels) -> np.ndarray:
+    """A uint8 frames-by-labels matrix with frames [starts[i], ends[i]) of
+    column labels[i] set to 1.
+
+    Ranges are clipped to the grid, empty ones paint nothing, and
+    overlapping ones of the same label OR together. Bounds may be integers
+    or whole-valued floats.
     """
-    if dt <= 0:
-        raise ContractError(f"dt must be positive, got {dt}")
-    if onset_sec < 0:
-        raise ContractError(f"onset must be non-negative, got {onset_sec}")
-    if offset_sec <= onset_sec:
-        raise ContractError(f"offset {offset_sec} must exceed onset {onset_sec}")
-    if fn.is_random and rng is None:
-        raise ContractError(f"labeling function {fn.letter} requires a draw stream")
-    if not fn.is_random and rng is not None:
-        raise ContractError(f"labeling function {fn.letter} is deterministic; no draw stream")
+    labels = np.asarray(labels, dtype=np.int64)
+    outside = (labels < 0) | (labels >= num_labels)
+    if outside.any():
+        raise ContractError(
+            f"event label {labels[np.argmax(outside)]} outside [0, {num_labels})")
+    if not (np.isfinite(starts).all() and np.isfinite(ends).all()):
+        raise ContractError("range bounds must be finite")
+    lo = np.clip(starts, 0, num_frames).astype(np.int64)
+    hi = np.clip(ends, lo, num_frames).astype(np.int64)
+    # Give each label the stretch [label * span, label * span + num_frames]
+    # of one line and sort the ranges along it. The parts of the ranges
+    # past every earlier range's end are disjoint, so toggling a cell at
+    # each part's start and end, then XOR-ing down each column, gives the
+    # 0/1 coverage without allocating anything wider than the matrix.
+    span = num_frames + 1
+    base = labels * span
+    order = np.argsort(base + lo, kind="stable")
+    base, label, lo, hi = base[order], labels[order], (base + lo)[order], (base + hi)[order]
+    reached = np.maximum.accumulate(np.concatenate(([0], hi))[:-1])
+    lo = np.maximum(lo, reached) - base
+    hi = np.maximum(hi, reached) - base
+    part = lo < hi
+    frames = np.zeros((span, num_labels), dtype=np.uint8)
+    frames[lo[part], label[part]] = 1
+    frames[hi[part], label[part]] ^= 1  # a part may end where the next starts
+    # XOR carries nothing between bytes, so a row's bytes go a word at a time
+    words = frames.view(f"u{math.gcd(num_labels, 8)}")
+    np.bitwise_xor.accumulate(words, axis=0, out=words)
+    return frames[:num_frames]
 
-    x_s = onset_sec / dt
-    x_e = offset_sec / dt
 
-    if fn is LabelingFunction.B:
-        t_s = math.ceil(x_s)
-        t_e = math.ceil(x_e)
-    elif fn is LabelingFunction.C:
-        t_s = math.floor(x_s)
-        t_e = math.floor(x_e)
-    elif fn is LabelingFunction.D:
-        t_s = math.floor(x_s)
-        t_e = math.floor(x_s) + math.floor((offset_sec - onset_sec) / dt)
-    else:  # a, and the base for e and f
-        t_s = _round_half_up(x_s)
-        t_e = _round_half_up(x_e)
-
-    # errors of the pre-shift, pre-clamp indices
-    eps_s = t_s * dt - onset_sec
-    eps_e = t_e * dt - offset_sec
-
-    if fn is LabelingFunction.E:
-        shift = next(rng)
-        t_s += shift
-        t_e += shift
-    elif fn is LabelingFunction.F:
-        t_s += next(rng)
-        t_e += next(rng)
-
-    clamped = t_s < 0 or t_e < 0
-    t_s = max(t_s, 0)
-    t_e = max(t_e, 0)
-    return QuantizedInterval(
-        t_s=t_s, t_e=t_e, eps_s=eps_s, eps_e=eps_e,
-        clamped=clamped, degenerate=t_e <= t_s,
-    )
+def _rasterize(annotation: Annotation, grid: FrameGrid, fn: LabelingFunction,
+               seed: int, rng: Iterator[int] | None,
+               ) -> tuple[LabelMatrix, QuantizedArrays]:
+    provenance_seed = seed if rng is None else None
+    if rng is None and fn.is_random:
+        rng = ShiftStream(seed, fn)
+    onsets, offsets, labels = annotation.columns
+    q = quantize(fn, onsets, offsets, grid.dt, rng)
+    frames = paint_ranges(grid.num_frames, annotation.num_labels, q.t_s, q.t_e, labels)
+    matrix = LabelMatrix(frames=frames, grid=grid, labeling_function=fn,
+                         seed=provenance_seed)
+    return matrix, q
 
 
 def rasterize_with_records(annotation: Annotation, grid: FrameGrid,
@@ -258,37 +333,9 @@ def rasterize_with_records(annotation: Annotation, grid: FrameGrid,
     overrides the seeded stream (test hook); the output matrix then
     carries seed=None since it is not reproducible from a seed.
     """
-    for event in annotation.events:
-        if not 0 <= event.label < annotation.num_labels:
-            raise ContractError(
-                f"event label {event.label} outside [0, {annotation.num_labels})")
-
-    provenance_seed: int | None = seed
-    stream: Iterator[int] | None = None
-    if fn.is_random:
-        if rng is not None:
-            stream = rng
-            provenance_seed = None
-        else:
-            stream = ShiftStream(seed, fn)
-    elif rng is not None:
-        raise ContractError(f"labeling function {fn.letter} is deterministic; no draw stream")
-
-    num_frames = grid.num_frames
-    frames = np.zeros((num_frames, annotation.num_labels), dtype=np.uint8)
-    records = []
-    for event in annotation.events:
-        q = quantize_interval(fn, event.onset_sec, event.offset_sec, grid.dt, rng=stream)
-        records.append(q)
-        if q.degenerate:
-            continue
-        lo = min(q.t_s, num_frames)
-        hi = min(q.t_e, num_frames)
-        if lo < hi:
-            frames[lo:hi, event.label] = 1
-    matrix = LabelMatrix(frames=frames, grid=grid, labeling_function=fn,
-                         seed=provenance_seed)
-    return matrix, tuple(records)
+    matrix, q = _rasterize(annotation, grid, fn, seed, rng)
+    return matrix, tuple(itertools.starmap(QuantizedInterval,
+                                           zip(*(field.tolist() for field in q))))
 
 
 def rasterize(annotation: Annotation, grid: FrameGrid, fn: LabelingFunction,
@@ -300,8 +347,7 @@ def rasterize(annotation: Annotation, grid: FrameGrid, fn: LabelingFunction,
     nothing, and overlapping events of the same label OR together. The
     seed only matters for the random functions e and f.
     """
-    matrix, _ = rasterize_with_records(annotation, grid, fn, seed, rng=rng)
-    return matrix
+    return _rasterize(annotation, grid, fn, seed, rng)[0]
 
 
 def noise_ceiling(annotation: Annotation, grid: FrameGrid, fn: LabelingFunction,

@@ -11,14 +11,13 @@ are exactly where misaligned labels contradict the features.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .annotation import Annotation, NoteEvent
 from .errors import ContractError
-from .quantize import FrameGrid
+from .quantize import FrameGrid, paint_ranges
 from .util import MASK64
 
 
@@ -149,16 +148,10 @@ def render_features(annotation: Annotation, grid: FrameGrid, cfg: SynthConfig,
             f"grid covers {grid.duration_sec:.6f} s but annotation lasts "
             f"{annotation.duration_sec:.6f} s")
 
-    num_frames = grid.num_frames
-    dt = grid.dt
-    active = np.zeros((num_frames, cfg.num_labels), dtype=bool)
-    for event in annotation.events:
-        # frame centers c = (t + 0.5) * dt with onset <= c < offset
-        lo = max(math.ceil(event.onset_sec / dt - 0.5), 0)
-        hi = min(math.ceil(event.offset_sec / dt - 0.5), num_frames)
-        if lo < hi:
-            active[lo:hi, event.label] = True
-
+    onsets, offsets, labels = annotation.columns
+    # frame centers c = (t + 0.5) * dt with onset <= c < offset
+    active = paint_ranges(grid.num_frames, cfg.num_labels, np.ceil(onsets / grid.dt - 0.5),
+                          np.ceil(offsets / grid.dt - 0.5), labels)
     features = active.astype(np.float64) @ label_templates(cfg)
     if cfg.noise_sigma > 0:
         rng = np.random.default_rng([cfg.seed & MASK64, 1, noise_seed & MASK64])

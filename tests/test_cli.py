@@ -75,6 +75,9 @@ MALFORMED_MATRICES = [
     pytest.param("", '{"fps": 100.0}', "line 1", id="empty-file"),
     pytest.param("0,1\n", '{"fps": 100.0', "line 1", id="unreadable-sidecar"),
     pytest.param("0,1\n", '[100.0]', "line 1", id="non-object-sidecar"),
+    pytest.param("0,1\n", '{"fps": "abc"}', "fps", id="string-fps"),
+    pytest.param("0,1\n", '{"fps": [1]}', "fps", id="list-fps"),
+    pytest.param("0,1\n", '{"fps": true}', "fps", id="boolean-fps"),
 ]
 
 
@@ -94,6 +97,51 @@ class TestMalformedMatrices:
         (tmp_path / "f.json").write_text(sidecar_text)
         with pytest.raises(FormatError, match=where):
             ngio.read_feature_matrix(tmp_path / "f.csv")
+
+
+    @pytest.mark.parametrize("key,value", [("labeling_function", 7),
+                                           ("labeling_function", "z"), ("seed", "1"),
+                                           ("seed", 1.5), ("seed", True)])
+    def test_label_sidecar_field_type_exit_4(self, tmp_path, capsys, key, value):
+        (tmp_path / "m.csv").write_text("0,1\n")
+        (tmp_path / "m.json").write_text(json.dumps({"fps": 100.0, key: value}))
+        assert run_cli(["inspect", str(tmp_path / "m.csv")]) == 4
+        err = capsys.readouterr().err
+        assert "m.json" in err and key in err and "Traceback" not in err
+
+
+class TestNonUtf8Input:
+    """A byte that is not UTF-8 is a FormatError naming the file (exit 4)."""
+
+    @staticmethod
+    def assert_exit_4(argv, where, capsys):
+        assert run_cli(argv) == 4
+        err = capsys.readouterr().err
+        assert where in err and "UTF-8" in err and "Traceback" not in err
+
+    def test_annotation(self, tmp_path, capsys):
+        path = tmp_path / "notes.tsv"
+        path.write_bytes(TSV.encode() + b"0.5\t0.9\t6\xff\n")
+        self.assert_exit_4(["rasterize", str(path), "--fps", "100", "--fn", "a",
+                            "--out", str(tmp_path)], "notes.tsv: line 4", capsys)
+
+    @pytest.mark.parametrize("broken,line", [("m.csv", 2), ("m.json", 1)])
+    def test_matrix_and_sidecar(self, tmp_path, capsys, broken, line):
+        where = f"{broken}: line {line}"
+        (tmp_path / "m.csv").write_bytes(b"0,1\n")
+        (tmp_path / "m.json").write_bytes(b'{"fps": 100.0}')
+        with open(tmp_path / broken, "ab") as handle:
+            handle.write(b"\xff")
+        self.assert_exit_4(["inspect", str(tmp_path / "m.csv")], where, capsys)
+        with pytest.raises(FormatError, match=where):
+            ngio.read_feature_matrix(tmp_path / "m.csv")
+
+    @pytest.mark.parametrize("command", ["synth", "experiment"])
+    def test_config(self, tmp_path, capsys, command):
+        config = tmp_path / "cfg.json"
+        config.write_bytes(b'{"seed": 1}\xff')
+        self.assert_exit_4([command, "--config", str(config), "--out", str(tmp_path / "out")],
+                           "cfg.json: line 1", capsys)
 
 
 class TestRasterizeCommand:

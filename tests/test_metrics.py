@@ -1,4 +1,6 @@
 import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -131,6 +133,18 @@ class TestResample:
         out = resample(m, FrameGrid(fps=100.0, num_frames=7))
         expected = np.array([[1, 0]] * 4 + [[0, 1]] * 3, dtype=np.uint8)
         assert np.array_equal(out.frames, expected)
+
+    def test_rows_are_the_exact_rational_floor(self):
+        # float floor(t * 30 / 86.1328125) is one row off at 16 of these rows
+        src = FrameGrid(fps=30.0, num_frames=10400)
+        target = FrameGrid(fps=86.1328125, num_frames=30000)
+        bits = (np.arange(src.num_frames)[:, None] >> np.arange(14)) & 1
+        out = resample(LabelMatrix(frames=bits, grid=src), target)
+        rows = out.frames.astype(np.int64) @ (1 << np.arange(14))
+        ratio = Fraction(30.0) / Fraction(86.1328125)
+        expected = [min(math.floor(t * ratio), src.num_frames - 1)
+                    for t in range(target.num_frames)]
+        assert rows.tolist() == expected
 
     def test_idempotent_at_fixed_target(self):
         rng = np.random.default_rng(8)

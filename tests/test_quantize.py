@@ -9,6 +9,7 @@ import pytest
 from notegrid import (Annotation, ContractError, FrameGrid, LabelingFunction,
                       LabelMatrix, NoteEvent, ShiftStream, noise_ceiling,
                       quantize_interval, rasterize, rasterize_with_records)
+from notegrid.quantize import quantize
 
 A, B, C, D, E, F = LabelingFunction
 
@@ -37,6 +38,89 @@ def oracle_indices(fn, onset, offset, dt):
         dur = (Fraction(offset) - Fraction(onset)) / Fraction(dt)
         return math.floor(xs), math.floor(xs) + math.floor(dur)
     raise AssertionError(fn)
+
+
+def reference_quantize(fn, onset_sec, offset_sec, dt, rng):
+    """The per-note quantizer as a straight line of scalar code: the
+    reference the array quantizer must equal field for field."""
+    x_s = onset_sec / dt
+    x_e = offset_sec / dt
+    if fn is B:
+        t_s, t_e = math.ceil(x_s), math.ceil(x_e)
+    elif fn is C:
+        t_s, t_e = math.floor(x_s), math.floor(x_e)
+    elif fn is D:
+        t_s = math.floor(x_s)
+        t_e = math.floor(x_s) + math.floor((offset_sec - onset_sec) / dt)
+    else:
+        t_s, t_e = math.floor(x_s + 0.5), math.floor(x_e + 0.5)
+    eps_s = t_s * dt - onset_sec
+    eps_e = t_e * dt - offset_sec
+    if fn is E:
+        shift = next(rng)
+        t_s += shift
+        t_e += shift
+    elif fn is F:
+        t_s += next(rng)
+        t_e += next(rng)
+    clamped = t_s < 0 or t_e < 0
+    t_s, t_e = max(t_s, 0), max(t_e, 0)
+    return t_s, t_e, eps_s, eps_e, clamped, t_e <= t_s
+
+
+class TestQuantize:
+    def assert_matches_reference(self, onsets, offsets, dt, seed):
+        clamped = 0
+        for fn in LabelingFunction:
+            stream = ShiftStream(seed, fn) if fn.is_random else None
+            q = quantize(fn, onsets, offsets, dt, stream)
+            got = list(zip(*(field.tolist() for field in q)))
+            stream = ShiftStream(seed, fn) if fn.is_random else None
+            want = [reference_quantize(fn, on, off, dt, stream)
+                    for on, off in zip(onsets, offsets)]
+            assert got == want, fn
+            clamped += int(q.clamped.sum())
+        return clamped
+
+    @pytest.mark.parametrize("fps", [100.0, 31.25, 86.1328125])
+    def test_matches_reference_on_fixture(self, hundred_notes, fps):
+        onsets = [e.onset_sec for e in hundred_notes.events]
+        offsets = [e.offset_sec for e in hundred_notes.events]
+        self.assert_matches_reference(onsets, offsets, 1.0 / fps, seed=3)
+
+    def test_matches_reference_on_random_arrays(self):
+        r = random.Random(23)
+        for trial in range(20):
+            dt = r.choice([0.01, 0.032, 1 / 86.1328125, 0.5])
+            # a third of the onsets within two frames of 0, so e/f shifts clamp
+            onsets = [r.random() * (2 * dt if r.random() < 0.3 else 60.0) for _ in range(200)]
+            offsets = [on + r.choice([1e-6, dt / 3, dt, 5.0]) * r.random() + 1e-9
+                       for on in onsets]
+            clamped = self.assert_matches_reference(onsets, offsets, dt, seed=trial)
+            assert clamped > 0
+
+    def test_draw_order_onset_then_offset(self):
+        q = quantize(F, [0.10, 0.50], [0.30, 0.70], 0.01, rng=iter([1, -1, 0, 1]))
+        assert q.t_s.tolist() == [11, 50] and q.t_e.tolist() == [29, 71]
+        q = quantize(E, [0.10, 0.50], [0.30, 0.70], 0.01, rng=iter([1, -1]))
+        assert q.t_s.tolist() == [11, 49] and q.t_e.tolist() == [31, 69]
+
+    @pytest.mark.parametrize("onset,offset", [(math.nan, 1.0), (0.5, math.inf),
+                                              (-math.inf, 1.0), (0.5, math.nan)])
+    def test_non_finite_times_rejected(self, onset, offset):
+        for fn in (A, D):
+            with pytest.raises(ContractError, match="finite"):
+                quantize(fn, [0.1, onset], [0.2, offset], 0.01)
+
+    def test_exhausted_stream_rejected(self):
+        with pytest.raises(ContractError, match="ran out"):
+            quantize(F, [0.1, 0.3], [0.2, 0.4], 0.01, rng=iter([1, 0, -1]))
+        with pytest.raises(ContractError, match="ran out"):
+            quantize_interval(E, 0.1, 0.2, 0.01, rng=iter([]))
+
+    def test_empty_input(self):
+        q = quantize(F, [], [], 0.01, rng=ShiftStream(0, F))
+        assert all(field.shape == (0,) for field in q)
 
 
 class TestQuantizeInterval:
@@ -272,6 +356,27 @@ class TestRasterize:
                 rebuilt[min(q.t_s, grid.num_frames):min(q.t_e, grid.num_frames),
                         event.label] = 1
         assert np.array_equal(rebuilt, matrix.frames)
+
+    @pytest.mark.parametrize("num_labels", [3, 8])  # rows of bytes, and of 8-byte words
+    def test_matrix_matches_per_note_painting(self, num_labels):
+        # many same-label overlaps and touching ranges, one note stacked
+        # 300 deep, shifts below frame 0, and a grid that ends before the
+        # last notes
+        r = random.Random(29)
+        events = [NoteEvent(0.5, 0.9, 1)] * 300
+        for _ in range(100 * num_labels):
+            onset = r.random() * (0.05 if r.random() < 0.3 else 4.0)
+            events.append(NoteEvent(onset, onset + 1e-6 + r.random() * r.choice([0.02, 1.5]),
+                                    r.randrange(num_labels)))
+        ann = Annotation.from_events(events, num_labels=num_labels)
+        grid = FrameGrid(fps=31.25, num_frames=100)
+        for fn in LabelingFunction:
+            matrix, records = rasterize_with_records(ann, grid, fn, 4)
+            painted = np.zeros_like(matrix.frames)
+            for event, q in zip(ann.events, records):
+                painted[q.t_s:q.t_e, event.label] = 1
+            assert np.array_equal(matrix.frames, painted), fn
+            assert np.array_equal(rasterize(ann, grid, fn, 4).frames, painted), fn
 
     def test_draws_consumed_in_event_order(self):
         ann = Annotation.from_events(

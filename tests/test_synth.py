@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,28 @@ class TestTemplates:
 
 
 class TestRenderFeatures:
+    def test_active_cells_match_frame_centre_brute_force(self):
+        # identity templates, so the noiseless features are the active cells
+        cfg = SynthConfig(num_labels=3, feature_dim=3, harmonics=1, noise_sigma=0.0)
+        dt = 0.125  # exact in binary, so the first boundaries sit on frame centres
+        on_centres = [NoteEvent(0.1875, 0.4375, 0), NoteEvent(0.3, 0.35, 1),
+                      NoteEvent(0.0, 0.05, 2), NoteEvent(1.0, 1.9, 0),
+                      NoteEvent(1.2, 1.5, 0), NoteEvent(0.01, 2.0, 1)]
+        r = random.Random(31)
+        onsets = [r.random() * 1.8 for _ in range(40)]
+        scattered = [NoteEvent(on, on + r.random() * 0.19 + 1e-3, r.randrange(3))
+                     for on in onsets]
+        grid = FrameGrid(fps=1 / dt, num_frames=16)
+        for events in (on_centres, scattered):
+            ann = Annotation.from_events(events, num_labels=3, duration_sec=2.0)
+            brute = np.zeros((16, 3))
+            for t in range(16):
+                centre = (t + 0.5) * dt
+                for e in ann.events:
+                    if e.onset_sec <= centre < e.offset_sec:
+                        brute[t, e.label] = 1.0
+            assert np.array_equal(render_features(ann, grid, cfg).values, brute)
+
     def test_silence_gives_zero_rows(self):
         cfg = SynthConfig(noise_sigma=0.0)
         ann = Annotation.from_events([], num_labels=cfg.num_labels, duration_sec=1.0)

@@ -30,12 +30,14 @@ class ContractError(NotegridError):
 class DivergenceError(NotegridError):
     """Training produced a non-finite loss.
 
-    Carries the epoch and batch index where divergence was detected so
-    batch drivers can report which run failed.
+    Carries the epoch and batch index where divergence was detected, and
+    the indices of the stacked models that diverged there, so batch
+    drivers can report which run failed.
     """
 
     def __init__(self, message: str, *, epoch: int | None = None,
-                 batch: int | None = None):
+                 batch: int | None = None, models: tuple[int, ...] | None = None):
         super().__init__(message)
         self.epoch = epoch
         self.batch = batch
+        self.models = models

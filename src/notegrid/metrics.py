@@ -70,9 +70,9 @@ def _check_comparable(a: LabelMatrix, b: LabelMatrix) -> None:
 
 def count_cells(pred: np.ndarray, ref: np.ndarray) -> EvalCounts:
     """Count TP/FP/FN cells between two boolean arrays of the same shape."""
-    return EvalCounts(tp=int(np.count_nonzero(pred & ref)),
-                      fp=int(np.count_nonzero(pred & ~ref)),
-                      fn_=int(np.count_nonzero(~pred & ref)))
+    tp = int(np.count_nonzero(pred & ref))
+    return EvalCounts(tp=tp, fp=int(np.count_nonzero(pred)) - tp,
+                      fn_=int(np.count_nonzero(ref)) - tp)
 
 
 def framewise_counts(pred: LabelMatrix, ref: LabelMatrix) -> EvalCounts:

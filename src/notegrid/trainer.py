@@ -162,10 +162,14 @@ def bce_loss(params: ModelParams, inputs: np.ndarray, targets: np.ndarray) -> fl
 
 
 def _loss_and_gradient(weights: np.ndarray, bias: np.ndarray, inputs: np.ndarray,
-                       targets: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+                       targets: np.ndarray, models: int = 1,
+                       ) -> tuple[float, np.ndarray, np.ndarray]:
+    # the columns hold `models` equal blocks; each block's gradient is
+    # normalised by its own cell count (rows x K), so a block trains
+    # exactly as it would alone
     z = inputs @ weights + bias
     loss = float(np.mean(np.logaddexp(0.0, z) - targets * z))
-    residual = (_sigmoid(z) - targets) / targets.size
+    residual = (_sigmoid(z) - targets) / (targets.size // models)
     return loss, inputs.T @ residual, residual.sum(axis=0)
 
 
@@ -184,8 +188,8 @@ def _init_params(dim: int, num_labels: int, seed: int) -> ModelParams:
                        bias=np.zeros(num_labels))
 
 
-def train(train_set: Dataset, valid_set: Dataset,
-          cfg: TrainConfig) -> tuple[ModelParams, TrainHistory]:
+def train(train_set: Dataset, valid_set: Dataset, cfg: TrainConfig, *,
+          models: int = 1) -> tuple[ModelParams, TrainHistory]:
     """Train the linear classifier with Nesterov-momentum mini-batch SGD.
 
     Weights start from seeded N(0, 0.01), bias from zero. Each epoch
@@ -196,24 +200,40 @@ def train(train_set: Dataset, valid_set: Dataset,
     validation losses and the training f-measure after each epoch.
     Everything is deterministic for a fixed cfg.
 
-    Raises DivergenceError (with epoch and batch) if a batch loss goes
-    non-finite.
+    With models=G the targets are G blocks of K columns sharing the
+    inputs, and G models train in lockstep: each block starts from the
+    same initialization and is normalised per rows x K cells, so block j
+    equals training on block j alone, up to BLAS summation order. History
+    is then pooled over all blocks (losses are the per-model mean).
+
+    Raises DivergenceError (with epoch, batch and the indices of the
+    models whose loss went non-finite) if a batch loss goes non-finite.
     """
     if train_set.num_examples == 0 or valid_set.num_examples == 0:
         raise ContractError("train and valid sets must be non-empty")
     if train_set.inputs.shape[1] != valid_set.inputs.shape[1]:
         raise ContractError("train and valid input dimensions differ")
+    if train_set.targets.shape[1] != valid_set.targets.shape[1]:
+        raise ContractError("train and valid target widths differ")
+    if models < 1 or train_set.targets.shape[1] % models:
+        raise ContractError(
+            f"{train_set.targets.shape[1]} target columns cannot be split "
+            f"into {models} models")
 
     dim = train_set.inputs.shape[1]
-    num_labels = train_set.targets.shape[1]
-    params = _init_params(dim, num_labels, cfg.seed)
+    num_labels = train_set.targets.shape[1] // models
+    init = _init_params(dim, num_labels, cfg.seed)
+    weights = np.tile(init.weights, (1, models))
+    bias = np.tile(init.bias, models)
     if cfg.epochs == 0:
-        return params, TrainHistory((), (), ())
+        return ModelParams(weights=weights, bias=bias), TrainHistory((), (), ())
 
-    weights = params.weights.copy()
-    bias = params.bias.copy()
-    velocity_w = np.zeros_like(weights)
-    velocity_b = np.zeros_like(bias)
+    # the step runs in place: mu*v is formed once and feeds both the
+    # look-ahead point and the new velocity, in the same float operations
+    # as weights + mu*v, mu*v - lr*g, weights + v
+    velocity_w, velocity_b = np.zeros_like(weights), np.zeros_like(bias)
+    momentum_w, momentum_b = np.empty_like(weights), np.empty_like(bias)
+    ahead_w, ahead_b = np.empty_like(weights), np.empty_like(bias)
     shuffle_rng = np.random.default_rng([cfg.seed & MASK64, 1])
     schedule = cfg.resolved_schedule()
 
@@ -230,16 +250,23 @@ def train(train_set: Dataset, valid_set: Dataset,
             idx = order[start:start + cfg.batch_size]
             x = train_set.inputs[idx]
             y = train_set.targets[idx]
-            batch_loss, grad_w, grad_b = _loss_and_gradient(
-                weights + mu * velocity_w, bias + mu * velocity_b, x, y)
+            np.multiply(mu, velocity_w, out=momentum_w)
+            np.multiply(mu, velocity_b, out=momentum_b)
+            np.add(weights, momentum_w, out=ahead_w)
+            np.add(bias, momentum_b, out=ahead_b)
+            batch_loss, grad_w, grad_b = _loss_and_gradient(ahead_w, ahead_b, x, y, models)
             if not math.isfinite(batch_loss):
-                raise DivergenceError(
-                    f"non-finite loss at epoch {epoch}, batch {batch_index}",
-                    epoch=epoch, batch=batch_index)
-            velocity_w = mu * velocity_w - lr * grad_w
-            velocity_b = mu * velocity_b - lr * grad_b
-            weights = weights + velocity_w
-            bias = bias + velocity_b
+                diverged = _diverged_models(ahead_w, ahead_b, x, y, models)
+                if diverged:
+                    raise DivergenceError(
+                        f"non-finite loss at epoch {epoch}, batch {batch_index}",
+                        epoch=epoch, batch=batch_index, models=diverged)
+            grad_w *= lr
+            grad_b *= lr
+            np.subtract(momentum_w, grad_w, out=velocity_w)
+            np.subtract(momentum_b, grad_b, out=velocity_b)
+            weights += velocity_w
+            bias += velocity_b
 
         epoch_params = ModelParams(weights=weights, bias=bias)
         train_losses.append(bce_loss(epoch_params, train_set.inputs, train_set.targets))
@@ -249,6 +276,19 @@ def train(train_set: Dataset, valid_set: Dataset,
 
     return (ModelParams(weights=weights, bias=bias),
             TrainHistory(tuple(train_losses), tuple(valid_losses), tuple(train_fs)))
+
+
+def _diverged_models(weights: np.ndarray, bias: np.ndarray, inputs: np.ndarray,
+                     targets: np.ndarray, models: int) -> tuple[int, ...]:
+    """Indices of the stacked models whose own batch loss is non-finite.
+
+    A pooled loss can overflow while every model's own loss is finite;
+    then no model diverged, as none would have trained alone.
+    """
+    k = targets.shape[1] // models
+    return tuple(j for j in range(models) if not math.isfinite(_loss_and_gradient(
+        weights[:, j * k:(j + 1) * k], bias[j * k:(j + 1) * k], inputs,
+        targets[:, j * k:(j + 1) * k])[0]))
 
 
 def predict(params: ModelParams, features: FeatureMatrix, context_frames: int,
@@ -341,8 +381,11 @@ def run_sensitivity_experiment(synth_cfg: SynthConfig,
     to eval_grid, truncated to the evaluation window, and scored against
     the reference rasterization (round-both on eval_grid).
 
-    Returns one test row per (fn, seed). DivergenceError from training is
-    re-raised annotated with the failing (fn, seed).
+    Within a seed the distinct functions train once, in lockstep, as one
+    stacked model (train(..., models=G)); a repeated function reuses its
+    result. Returns one test row per (fn, seed), in fns order.
+    DivergenceError from training is re-raised annotated with the failing
+    function(s) and seed.
     """
     if not fns:
         raise ContractError("fns must be non-empty")
@@ -367,32 +410,39 @@ def run_sensitivity_experiment(synth_cfg: SynthConfig,
                 rasterize(corpus[i], train_grid, fn, derive_seed(seed, i)).frames
                 for i in indices]).astype(np.float64)
 
-        train_inputs, valid_inputs = inputs_for(train_idx), inputs_for(valid_idx)
+        # every distinct function trains in lockstep as one stacked model
+        distinct = list(dict.fromkeys(fns))
+        train_set = Dataset(inputs=inputs_for(train_idx), targets=np.hstack(
+            [targets_for(fn, train_idx) for fn in distinct]))
+        valid_set = Dataset(inputs=inputs_for(valid_idx), targets=np.hstack(
+            [targets_for(fn, valid_idx) for fn in distinct]))
+        try:
+            params, _ = train(train_set, valid_set, cfg_seeded, models=len(distinct))
+        except DivergenceError as exc:
+            culprits = distinct if exc.models is None else [distinct[j] for j in exc.models]
+            raise DivergenceError(
+                f"fn={','.join(fn.letter for fn in culprits)} seed={seed}: {exc}",
+                epoch=exc.epoch, batch=exc.batch, models=exc.models) from exc
+
         references = {i: rasterize(corpus[i], eval_grid, reference_fn, 0) for i in test_idx}
-
-        for fn in fns:
-            train_set = Dataset(inputs=train_inputs, targets=targets_for(fn, train_idx))
-            valid_set = Dataset(inputs=valid_inputs, targets=targets_for(fn, valid_idx))
-            try:
-                params, _ = train(train_set, valid_set, cfg_seeded)
-            except DivergenceError as exc:
-                raise DivergenceError(
-                    f"fn={fn.letter} seed={seed}: {exc}",
-                    epoch=exc.epoch, batch=exc.batch) from exc
-
+        k = train_set.targets.shape[1] // len(distinct)
+        scores = {}
+        for j, fn in enumerate(distinct):
+            block = ModelParams(weights=params.weights[:, j * k:(j + 1) * k],
+                                bias=params.bias[j * k:(j + 1) * k])
             tp = fp = fn_count = 0
             for i in test_idx:
-                pred = predict(params, features[i], train_cfg.context_frames,
+                pred = predict(block, features[i], train_cfg.context_frames,
                                train_cfg.threshold)
                 counts = windowed_counts(pred, references[i], window_sec)
                 tp += counts.tp
                 fp += counts.fp
                 fn_count += counts.fn_
+            scores[fn] = prf(EvalCounts(tp=tp, fp=fp, fn_=fn_count))
 
-            result = prf(EvalCounts(tp=tp, fp=fp, fn_=fn_count))
-            rows.append(ExperimentRow(
-                fn=fn, seed=seed, split="test",
-                precision=result.precision, recall=result.recall,
-                fmeasure=result.fmeasure))
+        rows.extend(ExperimentRow(fn=fn, seed=seed, split="test",
+                                  precision=scores[fn].precision, recall=scores[fn].recall,
+                                  fmeasure=scores[fn].fmeasure)
+                    for fn in fns)
 
     return ExperimentTable(rows=tuple(rows))

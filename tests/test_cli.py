@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -385,7 +386,7 @@ class TestExperimentCommand:
         from notegrid import DivergenceError
         from notegrid import trainer as trainer_module
 
-        def exploding_train(train_set, valid_set, cfg):
+        def exploding_train(train_set, valid_set, cfg, **kwargs):
             raise DivergenceError("non-finite loss at epoch 0, batch 3",
                                   epoch=0, batch=3)
 
@@ -397,6 +398,19 @@ class TestExperimentCommand:
         assert code == 3
         err = capsys.readouterr().err
         assert "fn=e" in err and "seed=4" in err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_real_divergence_exit_code(self, tmp_path, capsys):
+        config = tmp_path / "exp.json"
+        config.write_text(json.dumps(EXPERIMENT_CONFIG))
+        code = run_cli(["experiment", "--config", str(config), "--fns", "a,f",
+                        "--seeds", "5", "--learning-rate", "1e308",
+                        "--out", str(tmp_path / "out")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert re.fullmatch(r"error: fn=[af,]+ seed=5: non-finite loss at "
+                            r"epoch \d+, batch \d+\n", err)
 
     @pytest.mark.parametrize("config,key", [
         ({"seed": [1]}, "seed"),

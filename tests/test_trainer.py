@@ -7,6 +7,7 @@ from notegrid import (ContractError, Dataset, DivergenceError, FeatureMatrix,
                       bce_loss_and_gradient, framewise_counts, make_examples,
                       predict, prf, run_sensitivity_experiment, train)
 from notegrid import trainer as trainer_module
+from notegrid.util import MASK64
 
 A, E, F = LabelingFunction.A, LabelingFunction.E, LabelingFunction.F
 
@@ -182,6 +183,66 @@ class TestTrain:
         assert info.value.epoch == 0
         assert info.value.batch is not None
 
+    def test_step_equals_out_of_place_nesterov_loop(self):
+        # reference: the update written out of place, one fresh array per
+        # operation; the in-place step must reproduce it bit for bit
+        rng = np.random.default_rng(9)
+        ds = Dataset(inputs=rng.normal(0, 1, (45, 7)),
+                     targets=(rng.random((45, 3)) < 0.4).astype(float))
+        cfg = TrainConfig(learning_rate=0.7, momentum=0.9, batch_size=8, epochs=4,
+                          lr_schedule=((1, 0.5), (3, 0.5)), context_frames=1, seed=6)
+        init, _ = train(ds, ds, TrainConfig(epochs=0, context_frames=1, seed=6))
+        weights, bias = init.weights, init.bias
+        velocity_w, velocity_b = np.zeros_like(weights), np.zeros_like(bias)
+        shuffle_rng = np.random.default_rng([cfg.seed & MASK64, 1])
+        lr, mu = cfg.learning_rate, cfg.momentum
+        for epoch in range(cfg.epochs):
+            for at_epoch, multiplier in cfg.resolved_schedule():
+                if at_epoch == epoch:
+                    lr *= multiplier
+            order = shuffle_rng.permutation(ds.num_examples)
+            for start in range(0, ds.num_examples, cfg.batch_size):
+                idx = order[start:start + cfg.batch_size]
+                ahead = ModelParams(weights + mu * velocity_w, bias + mu * velocity_b)
+                _, grad_w, grad_b = bce_loss_and_gradient(ahead, ds.inputs[idx],
+                                                          ds.targets[idx])
+                velocity_w = mu * velocity_w - lr * grad_w
+                velocity_b = mu * velocity_b - lr * grad_b
+                weights = weights + velocity_w
+                bias = bias + velocity_b
+        params, _ = train(ds, ds, cfg)
+        assert np.array_equal(params.weights, weights)
+        assert np.array_equal(params.bias, bias)
+
+    def test_stacked_models_match_separate_runs(self):
+        rng = np.random.default_rng(5)
+        k = 4
+        inputs = rng.normal(0, 1, (70, 9))
+        blocks = [(rng.random((70, k)) < p).astype(float) for p in (0.2, 0.5, 0.7)]
+        cfg = TrainConfig(learning_rate=0.5, momentum=0.9, batch_size=8, epochs=5,
+                          lr_schedule=((2, 0.5), (4, 0.25)), context_frames=1, seed=4)
+        stacked = Dataset(inputs=inputs, targets=np.hstack(blocks))
+        params, history = train(stacked, stacked, cfg, models=3)
+        losses = []
+        for j, targets in enumerate(blocks):
+            alone = Dataset(inputs=inputs, targets=targets)
+            expected, alone_history = train(alone, alone, cfg)
+            losses.append(alone_history.train_loss)
+            assert np.abs(params.weights[:, j * k:(j + 1) * k]
+                          - expected.weights).max() <= 1e-12
+            assert np.abs(params.bias[j * k:(j + 1) * k] - expected.bias).max() <= 1e-12
+        # the pooled history loss is the mean of the per-model losses
+        assert history.train_loss == pytest.approx(np.mean(losses, axis=0), rel=1e-12)
+
+    @pytest.mark.parametrize("models,width,valid_width",
+                             [(0, 4, 4), (-1, 4, 4), (3, 4, 4), (2, 5, 5), (2, 4, 6)])
+    def test_bad_model_count_or_width_rejected(self, models, width, valid_width):
+        train_set = Dataset(inputs=np.ones((6, 2)), targets=np.zeros((6, width)))
+        valid_set = Dataset(inputs=np.ones((6, 2)), targets=np.zeros((6, valid_width)))
+        with pytest.raises(ContractError):
+            train(train_set, valid_set, TrainConfig(epochs=1, context_frames=1),
+                  models=models)
+
     def test_empty_dataset_rejected(self):
         ds = two_cluster_dataset(n=4)
         empty = Dataset(inputs=np.zeros((0, 3)), targets=np.zeros((0, 1)))
@@ -304,7 +365,7 @@ class TestSensitivityExperiment:
     def test_divergence_annotated_with_fn_and_seed(self, monkeypatch):
         synth_cfg, train_cfg, train_grid, eval_grid = tiny_experiment_args()
 
-        def exploding_train(train_set, valid_set, cfg):
+        def exploding_train(train_set, valid_set, cfg, **kwargs):
             raise DivergenceError("non-finite loss at epoch 0, batch 1",
                                   epoch=0, batch=1)
 
@@ -312,6 +373,36 @@ class TestSensitivityExperiment:
         with pytest.raises(DivergenceError, match=r"fn=f seed=9"):
             run_sensitivity_experiment(synth_cfg, [F], train_grid, eval_grid,
                                        train_cfg, [9])
+
+    def test_one_stacked_training_per_seed(self, monkeypatch):
+        synth_cfg, train_cfg, train_grid, eval_grid = tiny_experiment_args()
+        widths = []
+
+        def counting_train(train_set, valid_set, cfg, **kwargs):
+            widths.append((train_set.targets.shape[1], valid_set.targets.shape[1],
+                           kwargs))
+            return train(train_set, valid_set, cfg, **kwargs)
+
+        monkeypatch.setattr(trainer_module, "train", counting_train)
+        table = run_sensitivity_experiment(synth_cfg, [A, E, F, A], train_grid,
+                                           eval_grid, train_cfg, [1, 2])
+        k = synth_cfg.num_labels
+        assert widths == [(3 * k, 3 * k, {"models": 3})] * 2
+        assert [(r.fn, r.seed) for r in table.rows] == [
+            (A, 1), (E, 1), (F, 1), (A, 1), (A, 2), (E, 2), (F, 2), (A, 2)]
+        assert table.rows[0] == table.rows[3]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_real_divergence_names_fn_and_seed(self):
+        synth_cfg, train_cfg, train_grid, eval_grid = tiny_experiment_args()
+        from dataclasses import replace
+
+        with pytest.raises(DivergenceError) as info:
+            run_sensitivity_experiment(synth_cfg, [E], train_grid, eval_grid,
+                                       replace(train_cfg, learning_rate=1e308), [2])
+        assert info.value.epoch is not None and info.value.batch is not None
+        assert str(info.value) == (f"fn=e seed=2: non-finite loss at epoch "
+                                   f"{info.value.epoch}, batch {info.value.batch}")
 
     def test_empty_arguments_rejected(self):
         synth_cfg, train_cfg, train_grid, eval_grid = tiny_experiment_args()

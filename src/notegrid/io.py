@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
 import tempfile
 from pathlib import Path
 
@@ -25,14 +26,30 @@ from .synth import FeatureMatrix
 from .trainer import ExperimentTable
 
 
-def atomic_write_text(path: Path, text: str) -> None:
-    """Write text via a temp file in the same directory, then rename."""
+def _umask() -> int:
+    """The process umask. Reading it means setting it, so this sets 0 for
+    an instant; notegrid writes its files from one thread."""
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
+def atomic_write_text(path: Path, data: str | bytes) -> None:
+    """Write text (encoded as UTF-8) or bytes via a temp file in the same
+    directory, then rename.
+
+    The file gets the mode open() gives a new file, 0o666 less the umask:
+    mkstemp creates the temp file 0o600, and the rename keeps its mode.
+    """
+    if isinstance(data, str):
+        data = data.encode("utf-8")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
+        os.chmod(tmp_name, 0o666 & ~_umask())
         os.replace(tmp_name, path)
     except BaseException:
         if os.path.exists(tmp_name):
@@ -40,15 +57,18 @@ def atomic_write_text(path: Path, text: str) -> None:
         raise
 
 
-def read_text(path: Path) -> str:
-    """A UTF-8 file's text; other bytes are a FormatError naming the file
-    and line."""
-    data = Path(path).read_bytes()
+def _decode_utf8(path: Path, data: bytes) -> str:
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise FormatError(f"{path}: line {line}: not UTF-8 text") from None
+
+
+def read_text(path: Path) -> str:
+    """A UTF-8 file's text; other bytes are a FormatError naming the file
+    and line."""
+    return _decode_utf8(path, Path(path).read_bytes())
 
 
 def write_json(path: Path, obj) -> None:
@@ -63,23 +83,24 @@ def _format_float(x: float) -> str:
     return repr(float(x))
 
 
-def _write_matrix_csv(values: np.ndarray, format_cell, csv_path: Path,
-                      sidecar: dict) -> None:
-    """Write one CSV row of formatted cells per frame, then the sidecar."""
+def _write_matrix_csv(body: str | bytes, csv_path: Path, sidecar: dict) -> None:
+    """Write the CSV body, then the one-line JSON sidecar."""
     csv_path = Path(csv_path)
-    lines = [",".join(map(format_cell, row)) for row in values]
-    atomic_write_text(csv_path, "\n".join(lines) + "\n")
+    atomic_write_text(csv_path, body)
     atomic_write_text(sidecar_path(csv_path),
                       json.dumps(sidecar, sort_keys=True) + "\n")
 
 
-def _read_matrix_csv(csv_path: Path, parse_cell, cell_kind: str,
-                     width_key: str) -> tuple[dict, FrameGrid, np.ndarray]:
+def _read_matrix_csv(csv_path: Path, parse_cell, cell_kind: str, width_key: str,
+                     decode_exact=None) -> tuple[dict, FrameGrid, np.ndarray]:
     """Read a matrix CSV and its sidecar: (sidecar, grid, 2-D cell array).
 
-    Malformed input raises FormatError naming the file, and the line where
-    one is at fault. A missing sidecar, or one without fps, is a
-    ContractError.
+    `decode_exact`, if given, maps the CSV's bytes to the cell array when
+    they are in the writer's exact layout and returns None otherwise. The
+    line parser reads every file it declines, and is the only source of
+    line-numbered errors. Malformed input raises FormatError naming the
+    file, and the line where one is at fault. A missing sidecar, or one
+    without fps, is a ContractError.
     """
     csv_path = Path(csv_path)
     side = sidecar_path(csv_path)
@@ -87,7 +108,9 @@ def _read_matrix_csv(csv_path: Path, parse_cell, cell_kind: str,
         raise ContractError(f"fps metadata missing: expected sidecar {side}")
     try:
         meta = json.loads(read_text(side))
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError: bad JSON, or an integer past the digit limit;
+        # RecursionError: arrays or objects nested too deeply
         raise FormatError(f"{side}: unreadable sidecar: {exc}") from None
     if not isinstance(meta, dict):
         raise FormatError(f"{side}: line 1: sidecar must hold a JSON object")
@@ -96,29 +119,67 @@ def _read_matrix_csv(csv_path: Path, parse_cell, cell_kind: str,
     fps = meta["fps"]
     if isinstance(fps, bool) or not isinstance(fps, (int, float)):
         raise FormatError(f"{side}: fps must be a number, got {fps!r}")
+    if abs(fps) > sys.float_info.max:
+        raise FormatError(f"{side}: fps must be a finite number")
 
-    rows = []
-    for lineno, line in enumerate(read_text(csv_path).splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            rows.append([parse_cell(v) for v in line.split(",")])
-        except ValueError:
-            raise FormatError(f"{csv_path}: line {lineno}: {cell_kind} cell") from None
-        if len(rows[-1]) != len(rows[0]):
-            raise FormatError(f"{csv_path}: line {lineno}: ragged row of "
-                              f"{len(rows[-1])} cells, expected {len(rows[0])}")
-    if not rows:
-        raise FormatError(f"{csv_path}: line 1: empty matrix")
-    for key, found in (("num_frames", len(rows)), (width_key, len(rows[0]))):
+    data = csv_path.read_bytes()
+    cells = decode_exact(data) if decode_exact is not None else None
+    if cells is None:
+        rows = []
+        for lineno, line in enumerate(_decode_utf8(csv_path, data).splitlines(), start=1):
+            if not line.strip():
+                continue
+            try:
+                rows.append([parse_cell(v) for v in line.split(",")])
+            except ValueError:
+                raise FormatError(f"{csv_path}: line {lineno}: {cell_kind} cell") from None
+            if len(rows[-1]) != len(rows[0]):
+                raise FormatError(f"{csv_path}: line {lineno}: ragged row of "
+                                  f"{len(rows[-1])} cells, expected {len(rows[0])}")
+        if not rows:
+            raise FormatError(f"{csv_path}: line 1: empty matrix")
+        cells = np.array(rows)
+    num_frames, width = cells.shape
+    for key, found in (("num_frames", num_frames), (width_key, width)):
         if meta.get(key, found) != found:
             raise FormatError(f"{csv_path}: {found} {key} but sidecar says {meta[key]}")
-    return meta, FrameGrid(fps=float(fps), num_frames=len(rows)), np.array(rows)
+    return meta, FrameGrid(fps=float(fps), num_frames=num_frames), cells
+
+
+_ZERO, _COMMA, _NEWLINE = b"0,\n"
+
+
+def _label_csv_bytes(frames: np.ndarray) -> bytes:
+    """The label CSV of 0/1 frames: row r is ",".join(map(str, frames[r]))
+    followed by "\\n".
+
+    With K labels every row is 2K bytes (K digits, K-1 commas, the
+    newline); with none it is the newline alone.
+    """
+    num_frames, num_labels = frames.shape
+    out = np.full((num_frames, max(2 * num_labels, 1)), _COMMA, dtype=np.uint8)
+    out[:, 0:2 * num_labels:2] = frames + _ZERO
+    out[:, -1] = _NEWLINE
+    return out.tobytes()
+
+
+def _label_cells_exact(data: bytes) -> np.ndarray | None:
+    """The uint8 cells of a label CSV whose every row is "d,d,...,d\\n" with
+    d in {0, 1} and the first row's width; None for any other bytes."""
+    width = data.find(b"\n") + 1
+    if width < 2 or width % 2 or len(data) % width:
+        return None
+    raw = np.frombuffer(data, dtype=np.uint8).reshape(-1, width)
+    cells = raw[:, 0::2] - _ZERO
+    if ((cells > 1).any() or (raw[:, 1:-1:2] != _COMMA).any()
+            or (raw[:, -1] != _NEWLINE).any()):
+        return None
+    return cells
 
 
 def write_label_matrix(matrix: LabelMatrix, csv_path: Path) -> None:
     """Write frames as 0/1 CSV plus the one-line JSON sidecar."""
-    _write_matrix_csv(matrix.frames, str, csv_path, {
+    _write_matrix_csv(_label_csv_bytes(matrix.frames), csv_path, {
         "fps": matrix.grid.fps,
         "num_frames": matrix.num_frames,
         "num_labels": matrix.num_labels,
@@ -130,7 +191,8 @@ def write_label_matrix(matrix: LabelMatrix, csv_path: Path) -> None:
 
 def read_label_matrix(csv_path: Path) -> LabelMatrix:
     """Read a matrix CSV and its sidecar back into a LabelMatrix."""
-    meta, grid, frames = _read_matrix_csv(csv_path, int, "non-integer", "num_labels")
+    meta, grid, frames = _read_matrix_csv(csv_path, int, "non-integer", "num_labels",
+                                          decode_exact=_label_cells_exact)
     if frames.min() < 0 or frames.max() > 1:
         raise FormatError(f"{csv_path}: cells must be 0 or 1")
     side = sidecar_path(csv_path)
@@ -150,7 +212,8 @@ def read_label_matrix(csv_path: Path) -> LabelMatrix:
 
 
 def write_feature_matrix(features: FeatureMatrix, csv_path: Path) -> None:
-    _write_matrix_csv(features.values, _format_float, csv_path, {
+    body = "\n".join(",".join(map(repr, row)) for row in features.values.tolist()) + "\n"
+    _write_matrix_csv(body, csv_path, {
         "fps": features.grid.fps,
         "num_frames": features.num_frames,
         "feature_dim": features.feature_dim,

@@ -1,13 +1,16 @@
 import json
+import os
+import random
 import re
+import stat
 
 import numpy as np
 import pytest
 
 import smf
 from notegrid import (Annotation, ContractError, FormatError, FrameGrid,
-                      LabelingFunction, NoteEvent, framewise_counts, prf,
-                      rasterize, resample, to_tsv, truncate)
+                      LabelingFunction, LabelMatrix, NoteEvent, framewise_counts,
+                      prf, rasterize, resample, to_tsv, truncate)
 from notegrid import io as ngio
 from notegrid.cli import main
 
@@ -65,20 +68,101 @@ class TestMatrixIo:
         values = np.random.default_rng(1).normal(0, 1, (8, 3))
         feats = FeatureMatrix(values=values, grid=FrameGrid(fps=31.25, num_frames=8))
         ngio.write_feature_matrix(feats, tmp_path / "f.csv")
+        reference = "".join(",".join(repr(float(x)) for x in row) + "\n" for row in values)
+        assert (tmp_path / "f.csv").read_text() == reference
         again = ngio.read_feature_matrix(tmp_path / "f.csv")
         assert np.array_equal(again.values, feats.values)  # repr round-trips
+
+    @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o027, 0o640)],
+                             ids=["umask-022", "umask-027"])
+    def test_written_files_take_the_umask_mode(self, tmp_path, umask, mode):
+        matrix = LabelMatrix(frames=np.eye(3, dtype=np.uint8),
+                             grid=FrameGrid(fps=100.0, num_frames=3))
+        old = os.umask(umask)
+        try:
+            ngio.write_label_matrix(matrix, tmp_path / "m.csv")
+        finally:
+            os.umask(old)
+        for name in ("m.csv", "m.json"):
+            assert stat.S_IMODE((tmp_path / name).stat().st_mode) == mode
+
+
+def reference_label_csv(frames: np.ndarray) -> bytes:
+    """The label CSV formatted one cell at a time: the writer's reference."""
+    return ("\n".join(",".join(map(str, row)) for row in frames) + "\n").encode()
+
+
+def label_frames(shape) -> np.ndarray:
+    """Random 0/1 frames whose first row is all zero and last row all one."""
+    frames = np.random.default_rng(shape[0]).integers(0, 2, shape, dtype=np.uint8)
+    frames[0] = 0
+    frames[-1] = 1
+    return frames
+
+
+class TestLabelCodec:
+    """The byte-level label codec against the cell-by-cell formatter and
+    the line parser."""
+
+    @pytest.mark.parametrize("shape", [(1, 1), (7, 3), (4000, 88), (5, 0)])
+    def test_writer_bytes_equal_reference_formatter(self, tmp_path, shape):
+        frames = label_frames(shape)
+        matrix = LabelMatrix(frames=frames, grid=FrameGrid(fps=100.0, num_frames=shape[0]))
+        ngio.write_label_matrix(matrix, tmp_path / "m.csv")
+        assert (tmp_path / "m.csv").read_bytes() == reference_label_csv(frames)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (7, 3), (4000, 88)])
+    def test_exact_decoder_equals_line_parser(self, tmp_path, shape):
+        path = tmp_path / "m.csv"
+        path.write_bytes(reference_label_csv(label_frames(shape)))
+        (tmp_path / "m.json").write_text('{"fps": 100.0}')
+        exact = ngio._label_cells_exact(path.read_bytes())
+        _, _, parsed = ngio._read_matrix_csv(path, int, "non-integer", "num_labels")
+        assert exact is not None and exact.dtype == np.uint8
+        assert np.array_equal(exact, parsed)
+        assert np.array_equal(ngio.read_label_matrix(path).frames, parsed)
+
+    @pytest.mark.parametrize("data,expected", [
+        (b"0,1\r\n1,0\r\n", [[0, 1], [1, 0]]),
+        (b"0,1\n1,0", [[0, 1], [1, 0]]),
+        (b"0,1\n\n1,0\n\n", [[0, 1], [1, 0]]),
+        (b"0, 1\n1 ,0\n", [[0, 1], [1, 0]]),
+        (b"+1,0\n0,+1\n", [[1, 0], [0, 1]]),
+        (b"01,0\n0,00\n", [[1, 0], [0, 0]]),
+    ], ids=["crlf", "no-final-newline", "blank-lines", "spaces", "plus-sign",
+            "leading-zero"])
+    def test_lenient_files_read_through_line_parser(self, tmp_path, data, expected):
+        (tmp_path / "m.csv").write_bytes(data)
+        (tmp_path / "m.json").write_text('{"fps": 100.0}')
+        assert ngio._label_cells_exact(data) is None
+        frames = ngio.read_label_matrix(tmp_path / "m.csv").frames
+        assert np.array_equal(frames, np.array(expected, dtype=np.uint8))
+
+    def test_exact_layout_with_cell_2_exit_4(self, tmp_path, capsys):
+        # a valid feature CSV, so not in MALFORMED_MATRICES
+        (tmp_path / "m.csv").write_text("0,1\n1,2\n")
+        (tmp_path / "m.json").write_text('{"fps": 100.0}')
+        assert run_cli(["inspect", str(tmp_path / "m.csv")]) == 4
+        err = capsys.readouterr().err
+        assert "m.csv" in err and "0 or 1" in err and "Traceback" not in err
 
 
 MALFORMED_MATRICES = [
     # (csv text, sidecar text, text the error must contain)
     pytest.param("0,1\n1,0,1\n", '{"fps": 100.0}', "line 2", id="ragged-row"),
     pytest.param("0,1\n\n1,x\n", '{"fps": 100.0}', "line 3", id="bad-cell"),
+    pytest.param("0,1\n1;0\n", '{"fps": 100.0}', "line 2", id="bad-separator"),
     pytest.param("", '{"fps": 100.0}', "line 1", id="empty-file"),
     pytest.param("0,1\n", '{"fps": 100.0', "line 1", id="unreadable-sidecar"),
     pytest.param("0,1\n", '[100.0]', "line 1", id="non-object-sidecar"),
     pytest.param("0,1\n", '{"fps": "abc"}', "fps", id="string-fps"),
     pytest.param("0,1\n", '{"fps": [1]}', "fps", id="list-fps"),
     pytest.param("0,1\n", '{"fps": true}', "fps", id="boolean-fps"),
+    pytest.param("0,1\n", '{"fps": 1' + "0" * 400 + '}', "fps", id="fps-past-float-range"),
+    pytest.param("0,1\n", '{"fps": 1' + "0" * 5000 + '}', "unreadable sidecar",
+                 id="integer-past-digit-limit"),
+    pytest.param("0,1\n", '{"fps": 100.0, "x": ' + "[" * 100000 + "]" * 100000 + "}",
+                 "unreadable sidecar", id="sidecar-nested-too-deeply"),
 ]
 
 
@@ -109,6 +193,60 @@ class TestMalformedMatrices:
         assert run_cli(["inspect", str(tmp_path / "m.csv")]) == 4
         err = capsys.readouterr().err
         assert "m.json" in err and key in err and "Traceback" not in err
+
+
+FUZZ_SEED = 0x5EED
+FUZZ_CASES = 150
+FUZZ_BYTES = b'01,\n\r -+.e9"'
+
+
+def mutate(data: bytes, rng: random.Random) -> bytes:
+    """Flip a bit of, insert or delete one to three bytes."""
+    out = bytearray(data)
+    for _ in range(rng.randint(1, 3)):
+        op = rng.randrange(3)
+        if op == 0 and out:
+            out[rng.randrange(len(out))] ^= 1 << rng.randrange(8)
+        elif op == 1:
+            byte = rng.choice(FUZZ_BYTES) if rng.random() < 0.5 else rng.randrange(256)
+            out.insert(rng.randrange(len(out) + 1), byte)
+        elif out:
+            del out[rng.randrange(len(out))]
+    return bytes(out)
+
+
+class TestLabelFileFuzz:
+    def test_mutated_label_files_exit_cleanly(self, tmp_path, notes_tsv, capsys):
+        """Mutated label CSVs and sidecars through inspect, eval --ref and
+        disagree: every exit code is 0, 2, 3 or 4, and nothing prints a
+        traceback or escapes main."""
+        clean = tmp_path / "clean"
+        assert run_cli(["rasterize", str(notes_tsv), "--fps", "100", "--fn", "f",
+                        "--seed", "9", "--out", str(clean), "--name", "r"]) == 0
+        originals = {suffix: (clean / f"r{suffix}").read_bytes() for suffix in (".csv", ".json")}
+        ref, mutant, out = clean / "r.csv", tmp_path / "m.csv", str(tmp_path / "out")
+        commands = [["inspect", str(mutant)],
+                    ["eval", "--pred", str(mutant), "--ref", str(ref), "--out", out],
+                    ["disagree", "--a", str(ref), "--b", str(mutant),
+                     "--annotation", str(notes_tsv), "--out", out]]
+        rng = random.Random(FUZZ_SEED)
+        failures = []
+        for case in range(FUZZ_CASES):
+            files = dict(originals)
+            for suffix in rng.choice([(".csv",), (".json",), (".csv", ".json")]):
+                files[suffix] = mutate(files[suffix], rng)
+            for suffix, data in files.items():
+                mutant.with_suffix(suffix).write_bytes(data)
+            capsys.readouterr()
+            for argv in commands:
+                try:
+                    code = run_cli(argv)
+                except Exception as exc:  # an escape is a failure to report
+                    code = f"{type(exc).__name__}: {exc}"
+                captured = capsys.readouterr()
+                if code not in (0, 2, 3, 4) or "Traceback" in captured.out + captured.err:
+                    failures.append((case, argv[0], code, files[".json"]))
+        assert not failures, failures[:5]
 
 
 class TestNonUtf8Input:

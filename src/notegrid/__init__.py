@@ -18,7 +18,7 @@ from .metrics import (DisagreementStats, EvalCounts, EvalResult, disagreement,
                       resample, truncate, windowed_counts)
 from .midi import parse_midi
 from .quantize import (FrameGrid, LabelingFunction, LabelMatrix,
-                       QuantizedInterval, ShiftStream, noise_ceiling,
+                       QuantizedArrays, ShiftStream, noise_ceiling,
                        quantize_interval, rasterize, rasterize_with_records)
 from .synth import (FeatureMatrix, SynthConfig, generate_corpus,
                     generate_piece, label_templates, render_features)
@@ -34,7 +34,7 @@ __all__ = [
     "validate", "parse_midi",
     "ContractError", "DivergenceError", "FormatError", "NotegridError",
     "RangeError", "UnsupportedError", "ValidationError",
-    "FrameGrid", "LabelingFunction", "LabelMatrix", "QuantizedInterval",
+    "FrameGrid", "LabelingFunction", "LabelMatrix", "QuantizedArrays",
     "ShiftStream", "quantize_interval", "rasterize", "rasterize_with_records",
     "noise_ceiling",
     "DisagreementStats", "EvalCounts", "EvalResult", "disagreement",

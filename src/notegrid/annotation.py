@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import FormatError, RangeError, ValidationError
+from .errors import ContractError, FormatError, RangeError, ValidationError
 
 # MIDI pitch of the lowest piano key (A0); pitches 21..108 map to labels
 # 0..87. Both values can be overridden for non-piano label spaces.
@@ -38,52 +38,65 @@ class NoteEvent:
         return self.offset_sec - self.onset_sec
 
 
-def _sort_key(event: NoteEvent):
-    return (event.onset_sec, event.label, event.offset_sec)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Annotation:
-    """An ordered collection of NoteEvents over [0, duration_sec).
+    """Labeled intervals [onsets[i], offsets[i]) over [0, duration_sec).
 
-    Events are kept sorted by (onset, label, offset); the constructor
-    normalizes the order, so every Annotation is sorted regardless of how
-    the events were supplied. Structural invariants beyond ordering (labels
-    within range, positive durations, events inside the duration) are
-    checked by :func:`validate`, which reports violations instead of
-    raising, so that defective annotations can still be inspected.
+    The three columns are read-only arrays kept sorted by (onset, label,
+    offset), stably: the constructor sorts whatever it is given. Structural
+    invariants beyond ordering (labels within range, positive durations,
+    events inside the duration) are checked by :func:`validate`, which
+    reports violations instead of raising, so that defective annotations
+    can still be inspected.
     """
 
-    events: tuple[NoteEvent, ...]
+    onsets: np.ndarray
+    offsets: np.ndarray
+    labels: np.ndarray
     num_labels: int
     duration_sec: float
 
     def __post_init__(self):
-        ordered = tuple(sorted(self.events, key=_sort_key))
-        object.__setattr__(self, "events", ordered)
+        onsets = np.asarray(self.onsets, dtype=np.float64)
+        offsets = np.asarray(self.offsets, dtype=np.float64)
+        labels = np.asarray(self.labels, dtype=np.int64)
+        if onsets.ndim != 1 or not onsets.shape == offsets.shape == labels.shape:
+            raise ContractError(f"onsets {onsets.shape}, offsets {offsets.shape} and "
+                                f"labels {labels.shape} differ or are not 1-D")
+        order = np.lexsort((offsets, labels, onsets))
+        for name, column in (("onsets", onsets), ("offsets", offsets), ("labels", labels)):
+            column = column[order]
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
 
     @classmethod
     def from_events(cls, events, num_labels: int,
                     duration_sec: float | None = None) -> "Annotation":
-        """Build an Annotation, extending the duration to cover all events."""
+        """Build an Annotation from NoteEvents, extending the duration to
+        cover all events."""
         events = tuple(events)
         max_offset = max((e.offset_sec for e in events), default=0.0)
         duration = max(max_offset, duration_sec if duration_sec is not None else 0.0)
-        return cls(events=events, num_labels=num_labels, duration_sec=duration)
+        return cls([e.onset_sec for e in events], [e.offset_sec for e in events],
+                   [e.label for e in events], num_labels, duration)
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self.onsets)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Annotation):
+            return NotImplemented
+        return (self.num_labels == other.num_labels
+                and self.duration_sec == other.duration_sec
+                and np.array_equal(self.onsets, other.onsets)
+                and np.array_equal(self.offsets, other.offsets)
+                and np.array_equal(self.labels, other.labels))
 
     @cached_property
-    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Read-only (onsets, offsets, labels) arrays in event order."""
-        n = len(self.events)
-        out = (np.fromiter((e.onset_sec for e in self.events), np.float64, n),
-               np.fromiter((e.offset_sec for e in self.events), np.float64, n),
-               np.fromiter((e.label for e in self.events), np.int64, n))
-        for column in out:
-            column.setflags(write=False)
-        return out
+    def events(self) -> tuple[NoteEvent, ...]:
+        """The notes as NoteEvents, in sort order; built on first use."""
+        return tuple(map(NoteEvent, self.onsets.tolist(), self.offsets.tolist(),
+                         self.labels.tolist()))
 
 
 @dataclass(frozen=True)
@@ -100,21 +113,16 @@ class ValidationReport:
 def validate(annotation: Annotation) -> ValidationReport:
     """Check all Annotation invariants and report every violation found.
 
-    Checks: positive label space, sorted event order, finite times,
-    non-negative onsets, strictly positive durations, labels within
-    [0, num_labels), and no event extending past duration_sec.
+    Checks: positive label space, finite times, non-negative onsets,
+    strictly positive durations, labels within [0, num_labels), and no
+    event extending past duration_sec.
     """
     violations: list[str] = []
     if annotation.num_labels <= 0:
         violations.append(f"num_labels must be positive, got {annotation.num_labels}")
     if not 0 <= annotation.duration_sec < math.inf:
         violations.append(f"duration_sec must be finite and >= 0, got {annotation.duration_sec}")
-    previous_key = None
     for i, event in enumerate(annotation.events):
-        key = _sort_key(event)
-        if previous_key is not None and key < previous_key:
-            violations.append(f"event {i}: out of sort order")
-        previous_key = key
         if not (math.isfinite(event.onset_sec) and math.isfinite(event.offset_sec)):
             violations.append(f"event {i}: non-finite onset or offset")
         if event.onset_sec < 0:
@@ -158,7 +166,7 @@ def parse_tsv(text: str, *, pitch_offset: int = PIANO_PITCH_OFFSET,
 
     lowest = pitch_offset
     highest = pitch_offset + num_labels - 1
-    events = []
+    onsets, offsets, labels = [], [], []
     for lineno, line in enumerate(lines[1:], start=2):
         fields = line.split()
         if not fields:
@@ -182,9 +190,11 @@ def parse_tsv(text: str, *, pitch_offset: int = PIANO_PITCH_OFFSET,
             raise ValidationError(f"line {lineno}: negative onset {onset}")
         if offset <= onset:
             raise ValidationError(f"line {lineno}: offset {offset} <= onset {onset}")
-        events.append(NoteEvent(onset_sec=onset, offset_sec=offset, label=pitch - pitch_offset))
+        onsets.append(onset)
+        offsets.append(offset)
+        labels.append(pitch - pitch_offset)
 
-    return Annotation.from_events(events, num_labels=num_labels)
+    return Annotation(onsets, offsets, labels, num_labels, max(offsets, default=0.0))
 
 
 def to_tsv(annotation: Annotation, *, pitch_offset: int = PIANO_PITCH_OFFSET) -> str:
@@ -195,6 +205,7 @@ def to_tsv(annotation: Annotation, *, pitch_offset: int = PIANO_PITCH_OFFSET) ->
     decimals.
     """
     out = ["\t".join(_TSV_COLUMNS)]
-    for event in annotation.events:
-        out.append(f"{event.onset_sec:.6f}\t{event.offset_sec:.6f}\t{event.label + pitch_offset}")
+    for onset, offset, label in zip(annotation.onsets.tolist(), annotation.offsets.tolist(),
+                                    annotation.labels.tolist()):
+        out.append(f"{onset:.6f}\t{offset:.6f}\t{label + pitch_offset}")
     return "\n".join(out) + "\n"

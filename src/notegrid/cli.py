@@ -13,7 +13,6 @@ divergence, 4 input format error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -54,32 +53,22 @@ def load_annotation(path: Path, pitch_offset: int, num_labels: int) -> Annotatio
 
 
 def _load_config_file(path: Path) -> dict:
-    try:
-        obj = json.loads(io.read_text(path))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"unreadable config {path}: {exc}") from None
-    if not isinstance(obj, dict):
-        raise FormatError(f"config {path} must hold a JSON object")
+    obj = io.read_json_object(path, "config")
     if "command" in obj and "config" in obj:
         return obj["config"]  # accept a previously written manifest
     return obj
 
 
-def _build_synth_config(overrides: dict) -> SynthConfig:
-    known = dict(overrides)
-    if "duration_range" in known:
-        known["duration_range"] = tuple(known["duration_range"])
+def _build_config(cls, overrides: dict, what: str):
+    """A SynthConfig or TrainConfig from JSON overrides; a key the class
+    lacks, or a value it cannot take, is a ContractError."""
     try:
-        return SynthConfig(**known)
+        known = dict(overrides)
+        if "duration_range" in known:
+            known["duration_range"] = tuple(known["duration_range"])
+        return cls(**known)
     except TypeError as exc:
-        raise ContractError(f"bad synth config: {exc}") from None
-
-
-def _build_train_config(overrides: dict) -> TrainConfig:
-    try:
-        return TrainConfig(**overrides)
-    except TypeError as exc:
-        raise ContractError(f"bad train config: {exc}") from None
+        raise ContractError(f"bad {what} config: {exc}") from None
 
 
 def cmd_rasterize(args, parser) -> int:
@@ -201,7 +190,7 @@ def cmd_synth(args, parser) -> int:
         overrides["num_pieces"] = args.pieces
     if args.seed is not None:
         overrides["seed"] = args.seed
-    cfg = _build_synth_config(overrides)
+    cfg = _build_config(SynthConfig, overrides, "synth")
 
     corpus = generate_corpus(cfg)
     out_dir = Path(args.out)
@@ -265,8 +254,8 @@ def cmd_experiment(args, parser) -> int:
         parser.error("--window-sec must be positive")
 
     fns = [LabelingFunction.from_letter(letter) for letter in config["fns"]]
-    synth_cfg = _build_synth_config(config["synth"])
-    train_cfg = _build_train_config(config["train"])
+    synth_cfg = _build_config(SynthConfig, config["synth"], "synth")
+    train_cfg = _build_config(TrainConfig, config["train"], "train")
     train_grid = FrameGrid.covering(config["train_fps"], synth_cfg.piece_duration_sec)
     eval_grid = FrameGrid.covering(config["eval_fps"], synth_cfg.piece_duration_sec)
 
@@ -304,9 +293,8 @@ def cmd_inspect(args, parser) -> int:
         print(f"events: {len(annotation)}")
         print(f"num_labels: {annotation.num_labels}")
         print(f"duration_sec: {annotation.duration_sec!r}")
-        if annotation.events:
-            labels = [e.label for e in annotation.events]
-            print(f"label_range: [{min(labels)}, {max(labels)}]")
+        if len(annotation):
+            print(f"label_range: [{annotation.labels.min()}, {annotation.labels.max()}]")
         print(f"violations: {len(report.violations)}")
         for violation in report.violations:
             print(f"  {violation}")

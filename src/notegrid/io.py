@@ -71,6 +71,20 @@ def read_text(path: Path) -> str:
     return _decode_utf8(path, Path(path).read_bytes())
 
 
+def read_json_object(path: Path, what: str) -> dict:
+    """The JSON object in a UTF-8 file. Bad JSON, and any value that is
+    not an object, is a FormatError naming the file and `what` it is."""
+    try:
+        obj = json.loads(read_text(path))
+    except (ValueError, RecursionError) as exc:
+        # ValueError: bad JSON, or an integer past the digit limit;
+        # RecursionError: arrays or objects nested too deeply
+        raise FormatError(f"{path}: unreadable {what}: {exc}") from None
+    if not isinstance(obj, dict):
+        raise FormatError(f"{path}: line 1: {what} must hold a JSON object")
+    return obj
+
+
 def write_json(path: Path, obj) -> None:
     atomic_write_text(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
@@ -106,14 +120,7 @@ def _read_matrix_csv(csv_path: Path, parse_cell, cell_kind: str, width_key: str,
     side = sidecar_path(csv_path)
     if not side.exists():
         raise ContractError(f"fps metadata missing: expected sidecar {side}")
-    try:
-        meta = json.loads(read_text(side))
-    except (ValueError, RecursionError) as exc:
-        # ValueError: bad JSON, or an integer past the digit limit;
-        # RecursionError: arrays or objects nested too deeply
-        raise FormatError(f"{side}: unreadable sidecar: {exc}") from None
-    if not isinstance(meta, dict):
-        raise FormatError(f"{side}: line 1: sidecar must hold a JSON object")
+    meta = read_json_object(side, "sidecar")
     if "fps" not in meta:
         raise ContractError(f"fps metadata missing from sidecar {side}")
     fps = meta["fps"]
@@ -142,7 +149,7 @@ def _read_matrix_csv(csv_path: Path, parse_cell, cell_kind: str, width_key: str,
     num_frames, width = cells.shape
     for key, found in (("num_frames", num_frames), (width_key, width)):
         if meta.get(key, found) != found:
-            raise FormatError(f"{csv_path}: {found} {key} but sidecar says {meta[key]}")
+            raise FormatError(f"{csv_path}: {found} {key} but sidecar says {meta[key]!r}")
     return meta, FrameGrid(fps=float(fps), num_frames=num_frames), cells
 
 
@@ -165,12 +172,13 @@ def _label_csv_bytes(frames: np.ndarray) -> bytes:
 
 def _label_cells_exact(data: bytes) -> np.ndarray | None:
     """The uint8 cells of a label CSV whose every row is "d,d,...,d\\n" with
-    d in {0, 1} and the first row's width; None for any other bytes."""
+    d in {0, 1} and the first row's width, or "\\n" alone when there are no
+    labels; None for any other bytes."""
     width = data.find(b"\n") + 1
-    if width < 2 or width % 2 or len(data) % width:
+    if width == 0 or (width > 1 and width % 2) or len(data) % width:
         return None
     raw = np.frombuffer(data, dtype=np.uint8).reshape(-1, width)
-    cells = raw[:, 0::2] - _ZERO
+    cells = raw[:, :-1:2] - _ZERO
     if ((cells > 1).any() or (raw[:, 1:-1:2] != _COMMA).any()
             or (raw[:, -1] != _NEWLINE).any()):
         return None
@@ -193,7 +201,7 @@ def read_label_matrix(csv_path: Path) -> LabelMatrix:
     """Read a matrix CSV and its sidecar back into a LabelMatrix."""
     meta, grid, frames = _read_matrix_csv(csv_path, int, "non-integer", "num_labels",
                                           decode_exact=_label_cells_exact)
-    if frames.min() < 0 or frames.max() > 1:
+    if frames.size and (frames.min() < 0 or frames.max() > 1):
         raise FormatError(f"{csv_path}: cells must be 0 or 1")
     side = sidecar_path(csv_path)
     letter, seed = meta.get("labeling_function"), meta.get("seed")

@@ -17,7 +17,7 @@ import numpy as np
 from .annotation import Annotation
 from .errors import ContractError
 from .quantize import (FrameGrid, LabelingFunction, LabelMatrix,
-                       QuantizedInterval, ShiftStream, quantize, rasterize)
+                       QuantizedArrays, ShiftStream, quantize, rasterize)
 
 
 @dataclass(frozen=True)
@@ -137,19 +137,17 @@ def truncate(matrix: LabelMatrix, seconds: float) -> LabelMatrix:
 
 
 def _boundaries(matrix: LabelMatrix, events: Annotation,
-                records: tuple[QuantizedInterval, ...] | None) -> np.ndarray | None:
+                records: QuantizedArrays | None) -> np.ndarray | None:
     """Per-event (t_s, t_e) rows behind a matrix, or None if unknown."""
-    if records is not None:
-        if len(records) != len(events):
-            raise ContractError("records do not match the annotation's event count")
-        return np.array([(q.t_s, q.t_e) for q in records], dtype=np.int64).reshape(-1, 2)
-    fn = matrix.labeling_function
-    if fn is None or (fn.is_random and matrix.seed is None):
-        return None
-    onsets, offsets, _ = events.columns
-    q = quantize(fn, onsets, offsets, matrix.grid.dt,
-                 ShiftStream(matrix.seed, fn) if fn.is_random else None)
-    return np.column_stack((q.t_s, q.t_e))
+    if records is None:
+        fn = matrix.labeling_function
+        if fn is None or (fn.is_random and matrix.seed is None):
+            return None
+        records = quantize(fn, events.onsets, events.offsets, matrix.grid.dt,
+                           ShiftStream(matrix.seed, fn) if fn.is_random else None)
+    elif len(records.t_s) != len(events):
+        raise ContractError("records do not match the annotation's event count")
+    return np.column_stack((records.t_s, records.t_e))
 
 
 def _shift_histogram(shifts: np.ndarray) -> dict[int, int]:
@@ -158,8 +156,8 @@ def _shift_histogram(shifts: np.ndarray) -> dict[int, int]:
 
 
 def disagreement(a: LabelMatrix, b: LabelMatrix, events: Annotation,
-                 records_a: tuple[QuantizedInterval, ...] | None = None,
-                 records_b: tuple[QuantizedInterval, ...] | None = None,
+                 records_a: QuantizedArrays | None = None,
+                 records_b: QuantizedArrays | None = None,
                  ) -> DisagreementStats:
     """Quantify how two rasterizations of the same annotation differ.
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import deque
 
-from .annotation import PIANO_NUM_LABELS, PIANO_PITCH_OFFSET, Annotation, NoteEvent
+from .annotation import PIANO_NUM_LABELS, PIANO_PITCH_OFFSET, Annotation
 from .errors import FormatError, RangeError, UnsupportedError, ValidationError
 
 _DEFAULT_TEMPO_US = 500000  # microseconds per quarter note (120 bpm)
@@ -199,7 +199,7 @@ def parse_midi(data: bytes, *, pitch_offset: int = PIANO_PITCH_OFFSET,
     lowest = pitch_offset
     highest = pitch_offset + num_labels - 1
     pending: dict[tuple[int, int], deque[int]] = {}
-    events = []
+    onsets, offsets, labels = [], [], []
     for tick, _, channel, pitch, is_on in sorted(notes, key=lambda n: (n[0], n[1])):
         if is_on:
             pending.setdefault((channel, pitch), deque()).append(tick)
@@ -213,11 +213,9 @@ def parse_midi(data: bytes, *, pitch_offset: int = PIANO_PITCH_OFFSET,
                 f"zero-duration note for pitch {pitch} at tick {tick}")
         if not lowest <= pitch <= highest:
             raise RangeError(f"MIDI pitch {pitch} outside [{lowest}, {highest}]")
-        events.append(NoteEvent(
-            onset_sec=tempo_map.to_seconds(onset_tick),
-            offset_sec=tempo_map.to_seconds(tick),
-            label=pitch - pitch_offset,
-        ))
+        onsets.append(tempo_map.to_seconds(onset_tick))
+        offsets.append(tempo_map.to_seconds(tick))
+        labels.append(pitch - pitch_offset)
 
     dangling = sorted({pitch for (_, pitch), queue in pending.items() if queue})
     if dangling:
@@ -225,4 +223,4 @@ def parse_midi(data: bytes, *, pitch_offset: int = PIANO_PITCH_OFFSET,
             "dangling note-on at end of track for pitch(es): "
             + ", ".join(str(p) for p in dangling))
 
-    return Annotation.from_events(events, num_labels=num_labels)
+    return Annotation(onsets, offsets, labels, num_labels, max(offsets, default=0.0))

@@ -62,17 +62,6 @@ class LabelingFunction(Enum):
             raise ContractError(f"unknown labeling function {letter!r}, expected a-f") from None
 
 
-# stable stream identifiers per labeling function
-_KIND_INDEX = {
-    LabelingFunction.A: 0,
-    LabelingFunction.B: 1,
-    LabelingFunction.C: 2,
-    LabelingFunction.D: 3,
-    LabelingFunction.E: 4,
-    LabelingFunction.F: 5,
-}
-
-
 class ShiftStream:
     """Counter-based stream of uniform draws from {-1, 0, 1}.
 
@@ -84,7 +73,8 @@ class ShiftStream:
     """
 
     def __init__(self, seed: int, fn: LabelingFunction):
-        self._counter = derive_seed(seed, _KIND_INDEX[fn])
+        # the function's position in "abcdef" is its stable stream identifier
+        self._counter = derive_seed(seed, "abcdef".index(fn.letter))
 
     def __iter__(self) -> "ShiftStream":
         return self
@@ -133,25 +123,6 @@ class FrameGrid:
         return cls(fps=fps, num_frames=max(1, math.ceil(seconds * fps)))
 
 
-@dataclass(frozen=True)
-class QuantizedInterval:
-    """Discrete (t_s, t_e) frame indices for one interval, plus diagnostics.
-
-    eps_s and eps_e are the signed rounding errors in seconds (quantized
-    boundary time minus true boundary time), taken before clamping and
-    before any random shift. `clamped` marks intervals whose shifted start
-    or end fell below frame 0; `degenerate` marks intervals that quantized
-    to zero or negative length and therefore activate no frames.
-    """
-
-    t_s: int
-    t_e: int
-    eps_s: float
-    eps_e: float
-    clamped: bool
-    degenerate: bool
-
-
 @dataclass(frozen=True, eq=False)
 class LabelMatrix:
     """Binary frames-by-labels activity matrix tied to its FrameGrid.
@@ -188,7 +159,16 @@ class LabelMatrix:
 
 
 class QuantizedArrays(NamedTuple):
-    """The QuantizedInterval fields as arrays, one entry per interval."""
+    """Discrete [t_s, t_e) frame indices of intervals, plus diagnostics.
+
+    Each field holds one entry per interval: an array from quantize, a
+    Python scalar from quantize_interval. eps_s and eps_e are the signed
+    rounding errors in seconds (quantized boundary time minus true
+    boundary time), taken before clamping and before any random shift.
+    `clamped` marks intervals whose shifted start or end fell below frame
+    0; `degenerate` marks intervals that quantized to zero or negative
+    length and therefore activate no frames.
+    """
 
     t_s: np.ndarray
     t_e: np.ndarray
@@ -262,10 +242,11 @@ def quantize(fn: LabelingFunction, onsets, offsets, dt: float,
 
 
 def quantize_interval(fn: LabelingFunction, onset_sec: float, offset_sec: float,
-                      dt: float, rng: Iterator[int] | None = None) -> QuantizedInterval:
-    """Map one continuous interval to frame indices: quantize for one interval."""
+                      dt: float, rng: Iterator[int] | None = None) -> QuantizedArrays:
+    """Map one continuous interval to frame indices: quantize for one
+    interval, with Python-scalar fields."""
     q = quantize(fn, [onset_sec], [offset_sec], dt, rng)
-    return QuantizedInterval(*(field.item() for field in q))
+    return QuantizedArrays(*(field.item() for field in q))
 
 
 def paint_ranges(num_frames: int, num_labels: int, starts, ends, labels) -> np.ndarray:
@@ -307,24 +288,10 @@ def paint_ranges(num_frames: int, num_labels: int, starts, ends, labels) -> np.n
     return frames[:num_frames]
 
 
-def _rasterize(annotation: Annotation, grid: FrameGrid, fn: LabelingFunction,
-               seed: int, rng: Iterator[int] | None,
-               ) -> tuple[LabelMatrix, QuantizedArrays]:
-    provenance_seed = seed if rng is None else None
-    if rng is None and fn.is_random:
-        rng = ShiftStream(seed, fn)
-    onsets, offsets, labels = annotation.columns
-    q = quantize(fn, onsets, offsets, grid.dt, rng)
-    frames = paint_ranges(grid.num_frames, annotation.num_labels, q.t_s, q.t_e, labels)
-    matrix = LabelMatrix(frames=frames, grid=grid, labeling_function=fn,
-                         seed=provenance_seed)
-    return matrix, q
-
-
 def rasterize_with_records(annotation: Annotation, grid: FrameGrid,
                            fn: LabelingFunction, seed: int = 0, *,
                            rng: Iterator[int] | None = None,
-                           ) -> tuple[LabelMatrix, tuple[QuantizedInterval, ...]]:
+                           ) -> tuple[LabelMatrix, QuantizedArrays]:
     """Rasterize and also return the per-event quantized intervals.
 
     Events are processed in annotation sort order and, for e/f, consume
@@ -333,9 +300,15 @@ def rasterize_with_records(annotation: Annotation, grid: FrameGrid,
     overrides the seeded stream (test hook); the output matrix then
     carries seed=None since it is not reproducible from a seed.
     """
-    matrix, q = _rasterize(annotation, grid, fn, seed, rng)
-    return matrix, tuple(itertools.starmap(QuantizedInterval,
-                                           zip(*(field.tolist() for field in q))))
+    provenance_seed = seed if rng is None else None
+    if rng is None and fn.is_random:
+        rng = ShiftStream(seed, fn)
+    q = quantize(fn, annotation.onsets, annotation.offsets, grid.dt, rng)
+    frames = paint_ranges(grid.num_frames, annotation.num_labels, q.t_s, q.t_e,
+                          annotation.labels)
+    matrix = LabelMatrix(frames=frames, grid=grid, labeling_function=fn,
+                         seed=provenance_seed)
+    return matrix, q
 
 
 def rasterize(annotation: Annotation, grid: FrameGrid, fn: LabelingFunction,
@@ -347,7 +320,7 @@ def rasterize(annotation: Annotation, grid: FrameGrid, fn: LabelingFunction,
     nothing, and overlapping events of the same label OR together. The
     seed only matters for the random functions e and f.
     """
-    return _rasterize(annotation, grid, fn, seed, rng)[0]
+    return rasterize_with_records(annotation, grid, fn, seed, rng=rng)[0]
 
 
 def noise_ceiling(annotation: Annotation, grid: FrameGrid, fn: LabelingFunction,

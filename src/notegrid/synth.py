@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .annotation import Annotation, NoteEvent
+from .annotation import Annotation
 from .errors import ContractError
 from .quantize import FrameGrid, paint_ranges
 from .util import MASK64
@@ -93,16 +93,14 @@ def generate_piece(cfg: SynthConfig, piece_index: int) -> Annotation:
     """Generate one piece; pieces use independent derived seeds."""
     rng = _piece_rng(cfg, piece_index)
     d_min, d_max = cfg.duration_range
-    events = []
+    onsets, offsets, labels = [], [], []
     t = rng.exponential(1.0 / cfg.note_rate)
     while t < cfg.piece_duration_sec:
-        label = int(rng.integers(cfg.num_labels))
-        duration = rng.uniform(d_min, d_max)
-        offset = min(t + duration, cfg.piece_duration_sec)
-        events.append(NoteEvent(onset_sec=t, offset_sec=offset, label=label))
+        labels.append(rng.integers(cfg.num_labels))
+        onsets.append(t)
+        offsets.append(min(t + rng.uniform(d_min, d_max), cfg.piece_duration_sec))
         t += rng.exponential(1.0 / cfg.note_rate)
-    return Annotation.from_events(events, num_labels=cfg.num_labels,
-                                  duration_sec=cfg.piece_duration_sec)
+    return Annotation(onsets, offsets, labels, cfg.num_labels, cfg.piece_duration_sec)
 
 
 def generate_corpus(cfg: SynthConfig) -> list[Annotation]:
@@ -148,10 +146,10 @@ def render_features(annotation: Annotation, grid: FrameGrid, cfg: SynthConfig,
             f"grid covers {grid.duration_sec:.6f} s but annotation lasts "
             f"{annotation.duration_sec:.6f} s")
 
-    onsets, offsets, labels = annotation.columns
     # frame centers c = (t + 0.5) * dt with onset <= c < offset
-    active = paint_ranges(grid.num_frames, cfg.num_labels, np.ceil(onsets / grid.dt - 0.5),
-                          np.ceil(offsets / grid.dt - 0.5), labels)
+    active = paint_ranges(grid.num_frames, cfg.num_labels,
+                          np.ceil(annotation.onsets / grid.dt - 0.5),
+                          np.ceil(annotation.offsets / grid.dt - 0.5), annotation.labels)
     features = active.astype(np.float64) @ label_templates(cfg)
     if cfg.noise_sigma > 0:
         rng = np.random.default_rng([cfg.seed & MASK64, 1, noise_seed & MASK64])

@@ -336,16 +336,12 @@ class ExperimentTable:
         return sum(values) / len(values)
 
     def summary(self) -> dict:
-        ordered_fns = []
-        for row in self.rows:
-            if row.fn not in ordered_fns:
-                ordered_fns.append(row.fn)
         return {
             fn.letter: {
                 "mean_f": self.mean_fmeasure(fn),
                 "per_seed_f": self.per_seed_fmeasures(fn),
             }
-            for fn in ordered_fns
+            for fn in dict.fromkeys(row.fn for row in self.rows)
         }
 
 

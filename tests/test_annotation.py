@@ -1,9 +1,12 @@
 import random
 
+import numpy as np
 import pytest
 
-from notegrid import (Annotation, FormatError, NoteEvent, RangeError,
-                      ValidationError, parse_tsv, to_tsv, validate)
+import smf
+from notegrid import (Annotation, ContractError, FormatError, NoteEvent,
+                      RangeError, SynthConfig, ValidationError, generate_piece,
+                      parse_midi, parse_tsv, to_tsv, validate)
 
 HEADER = "OnsetTime\tOffsetTime\tMidiPitch"
 
@@ -111,14 +114,12 @@ class TestRoundTrip:
 
 class TestAnnotationType:
     def test_constructor_sorts(self):
-        events = (NoteEvent(2.0, 3.0, 5), NoteEvent(0.5, 1.0, 7),
-                  NoteEvent(0.5, 1.0, 2))
-        ann = Annotation(events=events, num_labels=12, duration_sec=3.0)
+        ann = Annotation([2.0, 0.5, 0.5], [3.0, 1.0, 1.0], [5, 7, 2], num_labels=12,
+                         duration_sec=3.0)
         assert [e.label for e in ann.events] == [2, 7, 5]
 
     def test_tie_broken_by_offset(self):
-        events = (NoteEvent(1.0, 5.0, 3), NoteEvent(1.0, 2.0, 3))
-        ann = Annotation(events=events, num_labels=12, duration_sec=5.0)
+        ann = Annotation([1.0, 1.0], [5.0, 2.0], [3, 3], num_labels=12, duration_sec=5.0)
         assert [e.offset_sec for e in ann.events] == [2.0, 5.0]
 
     def test_from_events_extends_duration(self):
@@ -128,6 +129,54 @@ class TestAnnotationType:
 
     def test_duration_property(self):
         assert NoteEvent(0.25, 1.0, 0).duration_sec == 0.75
+
+    def test_order_is_stable_event_sort(self):
+        # heavy ties: few distinct times, duplicate events, and -0.0 beside
+        # 0.0, which compare equal, so only a stable sort keeps their order
+        r = random.Random(0x50E7)
+        times = [-0.0, 0.0, 0.25, 0.5, 1.0, 2.0]
+        for _ in range(300):
+            events = [NoteEvent(r.choice(times), r.choice(times), r.randrange(3))
+                      for _ in range(r.randrange(40))]
+            events += r.sample(events, len(events) // 3)
+            ann = Annotation.from_events(events, num_labels=3)
+            expected = sorted(events, key=lambda e: (e.onset_sec, e.label, e.offset_sec))
+            assert [repr(e) for e in ann.events] == [repr(e) for e in expected]
+
+    def test_columns_are_read_only_arrays(self):
+        ann = Annotation([1.0, 0.5], [2.0, 1.5], [3, 4], num_labels=5, duration_sec=2.0)
+        assert ann.onsets.dtype == np.float64 and ann.labels.dtype == np.int64
+        assert ann.onsets.tolist() == [0.5, 1.0] and ann.labels.tolist() == [4, 3]
+        for column in (ann.onsets, ann.offsets, ann.labels):
+            with pytest.raises(ValueError):
+                column[0] = 0
+
+    def test_equality_compares_columns_and_fields(self):
+        ann = Annotation([0.5], [1.0], [2], num_labels=3, duration_sec=1.0)
+        assert ann == Annotation.from_events([NoteEvent(0.5, 1.0, 2)], num_labels=3)
+        assert ann != Annotation([0.5], [1.0], [1], num_labels=3, duration_sec=1.0)
+        assert ann != Annotation([0.5], [1.0], [2], num_labels=4, duration_sec=1.0)
+        assert ann != Annotation([0.5], [1.0], [2], num_labels=3, duration_sec=2.0)
+        with pytest.raises(TypeError):
+            hash(ann)
+
+    @pytest.mark.parametrize("onsets,offsets,labels", [
+        ([0.0, 1.0], [2.0], [0, 1]),
+        ([0.0], [2.0], [0, 1]),
+        ([[0.0]], [[2.0]], [[0]]),
+    ])
+    def test_column_shapes_must_agree(self, onsets, offsets, labels):
+        with pytest.raises(ContractError):
+            Annotation(onsets, offsets, labels, num_labels=2, duration_sec=2.0)
+
+    def test_parsers_build_no_note_event(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("NoteEvent built")
+
+        monkeypatch.setattr(NoteEvent, "__init__", refuse)
+        assert len(parse_tsv(HEADER + "\n0.5 1.0 60\n0.25 2.0 61\n")) == 2
+        assert len(parse_midi(smf.simple_file([(0, 480, 60), (240, 960, 62)]))) == 2
+        assert len(generate_piece(SynthConfig(piece_duration_sec=5.0), 0)) > 0
 
 
 class TestValidate:
@@ -145,26 +194,22 @@ class TestValidate:
         assert "label 4" in report.violations[0]
 
     def test_event_past_duration(self):
-        ann = Annotation(events=(NoteEvent(0.0, 5.0, 0),), num_labels=4,
-                         duration_sec=2.0)
+        ann = Annotation([0.0], [5.0], [0], num_labels=4, duration_sec=2.0)
         report = validate(ann)
         assert len(report.violations) == 1
         assert "past duration" in report.violations[0]
 
     def test_zero_duration_event(self):
-        ann = Annotation(events=(NoteEvent(1.0, 1.0, 0),), num_labels=4,
-                         duration_sec=2.0)
+        ann = Annotation([1.0], [1.0], [0], num_labels=4, duration_sec=2.0)
         assert any("non-positive duration" in v for v in validate(ann).violations)
 
     def test_multiple_violations_all_reported(self):
-        ann = Annotation(events=(NoteEvent(-1.0, 5.0, 9),), num_labels=4,
-                         duration_sec=2.0)
+        ann = Annotation([-1.0], [5.0], [9], num_labels=4, duration_sec=2.0)
         report = validate(ann)
         assert len(report.violations) == 3  # negative onset, label, past duration
 
     def test_non_finite_times_reported(self):
-        ann = Annotation(events=(NoteEvent(float("nan"), 1.0, 0),
-                                 NoteEvent(0.5, float("inf"), 1)),
+        ann = Annotation([float("nan"), 0.5], [1.0, float("inf")], [0, 1],
                          num_labels=2, duration_sec=float("inf"))
         violations = validate(ann).violations
         assert any("duration_sec" in v for v in violations)

@@ -111,6 +111,18 @@ class TestLabelCodec:
         ngio.write_label_matrix(matrix, tmp_path / "m.csv")
         assert (tmp_path / "m.csv").read_bytes() == reference_label_csv(frames)
 
+    @pytest.mark.parametrize("shape", [(1, 1), (7, 3), (4000, 88), (5, 0)])
+    def test_write_then_read_round_trip(self, tmp_path, shape):
+        matrix = LabelMatrix(frames=label_frames(shape),
+                             grid=FrameGrid(fps=100.0, num_frames=shape[0]),
+                             labeling_function=LabelingFunction.E, seed=3)
+        ngio.write_label_matrix(matrix, tmp_path / "m.csv")
+        again = ngio.read_label_matrix(tmp_path / "m.csv")
+        assert again.frames.shape == shape
+        assert np.array_equal(again.frames, matrix.frames)
+        assert (again.grid, again.labeling_function, again.seed) == (matrix.grid,
+                                                                     LabelingFunction.E, 3)
+
     @pytest.mark.parametrize("shape", [(1, 1), (7, 3), (4000, 88)])
     def test_exact_decoder_equals_line_parser(self, tmp_path, shape):
         path = tmp_path / "m.csv"
@@ -163,6 +175,8 @@ MALFORMED_MATRICES = [
                  id="integer-past-digit-limit"),
     pytest.param("0,1\n", '{"fps": 100.0, "x": ' + "[" * 100000 + "]" * 100000 + "}",
                  "unreadable sidecar", id="sidecar-nested-too-deeply"),
+    pytest.param("0,1\n", '{"fps": 100.0, "num_frames": "1"}', "sidecar says '1'",
+                 id="string-row-count"),
 ]
 
 
@@ -281,6 +295,37 @@ class TestNonUtf8Input:
         config.write_bytes(b'{"seed": 1}\xff')
         self.assert_exit_4([command, "--config", str(config), "--out", str(tmp_path / "out")],
                            "cfg.json: line 1", capsys)
+
+
+class TestConfigFiles:
+    @pytest.mark.parametrize("command", ["synth", "experiment"])
+    @pytest.mark.parametrize("text,where", [
+        ('{"seed": 1' + "0" * 5000 + "}", "unreadable config"),
+        ('{"seed": ' + "[" * 100000 + "]" * 100000 + "}", "unreadable config"),
+        ('{"seed": 1', "line 1"),
+        ("[1, 2]", "line 1: config must hold a JSON object"),
+    ], ids=["integer-past-digit-limit", "nested-too-deeply", "bad-json", "not-an-object"])
+    def test_unreadable_config_exit_4(self, tmp_path, capsys, command, text, where):
+        config = tmp_path / "cfg.json"
+        config.write_text(text)
+        assert run_cli([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 4
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        assert "cfg.json" in captured.err and where in captured.err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command,config,where", [
+        ("synth", {"num_pyces": 3}, "bad synth config: "),
+        ("synth", {"duration_range": 5}, "bad synth config: "),
+        ("experiment", {"synth": {"num_pyces": 3}}, "bad synth config: "),
+        ("experiment", {"train": {"epochz": 3}}, "bad train config: "),
+    ])
+    def test_bad_config_value_exit_4(self, tmp_path, capsys, command, config, where):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        assert run_cli([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 4
+        err = capsys.readouterr().err
+        assert where in err and "Traceback" not in err
 
 
 class TestRasterizeCommand:

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from notegrid import (Annotation, ContractError, EvalCounts, FrameGrid,
-                      LabelingFunction, LabelMatrix, NoteEvent, disagreement,
-                      evaluate_against_reference, framewise_counts, prf,
-                      rasterize, rasterize_with_records, resample, truncate,
+                      LabelingFunction, LabelMatrix, NoteEvent, QuantizedArrays,
+                      disagreement, evaluate_against_reference, framewise_counts,
+                      prf, rasterize, rasterize_with_records, resample, truncate,
                       windowed_counts)
 
 A, C, E = LabelingFunction.A, LabelingFunction.C, LabelingFunction.E
@@ -258,7 +258,8 @@ class TestDisagreement:
         grid = FrameGrid.covering(100.0, hundred_notes.duration_sec)
         m, records = rasterize_with_records(hundred_notes, grid, A, 0)
         with pytest.raises(ContractError):
-            disagreement(m, m, hundred_notes, records_a=records[:-1],
+            disagreement(m, m, hundred_notes,
+                         records_a=QuantizedArrays(*(f[:-1] for f in records)),
                          records_b=records)
 
 

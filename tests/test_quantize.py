@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from notegrid import (Annotation, ContractError, FrameGrid, LabelingFunction,
-                      LabelMatrix, NoteEvent, ShiftStream, noise_ceiling,
-                      quantize_interval, rasterize, rasterize_with_records)
+                      LabelMatrix, NoteEvent, QuantizedArrays, ShiftStream,
+                      noise_ceiling, quantize_interval, rasterize,
+                      rasterize_with_records)
 from notegrid.quantize import quantize
 
 A, B, C, D, E, F = LabelingFunction
@@ -20,6 +21,11 @@ def random_intervals(count, seed, dts=(0.01, 0.032)):
         onset = r.random() * 60.0
         offset = onset + 1e-6 + r.random() * (60.0 - onset)
         yield onset, offset, r.choice(dts)
+
+
+def per_interval(records):
+    """One QuantizedArrays of Python scalars per interval."""
+    return [QuantizedArrays(*fields) for fields in zip(*(f.tolist() for f in records))]
 
 
 def oracle_indices(fn, onset, offset, dt):
@@ -298,9 +304,9 @@ class TestRasterize:
         ann = Annotation.from_events([NoteEvent(0.10, 0.25, 3)], num_labels=4,
                                      duration_sec=0.3)
         grid = FrameGrid(fps=100.0, num_frames=30)
-        base, (qa,) = rasterize_with_records(ann, grid, A, 0)
-        m1, (q1,) = rasterize_with_records(ann, grid, F, 1)
-        m2, (q2,) = rasterize_with_records(ann, grid, F, 2)
+        base, qa = rasterize_with_records(ann, grid, A, 0)
+        m1, q1 = rasterize_with_records(ann, grid, F, 1)
+        m2, q2 = rasterize_with_records(ann, grid, F, 2)
         for q in (q1, q2):
             assert abs(q.t_s - qa.t_s) <= 1 and abs(q.t_e - qa.t_e) <= 1
         assert (q1.t_s, q1.t_e) != (q2.t_s, q2.t_e)
@@ -332,8 +338,7 @@ class TestRasterize:
         assert not matrix.frames.any()
 
     def test_label_out_of_range_rejected(self):
-        ann = Annotation(events=(NoteEvent(0.0, 0.5, 7),), num_labels=4,
-                         duration_sec=1.0)
+        ann = Annotation([0.0], [0.5], [7], num_labels=4, duration_sec=1.0)
         with pytest.raises(ContractError):
             rasterize(ann, FrameGrid(fps=100.0, num_frames=10), A)
 
@@ -349,9 +354,9 @@ class TestRasterize:
     def test_records_match_matrix(self, hundred_notes):
         grid = FrameGrid.covering(100.0, hundred_notes.duration_sec)
         matrix, records = rasterize_with_records(hundred_notes, grid, F, 5)
-        assert len(records) == len(hundred_notes)
+        assert len(records.t_s) == len(hundred_notes)
         rebuilt = np.zeros_like(matrix.frames)
-        for event, q in zip(hundred_notes.events, records):
+        for event, q in zip(hundred_notes.events, per_interval(records)):
             if not q.degenerate:
                 rebuilt[min(q.t_s, grid.num_frames):min(q.t_e, grid.num_frames),
                         event.label] = 1
@@ -373,7 +378,7 @@ class TestRasterize:
         for fn in LabelingFunction:
             matrix, records = rasterize_with_records(ann, grid, fn, 4)
             painted = np.zeros_like(matrix.frames)
-            for event, q in zip(ann.events, records):
+            for event, q in zip(ann.events, per_interval(records)):
                 painted[q.t_s:q.t_e, event.label] = 1
             assert np.array_equal(matrix.frames, painted), fn
             assert np.array_equal(rasterize(ann, grid, fn, 4).frames, painted), fn
@@ -384,8 +389,8 @@ class TestRasterize:
         grid = FrameGrid(fps=100.0, num_frames=100)
         _, records = rasterize_with_records(ann, grid, E, 0,
                                             rng=iter([1, -1]))
-        assert records[0].t_s == 10 + 1
-        assert records[1].t_s == 50 - 1
+        assert records.t_s[0] == 10 + 1
+        assert records.t_s[1] == 50 - 1
 
 
 class TestNoiseCeiling:

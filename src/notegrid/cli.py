@@ -13,7 +13,10 @@ divergence, 4 input format error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import numbers
 import sys
+import typing
 from dataclasses import asdict
 from pathlib import Path
 
@@ -39,6 +42,18 @@ _EXPERIMENT_DEFAULTS = {
 }
 
 
+# what each top-level experiment config key must hold
+_EXPERIMENT_KEYS = {
+    "fns": (list[str], "a list of strings"),
+    "seeds": (list[int], "a list of integers"),
+    "train_fps": (numbers.Real, "a number"),
+    "eval_fps": (numbers.Real, "a number"),
+    "window_sec": (numbers.Real, "a number"),
+    "synth": (dict, "a JSON object"),
+    "train": (dict, "a JSON object"),
+}
+
+
 def load_annotation(path: Path, pitch_offset: int, num_labels: int) -> Annotation:
     path = Path(path)
     if path.suffix.lower() in (".mid", ".midi"):
@@ -59,20 +74,45 @@ def _load_config_file(path: Path) -> dict:
     return obj
 
 
+def _fits(kind, value) -> bool:
+    """Whether a JSON value has the declared type `kind`. A bool is never
+    a number, and a `float` must be finite."""
+    if isinstance(value, bool):
+        return False
+    if kind is float:
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if origin is None:
+        return isinstance(value, kind)
+    if origin not in (list, tuple):
+        return any(_fits(arg, value) for arg in args)  # a union such as X | None
+    if not isinstance(value, (list, tuple)):
+        return False
+    if origin is list or args[-1] is Ellipsis:
+        return all(_fits(args[0], item) for item in value)
+    return len(value) == len(args) and all(map(_fits, args, value))
+
+
 def _build_config(cls, overrides: dict, what: str):
     """A SynthConfig or TrainConfig from JSON overrides; a key the class
-    lacks, or a value it cannot take, is a ContractError."""
+    lacks, a value of the wrong type, or a value the class rejects is a
+    ContractError."""
+    kinds = typing.get_type_hints(cls)
+    for field in dataclasses.fields(cls):
+        if field.name in overrides and not _fits(kinds[field.name], overrides[field.name]):
+            raise ContractError(f"bad {what} config: {field.name} must be {field.type}"
+                                f", got {overrides[field.name]!r}")
     try:
         known = dict(overrides)
         if "duration_range" in known:
             known["duration_range"] = tuple(known["duration_range"])
         return cls(**known)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ContractError(f"bad {what} config: {exc}") from None
 
 
 def cmd_rasterize(args, parser) -> int:
-    if args.fps <= 0:
+    if not args.fps > 0:
         parser.error("--fps must be positive")
     fn = LabelingFunction.from_letter(args.fn)
     if fn.is_random and args.seed is None:
@@ -103,7 +143,7 @@ def cmd_rasterize(args, parser) -> int:
 
 
 def cmd_eval(args, parser) -> int:
-    if args.window_sec <= 0:
+    if not args.window_sec > 0:
         parser.error("--window-sec must be positive")
     if args.ref is None and args.annotation is None:
         parser.error("either --ref or --annotation is required")
@@ -115,7 +155,7 @@ def cmd_eval(args, parser) -> int:
         inputs += [Path(args.ref), io.sidecar_path(Path(args.ref))]
         result = prf(windowed_counts(pred, ref, args.window_sec))
     else:
-        if args.ref_fps <= 0:
+        if not args.ref_fps > 0:
             parser.error("--ref-fps must be positive")
         annotation = load_annotation(Path(args.annotation), args.pitch_offset,
                                      args.num_labels)
@@ -221,12 +261,12 @@ def cmd_experiment(args, parser) -> int:
     if args.config:
         loaded = _load_config_file(Path(args.config))
         for key, value in loaded.items():
-            if key not in config:
+            if key not in _EXPERIMENT_KEYS:
                 parser.error(f"unknown experiment config key {key!r}")
-            if key in ("synth", "train"):
-                if not isinstance(value, dict):
-                    parser.error(f"experiment config key {key!r} must hold a JSON object")
-                value = dict(value)
+            kind, description = _EXPERIMENT_KEYS[key]
+            if not _fits(kind, value):
+                parser.error(f"experiment config key {key!r} must hold {description}, "
+                             f"got {value!r}")
             config[key] = value
     if args.fns is not None:
         config["fns"] = [letter.strip() for letter in args.fns.split(",") if letter.strip()]
@@ -250,7 +290,7 @@ def cmd_experiment(args, parser) -> int:
         parser.error("--fns must name at least one labeling function")
     if not config["seeds"]:
         parser.error("--seeds must name at least one seed")
-    if config["window_sec"] <= 0:
+    if not config["window_sec"] > 0:
         parser.error("--window-sec must be positive")
 
     fns = [LabelingFunction.from_letter(letter) for letter in config["fns"]]

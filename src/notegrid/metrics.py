@@ -121,13 +121,14 @@ def resample(matrix: LabelMatrix, target: FrameGrid) -> LabelMatrix:
 def truncate(matrix: LabelMatrix, seconds: float) -> LabelMatrix:
     """Keep only the frames inside the first `seconds` of the matrix.
 
-    Truncating at or past the end is the identity.
+    Truncating at or past the end, an infinite window included, is the
+    identity.
     """
-    if seconds <= 0:
+    if not seconds > 0:
         raise ContractError(f"window must be positive, got {seconds}")
-    keep = min(matrix.num_frames, math.floor(seconds * matrix.grid.fps))
-    if keep >= matrix.num_frames:
+    if seconds * matrix.grid.fps >= matrix.num_frames:
         return matrix
+    keep = math.floor(seconds * matrix.grid.fps)
     return LabelMatrix(
         frames=matrix.frames[:keep],
         grid=FrameGrid(fps=matrix.grid.fps, num_frames=keep),

@@ -44,6 +44,8 @@ class SynthConfig:
         d_min, d_max = self.duration_range
         if d_min <= 0 or d_max < d_min:
             raise ContractError(f"bad duration range {self.duration_range}")
+        if self.num_labels < 1:
+            raise ContractError(f"num_labels must be >= 1, got {self.num_labels}")
         if self.feature_dim < self.num_labels:
             raise ContractError(
                 f"feature_dim {self.feature_dim} < num_labels {self.num_labels}")

@@ -163,14 +163,16 @@ def bce_loss(params: ModelParams, inputs: np.ndarray, targets: np.ndarray) -> fl
 
 def _loss_and_gradient(weights: np.ndarray, bias: np.ndarray, inputs: np.ndarray,
                        targets: np.ndarray, models: int = 1,
-                       ) -> tuple[float, np.ndarray, np.ndarray]:
-    # the columns hold `models` equal blocks; each block's gradient is
-    # normalised by its own cell count (rows x K), so a block trains
-    # exactly as it would alone
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # the columns hold `models` equal blocks of K; each block's loss and
+    # gradient are normalised by its own cell count (rows x K), so a block
+    # trains exactly as it would alone
     z = inputs @ weights + bias
-    loss = float(np.mean(np.logaddexp(0.0, z) - targets * z))
+    k = targets.shape[1] // models
+    cells = np.logaddexp(0.0, z) - targets * z
+    losses = cells.reshape(len(z), models, k).mean(axis=(0, 2))
     residual = (_sigmoid(z) - targets) / (targets.size // models)
-    return loss, inputs.T @ residual, residual.sum(axis=0)
+    return losses, inputs.T @ residual, residual.sum(axis=0)
 
 
 def bce_loss_and_gradient(params: ModelParams, inputs: np.ndarray,
@@ -179,7 +181,8 @@ def bce_loss_and_gradient(params: ModelParams, inputs: np.ndarray,
 
     train() evaluates every mini-batch through the same kernel.
     """
-    return _loss_and_gradient(params.weights, params.bias, inputs, targets)
+    losses, grad_w, grad_b = _loss_and_gradient(params.weights, params.bias, inputs, targets)
+    return float(losses[0]), grad_w, grad_b
 
 
 def _init_params(dim: int, num_labels: int, seed: int) -> ModelParams:
@@ -206,8 +209,8 @@ def train(train_set: Dataset, valid_set: Dataset, cfg: TrainConfig, *,
     equals training on block j alone, up to BLAS summation order. History
     is then pooled over all blocks (losses are the per-model mean).
 
-    Raises DivergenceError (with epoch, batch and the indices of the
-    models whose loss went non-finite) if a batch loss goes non-finite.
+    Raises DivergenceError, with epoch, batch and the indices of the
+    models whose own batch loss went non-finite, at the first such batch.
     """
     if train_set.num_examples == 0 or valid_set.num_examples == 0:
         raise ContractError("train and valid sets must be non-empty")
@@ -254,13 +257,12 @@ def train(train_set: Dataset, valid_set: Dataset, cfg: TrainConfig, *,
             np.multiply(mu, velocity_b, out=momentum_b)
             np.add(weights, momentum_w, out=ahead_w)
             np.add(bias, momentum_b, out=ahead_b)
-            batch_loss, grad_w, grad_b = _loss_and_gradient(ahead_w, ahead_b, x, y, models)
-            if not math.isfinite(batch_loss):
-                diverged = _diverged_models(ahead_w, ahead_b, x, y, models)
-                if diverged:
-                    raise DivergenceError(
-                        f"non-finite loss at epoch {epoch}, batch {batch_index}",
-                        epoch=epoch, batch=batch_index, models=diverged)
+            losses, grad_w, grad_b = _loss_and_gradient(ahead_w, ahead_b, x, y, models)
+            diverged = np.flatnonzero(~np.isfinite(losses))
+            if diverged.size:
+                raise DivergenceError(
+                    f"non-finite loss at epoch {epoch}, batch {batch_index}",
+                    epoch=epoch, batch=batch_index, models=tuple(diverged.tolist()))
             grad_w *= lr
             grad_b *= lr
             np.subtract(momentum_w, grad_w, out=velocity_w)
@@ -276,19 +278,6 @@ def train(train_set: Dataset, valid_set: Dataset, cfg: TrainConfig, *,
 
     return (ModelParams(weights=weights, bias=bias),
             TrainHistory(tuple(train_losses), tuple(valid_losses), tuple(train_fs)))
-
-
-def _diverged_models(weights: np.ndarray, bias: np.ndarray, inputs: np.ndarray,
-                     targets: np.ndarray, models: int) -> tuple[int, ...]:
-    """Indices of the stacked models whose own batch loss is non-finite.
-
-    A pooled loss can overflow while every model's own loss is finite;
-    then no model diverged, as none would have trained alone.
-    """
-    k = targets.shape[1] // models
-    return tuple(j for j in range(models) if not math.isfinite(_loss_and_gradient(
-        weights[:, j * k:(j + 1) * k], bias[j * k:(j + 1) * k], inputs,
-        targets[:, j * k:(j + 1) * k])[0]))
 
 
 def predict(params: ModelParams, features: FeatureMatrix, context_frames: int,
@@ -372,14 +361,14 @@ def run_sensitivity_experiment(synth_cfg: SynthConfig,
     For each seed, one synthetic corpus is generated and split 60/20/20
     into train/valid/test by piece; features, splits, and model
     initialization are shared across labeling functions, so within a seed
-    the only varying factor is how training targets were quantized. Each
-    trained model predicts on the test pieces; predictions are resampled
-    to eval_grid, truncated to the evaluation window, and scored against
-    the reference rasterization (round-both on eval_grid).
+    the only varying factor is how training targets were quantized.
 
     Within a seed the distinct functions train once, in lockstep, as one
     stacked model (train(..., models=G)); a repeated function reuses its
-    result. Returns one test row per (fn, seed), in fns order.
+    result. The stacked model predicts each test piece once, and each
+    function's column block is scored by windowed_counts against the
+    reference rasterization (reference_fn on eval_grid). Returns one test
+    row per (fn, seed), in fns order.
     DivergenceError from training is re-raised annotated with the failing
     function(s) and seed.
     """
@@ -397,44 +386,38 @@ def run_sensitivity_experiment(synth_cfg: SynthConfig,
                     for i, piece in enumerate(corpus)]
         cfg_seeded = replace(train_cfg, seed=derive_seed(train_cfg.seed, seed))
 
-        def inputs_for(indices: range) -> np.ndarray:
-            return np.concatenate([_windows(features[i].values, train_cfg.context_frames)
-                                   for i in indices])
-
-        def targets_for(fn: LabelingFunction, indices: range) -> np.ndarray:
-            return np.concatenate([
-                rasterize(corpus[i], train_grid, fn, derive_seed(seed, i)).frames
-                for i in indices]).astype(np.float64)
-
         # every distinct function trains in lockstep as one stacked model
         distinct = list(dict.fromkeys(fns))
-        train_set = Dataset(inputs=inputs_for(train_idx), targets=np.hstack(
-            [targets_for(fn, train_idx) for fn in distinct]))
-        valid_set = Dataset(inputs=inputs_for(valid_idx), targets=np.hstack(
-            [targets_for(fn, valid_idx) for fn in distinct]))
+
+        def dataset(indices: range) -> Dataset:
+            return Dataset(
+                inputs=np.concatenate([_windows(features[i].values, train_cfg.context_frames)
+                                       for i in indices]),
+                targets=np.concatenate([np.hstack([
+                    rasterize(corpus[i], train_grid, fn, derive_seed(seed, i)).frames
+                    for fn in distinct]) for i in indices]))
+
         try:
-            params, _ = train(train_set, valid_set, cfg_seeded, models=len(distinct))
+            params, _ = train(dataset(train_idx), dataset(valid_idx), cfg_seeded,
+                              models=len(distinct))
         except DivergenceError as exc:
             culprits = distinct if exc.models is None else [distinct[j] for j in exc.models]
             raise DivergenceError(
                 f"fn={','.join(fn.letter for fn in culprits)} seed={seed}: {exc}",
                 epoch=exc.epoch, batch=exc.batch, models=exc.models) from exc
 
-        references = {i: rasterize(corpus[i], eval_grid, reference_fn, 0) for i in test_idx}
-        k = train_set.targets.shape[1] // len(distinct)
-        scores = {}
-        for j, fn in enumerate(distinct):
-            block = ModelParams(weights=params.weights[:, j * k:(j + 1) * k],
-                                bias=params.bias[j * k:(j + 1) * k])
-            tp = fp = fn_count = 0
-            for i in test_idx:
-                pred = predict(block, features[i], train_cfg.context_frames,
-                               train_cfg.threshold)
-                counts = windowed_counts(pred, references[i], window_sec)
-                tp += counts.tp
-                fp += counts.fp
-                fn_count += counts.fn_
-            scores[fn] = prf(EvalCounts(tp=tp, fp=fp, fn_=fn_count))
+        # one prediction per test piece; column block j is function j's
+        k = params.bias.shape[0] // len(distinct)
+        totals = np.zeros((len(distinct), 3), dtype=np.int64)
+        for i in test_idx:
+            pred = predict(params, features[i], train_cfg.context_frames,
+                           train_cfg.threshold)
+            reference = rasterize(corpus[i], eval_grid, reference_fn, 0)
+            for j in range(len(distinct)):
+                block = LabelMatrix(frames=pred.frames[:, j * k:(j + 1) * k], grid=pred.grid)
+                counts = windowed_counts(block, reference, window_sec)
+                totals[j] += (counts.tp, counts.fp, counts.fn_)
+        scores = {fn: prf(EvalCounts(*map(int, total))) for fn, total in zip(distinct, totals)}
 
         rows.extend(ExperimentRow(fn=fn, seed=seed, split="test",
                                   precision=scores[fn].precision, recall=scores[fn].recall,

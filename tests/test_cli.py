@@ -328,6 +328,85 @@ class TestConfigFiles:
         assert where in err and "Traceback" not in err
 
 
+# one wrong-typed value per config field: (section, key, value), where
+# section None is the top level of an experiment config
+WRONG_TYPED = [
+    ("synth", "num_pieces", 5.0),
+    ("synth", "piece_duration_sec", "6"),
+    ("synth", "num_labels", True),
+    ("synth", "num_labels", 0.5),
+    ("synth", "note_rate", "2"),
+    ("synth", "duration_range", [0.1]),
+    ("synth", "feature_dim", 48.0),
+    ("synth", "noise_sigma", None),
+    ("synth", "harmonics", 1.5),
+    ("synth", "seed", 1e30),
+    ("train", "batch_size", 8.0),
+    ("train", "learning_rate", 1e400),  # JSON Infinity
+    ("train", "learning_rate", 10 ** 400),  # too large for a float
+    ("train", "momentum", "0.9"),
+    ("train", "lr_schedule", [[1]]),
+    ("train", "epochs", 2.0),
+    ("train", "context_frames", 5.0),
+    ("train", "threshold", True),
+    ("train", "seed", 0.5),
+    (None, "fns", [1]),
+    (None, "seeds", ["x"]),
+    (None, "seeds", [1.5]),
+    (None, "seeds", 5),
+    (None, "train_fps", "x"),
+    (None, "eval_fps", True),
+    (None, "window_sec", "x"),
+]
+
+
+class TestTypedConfigValues:
+    def test_table_covers_every_field(self):
+        import dataclasses
+
+        from notegrid import SynthConfig, TrainConfig
+        from notegrid.cli import _EXPERIMENT_DEFAULTS
+
+        covered = {(section, key) for section, key, _ in WRONG_TYPED}
+        expected = ({("synth", f.name) for f in dataclasses.fields(SynthConfig)}
+                    | {("train", f.name) for f in dataclasses.fields(TrainConfig)}
+                    | {(None, key) for key in _EXPERIMENT_DEFAULTS})
+        assert covered == expected
+
+    @pytest.mark.parametrize("section,key,value", WRONG_TYPED,
+                             ids=[f"{s or 'top'}-{k}-{v!r:.12}" for s, k, v in WRONG_TYPED])
+    def test_wrong_type_exits_2_or_4(self, tmp_path, capsys, section, key, value):
+        config = json.loads(json.dumps(EXPERIMENT_CONFIG))
+        (config[section] if section else config)[key] = value
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(config))
+        code = run_cli(["experiment", "--config", str(path), "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code in (2, 4)
+        assert "Traceback" not in captured.out + captured.err
+        assert key in captured.err
+        assert not (tmp_path / "out").exists()
+
+    def test_int_for_float_and_null_schedule_accepted(self, tmp_path):
+        config = json.loads(json.dumps(EXPERIMENT_CONFIG))
+        config["synth"]["piece_duration_sec"] = 6
+        config["train"].update(learning_rate=1, lr_schedule=None)
+        config["window_sec"] = 30
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(config))
+        assert run_cli(["experiment", "--config", str(path), "--fns", "a",
+                        "--seeds", "1", "--out", str(tmp_path / "out")]) == 0
+
+    @pytest.mark.parametrize("key,value", [("num_labels", True), ("seed", 1e30),
+                                           ("num_labels", 0), ("duration_range", [0.1])])
+    def test_synth_command_bad_values_exit_4(self, tmp_path, capsys, key, value):
+        path = tmp_path / "synth.json"
+        path.write_text(json.dumps({key: value}))
+        assert run_cli(["synth", "--config", str(path), "--out", str(tmp_path / "out")]) == 4
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and key in err
+
+
 class TestRasterizeCommand:
     def test_writes_matrix_sidecar_manifest(self, tmp_path, notes_tsv):
         out = tmp_path / "out"
@@ -442,6 +521,33 @@ class TestEvalCommand:
                         "--ref", str(out / "notes.csv"), "--out", str(out),
                         "--window-sec", "0"])
         assert code == 2
+
+    def test_nan_window_usage_error(self, tmp_path, notes_tsv):
+        out = tmp_path / "out"
+        run_cli(["rasterize", str(notes_tsv), "--fps", "100", "--fn", "a",
+                 "--out", str(out)])
+        code = run_cli(["eval", "--pred", str(out / "notes.csv"),
+                        "--ref", str(out / "notes.csv"), "--out", str(out / "eval"),
+                        "--window-sec", "nan"])
+        assert code == 2
+        assert not (out / "eval").exists()
+
+    def test_infinite_window_scores_whole_piece(self, tmp_path, notes_tsv):
+        out = tmp_path / "out"
+        run_cli(["rasterize", str(notes_tsv), "--fps", "31.25", "--fn", "a",
+                 "--out", str(out)])
+        code = run_cli(["eval", "--pred", str(out / "notes.csv"),
+                        "--annotation", str(notes_tsv), "--out", str(out),
+                        "--window-sec", "inf"])
+        assert code == 0
+        reported = json.loads((out / "eval.json").read_text())["rows"][0]
+        ann = Annotation.from_events(
+            [NoteEvent(0.1, 0.25, 39), NoteEvent(0.4, 0.9, 43)], num_labels=88)
+        low = rasterize(ann, FrameGrid.covering(31.25, ann.duration_sec), A)
+        ref = rasterize(ann, FrameGrid.covering(100.0, ann.duration_sec), A)
+        expected = prf(framewise_counts(resample(low, ref.grid), ref))
+        assert reported["fmeasure"] == expected.fmeasure
+        assert reported["tp"] == expected.counts.tp
 
     def test_missing_sidecar_exit_code_and_message(self, tmp_path, capsys):
         naked = tmp_path / "naked.csv"
@@ -608,6 +714,27 @@ class TestExperimentCommand:
         err = capsys.readouterr().err
         assert repr(key) in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    def test_nan_window_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "exp.json"
+        config.write_text(json.dumps(EXPERIMENT_CONFIG))
+        assert run_cli(["experiment", "--config", str(config), "--fns", "a",
+                        "--seeds", "1", "--window-sec", "nan",
+                        "--out", str(tmp_path / "out")]) == 2
+        assert "--window-sec" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_infinite_window_equals_whole_piece(self, tmp_path):
+        config = tmp_path / "exp.json"
+        config.write_text(json.dumps(EXPERIMENT_CONFIG))
+        results = []
+        for window in ("inf", "6"):  # the pieces last 6 s
+            out = tmp_path / window
+            assert run_cli(["experiment", "--config", str(config), "--fns", "a",
+                            "--seeds", "1", "--window-sec", window,
+                            "--out", str(out)]) == 0
+            results.append((out / "results.csv").read_bytes())
+        assert results[0] == results[1]
 
     def test_empty_fns_usage_error(self, tmp_path):
         assert run_cli(["experiment", "--fns", "", "--seeds", "1",

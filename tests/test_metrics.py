@@ -205,6 +205,16 @@ class TestTruncate:
         with pytest.raises(ContractError):
             truncate(random_matrix(rng, 10, 2), 0.0)
 
+    def test_nan_window_rejected(self):
+        rng = np.random.default_rng(12)
+        with pytest.raises(ContractError):
+            truncate(random_matrix(rng, 10, 2), float("nan"))
+
+    def test_infinite_window_is_identity(self):
+        rng = np.random.default_rng(13)
+        m = random_matrix(rng, 10, 2)
+        assert truncate(m, float("inf")) is m
+
 
 class TestDisagreement:
     def test_equal_matrices(self, hundred_notes):

@@ -111,6 +111,20 @@ class TestLossAndGradient:
         y = np.array([[1.0], [0.0]])
         assert bce_loss(params, x, y) == 0.0
 
+    def test_stacked_kernel_loss_per_block(self):
+        rng = np.random.default_rng(17)
+        dim, k, n = 6, 4, 40
+        weights = rng.normal(0, 0.5, (dim, 3 * k))
+        bias = rng.normal(0, 0.5, 3 * k)
+        x = rng.normal(0, 1, (n, dim))
+        y = (rng.random((n, 3 * k)) < 0.4).astype(float)
+        losses, _, _ = trainer_module._loss_and_gradient(weights, bias, x, y, models=3)
+        assert losses.shape == (3,)
+        for j in range(3):
+            block = slice(j * k, (j + 1) * k)
+            alone = bce_loss(ModelParams(weights[:, block], bias[block]), x, y[:, block])
+            assert losses[j] == pytest.approx(alone, rel=1e-12)
+
 
 class TestTrain:
     def test_zero_epochs_returns_initialization(self):
@@ -233,6 +247,21 @@ class TestTrain:
             assert np.abs(params.bias[j * k:(j + 1) * k] - expected.bias).max() <= 1e-12
         # the pooled history loss is the mean of the per-model losses
         assert history.train_loss == pytest.approx(np.mean(losses, axis=0), rel=1e-12)
+
+    def test_nan_target_names_its_block_and_batch(self):
+        rng = np.random.default_rng(8)
+        k, n, row = 2, 30, 17
+        targets = (rng.random((n, 3 * k)) < 0.5).astype(float)
+        targets[row, k] = np.nan  # block 1
+        ds = Dataset(inputs=rng.normal(0, 1, (n, 4)), targets=targets)
+        cfg = TrainConfig(learning_rate=0.1, batch_size=4, epochs=2,
+                          context_frames=1, seed=3)
+        order = np.random.default_rng([cfg.seed & MASK64, 1]).permutation(n)
+        with pytest.raises(DivergenceError) as info:
+            train(ds, ds, cfg, models=3)
+        assert info.value.models == (1,)
+        assert info.value.epoch == 0
+        assert info.value.batch == int(np.flatnonzero(order == row)[0]) // cfg.batch_size
 
     @pytest.mark.parametrize("models,width,valid_width",
                              [(0, 4, 4), (-1, 4, 4), (3, 4, 4), (2, 5, 5), (2, 4, 6)])
@@ -390,6 +419,21 @@ class TestSensitivityExperiment:
         assert widths == [(3 * k, 3 * k, {"models": 3})] * 2
         assert [(r.fn, r.seed) for r in table.rows] == [
             (A, 1), (E, 1), (F, 1), (A, 1), (A, 2), (E, 2), (F, 2), (A, 2)]
+        assert table.rows[0] == table.rows[3]
+
+    def test_one_prediction_per_test_piece(self, monkeypatch):
+        synth_cfg, train_cfg, train_grid, eval_grid = tiny_experiment_args()
+        widths = []
+
+        def counting_predict(params, features, *args, **kwargs):
+            widths.append(params.weights.shape[1])
+            return predict(params, features, *args, **kwargs)
+
+        monkeypatch.setattr(trainer_module, "predict", counting_predict)
+        table = run_sensitivity_experiment(synth_cfg, [A, E, F, A], train_grid,
+                                           eval_grid, train_cfg, [1, 2])
+        test_pieces = len(trainer_module._split_indices(synth_cfg.num_pieces)[2])
+        assert widths == [3 * synth_cfg.num_labels] * (2 * test_pieces)
         assert table.rows[0] == table.rows[3]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -107,7 +107,7 @@ def _build_config(cls, overrides: dict, what: str):
         if "duration_range" in known:
             known["duration_range"] = tuple(known["duration_range"])
         return cls(**known)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ContractError) as exc:
         raise ContractError(f"bad {what} config: {exc}") from None
 
 

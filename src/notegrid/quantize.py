@@ -249,14 +249,25 @@ def quantize_interval(fn: LabelingFunction, onset_sec: float, offset_sec: float,
     return QuantizedArrays(*(field.item() for field in q))
 
 
+# The most cells a label matrix may have: 2**31 uint8 cells is 2 GiB, or
+# about 67 h of 88 labels at 100 fps. paint_ranges, the one painter behind
+# rasterize and render_features, checks it before it allocates.
+MAX_LABEL_CELLS = 2 ** 31
+
+
 def paint_ranges(num_frames: int, num_labels: int, starts, ends, labels) -> np.ndarray:
     """A uint8 frames-by-labels matrix with frames [starts[i], ends[i]) of
     column labels[i] set to 1.
 
     Ranges are clipped to the grid, empty ones paint nothing, and
     overlapping ones of the same label OR together. Bounds may be integers
-    or whole-valued floats.
+    or whole-valued floats. A matrix of more than MAX_LABEL_CELLS cells
+    raises ContractError.
     """
+    if int(num_frames) * int(num_labels) > MAX_LABEL_CELLS:
+        raise ContractError(
+            f"a label matrix of {num_frames} frames x {num_labels} labels exceeds "
+            f"the budget of {MAX_LABEL_CELLS} cells")
     labels = np.asarray(labels, dtype=np.int64)
     outside = (labels < 0) | (labels >= num_labels)
     if outside.any():

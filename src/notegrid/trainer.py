@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -100,21 +101,16 @@ class TrainConfig:
         if self.lr_schedule is not None:
             object.__setattr__(self, "lr_schedule",
                                tuple((int(e), float(m)) for e, m in self.lr_schedule))
+            for epoch, multiplier in self.lr_schedule:
+                if not 0 < multiplier < math.inf:
+                    raise ContractError(f"lr_schedule multiplier at epoch {epoch} must be "
+                                        f"positive and finite, got {multiplier}")
 
     def resolved_schedule(self) -> tuple[tuple[int, float], ...]:
         if self.lr_schedule is not None:
             return self.lr_schedule
         return ((math.floor(0.6 * self.epochs), 0.5),
                 (math.floor(0.85 * self.epochs), 0.5))
-
-
-@dataclass(frozen=True)
-class TrainHistory:
-    """Per-epoch full-pass losses and training f-measure at the threshold."""
-
-    train_loss: tuple[float, ...]
-    valid_loss: tuple[float, ...]
-    train_fmeasure: tuple[float, ...]
 
 
 def _windows(values: np.ndarray, context_frames: int) -> np.ndarray:
@@ -161,18 +157,32 @@ def bce_loss(params: ModelParams, inputs: np.ndarray, targets: np.ndarray) -> fl
     return float(np.mean(np.logaddexp(0.0, z) - targets * z))
 
 
+def _block_losses(z: np.ndarray, targets: np.ndarray, models: int) -> np.ndarray:
+    # the columns hold `models` equal blocks of K; each block's loss is the
+    # mean over its own rows x K cells
+    k = targets.shape[1] // models
+    cells = np.logaddexp(0.0, z) - targets * z
+    return cells.reshape(len(z), models, k).mean(axis=(0, 2))
+
+
+def _gradient(z: np.ndarray, inputs: np.ndarray, targets: np.ndarray,
+              models: int) -> tuple[np.ndarray, np.ndarray]:
+    # normalised per block like the loss, so a block trains exactly as it
+    # would alone
+    residual = (_sigmoid(z) - targets) / (targets.size // models)
+    return inputs.T @ residual, residual.sum(axis=0)
+
+
 def _loss_and_gradient(weights: np.ndarray, bias: np.ndarray, inputs: np.ndarray,
                        targets: np.ndarray, models: int = 1,
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # the columns hold `models` equal blocks of K; each block's loss and
-    # gradient are normalised by its own cell count (rows x K), so a block
-    # trains exactly as it would alone
+    """Per-block mean losses and the gradient, from one set of logits.
+
+    train() runs the same two halves on every batch, computing the losses
+    only when the divergence screen cannot rule out a non-finite one.
+    """
     z = inputs @ weights + bias
-    k = targets.shape[1] // models
-    cells = np.logaddexp(0.0, z) - targets * z
-    losses = cells.reshape(len(z), models, k).mean(axis=(0, 2))
-    residual = (_sigmoid(z) - targets) / (targets.size // models)
-    return losses, inputs.T @ residual, residual.sum(axis=0)
+    return (_block_losses(z, targets, models), *_gradient(z, inputs, targets, models))
 
 
 def bce_loss_and_gradient(params: ModelParams, inputs: np.ndarray,
@@ -183,6 +193,52 @@ def bce_loss_and_gradient(params: ModelParams, inputs: np.ndarray,
     """
     losses, grad_w, grad_b = _loss_and_gradient(params.weights, params.bias, inputs, targets)
     return float(losses[0]), grad_w, grad_b
+
+
+class TrainHistory:
+    """Per-epoch full-pass train and validation losses and training
+    f-measure at the threshold, pooled over the stacked blocks.
+
+    train() keeps a copy of the parameters after each epoch; each field is
+    computed from those copies the first time it is read. Two histories
+    are equal when their three fields are.
+    """
+
+    def __init__(self, epoch_params: tuple[ModelParams, ...], train_set: Dataset,
+                 valid_set: Dataset, threshold: float):
+        self._epoch_params = epoch_params
+        self._train_set = train_set
+        self._valid_set = valid_set
+        self._threshold = threshold
+
+    @cached_property
+    def train_loss(self) -> tuple[float, ...]:
+        return tuple(bce_loss(p, self._train_set.inputs, self._train_set.targets)
+                     for p in self._epoch_params)
+
+    @cached_property
+    def valid_loss(self) -> tuple[float, ...]:
+        return tuple(bce_loss(p, self._valid_set.inputs, self._valid_set.targets)
+                     for p in self._epoch_params)
+
+    @cached_property
+    def train_fmeasure(self) -> tuple[float, ...]:
+        inputs, actual = self._train_set.inputs, self._train_set.targets >= 0.5
+        return tuple(
+            prf(count_cells(_sigmoid(inputs @ p.weights + p.bias) >= self._threshold,
+                            actual)).fmeasure
+            for p in self._epoch_params)
+
+    def _fields(self) -> tuple:
+        return self.train_loss, self.valid_loss, self.train_fmeasure
+
+    def __eq__(self, other):
+        if not isinstance(other, TrainHistory):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
 
 
 def _init_params(dim: int, num_labels: int, seed: int) -> ModelParams:
@@ -199,9 +255,10 @@ def train(train_set: Dataset, valid_set: Dataset, cfg: TrainConfig, *,
     shuffles the examples (stream seeded by cfg.seed), walks them in
     batches of cfg.batch_size, and evaluates the gradient at the momentum
     look-ahead point. The learning rate is multiplied per schedule entry
-    at the start of the named epoch. History records full-pass train and
-    validation losses and the training f-measure after each epoch.
-    Everything is deterministic for a fixed cfg.
+    at the start of the named epoch. The returned history holds a copy of
+    the parameters after each epoch and computes the full-pass train and
+    validation losses and the training f-measure from them when first
+    read. Everything is deterministic for a fixed cfg.
 
     With models=G the targets are G blocks of K columns sharing the
     inputs, and G models train in lockstep: each block starts from the
@@ -228,8 +285,16 @@ def train(train_set: Dataset, valid_set: Dataset, cfg: TrainConfig, *,
     init = _init_params(dim, num_labels, cfg.seed)
     weights = np.tile(init.weights, (1, models))
     bias = np.tile(init.bias, models)
-    if cfg.epochs == 0:
-        return ModelParams(weights=weights, bias=bias), TrainHistory((), (), ())
+
+    # Divergence screen: a cell softplus(z) - y*z is at most 1 + |z|(1 + ymax)
+    # in size, so while every |z| of a batch stays below `limit` no sum of a
+    # batch's cells can overflow and every block loss is finite. Only a batch
+    # that fails the comparison (a NaN or inf logit included) computes its
+    # losses, to decide divergence exactly as on every batch. A NaN target,
+    # or no target column, makes the limit 0.
+    ymax = float(np.abs(train_set.targets).max(initial=0.0))
+    cells = cfg.batch_size * train_set.targets.shape[1]
+    limit = 1e300 / (cells * (1.0 + ymax)) if cells and math.isfinite(ymax) else 0.0
 
     # the step runs in place: mu*v is formed once and feeds both the
     # look-ahead point and the new velocity, in the same float operations
@@ -243,7 +308,7 @@ def train(train_set: Dataset, valid_set: Dataset, cfg: TrainConfig, *,
     lr = cfg.learning_rate
     mu = cfg.momentum
     n = train_set.num_examples
-    train_losses, valid_losses, train_fs = [], [], []
+    epoch_params = []
     for epoch in range(cfg.epochs):
         for at_epoch, multiplier in schedule:
             if at_epoch == epoch:
@@ -257,27 +322,24 @@ def train(train_set: Dataset, valid_set: Dataset, cfg: TrainConfig, *,
             np.multiply(mu, velocity_b, out=momentum_b)
             np.add(weights, momentum_w, out=ahead_w)
             np.add(bias, momentum_b, out=ahead_b)
-            losses, grad_w, grad_b = _loss_and_gradient(ahead_w, ahead_b, x, y, models)
-            diverged = np.flatnonzero(~np.isfinite(losses))
-            if diverged.size:
-                raise DivergenceError(
-                    f"non-finite loss at epoch {epoch}, batch {batch_index}",
-                    epoch=epoch, batch=batch_index, models=tuple(diverged.tolist()))
+            z = x @ ahead_w + ahead_b
+            if not np.abs(z).max(initial=0.0) < limit:
+                diverged = np.flatnonzero(~np.isfinite(_block_losses(z, y, models)))
+                if diverged.size:
+                    raise DivergenceError(
+                        f"non-finite loss at epoch {epoch}, batch {batch_index}",
+                        epoch=epoch, batch=batch_index, models=tuple(diverged.tolist()))
+            grad_w, grad_b = _gradient(z, x, y, models)
             grad_w *= lr
             grad_b *= lr
             np.subtract(momentum_w, grad_w, out=velocity_w)
             np.subtract(momentum_b, grad_b, out=velocity_b)
             weights += velocity_w
             bias += velocity_b
-
-        epoch_params = ModelParams(weights=weights, bias=bias)
-        train_losses.append(bce_loss(epoch_params, train_set.inputs, train_set.targets))
-        valid_losses.append(bce_loss(epoch_params, valid_set.inputs, valid_set.targets))
-        predicted = _sigmoid(train_set.inputs @ weights + bias) >= cfg.threshold
-        train_fs.append(prf(count_cells(predicted, train_set.targets >= 0.5)).fmeasure)
+        epoch_params.append(ModelParams(weights=weights.copy(), bias=bias.copy()))
 
     return (ModelParams(weights=weights, bias=bias),
-            TrainHistory(tuple(train_losses), tuple(valid_losses), tuple(train_fs)))
+            TrainHistory(tuple(epoch_params), train_set, valid_set, cfg.threshold))
 
 
 def predict(params: ModelParams, features: FeatureMatrix, context_frames: int,
@@ -398,8 +460,9 @@ def run_sensitivity_experiment(synth_cfg: SynthConfig,
                     for fn in distinct]) for i in indices]))
 
         try:
-            params, _ = train(dataset(train_idx), dataset(valid_idx), cfg_seeded,
-                              models=len(distinct))
+            # the history is dropped at once: it holds both datasets
+            params = train(dataset(train_idx), dataset(valid_idx), cfg_seeded,
+                           models=len(distinct))[0]
         except DivergenceError as exc:
             culprits = distinct if exc.models is None else [distinct[j] for j in exc.models]
             raise DivergenceError(

@@ -319,6 +319,8 @@ class TestConfigFiles:
         ("synth", {"duration_range": 5}, "bad synth config: "),
         ("experiment", {"synth": {"num_pyces": 3}}, "bad synth config: "),
         ("experiment", {"train": {"epochz": 3}}, "bad train config: "),
+        ("experiment", {"train": {"lr_schedule": [[0, -1]]}}, "bad train config: "),
+        ("experiment", {"train": {"lr_schedule": [[0, 1], [3, 0]]}}, "bad train config: "),
     ])
     def test_bad_config_value_exit_4(self, tmp_path, capsys, command, config, where):
         path = tmp_path / "cfg.json"
@@ -713,6 +715,16 @@ class TestExperimentCommand:
                         "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert repr(key) in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_frame_rate_past_cell_budget_exit_4(self, tmp_path, capsys):
+        config = tmp_path / "exp.json"
+        config.write_text(json.dumps({**EXPERIMENT_CONFIG, "train_fps": 1e300}))
+        assert run_cli(["experiment", "--config", str(config), "--fns", "a",
+                        "--seeds", "1", "--out", str(tmp_path / "out")]) == 4
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert " frames x 12 labels exceeds the budget of 2147483648 cells" in err
         assert not (tmp_path / "out").exists()
 
     def test_nan_window_usage_error(self, tmp_path, capsys):

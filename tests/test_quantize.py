@@ -383,6 +383,12 @@ class TestRasterize:
             assert np.array_equal(matrix.frames, painted), fn
             assert np.array_equal(rasterize(ann, grid, fn, 4).frames, painted), fn
 
+    def test_grid_past_cell_budget_rejected(self):
+        ann = Annotation.from_events([NoteEvent(0.5, 0.9, 1)], num_labels=4)
+        with pytest.raises(ContractError, match=f"{2 ** 62} frames x 4 labels exceeds "
+                                                f"the budget of {2 ** 31} cells"):
+            rasterize(ann, FrameGrid(fps=100.0, num_frames=2 ** 62), A)
+
     def test_draws_consumed_in_event_order(self):
         ann = Annotation.from_events(
             [NoteEvent(0.1, 0.3, 0), NoteEvent(0.5, 0.7, 1)], num_labels=2)

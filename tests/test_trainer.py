@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,77 @@ def two_cluster_dataset(n=200, dim=3, seed=7):
     x = np.vstack([rng.normal(-1.0, 0.6, (n, dim)), rng.normal(1.0, 0.6, (n, dim))])
     y = np.vstack([np.zeros((n, 1)), np.ones((n, 1))])
     return Dataset(inputs=x, targets=y)
+
+
+def exact_loss_training(train_set, cfg, models):
+    """Reference: the training loop with every batch's per-block losses
+    computed by the checked kernel. Returns (epoch, batch, models) of the
+    first non-finite loss, or the final (weights, bias)."""
+    init, _ = train(train_set, train_set, replace(cfg, epochs=0), models=models)
+    weights, bias = init.weights, init.bias
+    velocity_w, velocity_b = np.zeros_like(weights), np.zeros_like(bias)
+    shuffle_rng = np.random.default_rng([cfg.seed & MASK64, 1])
+    lr, mu = cfg.learning_rate, cfg.momentum
+    for epoch in range(cfg.epochs):
+        for at_epoch, multiplier in cfg.resolved_schedule():
+            if at_epoch == epoch:
+                lr *= multiplier
+        order = shuffle_rng.permutation(train_set.num_examples)
+        for batch, start in enumerate(range(0, train_set.num_examples, cfg.batch_size)):
+            idx = order[start:start + cfg.batch_size]
+            losses, grad_w, grad_b = trainer_module._loss_and_gradient(
+                weights + mu * velocity_w, bias + mu * velocity_b,
+                train_set.inputs[idx], train_set.targets[idx], models)
+            diverged = np.flatnonzero(~np.isfinite(losses))
+            if diverged.size:
+                return epoch, batch, tuple(diverged.tolist())
+            velocity_w = mu * velocity_w - lr * grad_w
+            velocity_b = mu * velocity_b - lr * grad_b
+            weights = weights + velocity_w
+            bias = bias + velocity_b
+    return weights, bias
+
+
+def screen_case(name):
+    """(train set, cfg, models) of one divergence-screen case."""
+    rng = np.random.default_rng(21)
+    cfg = TrainConfig(learning_rate=0.5, batch_size=4, epochs=2, context_frames=1, seed=3)
+    inputs = rng.normal(0, 1, (24, 3))
+    targets = (rng.random((24, 6)) < 0.5).astype(float)
+    if name == "nan-target":
+        targets[13, 3] = np.nan
+        return Dataset(inputs=inputs, targets=targets), cfg, 3
+    if name == "huge-targets":
+        # y*z overflows on the first batch, though every logit (about 1e10)
+        # is far below the limit that ignores the size of the targets
+        return Dataset(inputs=inputs * 1e12, targets=targets * 1e300), cfg, 2
+    if name == "huge-targets-small-inputs":
+        return Dataset(inputs=inputs, targets=targets * 1e300), cfg, 2
+    if name == "learning-rate-1e308":
+        return (Dataset(inputs=inputs * 1000.0, targets=targets),
+                replace(cfg, learning_rate=1e308), 1)
+    if name == "no-target-columns":
+        return Dataset(inputs=inputs, targets=targets[:, :0]), cfg, 1
+    if name == "converging":
+        return Dataset(inputs=inputs, targets=targets), cfg, 3
+    # one batch whose largest |logit| sits a hair off the screen's limit,
+    # 1e300 / (batch_size * columns * (1 + max|y|)), with binary targets
+    cfg = replace(cfg, batch_size=8, epochs=1)
+    inputs, targets = inputs[:8], targets[:8]
+    init, _ = train(Dataset(inputs, targets), Dataset(inputs, targets),
+                    replace(cfg, epochs=0), models=2)
+    limit = 1e300 / (8 * 6 * 2)
+    side = {"logits-below-limit": 1 - 1e-6, "logits-above-limit": 1 + 1e-6}[name]
+    inputs = inputs * (side * limit / np.abs(inputs @ init.weights).max())
+    assert (np.abs(inputs @ init.weights).max() < limit) == (side < 1)
+    return Dataset(inputs=inputs, targets=targets), cfg, 2
+
+
+# (case, number of batches that compute their losses, when checked)
+SCREEN_CASES = [("nan-target", None), ("huge-targets", None),
+                ("huge-targets-small-inputs", None), ("learning-rate-1e308", None),
+                ("no-target-columns", None), ("converging", None),
+                ("logits-below-limit", 0), ("logits-above-limit", 1)]
 
 
 class TestMakeExamples:
@@ -263,6 +336,55 @@ class TestTrain:
         assert info.value.epoch == 0
         assert info.value.batch == int(np.flatnonzero(order == row)[0]) // cfg.batch_size
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("name,losses_computed", SCREEN_CASES,
+                             ids=[name for name, _ in SCREEN_CASES])
+    def test_divergence_screen_matches_exact_losses(self, monkeypatch, name,
+                                                    losses_computed):
+        train_set, cfg, models = screen_case(name)
+        expected = exact_loss_training(train_set, cfg, models)
+        block_losses, calls = trainer_module._block_losses, []
+
+        def counting_block_losses(*args):
+            calls.append(args)
+            return block_losses(*args)
+
+        monkeypatch.setattr(trainer_module, "_block_losses", counting_block_losses)
+        try:
+            params, _ = train(train_set, train_set, cfg, models=models)
+        except DivergenceError as exc:
+            assert (exc.epoch, exc.batch, exc.models) == expected
+        else:
+            assert np.array_equal(params.weights, expected[0])
+            assert np.array_equal(params.bias, expected[1])
+        if losses_computed is not None:
+            assert len(calls) == losses_computed
+
+    @pytest.mark.parametrize("models,epochs", [(1, 4), (3, 4), (1, 0), (3, 0)])
+    def test_lazy_history_equals_per_epoch_full_pass(self, models, epochs):
+        rng = np.random.default_rng(12)
+        inputs, valid_inputs = rng.normal(0, 1, (50, 5)), rng.normal(0, 1, (20, 5))
+        train_set = Dataset(inputs=inputs,
+                            targets=(rng.random((50, 2 * models)) < 0.4).astype(float))
+        valid_set = Dataset(inputs=valid_inputs,
+                            targets=(rng.random((20, 2 * models)) < 0.4).astype(float))
+        cfg = TrainConfig(learning_rate=0.5, epochs=epochs, lr_schedule=((2, 0.5),),
+                          context_frames=1, seed=4, threshold=0.4)
+        _, history = train(train_set, valid_set, cfg, models=models)
+        # reference: the parameters after epoch e are those of an e-epoch run
+        # (the schedule is explicit), scored by a full pass
+        train_loss, valid_loss, train_f = [], [], []
+        for e in range(1, epochs + 1):
+            params, _ = train(train_set, valid_set, replace(cfg, epochs=e), models=models)
+            train_loss.append(bce_loss(params, train_set.inputs, train_set.targets))
+            valid_loss.append(bce_loss(params, valid_set.inputs, valid_set.targets))
+            scores = trainer_module._sigmoid(train_set.inputs @ params.weights + params.bias)
+            train_f.append(prf(trainer_module.count_cells(
+                scores >= cfg.threshold, train_set.targets >= 0.5)).fmeasure)
+        assert history.train_loss == tuple(train_loss)
+        assert history.valid_loss == tuple(valid_loss)
+        assert history.train_fmeasure == tuple(train_f)
+
     @pytest.mark.parametrize("models,width,valid_width",
                              [(0, 4, 4), (-1, 4, 4), (3, 4, 4), (2, 5, 5), (2, 4, 6)])
     def test_bad_model_count_or_width_rejected(self, models, width, valid_width):
@@ -435,6 +557,19 @@ class TestSensitivityExperiment:
         test_pieces = len(trainer_module._split_indices(synth_cfg.num_pieces)[2])
         assert widths == [3 * synth_cfg.num_labels] * (2 * test_pieces)
         assert table.rows[0] == table.rows[3]
+
+    def test_training_history_is_never_computed(self, monkeypatch):
+        synth_cfg, train_cfg, train_grid, eval_grid = tiny_experiment_args()
+        calls = []
+
+        def counting_bce_loss(*args):
+            calls.append(args)
+            return bce_loss(*args)
+
+        monkeypatch.setattr(trainer_module, "bce_loss", counting_bce_loss)
+        run_sensitivity_experiment(synth_cfg, [A, E], train_grid, eval_grid,
+                                   train_cfg, [1])
+        assert calls == []
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_real_divergence_names_fn_and_seed(self):

@@ -17,7 +17,7 @@ import numpy as np
 from .annotation import Annotation
 from .errors import ContractError
 from .quantize import (FrameGrid, LabelingFunction, LabelMatrix,
-                       QuantizedArrays, ShiftStream, quantize, rasterize)
+                       QuantizedArrays, quantize, rasterize, seeded_shifts)
 
 
 @dataclass(frozen=True)
@@ -145,7 +145,7 @@ def _boundaries(matrix: LabelMatrix, events: Annotation,
         if fn is None or (fn.is_random and matrix.seed is None):
             return None
         records = quantize(fn, events.onsets, events.offsets, matrix.grid.dt,
-                           ShiftStream(matrix.seed, fn) if fn.is_random else None)
+                           seeded_shifts(fn, matrix.seed, len(events)))
     elif len(records.t_s) != len(events):
         raise ContractError("records do not match the annotation's event count")
     return np.column_stack((records.t_s, records.t_e))

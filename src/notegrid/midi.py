@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import deque
+from typing import NoReturn
 
 from .annotation import PIANO_NUM_LABELS, PIANO_PITCH_OFFSET, Annotation
 from .errors import FormatError, RangeError, UnsupportedError, ValidationError
@@ -32,45 +33,30 @@ _META_END_OF_TRACK = 0x2F
 _CHANNEL_DATA_BYTES = {0x80: 2, 0x90: 2, 0xA0: 2, 0xB0: 2, 0xC0: 1, 0xD0: 1, 0xE0: 2}
 
 
-class _Reader:
-    """Cursor over a byte buffer raising FormatError on truncation."""
+def _truncated(pos: int, wanted: int = 1) -> NoReturn:
+    raise FormatError(f"truncated file: wanted {wanted} bytes at offset {pos}")
 
-    def __init__(self, data: bytes, start: int = 0, end: int | None = None):
-        self.data = data
-        self.pos = start
-        self.end = len(data) if end is None else end
 
-    @property
-    def remaining(self) -> int:
-        return self.end - self.pos
+def _skip(pos: int, n: int, end: int) -> int:
+    """The position n bytes past pos; FormatError if that passes end."""
+    return pos + n if pos + n <= end else _truncated(pos, n)
 
-    def take(self, n: int) -> bytes:
-        if self.pos + n > self.end:
-            raise FormatError(f"truncated file: wanted {n} bytes at offset {self.pos}")
-        chunk = self.data[self.pos:self.pos + n]
-        self.pos += n
-        return chunk
 
-    def u8(self) -> int:
-        return self.take(1)[0]
+def _uint(data: bytes, pos: int, n: int, end: int) -> int:
+    """The n-byte big-endian unsigned integer at pos."""
+    return int.from_bytes(data[pos:_skip(pos, n, end)], "big")
 
-    def u16(self) -> int:
-        b = self.take(2)
-        return (b[0] << 8) | b[1]
 
-    def u32(self) -> int:
-        b = self.take(4)
-        return (b[0] << 24) | (b[1] << 16) | (b[2] << 8) | b[3]
-
-    def vlq(self) -> int:
-        """Read a variable-length quantity (7 bits per byte, MSB first)."""
-        value = 0
-        for _ in range(4):
-            byte = self.u8()
-            value = (value << 7) | (byte & 0x7F)
-            if not byte & 0x80:
-                return value
-        raise FormatError(f"variable-length quantity longer than 4 bytes at offset {self.pos}")
+def _vlq(data: bytes, pos: int, end: int) -> tuple[int, int]:
+    """The variable-length quantity (7 bits per byte, MSB first) at pos,
+    and the position after it."""
+    value = 0
+    for pos in range(pos, pos + 4):
+        byte = data[pos] if pos < end else _truncated(pos)
+        value = (value << 7) | (byte & 0x7F)
+        if not byte & 0x80:
+            return value, pos + 1
+    raise FormatError(f"variable-length quantity longer than 4 bytes at offset {pos + 1}")
 
 
 class _TempoMap:
@@ -111,16 +97,14 @@ def parse_midi(data: bytes, *, pitch_offset: int = PIANO_PITCH_OFFSET,
     division or format 2 files, RangeError for pitches outside the label
     space, and ValidationError for zero-duration or dangling notes.
     """
-    reader = _Reader(data)
-    if reader.take(4) != b"MThd":
+    end = len(data)
+    if data[:_skip(0, 4, end)] != b"MThd":
         raise FormatError("not a Standard MIDI File: missing MThd header")
-    header_len = reader.u32()
+    header_len = _uint(data, 4, 4, end)
     if header_len < 6:
         raise FormatError(f"bad MThd length {header_len}, expected at least 6")
-    fmt = reader.u16()
-    num_tracks = reader.u16()
-    division = reader.u16()
-    reader.take(header_len - 6)  # tolerate extended headers
+    fmt, num_tracks, division = (_uint(data, at, 2, end) for at in (8, 10, 12))
+    pos = _skip(14, header_len - 6, end)  # tolerate extended headers
 
     if fmt == 2:
         raise UnsupportedError("format 2 files are not supported")
@@ -132,66 +116,69 @@ def parse_midi(data: bytes, *, pitch_offset: int = PIANO_PITCH_OFFSET,
     if ppqn == 0:
         raise FormatError("zero pulses per quarter note")
 
-    # (tick, arrival order, channel, pitch, is_on) across all tracks
-    notes: list[tuple[int, int, int, int, bool]] = []
+    # (tick, channel, pitch, is_on) across all tracks, in arrival order
+    notes: list[tuple[int, int, int, bool]] = []
     tempo_changes: list[tuple[int, int]] = []
-    order = 0
 
     tracks_seen = 0
     while tracks_seen < num_tracks:
-        if reader.remaining == 0:
+        if pos == end:
             raise FormatError(f"expected {num_tracks} tracks, found {tracks_seen}")
-        chunk_id = reader.take(4)
-        chunk_len = reader.u32()
+        chunk_id = data[pos:_skip(pos, 4, end)]
+        chunk_len = _uint(data, pos + 4, 4, end)
+        pos += 8
+        chunk_end = _skip(pos, chunk_len, end)
         if chunk_id != b"MTrk":
-            reader.take(chunk_len)  # alien chunk: skip, per the format
+            pos = chunk_end  # alien chunk: skip, per the format
             continue
-        track = _Reader(reader.data, reader.pos, reader.pos + chunk_len)
-        reader.take(chunk_len)
         tracks_seen += 1
 
         tick = 0
         running_status: int | None = None
-        while track.remaining > 0:
-            tick += track.vlq()
-            first = track.u8()
+        while pos < chunk_end:
+            delta, pos = _vlq(data, pos, chunk_end)
+            tick += delta
+            # one byte at a time, checked in line: this loop runs per event
+            first = data[pos] if pos < chunk_end else _truncated(pos)
+            pos += 1
             if first == _META:
                 running_status = None
-                meta_type = track.u8()
-                length = track.vlq()
-                payload = track.take(length)
+                meta_type = data[pos] if pos < chunk_end else _truncated(pos)
+                length, pos = _vlq(data, pos + 1, chunk_end)
+                payload, pos = data[pos:_skip(pos, length, chunk_end)], pos + length
                 if meta_type == _META_SET_TEMPO:
                     if length != 3:
                         raise FormatError(f"Set Tempo payload of {length} bytes, expected 3")
-                    tempo_us = (payload[0] << 16) | (payload[1] << 8) | payload[2]
-                    tempo_changes.append((tick, tempo_us))
+                    tempo_changes.append((tick, int.from_bytes(payload, "big")))
                 elif meta_type == _META_END_OF_TRACK:
                     break
                 continue
             if first in (_SYSEX_START, _SYSEX_CONT):
                 running_status = None
-                track.take(track.vlq())
+                length, pos = _vlq(data, pos, chunk_end)
+                pos = _skip(pos, length, chunk_end)
                 continue
             if first & 0x80:
-                status = first
-                running_status = status
-                data1 = track.u8()
+                status = running_status = first
+                data1 = data[pos] if pos < chunk_end else _truncated(pos)
+                pos += 1
+            elif running_status is None:
+                raise FormatError(
+                    f"data byte 0x{first:02X} without running status at offset {pos}")
             else:
-                if running_status is None:
-                    raise FormatError(
-                        f"data byte 0x{first:02X} without running status at offset {track.pos}")
-                status = running_status
-                data1 = first
+                status, data1 = running_status, first
             kind = status & 0xF0
             if kind not in _CHANNEL_DATA_BYTES:
                 raise FormatError(f"unexpected status byte 0x{status:02X}")
-            data2 = track.u8() if _CHANNEL_DATA_BYTES[kind] == 2 else 0
+            data2 = 0
+            if _CHANNEL_DATA_BYTES[kind] == 2:
+                data2 = data[pos] if pos < chunk_end else _truncated(pos)
+                pos += 1
             if kind == _NOTE_ON:
-                notes.append((tick, order, status & 0x0F, data1, data2 > 0))
-                order += 1
+                notes.append((tick, status & 0x0F, data1, data2 > 0))
             elif kind == _NOTE_OFF:
-                notes.append((tick, order, status & 0x0F, data1, False))
-                order += 1
+                notes.append((tick, status & 0x0F, data1, False))
+        pos = chunk_end
 
     tempo_changes.sort(key=lambda change: change[0])
     tempo_map = _TempoMap(tempo_changes, ppqn)
@@ -200,7 +187,8 @@ def parse_midi(data: bytes, *, pitch_offset: int = PIANO_PITCH_OFFSET,
     highest = pitch_offset + num_labels - 1
     pending: dict[tuple[int, int], deque[int]] = {}
     onsets, offsets, labels = [], [], []
-    for tick, _, channel, pitch, is_on in sorted(notes, key=lambda n: (n[0], n[1])):
+    # a stable sort by tick keeps arrival order among equal ticks
+    for tick, channel, pitch, is_on in sorted(notes, key=lambda n: n[0]):
         if is_on:
             pending.setdefault((channel, pitch), deque()).append(tick)
             continue

@@ -11,10 +11,10 @@ add a random +-1 frame shift:
     e  like a, then shift both indices jointly by one draw from {-1, 0, 1}
     f  like a, then shift onset and offset by two independent draws
 
-Functions a-d are deterministic; e and f consume draws from an explicit
-stream so every conversion is reproducible from a seed. A quantized
-boundary also records its signed quantization error in seconds, measured
-before any clamping or random shift.
+Functions a-d are deterministic; e and f take an array of shifts drawn
+from a seeded stream, so every conversion is reproducible from a seed. A
+quantized boundary also records its signed quantization error in
+seconds, measured before any clamping or random shift.
 
 All time arithmetic is plain 64-bit floating point with no epsilon
 nudging before floor/ceil/round; the systematic-error measurements in
@@ -23,11 +23,11 @@ this package depend on the rounding behavior staying untouched.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from enum import Enum
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,6 +54,10 @@ class LabelingFunction(Enum):
     def is_random(self) -> bool:
         return self in (LabelingFunction.E, LabelingFunction.F)
 
+    @property
+    def shifts_per_interval(self) -> int:  # e: one joint shift; f: onset, offset
+        return {"e": 1, "f": 2}.get(self.value, 0)
+
     @classmethod
     def from_letter(cls, letter: str) -> "LabelingFunction":
         try:
@@ -76,15 +80,20 @@ class ShiftStream:
         # the function's position in "abcdef" is its stable stream identifier
         self._counter = derive_seed(seed, "abcdef".index(fn.letter))
 
-    def __iter__(self) -> "ShiftStream":
-        return self
+    def draws(self, n: int) -> np.ndarray:
+        """The next n draws as an int64 array, from n + 1 counters hashed
+        at once. splitmix64 is a bijection, so only counter 0x31628af67b2131ab
+        hashes to the rejected 2**64 - 1; it is dropped if among them."""
+        z = splitmix64(np.uint64(self._counter) + np.arange(n + 1, dtype=np.uint64))
+        kept = z != MASK64
+        self._counter = (self._counter + n + int(not kept[:n].all())) & MASK64
+        return (z[kept][:n] % 3).astype(np.int64) - 1
 
-    def __next__(self) -> int:
-        while True:
-            z = splitmix64(self._counter)
-            self._counter = (self._counter + 1) & MASK64
-            if z < MASK64:
-                return z % 3 - 1
+
+def seeded_shifts(fn: LabelingFunction, seed: int, num_intervals: int) -> np.ndarray | None:
+    """quantize's shifts for num_intervals intervals from the (seed, fn) stream; None for a-d."""
+    n = fn.shifts_per_interval * num_intervals
+    return ShiftStream(seed, fn).draws(n) if fn.is_random else None
 
 
 @dataclass(frozen=True)
@@ -179,12 +188,12 @@ class QuantizedArrays(NamedTuple):
 
 
 def quantize(fn: LabelingFunction, onsets, offsets, dt: float,
-             rng: Iterator[int] | None = None) -> QuantizedArrays:
+             shifts: np.ndarray | None = None) -> QuantizedArrays:
     """Map continuous intervals [onsets[i], offsets[i]) to frame indices.
 
-    `rng` must be given exactly for the random functions e and f. Draws
-    are taken in interval order: one per interval for e (a joint shift),
-    and for f an onset shift, then an offset shift. Negative indices after
+    `shifts` must be given for the random functions e and f only: exactly
+    one integer per interval for e (a joint shift), and for f an onset
+    shift, then an offset shift, in interval order. Negative indices after
     shifting clamp to zero.
     """
     onsets = np.asarray(onsets, dtype=np.float64)
@@ -193,8 +202,8 @@ def quantize(fn: LabelingFunction, onsets, offsets, dt: float,
         raise ContractError(f"onsets {onsets.shape} and offsets {offsets.shape} differ or not 1-D")
     if not (dt > 0 and math.isfinite(dt)):
         raise ContractError(f"dt must be positive and finite, got {dt}")
-    if fn.is_random != (rng is not None):
-        raise ContractError(f"labeling function {fn.letter} takes a draw stream "
+    if fn.is_random != (shifts is not None):
+        raise ContractError(f"labeling function {fn.letter} takes shifts "
                             "if and only if it is random (e, f)")
     # a NaN fails every comparison, so it fails this check too
     bad = ~((onsets >= 0) & (offsets > onsets) & np.isfinite(offsets))
@@ -225,13 +234,14 @@ def quantize(fn: LabelingFunction, onsets, offsets, dt: float,
     eps_e = t_e * dt - offsets
 
     if fn.is_random:
-        per_interval = 2 if fn is LabelingFunction.F else 1
-        count = len(onsets) * per_interval
-        draws = np.fromiter(itertools.islice(rng, count), dtype=np.int64)
-        if len(draws) < count:
-            raise ContractError(f"draw stream ran out after {len(draws)} of {count} draws")
+        per_interval = fn.shifts_per_interval
+        shifts = np.asarray(shifts)
+        if shifts.shape != (len(onsets) * per_interval,) or not np.can_cast(shifts, np.int64):
+            raise ContractError(f"labeling function {fn.letter} takes {per_interval} integer "
+                                f"shift(s) per interval, got {shifts.dtype} {shifts.shape} "
+                                f"for {len(onsets)} intervals")
         # e's one column shifts both boundaries; f has an onset and an offset column
-        shifts = draws.reshape(-1, per_interval)
+        shifts = shifts.reshape(-1, per_interval)
         t_s += shifts[:, 0]
         t_e += shifts[:, -1]
 
@@ -242,10 +252,10 @@ def quantize(fn: LabelingFunction, onsets, offsets, dt: float,
 
 
 def quantize_interval(fn: LabelingFunction, onset_sec: float, offset_sec: float,
-                      dt: float, rng: Iterator[int] | None = None) -> QuantizedArrays:
+                      dt: float, shifts: np.ndarray | None = None) -> QuantizedArrays:
     """Map one continuous interval to frame indices: quantize for one
     interval, with Python-scalar fields."""
-    q = quantize(fn, [onset_sec], [offset_sec], dt, rng)
+    q = quantize(fn, [onset_sec], [offset_sec], dt, shifts)
     return QuantizedArrays(*(field.item() for field in q))
 
 
@@ -265,8 +275,9 @@ def paint_ranges(num_frames: int, num_labels: int, starts, ends, labels) -> np.n
     raises ContractError.
     """
     if int(num_frames) * int(num_labels) > MAX_LABEL_CELLS:
+        frames = num_frames if num_frames < 2 ** 64 else f"{Decimal(num_frames):.3g}"
         raise ContractError(
-            f"a label matrix of {num_frames} frames x {num_labels} labels exceeds "
+            f"a label matrix of {frames} frames x {num_labels} labels exceeds "
             f"the budget of {MAX_LABEL_CELLS} cells")
     labels = np.asarray(labels, dtype=np.int64)
     outside = (labels < 0) | (labels >= num_labels)
@@ -301,20 +312,20 @@ def paint_ranges(num_frames: int, num_labels: int, starts, ends, labels) -> np.n
 
 def rasterize_with_records(annotation: Annotation, grid: FrameGrid,
                            fn: LabelingFunction, seed: int = 0, *,
-                           rng: Iterator[int] | None = None,
+                           shifts: np.ndarray | None = None,
                            ) -> tuple[LabelMatrix, QuantizedArrays]:
     """Rasterize and also return the per-event quantized intervals.
 
-    Events are processed in annotation sort order and, for e/f, consume
-    draws in that order from a stream derived from (seed, fn), so the
-    result is a pure function of its arguments. Passing an explicit `rng`
+    Events are processed in annotation sort order and, for e/f, take
+    shifts in that order from a stream derived from (seed, fn), so the
+    result is a pure function of its arguments. Passing explicit `shifts`
     overrides the seeded stream (test hook); the output matrix then
     carries seed=None since it is not reproducible from a seed.
     """
-    provenance_seed = seed if rng is None else None
-    if rng is None and fn.is_random:
-        rng = ShiftStream(seed, fn)
-    q = quantize(fn, annotation.onsets, annotation.offsets, grid.dt, rng)
+    provenance_seed = seed if shifts is None else None
+    if shifts is None:
+        shifts = seeded_shifts(fn, seed, len(annotation))
+    q = quantize(fn, annotation.onsets, annotation.offsets, grid.dt, shifts)
     frames = paint_ranges(grid.num_frames, annotation.num_labels, q.t_s, q.t_e,
                           annotation.labels)
     matrix = LabelMatrix(frames=frames, grid=grid, labeling_function=fn,
@@ -323,15 +334,16 @@ def rasterize_with_records(annotation: Annotation, grid: FrameGrid,
 
 
 def rasterize(annotation: Annotation, grid: FrameGrid, fn: LabelingFunction,
-              seed: int = 0, *, rng: Iterator[int] | None = None) -> LabelMatrix:
+              seed: int = 0, *, rng: np.ndarray | None = None) -> LabelMatrix:
     """Rasterize an Annotation into a binary frames-by-labels matrix.
 
     Each event activates the half-open frame range [t_s, t_e) produced by
     `fn`; ranges are clipped to the grid, degenerate intervals activate
     nothing, and overlapping events of the same label OR together. The
-    seed only matters for the random functions e and f.
+    seed only matters for the random functions e and f. `rng` is the
+    `shifts` array of rasterize_with_records, named as bench/spans.py reads it.
     """
-    return rasterize_with_records(annotation, grid, fn, seed, rng=rng)[0]
+    return rasterize_with_records(annotation, grid, fn, seed, shifts=rng)[0]
 
 
 def noise_ceiling(annotation: Annotation, grid: FrameGrid, fn: LabelingFunction,

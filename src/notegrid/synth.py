@@ -21,6 +21,13 @@ from .quantize import FrameGrid, paint_ranges
 from .util import MASK64
 
 
+# The most notes a piece may be expected to hold, note_rate x
+# piece_duration_sec. generate_piece draws notes one at a time; 10**6 of
+# them take about 9 s and 200 MB on a 2-core VM. SynthConfig checks it, so
+# a huge but finite rate or duration fails at once instead of looping on.
+MAX_NOTES_PER_PIECE = 10 ** 6
+
+
 @dataclass(frozen=True)
 class SynthConfig:
     """Corpus and feature generation parameters.
@@ -55,6 +62,11 @@ class SynthConfig:
             raise ContractError(f"note_rate must be positive, got {self.note_rate}")
         if self.num_pieces < 1 or self.piece_duration_sec <= 0:
             raise ContractError("need at least one piece of positive duration")
+        expected_notes = self.note_rate * self.piece_duration_sec
+        if not expected_notes <= MAX_NOTES_PER_PIECE:
+            raise ContractError(
+                f"note_rate x piece_duration_sec = {expected_notes:.3g} notes per piece "
+                f"exceeds the budget of {MAX_NOTES_PER_PIECE} notes")
         if self.harmonics < 1:
             raise ContractError(f"harmonics must be >= 1, got {self.harmonics}")
 

@@ -71,7 +71,7 @@ class TrainConfig:
     """Optimization hyperparameters.
 
     lr_schedule lists (epoch, multiplier) pairs applied at the start of
-    the given epoch; None means the default step-wise schedule that
+    the given epoch, one of 0 to epochs - 1; None means the default step-wise schedule that
     halves the rate at 60% and 85% of the epochs. context_frames is the
     odd number of feature frames per example window.
     """
@@ -105,6 +105,9 @@ class TrainConfig:
                 if not 0 < multiplier < math.inf:
                     raise ContractError(f"lr_schedule multiplier at epoch {epoch} must be "
                                         f"positive and finite, got {multiplier}")
+                if not 0 <= epoch < self.epochs:
+                    raise ContractError(f"lr_schedule epoch {epoch} is not in "
+                                        f"[0, {self.epochs}), so it would never apply")
 
     def resolved_schedule(self) -> tuple[tuple[int, float], ...]:
         if self.lr_schedule is not None:

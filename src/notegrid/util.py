@@ -13,8 +13,9 @@ MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
-def splitmix64(x: int) -> int:
-    """Hash a 64-bit value to a well-mixed 64-bit value."""
+def splitmix64(x):
+    """Hash a 64-bit value to a well-mixed 64-bit value. Works elementwise
+    on an np.uint64 array too, whose arithmetic wraps at 2**64 like the masks."""
     z = (x + _GOLDEN) & MASK64
     z ^= z >> 30
     z = (z * 0xBF58476D1CE4E5B9) & MASK64

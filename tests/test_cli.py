@@ -321,6 +321,10 @@ class TestConfigFiles:
         ("experiment", {"train": {"epochz": 3}}, "bad train config: "),
         ("experiment", {"train": {"lr_schedule": [[0, -1]]}}, "bad train config: "),
         ("experiment", {"train": {"lr_schedule": [[0, 1], [3, 0]]}}, "bad train config: "),
+        ("experiment", {"train": {"epochs": 12, "lr_schedule": [[-1, 0.5]]}},
+         "bad train config: lr_schedule epoch -1 "),
+        ("experiment", {"train": {"epochs": 12, "lr_schedule": [[99, 0.5]]}},
+         "bad train config: lr_schedule epoch 99 "),
     ])
     def test_bad_config_value_exit_4(self, tmp_path, capsys, command, config, where):
         path = tmp_path / "cfg.json"
@@ -400,7 +404,11 @@ class TestTypedConfigValues:
                         "--seeds", "1", "--out", str(tmp_path / "out")]) == 0
 
     @pytest.mark.parametrize("key,value", [("num_labels", True), ("seed", 1e30),
-                                           ("num_labels", 0), ("duration_range", [0.1])])
+                                           ("num_labels", 0), ("duration_range", [0.1]),
+                                           # past the notes-per-piece budget: these
+                                           # used to generate notes without end
+                                           ("piece_duration_sec", 1e30),
+                                           ("note_rate", 1e308)])
     def test_synth_command_bad_values_exit_4(self, tmp_path, capsys, key, value):
         path = tmp_path / "synth.json"
         path.write_text(json.dumps({key: value}))
@@ -725,6 +733,7 @@ class TestExperimentCommand:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert " frames x 12 labels exceeds the budget of 2147483648 cells" in err
+        assert len(err) < 200  # the frame count in short form, not 300 digits
         assert not (tmp_path / "out").exists()
 
     def test_nan_window_usage_error(self, tmp_path, capsys):

@@ -1,4 +1,3 @@
-import itertools
 import math
 from fractions import Fraction
 
@@ -230,7 +229,7 @@ class TestDisagreement:
         grid = FrameGrid.covering(100.0, hundred_notes.duration_sec)
         base, records_a = rasterize_with_records(hundred_notes, grid, A, 0)
         shifted, records_b = rasterize_with_records(
-            hundred_notes, grid, E, rng=itertools.repeat(1))
+            hundred_notes, grid, E, shifts=np.ones(len(hundred_notes), dtype=int))
         stats = disagreement(base, shifted, hundred_notes,
                              records_a=records_a, records_b=records_b)
         n = len(hundred_notes)

@@ -1,3 +1,6 @@
+import hashlib
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -5,7 +8,7 @@ import pytest
 import smf
 from notegrid import (FormatError, RangeError, UnsupportedError,
                       ValidationError, parse_midi, validate)
-from notegrid.midi import _Reader
+from notegrid.midi import _vlq
 
 
 def seconds(tick: int, tempo_segments: list[tuple[int, int]], ppqn: int) -> float:
@@ -36,19 +39,25 @@ class TestVariableLengthQuantities:
         (b"\xff\xff\xff\x7f", 0x0FFFFFFF),
     ])
     def test_known_encodings(self, data, value):
-        assert _Reader(data).vlq() == value
+        assert _vlq(data, 0, len(data)) == (value, len(data))
 
     def test_overlong_rejected(self):
         with pytest.raises(FormatError):
-            _Reader(b"\xff\xff\xff\xff\x7f").vlq()
+            _vlq(b"\xff\xff\xff\xff\x7f", 0, 5)
 
     def test_truncated_rejected(self):
         with pytest.raises(FormatError):
-            _Reader(b"\x81").vlq()
+            _vlq(b"\x81", 0, 1)
 
     def test_writer_round_trip(self):
         for value in (0, 1, 127, 128, 200, 8191, 8192, 16383, 16384, 0x0FFFFFFF):
-            assert _Reader(smf.vlq(value)).vlq() == value
+            data = b"\x00" + smf.vlq(value) + b"\x00"
+            assert _vlq(data, 1, len(data) - 1) == (value, len(data) - 1)
+
+    def test_stops_at_the_given_end(self):
+        # a continuation byte just before `end` is truncation, whatever follows
+        with pytest.raises(FormatError, match="wanted 1 bytes at offset 2"):
+            _vlq(b"\x00\x81\x00", 1, 2)
 
 
 class TestBasicParsing:
@@ -256,3 +265,71 @@ class TestErrors:
         data = smf.build([smf.track([])], fmt=0, division=0)
         with pytest.raises(FormatError):
             parse_midi(data)
+
+
+def pinned_smf() -> bytes:
+    """A format-1 file with a tempo track and a note track holding a
+    sysex event, running status and a program change."""
+    tempo = smf.track([(0, smf.set_tempo(600000)), (700, smf.set_tempo(400000))])
+    notes = smf.track([
+        (0, bytes([0xF0, 0x03, 0x01, 0x02, 0xF7])),
+        (0, smf.note_on(60, 80)),
+        (120, bytes([64, 80])),         # running status: on(64)
+        (120, bytes([60, 0])),          # running status: off(60) via vel 0
+        (200, bytes([0xC0, 5])),
+        (40, smf.note_on(67, 70, channel=1)),
+        (1000, smf.note_off(64)),
+        (100, smf.note_off(67, channel=1)),
+    ])
+    return smf.build([tempo, notes], fmt=1)
+
+
+MUTATION_BYTES = (0x00, 0x7F, 0x80, 0x81, 0xF0, 0xF2, 0xF7, 0xFE, 0xFF, 0x51, 0x2F, 0x90)
+
+
+def mutate(data: bytes, rng: random.Random) -> bytes:
+    """One to three edits: insert a byte, insert an over-long VLQ, flip a
+    bit or delete a byte."""
+    out = bytearray(data)
+    for _ in range(rng.randint(1, 3)):
+        op = rng.randrange(4)
+        at = rng.randrange(len(out) + 1)
+        if op == 0:
+            out.insert(at, rng.choice(MUTATION_BYTES))
+        elif op == 1:
+            out[at:at] = b"\x81" * rng.randint(4, 5)
+        elif at < len(out):
+            if op == 2:
+                out[at] ^= 1 << rng.randrange(8)
+            else:
+                del out[at]
+    return bytes(out)
+
+
+def outcome(data: bytes) -> str:
+    try:
+        ann = parse_midi(data)
+    except Exception as exc:  # the exception type is part of the outcome
+        return f"{type(exc).__name__}: {exc}"
+    return f"ok {ann.onsets.tolist()} {ann.offsets.tolist()} {ann.labels.tolist()}"
+
+
+class TestPinnedOutcomes:
+    """Every prefix of one file and 300 seeded mutations of it give the
+    exception type and message, offsets included, or the notes that the
+    byte-at-a-time reader gave; its outcomes are frozen as one sha256."""
+
+    def test_prefixes_and_mutations(self):
+        base = pinned_smf()
+        rng = random.Random(9)
+        cases = [base[:n] for n in range(len(base) + 1)]
+        cases += [mutate(base, rng) for _ in range(300)]
+        outcomes = [outcome(case) for case in cases]
+        kinds = Counter(o.split(":")[0] if not o.startswith("ok") else "ok" for o in outcomes)
+        assert kinds == {"FormatError": 352, "UnsupportedError": 14, "ValidationError": 7,
+                         "ok": 14}
+        assert sum("longer than 4 bytes" in o for o in outcomes) == 22
+        assert sum("without running status" in o for o in outcomes) == 21
+        assert sum("unexpected status byte" in o for o in outcomes) == 1
+        assert hashlib.sha256("\n".join(outcomes).encode()).hexdigest() == \
+            "14db4567a685511ccb1f524dac06906d72f7a59c76444c246d6df34c405941e0"

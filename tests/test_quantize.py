@@ -10,9 +10,13 @@ from notegrid import (Annotation, ContractError, FrameGrid, LabelingFunction,
                       LabelMatrix, NoteEvent, QuantizedArrays, ShiftStream,
                       noise_ceiling, quantize_interval, rasterize,
                       rasterize_with_records)
-from notegrid.quantize import quantize
+from notegrid.quantize import quantize, seeded_shifts
+from notegrid.util import MASK64, derive_seed, splitmix64
 
 A, B, C, D, E, F = LabelingFunction
+
+# the one counter whose splitmix64 hash, 2**64 - 1, the shift stream rejects
+REJECTED_COUNTER = 0x31628AF67B2131AB
 
 
 def random_intervals(count, seed, dts=(0.01, 0.032)):
@@ -44,6 +48,21 @@ def oracle_indices(fn, onset, offset, dt):
         dur = (Fraction(offset) - Fraction(onset)) / Fraction(dt)
         return math.floor(xs), math.floor(xs) + math.floor(dur)
     raise AssertionError(fn)
+
+
+def scalar_draws(counter):
+    """The scalar splitmix64 rejection loop, one draw per hash: the
+    reference ShiftStream.draws must equal."""
+    while True:
+        z = splitmix64(counter)
+        counter = (counter + 1) & MASK64
+        if z < MASK64:
+            yield z % 3 - 1
+
+
+def reference_stream(seed, fn):
+    """scalar_draws from the counter ShiftStream(seed, fn) starts at."""
+    return scalar_draws(derive_seed(seed, "abcdef".index(fn.letter)))
 
 
 def reference_quantize(fn, onset_sec, offset_sec, dt, rng):
@@ -78,10 +97,10 @@ class TestQuantize:
     def assert_matches_reference(self, onsets, offsets, dt, seed):
         clamped = 0
         for fn in LabelingFunction:
-            stream = ShiftStream(seed, fn) if fn.is_random else None
-            q = quantize(fn, onsets, offsets, dt, stream)
+            shifts = seeded_shifts(fn, seed, len(onsets))
+            q = quantize(fn, onsets, offsets, dt, shifts)
             got = list(zip(*(field.tolist() for field in q)))
-            stream = ShiftStream(seed, fn) if fn.is_random else None
+            stream = reference_stream(seed, fn)
             want = [reference_quantize(fn, on, off, dt, stream)
                     for on, off in zip(onsets, offsets)]
             assert got == want, fn
@@ -106,9 +125,9 @@ class TestQuantize:
             assert clamped > 0
 
     def test_draw_order_onset_then_offset(self):
-        q = quantize(F, [0.10, 0.50], [0.30, 0.70], 0.01, rng=iter([1, -1, 0, 1]))
+        q = quantize(F, [0.10, 0.50], [0.30, 0.70], 0.01, shifts=np.array([1, -1, 0, 1]))
         assert q.t_s.tolist() == [11, 50] and q.t_e.tolist() == [29, 71]
-        q = quantize(E, [0.10, 0.50], [0.30, 0.70], 0.01, rng=iter([1, -1]))
+        q = quantize(E, [0.10, 0.50], [0.30, 0.70], 0.01, shifts=np.array([1, -1]))
         assert q.t_s.tolist() == [11, 49] and q.t_e.tolist() == [31, 69]
 
     @pytest.mark.parametrize("onset,offset", [(math.nan, 1.0), (0.5, math.inf),
@@ -118,14 +137,22 @@ class TestQuantize:
             with pytest.raises(ContractError, match="finite"):
                 quantize(fn, [0.1, onset], [0.2, offset], 0.01)
 
-    def test_exhausted_stream_rejected(self):
-        with pytest.raises(ContractError, match="ran out"):
-            quantize(F, [0.1, 0.3], [0.2, 0.4], 0.01, rng=iter([1, 0, -1]))
-        with pytest.raises(ContractError, match="ran out"):
-            quantize_interval(E, 0.1, 0.2, 0.01, rng=iter([]))
+    def test_wrong_length_shifts_rejected(self):
+        for fn, shifts in [
+            (F, np.array([1, 0, -1])),           # one short of 2 per interval
+            (F, np.array([1, 0, -1, 0, 1])),     # one too many
+            (E, np.array([1, 0, -1, 0])),        # f's count for e
+            (E, np.array([[1, 0]])),             # the right count, not 1-D
+            (E, np.array([0.5, 1.0])),           # not integers
+            (E, iter([1, -1])),                  # an iterator is not an array
+        ]:
+            with pytest.raises(ContractError, match=f"{fn.letter} takes"):
+                quantize(fn, [0.1, 0.3], [0.2, 0.4], 0.01, shifts=shifts)
+        with pytest.raises(ContractError, match="e takes 1 integer shift"):
+            quantize_interval(E, 0.1, 0.2, 0.01, shifts=np.array([], dtype=np.int64))
 
     def test_empty_input(self):
-        q = quantize(F, [], [], 0.01, rng=ShiftStream(0, F))
+        q = quantize(F, [], [], 0.01, shifts=ShiftStream(0, F).draws(0))
         assert all(field.shape == (0,) for field in q)
 
 
@@ -148,7 +175,7 @@ class TestQuantizeInterval:
         assert q.degenerate
 
     def test_joint_shift_preserves_duration(self):
-        q = quantize_interval(E, 0.10, 0.25, 0.01, rng=itertools.repeat(1))
+        q = quantize_interval(E, 0.10, 0.25, 0.01, shifts=np.array([1]))
         assert (q.t_s, q.t_e) == (11, 26)
         base = quantize_interval(A, 0.10, 0.25, 0.01)
         assert q.t_e - q.t_s == base.t_e - base.t_s
@@ -158,26 +185,26 @@ class TestQuantizeInterval:
             shift = (i % 3) - 1
             base = quantize_interval(A, onset, offset, dt)
             shifted = quantize_interval(E, onset, offset, dt,
-                                        rng=itertools.repeat(shift))
+                                        shifts=np.array([shift]))
             if not shifted.clamped:
                 assert shifted.t_e - shifted.t_s == base.t_e - base.t_s
 
     def test_independent_zero_shifts_equal_round_both(self):
         for onset, offset, dt in random_intervals(1000, seed=11):
             base = quantize_interval(A, onset, offset, dt)
-            forced = quantize_interval(F, onset, offset, dt, rng=itertools.repeat(0))
+            forced = quantize_interval(F, onset, offset, dt, shifts=np.zeros(2, dtype=int))
             assert (forced.t_s, forced.t_e, forced.eps_s, forced.eps_e) == \
                 (base.t_s, base.t_e, base.eps_s, base.eps_e)
 
     def test_shift_errors_report_pre_shift_values(self):
         base = quantize_interval(A, 0.10, 0.25, 0.01)
-        shifted = quantize_interval(F, 0.10, 0.25, 0.01, rng=iter([1, -1]))
+        shifted = quantize_interval(F, 0.10, 0.25, 0.01, shifts=np.array([1, -1]))
         assert shifted.eps_s == base.eps_s
         assert shifted.eps_e == base.eps_e
         assert (shifted.t_s, shifted.t_e) == (base.t_s + 1, base.t_e - 1)
 
     def test_negative_shift_clamps_to_zero(self):
-        q = quantize_interval(E, 0.001, 0.5, 0.01, rng=itertools.repeat(-1))
+        q = quantize_interval(E, 0.001, 0.5, 0.01, shifts=np.array([-1]))
         assert q.t_s == 0
         assert q.clamped
 
@@ -214,7 +241,7 @@ class TestQuantizeInterval:
         with pytest.raises(ContractError):
             quantize_interval(F, 0.1, 0.2, 0.01)
         with pytest.raises(ContractError):
-            quantize_interval(A, 0.1, 0.2, 0.01, rng=itertools.repeat(0))
+            quantize_interval(A, 0.1, 0.2, 0.01, shifts=np.zeros(1, dtype=int))
         with pytest.raises(ContractError):
             quantize_interval(A, 0.2, 0.2, 0.01)  # zero length
         with pytest.raises(ContractError):
@@ -227,20 +254,56 @@ class TestQuantizeInterval:
 
 class TestShiftStream:
     def test_deterministic_per_seed_and_fn(self):
-        first = list(itertools.islice(ShiftStream(42, E), 50))
-        second = list(itertools.islice(ShiftStream(42, E), 50))
+        first = ShiftStream(42, E).draws(50).tolist()
+        second = ShiftStream(42, E).draws(50).tolist()
         assert first == second
 
     def test_distinct_functions_get_distinct_streams(self):
-        stream_e = list(itertools.islice(ShiftStream(42, E), 50))
-        stream_f = list(itertools.islice(ShiftStream(42, F), 50))
+        stream_e = ShiftStream(42, E).draws(50).tolist()
+        stream_f = ShiftStream(42, F).draws(50).tolist()
         assert stream_e != stream_f
 
     def test_values_uniform_over_three(self):
-        draws = list(itertools.islice(ShiftStream(7, F), 3000))
+        draws = ShiftStream(7, F).draws(3000).tolist()
         assert set(draws) == {-1, 0, 1}
         for value in (-1, 0, 1):
             assert 850 <= draws.count(value) <= 1150
+
+    def test_draws_are_int64(self):
+        assert ShiftStream(0, E).draws(5).dtype == np.int64
+        assert ShiftStream(0, E).draws(0).shape == (0,)
+
+    @pytest.mark.parametrize("seed", [0, 7, 12345])
+    @pytest.mark.parametrize("fn", [E, F])
+    def test_first_million_equal_scalar_loop(self, seed, fn):
+        want = list(itertools.islice(reference_stream(seed, fn), 10 ** 6))
+        assert ShiftStream(seed, fn).draws(10 ** 6).tolist() == want
+
+    def test_rejected_counter_hashes_to_the_rejected_value(self):
+        assert splitmix64(REJECTED_COUNTER) == MASK64
+
+    @pytest.mark.parametrize("split", range(11))
+    def test_matches_scalar_loop_across_rejection(self, split):
+        # the stream starts 3 counters before the one rejected hash, and
+        # the draws are taken in two calls split at every point
+        stream = ShiftStream(0, E)
+        stream._counter = REJECTED_COUNTER - 3
+        got = stream.draws(split).tolist() + stream.draws(10 - split).tolist()
+        assert got == list(itertools.islice(scalar_draws(REJECTED_COUNTER - 3), 10))
+        # the counter stopped where ten scalar draws leave it
+        assert stream._counter == REJECTED_COUNTER + 8
+
+    @pytest.mark.parametrize("a,b", [(0, 0), (0, 5), (5, 0), (1, 1), (17, 1000), (999, 2)])
+    def test_consecutive_calls_equal_one_call(self, a, b):
+        split = ShiftStream(12345, F)
+        joined = np.concatenate([split.draws(a), split.draws(b)])
+        assert joined.tolist() == ShiftStream(12345, F).draws(a + b).tolist()
+
+    def test_counter_wraps_at_2_to_64(self):
+        stream = ShiftStream(0, F)
+        stream._counter = MASK64 - 1
+        assert stream.draws(6).tolist() == list(itertools.islice(scalar_draws(MASK64 - 1), 6))
+        assert stream._counter == 4
 
 
 class TestFrameGrid:
@@ -348,7 +411,7 @@ class TestRasterize:
         matrix = rasterize(ann, grid, E, 99)
         assert matrix.labeling_function is E
         assert matrix.seed == 99
-        overridden = rasterize(ann, grid, E, 99, rng=itertools.repeat(0))
+        overridden = rasterize(ann, grid, E, 99, rng=np.zeros(1, dtype=int))
         assert overridden.seed is None
 
     def test_records_match_matrix(self, hundred_notes):
@@ -394,7 +457,7 @@ class TestRasterize:
             [NoteEvent(0.1, 0.3, 0), NoteEvent(0.5, 0.7, 1)], num_labels=2)
         grid = FrameGrid(fps=100.0, num_frames=100)
         _, records = rasterize_with_records(ann, grid, E, 0,
-                                            rng=iter([1, -1]))
+                                            shifts=np.array([1, -1]))
         assert records.t_s[0] == 10 + 1
         assert records.t_s[1] == 50 - 1
 
@@ -421,6 +484,6 @@ class TestNoiseCeiling:
         from notegrid import framewise_counts, prf
 
         grid = FrameGrid.covering(100.0, hundred_notes.duration_sec)
-        forced = rasterize(hundred_notes, grid, E, rng=itertools.repeat(0))
+        forced = rasterize(hundred_notes, grid, E, rng=np.zeros(len(hundred_notes), dtype=int))
         ref = rasterize(hundred_notes, grid, A, 0)
         assert prf(framewise_counts(forced, ref)).fmeasure == 1.0

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from notegrid import (Annotation, ContractError, FrameGrid, NoteEvent,
                       SynthConfig, generate_corpus, label_templates,
                       render_features, validate)
+from notegrid.synth import MAX_NOTES_PER_PIECE
 
 
 class TestGenerateCorpus:
@@ -42,6 +44,14 @@ class TestGenerateCorpus:
     def test_pieces_validate_clean(self):
         for piece in generate_corpus(SynthConfig(num_pieces=5, seed=9)):
             assert validate(piece).ok
+
+    def test_note_budget(self):
+        # the budget bounds the expected count, note_rate x piece_duration_sec
+        assert MAX_NOTES_PER_PIECE == 10 ** 6
+        SynthConfig(note_rate=1000.0, piece_duration_sec=1000.0)
+        for rate, seconds in ((1000.0, 1000.5), (1e308, 30.0), (2.0, 1e30), (math.nan, 30.0)):
+            with pytest.raises(ContractError, match="exceeds the budget of 1000000 notes"):
+                SynthConfig(note_rate=rate, piece_duration_sec=seconds)
 
     def test_config_invariants(self):
         with pytest.raises(ContractError):

@@ -245,6 +245,12 @@ class TestTrain:
         assert np.array_equal(params_a.weights, params_b.weights)
         assert hist_a == hist_b
 
+    @pytest.mark.parametrize("epoch", [-1, 4, 99])
+    def test_schedule_epoch_that_never_comes_rejected(self, epoch):
+        TrainConfig(epochs=4, lr_schedule=((0, 0.5), (3, 0.5)))
+        with pytest.raises(ContractError, match=f"lr_schedule epoch {epoch} is not in"):
+            TrainConfig(epochs=4, lr_schedule=((0, 0.5), (epoch, 0.5)))
+
     def test_schedule_applies_multipliers(self):
         # momentum off so a killed learning rate freezes the weights and the
         # schedule's effect is visible in isolation
@@ -368,14 +374,18 @@ class TestTrain:
                             targets=(rng.random((50, 2 * models)) < 0.4).astype(float))
         valid_set = Dataset(inputs=valid_inputs,
                             targets=(rng.random((20, 2 * models)) < 0.4).astype(float))
-        cfg = TrainConfig(learning_rate=0.5, epochs=epochs, lr_schedule=((2, 0.5),),
+        cfg = TrainConfig(learning_rate=0.5, epochs=epochs,
+                          lr_schedule=((2, 0.5),) if epochs > 2 else (),
                           context_frames=1, seed=4, threshold=0.4)
         _, history = train(train_set, valid_set, cfg, models=models)
         # reference: the parameters after epoch e are those of an e-epoch run
-        # (the schedule is explicit), scored by a full pass
+        # (the schedule is explicit, less the entries it never reaches),
+        # scored by a full pass
         train_loss, valid_loss, train_f = [], [], []
         for e in range(1, epochs + 1):
-            params, _ = train(train_set, valid_set, replace(cfg, epochs=e), models=models)
+            reached = tuple((at, m) for at, m in cfg.lr_schedule if at < e)
+            params, _ = train(train_set, valid_set, replace(cfg, epochs=e, lr_schedule=reached),
+                              models=models)
             train_loss.append(bce_loss(params, train_set.inputs, train_set.targets))
             valid_loss.append(bce_loss(params, valid_set.inputs, valid_set.targets))
             scores = trainer_module._sigmoid(train_set.inputs @ params.weights + params.bias)

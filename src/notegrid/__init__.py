@@ -23,9 +23,9 @@ from .quantize import (FrameGrid, LabelingFunction, LabelMatrix,
 from .synth import (FeatureMatrix, SynthConfig, generate_corpus,
                     generate_piece, label_templates, render_features)
 from .trainer import (Dataset, ExperimentRow, ExperimentTable, ModelParams,
-                      TrainConfig, TrainHistory, bce_loss,
-                      bce_loss_and_gradient, make_examples, predict,
-                      run_sensitivity_experiment, train)
+                      TrainConfig, bce_loss, bce_loss_and_gradient,
+                      make_examples, predict, run_sensitivity_experiment,
+                      train)
 
 __version__ = "0.1.0"
 
@@ -43,7 +43,7 @@ __all__ = [
     "FeatureMatrix", "SynthConfig", "generate_corpus", "generate_piece",
     "label_templates", "render_features",
     "Dataset", "ExperimentRow", "ExperimentTable", "ModelParams",
-    "TrainConfig", "TrainHistory", "bce_loss", "bce_loss_and_gradient",
+    "TrainConfig", "bce_loss", "bce_loss_and_gradient",
     "make_examples", "predict", "run_sensitivity_experiment", "train",
     "__version__",
 ]

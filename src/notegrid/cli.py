@@ -103,10 +103,7 @@ def _build_config(cls, overrides: dict, what: str):
             raise ContractError(f"bad {what} config: {field.name} must be {field.type}"
                                 f", got {overrides[field.name]!r}")
     try:
-        known = dict(overrides)
-        if "duration_range" in known:
-            known["duration_range"] = tuple(known["duration_range"])
-        return cls(**known)
+        return cls(**overrides)
     except (TypeError, ValueError, ContractError) as exc:
         raise ContractError(f"bad {what} config: {exc}") from None
 

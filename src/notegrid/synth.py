@@ -21,11 +21,18 @@ from .quantize import FrameGrid, paint_ranges
 from .util import MASK64
 
 
-# The most notes a piece may be expected to hold, note_rate x
-# piece_duration_sec. generate_piece draws notes one at a time; 10**6 of
-# them take about 9 s and 200 MB on a 2-core VM. SynthConfig checks it, so
-# a huge but finite rate or duration fails at once instead of looping on.
+# Work budgets that SynthConfig checks, so a huge but finite value fails at
+# once instead of looping on or exhausting memory:
+# - the notes a piece may be expected to hold, note_rate x
+#   piece_duration_sec; generate_piece draws notes one at a time, and 10**6
+#   of them take about 9 s and 200 MB on a 2-core VM;
+# - the pieces of a corpus, each generated by its own call;
+# - feature bins, each a float64 column of every rendered piece;
+# - label_templates' loop steps, num_labels x harmonics.
 MAX_NOTES_PER_PIECE = 10 ** 6
+MAX_PIECES = 10 ** 4
+MAX_FEATURE_DIM = 2 ** 12
+MAX_TEMPLATE_TERMS = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -48,6 +55,7 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "duration_range", tuple(self.duration_range))
         d_min, d_max = self.duration_range
         if d_min <= 0 or d_max < d_min:
             raise ContractError(f"bad duration range {self.duration_range}")
@@ -56,12 +64,18 @@ class SynthConfig:
         if self.feature_dim < self.num_labels:
             raise ContractError(
                 f"feature_dim {self.feature_dim} < num_labels {self.num_labels}")
+        if self.feature_dim > MAX_FEATURE_DIM:
+            raise ContractError(f"feature_dim = {self.feature_dim} exceeds the budget "
+                                f"of {MAX_FEATURE_DIM} feature bins")
         if self.noise_sigma < 0:
             raise ContractError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
         if self.note_rate <= 0:
             raise ContractError(f"note_rate must be positive, got {self.note_rate}")
         if self.num_pieces < 1 or self.piece_duration_sec <= 0:
             raise ContractError("need at least one piece of positive duration")
+        if self.num_pieces > MAX_PIECES:
+            raise ContractError(f"num_pieces = {self.num_pieces} exceeds the budget "
+                                f"of {MAX_PIECES} pieces")
         expected_notes = self.note_rate * self.piece_duration_sec
         if not expected_notes <= MAX_NOTES_PER_PIECE:
             raise ContractError(
@@ -69,6 +83,10 @@ class SynthConfig:
                 f"exceeds the budget of {MAX_NOTES_PER_PIECE} notes")
         if self.harmonics < 1:
             raise ContractError(f"harmonics must be >= 1, got {self.harmonics}")
+        if self.num_labels * self.harmonics > MAX_TEMPLATE_TERMS:
+            raise ContractError(
+                f"num_labels x harmonics = {self.num_labels * self.harmonics} exceeds "
+                f"the budget of {MAX_TEMPLATE_TERMS} template terms")
 
 
 @dataclass(frozen=True, eq=False)

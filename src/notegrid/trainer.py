@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
 from .errors import ContractError, DivergenceError
-from .metrics import EvalCounts, count_cells, prf, windowed_counts
+from .metrics import EvalCounts, prf, windowed_counts
 from .quantize import FrameGrid, LabelingFunction, LabelMatrix, rasterize
 from .synth import FeatureMatrix, SynthConfig, generate_corpus, render_features
 from .util import MASK64, derive_seed
@@ -198,52 +197,6 @@ def bce_loss_and_gradient(params: ModelParams, inputs: np.ndarray,
     return float(losses[0]), grad_w, grad_b
 
 
-class TrainHistory:
-    """Per-epoch full-pass train and validation losses and training
-    f-measure at the threshold, pooled over the stacked blocks.
-
-    train() keeps a copy of the parameters after each epoch; each field is
-    computed from those copies the first time it is read. Two histories
-    are equal when their three fields are.
-    """
-
-    def __init__(self, epoch_params: tuple[ModelParams, ...], train_set: Dataset,
-                 valid_set: Dataset, threshold: float):
-        self._epoch_params = epoch_params
-        self._train_set = train_set
-        self._valid_set = valid_set
-        self._threshold = threshold
-
-    @cached_property
-    def train_loss(self) -> tuple[float, ...]:
-        return tuple(bce_loss(p, self._train_set.inputs, self._train_set.targets)
-                     for p in self._epoch_params)
-
-    @cached_property
-    def valid_loss(self) -> tuple[float, ...]:
-        return tuple(bce_loss(p, self._valid_set.inputs, self._valid_set.targets)
-                     for p in self._epoch_params)
-
-    @cached_property
-    def train_fmeasure(self) -> tuple[float, ...]:
-        inputs, actual = self._train_set.inputs, self._train_set.targets >= 0.5
-        return tuple(
-            prf(count_cells(_sigmoid(inputs @ p.weights + p.bias) >= self._threshold,
-                            actual)).fmeasure
-            for p in self._epoch_params)
-
-    def _fields(self) -> tuple:
-        return self.train_loss, self.valid_loss, self.train_fmeasure
-
-    def __eq__(self, other):
-        if not isinstance(other, TrainHistory):
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-
 def _init_params(dim: int, num_labels: int, seed: int) -> ModelParams:
     rng = np.random.default_rng([seed & MASK64, 0])
     return ModelParams(weights=rng.normal(0.0, 0.01, size=(dim, num_labels)),
@@ -251,23 +204,21 @@ def _init_params(dim: int, num_labels: int, seed: int) -> ModelParams:
 
 
 def train(train_set: Dataset, valid_set: Dataset, cfg: TrainConfig, *,
-          models: int = 1) -> tuple[ModelParams, TrainHistory]:
+          models: int = 1) -> ModelParams:
     """Train the linear classifier with Nesterov-momentum mini-batch SGD.
 
     Weights start from seeded N(0, 0.01), bias from zero. Each epoch
     shuffles the examples (stream seeded by cfg.seed), walks them in
     batches of cfg.batch_size, and evaluates the gradient at the momentum
     look-ahead point. The learning rate is multiplied per schedule entry
-    at the start of the named epoch. The returned history holds a copy of
-    the parameters after each epoch and computes the full-pass train and
-    validation losses and the training f-measure from them when first
-    read. Everything is deterministic for a fixed cfg.
+    at the start of the named epoch. Returns the final parameters.
+    Everything is deterministic for a fixed cfg.
 
     With models=G the targets are G blocks of K columns sharing the
     inputs, and G models train in lockstep: each block starts from the
     same initialization and is normalised per rows x K cells, so block j
-    equals training on block j alone, up to BLAS summation order. History
-    is then pooled over all blocks (losses are the per-model mean).
+    equals training on block j alone, up to BLAS summation order.
+    valid_set is only checked: non-empty, with train_set's widths.
 
     Raises DivergenceError, with epoch, batch and the indices of the
     models whose own batch loss went non-finite, at the first such batch.
@@ -311,7 +262,6 @@ def train(train_set: Dataset, valid_set: Dataset, cfg: TrainConfig, *,
     lr = cfg.learning_rate
     mu = cfg.momentum
     n = train_set.num_examples
-    epoch_params = []
     for epoch in range(cfg.epochs):
         for at_epoch, multiplier in schedule:
             if at_epoch == epoch:
@@ -339,10 +289,8 @@ def train(train_set: Dataset, valid_set: Dataset, cfg: TrainConfig, *,
             np.subtract(momentum_b, grad_b, out=velocity_b)
             weights += velocity_w
             bias += velocity_b
-        epoch_params.append(ModelParams(weights=weights.copy(), bias=bias.copy()))
 
-    return (ModelParams(weights=weights, bias=bias),
-            TrainHistory(tuple(epoch_params), train_set, valid_set, cfg.threshold))
+    return ModelParams(weights=weights, bias=bias)
 
 
 def predict(params: ModelParams, features: FeatureMatrix, context_frames: int,
@@ -418,9 +366,7 @@ def run_sensitivity_experiment(synth_cfg: SynthConfig,
                                eval_grid: FrameGrid,
                                train_cfg: TrainConfig,
                                seeds: list[int], *,
-                               window_sec: float = 30.0,
-                               reference_fn: LabelingFunction = LabelingFunction.A,
-                               ) -> ExperimentTable:
+                               window_sec: float = 30.0) -> ExperimentTable:
     """Measure how the labeling function alone changes test f-measure.
 
     For each seed, one synthetic corpus is generated and split 60/20/20
@@ -432,7 +378,7 @@ def run_sensitivity_experiment(synth_cfg: SynthConfig,
     stacked model (train(..., models=G)); a repeated function reuses its
     result. The stacked model predicts each test piece once, and each
     function's column block is scored by windowed_counts against the
-    reference rasterization (reference_fn on eval_grid). Returns one test
+    reference rasterization (function a on eval_grid). Returns one test
     row per (fn, seed), in fns order.
     DivergenceError from training is re-raised annotated with the failing
     function(s) and seed.
@@ -463,9 +409,8 @@ def run_sensitivity_experiment(synth_cfg: SynthConfig,
                     for fn in distinct]) for i in indices]))
 
         try:
-            # the history is dropped at once: it holds both datasets
             params = train(dataset(train_idx), dataset(valid_idx), cfg_seeded,
-                           models=len(distinct))[0]
+                           models=len(distinct))
         except DivergenceError as exc:
             culprits = distinct if exc.models is None else [distinct[j] for j in exc.models]
             raise DivergenceError(
@@ -478,7 +423,7 @@ def run_sensitivity_experiment(synth_cfg: SynthConfig,
         for i in test_idx:
             pred = predict(params, features[i], train_cfg.context_frames,
                            train_cfg.threshold)
-            reference = rasterize(corpus[i], eval_grid, reference_fn, 0)
+            reference = rasterize(corpus[i], eval_grid, LabelingFunction.A, 0)
             for j in range(len(distinct)):
                 block = LabelMatrix(frames=pred.frames[:, j * k:(j + 1) * k], grid=pred.grid)
                 counts = windowed_counts(block, reference, window_sec)

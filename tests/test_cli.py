@@ -408,11 +408,17 @@ class TestTypedConfigValues:
                                            # past the notes-per-piece budget: these
                                            # used to generate notes without end
                                            ("piece_duration_sec", 1e30),
-                                           ("note_rate", 1e308)])
+                                           ("note_rate", 1e308),
+                                           # past the other work budgets: the first two
+                                           # used to run without end, the last to exit 1
+                                           # with a MemoryError for the label templates
+                                           ("harmonics", 10 ** 12), ("num_pieces", 10 ** 9),
+                                           ("feature_dim", 10 ** 9)])
     def test_synth_command_bad_values_exit_4(self, tmp_path, capsys, key, value):
         path = tmp_path / "synth.json"
         path.write_text(json.dumps({key: value}))
-        assert run_cli(["synth", "--config", str(path), "--out", str(tmp_path / "out")]) == 4
+        assert run_cli(["synth", "--features", "--config", str(path),
+                        "--out", str(tmp_path / "out")]) == 4
         err = capsys.readouterr().err
         assert "Traceback" not in err and key in err
 

@@ -7,7 +7,8 @@ import pytest
 from notegrid import (Annotation, ContractError, FrameGrid, NoteEvent,
                       SynthConfig, generate_corpus, label_templates,
                       render_features, validate)
-from notegrid.synth import MAX_NOTES_PER_PIECE
+from notegrid.synth import (MAX_FEATURE_DIM, MAX_NOTES_PER_PIECE, MAX_PIECES,
+                            MAX_TEMPLATE_TERMS)
 
 
 class TestGenerateCorpus:
@@ -52,6 +53,28 @@ class TestGenerateCorpus:
         for rate, seconds in ((1000.0, 1000.5), (1e308, 30.0), (2.0, 1e30), (math.nan, 30.0)):
             with pytest.raises(ContractError, match="exceeds the budget of 1000000 notes"):
                 SynthConfig(note_rate=rate, piece_duration_sec=seconds)
+
+    @pytest.mark.parametrize("fields,match", [
+        ({"num_pieces": MAX_PIECES + 1}, "num_pieces = 10001 exceeds the budget of 10000 pieces"),
+        ({"feature_dim": MAX_FEATURE_DIM + 1},
+         "feature_dim = 4097 exceeds the budget of 4096 feature bins"),
+        ({"harmonics": 10 ** 12}, "num_labels x harmonics = 12000000000000 exceeds "
+                                  "the budget of 1000000 template terms"),
+        ({"num_labels": 1000, "feature_dim": 1000, "harmonics": 1001},
+         "num_labels x harmonics = 1001000 "),
+    ])
+    def test_work_budgets(self, fields, match):
+        assert (MAX_PIECES, MAX_FEATURE_DIM, MAX_TEMPLATE_TERMS) == (10 ** 4, 2 ** 12, 10 ** 6)
+        SynthConfig(num_pieces=MAX_PIECES, feature_dim=MAX_FEATURE_DIM,
+                    num_labels=1000, harmonics=1000)
+        with pytest.raises(ContractError, match=match):
+            SynthConfig(**fields)
+
+    def test_duration_range_list_is_a_tuple(self):
+        cfg = SynthConfig(duration_range=[0.2, 0.5])
+        assert cfg.duration_range == (0.2, 0.5)
+        assert cfg == SynthConfig(duration_range=(0.2, 0.5))
+        assert hash(cfg) == hash(SynthConfig(duration_range=(0.2, 0.5)))
 
     def test_config_invariants(self):
         with pytest.raises(ContractError):

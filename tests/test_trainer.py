@@ -9,6 +9,7 @@ from notegrid import (ContractError, Dataset, DivergenceError, FeatureMatrix,
                       bce_loss_and_gradient, framewise_counts, make_examples,
                       predict, prf, run_sensitivity_experiment, train)
 from notegrid import trainer as trainer_module
+from notegrid.metrics import count_cells
 from notegrid.util import MASK64
 
 A, E, F = LabelingFunction.A, LabelingFunction.E, LabelingFunction.F
@@ -31,11 +32,16 @@ def two_cluster_dataset(n=200, dim=3, seed=7):
     return Dataset(inputs=x, targets=y)
 
 
+def window_decisions(params, dataset, threshold):
+    """The decision rule sigmoid(window @ W + b) >= threshold per example."""
+    return trainer_module._sigmoid(dataset.inputs @ params.weights + params.bias) >= threshold
+
+
 def exact_loss_training(train_set, cfg, models):
     """Reference: the training loop with every batch's per-block losses
     computed by the checked kernel. Returns (epoch, batch, models) of the
     first non-finite loss, or the final (weights, bias)."""
-    init, _ = train(train_set, train_set, replace(cfg, epochs=0), models=models)
+    init = train(train_set, train_set, replace(cfg, epochs=0), models=models)
     weights, bias = init.weights, init.bias
     velocity_w, velocity_b = np.zeros_like(weights), np.zeros_like(bias)
     shuffle_rng = np.random.default_rng([cfg.seed & MASK64, 1])
@@ -86,8 +92,8 @@ def screen_case(name):
     # 1e300 / (batch_size * columns * (1 + max|y|)), with binary targets
     cfg = replace(cfg, batch_size=8, epochs=1)
     inputs, targets = inputs[:8], targets[:8]
-    init, _ = train(Dataset(inputs, targets), Dataset(inputs, targets),
-                    replace(cfg, epochs=0), models=2)
+    init = train(Dataset(inputs, targets), Dataset(inputs, targets),
+                 replace(cfg, epochs=0), models=2)
     limit = 1e300 / (8 * 6 * 2)
     side = {"logits-below-limit": 1 - 1e-6, "logits-above-limit": 1 + 1e-6}[name]
     inputs = inputs * (side * limit / np.abs(inputs @ init.weights).max())
@@ -203,12 +209,14 @@ class TestTrain:
     def test_zero_epochs_returns_initialization(self):
         ds = two_cluster_dataset()
         cfg = TrainConfig(epochs=0, context_frames=1, seed=5)
-        params_a, history = train(ds, ds, cfg)
-        params_b, _ = train(ds, ds, cfg)
+        params_a = train(ds, ds, cfg)
+        params_b = train(ds, ds, cfg)
         assert np.array_equal(params_a.weights, params_b.weights)
         assert np.array_equal(params_a.bias, np.zeros(1))
         assert abs(params_a.weights.std() - 0.01) < 0.01
-        assert history.train_loss == ()
+        # no step is taken: the weights are the seeded N(0, 0.01) draw
+        expected = np.random.default_rng([cfg.seed, 0]).normal(0.0, 0.01, size=(3, 1))
+        assert np.array_equal(params_a.weights, expected)
 
     def test_update_is_the_checked_gradient(self):
         # one full-batch plain-SGD step at rate 1 must subtract exactly the
@@ -218,8 +226,8 @@ class TestTrain:
                      targets=(rng.random((40, 3)) < 0.4).astype(float))
         base = dict(learning_rate=1.0, momentum=0.0, batch_size=40,
                     lr_schedule=(), context_frames=1, seed=8)
-        init, _ = train(ds, ds, TrainConfig(epochs=0, **base))
-        stepped, _ = train(ds, ds, TrainConfig(epochs=1, **base))
+        init = train(ds, ds, TrainConfig(epochs=0, **base))
+        stepped = train(ds, ds, TrainConfig(epochs=1, **base))
         _, grad_w, grad_b = bce_loss_and_gradient(init, ds.inputs, ds.targets)
         assert np.abs(stepped.weights - (init.weights - grad_w)).max() <= 1e-12
         assert np.abs(stepped.bias - (init.bias - grad_b)).max() <= 1e-12
@@ -227,23 +235,29 @@ class TestTrain:
     def test_separable_toy_reaches_perfect_fmeasure(self):
         ds = two_cluster_dataset()
         cfg = TrainConfig(learning_rate=0.5, epochs=40, context_frames=1, seed=3)
-        _, history = train(ds, ds, cfg)
-        assert history.train_fmeasure[-1] == 1.0
+        decisions = window_decisions(train(ds, ds, cfg), ds, cfg.threshold)
+        assert prf(count_cells(decisions, ds.targets >= 0.5)).fmeasure == 1.0
 
     def test_loss_monotone_at_small_learning_rate(self):
         ds = two_cluster_dataset()
         cfg = TrainConfig(learning_rate=1e-3, epochs=10, context_frames=1, seed=3)
-        _, history = train(ds, ds, cfg)
-        assert all(later <= earlier for earlier, later
-                   in zip(history.train_loss, history.train_loss[1:]))
+        # the parameters after epoch e are those of an e-epoch run whose
+        # schedule is explicit, less the entries it never reaches
+        losses = []
+        for e in range(11):
+            reached = tuple((at, m) for at, m in cfg.resolved_schedule() if at < e)
+            params = train(ds, ds, replace(cfg, epochs=e, lr_schedule=reached))
+            losses.append(bce_loss(params, ds.inputs, ds.targets))
+        assert all(later <= earlier for earlier, later in zip(losses, losses[1:]))
+        assert losses[-1] < losses[0]
 
     def test_deterministic(self):
         ds = two_cluster_dataset()
         cfg = TrainConfig(learning_rate=0.2, epochs=3, context_frames=1, seed=11)
-        params_a, hist_a = train(ds, ds, cfg)
-        params_b, hist_b = train(ds, ds, cfg)
+        params_a = train(ds, ds, cfg)
+        params_b = train(ds, ds, cfg)
         assert np.array_equal(params_a.weights, params_b.weights)
-        assert hist_a == hist_b
+        assert np.array_equal(params_a.bias, params_b.bias)
 
     @pytest.mark.parametrize("epoch", [-1, 4, 99])
     def test_schedule_epoch_that_never_comes_rejected(self, epoch):
@@ -259,11 +273,11 @@ class TestTrain:
                            context_frames=1, seed=2, lr_schedule=((1, 1e-12),))
         fast = TrainConfig(learning_rate=0.2, momentum=0.0, epochs=4,
                            context_frames=1, seed=2, lr_schedule=())
-        _, hist_slow = train(ds, ds, slow)
-        _, hist_fast = train(ds, ds, fast)
-        assert hist_slow.train_loss[0] == pytest.approx(hist_fast.train_loss[0])
-        assert abs(hist_slow.train_loss[-1] - hist_slow.train_loss[0]) < 1e-9
-        assert hist_fast.train_loss[-1] < hist_slow.train_loss[-1]
+        losses = [bce_loss(train(ds, ds, cfg), ds.inputs, ds.targets)
+                  for cfg in (replace(fast, epochs=1), slow, fast)]
+        first_epoch, slow_loss, fast_loss = losses
+        assert abs(slow_loss - first_epoch) < 1e-9
+        assert fast_loss < slow_loss
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_reports_epoch_and_batch(self):
@@ -284,7 +298,7 @@ class TestTrain:
                      targets=(rng.random((45, 3)) < 0.4).astype(float))
         cfg = TrainConfig(learning_rate=0.7, momentum=0.9, batch_size=8, epochs=4,
                           lr_schedule=((1, 0.5), (3, 0.5)), context_frames=1, seed=6)
-        init, _ = train(ds, ds, TrainConfig(epochs=0, context_frames=1, seed=6))
+        init = train(ds, ds, TrainConfig(epochs=0, context_frames=1, seed=6))
         weights, bias = init.weights, init.bias
         velocity_w, velocity_b = np.zeros_like(weights), np.zeros_like(bias)
         shuffle_rng = np.random.default_rng([cfg.seed & MASK64, 1])
@@ -303,7 +317,7 @@ class TestTrain:
                 velocity_b = mu * velocity_b - lr * grad_b
                 weights = weights + velocity_w
                 bias = bias + velocity_b
-        params, _ = train(ds, ds, cfg)
+        params = train(ds, ds, cfg)
         assert np.array_equal(params.weights, weights)
         assert np.array_equal(params.bias, bias)
 
@@ -315,17 +329,13 @@ class TestTrain:
         cfg = TrainConfig(learning_rate=0.5, momentum=0.9, batch_size=8, epochs=5,
                           lr_schedule=((2, 0.5), (4, 0.25)), context_frames=1, seed=4)
         stacked = Dataset(inputs=inputs, targets=np.hstack(blocks))
-        params, history = train(stacked, stacked, cfg, models=3)
-        losses = []
+        params = train(stacked, stacked, cfg, models=3)
         for j, targets in enumerate(blocks):
             alone = Dataset(inputs=inputs, targets=targets)
-            expected, alone_history = train(alone, alone, cfg)
-            losses.append(alone_history.train_loss)
+            expected = train(alone, alone, cfg)
             assert np.abs(params.weights[:, j * k:(j + 1) * k]
                           - expected.weights).max() <= 1e-12
             assert np.abs(params.bias[j * k:(j + 1) * k] - expected.bias).max() <= 1e-12
-        # the pooled history loss is the mean of the per-model losses
-        assert history.train_loss == pytest.approx(np.mean(losses, axis=0), rel=1e-12)
 
     def test_nan_target_names_its_block_and_batch(self):
         rng = np.random.default_rng(8)
@@ -357,7 +367,7 @@ class TestTrain:
 
         monkeypatch.setattr(trainer_module, "_block_losses", counting_block_losses)
         try:
-            params, _ = train(train_set, train_set, cfg, models=models)
+            params = train(train_set, train_set, cfg, models=models)
         except DivergenceError as exc:
             assert (exc.epoch, exc.batch, exc.models) == expected
         else:
@@ -365,35 +375,6 @@ class TestTrain:
             assert np.array_equal(params.bias, expected[1])
         if losses_computed is not None:
             assert len(calls) == losses_computed
-
-    @pytest.mark.parametrize("models,epochs", [(1, 4), (3, 4), (1, 0), (3, 0)])
-    def test_lazy_history_equals_per_epoch_full_pass(self, models, epochs):
-        rng = np.random.default_rng(12)
-        inputs, valid_inputs = rng.normal(0, 1, (50, 5)), rng.normal(0, 1, (20, 5))
-        train_set = Dataset(inputs=inputs,
-                            targets=(rng.random((50, 2 * models)) < 0.4).astype(float))
-        valid_set = Dataset(inputs=valid_inputs,
-                            targets=(rng.random((20, 2 * models)) < 0.4).astype(float))
-        cfg = TrainConfig(learning_rate=0.5, epochs=epochs,
-                          lr_schedule=((2, 0.5),) if epochs > 2 else (),
-                          context_frames=1, seed=4, threshold=0.4)
-        _, history = train(train_set, valid_set, cfg, models=models)
-        # reference: the parameters after epoch e are those of an e-epoch run
-        # (the schedule is explicit, less the entries it never reaches),
-        # scored by a full pass
-        train_loss, valid_loss, train_f = [], [], []
-        for e in range(1, epochs + 1):
-            reached = tuple((at, m) for at, m in cfg.lr_schedule if at < e)
-            params, _ = train(train_set, valid_set, replace(cfg, epochs=e, lr_schedule=reached),
-                              models=models)
-            train_loss.append(bce_loss(params, train_set.inputs, train_set.targets))
-            valid_loss.append(bce_loss(params, valid_set.inputs, valid_set.targets))
-            scores = trainer_module._sigmoid(train_set.inputs @ params.weights + params.bias)
-            train_f.append(prf(trainer_module.count_cells(
-                scores >= cfg.threshold, train_set.targets >= 0.5)).fmeasure)
-        assert history.train_loss == tuple(train_loss)
-        assert history.valid_loss == tuple(valid_loss)
-        assert history.train_fmeasure == tuple(train_f)
 
     @pytest.mark.parametrize("models,width,valid_width",
                              [(0, 4, 4), (-1, 4, 4), (3, 4, 4), (2, 5, 5), (2, 4, 6)])
@@ -411,14 +392,6 @@ class TestTrain:
             train(empty, ds, TrainConfig(context_frames=1))
         with pytest.raises(ContractError):
             train(ds, empty, TrainConfig(context_frames=1))
-
-    def test_history_lengths(self):
-        ds = two_cluster_dataset(n=30)
-        cfg = TrainConfig(learning_rate=0.1, epochs=5, context_frames=1, seed=0)
-        _, history = train(ds, ds, cfg)
-        assert len(history.train_loss) == 5
-        assert len(history.valid_loss) == 5
-        assert len(history.train_fmeasure) == 5
 
 
 class TestPredict:
@@ -451,10 +424,12 @@ class TestPredict:
         labels = rasterize(piece, grid, A)
         train_cfg = TrainConfig(learning_rate=1.0, epochs=4, seed=1)
         ds = make_examples(feats, labels, train_cfg.context_frames)
-        params, history = train(ds, ds, train_cfg)
+        params = train(ds, ds, train_cfg)
         pred = predict(params, feats, train_cfg.context_frames, train_cfg.threshold)
-        result = prf(framewise_counts(pred, labels))
-        assert result.fmeasure == pytest.approx(history.train_fmeasure[-1], abs=1e-12)
+        # predict applies the decision rule to the windows make_examples built
+        assert (framewise_counts(pred, labels)
+                == count_cells(window_decisions(params, ds, train_cfg.threshold),
+                               labels.frames.astype(bool)))
 
     def test_threshold_monotonicity(self):
         cfg = SynthConfig(num_pieces=1, piece_duration_sec=10.0, seed=8)
@@ -466,7 +441,7 @@ class TestPredict:
         labels = rasterize(piece, grid, A)
         train_cfg = TrainConfig(learning_rate=1.0, epochs=6, seed=2)
         ds = make_examples(feats, labels, train_cfg.context_frames)
-        params, _ = train(ds, ds, train_cfg)
+        params = train(ds, ds, train_cfg)
 
         results = []
         for threshold in (0.3, 0.5, 0.7):

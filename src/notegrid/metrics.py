@@ -112,8 +112,11 @@ def resample(matrix: LabelMatrix, target: FrameGrid) -> LabelMatrix:
         return LabelMatrix(frames=matrix.frames, grid=matrix.grid)
     (src_num, src_den), (tgt_num, tgt_den) = (matrix.grid.fps.as_integer_ratio(),
                                               target.fps.as_integer_ratio())
-    # in Python integers, since t' * src_num * tgt_den can pass 2**63
-    rows = np.arange(target.num_frames, dtype=object) * (src_num * tgt_den) // (src_den * tgt_num)
+    mul, div = src_num * tgt_den, src_den * tgt_num
+    # int64 while every t' * mul fits; Python integers past that, so that
+    # exotic rates stay exact
+    fits = target.num_frames * mul < 2 ** 63 and div < 2 ** 63
+    rows = np.arange(target.num_frames, dtype=np.int64 if fits else object) * mul // div
     source_rows = np.minimum(rows, matrix.num_frames - 1).astype(np.int64)
     return LabelMatrix(frames=matrix.frames[source_rows], grid=target)
 

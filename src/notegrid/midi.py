@@ -12,9 +12,10 @@ pedal extension of note durations.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import deque
 from typing import NoReturn
+
+import numpy as np
 
 from .annotation import PIANO_NUM_LABELS, PIANO_PITCH_OFFSET, Annotation
 from .errors import FormatError, RangeError, UnsupportedError, ValidationError
@@ -79,9 +80,18 @@ class _TempoMap:
             self.us.append(tempo_us)
         self.ppqn = ppqn
 
-    def to_seconds(self, tick: int) -> float:
-        i = bisect_right(self.ticks, tick) - 1
-        return self.seconds[i] + (tick - self.ticks[i]) * self.us[i] * 1e-6 / self.ppqn
+    def to_seconds(self, ticks: list[int]) -> np.ndarray:
+        """The times of ticks in seconds: seconds[i] + (tick - ticks[i]) *
+        us[i] * 1e-6 / ppqn for the last tempo change i at or before each
+        tick, with the integer product exact and rounded to float once."""
+        # int64 while every tick and product fits; Python integers past that
+        top = max(max(ticks, default=0), self.ticks[-1])
+        dtype = np.int64 if top * max(self.us) < 2 ** 63 else object
+        ticks = np.array(ticks, dtype=dtype)
+        starts = np.array(self.ticks, dtype=dtype)
+        i = np.searchsorted(starts, ticks, side="right") - 1
+        product = (ticks - starts[i]) * np.array(self.us, dtype=dtype)[i]
+        return np.array(self.seconds)[i] + product.astype(np.float64) * 1e-6 / self.ppqn
 
 
 def parse_midi(data: bytes, *, pitch_offset: int = PIANO_PITCH_OFFSET,
@@ -186,7 +196,7 @@ def parse_midi(data: bytes, *, pitch_offset: int = PIANO_PITCH_OFFSET,
     lowest = pitch_offset
     highest = pitch_offset + num_labels - 1
     pending: dict[tuple[int, int], deque[int]] = {}
-    onsets, offsets, labels = [], [], []
+    onset_ticks, offset_ticks, labels = [], [], []
     # a stable sort by tick keeps arrival order among equal ticks
     for tick, channel, pitch, is_on in sorted(notes, key=lambda n: n[0]):
         if is_on:
@@ -201,8 +211,8 @@ def parse_midi(data: bytes, *, pitch_offset: int = PIANO_PITCH_OFFSET,
                 f"zero-duration note for pitch {pitch} at tick {tick}")
         if not lowest <= pitch <= highest:
             raise RangeError(f"MIDI pitch {pitch} outside [{lowest}, {highest}]")
-        onsets.append(tempo_map.to_seconds(onset_tick))
-        offsets.append(tempo_map.to_seconds(tick))
+        onset_ticks.append(onset_tick)
+        offset_ticks.append(tick)
         labels.append(pitch - pitch_offset)
 
     dangling = sorted({pitch for (_, pitch), queue in pending.items() if queue})
@@ -211,4 +221,7 @@ def parse_midi(data: bytes, *, pitch_offset: int = PIANO_PITCH_OFFSET,
             "dangling note-on at end of track for pitch(es): "
             + ", ".join(str(p) for p in dangling))
 
-    return Annotation(onsets, offsets, labels, num_labels, max(offsets, default=0.0))
+    seconds = tempo_map.to_seconds(onset_ticks + offset_ticks)
+    onsets, offsets = seconds[:len(labels)], seconds[len(labels):]
+    return Annotation(onsets, offsets, labels, num_labels,
+                      float(offsets.max()) if len(labels) else 0.0)

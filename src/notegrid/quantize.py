@@ -260,19 +260,22 @@ def quantize_interval(fn: LabelingFunction, onset_sec: float, offset_sec: float,
 
 
 # The most cells a label matrix may have: 2**31 uint8 cells is 2 GiB, or
-# about 67 h of 88 labels at 100 fps. paint_ranges, the one painter behind
-# rasterize and render_features, checks it before it allocates.
+# about 67 h of 88 labels at 100 fps. _parts, behind the one painter of
+# rasterize and render_features and behind noise_ceiling, checks it before
+# anything is allocated or counted.
 MAX_LABEL_CELLS = 2 ** 31
 
 
-def paint_ranges(num_frames: int, num_labels: int, starts, ends, labels) -> np.ndarray:
-    """A uint8 frames-by-labels matrix with frames [starts[i], ends[i]) of
-    column labels[i] set to 1.
+def _parts(num_frames: int, num_labels: int, starts, ends, labels
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The frames [starts[i], ends[i]) of label labels[i], clipped to the
+    grid and cut into sorted, disjoint [lo, hi) parts of one line, on
+    which frame t of label k sits at k * (num_frames + 1) + t; returns
+    (lo, hi, label) int64 arrays, one entry per non-empty part.
 
-    Ranges are clipped to the grid, empty ones paint nothing, and
-    overlapping ones of the same label OR together. Bounds may be integers
-    or whole-valued floats. A matrix of more than MAX_LABEL_CELLS cells
-    raises ContractError.
+    Bounds may be integers or whole-valued floats. A grid of more than
+    MAX_LABEL_CELLS cells raises ContractError, as do labels outside
+    [0, num_labels) and non-finite bounds.
     """
     if int(num_frames) * int(num_labels) > MAX_LABEL_CELLS:
         frames = num_frames if num_frames < 2 ** 64 else f"{Decimal(num_frames):.3g}"
@@ -288,22 +291,38 @@ def paint_ranges(num_frames: int, num_labels: int, starts, ends, labels) -> np.n
         raise ContractError("range bounds must be finite")
     lo = np.clip(starts, 0, num_frames).astype(np.int64)
     hi = np.clip(ends, lo, num_frames).astype(np.int64)
-    # Give each label the stretch [label * span, label * span + num_frames]
-    # of one line and sort the ranges along it. The parts of the ranges
-    # past every earlier range's end are disjoint, so toggling a cell at
-    # each part's start and end, then XOR-ing down each column, gives the
-    # 0/1 coverage without allocating anything wider than the matrix.
-    span = num_frames + 1
-    base = labels * span
+    # The stretch of label k ends at frame num_frames, one before the next
+    # label's starts, so no range reaches into another label's. Sorted by
+    # start, the parts of the ranges past every earlier range's end are
+    # disjoint and cover what the ranges cover.
+    base = labels * (num_frames + 1)
     order = np.argsort(base + lo, kind="stable")
-    base, label, lo, hi = base[order], labels[order], (base + lo)[order], (base + hi)[order]
+    label, lo, hi = labels[order], (base + lo)[order], (base + hi)[order]
     reached = np.maximum.accumulate(np.concatenate(([0], hi))[:-1])
-    lo = np.maximum(lo, reached) - base
-    hi = np.maximum(hi, reached) - base
+    lo = np.maximum(lo, reached)
+    hi = np.maximum(hi, reached)
     part = lo < hi
+    return lo[part], hi[part], label[part]
+
+
+def paint_ranges(num_frames: int, num_labels: int, starts, ends, labels) -> np.ndarray:
+    """A uint8 frames-by-labels matrix with frames [starts[i], ends[i]) of
+    column labels[i] set to 1.
+
+    Ranges are clipped to the grid, empty ones paint nothing, and
+    overlapping ones of the same label OR together. Bounds may be integers
+    or whole-valued floats. A matrix of more than MAX_LABEL_CELLS cells
+    raises ContractError.
+    """
+    lo, hi, label = _parts(num_frames, num_labels, starts, ends, labels)
+    # Toggling a cell at each disjoint part's start and end, then XOR-ing
+    # down each column, gives the 0/1 coverage without allocating anything
+    # wider than the matrix.
+    span = num_frames + 1
+    base = label * span
     frames = np.zeros((span, num_labels), dtype=np.uint8)
-    frames[lo[part], label[part]] = 1
-    frames[hi[part], label[part]] ^= 1  # a part may end where the next starts
+    frames[lo - base, label] = 1
+    frames[hi - base, label] ^= 1  # a part may end where the next starts
     # XOR carries nothing between bytes, so a row's bytes go a word at a time
     words = frames.view(f"u{math.gcd(num_labels, 8)}")
     np.bitwise_xor.accumulate(words, axis=0, out=words)
@@ -350,12 +369,29 @@ def noise_ceiling(annotation: Annotation, grid: FrameGrid, fn: LabelingFunction,
                   seed: int = 0):
     """Model-free misalignment ceiling of a labeling function.
 
-    Evaluates the fn-rasterization directly against the round-both
-    reference rasterization on the same grid, bounding what any classifier
-    trained on fn-labels could score against that reference.
+    Scores the fn-rasterization against the round-both reference
+    rasterization on the same grid, bounding what any classifier trained
+    on fn-labels could score against that reference. The counts come from
+    the two rasterizations' disjoint frame ranges, so no matrix is
+    painted; they equal framewise_counts of the two matrices exactly.
     """
-    from .metrics import framewise_counts, prf
+    from .metrics import EvalCounts, prf
 
-    pred = rasterize(annotation, grid, fn, seed)
-    ref = rasterize(annotation, grid, LabelingFunction.A, 0)
-    return prf(framewise_counts(pred, ref))
+    def parts(f: LabelingFunction, s: int) -> tuple[np.ndarray, np.ndarray]:
+        q = quantize(f, annotation.onsets, annotation.offsets, grid.dt,
+                     seeded_shifts(f, s, len(annotation)))
+        return _parts(grid.num_frames, annotation.num_labels, q.t_s, q.t_e,
+                      annotation.labels)[:2]
+
+    pred_lo, pred_hi = parts(fn, seed)
+    ref_lo, ref_hi = parts(LabelingFunction.A, 0)
+    # The reference cells below line position x are those of the parts
+    # starting at or before x, less what the last of them runs past x.
+    ref_below = np.concatenate(([0], np.cumsum(ref_hi - ref_lo)))
+    ref_ends = np.concatenate(([0], ref_hi))
+    x = np.stack((pred_lo, pred_hi))
+    j = np.searchsorted(ref_lo, x, side="right")
+    below = ref_below[j] - np.maximum(ref_ends[j] - x, 0)
+    tp = int((below[1] - below[0]).sum())
+    pred_cells = int((pred_hi - pred_lo).sum())
+    return prf(EvalCounts(tp=tp, fp=pred_cells - tp, fn_=int(ref_below[-1]) - tp))

@@ -1,10 +1,13 @@
 """Minimal Standard MIDI File writer used to build parser fixtures.
 
 Only what the tests need: format 0/1 headers, note on/off, Set Tempo and
-End of Track events, and raw byte injection for running-status cases.
+End of Track events, raw byte injection for running-status cases, and a
+seeded mutator for fuzz cases.
 """
 
 from __future__ import annotations
+
+import random
 
 
 def vlq(value: int) -> bytes:
@@ -88,3 +91,42 @@ def simple_file(notes: list[tuple[int, int, int]], *, ppqn: int = 480,
         events.append((tick - cursor, payload))
         cursor = tick
     return build([track(events)], fmt=fmt, ppqn=ppqn)
+
+
+def mixed_file() -> bytes:
+    """A format-1 file with a tempo track and a note track holding a
+    sysex event, running status and a program change."""
+    tempo = track([(0, set_tempo(600000)), (700, set_tempo(400000))])
+    notes = track([
+        (0, bytes([0xF0, 0x03, 0x01, 0x02, 0xF7])),
+        (0, note_on(60, 80)),
+        (120, bytes([64, 80])),         # running status: on(64)
+        (120, bytes([60, 0])),          # running status: off(60) via vel 0
+        (200, bytes([0xC0, 5])),
+        (40, note_on(67, 70, channel=1)),
+        (1000, note_off(64)),
+        (100, note_off(67, channel=1)),
+    ])
+    return build([tempo, notes], fmt=1)
+
+
+MUTATION_BYTES = (0x00, 0x7F, 0x80, 0x81, 0xF0, 0xF2, 0xF7, 0xFE, 0xFF, 0x51, 0x2F, 0x90)
+
+
+def mutate(data: bytes, rng: random.Random) -> bytes:
+    """One to three edits: insert a byte, insert an over-long VLQ, flip a
+    bit or delete a byte."""
+    out = bytearray(data)
+    for _ in range(rng.randint(1, 3)):
+        op = rng.randrange(4)
+        at = rng.randrange(len(out) + 1)
+        if op == 0:
+            out.insert(at, rng.choice(MUTATION_BYTES))
+        elif op == 1:
+            out[at:at] = b"\x81" * rng.randint(4, 5)
+        elif at < len(out):
+            if op == 2:
+                out[at] ^= 1 << rng.randrange(8)
+            else:
+                del out[at]
+    return bytes(out)

@@ -263,6 +263,34 @@ class TestLabelFileFuzz:
         assert not failures, failures[:5]
 
 
+class TestSmfFuzz:
+    def test_mutated_smf_files_exit_cleanly(self, tmp_path, capsys):
+        """Seeded mutations of one SMF file through inspect and rasterize:
+        every exit code is 0, 2, 3 or 4, and nothing prints a traceback or
+        escapes main."""
+        mutant, out = tmp_path / "m.mid", str(tmp_path / "out")
+        commands = [["inspect", str(mutant)],
+                    ["rasterize", str(mutant), "--fps", "100", "--fn", "f", "--seed", "3",
+                     "--out", out]]
+        base = smf.mixed_file()
+        rng = random.Random(FUZZ_SEED)
+        failures, codes = [], set()
+        for case in range(100):
+            mutant.write_bytes(smf.mutate(base, rng))
+            capsys.readouterr()
+            for argv in commands:
+                try:
+                    code = run_cli(argv)
+                except Exception as exc:  # an escape is a failure to report
+                    code = f"{type(exc).__name__}: {exc}"
+                captured = capsys.readouterr()
+                codes.add(code)
+                if code not in (0, 2, 3, 4) or "Traceback" in captured.out + captured.err:
+                    failures.append((case, argv[0], code, mutant.read_bytes()))
+        assert not failures, failures[:5]
+        assert 0 in codes and len(codes) > 1  # some cases parse, some fail
+
+
 class TestNonUtf8Input:
     """A byte that is not UTF-8 is a FormatError naming the file (exit 4)."""
 

@@ -145,6 +145,28 @@ class TestResample:
                     for t in range(target.num_frames)]
         assert rows.tolist() == expected
 
+    @pytest.mark.parametrize("src_fps,tgt_fps,num_frames,past_bound", [
+        (31.25, 100.0, 60000, False), (100.0, 31.25, 18750, False),
+        (30.0, 86.1328125, 30000, False), (44100 / 512, 100.0, 5000, False),
+        (0.75, 2.5, 4000, False), (1 / 3, 1 / 7, 4000, True)])
+    def test_int64_rows_equal_python_integer_rows(self, src_fps, tgt_fps, num_frames,
+                                                  past_bound):
+        (src_num, src_den), (tgt_num, tgt_den) = (src_fps.as_integer_ratio(),
+                                                  tgt_fps.as_integer_ratio())
+        # past the bound t' * src_num * tgt_den overflows int64: Python integers only
+        assert (num_frames * src_num * tgt_den >= 2 ** 63) == past_bound
+        src = FrameGrid(fps=src_fps, num_frames=2 ** 14 - 1)
+        bits = (np.arange(src.num_frames)[:, None] >> np.arange(14)) & 1
+        out = resample(LabelMatrix(frames=bits, grid=src),
+                       FrameGrid(fps=tgt_fps, num_frames=num_frames))
+        rows = out.frames.astype(np.int64) @ (1 << np.arange(14))
+        exact = np.arange(num_frames, dtype=object) * (src_num * tgt_den) // (src_den * tgt_num)
+        assert rows.tolist() == np.minimum(exact, src.num_frames - 1).tolist()
+        if not past_bound:
+            in_int64 = np.arange(num_frames) * (src_num * tgt_den) // (src_den * tgt_num)
+            assert in_int64.dtype == np.int64
+            assert rows.tolist() == np.minimum(in_int64, src.num_frames - 1).tolist()
+
     def test_idempotent_at_fixed_target(self):
         rng = np.random.default_rng(8)
         m = random_matrix(rng, 32, 4, fps=31.25)

@@ -126,6 +126,22 @@ class TestBasicParsing:
         assert abs(ann.events[0].offset_sec - seconds(720, segments, 480)) < 1e-12
         assert abs(ann.events[0].offset_sec - 0.625) < 1e-12
 
+    def test_tick_products_past_int64_stay_exact(self):
+        # 2,100 maximal deltas put the note near tick 2**39.04, and at
+        # 2**24 - 1 us per quarter tick * tempo passes 2**63
+        step, tempo = 2 ** 28 - 1, 2 ** 24 - 1
+        text = bytes([0xFF, 0x01, 0x00])
+        events = ([(0, smf.set_tempo(tempo))] + [(step, text)] * 2100
+                  + [(0, smf.note_on(60)), (step, smf.note_off(60))])
+        ann = parse_midi(smf.build([smf.track(events)], fmt=0, ppqn=1))
+        onset_tick, offset_tick = 2100 * step, 2101 * step
+        assert onset_tick * tempo >= 2 ** 63
+        # the scalar formula, with the integer product rounded to float once
+        assert ann.onsets.tolist() == [onset_tick * tempo * 1e-6 / 1]
+        assert ann.offsets.tolist() == [offset_tick * tempo * 1e-6 / 1]
+        exact = seconds(offset_tick, [(0, tempo)], 1)
+        assert abs(ann.offsets[0] - exact) <= 1e-15 * exact
+
     def test_overlapping_same_pitch_fifo(self):
         events = [
             (0, smf.note_on(60, 80)),
@@ -267,45 +283,6 @@ class TestErrors:
             parse_midi(data)
 
 
-def pinned_smf() -> bytes:
-    """A format-1 file with a tempo track and a note track holding a
-    sysex event, running status and a program change."""
-    tempo = smf.track([(0, smf.set_tempo(600000)), (700, smf.set_tempo(400000))])
-    notes = smf.track([
-        (0, bytes([0xF0, 0x03, 0x01, 0x02, 0xF7])),
-        (0, smf.note_on(60, 80)),
-        (120, bytes([64, 80])),         # running status: on(64)
-        (120, bytes([60, 0])),          # running status: off(60) via vel 0
-        (200, bytes([0xC0, 5])),
-        (40, smf.note_on(67, 70, channel=1)),
-        (1000, smf.note_off(64)),
-        (100, smf.note_off(67, channel=1)),
-    ])
-    return smf.build([tempo, notes], fmt=1)
-
-
-MUTATION_BYTES = (0x00, 0x7F, 0x80, 0x81, 0xF0, 0xF2, 0xF7, 0xFE, 0xFF, 0x51, 0x2F, 0x90)
-
-
-def mutate(data: bytes, rng: random.Random) -> bytes:
-    """One to three edits: insert a byte, insert an over-long VLQ, flip a
-    bit or delete a byte."""
-    out = bytearray(data)
-    for _ in range(rng.randint(1, 3)):
-        op = rng.randrange(4)
-        at = rng.randrange(len(out) + 1)
-        if op == 0:
-            out.insert(at, rng.choice(MUTATION_BYTES))
-        elif op == 1:
-            out[at:at] = b"\x81" * rng.randint(4, 5)
-        elif at < len(out):
-            if op == 2:
-                out[at] ^= 1 << rng.randrange(8)
-            else:
-                del out[at]
-    return bytes(out)
-
-
 def outcome(data: bytes) -> str:
     try:
         ann = parse_midi(data)
@@ -320,10 +297,10 @@ class TestPinnedOutcomes:
     byte-at-a-time reader gave; its outcomes are frozen as one sha256."""
 
     def test_prefixes_and_mutations(self):
-        base = pinned_smf()
+        base = smf.mixed_file()
         rng = random.Random(9)
         cases = [base[:n] for n in range(len(base) + 1)]
-        cases += [mutate(base, rng) for _ in range(300)]
+        cases += [smf.mutate(base, rng) for _ in range(300)]
         outcomes = [outcome(case) for case in cases]
         kinds = Counter(o.split(":")[0] if not o.startswith("ok") else "ok" for o in outcomes)
         assert kinds == {"FormatError": 352, "UnsupportedError": 14, "ValidationError": 7,

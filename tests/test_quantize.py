@@ -480,6 +480,69 @@ class TestNoiseCeiling:
         result = noise_ceiling(ann, grid, C, 0)
         assert result.fmeasure < 1.0
 
+    @staticmethod
+    def assert_equals_matrix_count(ann, grid, seed):
+        """noise_ceiling, counted from ranges, equals the cellwise count of
+        the two painted matrices for every labeling function."""
+        from notegrid import framewise_counts, prf
+
+        ref = rasterize(ann, grid, A, 0)
+        for fn in LabelingFunction:
+            expected = prf(framewise_counts(rasterize(ann, grid, fn, seed), ref))
+            assert noise_ceiling(ann, grid, fn, seed) == expected, (fn, grid, seed)
+
+    @pytest.mark.parametrize("fps", [100.0, 31.25])
+    @pytest.mark.parametrize("clipped", [False, True])
+    def test_range_count_equals_matrix_count(self, hundred_notes, fps, clipped):
+        # a clipped grid ends mid-annotation, so notes run past its end
+        grid = FrameGrid.covering(fps, 20.0 if clipped else hundred_notes.duration_sec)
+        for seed in (0, 1, 12345):
+            self.assert_equals_matrix_count(hundred_notes, grid, seed)
+
+    @pytest.mark.parametrize("case", range(8))
+    def test_range_count_on_random_annotations(self, case):
+        r = random.Random(case)
+        num_labels = r.randint(1, 6)
+        onsets = [r.random() * 3.0 for _ in range(r.randint(0, 60))]
+        ann = Annotation(onsets, [t + 1e-4 + r.random() * r.choice([0.02, 0.5]) for t in onsets],
+                         [r.randrange(num_labels) for _ in onsets], num_labels, 3.6)
+        for fps in (100.0, 31.25):
+            for seconds in (1.0, 3.6):
+                self.assert_equals_matrix_count(ann, FrameGrid.covering(fps, seconds), case)
+
+    def test_range_count_on_stacked_clamped_and_degenerate_notes(self):
+        events = ([NoteEvent(0.0, 0.02, 0), NoteEvent(0.001, 0.004, 1)]  # shifts clamp at 0
+                  + [NoteEvent(0.1 + 0.01 * i, 0.3 + 0.02 * i, 2) for i in range(6)]  # stacked
+                  + [NoteEvent(0.2, 0.25, 2), NoteEvent(0.25, 0.3, 2)]  # end-to-end
+                  + [NoteEvent(0.5 + 0.1 * i, 0.5 + 0.1 * i + 0.003, 3) for i in range(5)])
+        ann = Annotation.from_events(events, num_labels=4, duration_sec=1.0)
+        grid = FrameGrid(fps=100.0, num_frames=100)
+        for fn in (C, D):  # 3 ms notes quantize to zero length
+            assert quantize(fn, ann.onsets, ann.offsets, grid.dt).degenerate.any(), fn
+        clamps = 0
+        for seed in range(40):
+            clamps += sum(rasterize_with_records(ann, grid, fn, seed)[1].clamped.sum()
+                          for fn in (E, F))
+            self.assert_equals_matrix_count(ann, grid, seed)
+        assert clamps
+
+    def test_paints_no_matrix(self, hundred_notes, monkeypatch):
+        import notegrid.quantize
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("noise_ceiling painted a matrix")
+
+        monkeypatch.setattr(notegrid.quantize, "paint_ranges", refuse)
+        grid = FrameGrid.covering(100.0, hundred_notes.duration_sec)
+        for fn in LabelingFunction:
+            noise_ceiling(hundred_notes, grid, fn, 3)
+
+    def test_grid_past_cell_budget_rejected(self):
+        ann = Annotation.from_events([NoteEvent(0.5, 0.9, 1)], num_labels=4)
+        with pytest.raises(ContractError, match=f"{2 ** 62} frames x 4 labels exceeds "
+                                                f"the budget of {2 ** 31} cells"):
+            noise_ceiling(ann, FrameGrid(fps=100.0, num_frames=2 ** 62), B)
+
     def test_zero_shifts_reduce_to_reference(self, hundred_notes):
         from notegrid import framewise_counts, prf
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import numbers
 import sys
 import typing
@@ -357,7 +358,10 @@ def _add_annotation_options(sub) -> None:
                      help="size of the label space (default 88)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing reads it and
+    never changes it, and every call gets a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="notegrid",
         description="Framewise label matrices from interval annotations, "

@@ -228,8 +228,18 @@ def write_feature_matrix(features: FeatureMatrix, csv_path: Path) -> None:
     })
 
 
+def _feature_cells_exact(data: bytes) -> np.ndarray | None:
+    """The (T, 0) cells of a feature CSV of T >= 1 newline-only rows, which
+    write_feature_matrix writes for no feature columns; None for any other
+    bytes, which the line parser reads."""
+    if data[:1] != b"\n" or data.count(b"\n") != len(data):
+        return None
+    return np.zeros((len(data), 0))
+
+
 def read_feature_matrix(csv_path: Path) -> FeatureMatrix:
-    _, grid, values = _read_matrix_csv(csv_path, float, "non-numeric", "feature_dim")
+    _, grid, values = _read_matrix_csv(csv_path, float, "non-numeric", "feature_dim",
+                                       decode_exact=_feature_cells_exact)
     return FeatureMatrix(values=values, grid=grid)
 
 

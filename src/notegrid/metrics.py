@@ -199,8 +199,22 @@ def windowed_counts(pred: LabelMatrix, ref: LabelMatrix,
     TP/FP/FN cells. The prediction is resampled onto the truncated grid,
     which gives the truncated rows: resample's row t' depends only on t',
     the two rates and the prediction's length."""
+    return windowed_block_counts(pred, ref, window_sec, 1)[0]
+
+
+def windowed_block_counts(pred: LabelMatrix, ref: LabelMatrix, window_sec: float,
+                          blocks: int) -> list[EvalCounts]:
+    """windowed_counts of each of `blocks` equal column blocks of `pred`
+    against `ref`, resampling and truncating once for all of them; resample
+    only selects rows, so each block counts as it would alone."""
+    if blocks < 1 or pred.num_labels % blocks:
+        raise ContractError(f"{pred.num_labels} columns cannot be split into {blocks} blocks")
     ref = truncate(ref, window_sec)
-    return framewise_counts(resample(pred, ref.grid), ref)
+    pred = resample(pred, ref.grid)
+    k = pred.num_labels // blocks
+    return [framewise_counts(LabelMatrix(frames=pred.frames[:, j * k:(j + 1) * k],
+                                         grid=pred.grid), ref)
+            for j in range(blocks)]
 
 
 def evaluate_against_reference(pred: LabelMatrix, annotation: Annotation, *,

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ContractError, DivergenceError
-from .metrics import EvalCounts, prf, windowed_counts
+from .metrics import EvalCounts, prf, windowed_block_counts
 from .quantize import FrameGrid, LabelingFunction, LabelMatrix, rasterize
 from .synth import FeatureMatrix, SynthConfig, generate_corpus, render_features
 from .util import MASK64, derive_seed
@@ -170,9 +170,10 @@ def _block_losses(z: np.ndarray, targets: np.ndarray, models: int) -> np.ndarray
 def _gradient(z: np.ndarray, inputs: np.ndarray, targets: np.ndarray,
               models: int) -> tuple[np.ndarray, np.ndarray]:
     # normalised per block like the loss, so a block trains exactly as it
-    # would alone
-    residual = (_sigmoid(z) - targets) / (targets.size // models)
-    return inputs.T @ residual, residual.sum(axis=0)
+    # would alone; a leading axis of lockstep problems is carried through
+    cells = targets.shape[-2] * (targets.shape[-1] // models)
+    residual = (_sigmoid(z) - targets) / cells
+    return inputs.swapaxes(-1, -2) @ residual, residual.sum(axis=-2)
 
 
 def _loss_and_gradient(weights: np.ndarray, bias: np.ndarray, inputs: np.ndarray,
@@ -201,6 +202,147 @@ def _init_params(dim: int, num_labels: int, seed: int) -> ModelParams:
     rng = np.random.default_rng([seed & MASK64, 0])
     return ModelParams(weights=rng.normal(0.0, 0.01, size=(dim, num_labels)),
                        bias=np.zeros(num_labels))
+
+
+def _pad_pieces(piece, num_problems: int, num_pieces: int,
+                context_frames: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lockstep inputs (frames, starts) from piece(s, p), the feature rows
+    of piece p of problem s; every piece has the same shape.
+
+    frames[s] holds problem s's pieces with context_frames // 2 zero rows
+    before the first, between pieces and after the last; it is allocated
+    once the first piece is drawn, so that piece's own checks come first.
+    Example t of every problem is the window of context_frames rows from
+    starts[t], which flattened is _windows' row for that frame of its piece.
+    """
+    pad = context_frames // 2
+    frames = None
+    for s in range(num_problems):
+        for p in range(num_pieces):
+            values = piece(s, p)
+            if frames is None:
+                span = len(values) + pad
+                frames = np.zeros((num_problems, pad + num_pieces * span, values.shape[1]))
+            frames[s, pad + p * span:(p + 1) * span] = values
+    return frames, np.arange(num_pieces * span).reshape(num_pieces, span)[:, :span - pad].ravel()
+
+
+def _first_divergence(z: np.ndarray, targets: np.ndarray, limits: np.ndarray,
+                      models: int) -> tuple[int, np.ndarray] | None:
+    """The first problem of a lockstep batch with a non-finite block loss,
+    and those blocks' indices; only the problems whose logits fail their
+    screen limit compute their losses."""
+    peaks = np.abs(z).reshape(len(z), -1).max(axis=1, initial=0.0)
+    for s in np.flatnonzero(~(peaks < limits)).tolist():
+        blocks = np.flatnonzero(~np.isfinite(_block_losses(z[s], targets[s], models)))
+        if blocks.size:
+            return s, blocks
+    return None
+
+
+def _train_lockstep(frames: np.ndarray, width: int, starts: np.ndarray,
+                    targets: np.ndarray, seeds: list[int], cfg: TrainConfig,
+                    models: int) -> tuple[np.ndarray, np.ndarray,
+                                          tuple[int, DivergenceError] | None]:
+    """train() of S equal-sized problems at once, one batched step for all.
+
+    frames is (S, R, D), C-contiguous; example i of problem s is the
+    `width` rows frames[s, starts[i]:starts[i] + width], flattened, with
+    targets[s, i] (S, n, G*K, of any real dtype). Problem s trains as
+    train() would with cfg.seed = seeds[s]: its own initialization and
+    shuffle stream, the same float operations, and its own divergence
+    screen. Each batch gathers every problem's rows with one fancy index
+    and makes one 3-D matmul each way.
+
+    Returns weights (S, width*D, G*K), biases (S, G*K) and None, or, when
+    a problem diverges, a failure (s, error) for the first problem in order
+    whose training diverges: the error train() raises for it alone. The
+    problems after a diverged one stop there, and those before it run to
+    the end, so s is the one sequential training would report.
+    """
+    num_problems, rows_per_problem, dim = frames.shape
+    n, columns = targets.shape[1:]
+    num_labels = columns // models
+    inits = [_init_params(width * dim, num_labels, seed) for seed in seeds]
+    weights = np.stack([np.tile(init.weights, (1, models)) for init in inits])
+    bias = np.stack([np.tile(init.bias, models) for init in inits])
+    # every window is `width` contiguous rows, so one strided view, one
+    # frame per step, holds all of them without a copy
+    flat = frames.reshape(num_problems * rows_per_problem, dim)
+    windows = np.lib.stride_tricks.as_strided(
+        flat, shape=(len(flat) - width + 1, width * dim), strides=flat.strides,
+        writeable=False)
+    offsets = np.arange(num_problems)[:, None]
+    flat_targets = targets.reshape(num_problems * n, columns)
+
+    # Divergence screen: a cell softplus(z) - y*z is at most 1 + |z|(1 + ymax)
+    # in size, so while every |z| of a problem's batch stays below its
+    # `limit` no sum of that batch's cells can overflow and every block loss
+    # is finite. Only a problem whose batch fails the comparison (a NaN or
+    # inf logit included) computes its losses, to decide divergence exactly
+    # as on every batch. A NaN target, or no target column, makes the limit 0.
+    cells = cfg.batch_size * columns
+    limits = []
+    for problem_targets in targets:
+        ymax = float(np.abs(problem_targets).max(initial=0.0))
+        limits.append(1e300 / (cells * (1.0 + ymax))
+                      if cells and math.isfinite(ymax) else 0.0)
+    limits = np.array(limits)
+    lowest = limits.min()
+
+    # the step runs in place: mu*v is formed once and feeds both the
+    # look-ahead point and the new velocity, in the same float operations
+    # as weights + mu*v, mu*v - lr*g, weights + v
+    velocity_w, velocity_b = np.zeros_like(weights), np.zeros_like(bias)
+    momentum_w, momentum_b = np.empty_like(weights), np.empty_like(bias)
+    ahead_w, ahead_b = np.empty_like(weights), np.empty_like(bias)
+    shuffle_rngs = [np.random.default_rng([seed & MASK64, 1]) for seed in seeds]
+    schedule = cfg.resolved_schedule()
+    failure = None
+
+    lr = cfg.learning_rate
+    mu = cfg.momentum
+    for epoch in range(cfg.epochs):
+        for at_epoch, multiplier in schedule:
+            if at_epoch == epoch:
+                lr *= multiplier
+        orders = np.stack([rng.permutation(n) for rng in shuffle_rngs])
+        window_rows = starts[orders] + offsets[:len(orders)] * rows_per_problem
+        target_rows = orders + offsets[:len(orders)] * n
+        for batch_index, start in enumerate(range(0, n, cfg.batch_size)):
+            x = windows[window_rows[:, start:start + cfg.batch_size]]
+            y = flat_targets[target_rows[:, start:start + cfg.batch_size]]
+            np.multiply(mu, velocity_w, out=momentum_w)
+            np.multiply(mu, velocity_b, out=momentum_b)
+            np.add(weights, momentum_w, out=ahead_w)
+            np.add(bias, momentum_b, out=ahead_b)
+            z = x @ ahead_w + ahead_b[:, None]
+            if not np.abs(z).max(initial=0.0) < lowest:
+                found = _first_divergence(z, y, limits, models)
+                if found is not None:
+                    s, blocks = found
+                    failure = s, DivergenceError(
+                        f"non-finite loss at epoch {epoch}, batch {batch_index}",
+                        epoch=epoch, batch=batch_index, models=tuple(blocks.tolist()))
+                    if s == 0:
+                        return weights, bias, failure
+                    # the problems from the diverged one on stop here
+                    (weights, bias, velocity_w, velocity_b, momentum_w, momentum_b,
+                     ahead_w, ahead_b, limits, window_rows, target_rows, x, y, z) = (
+                        a[:s] for a in (weights, bias, velocity_w, velocity_b, momentum_w,
+                                        momentum_b, ahead_w, ahead_b, limits, window_rows,
+                                        target_rows, x, y, z))
+                    shuffle_rngs = shuffle_rngs[:s]
+                    lowest = limits.min()
+            grad_w, grad_b = _gradient(z, x, y, models)
+            grad_w *= lr
+            grad_b *= lr
+            np.subtract(momentum_w, grad_w, out=velocity_w)
+            np.subtract(momentum_b, grad_b, out=velocity_b)
+            weights += velocity_w
+            bias += velocity_b
+
+    return weights, bias, failure
 
 
 def train(train_set: Dataset, valid_set: Dataset, cfg: TrainConfig, *,
@@ -234,63 +376,13 @@ def train(train_set: Dataset, valid_set: Dataset, cfg: TrainConfig, *,
             f"{train_set.targets.shape[1]} target columns cannot be split "
             f"into {models} models")
 
-    dim = train_set.inputs.shape[1]
-    num_labels = train_set.targets.shape[1] // models
-    init = _init_params(dim, num_labels, cfg.seed)
-    weights = np.tile(init.weights, (1, models))
-    bias = np.tile(init.bias, models)
-
-    # Divergence screen: a cell softplus(z) - y*z is at most 1 + |z|(1 + ymax)
-    # in size, so while every |z| of a batch stays below `limit` no sum of a
-    # batch's cells can overflow and every block loss is finite. Only a batch
-    # that fails the comparison (a NaN or inf logit included) computes its
-    # losses, to decide divergence exactly as on every batch. A NaN target,
-    # or no target column, makes the limit 0.
-    ymax = float(np.abs(train_set.targets).max(initial=0.0))
-    cells = cfg.batch_size * train_set.targets.shape[1]
-    limit = 1e300 / (cells * (1.0 + ymax)) if cells and math.isfinite(ymax) else 0.0
-
-    # the step runs in place: mu*v is formed once and feeds both the
-    # look-ahead point and the new velocity, in the same float operations
-    # as weights + mu*v, mu*v - lr*g, weights + v
-    velocity_w, velocity_b = np.zeros_like(weights), np.zeros_like(bias)
-    momentum_w, momentum_b = np.empty_like(weights), np.empty_like(bias)
-    ahead_w, ahead_b = np.empty_like(weights), np.empty_like(bias)
-    shuffle_rng = np.random.default_rng([cfg.seed & MASK64, 1])
-    schedule = cfg.resolved_schedule()
-
-    lr = cfg.learning_rate
-    mu = cfg.momentum
-    n = train_set.num_examples
-    for epoch in range(cfg.epochs):
-        for at_epoch, multiplier in schedule:
-            if at_epoch == epoch:
-                lr *= multiplier
-        order = shuffle_rng.permutation(n)
-        for batch_index, start in enumerate(range(0, n, cfg.batch_size)):
-            idx = order[start:start + cfg.batch_size]
-            x = train_set.inputs[idx]
-            y = train_set.targets[idx]
-            np.multiply(mu, velocity_w, out=momentum_w)
-            np.multiply(mu, velocity_b, out=momentum_b)
-            np.add(weights, momentum_w, out=ahead_w)
-            np.add(bias, momentum_b, out=ahead_b)
-            z = x @ ahead_w + ahead_b
-            if not np.abs(z).max(initial=0.0) < limit:
-                diverged = np.flatnonzero(~np.isfinite(_block_losses(z, y, models)))
-                if diverged.size:
-                    raise DivergenceError(
-                        f"non-finite loss at epoch {epoch}, batch {batch_index}",
-                        epoch=epoch, batch=batch_index, models=tuple(diverged.tolist()))
-            grad_w, grad_b = _gradient(z, x, y, models)
-            grad_w *= lr
-            grad_b *= lr
-            np.subtract(momentum_w, grad_w, out=velocity_w)
-            np.subtract(momentum_b, grad_b, out=velocity_b)
-            weights += velocity_w
-            bias += velocity_b
-
-    return ModelParams(weights=weights, bias=bias)
+    # one problem whose windows are its input rows
+    weights, bias, failure = _train_lockstep(
+        train_set.inputs[None], 1, np.arange(train_set.num_examples),
+        train_set.targets[None], [cfg.seed], cfg, models)
+    if failure is not None:
+        raise failure[1]
+    return ModelParams(weights=weights[0], bias=bias[0])
 
 
 def predict(params: ModelParams, features: FeatureMatrix, context_frames: int,
@@ -360,6 +452,12 @@ def _split_indices(num_pieces: int) -> tuple[range, range, range]:
             range(n_train + n_valid, num_pieces))
 
 
+# Seeds train in lockstep in groups of at most this many, so memory stays
+# bounded however many seeds an experiment lists: a seed's padded train
+# features and targets take about 9.5 MB at the default configs.
+_LOCKSTEP_SEEDS = 8
+
+
 def run_sensitivity_experiment(synth_cfg: SynthConfig,
                                fns: list[LabelingFunction],
                                train_grid: FrameGrid,
@@ -372,67 +470,70 @@ def run_sensitivity_experiment(synth_cfg: SynthConfig,
     For each seed, one synthetic corpus is generated and split 60/20/20
     into train/valid/test by piece; features, splits, and model
     initialization are shared across labeling functions, so within a seed
-    the only varying factor is how training targets were quantized.
+    the only varying factor is how training targets were quantized. Nothing
+    reads the valid pieces, so they are neither rendered nor rasterized.
 
-    Within a seed the distinct functions train once, in lockstep, as one
-    stacked model (train(..., models=G)); a repeated function reuses its
-    result. The stacked model predicts each test piece once, and each
-    function's column block is scored by windowed_counts against the
-    reference rasterization (function a on eval_grid). Returns one test
-    row per (fn, seed), in fns order.
+    The distinct functions of a seed train as one stacked model (as
+    train(..., models=G) does), and the distinct seeds train in lockstep,
+    up to _LOCKSTEP_SEEDS at a time, through the kernel behind train().
+    Each seed's train features are written once, zero-padded per piece,
+    and every batch gathers its windows from them. A repeated function or
+    seed reuses its result. Each seed's stacked model predicts each test
+    piece once, and windowed_block_counts scores every function's column
+    block against the reference rasterization (function a on eval_grid).
+    Returns one test row per (fn, seed), for each seed in fns order.
     DivergenceError from training is re-raised annotated with the failing
-    function(s) and seed.
+    function(s) and seed: the first seed in list order whose training
+    diverges, the one that training seed by seed would report.
     """
     if not fns:
         raise ContractError("fns must be non-empty")
     if not seeds:
         raise ContractError("seeds must be non-empty")
+    train_idx, _, test_idx = _split_indices(synth_cfg.num_pieces)
+    distinct = list(dict.fromkeys(fns))
+    distinct_seeds = list(dict.fromkeys(seeds))
 
-    rows = []
-    for seed in seeds:
-        corpus_cfg = replace(synth_cfg, seed=derive_seed(synth_cfg.seed, seed))
-        corpus = generate_corpus(corpus_cfg)
-        train_idx, valid_idx, test_idx = _split_indices(len(corpus))
-        features = [render_features(piece, train_grid, corpus_cfg, noise_seed=i)
-                    for i, piece in enumerate(corpus)]
-        cfg_seeded = replace(train_cfg, seed=derive_seed(train_cfg.seed, seed))
+    scores = {}
+    for first in range(0, len(distinct_seeds), _LOCKSTEP_SEEDS):
+        group = distinct_seeds[first:first + _LOCKSTEP_SEEDS]
+        corpus_cfgs = [replace(synth_cfg, seed=derive_seed(synth_cfg.seed, seed))
+                       for seed in group]
+        corpora = [generate_corpus(corpus_cfg) for corpus_cfg in corpus_cfgs]
+        frames, starts = _pad_pieces(
+            lambda s, p: render_features(corpora[s][train_idx[p]], train_grid, corpus_cfgs[s],
+                                         noise_seed=train_idx[p]).values,
+            len(group), len(train_idx), train_cfg.context_frames)
+        targets = np.stack([np.concatenate([np.hstack([
+            rasterize(corpus[i], train_grid, fn, derive_seed(seed, i)).frames
+            for fn in distinct]) for i in train_idx]) for seed, corpus in zip(group, corpora)])
 
-        # every distinct function trains in lockstep as one stacked model
-        distinct = list(dict.fromkeys(fns))
-
-        def dataset(indices: range) -> Dataset:
-            return Dataset(
-                inputs=np.concatenate([_windows(features[i].values, train_cfg.context_frames)
-                                       for i in indices]),
-                targets=np.concatenate([np.hstack([
-                    rasterize(corpus[i], train_grid, fn, derive_seed(seed, i)).frames
-                    for fn in distinct]) for i in indices]))
-
-        try:
-            params = train(dataset(train_idx), dataset(valid_idx), cfg_seeded,
-                           models=len(distinct))
-        except DivergenceError as exc:
-            culprits = distinct if exc.models is None else [distinct[j] for j in exc.models]
+        weights, bias, failure = _train_lockstep(
+            frames, train_cfg.context_frames, starts, targets,
+            [derive_seed(train_cfg.seed, seed) for seed in group], train_cfg, len(distinct))
+        if failure is not None:
+            s, exc = failure
             raise DivergenceError(
-                f"fn={','.join(fn.letter for fn in culprits)} seed={seed}: {exc}",
+                f"fn={','.join(distinct[j].letter for j in exc.models)} "
+                f"seed={group[s]}: {exc}",
                 epoch=exc.epoch, batch=exc.batch, models=exc.models) from exc
 
         # one prediction per test piece; column block j is function j's
-        k = params.bias.shape[0] // len(distinct)
-        totals = np.zeros((len(distinct), 3), dtype=np.int64)
-        for i in test_idx:
-            pred = predict(params, features[i], train_cfg.context_frames,
-                           train_cfg.threshold)
-            reference = rasterize(corpus[i], eval_grid, LabelingFunction.A, 0)
-            for j in range(len(distinct)):
-                block = LabelMatrix(frames=pred.frames[:, j * k:(j + 1) * k], grid=pred.grid)
-                counts = windowed_counts(block, reference, window_sec)
-                totals[j] += (counts.tp, counts.fp, counts.fn_)
-        scores = {fn: prf(EvalCounts(*map(int, total))) for fn, total in zip(distinct, totals)}
+        for s, (seed, corpus_cfg, corpus) in enumerate(zip(group, corpus_cfgs, corpora)):
+            params = ModelParams(weights=weights[s], bias=bias[s])
+            totals = np.zeros((len(distinct), 3), dtype=np.int64)
+            for i in test_idx:
+                features = render_features(corpus[i], train_grid, corpus_cfg, noise_seed=i)
+                pred = predict(params, features, train_cfg.context_frames,
+                               train_cfg.threshold)
+                reference = rasterize(corpus[i], eval_grid, LabelingFunction.A, 0)
+                for j, counts in enumerate(windowed_block_counts(pred, reference, window_sec,
+                                                                 len(distinct))):
+                    totals[j] += (counts.tp, counts.fp, counts.fn_)
+            scores[seed] = {fn: prf(EvalCounts(*map(int, total)))
+                            for fn, total in zip(distinct, totals)}
 
-        rows.extend(ExperimentRow(fn=fn, seed=seed, split="test",
-                                  precision=scores[fn].precision, recall=scores[fn].recall,
-                                  fmeasure=scores[fn].fmeasure)
-                    for fn in fns)
-
-    return ExperimentTable(rows=tuple(rows))
+    return ExperimentTable(rows=tuple(
+        ExperimentRow(fn=fn, seed=seed, split="test", precision=scores[seed][fn].precision,
+                      recall=scores[seed][fn].recall, fmeasure=scores[seed][fn].fmeasure)
+        for seed in seeds for fn in fns))

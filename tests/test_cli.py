@@ -14,7 +14,7 @@ from notegrid import (Annotation, ContractError, FeatureMatrix, FormatError, Fra
                       prf, rasterize, resample, to_tsv, truncate)
 from notegrid import _reprcsv
 from notegrid import io as ngio
-from notegrid.cli import main
+from notegrid.cli import build_parser, main
 
 A = LabelingFunction.A
 
@@ -132,9 +132,9 @@ class TestMatrixIo:
         # the writer's reference: repr one cell at a time
         reference = "".join(",".join(map(repr, row)) + "\n" for row in values.tolist())
         assert (tmp_path / "f.csv").read_bytes() == reference.encode()
-        if values.shape[1]:  # a file of empty rows reads as an empty matrix
-            again = ngio.read_feature_matrix(tmp_path / "f.csv")
-            assert np.array_equal(again.values.view(np.uint64), values.view(np.uint64))
+        again = ngio.read_feature_matrix(tmp_path / "f.csv")
+        assert again.values.shape == values.shape
+        assert np.array_equal(again.values.view(np.uint64), values.view(np.uint64))
 
     def test_feature_writer_floor_logs_are_exact(self):
         # each helper over the whole range its docstring states
@@ -523,6 +523,37 @@ class TestTypedConfigValues:
         assert "Traceback" not in err and key in err
 
 
+class TestParserReuse:
+    """main parses with one parser per process; no call leaks into the next."""
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_option_left_out_gets_its_default(self, tmp_path, notes_tsv):
+        assert run_cli(["rasterize", str(notes_tsv), "--fps", "100", "--fn", "a",
+                        "--seed", "3", "--name", "named", "--pitch-offset", "20",
+                        "--out", str(tmp_path / "first")]) == 0
+        assert run_cli(["rasterize", str(notes_tsv), "--fps", "100", "--fn", "a",
+                        "--out", str(tmp_path / "second")]) == 0
+        manifest = json.loads((tmp_path / "second" / "notes.manifest.json").read_text())
+        config = manifest["config"]
+        assert (config["name"], config["seed"], config["pitch_offset"]) == ("notes", 0, 21)
+
+    def test_usage_error_leaves_the_next_call_unchanged(self, tmp_path, notes_tsv, capsys):
+        argv = ["rasterize", str(notes_tsv), "--fps", "100", "--fn", "e", "--seed", "3"]
+        assert run_cli(argv + ["--out", str(tmp_path / "before")]) == 0
+        # one error from argparse itself, one from the handler's parser.error
+        assert run_cli(["rasterize", str(notes_tsv), "--fps", "50", "--fn", "z",
+                        "--seed", "9", "--name", "bad", "--out", str(tmp_path / "bad")]) == 2
+        assert run_cli(["rasterize", str(notes_tsv), "--fps", "-1", "--fn", "f",
+                        "--seed", "9", "--name", "bad", "--out", str(tmp_path / "bad")]) == 2
+        assert run_cli(argv + ["--out", str(tmp_path / "after")]) == 0
+        assert not (tmp_path / "bad").exists()
+        for name in ("notes.csv", "notes.json", "notes.manifest.json"):
+            assert ((tmp_path / "before" / name).read_bytes()
+                    == (tmp_path / "after" / name).read_bytes())
+
+
 class TestRasterizeCommand:
     def test_writes_matrix_sidecar_manifest(self, tmp_path, notes_tsv):
         out = tmp_path / "out"
@@ -791,11 +822,11 @@ class TestExperimentCommand:
         from notegrid import DivergenceError
         from notegrid import trainer as trainer_module
 
-        def exploding_train(train_set, valid_set, cfg, **kwargs):
-            raise DivergenceError("non-finite loss at epoch 0, batch 3",
-                                  epoch=0, batch=3)
+        def exploding_kernel(frames, width, starts, targets, seeds, cfg, models):
+            return None, None, (0, DivergenceError("non-finite loss at epoch 0, batch 3",
+                                                   epoch=0, batch=3, models=(0,)))
 
-        monkeypatch.setattr(trainer_module, "train", exploding_train)
+        monkeypatch.setattr(trainer_module, "_train_lockstep", exploding_kernel)
         config = tmp_path / "exp.json"
         config.write_text(json.dumps(EXPERIMENT_CONFIG))
         code = run_cli(["experiment", "--config", str(config), "--fns", "e",

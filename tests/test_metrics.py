@@ -9,6 +9,7 @@ from notegrid import (Annotation, ContractError, EvalCounts, FrameGrid,
                       disagreement, evaluate_against_reference, framewise_counts,
                       prf, rasterize, rasterize_with_records, resample, truncate,
                       windowed_counts)
+from notegrid.metrics import windowed_block_counts
 
 A, C, E = LabelingFunction.A, LabelingFunction.C, LabelingFunction.E
 
@@ -320,3 +321,11 @@ class TestEvaluationProtocol:
         full_ref = rasterize(hundred_notes, ref_grid, A, 0)
         assert windowed_counts(pred, full_ref, window_sec) == manual.counts
         assert result.fmeasure < 1.0
+        # column blocks resampled and truncated together count as each alone
+        blocks = [pred] + [rasterize(hundred_notes, low_grid, fn, 3) for fn in (C, E)]
+        stacked = LabelMatrix(frames=np.hstack([m.frames for m in blocks]), grid=low_grid)
+        assert windowed_block_counts(stacked, full_ref, window_sec, 3) == [
+            windowed_counts(m, full_ref, window_sec) for m in blocks]
+        for bad in (0, 2, 5):
+            with pytest.raises(ContractError):
+                windowed_block_counts(stacked, full_ref, window_sec, bad)

@@ -66,6 +66,57 @@ def exact_loss_training(train_set, cfg, models):
     return weights, bias
 
 
+def reference_train(train_set, cfg, models):
+    """One problem's training loop written out on 2-D arrays, as train()
+    ran it one seed per call: the reference the lockstep kernel must match
+    bit for bit. It converges on every input it is given here."""
+    dim, columns = train_set.inputs.shape[1], train_set.targets.shape[1]
+    init = np.random.default_rng([cfg.seed & MASK64, 0]).normal(
+        0.0, 0.01, size=(dim, columns // models))
+    weights, bias = np.tile(init, (1, models)), np.zeros(columns)
+    velocity_w, velocity_b = np.zeros_like(weights), np.zeros_like(bias)
+    momentum_w, momentum_b = np.empty_like(weights), np.empty_like(bias)
+    ahead_w, ahead_b = np.empty_like(weights), np.empty_like(bias)
+    shuffle_rng = np.random.default_rng([cfg.seed & MASK64, 1])
+    lr, mu, n = cfg.learning_rate, cfg.momentum, train_set.num_examples
+    for epoch in range(cfg.epochs):
+        for at_epoch, multiplier in cfg.resolved_schedule():
+            if at_epoch == epoch:
+                lr *= multiplier
+        order = shuffle_rng.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
+            x, y = train_set.inputs[idx], train_set.targets[idx]
+            np.multiply(mu, velocity_w, out=momentum_w)
+            np.multiply(mu, velocity_b, out=momentum_b)
+            np.add(weights, momentum_w, out=ahead_w)
+            np.add(bias, momentum_b, out=ahead_b)
+            z = x @ ahead_w + ahead_b
+            assert np.isfinite(z).all()
+            residual = (trainer_module._sigmoid(z) - y) / (y.size // models)
+            grad_w, grad_b = x.T @ residual, residual.sum(axis=0)
+            grad_w *= lr
+            grad_b *= lr
+            np.subtract(momentum_w, grad_w, out=velocity_w)
+            np.subtract(momentum_b, grad_b, out=velocity_b)
+            weights += velocity_w
+            bias += velocity_b
+    return weights, bias
+
+
+# lockstep problems: pieces of equal length whose 21 examples end in a tail
+# batch of 5 at batch size 8
+PIECES, FRAMES, DIM, LABELS = 3, 7, 4, 2
+
+
+def lockstep_problems(num_problems, models, seed=31):
+    """Per-problem feature pieces and uint8 targets, one row per frame."""
+    rng = np.random.default_rng(seed)
+    pieces = rng.normal(0, 1, (num_problems, PIECES, FRAMES, DIM))
+    targets = (rng.random((num_problems, PIECES * FRAMES, models * LABELS)) < 0.4)
+    return pieces, targets.astype(np.uint8)
+
+
 def screen_case(name):
     """(train set, cfg, models) of one divergence-screen case."""
     rng = np.random.default_rng(21)
@@ -394,6 +445,68 @@ class TestTrain:
             train(ds, empty, TrainConfig(context_frames=1))
 
 
+class TestLockstep:
+    @pytest.mark.parametrize("context_frames", [1, 5])
+    @pytest.mark.parametrize("models", [1, 3])
+    @pytest.mark.parametrize("num_problems", [1, 2, 3])
+    def test_matches_separate_single_problem_runs(self, num_problems, models,
+                                                       context_frames):
+        pieces, targets = lockstep_problems(num_problems, models)
+        frames, starts = trainer_module._pad_pieces(
+            lambda s, p: pieces[s, p], num_problems, PIECES, context_frames)
+        cfg = TrainConfig(learning_rate=0.5, batch_size=8, epochs=3, lr_schedule=((1, 0.5),),
+                          context_frames=context_frames)
+        seeds = [11, 12, 13][:num_problems]
+        weights, bias, failure = trainer_module._train_lockstep(
+            frames, context_frames, starts, targets, seeds, cfg, models)
+        assert failure is None
+        assert len(starts) % cfg.batch_size == 5
+        for s, seed in enumerate(seeds):
+            inputs = np.concatenate([trainer_module._windows(piece, context_frames)
+                                     for piece in pieces[s]])
+            # the windows gathered from the padded features are _windows'
+            assert np.array_equal(
+                np.stack([frames[s, t:t + context_frames].ravel() for t in starts]), inputs)
+            alone = Dataset(inputs=inputs, targets=targets[s])
+            expected_w, expected_b = reference_train(alone, replace(cfg, seed=seed), models)
+            assert np.array_equal(weights[s], expected_w)
+            assert np.array_equal(bias[s], expected_b)
+            # train() is the one-problem case of the same kernel
+            params = train(alone, alone, replace(cfg, seed=seed), models=models)
+            assert np.array_equal(params.weights, expected_w)
+            assert np.array_equal(params.bias, expected_b)
+
+    @pytest.mark.parametrize("order", [(0, 1, 2), (2, 1, 0)])
+    def test_divergence_is_the_first_problem_in_order(self, order):
+        # problem 0 converges; a NaN target stops problem 1 at batch 2 and
+        # problem 2 at batch 0 of epoch 0, so in lockstep problem 2 fails first
+        pieces, uint8_targets = lockstep_problems(3, 1)
+        targets = uint8_targets.astype(float)
+        cfg = TrainConfig(learning_rate=0.5, batch_size=4, epochs=2, context_frames=1)
+        seeds = [21, 22, 23]
+        for s, position in ((1, 9), (2, 1)):
+            shuffled = np.random.default_rng([seeds[s], 1]).permutation(PIECES * FRAMES)
+            targets[s, shuffled[position], 1] = np.nan
+        alone = []
+        for s, seed in enumerate(seeds):
+            dataset = Dataset(inputs=pieces[s].reshape(-1, DIM), targets=targets[s])
+            try:
+                train(dataset, dataset, replace(cfg, seed=seed))
+            except DivergenceError as exc:
+                alone.append((str(exc), exc.epoch, exc.batch, exc.models))
+            else:
+                alone.append(None)
+        assert [entry and entry[1:] for entry in alone] == [None, (0, 2, (0,)), (0, 0, (0,))]
+
+        frames, starts = trainer_module._pad_pieces(
+            lambda s, p: pieces[order[s], p], 3, PIECES, 1)
+        _, _, (s, exc) = trainer_module._train_lockstep(
+            frames, 1, starts, targets[list(order)], [seeds[i] for i in order], cfg, 1)
+        first = next(i for i, entry in enumerate(order) if alone[entry] is not None)
+        assert s == first
+        assert (str(exc), exc.epoch, exc.batch, exc.models) == alone[order[first]]
+
+
 class TestPredict:
     def test_all_zero_params_predict_everything(self):
         feats = feature_matrix(np.zeros((4, 3)))
@@ -501,32 +614,36 @@ class TestSensitivityExperiment:
     def test_divergence_annotated_with_fn_and_seed(self, monkeypatch):
         synth_cfg, train_cfg, train_grid, eval_grid = tiny_experiment_args()
 
-        def exploding_train(train_set, valid_set, cfg, **kwargs):
-            raise DivergenceError("non-finite loss at epoch 0, batch 1",
-                                  epoch=0, batch=1)
+        def exploding_kernel(frames, width, starts, targets, seeds, cfg, models):
+            return None, None, (1, DivergenceError("non-finite loss at epoch 0, batch 1",
+                                                   epoch=0, batch=1, models=(0,)))
 
-        monkeypatch.setattr(trainer_module, "train", exploding_train)
-        with pytest.raises(DivergenceError, match=r"fn=f seed=9"):
+        monkeypatch.setattr(trainer_module, "_train_lockstep", exploding_kernel)
+        with pytest.raises(DivergenceError, match=r"^fn=f seed=9: non-finite loss at "
+                                                  r"epoch 0, batch 1$"):
             run_sensitivity_experiment(synth_cfg, [F], train_grid, eval_grid,
-                                       train_cfg, [9])
+                                       train_cfg, [4, 9])
 
     def test_one_stacked_training_per_seed(self, monkeypatch):
         synth_cfg, train_cfg, train_grid, eval_grid = tiny_experiment_args()
-        widths = []
+        calls = []
+        kernel = trainer_module._train_lockstep
 
-        def counting_train(train_set, valid_set, cfg, **kwargs):
-            widths.append((train_set.targets.shape[1], valid_set.targets.shape[1],
-                           kwargs))
-            return train(train_set, valid_set, cfg, **kwargs)
+        def counting_kernel(frames, width, starts, targets, seeds, cfg, models):
+            calls.append((targets.shape[0], targets.shape[2], targets.dtype, models))
+            return kernel(frames, width, starts, targets, seeds, cfg, models)
 
-        monkeypatch.setattr(trainer_module, "train", counting_train)
+        monkeypatch.setattr(trainer_module, "_train_lockstep", counting_kernel)
         table = run_sensitivity_experiment(synth_cfg, [A, E, F, A], train_grid,
-                                           eval_grid, train_cfg, [1, 2])
+                                           eval_grid, train_cfg, [1, 2, 1])
+        # the distinct seeds train in one lockstep call, each one stacked model
         k = synth_cfg.num_labels
-        assert widths == [(3 * k, 3 * k, {"models": 3})] * 2
+        assert calls == [(2, 3 * k, np.uint8, 3)]
         assert [(r.fn, r.seed) for r in table.rows] == [
-            (A, 1), (E, 1), (F, 1), (A, 1), (A, 2), (E, 2), (F, 2), (A, 2)]
+            (A, 1), (E, 1), (F, 1), (A, 1), (A, 2), (E, 2), (F, 2), (A, 2),
+            (A, 1), (E, 1), (F, 1), (A, 1)]
         assert table.rows[0] == table.rows[3]
+        assert table.rows[:4] == table.rows[8:]
 
     def test_one_prediction_per_test_piece(self, monkeypatch):
         synth_cfg, train_cfg, train_grid, eval_grid = tiny_experiment_args()
@@ -555,6 +672,32 @@ class TestSensitivityExperiment:
         run_sensitivity_experiment(synth_cfg, [A, E], train_grid, eval_grid,
                                    train_cfg, [1])
         assert calls == []
+
+    def test_lockstep_seeds_match_separate_runs(self, monkeypatch):
+        synth_cfg, train_cfg, train_grid, eval_grid = tiny_experiment_args()
+        alone = [run_sensitivity_experiment(synth_cfg, [E, A], train_grid, eval_grid,
+                                            train_cfg, [seed]).rows for seed in (3, 1, 2)]
+        # two groups of lockstep seeds
+        monkeypatch.setattr(trainer_module, "_LOCKSTEP_SEEDS", 2)
+        together = run_sensitivity_experiment(synth_cfg, [E, A], train_grid, eval_grid,
+                                              train_cfg, [3, 1, 2])
+        assert together.rows == sum(alone, ())
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("seeds", [[5, 6, 7], [7, 6, 5]])
+    def test_divergence_is_the_first_seed_in_list_order(self, seeds):
+        synth_cfg, train_cfg, train_grid, eval_grid = tiny_experiment_args()
+        train_cfg = replace(train_cfg, learning_rate=1e308)
+
+        def outcome(seeds):
+            with pytest.raises(DivergenceError) as info:
+                run_sensitivity_experiment(synth_cfg, [A, E, F], train_grid, eval_grid,
+                                           train_cfg, seeds)
+            return str(info.value), info.value.epoch, info.value.batch, info.value.models
+
+        alone = [outcome([seed]) for seed in seeds]
+        assert len(set(alone)) == 3
+        assert outcome(seeds) == alone[0]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_real_divergence_names_fn_and_seed(self):

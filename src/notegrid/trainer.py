@@ -144,9 +144,10 @@ def make_examples(features: FeatureMatrix, labels: LabelMatrix,
                    targets=labels.frames.astype(np.float64))
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # tanh saturates instead of overflowing, so no branch on the sign of z
-    return 0.5 + 0.5 * np.tanh(0.5 * z)
+def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    # 0.5 + 0.5 * tanh(0.5 * z), into `out` if given; tanh saturates, so no branch on z
+    half = np.tanh(np.multiply(0.5, z, out=out), out=out)
+    return np.add(np.multiply(0.5, half, out=half), 0.5, out=half)
 
 
 def bce_loss(params: ModelParams, inputs: np.ndarray, targets: np.ndarray) -> float:
@@ -167,13 +168,15 @@ def _block_losses(z: np.ndarray, targets: np.ndarray, models: int) -> np.ndarray
     return cells.reshape(len(z), models, k).mean(axis=(0, 2))
 
 
-def _gradient(z: np.ndarray, inputs: np.ndarray, targets: np.ndarray,
-              models: int) -> tuple[np.ndarray, np.ndarray]:
+def _gradient(z: np.ndarray, inputs: np.ndarray, targets: np.ndarray, models: int,
+              out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     # normalised per block like the loss, so a block trains exactly as it
-    # would alone; a leading axis of lockstep problems is carried through
+    # would alone; a leading axis of lockstep problems is carried through.
+    # The residual overwrites the logits z; the weight gradient goes to `out`.
     cells = targets.shape[-2] * (targets.shape[-1] // models)
-    residual = (_sigmoid(z) - targets) / cells
-    return inputs.swapaxes(-1, -2) @ residual, residual.sum(axis=-2)
+    residual = np.subtract(_sigmoid(z, out=z), targets, out=z)
+    residual /= cells
+    return np.matmul(inputs.swapaxes(-1, -2), residual, out=out), residual.sum(axis=-2)
 
 
 def _loss_and_gradient(weights: np.ndarray, bias: np.ndarray, inputs: np.ndarray,
@@ -185,7 +188,8 @@ def _loss_and_gradient(weights: np.ndarray, bias: np.ndarray, inputs: np.ndarray
     only when the divergence screen cannot rule out a non-finite one.
     """
     z = inputs @ weights + bias
-    return (_block_losses(z, targets, models), *_gradient(z, inputs, targets, models))
+    losses = _block_losses(z, targets, models)  # before _gradient overwrites z
+    return (losses, *_gradient(z, inputs, targets, models))
 
 
 def bce_loss_and_gradient(params: ModelParams, inputs: np.ndarray,
@@ -240,6 +244,7 @@ def _first_divergence(z: np.ndarray, targets: np.ndarray, limits: np.ndarray,
     return None
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the divergence screen judges overflow
 def _train_lockstep(frames: np.ndarray, width: int, starts: np.ndarray,
                     targets: np.ndarray, seeds: list[int], cfg: TrainConfig,
                     models: int) -> tuple[np.ndarray, np.ndarray,
@@ -290,11 +295,10 @@ def _train_lockstep(frames: np.ndarray, width: int, starts: np.ndarray,
     limits = np.array(limits)
     lowest = limits.min()
 
-    # the step runs in place: mu*v is formed once and feeds both the
-    # look-ahead point and the new velocity, in the same float operations
-    # as weights + mu*v, mu*v - lr*g, weights + v
+    # the step runs in place in three weight-sized buffers, in the same float
+    # operations as weights + mu*v, mu*v - lr*g, weights + v: velocity holds
+    # mu*v, and ahead the look-ahead weights until the gradient overwrites them
     velocity_w, velocity_b = np.zeros_like(weights), np.zeros_like(bias)
-    momentum_w, momentum_b = np.empty_like(weights), np.empty_like(bias)
     ahead_w, ahead_b = np.empty_like(weights), np.empty_like(bias)
     shuffle_rngs = [np.random.default_rng([seed & MASK64, 1]) for seed in seeds]
     schedule = cfg.resolved_schedule()
@@ -312,11 +316,12 @@ def _train_lockstep(frames: np.ndarray, width: int, starts: np.ndarray,
         for batch_index, start in enumerate(range(0, n, cfg.batch_size)):
             x = windows[window_rows[:, start:start + cfg.batch_size]]
             y = flat_targets[target_rows[:, start:start + cfg.batch_size]]
-            np.multiply(mu, velocity_w, out=momentum_w)
-            np.multiply(mu, velocity_b, out=momentum_b)
-            np.add(weights, momentum_w, out=ahead_w)
-            np.add(bias, momentum_b, out=ahead_b)
-            z = x @ ahead_w + ahead_b[:, None]
+            velocity_w *= mu
+            velocity_b *= mu
+            np.add(weights, velocity_w, out=ahead_w)
+            np.add(bias, velocity_b, out=ahead_b)
+            z = np.matmul(x, ahead_w)
+            z += ahead_b[:, None]
             if not np.abs(z).max(initial=0.0) < lowest:
                 found = _first_divergence(z, y, limits, models)
                 if found is not None:
@@ -327,18 +332,18 @@ def _train_lockstep(frames: np.ndarray, width: int, starts: np.ndarray,
                     if s == 0:
                         return weights, bias, failure
                     # the problems from the diverged one on stop here
-                    (weights, bias, velocity_w, velocity_b, momentum_w, momentum_b,
-                     ahead_w, ahead_b, limits, window_rows, target_rows, x, y, z) = (
-                        a[:s] for a in (weights, bias, velocity_w, velocity_b, momentum_w,
-                                        momentum_b, ahead_w, ahead_b, limits, window_rows,
-                                        target_rows, x, y, z))
+                    (weights, bias, velocity_w, velocity_b, ahead_w, ahead_b, limits,
+                     window_rows, target_rows, x, y, z) = (
+                        a[:s] for a in (weights, bias, velocity_w, velocity_b, ahead_w,
+                                        ahead_b, limits, window_rows, target_rows, x, y, z))
                     shuffle_rngs = shuffle_rngs[:s]
                     lowest = limits.min()
-            grad_w, grad_b = _gradient(z, x, y, models)
-            grad_w *= lr
-            grad_b *= lr
-            np.subtract(momentum_w, grad_w, out=velocity_w)
-            np.subtract(momentum_b, grad_b, out=velocity_b)
+            grad_w, grad_b = _gradient(z, x, y, models, out=ahead_w)
+            if lr != 1.0:  # x * 1.0 is x for every float64
+                grad_w *= lr
+                grad_b *= lr
+            velocity_w -= grad_w
+            velocity_b -= grad_b
             weights += velocity_w
             bias += velocity_b
 

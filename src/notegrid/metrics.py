@@ -121,20 +121,28 @@ def resample(matrix: LabelMatrix, target: FrameGrid) -> LabelMatrix:
     return LabelMatrix(frames=matrix.frames[source_rows], grid=target)
 
 
+def _window_grid(grid: FrameGrid, seconds: float) -> FrameGrid:
+    """The grid of the frames inside the first `seconds` of `grid`: `grid`
+    itself when the window reaches its end."""
+    if not seconds > 0:
+        raise ContractError(f"window must be positive, got {seconds}")
+    if seconds * grid.fps >= grid.num_frames:
+        return grid
+    return FrameGrid(fps=grid.fps, num_frames=math.floor(seconds * grid.fps))
+
+
 def truncate(matrix: LabelMatrix, seconds: float) -> LabelMatrix:
     """Keep only the frames inside the first `seconds` of the matrix.
 
     Truncating at or past the end, an infinite window included, is the
     identity.
     """
-    if not seconds > 0:
-        raise ContractError(f"window must be positive, got {seconds}")
-    if seconds * matrix.grid.fps >= matrix.num_frames:
+    grid = _window_grid(matrix.grid, seconds)
+    if grid is matrix.grid:
         return matrix
-    keep = math.floor(seconds * matrix.grid.fps)
     return LabelMatrix(
-        frames=matrix.frames[:keep],
-        grid=FrameGrid(fps=matrix.grid.fps, num_frames=keep),
+        frames=matrix.frames[:grid.num_frames],
+        grid=grid,
         labeling_function=matrix.labeling_function,
         seed=matrix.seed,
     )
@@ -224,8 +232,11 @@ def evaluate_against_reference(pred: LabelMatrix, annotation: Annotation, *,
     """Standard evaluation of a prediction matrix against an annotation.
 
     The reference is the round-both rasterization of the annotation at
-    100 fps (both configurable), scored by windowed_counts.
+    100 fps (both configurable), scored by windowed_counts. It is painted
+    only on the frames the window keeps of the grid covering the
+    annotation, which are the rows truncating the whole one would keep.
     """
-    ref_grid = FrameGrid.covering(ref_fps, annotation.duration_sec)
+    ref_grid = _window_grid(FrameGrid.covering(ref_fps, annotation.duration_sec),
+                            window_sec)
     ref = rasterize(annotation, ref_grid, reference_fn, reference_seed)
     return prf(windowed_counts(pred, ref, window_sec))

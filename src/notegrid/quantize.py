@@ -296,9 +296,13 @@ def _parts(num_frames: int, num_labels: int, starts, ends, labels
     # The stretch of label k ends at frame num_frames, one before the next
     # label's starts, so no range reaches into another label's. Sorted by
     # start, the parts of the ranges past every earlier range's end are
-    # disjoint and cover what the ranges cover.
+    # disjoint and cover what the ranges cover. The start k * (num_frames + 1)
+    # + lo sorts as a stable sort by lo, then a stable one by k, which NumPy
+    # radix-sorts when k fits 16 bits.
+    order = np.argsort(lo, kind="stable")
+    key = labels[order].astype(np.min_scalar_type(max(num_labels - 1, 0)))
+    order = order[np.argsort(key, kind="stable")]
     base = labels * (num_frames + 1)
-    order = np.argsort(base + lo, kind="stable")
     label, lo, hi = labels[order], (base + lo)[order], (base + hi)[order]
     reached = np.maximum.accumulate(np.concatenate(([0], hi))[:-1])
     lo = np.maximum(lo, reached)
@@ -317,18 +321,22 @@ def paint_ranges(num_frames: int, num_labels: int, starts, ends, labels) -> np.n
     raises ContractError.
     """
     lo, hi, label = _parts(num_frames, num_labels, starts, ends, labels)
-    # Toggling a cell at each disjoint part's start and end, then XOR-ing
-    # down each column, gives the 0/1 coverage without allocating anything
-    # wider than the matrix.
+    # A row of the matrix is K bits, bit k & 7 of byte k >> 3, packed into
+    # ceil(K / 64) words. Toggling each disjoint part's bit at its first row
+    # and at the row past its end, then XOR-ing down the rows, gives the 0/1
+    # coverage; a part that ends where the next one starts toggles its row
+    # twice, which cancels.
     span = num_frames + 1
     base = label * span
-    frames = np.zeros((span, num_labels), dtype=np.uint8)
-    frames[lo - base, label] = 1
-    frames[hi - base, label] ^= 1  # a part may end where the next starts
-    # XOR carries nothing between bytes, so a row's bytes go a word at a time
-    words = frames.view(f"u{math.gcd(num_labels, 8)}")
-    np.bitwise_xor.accumulate(words, axis=0, out=words)
-    return frames[:num_frames]
+    row_bytes = np.zeros((span, 8 * -(-num_labels // 64)), dtype=np.uint8)
+    packed = row_bytes.view(np.uint64)
+    bits = (1 << (label & 7)).astype(np.uint8)
+    np.bitwise_xor.at(row_bytes, (np.concatenate((lo - base, hi - base)),
+                                  np.tile(label >> 3, 2)), np.tile(bits, 2))
+    # XOR carries nothing between bits, so the scan goes a word at a time
+    np.bitwise_xor.accumulate(packed, axis=0, out=packed)
+    return np.unpackbits(row_bytes[:num_frames], axis=1, count=num_labels,
+                         bitorder="little")
 
 
 def rasterize_with_records(annotation: Annotation, grid: FrameGrid,

@@ -65,6 +65,15 @@ class ModelParams:
         object.__setattr__(self, "bias", bias)
 
 
+# Work budgets that TrainConfig checks, so a huge but finite value fails at
+# once instead of training on without end or exhausting memory:
+# - epochs, each a pass over every training example;
+# - context_frames, the frames of an example window: the weights have
+#   context_frames x feature_dim rows, and predict builds every window.
+MAX_EPOCHS = 10 ** 3
+MAX_CONTEXT_FRAMES = 10 ** 3 + 1
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Optimization hyperparameters.
@@ -89,6 +98,9 @@ class TrainConfig:
             raise ContractError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.context_frames < 1 or self.context_frames % 2 == 0:
             raise ContractError(f"context_frames must be odd, got {self.context_frames}")
+        if self.context_frames > MAX_CONTEXT_FRAMES:
+            raise ContractError(f"context_frames = {self.context_frames} exceeds the budget "
+                                f"of {MAX_CONTEXT_FRAMES} frames")
         if not 0 < self.threshold < 1:
             raise ContractError(f"threshold must be in (0, 1), got {self.threshold}")
         if not 0 <= self.momentum < 1:
@@ -97,6 +109,9 @@ class TrainConfig:
             raise ContractError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.epochs < 0:
             raise ContractError(f"epochs must be >= 0, got {self.epochs}")
+        if self.epochs > MAX_EPOCHS:
+            raise ContractError(f"epochs = {self.epochs} exceeds the budget "
+                                f"of {MAX_EPOCHS} epochs")
         if self.lr_schedule is not None:
             object.__setattr__(self, "lr_schedule",
                                tuple((int(e), float(m)) for e, m in self.lr_schedule))
@@ -253,8 +268,8 @@ def _train_lockstep(frames: np.ndarray, width: int, starts: np.ndarray,
 
     frames is (S, R, D), C-contiguous; example i of problem s is the
     `width` rows frames[s, starts[i]:starts[i] + width], flattened, with
-    targets[s, i] (S, n, G*K, of any real dtype). Problem s trains as
-    train() would with cfg.seed = seeds[s]: its own initialization and
+    targets[s, i] (S, n, G*K >= 1, of any real dtype). Problem s trains
+    as train() would with cfg.seed = seeds[s]: its own initialization and
     shuffle stream, the same float operations, and its own divergence
     screen. Each batch gathers every problem's rows with one fancy index
     and makes one 3-D matmul each way.
@@ -285,13 +300,13 @@ def _train_lockstep(frames: np.ndarray, width: int, starts: np.ndarray,
     # `limit` no sum of that batch's cells can overflow and every block loss
     # is finite. Only a problem whose batch fails the comparison (a NaN or
     # inf logit included) computes its losses, to decide divergence exactly
-    # as on every batch. A NaN target, or no target column, makes the limit 0.
+    # as on every batch. A NaN target makes the limit 0.
     cells = cfg.batch_size * columns
     limits = []
     for problem_targets in targets:
         ymax = float(np.abs(problem_targets).max(initial=0.0))
         limits.append(1e300 / (cells * (1.0 + ymax))
-                      if cells and math.isfinite(ymax) else 0.0)
+                      if math.isfinite(ymax) else 0.0)
     limits = np.array(limits)
     lowest = limits.min()
 
@@ -376,10 +391,9 @@ def train(train_set: Dataset, valid_set: Dataset, cfg: TrainConfig, *,
         raise ContractError("train and valid input dimensions differ")
     if train_set.targets.shape[1] != valid_set.targets.shape[1]:
         raise ContractError("train and valid target widths differ")
-    if models < 1 or train_set.targets.shape[1] % models:
-        raise ContractError(
-            f"{train_set.targets.shape[1]} target columns cannot be split "
-            f"into {models} models")
+    columns = train_set.targets.shape[1]
+    if models < 1 or columns < 1 or columns % models:
+        raise ContractError(f"{columns} target columns cannot be split into {models} models")
 
     # one problem whose windows are its input rows
     weights, bias, failure = _train_lockstep(

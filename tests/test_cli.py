@@ -950,6 +950,26 @@ class TestExperimentCommand:
         assert re.fullmatch(r"error: fn=[a-f,]+ seed=\d+: non-finite loss at "
                             r"epoch \d+, batch \d+\n", done.stderr), done.stderr
 
+    # past the train budgets: the first used to exit 1 with a ValueError from
+    # the padded features, the other two to run without end
+    @pytest.mark.parametrize("key,value,limit", [
+        ("context_frames", 2 ** 63 + 1, "1001 frames"),
+        ("context_frames", 100001, "1001 frames"),
+        ("epochs", 10 ** 9, "1000 epochs")])
+    def test_train_budgets_exit_4_at_once(self, tmp_path, key, value, limit):
+        config = tmp_path / "exp.json"
+        config.write_text(json.dumps({"train": {key: value}}))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(Path(notegrid.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run(
+            [sys.executable, "-m", "notegrid", "experiment", "--config", str(config),
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60)
+        assert done.returncode == 4
+        assert done.stderr == (f"error: bad train config: {key} = {value} exceeds "
+                               f"the budget of {limit}\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("config,key", [
         ({"seed": [1]}, "seed"),
         ({"synth": 5}, "synth"),

@@ -9,6 +9,7 @@ from notegrid import (Annotation, ContractError, EvalCounts, FrameGrid,
                       disagreement, evaluate_against_reference, framewise_counts,
                       prf, rasterize, rasterize_with_records, resample, truncate,
                       windowed_counts)
+from notegrid import metrics as metrics_module
 from notegrid.metrics import windowed_block_counts
 
 A, C, E = LabelingFunction.A, LabelingFunction.C, LabelingFunction.E
@@ -329,3 +330,40 @@ class TestEvaluationProtocol:
         for bad in (0, 2, 5):
             with pytest.raises(ContractError):
                 windowed_block_counts(stacked, full_ref, window_sec, bad)
+
+    @pytest.mark.parametrize("ref_fps", [100.0, 86.1328125])
+    @pytest.mark.parametrize("window_sec", [0.0123, 12.345, 29.99, 30.0, 45.0, math.inf])
+    @pytest.mark.parametrize("reference_fn,reference_seed", [(A, 0), (E, 9)])
+    def test_reference_painted_only_over_the_window(self, hundred_notes, monkeypatch, ref_fps,
+                                                    window_sec, reference_fn, reference_seed):
+        # the 30 s piece covers 3,000 frames at 100 fps and 2,584 at 86.13
+        # fps, of which a 30 s window keeps 2,583
+        pred = rasterize(hundred_notes, FrameGrid.covering(31.25, 30.0), E, 3)
+        covering = FrameGrid.covering(ref_fps, hundred_notes.duration_sec)
+        whole = rasterize(hundred_notes, covering, reference_fn, reference_seed)
+        expected = prf(windowed_counts(pred, whole, window_sec))
+        painted = []
+
+        def recording_rasterize(annotation, grid, *args):
+            painted.append(grid)
+            return rasterize(annotation, grid, *args)
+
+        monkeypatch.setattr(metrics_module, "rasterize", recording_rasterize)
+        assert evaluate_against_reference(
+            pred, hundred_notes, window_sec=window_sec, ref_fps=ref_fps,
+            reference_fn=reference_fn, reference_seed=reference_seed) == expected
+        kept = (covering.num_frames if window_sec * ref_fps >= covering.num_frames
+                else math.floor(window_sec * ref_fps))
+        assert painted == [FrameGrid(ref_fps, kept)]
+
+    @pytest.mark.parametrize("window_sec", [0.0, -1.0, math.nan, 0.0099, 0.5 / 86.1328125])
+    @pytest.mark.parametrize("ref_fps", [100.0, 86.1328125])
+    def test_window_errors_unchanged(self, hundred_notes, window_sec, ref_fps):
+        pred = rasterize(hundred_notes, FrameGrid.covering(31.25, 30.0), A, 0)
+        whole = rasterize(hundred_notes, FrameGrid.covering(ref_fps, 30.0), A, 0)
+        with pytest.raises(ContractError) as composed:
+            windowed_counts(pred, whole, window_sec)
+        with pytest.raises(ContractError) as evaluated:
+            evaluate_against_reference(pred, hundred_notes, window_sec=window_sec,
+                                       ref_fps=ref_fps)
+        assert str(evaluated.value) == str(composed.value)

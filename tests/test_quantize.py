@@ -11,7 +11,7 @@ from notegrid import (Annotation, ContractError, FrameGrid, LabelingFunction,
                       LabelMatrix, NoteEvent, QuantizedArrays, ShiftStream,
                       noise_ceiling, quantize_interval, rasterize,
                       rasterize_with_records)
-from notegrid.quantize import quantize, seeded_shifts
+from notegrid.quantize import _parts, paint_ranges, quantize, seeded_shifts
 from notegrid.util import MASK64, derive_seed, splitmix64
 
 A, B, C, D, E, F = LabelingFunction
@@ -426,7 +426,7 @@ class TestRasterize:
                         event.label] = 1
         assert np.array_equal(rebuilt, matrix.frames)
 
-    @pytest.mark.parametrize("num_labels", [3, 8])  # rows of bytes, and of 8-byte words
+    @pytest.mark.parametrize("num_labels", [3, 8])  # part of a byte, and a whole one
     def test_matrix_matches_per_note_painting(self, num_labels):
         # many same-label overlaps and touching ranges, one note stacked
         # 300 deep, shifts below frame 0, and a grid that ends before the
@@ -478,6 +478,85 @@ class TestRasterize:
                                             shifts=np.array([1, -1]))
         assert records.t_s[0] == 10 + 1
         assert records.t_s[1] == 50 - 1
+
+
+def per_range_painting(num_frames, num_labels, starts, ends, labels):
+    """Each range painted on its own, clipped to the grid."""
+    frames = np.zeros((num_frames, num_labels), dtype=np.uint8)
+    for start, end, label in zip(starts, ends, labels):
+        frames[max(start, 0):min(max(end, 0), num_frames), label] = 1
+    return frames
+
+
+def composite_key_parts(num_frames, num_labels, starts, ends, labels):
+    """_parts with its ranges sorted by one stable argsort of the line
+    position label * (num_frames + 1) + lo."""
+    labels = np.asarray(labels, dtype=np.int64)
+    lo = np.clip(starts, 0, num_frames).astype(np.int64)
+    hi = np.clip(ends, lo, num_frames).astype(np.int64)
+    base = labels * (num_frames + 1)
+    order = np.argsort(base + lo, kind="stable")
+    label, lo, hi = labels[order], (base + lo)[order], (base + hi)[order]
+    reached = np.maximum.accumulate(np.concatenate(([0], hi))[:-1])
+    lo, hi = np.maximum(lo, reached), np.maximum(hi, reached)
+    part = lo < hi
+    return lo[part], hi[part], label[part]
+
+
+class TestPaintRanges:
+    # rows of 0, 1 and 2 words, and word edges at 8 and 64 bits
+    @pytest.mark.parametrize("num_labels", [0, 1, 7, 8, 9, 63, 64, 65, 88, 200])
+    @pytest.mark.parametrize("num_frames", [1, 37])
+    def test_equals_per_range_painting(self, num_labels, num_frames):
+        rng = np.random.default_rng(1000 * num_labels + num_frames)
+        n = 30 * num_labels
+        # overlapping, empty (end <= start) and clipped (past either edge) ranges
+        starts = rng.integers(-6, num_frames + 6, n)
+        ends = starts + rng.integers(-4, 20, n)
+        labels = rng.integers(0, max(num_labels, 1), n)
+        # each of these starts on the frame where a range of its label ends
+        touching = rng.integers(0, n, n // 3) if n else np.zeros(0, dtype=np.int64)
+        starts = np.concatenate((starts, ends[touching]))
+        ends = np.concatenate((ends, ends[touching] + rng.integers(1, 9, len(touching))))
+        labels = np.concatenate((labels, labels[touching]))
+        expected = per_range_painting(num_frames, num_labels, starts, ends, labels)
+        for bounds in ((starts, ends), (starts.astype(float), ends.astype(float))):
+            painted = paint_ranges(num_frames, num_labels, *bounds, labels)
+            assert painted.dtype == np.uint8
+            assert painted.shape == (num_frames, num_labels)
+            assert np.array_equal(painted, expected)
+
+    @pytest.mark.parametrize("fn", [E, F])
+    def test_parts_sort_as_the_composite_key(self, fn):
+        # notes stacked on one onset, and shifts that move others onto it,
+        # give parts of one label starting on one frame: ties, whose order
+        # decides how the later ones are cut
+        rng = np.random.default_rng(17)
+        onsets = np.round(rng.random(3000) * 20.0, 1)
+        offsets = onsets + 0.01 + np.round(rng.random(3000), 2)
+        labels = rng.integers(0, 12, 3000)
+        order = np.lexsort((offsets, labels, onsets))
+        onsets, offsets, labels = onsets[order], offsets[order], labels[order]
+        grid = FrameGrid(fps=100.0, num_frames=1900)
+        q = quantize(fn, onsets, offsets, grid.dt, seeded_shifts(fn, 5, len(onsets)))
+        keys = labels * (grid.num_frames + 1) + np.clip(q.t_s, 0, grid.num_frames)
+        assert len(np.unique(keys)) < len(keys)
+        args = (grid.num_frames, 12, q.t_s, q.t_e, labels)
+        for got, expected in zip(_parts(*args), composite_key_parts(*args)):
+            assert got.dtype == np.int64
+            assert np.array_equal(got, expected)
+
+    def test_parts_sort_labels_wider_than_16_bits(self):
+        rng = np.random.default_rng(4)
+        num_frames, num_labels = 9, 70_000
+        labels = rng.integers(0, num_labels, 5000)
+        labels[:50] = num_labels - 1
+        starts = rng.integers(-2, num_frames + 2, 5000)
+        ends = starts + rng.integers(0, 6, 5000)
+        args = (num_frames, num_labels, starts, ends, labels)
+        for got, expected in zip(_parts(*args), composite_key_parts(*args)):
+            assert np.array_equal(got, expected)
+        assert np.array_equal(paint_ranges(*args), per_range_painting(*args))
 
 
 class TestNoiseCeiling:

@@ -136,8 +136,6 @@ def screen_case(name):
     if name == "learning-rate-1e308":
         return (Dataset(inputs=inputs * 1000.0, targets=targets),
                 replace(cfg, learning_rate=1e308), 1)
-    if name == "no-target-columns":
-        return Dataset(inputs=inputs, targets=targets[:, :0]), cfg, 1
     if name == "converging":
         return Dataset(inputs=inputs, targets=targets), cfg, 3
     # one batch whose largest |logit| sits a hair off the screen's limit,
@@ -156,7 +154,7 @@ def screen_case(name):
 # (case, number of batches that compute their losses, when checked)
 SCREEN_CASES = [("nan-target", None), ("huge-targets", None),
                 ("huge-targets-small-inputs", None), ("learning-rate-1e308", None),
-                ("no-target-columns", None), ("converging", None),
+                ("converging", None),
                 ("logits-below-limit", 0), ("logits-above-limit", 1)]
 
 
@@ -317,6 +315,14 @@ class TestTrain:
         with pytest.raises(ContractError, match=f"lr_schedule epoch {epoch} is not in"):
             TrainConfig(epochs=4, lr_schedule=((0, 0.5), (epoch, 0.5)))
 
+    def test_work_budgets_checked_at_their_edge(self):
+        TrainConfig(epochs=trainer_module.MAX_EPOCHS,
+                    context_frames=trainer_module.MAX_CONTEXT_FRAMES)
+        with pytest.raises(ContractError, match="exceeds the budget of 1000 epochs"):
+            TrainConfig(epochs=trainer_module.MAX_EPOCHS + 1)
+        with pytest.raises(ContractError, match="exceeds the budget of 1001 frames"):
+            TrainConfig(context_frames=trainer_module.MAX_CONTEXT_FRAMES + 2)
+
     def test_schedule_applies_multipliers(self):
         # momentum off so a killed learning rate freezes the weights and the
         # schedule's effect is visible in isolation
@@ -422,7 +428,7 @@ class TestTrain:
         assert info.value.epoch == 0
         assert info.value.batch == int(np.flatnonzero(order == row)[0]) // cfg.batch_size
 
-    # exact_loss_training overflows, and a mean over no target columns warns
+    # exact_loss_training overflows
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("name,losses_computed", SCREEN_CASES,
                              ids=[name for name, _ in SCREEN_CASES])
@@ -448,7 +454,8 @@ class TestTrain:
             assert len(calls) == losses_computed
 
     @pytest.mark.parametrize("models,width,valid_width",
-                             [(0, 4, 4), (-1, 4, 4), (3, 4, 4), (2, 5, 5), (2, 4, 6)])
+                             [(0, 4, 4), (-1, 4, 4), (3, 4, 4), (2, 5, 5), (2, 4, 6),
+                              (1, 0, 0)])
     def test_bad_model_count_or_width_rejected(self, models, width, valid_width):
         train_set = Dataset(inputs=np.ones((6, 2)), targets=np.zeros((6, width)))
         valid_set = Dataset(inputs=np.ones((6, 2)), targets=np.zeros((6, valid_width)))

@@ -226,7 +226,7 @@ def _init_params(dim: int, num_labels: int, seed: int) -> ModelParams:
 def _pad_pieces(piece, num_problems: int, num_pieces: int,
                 context_frames: int) -> tuple[np.ndarray, np.ndarray]:
     """Lockstep inputs (frames, starts) from piece(s, p), the feature rows
-    of piece p of problem s; every piece has the same shape.
+    of piece p of problem s; every piece has the same shape and dtype.
 
     frames[s] holds problem s's pieces with context_frames // 2 zero rows
     before the first, between pieces and after the last; it is allocated
@@ -241,7 +241,8 @@ def _pad_pieces(piece, num_problems: int, num_pieces: int,
             values = piece(s, p)
             if frames is None:
                 span = len(values) + pad
-                frames = np.zeros((num_problems, pad + num_pieces * span, values.shape[1]))
+                frames = np.zeros((num_problems, pad + num_pieces * span, values.shape[1]),
+                                  dtype=values.dtype)
             frames[s, pad + p * span:(p + 1) * span] = values
     return frames, np.arange(num_pieces * span).reshape(num_pieces, span)[:, :span - pad].ravel()
 
@@ -266,6 +267,10 @@ def _train_lockstep(frames: np.ndarray, width: int, starts: np.ndarray,
                                           tuple[int, DivergenceError] | None]:
     """train() of S equal-sized problems at once, one batched step for all.
 
+    Computes in frames.dtype: the float64-drawn initialization is cast to
+    it, and so are the weights, velocities and logits; with float64 frames
+    it is train()'s arithmetic exactly.
+
     frames is (S, R, D), C-contiguous; example i of problem s is the
     `width` rows frames[s, starts[i]:starts[i] + width], flattened, with
     targets[s, i] (S, n, G*K >= 1, of any real dtype). Problem s trains
@@ -284,8 +289,9 @@ def _train_lockstep(frames: np.ndarray, width: int, starts: np.ndarray,
     n, columns = targets.shape[1:]
     num_labels = columns // models
     inits = [_init_params(width * dim, num_labels, seed) for seed in seeds]
-    weights = np.stack([np.tile(init.weights, (1, models)) for init in inits])
-    bias = np.stack([np.tile(init.bias, models) for init in inits])
+    weights = np.stack([np.tile(init.weights, (1, models)) for init in inits],
+                       dtype=frames.dtype)
+    bias = np.stack([np.tile(init.bias, models) for init in inits], dtype=frames.dtype)
     # every window is `width` contiguous rows, so one strided view, one
     # frame per step, holds all of them without a copy
     flat = frames.reshape(num_problems * rows_per_problem, dim)
@@ -297,15 +303,18 @@ def _train_lockstep(frames: np.ndarray, width: int, starts: np.ndarray,
 
     # Divergence screen: a cell softplus(z) - y*z is at most 1 + |z|(1 + ymax)
     # in size, so while every |z| of a problem's batch stays below its
-    # `limit` no sum of that batch's cells can overflow and every block loss
-    # is finite. Only a problem whose batch fails the comparison (a NaN or
-    # inf logit included) computes its losses, to decide divergence exactly
-    # as on every batch. A NaN target makes the limit 0.
+    # `limit` no sum of that batch's cells can reach `bound` and every block
+    # loss is finite. `bound` is 10**(floor(log10(largest float)) - 8) of the
+    # kernel's dtype: 1e300 in float64, 1e30 in float32. Only a problem whose
+    # batch fails the comparison (a NaN or inf logit included) computes its
+    # losses, to decide divergence exactly as on every batch. A NaN target
+    # makes the limit 0.
+    bound = float(10 ** (math.floor(math.log10(np.finfo(frames.dtype).max)) - 8))
     cells = cfg.batch_size * columns
     limits = []
     for problem_targets in targets:
         ymax = float(np.abs(problem_targets).max(initial=0.0))
-        limits.append(1e300 / (cells * (1.0 + ymax))
+        limits.append(bound / (cells * (1.0 + ymax))
                       if math.isfinite(ymax) else 0.0)
     limits = np.array(limits)
     lowest = limits.min()
@@ -354,7 +363,7 @@ def _train_lockstep(frames: np.ndarray, width: int, starts: np.ndarray,
                     shuffle_rngs = shuffle_rngs[:s]
                     lowest = limits.min()
             grad_w, grad_b = _gradient(z, x, y, models, out=ahead_w)
-            if lr != 1.0:  # x * 1.0 is x for every float64
+            if lr != 1.0:  # x * 1.0 is x for every float
                 grad_w *= lr
                 grad_b *= lr
             velocity_w -= grad_w
@@ -472,8 +481,8 @@ def _split_indices(num_pieces: int) -> tuple[range, range, range]:
 
 
 # Seeds train in lockstep in groups of at most this many, so memory stays
-# bounded however many seeds an experiment lists: a seed's padded train
-# features and targets take about 9.5 MB at the default configs.
+# bounded however many seeds an experiment lists: a seed's padded float32
+# train features and uint8 targets take about 5.1 MB at the default configs.
 _LOCKSTEP_SEEDS = 8
 
 
@@ -495,11 +504,12 @@ def run_sensitivity_experiment(synth_cfg: SynthConfig,
     The distinct functions of a seed train as one stacked model (as
     train(..., models=G) does), and the distinct seeds train in lockstep,
     up to _LOCKSTEP_SEEDS at a time, through the kernel behind train().
-    Each seed's train features are written once, zero-padded per piece,
-    and every batch gathers its windows from them. A repeated function or
-    seed reuses its result. Each seed's stacked model predicts each test
-    piece once, and windowed_block_counts scores every function's column
-    block against the reference rasterization (function a on eval_grid).
+    Each seed's train features are written once in float32, zero-padded
+    per piece, and every batch gathers its windows from them, so training
+    computes in float32. A repeated function or seed reuses its result.
+    Each seed's stacked model predicts each test piece once, in float64,
+    and windowed_block_counts scores every function's column block against
+    the reference rasterization (function a on eval_grid).
     Returns one test row per (fn, seed), for each seed in fns order.
     DivergenceError from training is re-raised annotated with the failing
     function(s) and seed: the first seed in list order whose training
@@ -519,10 +529,17 @@ def run_sensitivity_experiment(synth_cfg: SynthConfig,
         corpus_cfgs = [replace(synth_cfg, seed=derive_seed(synth_cfg.seed, seed))
                        for seed in group]
         corpora = [generate_corpus(corpus_cfg) for corpus_cfg in corpus_cfgs]
-        frames, starts = _pad_pieces(
-            lambda s, p: render_features(corpora[s][train_idx[p]], train_grid, corpus_cfgs[s],
-                                         noise_seed=train_idx[p]).values,
-            len(group), len(train_idx), train_cfg.context_frames)
+
+        def piece(s, p):
+            values = render_features(corpora[s][train_idx[p]], train_grid, corpus_cfgs[s],
+                                     noise_seed=train_idx[p]).values
+            # a feature past float32's range becomes inf, which the divergence
+            # screen judges
+            with np.errstate(over="ignore"):
+                return values.astype(np.float32)
+
+        frames, starts = _pad_pieces(piece, len(group), len(train_idx),
+                                     train_cfg.context_frames)
         targets = np.stack([np.concatenate([np.hstack([
             rasterize(corpus[i], train_grid, fn, derive_seed(seed, i)).frames
             for fn in distinct]) for i in train_idx]) for seed, corpus in zip(group, corpora)])

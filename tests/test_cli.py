@@ -950,6 +950,23 @@ class TestExperimentCommand:
         assert re.fullmatch(r"error: fn=[a-f,]+ seed=\d+: non-finite loss at "
                             r"epoch \d+, batch \d+\n", done.stderr), done.stderr
 
+    def test_features_past_float32_range_print_only_the_error_line(self, tmp_path):
+        # features near 1e200 are finite doubles, but the experiment trains in
+        # float32, where they are inf: the first batch diverges, and the cast
+        # shows no overflow warning
+        config = tmp_path / "tiny.json"
+        config.write_text(json.dumps({**TINY_EXPERIMENT, "synth": {
+            **TINY_EXPERIMENT["synth"], "noise_sigma": 1e200}}))
+        env = {**os.environ, "PYTHONWARNINGS": "default", "PYTHONPATH": os.pathsep.join(
+            [str(Path(notegrid.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run(
+            [sys.executable, "-m", "notegrid", "experiment", "--config", str(config),
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+        assert done.returncode == 3
+        assert done.stderr == ("error: fn=a,e seed=1: non-finite loss at "
+                               "epoch 0, batch 0\n"), done.stderr
+
     # past the train budgets: the first used to exit 1 with a ValueError from
     # the padded features, the other two to run without end
     @pytest.mark.parametrize("key,value,limit", [

@@ -1,5 +1,6 @@
 import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -38,12 +39,14 @@ def window_decisions(params, dataset, threshold):
     return trainer_module._sigmoid(dataset.inputs @ params.weights + params.bias) >= threshold
 
 
-def exact_loss_training(train_set, cfg, models):
-    """Reference: the training loop with every batch's per-block losses
-    computed by the checked kernel. Returns (epoch, batch, models) of the
-    first non-finite loss, or the final (weights, bias)."""
+def exact_loss_training(train_set, cfg, models, dtype=np.float64):
+    """Reference: the training loop in dtype with every batch's per-block
+    losses computed by the checked kernel. Returns (epoch, batch, models) of
+    the first non-finite loss, or the final (weights, bias)."""
     init = train(train_set, train_set, replace(cfg, epochs=0), models=models)
-    weights, bias = init.weights, init.bias
+    weights, bias = init.weights.astype(dtype), init.bias.astype(dtype)
+    with np.errstate(over="ignore"):  # a huge target is inf in float32
+        inputs, targets = train_set.inputs.astype(dtype), train_set.targets.astype(dtype)
     velocity_w, velocity_b = np.zeros_like(weights), np.zeros_like(bias)
     shuffle_rng = np.random.default_rng([cfg.seed & MASK64, 1])
     lr, mu = cfg.learning_rate, cfg.momentum
@@ -56,12 +59,14 @@ def exact_loss_training(train_set, cfg, models):
             idx = order[start:start + cfg.batch_size]
             losses, grad_w, grad_b = trainer_module._loss_and_gradient(
                 weights + mu * velocity_w, bias + mu * velocity_b,
-                train_set.inputs[idx], train_set.targets[idx], models)
+                inputs[idx], targets[idx], models)
             diverged = np.flatnonzero(~np.isfinite(losses))
             if diverged.size:
                 return epoch, batch, tuple(diverged.tolist())
-            velocity_w = mu * velocity_w - lr * grad_w
-            velocity_b = mu * velocity_b - lr * grad_b
+            grad_w *= lr  # in place, so in dtype whatever the size of lr
+            grad_b *= lr
+            velocity_w = mu * velocity_w - grad_w
+            velocity_b = mu * velocity_b - grad_b
             weights = weights + velocity_w
             bias = bias + velocity_b
     return weights, bias
@@ -110,6 +115,12 @@ def reference_train(train_set, cfg, models):
 PIECES, FRAMES, DIM, LABELS = 3, 7, 4, 2
 
 
+# the largest weight or bias difference of a float32 lockstep run from
+# float64 train() on lockstep_problems(3, 3) over 3 epochs, measured at
+# 2.7e-7 (weights of size up to 1.4)
+DRIFT = 1e-6
+
+
 def lockstep_problems(num_problems, models, seed=31):
     """Per-problem feature pieces and uint8 targets, one row per frame."""
     rng = np.random.default_rng(seed)
@@ -118,8 +129,9 @@ def lockstep_problems(num_problems, models, seed=31):
     return pieces, targets.astype(np.uint8)
 
 
-def screen_case(name):
-    """(train set, cfg, models) of one divergence-screen case."""
+def screen_case(name, dtype=np.float64):
+    """(train set, cfg, models) of one divergence-screen case, for a kernel
+    that computes in dtype."""
     rng = np.random.default_rng(21)
     cfg = TrainConfig(learning_rate=0.5, batch_size=4, epochs=2, context_frames=1, seed=3)
     inputs = rng.normal(0, 1, (24, 3))
@@ -139,15 +151,18 @@ def screen_case(name):
     if name == "converging":
         return Dataset(inputs=inputs, targets=targets), cfg, 3
     # one batch whose largest |logit| sits a hair off the screen's limit,
-    # 1e300 / (batch_size * columns * (1 + max|y|)), with binary targets
+    # bound / (batch_size * columns * (1 + max|y|)), with binary targets; the
+    # bound is 1e300 in float64 and 1e30 in float32
     cfg = replace(cfg, batch_size=8, epochs=1)
     inputs, targets = inputs[:8], targets[:8]
     init = train(Dataset(inputs, targets), Dataset(inputs, targets),
                  replace(cfg, epochs=0), models=2)
-    limit = 1e300 / (8 * 6 * 2)
-    side = {"logits-below-limit": 1 - 1e-6, "logits-above-limit": 1 + 1e-6}[name]
-    inputs = inputs * (side * limit / np.abs(inputs @ init.weights).max())
-    assert (np.abs(inputs @ init.weights).max() < limit) == (side < 1)
+    bound, hair = {np.float64: (1e300, 1e-6), np.float32: (1e30, 1e-4)}[dtype]
+    weights = init.weights.astype(dtype)
+    limit = bound / (8 * 6 * 2)
+    side = {"logits-below-limit": 1 - hair, "logits-above-limit": 1 + hair}[name]
+    inputs = inputs * (side * limit / np.abs(inputs.astype(dtype) @ weights).max())
+    assert (np.abs(inputs.astype(dtype) @ weights).max() < limit) == (side < 1)
     return Dataset(inputs=inputs, targets=targets), cfg, 2
 
 
@@ -156,6 +171,28 @@ SCREEN_CASES = [("nan-target", None), ("huge-targets", None),
                 ("huge-targets-small-inputs", None), ("learning-rate-1e308", None),
                 ("converging", None),
                 ("logits-below-limit", 0), ("logits-above-limit", 1)]
+
+
+def check_screen(monkeypatch, expected, run, losses_computed):
+    """run() trains, returning params or raising DivergenceError; it must
+    report what exact_loss_training did, computing losses on as many
+    batches as given (when given)."""
+    block_losses, calls = trainer_module._block_losses, []
+
+    def counting_block_losses(*args):
+        calls.append(args)
+        return block_losses(*args)
+
+    monkeypatch.setattr(trainer_module, "_block_losses", counting_block_losses)
+    try:
+        params = run()
+    except DivergenceError as exc:
+        assert (exc.epoch, exc.batch, exc.models) == expected
+    else:
+        assert np.array_equal(params.weights, expected[0])
+        assert np.array_equal(params.bias, expected[1])
+    if losses_computed is not None:
+        assert len(calls) == losses_computed
 
 
 class TestMakeExamples:
@@ -435,23 +472,9 @@ class TestTrain:
     def test_divergence_screen_matches_exact_losses(self, monkeypatch, name,
                                                     losses_computed):
         train_set, cfg, models = screen_case(name)
-        expected = exact_loss_training(train_set, cfg, models)
-        block_losses, calls = trainer_module._block_losses, []
-
-        def counting_block_losses(*args):
-            calls.append(args)
-            return block_losses(*args)
-
-        monkeypatch.setattr(trainer_module, "_block_losses", counting_block_losses)
-        try:
-            params = train(train_set, train_set, cfg, models=models)
-        except DivergenceError as exc:
-            assert (exc.epoch, exc.batch, exc.models) == expected
-        else:
-            assert np.array_equal(params.weights, expected[0])
-            assert np.array_equal(params.bias, expected[1])
-        if losses_computed is not None:
-            assert len(calls) == losses_computed
+        check_screen(monkeypatch, exact_loss_training(train_set, cfg, models),
+                     lambda: train(train_set, train_set, cfg, models=models),
+                     losses_computed)
 
     @pytest.mark.parametrize("models,width,valid_width",
                              [(0, 4, 4), (-1, 4, 4), (3, 4, 4), (2, 5, 5), (2, 4, 6),
@@ -532,6 +555,72 @@ class TestLockstep:
         first = next(i for i, entry in enumerate(order) if alone[entry] is not None)
         assert s == first
         assert (str(exc), exc.epoch, exc.batch, exc.models) == alone[order[first]]
+
+    # exact_loss_training overflows
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("name,losses_computed", SCREEN_CASES,
+                             ids=[name for name, _ in SCREEN_CASES])
+    def test_float32_screen_matches_exact_float32_losses(self, monkeypatch, name,
+                                                         losses_computed):
+        train_set, cfg, models = screen_case(name, np.float32)
+        with np.errstate(over="ignore"):  # a huge target is inf in float32
+            inputs = train_set.inputs.astype(np.float32)
+            targets = train_set.targets.astype(np.float32)
+
+        def run():
+            weights, bias, failure = trainer_module._train_lockstep(
+                inputs[None], 1, np.arange(len(inputs)), targets[None], [cfg.seed], cfg,
+                models)
+            if failure is not None:
+                raise failure[1]
+            return SimpleNamespace(weights=weights[0], bias=bias[0])
+
+        check_screen(monkeypatch, exact_loss_training(train_set, cfg, models, np.float32),
+                     run, losses_computed)
+
+    def test_float32_step_never_upcasts(self):
+        # float32 weights back, and the step's temporaries stay under one
+        # float32 weights array: no weight-sized product is made, in float32
+        # or promoted to float64 by an lr or mu scalar
+        rng = np.random.default_rng(4)
+        dim, columns = 400, 64
+        frames = rng.normal(0, 0.1, (1, 40, dim)).astype(np.float32)
+        targets = (rng.random((1, 40, columns)) < 0.3).astype(np.uint8)
+        # the default schedule halves the rate at epochs 1 and 2
+        cfg = TrainConfig(learning_rate=0.7, batch_size=4, epochs=3, context_frames=1, seed=2)
+
+        def peak_bytes(epochs):
+            tracemalloc.start()
+            try:
+                weights, bias, failure = trainer_module._train_lockstep(
+                    frames, 1, np.arange(40), targets, [cfg.seed],
+                    replace(cfg, epochs=epochs), 1)
+                assert failure is None
+                assert weights.dtype == bias.dtype == np.float32
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak_bytes(3) - peak_bytes(0) < dim * columns * 4
+
+    def test_float32_run_stays_near_float64_train(self):
+        # the float32 features, weights and steps drift from train()'s
+        # float64 ones by at most DRIFT
+        pieces, targets = lockstep_problems(3, 3)
+        cfg = TrainConfig(learning_rate=0.5, batch_size=8, epochs=3, lr_schedule=((1, 0.5),),
+                          context_frames=5)
+        frames, starts = trainer_module._pad_pieces(
+            lambda s, p: pieces[s, p].astype(np.float32), 3, PIECES, 5)
+        seeds = [11, 12, 13]
+        weights, bias, failure = trainer_module._train_lockstep(
+            frames, 5, starts, targets, seeds, cfg, 3)
+        assert failure is None
+        for s, seed in enumerate(seeds):
+            inputs = np.concatenate([trainer_module._windows(piece, 5) for piece in pieces[s]])
+            alone = Dataset(inputs=inputs, targets=targets[s])
+            params = train(alone, alone, replace(cfg, seed=seed), models=3)
+            assert np.abs(weights[s] - params.weights).max() <= DRIFT
+            assert np.abs(bias[s] - params.bias).max() <= DRIFT
 
 
 class TestPredict:
@@ -671,6 +760,19 @@ class TestSensitivityExperiment:
             (A, 1), (E, 1), (F, 1), (A, 1)]
         assert table.rows[0] == table.rows[3]
         assert table.rows[:4] == table.rows[8:]
+
+    def test_kernel_gets_float32_features_and_uint8_targets(self, monkeypatch):
+        synth_cfg, train_cfg, train_grid, eval_grid = tiny_experiment_args()
+        dtypes = []
+        kernel = trainer_module._train_lockstep
+
+        def recording_kernel(frames, width, starts, targets, seeds, cfg, models):
+            dtypes.append((frames.dtype, targets.dtype))
+            return kernel(frames, width, starts, targets, seeds, cfg, models)
+
+        monkeypatch.setattr(trainer_module, "_train_lockstep", recording_kernel)
+        run_sensitivity_experiment(synth_cfg, [A, E], train_grid, eval_grid, train_cfg, [1])
+        assert dtypes == [(np.float32, np.uint8)]
 
     def test_one_prediction_per_test_piece(self, monkeypatch):
         synth_cfg, train_cfg, train_grid, eval_grid = tiny_experiment_args()

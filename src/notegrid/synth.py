@@ -11,6 +11,7 @@ are exactly where misaligned labels contradict the features.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,8 +58,9 @@ class SynthConfig:
     def __post_init__(self):
         object.__setattr__(self, "duration_range", tuple(self.duration_range))
         d_min, d_max = self.duration_range
-        if d_min <= 0 or d_max < d_min:
-            raise ContractError(f"bad duration range {self.duration_range}")
+        if not 0 < d_min <= d_max < math.inf:
+            raise ContractError(f"duration_range must be finite with 0 < min <= max, "
+                                f"got {self.duration_range}")
         if self.num_labels < 1:
             raise ContractError(f"num_labels must be >= 1, got {self.num_labels}")
         if self.feature_dim < self.num_labels:
@@ -67,8 +69,8 @@ class SynthConfig:
         if self.feature_dim > MAX_FEATURE_DIM:
             raise ContractError(f"feature_dim = {self.feature_dim} exceeds the budget "
                                 f"of {MAX_FEATURE_DIM} feature bins")
-        if self.noise_sigma < 0:
-            raise ContractError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise ContractError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         if self.note_rate <= 0:
             raise ContractError(f"note_rate must be positive, got {self.note_rate}")
         if self.num_pieces < 1 or self.piece_duration_sec <= 0:

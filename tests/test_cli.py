@@ -987,6 +987,26 @@ class TestExperimentCommand:
                                f"the budget of {limit}\n")
         assert not (tmp_path / "out").exists()
 
+    # past the model-size budget, each of which went on to allocate weights
+    # or prediction windows of gigabytes
+    @pytest.mark.parametrize("config,message", [
+        ({"synth": {"feature_dim": 4096, "num_labels": 4096}, "train": {"context_frames": 3}},
+         "a seed's weights take 301989888 cells"),
+        ({"train_fps": 1e6}, "a test piece's windows take 7200000000 cells"),
+    ])
+    def test_model_size_budget_exits_4_at_once(self, tmp_path, config, message):
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(config))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(Path(notegrid.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run(
+            [sys.executable, "-m", "notegrid", "experiment", "--config", str(path),
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60)
+        assert done.returncode == 4
+        assert done.stderr == f"error: {message}, over the budget of 16777216 cells\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("config,key", [
         ({"seed": [1]}, "seed"),
         ({"synth": 5}, "synth"),
@@ -1008,8 +1028,9 @@ class TestExperimentCommand:
                         "--seeds", "1", "--out", str(tmp_path / "out")]) == 4
         err = capsys.readouterr().err
         assert "Traceback" not in err
-        assert " frames x 12 labels exceeds the budget of 2147483648 cells" in err
-        assert len(err) < 200  # the frame count in short form, not 300 digits
+        # the model-size budget, checked before any piece is generated
+        assert err == ("error: a test piece's windows take 1.44e+303 cells, "
+                       "over the budget of 16777216 cells\n")
         assert not (tmp_path / "out").exists()
 
     def test_nan_window_usage_error(self, tmp_path, capsys):

@@ -87,6 +87,21 @@ class TestGenerateCorpus:
             SynthConfig(note_rate=0.0)
 
 
+    # each used to be accepted: NaN noise rendered no noise at all, since
+    # nan > 0 is False, and a NaN or infinite duration bound made
+    # generate_corpus raise NumPy's bare OverflowError
+    @pytest.mark.parametrize("fields,match", [
+        ({"noise_sigma": math.nan}, "noise_sigma must be finite and >= 0, got nan"),
+        ({"noise_sigma": math.inf}, "noise_sigma must be finite and >= 0, got inf"),
+        ({"duration_range": (math.nan, 1.0)}, r"duration_range .* got \(nan, 1.0\)"),
+        ({"duration_range": (0.1, math.nan)}, r"duration_range .* got \(0.1, nan\)"),
+        ({"duration_range": (0.1, math.inf)}, r"duration_range .* got \(0.1, inf\)"),
+    ])
+    def test_non_finite_floats_rejected(self, fields, match):
+        with pytest.raises(ContractError, match=match):
+            SynthConfig(**fields)
+
+
 class TestTemplates:
     def test_shape_and_harmonic_decay(self):
         cfg = SynthConfig(num_labels=4, feature_dim=16, harmonics=3)

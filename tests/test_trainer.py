@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
@@ -72,17 +73,34 @@ def exact_loss_training(train_set, cfg, models, dtype=np.float64):
     return weights, bias
 
 
-def reference_train(train_set, cfg, models):
+def misaligned(array, offset):
+    """A copy of array whose data starts offset bytes past a 64-byte boundary."""
+    buffer = np.empty(array.nbytes + 64 + offset, dtype=np.uint8)
+    copy = np.ndarray(array.shape, array.dtype, buffer=buffer,
+                      offset=-buffer.ctypes.data % 64 + offset)
+    copy[...] = array
+    return copy
+
+
+def reference_train(train_set, cfg, models, dtype=np.float64, offset=None):
     """One problem's training loop written out on 2-D arrays, as train()
     ran it one seed per call: the reference the lockstep kernel must match
-    bit for bit. It converges on every input it is given here."""
+    bit for bit. It computes in dtype, and with an offset its weight-sized
+    buffers start that many bytes past a 64-byte boundary. It converges on
+    every input it is given here."""
     dim, columns = train_set.inputs.shape[1], train_set.targets.shape[1]
+    inputs = train_set.inputs.astype(dtype, copy=False)
+    targets = train_set.targets.astype(dtype, copy=False)
     init = np.random.default_rng([cfg.seed & MASK64, 0]).normal(
         0.0, 0.01, size=(dim, columns // models))
-    weights, bias = np.tile(init, (1, models)), np.zeros(columns)
+    weights, bias = np.tile(init, (1, models)).astype(dtype, copy=False), np.zeros(columns, dtype)
     velocity_w, velocity_b = np.zeros_like(weights), np.zeros_like(bias)
     momentum_w, momentum_b = np.empty_like(weights), np.empty_like(bias)
     ahead_w, ahead_b = np.empty_like(weights), np.empty_like(bias)
+    if offset is not None:
+        (weights, bias, velocity_w, velocity_b, momentum_w, momentum_b, ahead_w, ahead_b) = (
+            misaligned(a, offset) for a in (weights, bias, velocity_w, velocity_b,
+                                            momentum_w, momentum_b, ahead_w, ahead_b))
     shuffle_rng = np.random.default_rng([cfg.seed & MASK64, 1])
     lr, mu, n = cfg.learning_rate, cfg.momentum, train_set.num_examples
     for epoch in range(cfg.epochs):
@@ -92,7 +110,7 @@ def reference_train(train_set, cfg, models):
         order = shuffle_rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            x, y = train_set.inputs[idx], train_set.targets[idx]
+            x, y = inputs[idx], targets[idx]
             np.multiply(mu, velocity_w, out=momentum_w)
             np.multiply(mu, velocity_b, out=momentum_b)
             np.add(weights, momentum_w, out=ahead_w)
@@ -127,6 +145,26 @@ def lockstep_problems(num_problems, models, seed=31):
     pieces = rng.normal(0, 1, (num_problems, PIECES, FRAMES, DIM))
     targets = (rng.random((num_problems, PIECES * FRAMES, models * LABELS)) < 0.4)
     return pieces, targets.astype(np.uint8)
+
+
+BUFFERS = ("weights", "bias", "velocity_w", "velocity_b", "ahead_w", "ahead_b")
+
+
+def kernel_buffers(*args):
+    """_train_lockstep(*args), and its weight-sized buffers as it returns."""
+    seen = {}
+
+    def profile(frame, event, arg):
+        if event == "return" and frame.f_code.co_name == "_train_lockstep":
+            seen.update((name, frame.f_locals[name]) for name in BUFFERS)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        result = trainer_module._train_lockstep(*args)
+    finally:
+        sys.setprofile(previous)
+    return result, seen
 
 
 def screen_case(name, dtype=np.float64):
@@ -360,6 +398,14 @@ class TestTrain:
         with pytest.raises(ContractError, match="exceeds the budget of 1001 frames"):
             TrainConfig(context_frames=trainer_module.MAX_CONTEXT_FRAMES + 2)
 
+    # both used to be accepted, and train then raised DivergenceError at
+    # epoch 0, batch 1
+    @pytest.mark.parametrize("rate", [np.nan, np.inf])
+    def test_non_finite_learning_rate_rejected(self, rate):
+        with pytest.raises(ContractError,
+                           match=f"learning_rate must be positive and finite, got {rate}"):
+            TrainConfig(learning_rate=rate)
+
     def test_schedule_applies_multipliers(self):
         # momentum off so a killed learning rate freezes the weights and the
         # schedule's effect is visible in isolation
@@ -555,6 +601,90 @@ class TestLockstep:
         first = next(i for i, entry in enumerate(order) if alone[entry] is not None)
         assert s == first
         assert (str(exc), exc.epoch, exc.batch, exc.models) == alone[order[first]]
+
+    @pytest.mark.parametrize("shape", [(0,), (3, 0), (2, 3, 5)])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_aligned_empty(self, dtype, shape):
+        array = trainer_module._aligned_empty(shape, dtype)
+        assert array.shape == shape and array.dtype == dtype
+        assert array.flags.c_contiguous and array.flags.writeable
+        assert array.ctypes.data % trainer_module._ALIGN == 0
+        array[...] = 1.5
+        assert (array == 1.5).all()
+
+    @pytest.mark.parametrize("num_problems", [1, 3])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_buffers_start_on_64_byte_boundaries(self, dtype, num_problems):
+        pieces, targets = lockstep_problems(num_problems, 3)
+        frames, starts = trainer_module._pad_pieces(
+            lambda s, p: pieces[s, p].astype(dtype), num_problems, PIECES, 5)
+        cfg = TrainConfig(learning_rate=0.5, epochs=2, context_frames=5)
+        (weights, bias, failure), buffers = kernel_buffers(
+            frames, 5, starts, targets, [11, 12, 13][:num_problems], cfg, 3)
+        assert failure is None
+        assert buffers["weights"] is weights and buffers["bias"] is bias
+        for name, buffer in buffers.items():
+            assert (buffer.dtype, len(buffer)) == (dtype, num_problems)
+            assert buffer.ctypes.data % 64 == 0, name
+        # train() hands back its one problem's weights and bias without a copy
+        inputs = np.concatenate([trainer_module._windows(piece, 5) for piece in pieces[0]])
+        alone = Dataset(inputs=inputs, targets=targets[0])
+        params = train(alone, alone, replace(cfg, seed=11), models=3)
+        assert params.weights.ctypes.data % 64 == params.bias.ctypes.data % 64 == 0
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_buffers_kept_after_a_divergence_stay_aligned(self, dtype):
+        # a NaN target stops problem 2 at batch 0: problems 0 and 1 train on
+        # in the first two rows of every buffer
+        pieces, uint8_targets = lockstep_problems(3, 1)
+        targets = uint8_targets.astype(float)
+        seeds = [21, 22, 23]
+        shuffled = np.random.default_rng([seeds[2], 1]).permutation(PIECES * FRAMES)
+        targets[2, shuffled[1], 1] = np.nan
+        frames, starts = trainer_module._pad_pieces(
+            lambda s, p: pieces[s, p].astype(dtype), 3, PIECES, 1)
+        cfg = TrainConfig(learning_rate=0.5, batch_size=4, epochs=2, context_frames=1)
+        (weights, bias, (s, exc)), buffers = kernel_buffers(
+            frames, 1, starts, targets, seeds, cfg, 1)
+        assert (s, exc.epoch, exc.batch) == (2, 0, 0)
+        for name, buffer in buffers.items():
+            assert len(buffer) == 2
+            assert buffer.ctypes.data % 64 == 0, name
+        assert np.isfinite(weights).all() and np.isfinite(bias).all()
+
+    def test_zero_width_inputs(self):
+        # no input columns: (0, K) weights, and the bias still trains
+        rng = np.random.default_rng(2)
+        ds = Dataset(inputs=np.ones((12, 0)), targets=(rng.random((12, 2)) < 0.5).astype(float))
+        params = train(ds, ds, TrainConfig(learning_rate=0.5, epochs=2, context_frames=1))
+        assert params.weights.shape == (0, 2)
+        assert params.bias.shape == (2,) and np.isfinite(params.bias).all()
+        assert (params.bias != 0).all()
+
+    @pytest.mark.parametrize("offset", [16, 32, 48])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_matches_a_misaligned_reference(self, dtype, offset):
+        # where a buffer starts changes no float operation: the kernel's
+        # weights equal, bit for bit, those of the loop run through buffers
+        # `offset` bytes past a 64-byte boundary
+        pieces, targets = lockstep_problems(3, 3)
+        pieces = pieces.astype(dtype)
+        frames, starts = trainer_module._pad_pieces(lambda s, p: pieces[s, p], 3, PIECES, 5)
+        cfg = TrainConfig(learning_rate=0.5, batch_size=8, epochs=3, lr_schedule=((1, 0.5),),
+                          context_frames=5)
+        seeds = [11, 12, 13]
+        weights, bias, failure = trainer_module._train_lockstep(
+            frames, 5, starts, targets, seeds, cfg, 3)
+        assert failure is None
+        for s, seed in enumerate(seeds):
+            inputs = np.concatenate([trainer_module._windows(piece, 5) for piece in pieces[s]])
+            alone = Dataset(inputs=inputs, targets=targets[s])
+            expected_w, expected_b = reference_train(alone, replace(cfg, seed=seed), 3,
+                                                     dtype, offset)
+            assert expected_w.ctypes.data % 64 == expected_b.ctypes.data % 64 == offset
+            assert expected_w.dtype == weights.dtype == dtype
+            assert np.array_equal(weights[s], expected_w)
+            assert np.array_equal(bias[s], expected_b)
 
     # exact_loss_training overflows
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -846,6 +976,42 @@ class TestSensitivityExperiment:
         with pytest.raises(ContractError):
             run_sensitivity_experiment(synth_cfg, [A], train_grid, eval_grid,
                                        train_cfg, [])
+
+    # (feature_dim, num_labels, context_frames, fns, train frames, failing
+    # check): at the budget of 2**24 cells, and one cell over it
+    @pytest.mark.parametrize("dim,labels,context,fns,frames,over", [
+        (4096, 4096, 1, [A], 4096, None),
+        (4096, 2048, 1, [A, E, A], 4096, None),  # a repeated function trains once
+        (4096, 2048, 1, [A, E, F], 4096, "a seed's weights take 25165824 cells"),
+        (673, 257, 97, [A], 257, "a seed's weights take 16777217 cells"),
+        (64, 12, 1, [A, E, F], 2 ** 18, None),
+        (673, 12, 97, [A], 257, "a test piece's windows take 16777217 cells"),
+    ])
+    def test_model_size_budget_checked_at_its_edge(self, monkeypatch, dim, labels,
+                                                   context, fns, frames, over):
+        assert trainer_module.MAX_MODEL_CELLS == 2 ** 24
+        generated = []
+
+        class Generating(Exception):
+            pass
+
+        def no_corpus(cfg):
+            generated.append(cfg)
+            raise Generating  # within the budget, the experiment goes on to generate
+
+        monkeypatch.setattr(trainer_module, "generate_corpus", no_corpus)
+        synth_cfg = SynthConfig(num_pieces=5, feature_dim=dim, num_labels=labels)
+        grid = FrameGrid(fps=31.25, num_frames=frames)
+        args = (synth_cfg, fns, grid, grid, TrainConfig(context_frames=context), [1])
+        if over is None:
+            with pytest.raises(Generating):
+                run_sensitivity_experiment(*args)
+            assert len(generated) == 1
+        else:
+            with pytest.raises(ContractError, match=f"^{over}, over the budget "
+                                                    f"of 16777216 cells$"):
+                run_sensitivity_experiment(*args)
+            assert not generated
 
     def test_too_few_pieces_rejected(self):
         synth_cfg, train_cfg, train_grid, eval_grid = tiny_experiment_args()

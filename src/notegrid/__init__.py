@@ -8,8 +8,7 @@ f-measure, and runs a desk-scale experiment showing that sub-frame
 annotation misalignment measurably degrades a framewise classifier.
 """
 
-from .annotation import (Annotation, NoteEvent, ValidationReport, parse_tsv,
-                         to_tsv, validate)
+from .annotation import Annotation, parse_tsv, to_tsv, validate
 from .errors import (ContractError, DivergenceError, FormatError,
                      NotegridError, RangeError, UnsupportedError,
                      ValidationError)
@@ -18,8 +17,8 @@ from .metrics import (DisagreementStats, EvalCounts, EvalResult, disagreement,
                       resample, truncate, windowed_counts)
 from .midi import parse_midi
 from .quantize import (FrameGrid, LabelingFunction, LabelMatrix,
-                       QuantizedArrays, ShiftStream, noise_ceiling,
-                       quantize_interval, rasterize, rasterize_with_records)
+                       QuantizedArrays, noise_ceiling, quantize_interval,
+                       rasterize, rasterize_with_records)
 from .synth import (FeatureMatrix, SynthConfig, generate_corpus,
                     generate_piece, label_templates, render_features)
 from .trainer import (Dataset, ExperimentRow, ExperimentTable, ModelParams,
@@ -30,12 +29,11 @@ from .trainer import (Dataset, ExperimentRow, ExperimentTable, ModelParams,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Annotation", "NoteEvent", "ValidationReport", "parse_tsv", "to_tsv",
-    "validate", "parse_midi",
+    "Annotation", "parse_tsv", "to_tsv", "validate", "parse_midi",
     "ContractError", "DivergenceError", "FormatError", "NotegridError",
     "RangeError", "UnsupportedError", "ValidationError",
     "FrameGrid", "LabelingFunction", "LabelMatrix", "QuantizedArrays",
-    "ShiftStream", "quantize_interval", "rasterize", "rasterize_with_records",
+    "quantize_interval", "rasterize", "rasterize_with_records",
     "noise_ceiling",
     "DisagreementStats", "EvalCounts", "EvalResult", "disagreement",
     "evaluate_against_reference", "framewise_counts", "prf", "resample",

@@ -10,8 +10,7 @@ and MidiPitch, followed by one whitespace-separated event per line.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,19 +22,6 @@ PIANO_PITCH_OFFSET = 21
 PIANO_NUM_LABELS = 88
 
 _TSV_COLUMNS = ("OnsetTime", "OffsetTime", "MidiPitch")
-
-
-@dataclass(frozen=True)
-class NoteEvent:
-    """One labeled interval: [onset_sec, offset_sec) carrying a label index."""
-
-    onset_sec: float
-    offset_sec: float
-    label: int
-
-    @property
-    def duration_sec(self) -> float:
-        return self.offset_sec - self.onset_sec
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,17 +55,6 @@ class Annotation:
             column.setflags(write=False)
             object.__setattr__(self, name, column)
 
-    @classmethod
-    def from_events(cls, events, num_labels: int,
-                    duration_sec: float | None = None) -> "Annotation":
-        """Build an Annotation from NoteEvents, extending the duration to
-        cover all events."""
-        events = tuple(events)
-        max_offset = max((e.offset_sec for e in events), default=0.0)
-        duration = max(max_offset, duration_sec if duration_sec is not None else 0.0)
-        return cls([e.onset_sec for e in events], [e.offset_sec for e in events],
-                   [e.label for e in events], num_labels, duration)
-
     def __len__(self) -> int:
         return len(self.onsets)
 
@@ -92,53 +67,45 @@ class Annotation:
                 and np.array_equal(self.offsets, other.offsets)
                 and np.array_equal(self.labels, other.labels))
 
-    @cached_property
-    def events(self) -> tuple[NoteEvent, ...]:
-        """The notes as NoteEvents, in sort order; built on first use."""
-        return tuple(map(NoteEvent, self.onsets.tolist(), self.offsets.tolist(),
-                         self.labels.tolist()))
 
-
-@dataclass(frozen=True)
-class ValidationReport:
-    """List of invariant violations found in an Annotation; empty means OK."""
-
-    violations: tuple[str, ...] = field(default=())
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def validate(annotation: Annotation) -> ValidationReport:
-    """Check all Annotation invariants and report every violation found.
+def validate(annotation: Annotation) -> tuple[str, ...]:
+    """Check all Annotation invariants and return every violation found.
 
     Checks: positive label space, finite times, non-negative onsets,
     strictly positive durations, labels within [0, num_labels), and no
-    event extending past duration_sec.
+    event extending past duration_sec. Each per-event check is one mask
+    over the columns; messages are formatted only for violating events,
+    event by event, in that order. An empty tuple means the annotation
+    is valid.
     """
+    onsets, offsets, labels = annotation.onsets, annotation.offsets, annotation.labels
+    num_labels, duration = annotation.num_labels, annotation.duration_sec
     violations: list[str] = []
-    if annotation.num_labels <= 0:
-        violations.append(f"num_labels must be positive, got {annotation.num_labels}")
-    if not 0 <= annotation.duration_sec < math.inf:
-        violations.append(f"duration_sec must be finite and >= 0, got {annotation.duration_sec}")
-    for i, event in enumerate(annotation.events):
-        if not (math.isfinite(event.onset_sec) and math.isfinite(event.offset_sec)):
+    if num_labels <= 0:
+        violations.append(f"num_labels must be positive, got {num_labels}")
+    if not 0 <= duration < math.inf:
+        violations.append(f"duration_sec must be finite and >= 0, got {duration}")
+    non_finite = ~(np.isfinite(onsets) & np.isfinite(offsets))
+    negative = onsets < 0
+    empty = offsets <= onsets
+    # the largest label in range, clamped so that it stays an int64
+    top = min(max(num_labels, 0), 2 ** 63) - 1
+    outside = (labels < 0) | (labels > top)
+    late = offsets > duration
+    for i in np.flatnonzero(non_finite | negative | empty | outside | late).tolist():
+        onset, offset, label = onsets[i].item(), offsets[i].item(), labels[i].item()
+        if non_finite[i]:
             violations.append(f"event {i}: non-finite onset or offset")
-        if event.onset_sec < 0:
-            violations.append(f"event {i}: negative onset {event.onset_sec}")
-        if event.offset_sec <= event.onset_sec:
+        if negative[i]:
+            violations.append(f"event {i}: negative onset {onset}")
+        if empty[i]:
             violations.append(
-                f"event {i}: non-positive duration "
-                f"(onset {event.onset_sec}, offset {event.offset_sec})")
-        if not 0 <= event.label < annotation.num_labels:
-            violations.append(
-                f"event {i}: label {event.label} outside [0, {annotation.num_labels})")
-        if event.offset_sec > annotation.duration_sec:
-            violations.append(
-                f"event {i}: offset {event.offset_sec} past duration "
-                f"{annotation.duration_sec}")
-    return ValidationReport(violations=tuple(violations))
+                f"event {i}: non-positive duration (onset {onset}, offset {offset})")
+        if outside[i]:
+            violations.append(f"event {i}: label {label} outside [0, {num_labels})")
+        if late[i]:
+            violations.append(f"event {i}: offset {offset} past duration {duration}")
+    return tuple(violations)
 
 
 def parse_tsv(text: str, *, pitch_offset: int = PIANO_PITCH_OFFSET,

@@ -326,15 +326,15 @@ def cmd_inspect(args, parser) -> int:
     suffix = path.suffix.lower()
     if suffix in _ANNOTATION_SUFFIXES:
         annotation = load_annotation(path, args.pitch_offset, args.num_labels)
-        report = validate(annotation)
+        violations = validate(annotation)
         print(f"input: {path.name}")
         print(f"events: {len(annotation)}")
         print(f"num_labels: {annotation.num_labels}")
         print(f"duration_sec: {annotation.duration_sec!r}")
         if len(annotation):
             print(f"label_range: [{annotation.labels.min()}, {annotation.labels.max()}]")
-        print(f"violations: {len(report.violations)}")
-        for violation in report.violations:
+        print(f"violations: {len(violations)}")
+        for violation in violations:
             print(f"  {violation}")
     elif suffix == ".csv":
         matrix = io.read_label_matrix(path)

@@ -66,34 +66,24 @@ class LabelingFunction(Enum):
             raise ContractError(f"unknown labeling function {letter!r}, expected a-f") from None
 
 
-class ShiftStream:
-    """Counter-based stream of uniform draws from {-1, 0, 1}.
-
-    Seeded by (seed, labeling function), so distinct functions never share
-    draws and a rasterization is reproducible from its seed alone. The
-    underlying generator hashes an incrementing 64-bit counter with
-    splitmix64; 2**64 % 3 == 1, so exactly one output value is rejected to
-    keep the three shifts exactly uniform.
-    """
-
-    def __init__(self, seed: int, fn: LabelingFunction):
-        # the function's position in "abcdef" is its stable stream identifier
-        self._counter = derive_seed(seed, "abcdef".index(fn.letter))
-
-    def draws(self, n: int) -> np.ndarray:
-        """The next n draws as an int64 array, from n + 1 counters hashed
-        at once. splitmix64 is a bijection, so only counter 0x31628af67b2131ab
-        hashes to the rejected 2**64 - 1; it is dropped if among them."""
-        z = splitmix64(np.uint64(self._counter) + np.arange(n + 1, dtype=np.uint64))
-        kept = z != MASK64
-        self._counter = (self._counter + n + int(not kept[:n].all())) & MASK64
-        return (z[kept][:n] % 3).astype(np.int64) - 1
+def _draws(counter: int, n: int) -> np.ndarray:
+    """n uniform draws from {-1, 0, 1} as an int64 array: the 64-bit counters
+    counter, counter + 1, ... (wrapping) hashed with splitmix64, mod 3.
+    2**64 % 3 == 1, so the hash 2**64 - 1 is rejected to keep the draws
+    exactly uniform. splitmix64 is a bijection, so only counter
+    0x31628af67b2131ab hashes to it, and n + 1 counters hold n kept ones."""
+    z = splitmix64(np.uint64(counter) + np.arange(n + 1, dtype=np.uint64))
+    return (z[z != MASK64][:n] % 3).astype(np.int64) - 1
 
 
 def seeded_shifts(fn: LabelingFunction, seed: int, num_intervals: int) -> np.ndarray | None:
-    """quantize's shifts for num_intervals intervals from the (seed, fn) stream; None for a-d."""
-    n = fn.shifts_per_interval * num_intervals
-    return ShiftStream(seed, fn).draws(n) if fn.is_random else None
+    """quantize's shifts for num_intervals intervals from the (seed, fn)
+    stream; None for a-d. The function's position in "abcdef" is its stable
+    stream identifier, so distinct functions never share draws."""
+    if not fn.is_random:
+        return None
+    return _draws(derive_seed(seed, "abcdef".index(fn.letter)),
+                  fn.shifts_per_interval * num_intervals)
 
 
 @dataclass(frozen=True)

@@ -77,10 +77,11 @@ MAX_CONTEXT_FRAMES = 10 ** 3 + 1
 # A work budget that run_sensitivity_experiment checks before it generates
 # anything, in cells of one seed's weights (context_frames x feature_dim x
 # distinct functions x num_labels) and of one test piece's prediction windows
-# (frames x context_frames x feature_dim). At a quarter of it, 2**22 cells,
-# one epoch of one seed peaked at 113 MB traced (three float32 buffers and the
-# float64 initialization) and predict at 43 MB, so about 450 MB and 170 MB
-# at the budget; training grows with the seeds of a lockstep group.
+# (frames x context_frames x feature_dim). Training holds six weight-sized
+# float32 buffers per seed of a lockstep group and one seed's float64 draw at
+# a time: at 2**22 cells one epoch of one seed peaked at 63 MB traced (50 MB
+# of buffers) and predict at 43 MB. At the budget that is about 250 MB to
+# train one seed, 200 MB more per further seed, and 170 MB to predict.
 MAX_MODEL_CELLS = 2 ** 24
 
 
@@ -322,9 +323,11 @@ def _train_lockstep(frames: np.ndarray, width: int, starts: np.ndarray,
         _aligned_empty((num_problems, width * dim, columns), frames.dtype) for _ in range(3))
     bias, velocity_b, ahead_b = (
         _aligned_empty((num_problems, columns), frames.dtype) for _ in range(3))
-    inits = [_init_params(width * dim, num_labels, seed) for seed in seeds]
-    np.stack([np.tile(init.weights, (1, models)) for init in inits], out=weights)
-    np.stack([np.tile(init.bias, models) for init in inits], out=bias)
+    for s, seed in enumerate(seeds):  # one float64 draw at a time, cast as it is copied
+        init = _init_params(width * dim, num_labels, seed)
+        weights[s].reshape(width * dim, models, num_labels)[:] = init.weights[:, None]
+        bias[s].reshape(models, num_labels)[:] = init.bias
+        del init  # freed before the next draw, and before training
     velocity_w.fill(0)
     velocity_b.fill(0)
     # every window is `width` contiguous rows, so one strided view, one

@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 
 import smf
-from notegrid import (Annotation, FrameGrid, LabelingFunction, LabelMatrix,
-                      ModelParams, NoteEvent, SynthConfig, TrainConfig,
-                      bce_loss, bce_loss_and_gradient, framewise_counts,
+from conftest import annotation_of, notes_of
+from notegrid import (FrameGrid, LabelingFunction, LabelMatrix, ModelParams,
+                      SynthConfig, TrainConfig, bce_loss, bce_loss_and_gradient, framewise_counts,
                       noise_ceiling, parse_midi, parse_tsv, prf,
                       quantize_interval, rasterize, resample,
                       run_sensitivity_experiment, to_tsv, truncate)
@@ -266,7 +266,7 @@ def _assert_recovers(data, expected_notes, segments, ppqn=480):
         (float(_expected_seconds(on, segments, ppqn)),
          float(_expected_seconds(off, segments, ppqn)), pitch - 21)
         for on, off, pitch in expected_notes)
-    got = sorted((e.onset_sec, e.offset_sec, e.label) for e in ann.events)
+    got = sorted(notes_of(ann))
     for (got_on, got_off, got_label), (want_on, want_off, want_label) in zip(got, expected):
         assert got_label == want_label
         assert abs(got_on - want_on) <= 1e-9
@@ -320,9 +320,8 @@ def test_criterion_9_parser_fixtures():
         onset_us = r.randrange(0, 300_000_000)
         duration_us = r.randrange(1, 3_000_000)
         pitch = r.randrange(21, 109)
-        events.append(NoteEvent(onset_us / 1e6, (onset_us + duration_us) / 1e6,
-                                pitch - 21))
-    annotation = Annotation.from_events(events, num_labels=88)
+        events.append((onset_us / 1e6, (onset_us + duration_us) / 1e6, pitch - 21))
+    annotation = annotation_of(events, num_labels=88)
     assert parse_tsv(to_tsv(annotation)) == annotation
     print("criterion 9: PASS - 5 SMF fixtures recovered within 1e-9 s and "
           "1000-event TSV round-trips exactly")

@@ -13,9 +13,10 @@ import pytest
 
 import notegrid
 import smf
-from notegrid import (Annotation, ContractError, FeatureMatrix, FormatError, FrameGrid,
-                      LabelingFunction, LabelMatrix, NoteEvent, framewise_counts,
-                      prf, rasterize, resample, to_tsv, truncate)
+from conftest import annotation_of
+from notegrid import (ContractError, FeatureMatrix, FormatError, FrameGrid,
+                      LabelingFunction, LabelMatrix, framewise_counts, prf,
+                      rasterize, resample, to_tsv, truncate)
 from notegrid import _reprcsv
 from notegrid import io as ngio
 from notegrid.cli import build_parser, main
@@ -102,8 +103,7 @@ FEATURE_CASES = {
 
 class TestMatrixIo:
     def test_round_trip_preserves_everything(self, tmp_path):
-        ann = Annotation.from_events(
-            [NoteEvent(0.1, 0.5, 0), NoteEvent(0.2, 0.8, 2)], num_labels=3)
+        ann = annotation_of([(0.1, 0.5, 0), (0.2, 0.8, 2)], num_labels=3)
         matrix = rasterize(ann, FrameGrid(fps=31.25, num_frames=30),
                            LabelingFunction.E, 42)
         path = tmp_path / "m.csv"
@@ -115,7 +115,7 @@ class TestMatrixIo:
         assert again.seed == 42
 
     def test_sidecar_is_single_line(self, tmp_path):
-        ann = Annotation.from_events([NoteEvent(0.0, 0.2, 0)], num_labels=1)
+        ann = annotation_of([(0.0, 0.2, 0)], num_labels=1)
         matrix = rasterize(ann, FrameGrid(fps=100.0, num_frames=20), A)
         ngio.write_label_matrix(matrix, tmp_path / "m.csv")
         text = (tmp_path / "m.json").read_text().strip()
@@ -737,8 +737,7 @@ class TestEvalCommand:
         assert code == 0
         reported = json.loads((out / "eval.json").read_text())["rows"][0]
 
-        ann = Annotation.from_events(
-            [NoteEvent(0.1, 0.25, 39), NoteEvent(0.4, 0.9, 43)], num_labels=88)
+        ann = annotation_of([(0.1, 0.25, 39), (0.4, 0.9, 43)], num_labels=88)
         low = rasterize(ann, FrameGrid.covering(31.25, ann.duration_sec), A)
         ref = rasterize(ann, FrameGrid.covering(100.0, ann.duration_sec), A)
         expected = prf(framewise_counts(
@@ -774,8 +773,7 @@ class TestEvalCommand:
                         "--window-sec", "inf"])
         assert code == 0
         reported = json.loads((out / "eval.json").read_text())["rows"][0]
-        ann = Annotation.from_events(
-            [NoteEvent(0.1, 0.25, 39), NoteEvent(0.4, 0.9, 43)], num_labels=88)
+        ann = annotation_of([(0.1, 0.25, 39), (0.4, 0.9, 43)], num_labels=88)
         low = rasterize(ann, FrameGrid.covering(31.25, ann.duration_sec), A)
         ref = rasterize(ann, FrameGrid.covering(100.0, ann.duration_sec), A)
         expected = prf(framewise_counts(resample(low, ref.grid), ref))
@@ -1080,6 +1078,22 @@ class TestInspectCommand:
         assert "labeling_function: a" in printed
         assert "active_cells: 65" in printed  # 15 + 50 frames
 
+    def test_empty_label_space_is_a_reported_violation(self, tmp_path, capsys):
+        path = tmp_path / "empty.tsv"
+        path.write_text("OnsetTime\tOffsetTime\tMidiPitch\n")
+        assert run_cli(["inspect", str(path), "--num-labels", "0"]) == 0
+        assert capsys.readouterr().out == (
+            "input: empty.tsv\nevents: 0\nnum_labels: 0\nduration_sec: 0.0\n"
+            "violations: 1\n  num_labels must be positive, got 0\n")
+
+    def test_label_space_past_int64(self, tmp_path, capsys):
+        path = tmp_path / "one.tsv"
+        path.write_text("OnsetTime\tOffsetTime\tMidiPitch\n0.5\t1.25\t60\n")
+        assert run_cli(["inspect", str(path), "--num-labels", str(2 ** 70)]) == 0
+        assert capsys.readouterr().out == (
+            f"input: one.tsv\nevents: 1\nnum_labels: {2 ** 70}\nduration_sec: 1.25\n"
+            "label_range: [39, 39]\nviolations: 0\n")
+
     def test_unknown_extension(self, tmp_path):
         path = tmp_path / "x.bin"
         path.write_bytes(b"\x00")
@@ -1095,7 +1109,6 @@ class TestTsvExport:
         text = to_tsv(piece)
         again = parse_tsv(text, pitch_offset=21, num_labels=cfg.num_labels)
         assert len(again) == len(piece)
-        for ours, theirs in zip(piece.events, again.events):
-            assert theirs.label == ours.label
-            assert abs(theirs.onset_sec - ours.onset_sec) <= 5e-7
-            assert abs(theirs.offset_sec - ours.offset_sec) <= 5e-7
+        assert np.array_equal(again.labels, piece.labels)
+        assert np.abs(again.onsets - piece.onsets).max() <= 5e-7
+        assert np.abs(again.offsets - piece.offsets).max() <= 5e-7

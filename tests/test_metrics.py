@@ -4,8 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from notegrid import (Annotation, ContractError, EvalCounts, FrameGrid,
-                      LabelingFunction, LabelMatrix, NoteEvent, QuantizedArrays,
+from conftest import annotation_of
+from notegrid import (ContractError, EvalCounts, FrameGrid,
+                      LabelingFunction, LabelMatrix, QuantizedArrays,
                       disagreement, evaluate_against_reference, framewise_counts,
                       prf, rasterize, rasterize_with_records, resample, truncate,
                       windowed_counts)
@@ -198,7 +199,7 @@ class TestResample:
             resample(empty, FrameGrid(fps=50.0, num_frames=1))
 
     def test_provenance_dropped(self):
-        ann = Annotation.from_events([NoteEvent(0.1, 0.6, 0)], num_labels=1)
+        ann = annotation_of([(0.1, 0.6, 0)], num_labels=1)
         m = rasterize(ann, FrameGrid(fps=31.25, num_frames=20), A)
         out = resample(m, FrameGrid(fps=100.0, num_frames=64))
         assert out.labeling_function is None
@@ -265,7 +266,7 @@ class TestDisagreement:
         rng = np.random.default_rng(12)
         a = random_matrix(rng, 10, 4)
         b = LabelMatrix(frames=(rng.random((10, 4)) < 0.5).astype(np.uint8), grid=a.grid)
-        stats = disagreement(a, b, Annotation.from_events([], num_labels=4))
+        stats = disagreement(a, b, annotation_of([], num_labels=4))
         brute = sum(
             int(a.frames[t, k] != b.frames[t, k])
             for t in range(10) for k in range(4))
@@ -285,7 +286,7 @@ class TestDisagreement:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ContractError):
             disagreement(matrix_of([[1, 0]]), matrix_of([[1, 0], [0, 0]]),
-                         Annotation.from_events([], num_labels=2))
+                         annotation_of([], num_labels=2))
 
     def test_record_length_mismatch_rejected(self, hundred_notes):
         grid = FrameGrid.covering(100.0, hundred_notes.duration_sec)

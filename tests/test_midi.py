@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import smf
+from conftest import notes_of
 from notegrid import (FormatError, RangeError, UnsupportedError,
                       ValidationError, parse_midi, validate)
 from notegrid.midi import _vlq
@@ -66,29 +67,29 @@ class TestBasicParsing:
         data = smf.simple_file([(0, 480, 60)])
         ann = parse_midi(data)
         assert len(ann) == 1
-        assert ann.events[0].onset_sec == 0.0
-        assert abs(ann.events[0].offset_sec - 0.5) < 1e-12
-        assert ann.events[0].label == 39
+        assert ann.onsets[0] == 0.0
+        assert abs(ann.offsets[0] - 0.5) < 1e-12
+        assert ann.labels[0] == 39
         assert ann.num_labels == 88
 
     def test_explicit_tempo_meta(self):
         data = smf.simple_file([(0, 480, 60)], tempo_events=[(0, 500000)])
         ann = parse_midi(data)
-        assert abs(ann.events[0].offset_sec - 0.5) < 1e-12
+        assert abs(ann.offsets[0] - 0.5) < 1e-12
 
     def test_delta_vlq_in_context(self):
         # onset after a 200-tick delta encoded as 0x81 0x48
         data = smf.simple_file([(200, 680, 60)])
         ann = parse_midi(data)
         expected = seconds(200, [(0, 500000)], 480)
-        assert abs(ann.events[0].onset_sec - expected) < 1e-12
+        assert abs(ann.onsets[0] - expected) < 1e-12
 
     def test_velocity_zero_is_note_off(self):
         events = [(0, smf.note_on(60, 80)), (480, smf.note_on(60, 0))]
         data = smf.build([smf.track(events)], fmt=0)
         ann = parse_midi(data)
         assert len(ann) == 1
-        assert abs(ann.events[0].offset_sec - 0.5) < 1e-12
+        assert abs(ann.offsets[0] - 0.5) < 1e-12
 
     def test_running_status(self):
         # second and third events reuse the note-on status byte; a note-on
@@ -102,10 +103,10 @@ class TestBasicParsing:
         data = smf.build([smf.track(events)], fmt=0)
         ann = parse_midi(data)
         assert len(ann) == 2
-        by_label = {e.label: e for e in ann.events}
-        assert abs(by_label[39].offset_sec - 0.5) < 1e-12
-        assert abs(by_label[43].onset_sec - 0.25) < 1e-12
-        assert abs(by_label[43].offset_sec - 0.75) < 1e-12
+        by_label = {label: (onset, offset) for onset, offset, label in notes_of(ann)}
+        assert abs(by_label[39][1] - 0.5) < 1e-12
+        assert abs(by_label[43][0] - 0.25) < 1e-12
+        assert abs(by_label[43][1] - 0.75) < 1e-12
 
     def test_meta_event_cancels_running_status(self):
         events = [
@@ -122,9 +123,9 @@ class TestBasicParsing:
         data = smf.simple_file([(240, 720, 60)], tempo_events=[(0, 500000), (480, 250000)])
         ann = parse_midi(data)
         segments = [(0, 500000), (480, 250000)]
-        assert abs(ann.events[0].onset_sec - seconds(240, segments, 480)) < 1e-12
-        assert abs(ann.events[0].offset_sec - seconds(720, segments, 480)) < 1e-12
-        assert abs(ann.events[0].offset_sec - 0.625) < 1e-12
+        assert abs(ann.onsets[0] - seconds(240, segments, 480)) < 1e-12
+        assert abs(ann.offsets[0] - seconds(720, segments, 480)) < 1e-12
+        assert abs(ann.offsets[0] - 0.625) < 1e-12
 
     def test_tick_products_past_int64_stay_exact(self):
         # 2,100 maximal deltas put the note near tick 2**39.04, and at
@@ -151,7 +152,7 @@ class TestBasicParsing:
         ]
         data = smf.build([smf.track(events)], fmt=0)
         ann = parse_midi(data)
-        starts_ends = [(e.onset_sec, e.offset_sec) for e in ann.events]
+        starts_ends = list(zip(ann.onsets.tolist(), ann.offsets.tolist()))
         ppqn_seconds = 0.5 / 480
         expected = [(0.0, 200 * ppqn_seconds), (100 * ppqn_seconds, 300 * ppqn_seconds)]
         for (got_on, got_off), (want_on, want_off) in zip(starts_ends, expected):
@@ -170,7 +171,7 @@ class TestBasicParsing:
         data = smf.build([smf.track(events)], fmt=0)
         ann = parse_midi(data)
         assert len(ann) == 2
-        durations = sorted(e.duration_sec for e in ann.events)
+        durations = sorted((ann.offsets - ann.onsets).tolist())
         tick = 0.5 / 480
         assert abs(durations[0] - 100 * tick) < 1e-12
         assert abs(durations[1] - 400 * tick) < 1e-12
@@ -179,7 +180,7 @@ class TestBasicParsing:
         tempo_track = smf.track([(0, smf.set_tempo(600000))])
         notes = smf.track([(0, smf.note_on(60, 80)), (480, smf.note_off(60))])
         ann = parse_midi(smf.build([tempo_track, notes], fmt=1))
-        assert abs(ann.events[0].offset_sec - 0.6) < 1e-12
+        assert abs(ann.offsets[0] - 0.6) < 1e-12
 
     def test_stray_note_off_ignored(self):
         events = [(0, smf.note_off(72)), (0, smf.note_on(60, 80)),
@@ -217,13 +218,13 @@ class TestBasicParsing:
     def test_pitch_label_override(self):
         data = smf.simple_file([(0, 480, 3)])
         ann = parse_midi(data, pitch_offset=0, num_labels=12)
-        assert ann.events[0].label == 3
+        assert ann.labels[0] == 3
 
     def test_output_validates_clean(self):
         data = smf.simple_file([(0, 480, 60), (240, 960, 72), (480, 960, 60)])
         ann = parse_midi(data)
-        assert validate(ann).ok
-        assert ann.duration_sec == max(e.offset_sec for e in ann.events)
+        assert validate(ann) == ()
+        assert ann.duration_sec == ann.offsets.max()
 
 
 class TestErrors:

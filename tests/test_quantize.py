@@ -7,11 +7,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import annotation_of
 from notegrid import (Annotation, ContractError, FrameGrid, LabelingFunction,
-                      LabelMatrix, NoteEvent, QuantizedArrays, ShiftStream,
-                      noise_ceiling, quantize_interval, rasterize,
+                      LabelMatrix, QuantizedArrays, noise_ceiling, quantize_interval, rasterize,
                       rasterize_with_records)
-from notegrid.quantize import _parts, paint_ranges, quantize, seeded_shifts
+from notegrid.quantize import _draws, _parts, paint_ranges, quantize, seeded_shifts
 from notegrid.util import MASK64, derive_seed, splitmix64
 
 A, B, C, D, E, F = LabelingFunction
@@ -53,7 +53,7 @@ def oracle_indices(fn, onset, offset, dt):
 
 def scalar_draws(counter):
     """The scalar splitmix64 rejection loop, one draw per hash: the
-    reference ShiftStream.draws must equal."""
+    reference _draws must equal."""
     while True:
         z = splitmix64(counter)
         counter = (counter + 1) & MASK64
@@ -62,7 +62,7 @@ def scalar_draws(counter):
 
 
 def reference_stream(seed, fn):
-    """scalar_draws from the counter ShiftStream(seed, fn) starts at."""
+    """scalar_draws from the counter seeded_shifts(fn, seed, n) starts at."""
     return scalar_draws(derive_seed(seed, "abcdef".index(fn.letter)))
 
 
@@ -110,8 +110,8 @@ class TestQuantize:
 
     @pytest.mark.parametrize("fps", [100.0, 31.25, 86.1328125])
     def test_matches_reference_on_fixture(self, hundred_notes, fps):
-        onsets = [e.onset_sec for e in hundred_notes.events]
-        offsets = [e.offset_sec for e in hundred_notes.events]
+        onsets = hundred_notes.onsets.tolist()
+        offsets = hundred_notes.offsets.tolist()
         self.assert_matches_reference(onsets, offsets, 1.0 / fps, seed=3)
 
     def test_matches_reference_on_random_arrays(self):
@@ -153,7 +153,7 @@ class TestQuantize:
             quantize_interval(E, 0.1, 0.2, 0.01, shifts=np.array([], dtype=np.int64))
 
     def test_empty_input(self):
-        q = quantize(F, [], [], 0.01, shifts=ShiftStream(0, F).draws(0))
+        q = quantize(F, [], [], 0.01, shifts=seeded_shifts(F, 0, 0))
         assert all(field.shape == (0,) for field in q)
 
 
@@ -253,58 +253,50 @@ class TestQuantizeInterval:
             quantize_interval(A, 0.1, 0.2, 0.0)
 
 
-class TestShiftStream:
+class TestSeededShifts:
     def test_deterministic_per_seed_and_fn(self):
-        first = ShiftStream(42, E).draws(50).tolist()
-        second = ShiftStream(42, E).draws(50).tolist()
+        first = seeded_shifts(E, 42, 50).tolist()
+        second = seeded_shifts(E, 42, 50).tolist()
         assert first == second
 
     def test_distinct_functions_get_distinct_streams(self):
-        stream_e = ShiftStream(42, E).draws(50).tolist()
-        stream_f = ShiftStream(42, F).draws(50).tolist()
+        stream_e = seeded_shifts(E, 42, 50).tolist()
+        stream_f = seeded_shifts(F, 42, 25).tolist()
         assert stream_e != stream_f
 
     def test_values_uniform_over_three(self):
-        draws = ShiftStream(7, F).draws(3000).tolist()
+        draws = seeded_shifts(F, 7, 1500).tolist()
         assert set(draws) == {-1, 0, 1}
         for value in (-1, 0, 1):
             assert 850 <= draws.count(value) <= 1150
 
     def test_draws_are_int64(self):
-        assert ShiftStream(0, E).draws(5).dtype == np.int64
-        assert ShiftStream(0, E).draws(0).shape == (0,)
+        assert seeded_shifts(E, 0, 5).dtype == np.int64
+        assert seeded_shifts(F, 0, 5).shape == (10,)
+        assert seeded_shifts(E, 0, 0).shape == (0,)
+        assert _draws(0, 0).shape == (0,)
+
+    def test_none_for_deterministic_functions(self):
+        assert all(seeded_shifts(fn, 0, 5) is None for fn in (A, B, C, D))
 
     @pytest.mark.parametrize("seed", [0, 7, 12345])
     @pytest.mark.parametrize("fn", [E, F])
     def test_first_million_equal_scalar_loop(self, seed, fn):
         want = list(itertools.islice(reference_stream(seed, fn), 10 ** 6))
-        assert ShiftStream(seed, fn).draws(10 ** 6).tolist() == want
+        assert seeded_shifts(fn, seed, 10 ** 6 // fn.shifts_per_interval).tolist() == want
 
     def test_rejected_counter_hashes_to_the_rejected_value(self):
         assert splitmix64(REJECTED_COUNTER) == MASK64
 
-    @pytest.mark.parametrize("split", range(11))
-    def test_matches_scalar_loop_across_rejection(self, split):
-        # the stream starts 3 counters before the one rejected hash, and
-        # the draws are taken in two calls split at every point
-        stream = ShiftStream(0, E)
-        stream._counter = REJECTED_COUNTER - 3
-        got = stream.draws(split).tolist() + stream.draws(10 - split).tolist()
-        assert got == list(itertools.islice(scalar_draws(REJECTED_COUNTER - 3), 10))
-        # the counter stopped where ten scalar draws leave it
-        assert stream._counter == REJECTED_COUNTER + 8
-
-    @pytest.mark.parametrize("a,b", [(0, 0), (0, 5), (5, 0), (1, 1), (17, 1000), (999, 2)])
-    def test_consecutive_calls_equal_one_call(self, a, b):
-        split = ShiftStream(12345, F)
-        joined = np.concatenate([split.draws(a), split.draws(b)])
-        assert joined.tolist() == ShiftStream(12345, F).draws(a + b).tolist()
+    @pytest.mark.parametrize("k", range(11))
+    def test_matches_scalar_loop_across_rejection(self, k):
+        # the counters start 3 before the one rejected hash
+        got = _draws(REJECTED_COUNTER - 3, k).tolist()
+        assert got == list(itertools.islice(scalar_draws(REJECTED_COUNTER - 3), k))
 
     def test_counter_wraps_at_2_to_64(self):
-        stream = ShiftStream(0, F)
-        stream._counter = MASK64 - 1
-        assert stream.draws(6).tolist() == list(itertools.islice(scalar_draws(MASK64 - 1), 6))
-        assert stream._counter == 4
+        want = list(itertools.islice(scalar_draws(MASK64 - 1), 6))
+        assert _draws(MASK64 - 1, 6).tolist() == want
 
 
 class TestFrameGrid:
@@ -350,23 +342,21 @@ class TestLabelMatrix:
 
 class TestRasterize:
     def test_empty_annotation_all_zero(self):
-        ann = Annotation.from_events([], num_labels=4)
+        ann = annotation_of([], num_labels=4)
         grid = FrameGrid(fps=100.0, num_frames=30)
         matrix = rasterize(ann, grid, A)
         assert matrix.frames.shape == (30, 4)
         assert not matrix.frames.any()
 
     def test_single_event_half_open(self):
-        ann = Annotation.from_events([NoteEvent(0.10, 0.25, 3)], num_labels=4,
-                                     duration_sec=0.3)
+        ann = annotation_of([(0.10, 0.25, 3)], num_labels=4, duration_sec=0.3)
         matrix = rasterize(ann, FrameGrid(fps=100.0, num_frames=30), A)
         expected = np.zeros((30, 4), dtype=np.uint8)
         expected[10:25, 3] = 1
         assert np.array_equal(matrix.frames, expected)
 
     def test_random_function_shifts_one_boundary_frame(self):
-        ann = Annotation.from_events([NoteEvent(0.10, 0.25, 3)], num_labels=4,
-                                     duration_sec=0.3)
+        ann = annotation_of([(0.10, 0.25, 3)], num_labels=4, duration_sec=0.3)
         grid = FrameGrid(fps=100.0, num_frames=30)
         base, qa = rasterize_with_records(ann, grid, A, 0)
         m1, q1 = rasterize_with_records(ann, grid, F, 1)
@@ -377,8 +367,7 @@ class TestRasterize:
         assert not np.array_equal(m1.frames, m2.frames)
 
     def test_deterministic_given_seed(self):
-        ann = Annotation.from_events(
-            [NoteEvent(0.1, 0.5, 0), NoteEvent(0.3, 0.9, 2)], num_labels=3)
+        ann = annotation_of([(0.1, 0.5, 0), (0.3, 0.9, 2)], num_labels=3)
         grid = FrameGrid(fps=31.25, num_frames=40)
         first = rasterize(ann, grid, F, 123)
         second = rasterize(ann, grid, F, 123)
@@ -386,18 +375,17 @@ class TestRasterize:
         assert first.frames.tobytes() == second.frames.tobytes()
 
     def test_same_label_overlap_ors(self):
-        ann = Annotation.from_events(
-            [NoteEvent(0.0, 0.2, 1), NoteEvent(0.1, 0.3, 1)], num_labels=2)
+        ann = annotation_of([(0.0, 0.2, 1), (0.1, 0.3, 1)], num_labels=2)
         matrix = rasterize(ann, FrameGrid(fps=100.0, num_frames=30), A)
         assert matrix.frames[:30, 1].sum() == 30
 
     def test_indices_clipped_at_grid_end(self):
-        ann = Annotation.from_events([NoteEvent(0.1, 5.0, 0)], num_labels=1)
+        ann = annotation_of([(0.1, 5.0, 0)], num_labels=1)
         matrix = rasterize(ann, FrameGrid(fps=100.0, num_frames=20), A)
         assert matrix.frames[10:, 0].all()
 
     def test_event_entirely_past_grid(self):
-        ann = Annotation.from_events([NoteEvent(1.0, 2.0, 0)], num_labels=1)
+        ann = annotation_of([(1.0, 2.0, 0)], num_labels=1)
         matrix = rasterize(ann, FrameGrid(fps=100.0, num_frames=10), A)
         assert not matrix.frames.any()
 
@@ -407,7 +395,7 @@ class TestRasterize:
             rasterize(ann, FrameGrid(fps=100.0, num_frames=10), A)
 
     def test_provenance_recorded(self):
-        ann = Annotation.from_events([NoteEvent(0.1, 0.5, 0)], num_labels=1)
+        ann = annotation_of([(0.1, 0.5, 0)], num_labels=1)
         grid = FrameGrid(fps=100.0, num_frames=60)
         matrix = rasterize(ann, grid, E, 99)
         assert matrix.labeling_function is E
@@ -420,10 +408,9 @@ class TestRasterize:
         matrix, records = rasterize_with_records(hundred_notes, grid, F, 5)
         assert len(records.t_s) == len(hundred_notes)
         rebuilt = np.zeros_like(matrix.frames)
-        for event, q in zip(hundred_notes.events, per_interval(records)):
+        for label, q in zip(hundred_notes.labels.tolist(), per_interval(records)):
             if not q.degenerate:
-                rebuilt[min(q.t_s, grid.num_frames):min(q.t_e, grid.num_frames),
-                        event.label] = 1
+                rebuilt[min(q.t_s, grid.num_frames):min(q.t_e, grid.num_frames), label] = 1
         assert np.array_equal(rebuilt, matrix.frames)
 
     @pytest.mark.parametrize("num_labels", [3, 8])  # part of a byte, and a whole one
@@ -432,23 +419,23 @@ class TestRasterize:
         # 300 deep, shifts below frame 0, and a grid that ends before the
         # last notes
         r = random.Random(29)
-        events = [NoteEvent(0.5, 0.9, 1)] * 300
+        events = [(0.5, 0.9, 1)] * 300
         for _ in range(100 * num_labels):
             onset = r.random() * (0.05 if r.random() < 0.3 else 4.0)
-            events.append(NoteEvent(onset, onset + 1e-6 + r.random() * r.choice([0.02, 1.5]),
+            events.append((onset, onset + 1e-6 + r.random() * r.choice([0.02, 1.5]),
                                     r.randrange(num_labels)))
-        ann = Annotation.from_events(events, num_labels=num_labels)
+        ann = annotation_of(events, num_labels=num_labels)
         grid = FrameGrid(fps=31.25, num_frames=100)
         for fn in LabelingFunction:
             matrix, records = rasterize_with_records(ann, grid, fn, 4)
             painted = np.zeros_like(matrix.frames)
-            for event, q in zip(ann.events, per_interval(records)):
-                painted[q.t_s:q.t_e, event.label] = 1
+            for label, q in zip(ann.labels.tolist(), per_interval(records)):
+                painted[q.t_s:q.t_e, label] = 1
             assert np.array_equal(matrix.frames, painted), fn
             assert np.array_equal(rasterize(ann, grid, fn, 4).frames, painted), fn
 
     def test_grid_past_cell_budget_rejected(self):
-        ann = Annotation.from_events([NoteEvent(0.5, 0.9, 1)], num_labels=4)
+        ann = annotation_of([(0.5, 0.9, 1)], num_labels=4)
         with pytest.raises(ContractError, match=f"{2 ** 62} frames x 4 labels exceeds "
                                                 f"the budget of {2 ** 31} cells"):
             rasterize(ann, FrameGrid(fps=100.0, num_frames=2 ** 62), A)
@@ -459,7 +446,7 @@ class TestRasterize:
     def test_zero_label_grid_must_fit_int64(self, num_frames, named):
         # with no labels no cell budget applies; the frame line must still
         # fit int64, and a grid of 2**62 frames still rasterizes
-        ann = Annotation.from_events([], num_labels=0)
+        ann = annotation_of([], num_labels=0)
         grid = FrameGrid(fps=100.0, num_frames=num_frames)
         if named is None:
             assert rasterize(ann, grid, A).frames.shape == (num_frames, 0)
@@ -471,8 +458,7 @@ class TestRasterize:
                 call()
 
     def test_draws_consumed_in_event_order(self):
-        ann = Annotation.from_events(
-            [NoteEvent(0.1, 0.3, 0), NoteEvent(0.5, 0.7, 1)], num_labels=2)
+        ann = annotation_of([(0.1, 0.3, 0), (0.5, 0.7, 1)], num_labels=2)
         grid = FrameGrid(fps=100.0, num_frames=100)
         _, records = rasterize_with_records(ann, grid, E, 0,
                                             shifts=np.array([1, -1]))
@@ -570,9 +556,9 @@ class TestNoiseCeiling:
     def test_floor_boundaries_lose_fmeasure(self):
         # every boundary sits at fractional part 0.6, so floor disagrees
         # with round on all of them
-        events = [NoteEvent(0.06, 0.26, 0), NoteEvent(0.46, 0.66, 1),
-                  NoteEvent(0.86, 1.06, 2)]
-        ann = Annotation.from_events(events, num_labels=3, duration_sec=1.2)
+        events = [(0.06, 0.26, 0), (0.46, 0.66, 1),
+                  (0.86, 1.06, 2)]
+        ann = annotation_of(events, num_labels=3, duration_sec=1.2)
         grid = FrameGrid(fps=10.0, num_frames=12)
         result = noise_ceiling(ann, grid, C, 0)
         assert result.fmeasure < 1.0
@@ -608,11 +594,11 @@ class TestNoiseCeiling:
                 self.assert_equals_matrix_count(ann, FrameGrid.covering(fps, seconds), case)
 
     def test_range_count_on_stacked_clamped_and_degenerate_notes(self):
-        events = ([NoteEvent(0.0, 0.02, 0), NoteEvent(0.001, 0.004, 1)]  # shifts clamp at 0
-                  + [NoteEvent(0.1 + 0.01 * i, 0.3 + 0.02 * i, 2) for i in range(6)]  # stacked
-                  + [NoteEvent(0.2, 0.25, 2), NoteEvent(0.25, 0.3, 2)]  # end-to-end
-                  + [NoteEvent(0.5 + 0.1 * i, 0.5 + 0.1 * i + 0.003, 3) for i in range(5)])
-        ann = Annotation.from_events(events, num_labels=4, duration_sec=1.0)
+        events = ([(0.0, 0.02, 0), (0.001, 0.004, 1)]  # shifts clamp at 0
+                  + [(0.1 + 0.01 * i, 0.3 + 0.02 * i, 2) for i in range(6)]  # stacked
+                  + [(0.2, 0.25, 2), (0.25, 0.3, 2)]  # end-to-end
+                  + [(0.5 + 0.1 * i, 0.5 + 0.1 * i + 0.003, 3) for i in range(5)])
+        ann = annotation_of(events, num_labels=4, duration_sec=1.0)
         grid = FrameGrid(fps=100.0, num_frames=100)
         for fn in (C, D):  # 3 ms notes quantize to zero length
             assert quantize(fn, ann.onsets, ann.offsets, grid.dt).degenerate.any(), fn
@@ -635,7 +621,7 @@ class TestNoiseCeiling:
             noise_ceiling(hundred_notes, grid, fn, 3)
 
     def test_grid_past_cell_budget_rejected(self):
-        ann = Annotation.from_events([NoteEvent(0.5, 0.9, 1)], num_labels=4)
+        ann = annotation_of([(0.5, 0.9, 1)], num_labels=4)
         with pytest.raises(ContractError, match=f"{2 ** 62} frames x 4 labels exceeds "
                                                 f"the budget of {2 ** 31} cells"):
             noise_ceiling(ann, FrameGrid(fps=100.0, num_frames=2 ** 62), B)

@@ -4,9 +4,10 @@ import random
 import numpy as np
 import pytest
 
-from notegrid import (Annotation, ContractError, FrameGrid, NoteEvent,
-                      SynthConfig, generate_corpus, label_templates,
-                      render_features, validate)
+from conftest import annotation_of, notes_of
+from notegrid import (ContractError, FrameGrid, SynthConfig,
+                      generate_corpus, label_templates, render_features,
+                      validate)
 from notegrid.synth import (MAX_FEATURE_DIM, MAX_NOTES_PER_PIECE, MAX_PIECES,
                             MAX_TEMPLATE_TERMS)
 
@@ -16,7 +17,7 @@ class TestGenerateCorpus:
         cfg = SynthConfig(num_pieces=20, piece_duration_sec=5.0, note_rate=4.0,
                           duration_range=(2.0, 4.0), seed=1)
         for piece in generate_corpus(cfg):
-            assert all(e.offset_sec <= cfg.piece_duration_sec for e in piece.events)
+            assert (piece.offsets <= cfg.piece_duration_sec).all()
             assert piece.duration_sec == cfg.piece_duration_sec
 
     def test_deterministic(self):
@@ -39,12 +40,12 @@ class TestGenerateCorpus:
     def test_labels_cover_space(self):
         cfg = SynthConfig(num_pieces=10, seed=5)
         corpus = generate_corpus(cfg)
-        labels = {e.label for p in corpus for e in p.events}
+        labels = {label for p in corpus for label in p.labels.tolist()}
         assert labels == set(range(cfg.num_labels))
 
     def test_pieces_validate_clean(self):
         for piece in generate_corpus(SynthConfig(num_pieces=5, seed=9)):
-            assert validate(piece).ok
+            assert validate(piece) == ()
 
     def test_note_budget(self):
         # the budget bounds the expected count, note_rate x piece_duration_sec
@@ -126,35 +127,34 @@ class TestRenderFeatures:
         # identity templates, so the noiseless features are the active cells
         cfg = SynthConfig(num_labels=3, feature_dim=3, harmonics=1, noise_sigma=0.0)
         dt = 0.125  # exact in binary, so the first boundaries sit on frame centres
-        on_centres = [NoteEvent(0.1875, 0.4375, 0), NoteEvent(0.3, 0.35, 1),
-                      NoteEvent(0.0, 0.05, 2), NoteEvent(1.0, 1.9, 0),
-                      NoteEvent(1.2, 1.5, 0), NoteEvent(0.01, 2.0, 1)]
+        on_centres = [(0.1875, 0.4375, 0), (0.3, 0.35, 1),
+                      (0.0, 0.05, 2), (1.0, 1.9, 0),
+                      (1.2, 1.5, 0), (0.01, 2.0, 1)]
         r = random.Random(31)
         onsets = [r.random() * 1.8 for _ in range(40)]
-        scattered = [NoteEvent(on, on + r.random() * 0.19 + 1e-3, r.randrange(3))
+        scattered = [(on, on + r.random() * 0.19 + 1e-3, r.randrange(3))
                      for on in onsets]
         grid = FrameGrid(fps=1 / dt, num_frames=16)
         for events in (on_centres, scattered):
-            ann = Annotation.from_events(events, num_labels=3, duration_sec=2.0)
+            ann = annotation_of(events, num_labels=3, duration_sec=2.0)
             brute = np.zeros((16, 3))
             for t in range(16):
                 centre = (t + 0.5) * dt
-                for e in ann.events:
-                    if e.onset_sec <= centre < e.offset_sec:
-                        brute[t, e.label] = 1.0
+                for onset, offset, label in notes_of(ann):
+                    if onset <= centre < offset:
+                        brute[t, label] = 1.0
             assert np.array_equal(render_features(ann, grid, cfg).values, brute)
 
     def test_silence_gives_zero_rows(self):
         cfg = SynthConfig(noise_sigma=0.0)
-        ann = Annotation.from_events([], num_labels=cfg.num_labels, duration_sec=1.0)
+        ann = annotation_of([], num_labels=cfg.num_labels, duration_sec=1.0)
         grid = FrameGrid.covering(31.25, 1.0)
         feats = render_features(ann, grid, cfg)
         assert not feats.values.any()
 
     def test_single_label_rows_equal_template(self):
         cfg = SynthConfig(noise_sigma=0.0, harmonics=1)
-        ann = Annotation.from_events([NoteEvent(0.0, 1.0, 5)],
-                                     num_labels=cfg.num_labels, duration_sec=2.0)
+        ann = annotation_of([(0.0, 1.0, 5)], num_labels=cfg.num_labels, duration_sec=2.0)
         grid = FrameGrid.covering(31.25, 2.0)
         feats = render_features(ann, grid, cfg)
         template = label_templates(cfg)[5]
@@ -164,8 +164,7 @@ class TestRenderFeatures:
 
     def test_adjacent_frames_inside_note_identical(self):
         cfg = SynthConfig(noise_sigma=0.0)
-        ann = Annotation.from_events([NoteEvent(0.1, 0.9, 2)],
-                                     num_labels=cfg.num_labels, duration_sec=1.0)
+        ann = annotation_of([(0.1, 0.9, 2)], num_labels=cfg.num_labels, duration_sec=1.0)
         grid = FrameGrid.covering(100.0, 1.0)
         feats = render_features(ann, grid, cfg)
         assert np.array_equal(feats.values[40], feats.values[41])
@@ -174,8 +173,7 @@ class TestRenderFeatures:
     def test_activity_judged_at_frame_centers(self):
         cfg = SynthConfig(noise_sigma=0.0, harmonics=1)
         # note [0.1, 0.3): centers 0.05, 0.15, 0.25, 0.35 -> frames 1 and 2
-        ann = Annotation.from_events([NoteEvent(0.1, 0.3, 0)],
-                                     num_labels=cfg.num_labels, duration_sec=0.4)
+        ann = annotation_of([(0.1, 0.3, 0)], num_labels=cfg.num_labels, duration_sec=0.4)
         grid = FrameGrid(fps=10.0, num_frames=4)
         feats = render_features(ann, grid, cfg)
         active = feats.values.any(axis=1)
@@ -183,8 +181,8 @@ class TestRenderFeatures:
 
     def test_energy_adds_over_simultaneous_labels(self):
         cfg = SynthConfig(noise_sigma=0.0)
-        ann = Annotation.from_events(
-            [NoteEvent(0.0, 1.0, 1), NoteEvent(0.0, 1.0, 7)],
+        ann = annotation_of(
+            [(0.0, 1.0, 1), (0.0, 1.0, 7)],
             num_labels=cfg.num_labels, duration_sec=1.0)
         grid = FrameGrid.covering(31.25, 1.0)
         feats = render_features(ann, grid, cfg)
@@ -194,8 +192,8 @@ class TestRenderFeatures:
 
     def test_same_label_overlap_counted_once(self):
         cfg = SynthConfig(noise_sigma=0.0)
-        ann = Annotation.from_events(
-            [NoteEvent(0.0, 0.6, 3), NoteEvent(0.3, 1.0, 3)],
+        ann = annotation_of(
+            [(0.0, 0.6, 3), (0.3, 1.0, 3)],
             num_labels=cfg.num_labels, duration_sec=1.0)
         grid = FrameGrid.covering(31.25, 1.0)
         feats = render_features(ann, grid, cfg)
@@ -205,8 +203,7 @@ class TestRenderFeatures:
 
     def test_noise_deterministic_per_seed(self):
         cfg = SynthConfig(noise_sigma=0.1)
-        ann = Annotation.from_events([NoteEvent(0.0, 0.5, 0)],
-                                     num_labels=cfg.num_labels, duration_sec=1.0)
+        ann = annotation_of([(0.0, 0.5, 0)], num_labels=cfg.num_labels, duration_sec=1.0)
         grid = FrameGrid.covering(31.25, 1.0)
         one = render_features(ann, grid, cfg, noise_seed=4)
         two = render_features(ann, grid, cfg, noise_seed=4)
@@ -216,14 +213,12 @@ class TestRenderFeatures:
 
     def test_grid_must_cover_annotation(self):
         cfg = SynthConfig()
-        ann = Annotation.from_events([NoteEvent(0.0, 2.0, 0)],
-                                     num_labels=cfg.num_labels, duration_sec=2.0)
+        ann = annotation_of([(0.0, 2.0, 0)], num_labels=cfg.num_labels, duration_sec=2.0)
         with pytest.raises(ContractError):
             render_features(ann, FrameGrid(fps=31.25, num_frames=31), cfg)
 
     def test_label_space_must_match(self):
         cfg = SynthConfig(num_labels=12)
-        ann = Annotation.from_events([NoteEvent(0.0, 1.0, 0)], num_labels=4,
-                                     duration_sec=1.0)
+        ann = annotation_of([(0.0, 1.0, 0)], num_labels=4, duration_sec=1.0)
         with pytest.raises(ContractError):
             render_features(ann, FrameGrid.covering(31.25, 1.0), cfg)

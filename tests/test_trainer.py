@@ -733,6 +733,26 @@ class TestLockstep:
 
         assert peak_bytes(3) - peak_bytes(0) < dim * columns * 4
 
+    def test_initialization_draws_one_seed_at_a_time(self):
+        # 8 seeds at D = 1280, G = 3, K = 88: the peak is the six float32
+        # buffers and one seed's float64 draw, not every seed's draw at once,
+        # with 1 MiB for the draw's finiteness mask and small objects
+        seeds, dim, models, num_labels = 8, 1280, 3, 88
+        frames = np.zeros((seeds, 4, dim), dtype=np.float32)
+        targets = np.zeros((seeds, 4, models * num_labels), dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            weights, bias, failure = trainer_module._train_lockstep(
+                frames, 1, np.arange(4), targets, list(range(seeds)),
+                TrainConfig(epochs=0, context_frames=1), models)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert failure is None
+        buffers = 3 * (weights.nbytes + bias.nbytes)
+        draw = dim * num_labels * 8
+        assert peak <= buffers + draw + 2 ** 20
+
     def test_float32_run_stays_near_float64_train(self):
         # the float32 features, weights and steps drift from train()'s
         # float64 ones by at most DRIFT

@@ -1,9 +1,11 @@
+import hashlib
 import math
 import random
 
 import numpy as np
 import pytest
 
+import notegrid
 from conftest import annotation_of, notes_of
 from notegrid import (Annotation, ContractError, FormatError, RangeError,
                       ValidationError, parse_tsv, to_tsv, validate)
@@ -159,6 +161,24 @@ class TestAnnotationType:
     def test_column_shapes_must_agree(self, onsets, offsets, labels):
         with pytest.raises(ContractError):
             Annotation(onsets, offsets, labels, num_labels=2, duration_sec=2.0)
+
+    def test_hundred_notes_fixture_is_frozen(self, hundred_notes):
+        # the golden numbers in the acceptance tests are frozen against
+        # these exact columns, dtypes and fields
+        digest = hashlib.sha256()
+        for column in (hundred_notes.onsets, hundred_notes.offsets, hundred_notes.labels):
+            digest.update(column.dtype.str.encode())
+            digest.update(column.tobytes())
+        assert digest.hexdigest() == (
+            "a8f0fa6edbb695f241bbf7291e3ce73c0825d67ecff639a9f3774e7ba9756c14")
+        assert (hundred_notes.num_labels, hundred_notes.duration_sec) == (12, 30.0)
+
+    def test_per_note_names_are_gone(self):
+        for name in ("NoteEvent", "ValidationReport", "ShiftStream"):
+            assert not hasattr(notegrid, name)
+            assert name not in notegrid.__all__
+        assert not hasattr(Annotation, "events")
+        assert not hasattr(Annotation, "from_events")
 
 
 def reference_validate(annotation: Annotation) -> tuple[str, ...]:

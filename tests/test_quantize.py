@@ -294,6 +294,15 @@ class TestSeededShifts:
         got = _draws(REJECTED_COUNTER - 3, k).tolist()
         assert got == list(itertools.islice(scalar_draws(REJECTED_COUNTER - 3), k))
 
+    @pytest.mark.parametrize("a,b", [(0, 0), (0, 5), (5, 0), (1, 1), (17, 1000), (999, 2)])
+    def test_shorter_draw_is_a_prefix_of_a_longer_one(self, a, b):
+        # from an ordinary counter, from 3 before the rejected hash, and
+        # from 2 before the 2**64 wrap
+        for counter in (derive_seed(12345, 5), REJECTED_COUNTER - 3, MASK64 - 1):
+            assert _draws(counter, a + b)[:a].tolist() == _draws(counter, a).tolist()
+        assert (seeded_shifts(F, 12345, a + b)[:2 * a].tolist()
+                == seeded_shifts(F, 12345, a).tolist())
+
     def test_counter_wraps_at_2_to_64(self):
         want = list(itertools.islice(scalar_draws(MASK64 - 1), 6))
         assert _draws(MASK64 - 1, 6).tolist() == want

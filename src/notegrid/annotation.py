@@ -10,7 +10,7 @@ and MidiPitch, followed by one whitespace-separated event per line.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,6 +41,8 @@ class Annotation:
     labels: np.ndarray
     num_labels: int
     duration_sec: float
+    # quantize's seeded quantizations of these columns, computed on first use
+    _quantized: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         onsets = np.asarray(self.onsets, dtype=np.float64)

@@ -17,7 +17,7 @@ import numpy as np
 from .annotation import Annotation
 from .errors import ContractError
 from .quantize import (FrameGrid, LabelingFunction, LabelMatrix,
-                       QuantizedArrays, quantize, rasterize, seeded_shifts)
+                       QuantizedArrays, _seeded_records, rasterize)
 
 
 @dataclass(frozen=True)
@@ -123,11 +123,14 @@ def resample(matrix: LabelMatrix, target: FrameGrid) -> LabelMatrix:
 
 def _window_grid(grid: FrameGrid, seconds: float) -> FrameGrid:
     """The grid of the frames inside the first `seconds` of `grid`: `grid`
-    itself when the window reaches its end."""
+    itself when the window reaches its end. A window shorter than one frame
+    raises ContractError."""
     if not seconds > 0:
         raise ContractError(f"window must be positive, got {seconds}")
     if seconds * grid.fps >= grid.num_frames:
         return grid
+    if seconds * grid.fps < 1:
+        raise ContractError(f"a window of {seconds} s holds no frame at {grid.fps} fps")
     return FrameGrid(fps=grid.fps, num_frames=math.floor(seconds * grid.fps))
 
 
@@ -155,8 +158,7 @@ def _boundaries(matrix: LabelMatrix, events: Annotation,
         fn = matrix.labeling_function
         if fn is None or (fn.is_random and matrix.seed is None):
             return None
-        records = quantize(fn, events.onsets, events.offsets, matrix.grid.dt,
-                           seeded_shifts(fn, matrix.seed, len(events)))
+        records = _seeded_records(events, matrix.grid, fn, matrix.seed)
     elif len(records.t_s) != len(events):
         raise ContractError("records do not match the annotation's event count")
     return np.column_stack((records.t_s, records.t_e))

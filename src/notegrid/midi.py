@@ -146,7 +146,12 @@ def parse_midi(data: bytes, *, pitch_offset: int = PIANO_PITCH_OFFSET,
         tick = 0
         running_status: int | None = None
         while pos < chunk_end:
-            delta, pos = _vlq(data, pos, chunk_end)
+            # nearly every delta time is one byte below 0x80: read it in line
+            delta = data[pos]
+            if delta & 0x80:
+                delta, pos = _vlq(data, pos, chunk_end)
+            else:
+                pos += 1
             tick += delta
             # one byte at a time, checked in line: this loop runs per event
             first = data[pos] if pos < chunk_end else _truncated(pos)

@@ -265,8 +265,11 @@ def _parts(num_frames: int, num_labels: int, starts, ends, labels
 
     Bounds may be integers or whole-valued floats. A grid of more than
     MAX_LABEL_CELLS cells, or of 2**63 - 1 frames or more, raises
-    ContractError, as do labels outside [0, num_labels) and non-finite bounds.
+    ContractError, as do a negative num_labels, labels outside
+    [0, num_labels) and non-finite bounds.
     """
+    if num_labels < 0:
+        raise ContractError(f"num_labels must be >= 0, got {num_labels}")
     frames = num_frames if num_frames < 2 ** 64 else f"{Decimal(num_frames):.3g}"
     if int(num_frames) * int(num_labels) > MAX_LABEL_CELLS:
         raise ContractError(
@@ -310,7 +313,13 @@ def paint_ranges(num_frames: int, num_labels: int, starts, ends, labels) -> np.n
     or whole-valued floats. A matrix of more than MAX_LABEL_CELLS cells
     raises ContractError.
     """
-    lo, hi, label = _parts(num_frames, num_labels, starts, ends, labels)
+    return _paint(num_frames, num_labels,
+                  *_parts(num_frames, num_labels, starts, ends, labels))
+
+
+def _paint(num_frames: int, num_labels: int, lo: np.ndarray, hi: np.ndarray,
+           label: np.ndarray) -> np.ndarray:
+    """paint_ranges' matrix from the (lo, hi, label) parts of _parts."""
     # A row of the matrix is K bits, bit k & 7 of byte k >> 3, packed into
     # ceil(K / 64) words. Toggling each disjoint part's bit at its first row
     # and at the row past its end, then XOR-ing down the rows, gives the 0/1
@@ -329,6 +338,57 @@ def paint_ranges(num_frames: int, num_labels: int, starts, ends, labels) -> np.n
                          bitorder="little")
 
 
+# The most quantizations _quantized keeps per Annotation, oldest dropped
+# first: twice the 8 (grid, function, seed) keys one label-study file uses.
+# An entry holds about 58 bytes per note.
+MAX_CACHED_QUANTIZATIONS = 16
+
+
+def _quantize_parts(annotation: Annotation, grid: FrameGrid, fn: LabelingFunction,
+                    shifts: np.ndarray | None
+                    ) -> tuple[QuantizedArrays, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The annotation's quantized records on the grid and their _parts
+    triple (lo, hi, label)."""
+    q = quantize(fn, annotation.onsets, annotation.offsets, grid.dt, shifts)
+    return q, _parts(grid.num_frames, annotation.num_labels, q.t_s, q.t_e, annotation.labels)
+
+
+def _cache_key(grid: FrameGrid, fn: LabelingFunction, seed: int) -> tuple:
+    """The key of a seeded quantization; the seed is no part of it for a-d."""
+    return grid, fn, seed if fn.is_random else None
+
+
+def _quantized(annotation: Annotation, grid: FrameGrid, fn: LabelingFunction, seed: int
+               ) -> tuple[QuantizedArrays, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """_quantize_parts with the seeded shifts of (fn, seed), computed once
+    per _cache_key and kept with the annotation as read-only arrays. The
+    annotation's columns are read-only, so an entry never goes stale, and a
+    call that raises keeps nothing."""
+    key = _cache_key(grid, fn, seed)
+    cache = annotation._quantized
+    entry = cache.get(key)
+    if entry is None:
+        entry = _quantize_parts(annotation, grid, fn, seeded_shifts(fn, seed, len(annotation)))
+        for array in (*entry[0], *entry[1]):
+            array.setflags(write=False)
+        if len(cache) >= MAX_CACHED_QUANTIZATIONS:
+            del cache[next(iter(cache))]
+        cache[key] = entry
+    return entry
+
+
+def _seeded_records(annotation: Annotation, grid: FrameGrid, fn: LabelingFunction,
+                    seed: int) -> QuantizedArrays:
+    """The records of _quantized's entry if the annotation keeps it, else
+    the seeded quantization computed afresh and not kept, so the annotation
+    need not pass rasterize's checks on the grid."""
+    entry = annotation._quantized.get(_cache_key(grid, fn, seed))
+    if entry is not None:
+        return entry[0]
+    return quantize(fn, annotation.onsets, annotation.offsets, grid.dt,
+                    seeded_shifts(fn, seed, len(annotation)))
+
+
 def rasterize_with_records(annotation: Annotation, grid: FrameGrid,
                            fn: LabelingFunction, seed: int = 0, *,
                            shifts: np.ndarray | None = None,
@@ -337,18 +397,19 @@ def rasterize_with_records(annotation: Annotation, grid: FrameGrid,
 
     Events are processed in annotation sort order and, for e/f, take
     shifts in that order from a stream derived from (seed, fn), so the
-    result is a pure function of its arguments. Passing explicit `shifts`
-    overrides the seeded stream (test hook); the output matrix then
-    carries seed=None since it is not reproducible from a seed.
+    result is a pure function of its arguments; that quantization is
+    computed once per (grid, fn, seed) and annotation, and its records come
+    back read-only. Passing explicit `shifts` overrides the seeded stream
+    (test hook) and computes afresh, with writable records; the output
+    matrix then carries seed=None since it is not reproducible from a seed.
     """
-    provenance_seed = seed if shifts is None else None
     if shifts is None:
-        shifts = seeded_shifts(fn, seed, len(annotation))
-    q = quantize(fn, annotation.onsets, annotation.offsets, grid.dt, shifts)
-    frames = paint_ranges(grid.num_frames, annotation.num_labels, q.t_s, q.t_e,
-                          annotation.labels)
-    matrix = LabelMatrix(frames=frames, grid=grid, labeling_function=fn,
-                         seed=provenance_seed)
+        q, parts = _quantized(annotation, grid, fn, seed)
+    else:
+        q, parts = _quantize_parts(annotation, grid, fn, shifts)
+    matrix = LabelMatrix(frames=_paint(grid.num_frames, annotation.num_labels, *parts),
+                         grid=grid, labeling_function=fn,
+                         seed=seed if shifts is None else None)
     return matrix, q
 
 
@@ -373,18 +434,13 @@ def noise_ceiling(annotation: Annotation, grid: FrameGrid, fn: LabelingFunction,
     rasterization on the same grid, bounding what any classifier trained
     on fn-labels could score against that reference. The counts come from
     the two rasterizations' disjoint frame ranges, so no matrix is
-    painted; they equal framewise_counts of the two matrices exactly.
+    painted; they equal framewise_counts of the two matrices exactly. Both
+    quantizations are the ones rasterize keeps with the annotation.
     """
     from .metrics import EvalCounts, prf
 
-    def parts(f: LabelingFunction, s: int) -> tuple[np.ndarray, np.ndarray]:
-        q = quantize(f, annotation.onsets, annotation.offsets, grid.dt,
-                     seeded_shifts(f, s, len(annotation)))
-        return _parts(grid.num_frames, annotation.num_labels, q.t_s, q.t_e,
-                      annotation.labels)[:2]
-
-    pred_lo, pred_hi = parts(fn, seed)
-    ref_lo, ref_hi = parts(LabelingFunction.A, 0)
+    pred_lo, pred_hi, _ = _quantized(annotation, grid, fn, seed)[1]
+    ref_lo, ref_hi, _ = _quantized(annotation, grid, LabelingFunction.A, 0)[1]
     # The reference cells below line position x are those of the parts
     # starting at or before x, less what the last of them runs past x.
     ref_below = np.concatenate(([0], np.cumsum(ref_hi - ref_lo)))

@@ -18,7 +18,7 @@ from decimal import Decimal
 import numpy as np
 
 from .errors import ContractError, DivergenceError
-from .metrics import EvalCounts, prf, windowed_block_counts
+from .metrics import EvalCounts, _window_grid, prf, windowed_block_counts
 from .quantize import FrameGrid, LabelingFunction, LabelMatrix, rasterize
 from .synth import FeatureMatrix, SynthConfig, generate_corpus, render_features
 from .util import MASK64, derive_seed
@@ -561,6 +561,7 @@ def run_sensitivity_experiment(synth_cfg: SynthConfig,
             count = cells if cells < 2 ** 64 else f"{Decimal(cells):.3g}"
             raise ContractError(f"{what} take {count} cells, over the budget "
                                 f"of {MAX_MODEL_CELLS} cells")
+    _window_grid(eval_grid, window_sec)  # a window of no frame fails before any training
     distinct_seeds = list(dict.fromkeys(seeds))
 
     scores = {}

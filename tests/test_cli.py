@@ -706,6 +706,19 @@ class TestRasterizeCommand:
         err = capsys.readouterr().err
         assert "broken.tsv" in err and "line 2" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("suffix", [".tsv", ".mid"])
+    def test_negative_label_count_exit_4(self, tmp_path, capsys, suffix):
+        # a note-less file passes parsing with any label count
+        empty = tmp_path / f"empty{suffix}"
+        if suffix == ".tsv":
+            empty.write_text("OnsetTime\tOffsetTime\tMidiPitch\n")
+        else:
+            empty.write_bytes(smf.build([smf.track([])], fmt=0))
+        assert run_cli(["rasterize", str(empty), "--fps", "100", "--fn", "a",
+                        "--num-labels", "-5", "--out", str(tmp_path / "out")]) == 4
+        assert capsys.readouterr().err == "error: num_labels must be >= 0, got -5\n"
+        assert not (tmp_path / "out").exists()
+
     def test_bad_extension_usage_error(self, tmp_path):
         weird = tmp_path / "notes.xyz"
         weird.write_text(TSV)
@@ -779,6 +792,19 @@ class TestEvalCommand:
         expected = prf(framewise_counts(resample(low, ref.grid), ref))
         assert reported["fmeasure"] == expected.fmeasure
         assert reported["tp"] == expected.counts.tp
+
+    @pytest.mark.parametrize("reference", ["--ref", "--annotation"])
+    def test_window_of_no_frame_exit_4(self, tmp_path, notes_tsv, capsys, reference):
+        out = tmp_path / "out"
+        run_cli(["rasterize", str(notes_tsv), "--fps", "100", "--fn", "a",
+                 "--out", str(out)])
+        capsys.readouterr()
+        source = str(out / "notes.csv") if reference == "--ref" else str(notes_tsv)
+        assert run_cli(["eval", "--pred", str(out / "notes.csv"), reference, source,
+                        "--out", str(out / "eval"), "--window-sec", "1e-300"]) == 4
+        assert capsys.readouterr().err == ("error: a window of 1e-300 s holds no frame "
+                                           "at 100.0 fps\n")
+        assert not (out / "eval").exists()
 
     def test_missing_sidecar_exit_code_and_message(self, tmp_path, capsys):
         naked = tmp_path / "naked.csv"
@@ -1029,6 +1055,25 @@ class TestExperimentCommand:
         # the model-size budget, checked before any piece is generated
         assert err == ("error: a test piece's windows take 1.44e+303 cells, "
                        "over the budget of 16777216 cells\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("option,value,message", [
+        ("--window-sec", "0.001", "a window of 0.001 s holds no frame at 100.0 fps"),
+        ("--eval-fps", "1e-300", "a window of 30.0 s holds no frame at 1e-300 fps"),
+    ], ids=["window-sec", "eval-fps"])
+    def test_window_of_no_frame_exit_4_before_generating(self, tmp_path, monkeypatch, capsys,
+                                                         option, value, message):
+        from notegrid import trainer as trainer_module
+
+        def no_corpus(cfg):
+            raise AssertionError("generated a corpus")
+
+        monkeypatch.setattr(trainer_module, "generate_corpus", no_corpus)
+        config = tmp_path / "exp.json"
+        config.write_text(json.dumps(EXPERIMENT_CONFIG))
+        assert run_cli(["experiment", "--config", str(config), "--fns", "a", "--seeds", "1",
+                        option, value, "--out", str(tmp_path / "out")]) == 4
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "out").exists()
 
     def test_nan_window_usage_error(self, tmp_path, capsys):

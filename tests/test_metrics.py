@@ -283,6 +283,18 @@ class TestDisagreement:
         assert stats.onset_shift_histogram  # floor shifts some onsets down
         assert all(shift == -1 for shift in stats.onset_shift_histogram)
 
+    @pytest.mark.parametrize("num_labels", [2 ** 40, 5])
+    def test_records_derived_past_the_rasterization_checks(self, num_labels):
+        # the annotation's label space makes the matrices' grid too big to
+        # rasterize it on, or leaves its label 7 outside; the boundaries stand
+        notes = [(0.16, 0.46, 3), (0.57, 0.82, 7)]
+        grid = FrameGrid(fps=10.0, num_frames=10)
+        a = rasterize(annotation_of(notes, num_labels=8), grid, A)
+        c = rasterize(annotation_of(notes, num_labels=8), grid, C)
+        stats = disagreement(a, c, annotation_of(notes, num_labels=num_labels))
+        assert stats.onset_shift_histogram == {-1: 2}
+        assert stats.offset_shift_histogram == {-1: 1}
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ContractError):
             disagreement(matrix_of([[1, 0]]), matrix_of([[1, 0], [0, 0]]),
@@ -356,6 +368,16 @@ class TestEvaluationProtocol:
         kept = (covering.num_frames if window_sec * ref_fps >= covering.num_frames
                 else math.floor(window_sec * ref_fps))
         assert painted == [FrameGrid(ref_fps, kept)]
+
+    @pytest.mark.parametrize("window_sec,ref_fps", [(0.0099, 100.0), (1e-300, 100.0),
+                                                    (30.0, 1e-300)])
+    def test_window_of_no_frame_names_window_and_rate(self, hundred_notes, window_sec,
+                                                      ref_fps):
+        pred = rasterize(hundred_notes, FrameGrid.covering(31.25, 30.0), A, 0)
+        with pytest.raises(ContractError, match=f"^a window of {window_sec} s holds no "
+                                                f"frame at {ref_fps} fps$"):
+            evaluate_against_reference(pred, hundred_notes, window_sec=window_sec,
+                                       ref_fps=ref_fps)
 
     @pytest.mark.parametrize("window_sec", [0.0, -1.0, math.nan, 0.0099, 0.5 / 86.1328125])
     @pytest.mark.parametrize("ref_fps", [100.0, 86.1328125])

@@ -2,16 +2,21 @@ import itertools
 import math
 import random
 import re
+from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from conftest import annotation_of
 from notegrid import (Annotation, ContractError, FrameGrid, LabelingFunction,
-                      LabelMatrix, QuantizedArrays, noise_ceiling, quantize_interval, rasterize,
-                      rasterize_with_records)
-from notegrid.quantize import _draws, _parts, paint_ranges, quantize, seeded_shifts
+                      LabelMatrix, QuantizedArrays, disagreement, evaluate_against_reference,
+                      noise_ceiling, quantize_interval, rasterize, rasterize_with_records,
+                      render_features)
+from notegrid import quantize as quantize_module
+from notegrid.quantize import (MAX_CACHED_QUANTIZATIONS, _draws, _parts, paint_ranges,
+                               quantize, seeded_shifts)
 from notegrid.util import MASK64, derive_seed, splitmix64
 
 A, B, C, D, E, F = LabelingFunction
@@ -619,15 +624,18 @@ class TestNoiseCeiling:
         assert clamps
 
     def test_paints_no_matrix(self, hundred_notes, monkeypatch):
-        import notegrid.quantize
-
         def refuse(*args, **kwargs):
             raise AssertionError("noise_ceiling painted a matrix")
 
-        monkeypatch.setattr(notegrid.quantize, "paint_ranges", refuse)
+        for painter in ("paint_ranges", "_paint"):
+            monkeypatch.setattr(quantize_module, painter, refuse)
         grid = FrameGrid.covering(100.0, hundred_notes.duration_sec)
-        for fn in LabelingFunction:
-            noise_ceiling(hundred_notes, grid, fn, 3)
+        # a fresh copy quantizes on the first round and reads the kept parts
+        # on the second, so both paths run, whatever earlier tests kept
+        ann = replace(hundred_notes)
+        for _ in range(2):
+            for fn in LabelingFunction:
+                noise_ceiling(ann, grid, fn, 3)
 
     def test_grid_past_cell_budget_rejected(self):
         ann = annotation_of([(0.5, 0.9, 1)], num_labels=4)
@@ -642,3 +650,135 @@ class TestNoiseCeiling:
         forced = rasterize(hundred_notes, grid, E, rng=np.zeros(len(hundred_notes), dtype=int))
         ref = rasterize(hundred_notes, grid, A, 0)
         assert prf(framewise_counts(forced, ref)).fmeasure == 1.0
+
+
+class TestNegativeLabelCount:
+    @pytest.mark.parametrize("call", [
+        lambda ann, grid: rasterize(ann, grid, A),
+        lambda ann, grid: rasterize_with_records(ann, grid, E, shifts=np.zeros(0, dtype=int)),
+        lambda ann, grid: noise_ceiling(ann, grid, F, 3),
+        # SynthConfig requires a label, so a duck-typed config reaches the painter
+        lambda ann, grid: render_features(ann, grid, SimpleNamespace(num_labels=-5)),
+        lambda ann, grid: paint_ranges(grid.num_frames, -5, [], [], []),
+    ], ids=["rasterize", "explicit-shifts", "noise_ceiling", "render_features", "paint_ranges"])
+    def test_rejected_with_its_value(self, call):
+        ann = annotation_of([], num_labels=-5)
+        with pytest.raises(ContractError, match=r"^num_labels must be >= 0, got -5$"):
+            call(ann, FrameGrid(fps=100.0, num_frames=10))
+
+
+def random_annotation(seed: int, num_notes: int, num_labels: int,
+                      seconds: float) -> Annotation:
+    """Notes with onsets on a 1 ms grid, so that some stack, touch or
+    quantize to zero length."""
+    r = random.Random(seed)
+    notes = []
+    for _ in range(num_notes):
+        onset = round(r.random() * seconds * 0.98, 3)
+        notes.append((onset, onset + 0.001 + r.random() * r.choice([0.02, 0.9]),
+                      r.randrange(num_labels)))
+    return annotation_of(notes, num_labels, seconds)
+
+
+class TestQuantizationCache:
+    def test_label_study_file_quantizes_once_per_key(self, monkeypatch):
+        # one label-study file's operation, at a seed that is not 0: the seed-0
+        # reference of noise_ceiling shares rasterize's entry for a
+        ann = random_annotation(3, 400, 88, 45.0)
+        calls = []
+
+        def counting_quantize(fn, onsets, offsets, dt, shifts=None):
+            calls.append((fn, dt))
+            return quantize(fn, onsets, offsets, dt, shifts)
+
+        monkeypatch.setattr(quantize_module, "quantize", counting_quantize)
+        grid = FrameGrid.covering(100.0, ann.duration_sec)
+        matrices = [rasterize(ann, grid, fn, 7) for fn in LabelingFunction]
+        for fn in (B, C, D, E, F):
+            noise_ceiling(ann, grid, fn, 7)
+        disagreement(matrices[0], matrices[-1], ann)
+        coarse = rasterize(ann, FrameGrid.covering(31.25, ann.duration_sec), F, 7)
+        evaluate_against_reference(coarse, ann)
+        # six functions at 100 fps, f at 31.25 fps, and a on the 30 s window's grid
+        assert calls == [(fn, 0.01) for fn in LabelingFunction] + [(F, 0.032), (A, 0.01)]
+
+    @pytest.mark.parametrize("case", range(4))
+    def test_outputs_equal_a_fresh_copy(self, case):
+        r = random.Random(case)
+        ann = random_annotation(case, r.randint(0, 150), r.randint(1, 9), 4.0)
+        grids = [FrameGrid.covering(fps, seconds) for fps in (100.0, 31.25)
+                 for seconds in (2.0, 4.0)]
+        keys = [(grid, fn, seed) for grid in grids for fn in LabelingFunction
+                for seed in (0, 5)]
+        # 48 keys overrun the cap; the second, reversed round hits the entries
+        # the first one kept last
+        order = r.sample(keys, len(keys))
+        for grid, fn, seed in order + order[::-1]:
+            matrix, records = rasterize_with_records(ann, grid, fn, seed)
+            fresh_matrix, fresh_records = rasterize_with_records(replace(ann), grid, fn, seed)
+            assert matrix.frames.tobytes() == fresh_matrix.frames.tobytes()
+            assert (matrix.labeling_function, matrix.seed) == (fn, seed)
+            for got, want in zip(records, fresh_records):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert noise_ceiling(ann, grid, fn, seed) == noise_ceiling(replace(ann), grid, fn,
+                                                                        seed)
+            reference = rasterize(ann, grid, A)
+            assert disagreement(reference, matrix, ann) == disagreement(
+                reference, matrix, replace(ann))
+
+    def test_returned_records_are_read_only(self):
+        ann = random_annotation(1, 10, 4, 3.0)
+        _, records = rasterize_with_records(ann, FrameGrid(100.0, 300), F, 2)
+        for field in records:
+            with pytest.raises(ValueError, match="read-only"):
+                field[0] = field[1]
+
+    def test_disagreement_reads_kept_records_and_keeps_none(self, monkeypatch):
+        ann = random_annotation(5, 80, 6, 3.0)
+        grid = FrameGrid(100.0, 300)
+        a, f = rasterize(ann, grid, A), rasterize(ann, grid, F, 4)
+        want = disagreement(a, f, replace(ann))
+        calls = []
+
+        def counting_quantize(fn, onsets, offsets, dt, shifts=None):
+            calls.append(fn)
+            return quantize(fn, onsets, offsets, dt, shifts)
+
+        monkeypatch.setattr(quantize_module, "quantize", counting_quantize)
+        monkeypatch.setattr(quantize_module, "_parts", None)
+        assert disagreement(a, f, ann) == want and calls == []
+        copy = replace(ann)
+        assert disagreement(a, f, copy) == want and calls == [A, F]
+        assert copy._quantized == {}
+
+    def test_explicit_shifts_neither_read_nor_fill_it(self):
+        ann = random_annotation(2, 60, 4, 3.0)
+        grid = FrameGrid(100.0, 300)
+        zeros = np.zeros(len(ann), dtype=int)
+        rasterize(ann, grid, E, 0, rng=zeros)
+        assert ann._quantized == {}
+        seeded = rasterize_with_records(ann, grid, E, 0)[1]
+        forced = rasterize_with_records(ann, grid, E, 0, shifts=zeros)[1]
+        assert len(ann._quantized) == 1
+        assert all(field.flags.writeable for field in forced)
+        assert not np.array_equal(forced.t_s, seeded.t_s)
+        assert np.array_equal(forced.t_s, quantize(A, ann.onsets, ann.offsets, grid.dt).t_s)
+
+    def test_contract_error_keeps_no_entry(self):
+        grid = FrameGrid(fps=100.0, num_frames=100)
+        for ann in (Annotation([0.1], [0.5], [7], num_labels=4, duration_sec=1.0),
+                    Annotation([0.5], [0.1], [0], num_labels=4, duration_sec=1.0),
+                    annotation_of([], num_labels=-5)):
+            with pytest.raises(ContractError):
+                rasterize(ann, grid, E, 1)
+            with pytest.raises(ContractError):
+                noise_ceiling(ann, grid, B, 1)
+            assert ann._quantized == {}
+
+    def test_a_sweep_keeps_the_newest_entries_up_to_the_cap(self):
+        ann = random_annotation(4, 30, 3, 2.0)
+        grids = [FrameGrid(100.0, n) for n in range(150, 190)]
+        for grid in grids:
+            rasterize(ann, grid, A)
+        assert MAX_CACHED_QUANTIZATIONS == 16
+        assert [grid for grid, _, _ in ann._quantized] == grids[-16:]

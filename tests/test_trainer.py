@@ -1033,6 +1033,37 @@ class TestSensitivityExperiment:
                 run_sensitivity_experiment(*args)
             assert not generated
 
+    # (window_sec, eval_fps, failing check): one frame at 100 fps, less than
+    # one, and a rate at which no window of 30 s holds a frame
+    @pytest.mark.parametrize("window_sec,eval_fps,message", [
+        (0.01, 100.0, None),
+        (0.001, 100.0, "a window of 0.001 s holds no frame at 100.0 fps"),
+        (30.0, 1e-300, "a window of 30.0 s holds no frame at 1e-300 fps"),
+    ], ids=["one-frame", "under-a-frame", "no-rate"])
+    def test_window_checked_before_generating(self, monkeypatch, window_sec, eval_fps,
+                                              message):
+        generated = []
+
+        class Generating(Exception):
+            pass
+
+        def no_corpus(cfg):
+            generated.append(cfg)
+            raise Generating  # with a frame in its window, the experiment goes on
+
+        monkeypatch.setattr(trainer_module, "generate_corpus", no_corpus)
+        synth_cfg = SynthConfig(num_pieces=5)
+        args = (synth_cfg, [A], FrameGrid.covering(31.25, 30.0),
+                FrameGrid.covering(eval_fps, 30.0), TrainConfig(), [1])
+        if message is None:
+            with pytest.raises(Generating):
+                run_sensitivity_experiment(*args, window_sec=window_sec)
+            assert len(generated) == 1
+        else:
+            with pytest.raises(ContractError, match=f"^{message}$"):
+                run_sensitivity_experiment(*args, window_sec=window_sec)
+            assert not generated
+
     def test_too_few_pieces_rejected(self):
         synth_cfg, train_cfg, train_grid, eval_grid = tiny_experiment_args()
         from dataclasses import replace

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError, FormatError, RangeError, ValidationError
+from .util import split_lines
 
 # MIDI pitch of the lowest piano key (A0); pitches 21..108 map to labels
 # 0..87. Both values can be overridden for non-piano label spaces.
@@ -124,7 +125,7 @@ def parse_tsv(text: str, *, pitch_offset: int = PIANO_PITCH_OFFSET,
     for events violating onset/offset invariants. Error messages name the
     offending 1-based line.
     """
-    lines = text.splitlines()
+    lines = split_lines(text)
     if not lines:
         raise FormatError("empty input: missing header line")
     header = lines[0].split()

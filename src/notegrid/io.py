@@ -25,6 +25,7 @@ from .metrics import EvalResult
 from .quantize import FrameGrid, LabelingFunction, LabelMatrix
 from .synth import FeatureMatrix
 from .trainer import ExperimentTable
+from .util import count_line_breaks, split_lines
 
 
 def _umask() -> int:
@@ -62,7 +63,7 @@ def _decode_utf8(path: Path, data: bytes) -> str:
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
+        line = count_line_breaks(data[:exc.start]) + 1
         raise FormatError(f"{path}: line {line}: not UTF-8 text") from None
 
 
@@ -134,7 +135,7 @@ def _read_matrix_csv(csv_path: Path, parse_cell, cell_kind: str, width_key: str,
     cells = decode_exact(data) if decode_exact is not None else None
     if cells is None:
         rows = []
-        for lineno, line in enumerate(_decode_utf8(csv_path, data).splitlines(), start=1):
+        for lineno, line in enumerate(split_lines(_decode_utf8(csv_path, data)), start=1):
             if not line.strip():
                 continue
             try:

@@ -77,11 +77,14 @@ MAX_CONTEXT_FRAMES = 10 ** 3 + 1
 # A work budget that run_sensitivity_experiment checks before it generates
 # anything, in cells of one seed's weights (context_frames x feature_dim x
 # distinct functions x num_labels) and of one test piece's prediction windows
-# (frames x context_frames x feature_dim). Training holds six weight-sized
-# float32 buffers per seed of a lockstep group and one seed's float64 draw at
-# a time: at 2**22 cells one epoch of one seed peaked at 63 MB traced (50 MB
-# of buffers) and predict at 43 MB. At the budget that is about 250 MB to
-# train one seed, 200 MB more per further seed, and 170 MB to predict.
+# (frames x context_frames x feature_dim). Training holds three weight-sized
+# float32 buffers per seed of a lockstep group (weights, velocity and
+# look-ahead, each with the bias as one more row), one seed's float64 draw at
+# a time, and one copy of the targets in the epoch's shuffled order (S x n x
+# G x K bytes of uint8 in the experiment, 2.4 MB at the default configs): at
+# 2**22 cells one epoch of one seed peaked at 63 MB traced (50 MB of buffers)
+# and predict at 43 MB. At the budget that is about 250 MB to train one
+# seed, 200 MB more per further seed, and 170 MB to predict.
 MAX_MODEL_CELLS = 2 ** 24
 
 
@@ -171,10 +174,15 @@ def make_examples(features: FeatureMatrix, labels: LabelMatrix,
                    targets=labels.frames.astype(np.float64))
 
 
+# 0.5 in the dtypes training computes in: each ufunc call would cast a Python float
+_HALF = {np.dtype(t): t(0.5) for t in (np.float32, np.float64)}
+
+
 def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     # 0.5 + 0.5 * tanh(0.5 * z), into `out` if given; tanh saturates, so no branch on z
-    half = np.tanh(np.multiply(0.5, z, out=out), out=out)
-    return np.add(np.multiply(0.5, half, out=half), 0.5, out=half)
+    point5 = _HALF.get(z.dtype, 0.5)
+    half = np.tanh(np.multiply(point5, z, out=out), out=out)
+    return np.add(np.multiply(point5, half, out=half), point5, out=half)
 
 
 def bce_loss(params: ModelParams, inputs: np.ndarray, targets: np.ndarray) -> float:
@@ -196,14 +204,17 @@ def _block_losses(z: np.ndarray, targets: np.ndarray, models: int) -> np.ndarray
 
 
 def _gradient(z: np.ndarray, inputs: np.ndarray, targets: np.ndarray, models: int,
-              out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+              out: np.ndarray | None = None, out_bias: np.ndarray | None = None,
+              ) -> tuple[np.ndarray, np.ndarray]:
     # normalised per block like the loss, so a block trains exactly as it
     # would alone; a leading axis of lockstep problems is carried through.
-    # The residual overwrites the logits z; the weight gradient goes to `out`.
+    # The residual overwrites the logits z; the weight gradient goes to `out`
+    # and the bias gradient to `out_bias`.
     cells = targets.shape[-2] * (targets.shape[-1] // models)
     residual = np.subtract(_sigmoid(z, out=z), targets, out=z)
     residual /= cells
-    return np.matmul(inputs.swapaxes(-1, -2), residual, out=out), residual.sum(axis=-2)
+    return (np.matmul(inputs.swapaxes(-1, -2), residual, out=out),
+            residual.sum(axis=-2, out=out_bias))
 
 
 def _loss_and_gradient(weights: np.ndarray, bias: np.ndarray, inputs: np.ndarray,
@@ -293,10 +304,14 @@ def _train_lockstep(frames: np.ndarray, width: int, starts: np.ndarray,
 
     Computes in frames.dtype: the float64-drawn initialization is cast to
     it, and so are the weights, velocities and logits; with float64 frames
-    it is train()'s arithmetic exactly. The weights, velocities and
-    look-ahead points start on _ALIGN-byte boundaries; at the default
-    shapes a step took 49.8 us per batch so, against 55.8 to 69.5 us with
-    the three 16 to 48 bytes off.
+    it is train()'s arithmetic exactly. The weights, velocity and
+    look-ahead point are three (S, width*D + 1, G*K) buffers on
+    _ALIGN-byte boundaries, the bias the last row of each, so every
+    elementwise step is one call for weights and bias; each epoch's
+    targets are gathered once, in its shuffled order. At the default
+    shapes a whole epoch took 67.4 us per batch so, against 79.7 us with
+    six buffers (the bias in three of its own) and the targets gathered
+    per batch: best of 15 epochs, median of 10 alternating runs.
 
     frames is (S, R, D), C-contiguous; example i of problem s is the
     `width` rows frames[s, starts[i]:starts[i] + width], flattened, with
@@ -306,7 +321,8 @@ def _train_lockstep(frames: np.ndarray, width: int, starts: np.ndarray,
     screen. Each batch gathers every problem's rows with one fancy index
     and makes one 3-D matmul each way.
 
-    Returns weights (S, width*D, G*K), biases (S, G*K) and None, or, when
+    Returns weights (S, width*D, G*K) and biases (S, G*K), views of the
+    first rows and the last row of the parameter buffer, and None, or, when
     a problem diverges, a failure (s, error) for the first problem in order
     whose training diverges: the error train() raises for it alone. The
     problems after a diverged one stop there, and those before it run to
@@ -315,21 +331,20 @@ def _train_lockstep(frames: np.ndarray, width: int, starts: np.ndarray,
     num_problems, rows_per_problem, dim = frames.shape
     n, columns = targets.shape[1:]
     num_labels = columns // models
+    rows = width * dim
     # the step runs in place in three weight-sized buffers, in the same float
     # operations as weights + mu*v, mu*v - lr*g, weights + v: velocity holds
-    # mu*v, and ahead the look-ahead weights until the gradient overwrites them.
+    # mu*v, and ahead the look-ahead point until the gradient overwrites it.
+    # Row `rows` of each is the bias, so one call updates weights and bias.
     # Each starts on an _ALIGN-byte boundary, wherever the heap would put it.
-    weights, velocity_w, ahead_w = (
-        _aligned_empty((num_problems, width * dim, columns), frames.dtype) for _ in range(3))
-    bias, velocity_b, ahead_b = (
-        _aligned_empty((num_problems, columns), frames.dtype) for _ in range(3))
+    params, velocity, ahead = (
+        _aligned_empty((num_problems, rows + 1, columns), frames.dtype) for _ in range(3))
     for s, seed in enumerate(seeds):  # one float64 draw at a time, cast as it is copied
-        init = _init_params(width * dim, num_labels, seed)
-        weights[s].reshape(width * dim, models, num_labels)[:] = init.weights[:, None]
-        bias[s].reshape(models, num_labels)[:] = init.bias
+        init = _init_params(rows, num_labels, seed)
+        params[s, :rows].reshape(rows, models, num_labels)[:] = init.weights[:, None]
+        params[s, rows].reshape(models, num_labels)[:] = init.bias
         del init  # freed before the next draw, and before training
-    velocity_w.fill(0)
-    velocity_b.fill(0)
+    velocity.fill(0)
     # every window is `width` contiguous rows, so one strided view, one
     # frame per step, holds all of them without a copy
     flat = frames.reshape(num_problems * rows_per_problem, dim)
@@ -338,6 +353,8 @@ def _train_lockstep(frames: np.ndarray, width: int, starts: np.ndarray,
         writeable=False)
     offsets = np.arange(num_problems)[:, None]
     flat_targets = targets.reshape(num_problems * n, columns)
+    # each epoch's targets in its shuffled order, gathered once into one buffer
+    epoch_targets = np.empty((num_problems, n, columns), targets.dtype)
 
     # Divergence screen: a cell softplus(z) - y*z is at most 1 + |z|(1 + ymax)
     # in size, so while every |z| of a problem's batch stays below its
@@ -361,24 +378,29 @@ def _train_lockstep(frames: np.ndarray, width: int, starts: np.ndarray,
     schedule = cfg.resolved_schedule()
     failure = None
 
+    # mu and lr are cast to the computing dtype once, as every ufunc call
+    # would cast them; lr is scheduled in float64 first
     lr = cfg.learning_rate
-    mu = cfg.momentum
+    mu = frames.dtype.type(cfg.momentum)
+    ahead_w, ahead_b, grad_b = ahead[:, :rows], ahead[:, rows:], ahead[:, rows]
     for epoch in range(cfg.epochs):
         for at_epoch, multiplier in schedule:
             if at_epoch == epoch:
                 lr *= multiplier
+        rate = frames.dtype.type(lr)
         orders = np.stack([rng.permutation(n) for rng in shuffle_rngs])
         window_rows = starts[orders] + offsets[:len(orders)] * rows_per_problem
-        target_rows = orders + offsets[:len(orders)] * n
+        # "clip" gathers straight into the buffer; the default "raise" would
+        # gather into a temporary first. Every row is in range.
+        np.take(flat_targets, orders + offsets[:len(orders)] * n, axis=0,
+                out=epoch_targets, mode="clip")
         for batch_index, start in enumerate(range(0, n, cfg.batch_size)):
             x = windows[window_rows[:, start:start + cfg.batch_size]]
-            y = flat_targets[target_rows[:, start:start + cfg.batch_size]]
-            velocity_w *= mu
-            velocity_b *= mu
-            np.add(weights, velocity_w, out=ahead_w)
-            np.add(bias, velocity_b, out=ahead_b)
+            y = epoch_targets[:, start:start + cfg.batch_size]
+            velocity *= mu
+            np.add(params, velocity, out=ahead)
             z = np.matmul(x, ahead_w)
-            z += ahead_b[:, None]
+            z += ahead_b
             if not np.abs(z).max(initial=0.0) < lowest:
                 found = _first_divergence(z, y, limits, models)
                 if found is not None:
@@ -387,24 +409,21 @@ def _train_lockstep(frames: np.ndarray, width: int, starts: np.ndarray,
                         f"non-finite loss at epoch {epoch}, batch {batch_index}",
                         epoch=epoch, batch=batch_index, models=tuple(blocks.tolist()))
                     if s == 0:
-                        return weights, bias, failure
+                        return params[:, :rows], params[:, rows], failure
                     # the problems from the diverged one on stop here
-                    (weights, bias, velocity_w, velocity_b, ahead_w, ahead_b, limits,
-                     window_rows, target_rows, x, y, z) = (
-                        a[:s] for a in (weights, bias, velocity_w, velocity_b, ahead_w,
-                                        ahead_b, limits, window_rows, target_rows, x, y, z))
+                    (params, velocity, ahead, limits, window_rows, epoch_targets, x, y, z) = (
+                        a[:s] for a in (params, velocity, ahead, limits, window_rows,
+                                        epoch_targets, x, y, z))
+                    ahead_w, ahead_b, grad_b = ahead[:, :rows], ahead[:, rows:], ahead[:, rows]
                     shuffle_rngs = shuffle_rngs[:s]
                     lowest = limits.min()
-            grad_w, grad_b = _gradient(z, x, y, models, out=ahead_w)
+            _gradient(z, x, y, models, out=ahead_w, out_bias=grad_b)
             if lr != 1.0:  # x * 1.0 is x for every float
-                grad_w *= lr
-                grad_b *= lr
-            velocity_w -= grad_w
-            velocity_b -= grad_b
-            weights += velocity_w
-            bias += velocity_b
+                ahead *= rate
+            velocity -= ahead
+            params += velocity
 
-    return weights, bias, failure
+    return params[:, :rows], params[:, rows], failure
 
 
 def train(train_set: Dataset, valid_set: Dataset, cfg: TrainConfig, *,

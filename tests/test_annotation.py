@@ -69,6 +69,27 @@ class TestParseTsv:
         assert ann.onsets[0] == 0.5
         assert ann.offsets[0] == 1.25
 
+    def test_line_numbers_count_only_newline_breaks(self):
+        # a vertical tab ends no line of the file, so the bad note is on line 3
+        text = "OnsetTime\tOffsetTime\tMidiPitch\n0.1\t0.2\t60\x0b\n0.5\t0.4\t61\n"
+        with pytest.raises(ValidationError) as info:
+            parse_tsv(text)
+        assert str(info.value) == "line 3: offset 0.4 <= onset 0.5"
+
+    @pytest.mark.parametrize("separator", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                                           "\u2028", "\u2029"])
+    def test_other_line_separators_are_whitespace_in_a_line(self, separator):
+        ann = parse_tsv(HEADER + f"\n0.5{separator}1.0\t60\n")
+        assert (ann.onsets.tolist(), ann.offsets.tolist(), ann.labels.tolist()) == (
+            [0.5], [1.0], [39])
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_each_line_break_counts_once(self, newline):
+        text = newline.join([HEADER, "0.1 0.2 60", "", "0.5 0.4 61", ""])
+        with pytest.raises(ValidationError, match="^line 4: offset 0.4 <= onset 0.5$"):
+            parse_tsv(text)
+        assert len(parse_tsv(newline.join([HEADER, "0.1 0.2 60", ""]))) == 1
+
     def test_reordered_header_columns(self):
         ann = parse_tsv("MidiPitch OnsetTime OffsetTime\n60 0.5 1.25\n")
         assert ann.labels[0] == 39

@@ -217,8 +217,10 @@ class TestLabelCodec:
         (b"0, 1\n1 ,0\n", [[0, 1], [1, 0]]),
         (b"+1,0\n0,+1\n", [[1, 0], [0, 1]]),
         (b"01,0\n0,00\n", [[1, 0], [0, 0]]),
+        (b"0,1\r1,0\r", [[0, 1], [1, 0]]),
+        (b"0,1\n1\x0c,0\n", [[0, 1], [1, 0]]),
     ], ids=["crlf", "no-final-newline", "blank-lines", "spaces", "plus-sign",
-            "leading-zero"])
+            "leading-zero", "lone-cr", "form-feed-in-a-cell"])
     def test_lenient_files_read_through_line_parser(self, tmp_path, data, expected):
         (tmp_path / "m.csv").write_bytes(data)
         (tmp_path / "m.json").write_text('{"fps": 100.0}')
@@ -463,6 +465,14 @@ class TestNonUtf8Input:
         path.write_bytes(TSV.encode() + b"0.5\t0.9\t6\xff\n")
         self.assert_exit_4(["rasterize", str(path), "--fps", "100", "--fn", "a",
                             "--out", str(tmp_path)], "notes.tsv: line 4", capsys)
+
+    @pytest.mark.parametrize("body", [b"0,1\n1,0\n", b"0,1\r\n1,0\r\n", b"0,1\r1,0\r",
+                                      b"0,1\x0c\n1,0\x0b\n"],
+                             ids=["lf", "crlf", "lone-cr", "other-separators"])
+    def test_line_of_a_bad_byte_counts_only_newline_breaks(self, tmp_path, capsys, body):
+        (tmp_path / "m.csv").write_bytes(body + b"\xff")
+        (tmp_path / "m.json").write_bytes(b'{"fps": 100.0}')
+        self.assert_exit_4(["inspect", str(tmp_path / "m.csv")], "m.csv: line 3", capsys)
 
     @pytest.mark.parametrize("broken,line", [("m.csv", 2), ("m.json", 1)])
     def test_matrix_and_sidecar(self, tmp_path, capsys, broken, line):

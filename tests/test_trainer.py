@@ -147,11 +147,12 @@ def lockstep_problems(num_problems, models, seed=31):
     return pieces, targets.astype(np.uint8)
 
 
-BUFFERS = ("weights", "bias", "velocity_w", "velocity_b", "ahead_w", "ahead_b")
+BUFFERS = ("params", "velocity", "ahead")
 
 
 def kernel_buffers(*args):
-    """_train_lockstep(*args), and its weight-sized buffers as it returns."""
+    """_train_lockstep(*args), and its three packed (S, rows + 1, G*K)
+    buffers as it returns: weights in the first rows, bias in the last."""
     seen = {}
 
     def profile(frame, event, arg):
@@ -328,6 +329,40 @@ class TestLossAndGradient:
             block = slice(j * k, (j + 1) * k)
             alone = bce_loss(ModelParams(weights[:, block], bias[block]), x, y[:, block])
             assert losses[j] == pytest.approx(alone, rel=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_gradient_writes_the_bias_gradient_into_out_bias(self, dtype):
+        # as in the lockstep kernel: weight and bias gradients of 3 problems land
+        # in the rows of one packed (S, d + 1, G*K) buffer, the bias in the last
+        rng = np.random.default_rng(12)
+        problems, batch, dim, columns, models = 3, 5, 4, 6, 2
+        x = rng.normal(0, 1, (problems, batch, dim)).astype(dtype)
+        y = (rng.random((problems, batch, columns)) < 0.4).astype(np.uint8)
+        z = rng.normal(0, 2, (problems, batch, columns)).astype(dtype)
+        residual = (trainer_module._sigmoid(z.copy()) - y) / (batch * columns // models)
+        packed = np.full((problems, dim + 1, columns), np.nan, dtype)
+        out_bias = packed[:, dim]
+        _, grad_b = trainer_module._gradient(z, x, y, models, out=packed[:, :dim],
+                                             out_bias=out_bias)
+        assert grad_b is out_bias
+        assert np.array_equal(packed[:, dim], residual.sum(axis=-2))
+        assert np.array_equal(packed[:, :dim], x.swapaxes(-1, -2) @ residual)
+
+    def test_loss_and_gradient_are_the_written_out_formulas(self):
+        # bce_loss_and_gradient, with no out buffers, returns fresh arrays equal
+        # bit for bit to the loss and gradient written out in float64
+        rng = np.random.default_rng(13)
+        dim, k, n = 7, 3, 20
+        params = ModelParams(weights=rng.normal(0, 0.5, (dim, k)), bias=rng.normal(0, 0.5, k))
+        x = rng.normal(0, 1, (n, dim))
+        y = (rng.random((n, k)) < 0.4).astype(float)
+        loss, grad_w, grad_b = bce_loss_and_gradient(params, x, y)
+        z = x @ params.weights + params.bias
+        residual = (0.5 * np.tanh(0.5 * z) + 0.5 - y) / y.size
+        assert loss == float(np.mean(np.logaddexp(0.0, z) - y * z))
+        assert np.array_equal(grad_w, x.T @ residual)
+        assert np.array_equal(grad_b, residual.sum(axis=0))
+        assert grad_b.shape == (k,) and grad_b.base is None
 
 
 class TestTrain:
@@ -622,15 +657,22 @@ class TestLockstep:
         (weights, bias, failure), buffers = kernel_buffers(
             frames, 5, starts, targets, [11, 12, 13][:num_problems], cfg, 3)
         assert failure is None
-        assert buffers["weights"] is weights and buffers["bias"] is bias
+        rows = 5 * DIM
         for name, buffer in buffers.items():
-            assert (buffer.dtype, len(buffer)) == (dtype, num_problems)
+            assert (buffer.dtype, buffer.shape) == (dtype, (num_problems, rows + 1, 3 * LABELS))
             assert buffer.ctypes.data % 64 == 0, name
+        # the weights and bias handed back are views of the parameter buffer
+        packed = buffers["params"]
+        assert weights.shape == (num_problems, rows, 3 * LABELS)
+        assert weights.ctypes.data == packed.ctypes.data and np.shares_memory(weights, packed)
+        assert bias.shape == packed[:, rows].shape
+        assert bias.ctypes.data == packed[:, rows].ctypes.data
         # train() hands back its one problem's weights and bias without a copy
         inputs = np.concatenate([trainer_module._windows(piece, 5) for piece in pieces[0]])
         alone = Dataset(inputs=inputs, targets=targets[0])
         params = train(alone, alone, replace(cfg, seed=11), models=3)
-        assert params.weights.ctypes.data % 64 == params.bias.ctypes.data % 64 == 0
+        assert params.weights.ctypes.data % 64 == 0
+        assert params.bias.ctypes.data == params.weights.ctypes.data + params.weights.nbytes
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_buffers_kept_after_a_divergence_stay_aligned(self, dtype):
@@ -648,8 +690,9 @@ class TestLockstep:
             frames, 1, starts, targets, seeds, cfg, 1)
         assert (s, exc.epoch, exc.batch) == (2, 0, 0)
         for name, buffer in buffers.items():
-            assert len(buffer) == 2
+            assert (buffer.dtype, buffer.shape) == (dtype, (2, DIM + 1, LABELS))
             assert buffer.ctypes.data % 64 == 0, name
+        assert weights.ctypes.data == buffers["params"].ctypes.data
         assert np.isfinite(weights).all() and np.isfinite(bias).all()
 
     def test_zero_width_inputs(self):
@@ -733,9 +776,33 @@ class TestLockstep:
 
         assert peak_bytes(3) - peak_bytes(0) < dim * columns * 4
 
+    def test_epochs_hold_one_copy_of_the_targets(self):
+        # each epoch gathers its shuffled targets into one buffer: 3 epochs
+        # peak at most one targets array above 0 epochs, with the slack of one
+        # weights array for the batch-sized temporaries and index arrays
+        rng = np.random.default_rng(6)
+        problems, n, dim, columns = 3, 400, 8, 128
+        frames = rng.normal(0, 0.1, (problems, n, dim)).astype(np.float32)
+        targets = (rng.random((problems, n, columns)) < 0.3).astype(np.uint8)
+        cfg = TrainConfig(batch_size=4, epochs=3, context_frames=1, seed=2)
+
+        def peak_bytes(epochs):
+            tracemalloc.start()
+            try:
+                weights, _, failure = trainer_module._train_lockstep(
+                    frames, 1, np.arange(n), targets, [1, 2, 3],
+                    replace(cfg, epochs=epochs), 1)
+                assert failure is None
+                return tracemalloc.get_traced_memory()[1], weights.nbytes
+            finally:
+                tracemalloc.stop()
+
+        before, weights_bytes = peak_bytes(0)
+        assert peak_bytes(3)[0] - before <= targets.nbytes + weights_bytes
+
     def test_initialization_draws_one_seed_at_a_time(self):
-        # 8 seeds at D = 1280, G = 3, K = 88: the peak is the six float32
-        # buffers and one seed's float64 draw, not every seed's draw at once,
+        # 8 seeds at D = 1280, G = 3, K = 88: the peak is the three packed
+        # float32 buffers and one seed's float64 draw, not every seed's draw at once,
         # with 1 MiB for the draw's finiteness mask and small objects
         seeds, dim, models, num_labels = 8, 1280, 3, 88
         frames = np.zeros((seeds, 4, dim), dtype=np.float32)

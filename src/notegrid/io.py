@@ -25,7 +25,7 @@ from .metrics import EvalResult
 from .quantize import FrameGrid, LabelingFunction, LabelMatrix
 from .synth import FeatureMatrix
 from .trainer import ExperimentTable
-from .util import count_line_breaks, split_lines
+from .util import count_line_breaks, line_and_column, split_lines
 
 
 def _umask() -> int:
@@ -75,15 +75,23 @@ def read_text(path: Path) -> str:
 
 def read_json_object(path: Path, what: str) -> dict:
     """The JSON object in a UTF-8 file. Bad JSON, and any value that is
-    not an object, is a FormatError naming the file and `what` it is."""
+    not an object, is a FormatError naming the file and `what` it is, and
+    the line where the fault or the value starts."""
+    text = read_text(path)
     try:
-        obj = json.loads(read_text(path))
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        # json's own line and column count only \n as a line break
+        line, column = line_and_column(text, exc.pos)
+        raise FormatError(f"{path}: line {line} column {column}: "
+                          f"unreadable {what}: {exc.msg}") from None
     except (ValueError, RecursionError) as exc:
-        # ValueError: bad JSON, or an integer past the digit limit;
+        # ValueError: an integer past the digit limit;
         # RecursionError: arrays or objects nested too deeply
         raise FormatError(f"{path}: unreadable {what}: {exc}") from None
     if not isinstance(obj, dict):
-        raise FormatError(f"{path}: line 1: {what} must hold a JSON object")
+        line, _ = line_and_column(text, len(text) - len(text.lstrip(" \t\n\r")))
+        raise FormatError(f"{path}: line {line}: {what} must hold a JSON object")
     return obj
 
 

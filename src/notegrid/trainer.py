@@ -78,13 +78,10 @@ MAX_CONTEXT_FRAMES = 10 ** 3 + 1
 # anything, in cells of one seed's weights (context_frames x feature_dim x
 # distinct functions x num_labels) and of one test piece's prediction windows
 # (frames x context_frames x feature_dim). Training holds three weight-sized
-# float32 buffers per seed of a lockstep group (weights, velocity and
-# look-ahead, each with the bias as one more row), one seed's float64 draw at
-# a time, and one copy of the targets in the epoch's shuffled order (S x n x
-# G x K bytes of uint8 in the experiment, 2.4 MB at the default configs): at
-# 2**22 cells one epoch of one seed peaked at 63 MB traced (50 MB of buffers)
-# and predict at 43 MB. At the budget that is about 250 MB to train one
-# seed, 200 MB more per further seed, and 170 MB to predict.
+# buffers per seed of a lockstep group (weights, velocity and look-ahead,
+# each with the bias as one more row), one seed's float64 draw at a time, and
+# one copy of the int8 signs in the epoch's shuffled order; README gives the
+# memory measured at the budget.
 MAX_MODEL_CELLS = 2 ** 24
 
 
@@ -151,13 +148,14 @@ def _windows(values: np.ndarray, context_frames: int) -> np.ndarray:
     if context_frames < 1 or context_frames % 2 == 0:
         raise ContractError(f"context_frames must be odd, got {context_frames}")
     num_frames, dim = values.shape
+    if num_frames == 0:  # the padding alone is shorter than a window
+        return np.zeros((0, context_frames * dim))
     pad = context_frames // 2
-    if pad == 0:
-        return values.copy()
     padded = np.zeros((num_frames + 2 * pad, dim))
     padded[pad:pad + num_frames] = values
-    stacked = np.stack([padded[i:i + num_frames] for i in range(context_frames)], axis=1)
-    return stacked.reshape(num_frames, context_frames * dim)
+    # a window is whole rows, so the flattened view is still a view: copy it out
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (context_frames, dim))
+    return windows.reshape(num_frames, context_frames * dim).copy()
 
 
 def make_examples(features: FeatureMatrix, labels: LabelMatrix,
@@ -174,15 +172,12 @@ def make_examples(features: FeatureMatrix, labels: LabelMatrix,
                    targets=labels.frames.astype(np.float64))
 
 
-# 0.5 in the dtypes training computes in: each ufunc call would cast a Python float
-_HALF = {np.dtype(t): t(0.5) for t in (np.float32, np.float64)}
-
-
-def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    # 0.5 + 0.5 * tanh(0.5 * z), into `out` if given; tanh saturates, so no branch on z
-    point5 = _HALF.get(z.dtype, 0.5)
-    half = np.tanh(np.multiply(point5, z, out=out), out=out)
-    return np.add(np.multiply(point5, half, out=half), point5, out=half)
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    # 0.5 + 0.5 * tanh(0.5 * z) in one new array; tanh saturates, so no branch on z
+    half = np.tanh(np.multiply(0.5, z))
+    half *= 0.5
+    half += 0.5
+    return half
 
 
 def bce_loss(params: ModelParams, inputs: np.ndarray, targets: np.ndarray) -> float:
@@ -203,38 +198,42 @@ def _block_losses(z: np.ndarray, targets: np.ndarray, models: int) -> np.ndarray
     return cells.reshape(len(z), models, k).mean(axis=(0, 2))
 
 
-def _gradient(z: np.ndarray, inputs: np.ndarray, targets: np.ndarray, models: int,
-              out: np.ndarray | None = None, out_bias: np.ndarray | None = None,
+def _gradient(half_logits: np.ndarray, inputs: np.ndarray, signs: np.ndarray,
+              slope, out: np.ndarray | None = None, out_bias: np.ndarray | None = None,
               ) -> tuple[np.ndarray, np.ndarray]:
-    # normalised per block like the loss, so a block trains exactly as it
+    # sigmoid(z) - y = (tanh(z/2) + s) / 2 with s = 1 - 2y, so from t = z/2 the
+    # residual is (tanh(t) + s) * slope, slope = 0.5 * lr / cells, with each
+    # block normalised by its own rows x K cells so it trains exactly as it
     # would alone; a leading axis of lockstep problems is carried through.
-    # The residual overwrites the logits z; the weight gradient goes to `out`
-    # and the bias gradient to `out_bias`.
-    cells = targets.shape[-2] * (targets.shape[-1] // models)
-    residual = np.subtract(_sigmoid(z, out=z), targets, out=z)
-    residual /= cells
+    # The residual overwrites t; the weight gradient goes to `out` and the
+    # bias gradient to `out_bias` (np.add.reduce is .sum without its wrapper).
+    residual = np.tanh(half_logits, out=half_logits)
+    residual += signs
+    residual *= slope
     return (np.matmul(inputs.swapaxes(-1, -2), residual, out=out),
-            residual.sum(axis=-2, out=out_bias))
+            np.add.reduce(residual, axis=-2, out=out_bias))
 
 
 def _loss_and_gradient(weights: np.ndarray, bias: np.ndarray, inputs: np.ndarray,
                        targets: np.ndarray, models: int = 1,
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-block mean losses and the gradient, from one set of logits.
+    """Per-block mean losses and the gradient at lr = 1, from one set of logits.
 
-    train() runs the same two halves on every batch, computing the losses
+    train() runs the same gradient on every batch, computing the losses
     only when the divergence screen cannot rule out a non-finite one.
     """
     z = inputs @ weights + bias
     losses = _block_losses(z, targets, models)  # before _gradient overwrites z
-    return (losses, *_gradient(z, inputs, targets, models))
+    cells = max(len(targets) * (targets.shape[1] // models), 1)  # an empty block has no cell
+    z *= 0.5
+    return (losses, *_gradient(z, inputs, 1 - 2 * targets, z.dtype.type(0.5 / cells)))
 
 
 def bce_loss_and_gradient(params: ModelParams, inputs: np.ndarray,
                           targets: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     """Loss plus its analytic gradient with respect to weights and bias.
 
-    train() evaluates every mini-batch through the same kernel.
+    train() evaluates every mini-batch through the same gradient kernel.
     """
     losses, grad_w, grad_b = _loss_and_gradient(params.weights, params.bias, inputs, targets)
     return float(losses[0]), grad_w, grad_b
@@ -282,44 +281,48 @@ def _pad_pieces(piece, num_problems: int, num_pieces: int,
     return frames, np.arange(num_pieces * span).reshape(num_pieces, span)[:, :span - pad].ravel()
 
 
-def _first_divergence(z: np.ndarray, targets: np.ndarray, limits: np.ndarray,
+def _first_divergence(half_logits: np.ndarray, signs: np.ndarray, half_limits: np.ndarray,
                       models: int) -> tuple[int, np.ndarray] | None:
     """The first problem of a lockstep batch with a non-finite block loss,
-    and those blocks' indices; only the problems whose logits fail their
-    screen limit compute their losses."""
-    peaks = np.abs(z).reshape(len(z), -1).max(axis=1, initial=0.0)
-    for s in np.flatnonzero(~(peaks < limits)).tolist():
-        blocks = np.flatnonzero(~np.isfinite(_block_losses(z[s], targets[s], models)))
+    and those blocks' indices; only the problems whose halved logits fail
+    their halved screen limit compute their losses, from z = 2t and
+    y = (1 - s) / 2, which are exact for binary targets."""
+    peaks = np.abs(half_logits).reshape(len(half_logits), -1).max(axis=1, initial=0.0)
+    for problem in np.flatnonzero(~(peaks < half_limits)).tolist():
+        z = half_logits[problem] * 2
+        targets = np.subtract(1, signs[problem], dtype=z.dtype)
+        targets /= 2
+        blocks = np.flatnonzero(~np.isfinite(_block_losses(z, targets, models)))
         if blocks.size:
-            return s, blocks
+            return problem, blocks
     return None
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the divergence screen judges overflow
 def _train_lockstep(frames: np.ndarray, width: int, starts: np.ndarray,
-                    targets: np.ndarray, seeds: list[int], cfg: TrainConfig,
+                    signs: np.ndarray, seeds: list[int], cfg: TrainConfig,
                     models: int) -> tuple[np.ndarray, np.ndarray,
                                           tuple[int, DivergenceError] | None]:
     """train() of S equal-sized problems at once, one batched step for all.
 
     Computes in frames.dtype: the float64-drawn initialization is cast to
     it, and so are the weights, velocities and logits; with float64 frames
-    it is train()'s arithmetic exactly. The weights, velocity and
-    look-ahead point are three (S, width*D + 1, G*K) buffers on
-    _ALIGN-byte boundaries, the bias the last row of each, so every
-    elementwise step is one call for weights and bias; each epoch's
-    targets are gathered once, in its shuffled order. At the default
-    shapes a whole epoch took 67.4 us per batch so, against 79.7 us with
-    six buffers (the bias in three of its own) and the targets gathered
-    per batch: best of 15 epochs, median of 10 alternating runs.
+    it is train()'s arithmetic exactly. It trains half-scale parameters
+    U = W/2 and c = b/2, so x @ U + c is z/2 and the residual takes three
+    batch-sized calls (see _gradient); scaling by 2 commutes with every
+    rounding, so the weights are those of the unscaled step bit for bit,
+    barring underflow. The weights, velocity and look-ahead point are three
+    (S, width*D + 1, G*K) buffers on _ALIGN-byte boundaries, the bias the
+    last row of each, so every elementwise step is one call for weights
+    and bias; each epoch's signs are gathered once, in its shuffled order.
 
     frames is (S, R, D), C-contiguous; example i of problem s is the
     `width` rows frames[s, starts[i]:starts[i] + width], flattened, with
-    targets[s, i] (S, n, G*K >= 1, of any real dtype). Problem s trains
-    as train() would with cfg.seed = seeds[s]: its own initialization and
-    shuffle stream, the same float operations, and its own divergence
-    screen. Each batch gathers every problem's rows with one fancy index
-    and makes one 3-D matmul each way.
+    signs[s, i] = 1 - 2 * targets (S, n, G*K >= 1, of any signed real
+    dtype). Problem s trains as train() would with cfg.seed = seeds[s]:
+    its own initialization and shuffle stream, the same float operations,
+    and its own divergence screen. Each batch gathers every problem's rows
+    with one fancy index and makes one 3-D matmul each way.
 
     Returns weights (S, width*D, G*K) and biases (S, G*K), views of the
     first rows and the last row of the parameter buffer, and None, or, when
@@ -329,20 +332,21 @@ def _train_lockstep(frames: np.ndarray, width: int, starts: np.ndarray,
     the end, so s is the one sequential training would report.
     """
     num_problems, rows_per_problem, dim = frames.shape
-    n, columns = targets.shape[1:]
+    n, columns = signs.shape[1:]
     num_labels = columns // models
     rows = width * dim
     # the step runs in place in three weight-sized buffers, in the same float
-    # operations as weights + mu*v, mu*v - lr*g, weights + v: velocity holds
+    # operations as weights + mu*v, mu*v - g, weights + v: velocity holds
     # mu*v, and ahead the look-ahead point until the gradient overwrites it.
     # Row `rows` of each is the bias, so one call updates weights and bias.
     # Each starts on an _ALIGN-byte boundary, wherever the heap would put it.
     params, velocity, ahead = (
         _aligned_empty((num_problems, rows + 1, columns), frames.dtype) for _ in range(3))
-    for s, seed in enumerate(seeds):  # one float64 draw at a time, cast as it is copied
+    for problem, seed in enumerate(seeds):  # one float64 draw at a time, halved as it is cast
         init = _init_params(rows, num_labels, seed)
-        params[s, :rows].reshape(rows, models, num_labels)[:] = init.weights[:, None]
-        params[s, rows].reshape(models, num_labels)[:] = init.bias
+        np.multiply(init.weights[:, None], 0.5, casting="same_kind",
+                    out=params[problem, :rows].reshape(rows, models, num_labels))
+        params[problem, rows] = 0  # the zero bias
         del init  # freed before the next draw, and before training
     velocity.fill(0)
     # every window is `width` contiguous rows, so one strided view, one
@@ -352,9 +356,9 @@ def _train_lockstep(frames: np.ndarray, width: int, starts: np.ndarray,
         flat, shape=(len(flat) - width + 1, width * dim), strides=flat.strides,
         writeable=False)
     offsets = np.arange(num_problems)[:, None]
-    flat_targets = targets.reshape(num_problems * n, columns)
-    # each epoch's targets in its shuffled order, gathered once into one buffer
-    epoch_targets = np.empty((num_problems, n, columns), targets.dtype)
+    flat_signs = signs.reshape(num_problems * n, columns)
+    # each epoch's signs in its shuffled order, gathered once into one buffer
+    epoch_signs = np.empty((num_problems, n, columns), signs.dtype)
 
     # Divergence screen: a cell softplus(z) - y*z is at most 1 + |z|(1 + ymax)
     # in size, so while every |z| of a problem's batch stays below its
@@ -363,23 +367,27 @@ def _train_lockstep(frames: np.ndarray, width: int, starts: np.ndarray,
     # kernel's dtype: 1e300 in float64, 1e30 in float32. Only a problem whose
     # batch fails the comparison (a NaN or inf logit included) computes its
     # losses, to decide divergence exactly as on every batch. A NaN target
-    # makes the limit 0.
+    # makes the limit 0. The kernel compares |z/2| with limit/2.
     bound = float(10 ** (math.floor(math.log10(np.finfo(frames.dtype).max)) - 8))
     cells = cfg.batch_size * columns
-    limits = []
-    for problem_targets in targets:
-        ymax = float(np.abs(problem_targets).max(initial=0.0))
-        limits.append(bound / (cells * (1.0 + ymax))
-                      if math.isfinite(ymax) else 0.0)
-    limits = np.array(limits)
-    lowest = limits.min()
+    half_limits = []
+    for problem_signs in signs:
+        # |y| = |1 - s| / 2 is largest at the smallest or the largest sign
+        ends = np.array([problem_signs.min(initial=1), problem_signs.max(initial=1)], float)
+        ymax = float(np.abs(1.0 - ends).max()) / 2
+        half_limits.append(bound / (cells * (1.0 + ymax)) / 2
+                           if math.isfinite(ymax) else 0.0)
+    half_limits = np.array(half_limits)
+    lowest = half_limits.min()
 
     shuffle_rngs = [np.random.default_rng([seed & MASK64, 1]) for seed in seeds]
     schedule = cfg.resolved_schedule()
     failure = None
+    tail = n % cfg.batch_size or cfg.batch_size  # the rows of the last batch
 
-    # mu and lr are cast to the computing dtype once, as every ufunc call
-    # would cast them; lr is scheduled in float64 first
+    # lr is scheduled in float64 and folded into each epoch's two slopes,
+    # 0.25 * lr / cells of a full and of the last batch; these and mu are
+    # cast to the computing dtype once, as every ufunc call would cast them
     lr = cfg.learning_rate
     mu = frames.dtype.type(cfg.momentum)
     ahead_w, ahead_b, grad_b = ahead[:, :rows], ahead[:, rows:], ahead[:, rows]
@@ -387,42 +395,45 @@ def _train_lockstep(frames: np.ndarray, width: int, starts: np.ndarray,
         for at_epoch, multiplier in schedule:
             if at_epoch == epoch:
                 lr *= multiplier
-        rate = frames.dtype.type(lr)
+        full_slope, tail_slope = (frames.dtype.type(0.25 * lr / (size * num_labels))
+                                  for size in (cfg.batch_size, tail))
         orders = np.stack([rng.permutation(n) for rng in shuffle_rngs])
         window_rows = starts[orders] + offsets[:len(orders)] * rows_per_problem
         # "clip" gathers straight into the buffer; the default "raise" would
         # gather into a temporary first. Every row is in range.
-        np.take(flat_targets, orders + offsets[:len(orders)] * n, axis=0,
-                out=epoch_targets, mode="clip")
+        np.take(flat_signs, orders + offsets[:len(orders)] * n, axis=0,
+                out=epoch_signs, mode="clip")
         for batch_index, start in enumerate(range(0, n, cfg.batch_size)):
             x = windows[window_rows[:, start:start + cfg.batch_size]]
-            y = epoch_targets[:, start:start + cfg.batch_size]
+            s = epoch_signs[:, start:start + cfg.batch_size]
             velocity *= mu
             np.add(params, velocity, out=ahead)
-            z = np.matmul(x, ahead_w)
-            z += ahead_b
-            if not np.abs(z).max(initial=0.0) < lowest:
-                found = _first_divergence(z, y, limits, models)
+            t = np.matmul(x, ahead_w)
+            t += ahead_b
+            if not np.abs(t).max(initial=0.0) < lowest:
+                found = _first_divergence(t, s, half_limits, models)
                 if found is not None:
-                    s, blocks = found
-                    failure = s, DivergenceError(
+                    problem, blocks = found
+                    failure = problem, DivergenceError(
                         f"non-finite loss at epoch {epoch}, batch {batch_index}",
                         epoch=epoch, batch=batch_index, models=tuple(blocks.tolist()))
-                    if s == 0:
+                    if problem == 0:
+                        params *= 2
                         return params[:, :rows], params[:, rows], failure
                     # the problems from the diverged one on stop here
-                    (params, velocity, ahead, limits, window_rows, epoch_targets, x, y, z) = (
-                        a[:s] for a in (params, velocity, ahead, limits, window_rows,
-                                        epoch_targets, x, y, z))
+                    (params, velocity, ahead, half_limits, window_rows, epoch_signs,
+                     x, s, t) = (a[:problem] for a in (
+                         params, velocity, ahead, half_limits, window_rows, epoch_signs,
+                         x, s, t))
                     ahead_w, ahead_b, grad_b = ahead[:, :rows], ahead[:, rows:], ahead[:, rows]
-                    shuffle_rngs = shuffle_rngs[:s]
-                    lowest = limits.min()
-            _gradient(z, x, y, models, out=ahead_w, out_bias=grad_b)
-            if lr != 1.0:  # x * 1.0 is x for every float
-                ahead *= rate
+                    shuffle_rngs = shuffle_rngs[:problem]
+                    lowest = half_limits.min()
+            _gradient(t, x, s, full_slope if start + cfg.batch_size <= n else tail_slope,
+                      out=ahead_w, out_bias=grad_b)
             velocity -= ahead
             params += velocity
 
+    params *= 2  # W = 2U and b = 2c
     return params[:, :rows], params[:, rows], failure
 
 
@@ -459,7 +470,7 @@ def train(train_set: Dataset, valid_set: Dataset, cfg: TrainConfig, *,
     # one problem whose windows are its input rows
     weights, bias, failure = _train_lockstep(
         train_set.inputs[None], 1, np.arange(train_set.num_examples),
-        train_set.targets[None], [cfg.seed], cfg, models)
+        1 - 2 * train_set.targets[None], [cfg.seed], cfg, models)
     if failure is not None:
         raise failure[1]
     return ModelParams(weights=weights[0], bias=bias[0])
@@ -533,8 +544,8 @@ def _split_indices(num_pieces: int) -> tuple[range, range, range]:
 
 
 # Seeds train in lockstep in groups of at most this many, so memory stays
-# bounded however many seeds an experiment lists: a seed's padded float32
-# train features and uint8 targets take about 5.1 MB at the default configs.
+# bounded however many seeds an experiment lists: each seed holds its padded
+# float32 train features and int8 signs.
 _LOCKSTEP_SEEDS = 8
 
 
@@ -600,12 +611,16 @@ def run_sensitivity_experiment(synth_cfg: SynthConfig,
 
         frames, starts = _pad_pieces(piece, len(group), len(train_idx),
                                      train_cfg.context_frames)
-        targets = np.stack([np.concatenate([np.hstack([
+        # the 0/1 targets, turned in place into the signs 1 - 2y the kernel takes
+        signs = np.stack([np.concatenate([np.hstack([
             rasterize(corpus[i], train_grid, fn, derive_seed(seed, i)).frames
-            for fn in distinct]) for i in train_idx]) for seed, corpus in zip(group, corpora)])
+            for fn in distinct]) for i in train_idx])
+            for seed, corpus in zip(group, corpora)]).view(np.int8)
+        signs *= -2
+        signs += 1
 
         weights, bias, failure = _train_lockstep(
-            frames, train_cfg.context_frames, starts, targets,
+            frames, train_cfg.context_frames, starts, signs,
             [derive_seed(train_cfg.seed, seed) for seed in group], train_cfg, len(distinct))
         if failure is not None:
             s, exc = failure

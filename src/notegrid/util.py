@@ -46,6 +46,14 @@ def split_lines(text: str) -> list[str]:
     return lines
 
 
-def count_line_breaks(data: bytes) -> int:
-    """The line breaks that split_lines finds in data's text."""
-    return data.count(b"\n") + data.count(b"\r") - data.count(b"\r\n")
+def count_line_breaks(data: str | bytes) -> int:
+    """The line breaks that split_lines finds in data's text, given as text
+    or as bytes."""
+    lf, cr = ("\n", "\r") if isinstance(data, str) else (b"\n", b"\r")
+    return data.count(lf) + data.count(cr) - data.count(cr + lf)
+
+
+def line_and_column(text: str, pos: int) -> tuple[int, int]:
+    """The 1-based line and column of text[pos] under split_lines' rule."""
+    head = text[:pos]
+    return count_line_breaks(head) + 1, pos - max(head.rfind("\n"), head.rfind("\r"))

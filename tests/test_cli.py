@@ -494,16 +494,36 @@ class TestNonUtf8Input:
 
 
 class TestConfigFiles:
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_json_errors_name_the_line_that_split_lines_counts(self, tmp_path, newline):
+        # json itself counts lines at \n only
+        path = tmp_path / "cfg.json"
+        path.write_bytes(newline.join(["{", '"fps": 1,', "  ,}"]).encode())
+        with pytest.raises(FormatError) as info:
+            ngio.read_json_object(path, "config")
+        assert str(info.value) == (f"{path}: line 3 column 3: unreadable config: "
+                                   "Expecting property name enclosed in double quotes")
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_non_object_value_named_at_the_line_where_it_starts(self, tmp_path, newline):
+        path = tmp_path / "side.json"
+        path.write_bytes(newline.join(["", " ", "\t[1,", "2]", ""]).encode())
+        with pytest.raises(FormatError) as info:
+            ngio.read_json_object(path, "sidecar")
+        assert str(info.value) == f"{path}: line 3: sidecar must hold a JSON object"
+
     @pytest.mark.parametrize("command", ["synth", "experiment"])
     @pytest.mark.parametrize("text,where", [
         ('{"seed": 1' + "0" * 5000 + "}", "unreadable config"),
         ('{"seed": ' + "[" * 100000 + "]" * 100000 + "}", "unreadable config"),
         ('{"seed": 1', "line 1"),
+        ('{\r"seed": 1,\r,}', "cfg.json: line 3 column 1: unreadable config"),
         ("[1, 2]", "line 1: config must hold a JSON object"),
-    ], ids=["integer-past-digit-limit", "nested-too-deeply", "bad-json", "not-an-object"])
+    ], ids=["integer-past-digit-limit", "nested-too-deeply", "bad-json", "bad-json-lone-cr",
+            "not-an-object"])
     def test_unreadable_config_exit_4(self, tmp_path, capsys, command, text, where):
         config = tmp_path / "cfg.json"
-        config.write_text(text)
+        config.write_bytes(text.encode())
         assert run_cli([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 4
         captured = capsys.readouterr()
         assert "Traceback" not in captured.out + captured.err
@@ -942,7 +962,7 @@ class TestExperimentCommand:
         from notegrid import DivergenceError
         from notegrid import trainer as trainer_module
 
-        def exploding_kernel(frames, width, starts, targets, seeds, cfg, models):
+        def exploding_kernel(frames, width, starts, signs, seeds, cfg, models):
             return None, None, (0, DivergenceError("non-finite loss at epoch 0, batch 3",
                                                    epoch=0, batch=3, models=(0,)))
 

@@ -83,14 +83,15 @@ def misaligned(array, offset):
 
 
 def reference_train(train_set, cfg, models, dtype=np.float64, offset=None):
-    """One problem's training loop written out on 2-D arrays, as train()
-    ran it one seed per call: the reference the lockstep kernel must match
-    bit for bit. It computes in dtype, and with an offset its weight-sized
-    buffers start that many bytes past a 64-byte boundary. It converges on
-    every input it is given here."""
+    """One problem's training loop written out on 2-D arrays, in unscaled
+    weights: the reference the lockstep kernel, which trains W/2 and b/2,
+    must match bit for bit. The residual is (tanh(z/2) + s) * slope with
+    s = 1 - 2y and slope = 0.5 * lr / cells in dtype. It computes in dtype,
+    and with an offset its weight-sized buffers start that many bytes past
+    a 64-byte boundary. It converges on every input it is given here."""
     dim, columns = train_set.inputs.shape[1], train_set.targets.shape[1]
     inputs = train_set.inputs.astype(dtype, copy=False)
-    targets = train_set.targets.astype(dtype, copy=False)
+    signs = 1 - 2 * train_set.targets.astype(dtype, copy=False)
     init = np.random.default_rng([cfg.seed & MASK64, 0]).normal(
         0.0, 0.01, size=(dim, columns // models))
     weights, bias = np.tile(init, (1, models)).astype(dtype, copy=False), np.zeros(columns, dtype)
@@ -110,22 +111,62 @@ def reference_train(train_set, cfg, models, dtype=np.float64, offset=None):
         order = shuffle_rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            x, y = inputs[idx], targets[idx]
+            x, s = inputs[idx], signs[idx]
             np.multiply(mu, velocity_w, out=momentum_w)
             np.multiply(mu, velocity_b, out=momentum_b)
             np.add(weights, momentum_w, out=ahead_w)
             np.add(bias, momentum_b, out=ahead_b)
             z = x @ ahead_w + ahead_b
             assert np.isfinite(z).all()
-            residual = (trainer_module._sigmoid(z) - y) / (y.size // models)
+            slope = dtype(0.5 * lr / (s.size // models))
+            residual = (np.tanh(0.5 * z) + s) * slope
             grad_w, grad_b = x.T @ residual, residual.sum(axis=0)
-            grad_w *= lr
-            grad_b *= lr
             np.subtract(momentum_w, grad_w, out=velocity_w)
             np.subtract(momentum_b, grad_b, out=velocity_b)
             weights += velocity_w
             bias += velocity_b
     return weights, bias
+
+
+def sigmoid_reference_train(train_set, cfg, models, dtype=np.float64):
+    """The same loop with the residual (sigmoid(z) - y) / cells, scaled by
+    lr after the matmuls: the float operations of the step before it took
+    the tanh form, which the kernel matches to within a tolerance."""
+    dim, columns = train_set.inputs.shape[1], train_set.targets.shape[1]
+    inputs = train_set.inputs.astype(dtype, copy=False)
+    targets = train_set.targets.astype(dtype, copy=False)
+    init = np.random.default_rng([cfg.seed & MASK64, 0]).normal(
+        0.0, 0.01, size=(dim, columns // models))
+    weights, bias = np.tile(init, (1, models)).astype(dtype, copy=False), np.zeros(columns, dtype)
+    velocity_w, velocity_b = np.zeros_like(weights), np.zeros_like(bias)
+    shuffle_rng = np.random.default_rng([cfg.seed & MASK64, 1])
+    lr, mu, n = cfg.learning_rate, cfg.momentum, train_set.num_examples
+    for epoch in range(cfg.epochs):
+        for at_epoch, multiplier in cfg.resolved_schedule():
+            if at_epoch == epoch:
+                lr *= multiplier
+        order = shuffle_rng.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
+            x, y = inputs[idx], targets[idx]
+            momentum_w, momentum_b = mu * velocity_w, mu * velocity_b
+            z = x @ (weights + momentum_w) + (bias + momentum_b)
+            residual = (0.5 + 0.5 * np.tanh(0.5 * z) - y) / (y.size // models)
+            grad_w, grad_b = x.T @ residual, residual.sum(axis=0)
+            grad_w *= lr
+            grad_b *= lr
+            velocity_w, velocity_b = momentum_w - grad_w, momentum_b - grad_b
+            weights += velocity_w
+            bias += velocity_b
+    return weights, bias
+
+
+def signs_of(targets):
+    """The kernel's signs 1 - 2y: int8 for uint8 targets, as the experiment
+    builds them, and the targets' own dtype otherwise."""
+    if targets.dtype == np.uint8:
+        targets = targets.view(np.int8)
+    return 1 - 2 * targets
 
 
 # lockstep problems: pieces of equal length whose 21 examples end in a tail
@@ -137,6 +178,13 @@ PIECES, FRAMES, DIM, LABELS = 3, 7, 4, 2
 # float64 train() on lockstep_problems(3, 3) over 3 epochs, measured at
 # 2.7e-7 (weights of size up to 1.4)
 DRIFT = 1e-6
+
+
+# the largest weight or bias difference of the kernel from
+# sigmoid_reference_train on lockstep_problems(3, 3) over 3 epochs at rate
+# 0.7, measured at 4.4e-16 in float64 and 2.4e-7 in float32 (weights of
+# size up to 1.9); the kernel before the tanh form matched it bit for bit
+SIGMOID_FORM_DRIFT = {np.float64: 4e-15, np.float32: 1e-6}
 
 
 def lockstep_problems(num_problems, models, seed=31):
@@ -234,7 +282,32 @@ def check_screen(monkeypatch, expected, run, losses_computed):
         assert len(calls) == losses_computed
 
 
+def stacked_windows(values, context_frames):
+    """_windows built as it was before it took sliding_window_view: the
+    zero-padded rows in context_frames shifted copies, stacked."""
+    num_frames, dim = values.shape
+    pad = context_frames // 2
+    if pad == 0:
+        return values.copy()
+    padded = np.zeros((num_frames + 2 * pad, dim))
+    padded[pad:pad + num_frames] = values
+    stacked = np.stack([padded[i:i + num_frames] for i in range(context_frames)], axis=1)
+    return stacked.reshape(num_frames, context_frames * dim)
+
+
 class TestMakeExamples:
+    @pytest.mark.parametrize("num_frames", [0, 1, 2, 9])
+    @pytest.mark.parametrize("context_frames", [1, 3, 5])
+    def test_windows_equal_the_stacked_shifted_copies(self, context_frames, num_frames):
+        # byte for byte, pieces of 1 and 2 frames being shorter than a window
+        # of 3 or 5 frames
+        values = np.random.default_rng(num_frames).normal(0, 1, (num_frames, 4))
+        windows = trainer_module._windows(values, context_frames)
+        expected = stacked_windows(values, context_frames)
+        assert (windows.dtype, windows.shape) == (expected.dtype, expected.shape)
+        assert windows.flags.c_contiguous and windows.flags.writeable
+        assert windows.tobytes() == expected.tobytes()
+
     def test_single_frame_window_mostly_padding(self):
         feats = feature_matrix([[1.0, 2.0]])
         labels = label_matrix([[1, 0, 0]])
@@ -338,11 +411,12 @@ class TestLossAndGradient:
         problems, batch, dim, columns, models = 3, 5, 4, 6, 2
         x = rng.normal(0, 1, (problems, batch, dim)).astype(dtype)
         y = (rng.random((problems, batch, columns)) < 0.4).astype(np.uint8)
-        z = rng.normal(0, 2, (problems, batch, columns)).astype(dtype)
-        residual = (trainer_module._sigmoid(z.copy()) - y) / (batch * columns // models)
+        t = rng.normal(0, 1, (problems, batch, columns)).astype(dtype)
+        slope = dtype(0.5 * 0.7 / (batch * columns // models))
+        residual = (np.tanh(t) + (1 - 2 * y.astype(dtype))) * slope
         packed = np.full((problems, dim + 1, columns), np.nan, dtype)
         out_bias = packed[:, dim]
-        _, grad_b = trainer_module._gradient(z, x, y, models, out=packed[:, :dim],
+        _, grad_b = trainer_module._gradient(t, x, signs_of(y), slope, out=packed[:, :dim],
                                              out_bias=out_bias)
         assert grad_b is out_bias
         assert np.array_equal(packed[:, dim], residual.sum(axis=-2))
@@ -358,7 +432,7 @@ class TestLossAndGradient:
         y = (rng.random((n, k)) < 0.4).astype(float)
         loss, grad_w, grad_b = bce_loss_and_gradient(params, x, y)
         z = x @ params.weights + params.bias
-        residual = (0.5 * np.tanh(0.5 * z) + 0.5 - y) / y.size
+        residual = (np.tanh(0.5 * z) + (1 - 2 * y)) * (0.5 / y.size)
         assert loss == float(np.mean(np.logaddexp(0.0, z) - y * z))
         assert np.array_equal(grad_w, x.T @ residual)
         assert np.array_equal(grad_b, residual.sum(axis=0))
@@ -466,8 +540,10 @@ class TestTrain:
         assert info.value.batch is not None
 
     def test_step_equals_out_of_place_nesterov_loop(self):
-        # reference: the update written out of place, one fresh array per
-        # operation; the in-place step must reproduce it bit for bit
+        # reference: the update written out of place in unscaled weights, one
+        # fresh array per operation, with lr folded into the residual's
+        # slope; the in-place half-scale step must reproduce it bit for bit.
+        # 45 rows end in a batch of 5, which gets its own slope
         rng = np.random.default_rng(9)
         ds = Dataset(inputs=rng.normal(0, 1, (45, 7)),
                      targets=(rng.random((45, 3)) < 0.4).astype(float))
@@ -485,11 +561,11 @@ class TestTrain:
             order = shuffle_rng.permutation(ds.num_examples)
             for start in range(0, ds.num_examples, cfg.batch_size):
                 idx = order[start:start + cfg.batch_size]
-                ahead = ModelParams(weights + mu * velocity_w, bias + mu * velocity_b)
-                _, grad_w, grad_b = bce_loss_and_gradient(ahead, ds.inputs[idx],
-                                                          ds.targets[idx])
-                velocity_w = mu * velocity_w - lr * grad_w
-                velocity_b = mu * velocity_b - lr * grad_b
+                x, y = ds.inputs[idx], ds.targets[idx]
+                z = x @ (weights + mu * velocity_w) + (bias + mu * velocity_b)
+                residual = (np.tanh(0.5 * z) + (1 - 2 * y)) * (0.5 * lr / y.size)
+                velocity_w = mu * velocity_w - x.T @ residual
+                velocity_b = mu * velocity_b - residual.sum(axis=0)
                 weights = weights + velocity_w
                 bias = bias + velocity_b
         params = train(ds, ds, cfg)
@@ -589,7 +665,7 @@ class TestLockstep:
                           context_frames=context_frames)
         seeds = [11, 12, 13][:num_problems]
         weights, bias, failure = trainer_module._train_lockstep(
-            frames, context_frames, starts, targets, seeds, cfg, models)
+            frames, context_frames, starts, signs_of(targets), seeds, cfg, models)
         assert failure is None
         assert len(starts) % cfg.batch_size == 5
         for s, seed in enumerate(seeds):
@@ -632,7 +708,7 @@ class TestLockstep:
         frames, starts = trainer_module._pad_pieces(
             lambda s, p: pieces[order[s], p], 3, PIECES, 1)
         _, _, (s, exc) = trainer_module._train_lockstep(
-            frames, 1, starts, targets[list(order)], [seeds[i] for i in order], cfg, 1)
+            frames, 1, starts, signs_of(targets[list(order)]), [seeds[i] for i in order], cfg, 1)
         first = next(i for i, entry in enumerate(order) if alone[entry] is not None)
         assert s == first
         assert (str(exc), exc.epoch, exc.batch, exc.models) == alone[order[first]]
@@ -655,7 +731,7 @@ class TestLockstep:
             lambda s, p: pieces[s, p].astype(dtype), num_problems, PIECES, 5)
         cfg = TrainConfig(learning_rate=0.5, epochs=2, context_frames=5)
         (weights, bias, failure), buffers = kernel_buffers(
-            frames, 5, starts, targets, [11, 12, 13][:num_problems], cfg, 3)
+            frames, 5, starts, signs_of(targets), [11, 12, 13][:num_problems], cfg, 3)
         assert failure is None
         rows = 5 * DIM
         for name, buffer in buffers.items():
@@ -687,7 +763,7 @@ class TestLockstep:
             lambda s, p: pieces[s, p].astype(dtype), 3, PIECES, 1)
         cfg = TrainConfig(learning_rate=0.5, batch_size=4, epochs=2, context_frames=1)
         (weights, bias, (s, exc)), buffers = kernel_buffers(
-            frames, 1, starts, targets, seeds, cfg, 1)
+            frames, 1, starts, signs_of(targets), seeds, cfg, 1)
         assert (s, exc.epoch, exc.batch) == (2, 0, 0)
         for name, buffer in buffers.items():
             assert (buffer.dtype, buffer.shape) == (dtype, (2, DIM + 1, LABELS))
@@ -717,7 +793,7 @@ class TestLockstep:
                           context_frames=5)
         seeds = [11, 12, 13]
         weights, bias, failure = trainer_module._train_lockstep(
-            frames, 5, starts, targets, seeds, cfg, 3)
+            frames, 5, starts, signs_of(targets), seeds, cfg, 3)
         assert failure is None
         for s, seed in enumerate(seeds):
             inputs = np.concatenate([trainer_module._windows(piece, 5) for piece in pieces[s]])
@@ -728,6 +804,27 @@ class TestLockstep:
             assert expected_w.dtype == weights.dtype == dtype
             assert np.array_equal(weights[s], expected_w)
             assert np.array_equal(bias[s], expected_b)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_stays_near_the_sigmoid_form_reference(self, dtype):
+        # the tanh-form residual with lr in its slope moves the weights from
+        # those of (sigmoid(z) - y) / cells scaled by lr, by at most a few ulps
+        pieces, targets = lockstep_problems(3, 3)
+        frames, starts = trainer_module._pad_pieces(
+            lambda s, p: pieces[s, p].astype(dtype), 3, PIECES, 5)
+        cfg = TrainConfig(learning_rate=0.7, batch_size=8, epochs=3, lr_schedule=((1, 0.5),),
+                          context_frames=5)
+        seeds = [11, 12, 13]
+        weights, bias, failure = trainer_module._train_lockstep(
+            frames, 5, starts, signs_of(targets), seeds, cfg, 3)
+        assert failure is None
+        for s, seed in enumerate(seeds):
+            inputs = np.concatenate([trainer_module._windows(piece, 5) for piece in pieces[s]])
+            alone = Dataset(inputs=inputs, targets=targets[s])
+            expected_w, expected_b = sigmoid_reference_train(alone, replace(cfg, seed=seed), 3,
+                                                             dtype)
+            assert np.abs(weights[s] - expected_w).max() <= SIGMOID_FORM_DRIFT[dtype]
+            assert np.abs(bias[s] - expected_b).max() <= SIGMOID_FORM_DRIFT[dtype]
 
     # exact_loss_training overflows
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -742,8 +839,8 @@ class TestLockstep:
 
         def run():
             weights, bias, failure = trainer_module._train_lockstep(
-                inputs[None], 1, np.arange(len(inputs)), targets[None], [cfg.seed], cfg,
-                models)
+                inputs[None], 1, np.arange(len(inputs)), signs_of(targets[None]), [cfg.seed],
+                cfg, models)
             if failure is not None:
                 raise failure[1]
             return SimpleNamespace(weights=weights[0], bias=bias[0])
@@ -766,7 +863,7 @@ class TestLockstep:
             tracemalloc.start()
             try:
                 weights, bias, failure = trainer_module._train_lockstep(
-                    frames, 1, np.arange(40), targets, [cfg.seed],
+                    frames, 1, np.arange(40), signs_of(targets), [cfg.seed],
                     replace(cfg, epochs=epochs), 1)
                 assert failure is None
                 assert weights.dtype == bias.dtype == np.float32
@@ -776,21 +873,21 @@ class TestLockstep:
 
         assert peak_bytes(3) - peak_bytes(0) < dim * columns * 4
 
-    def test_epochs_hold_one_copy_of_the_targets(self):
-        # each epoch gathers its shuffled targets into one buffer: 3 epochs
-        # peak at most one targets array above 0 epochs, with the slack of one
+    def test_epochs_hold_one_copy_of_the_signs(self):
+        # each epoch gathers its shuffled signs into one buffer: 3 epochs
+        # peak at most one signs array above 0 epochs, with the slack of one
         # weights array for the batch-sized temporaries and index arrays
         rng = np.random.default_rng(6)
         problems, n, dim, columns = 3, 400, 8, 128
         frames = rng.normal(0, 0.1, (problems, n, dim)).astype(np.float32)
-        targets = (rng.random((problems, n, columns)) < 0.3).astype(np.uint8)
+        signs = signs_of((rng.random((problems, n, columns)) < 0.3).astype(np.uint8))
         cfg = TrainConfig(batch_size=4, epochs=3, context_frames=1, seed=2)
 
         def peak_bytes(epochs):
             tracemalloc.start()
             try:
                 weights, _, failure = trainer_module._train_lockstep(
-                    frames, 1, np.arange(n), targets, [1, 2, 3],
+                    frames, 1, np.arange(n), signs, [1, 2, 3],
                     replace(cfg, epochs=epochs), 1)
                 assert failure is None
                 return tracemalloc.get_traced_memory()[1], weights.nbytes
@@ -798,7 +895,7 @@ class TestLockstep:
                 tracemalloc.stop()
 
         before, weights_bytes = peak_bytes(0)
-        assert peak_bytes(3)[0] - before <= targets.nbytes + weights_bytes
+        assert peak_bytes(3)[0] - before <= signs.nbytes + weights_bytes
 
     def test_initialization_draws_one_seed_at_a_time(self):
         # 8 seeds at D = 1280, G = 3, K = 88: the peak is the three packed
@@ -806,11 +903,11 @@ class TestLockstep:
         # with 1 MiB for the draw's finiteness mask and small objects
         seeds, dim, models, num_labels = 8, 1280, 3, 88
         frames = np.zeros((seeds, 4, dim), dtype=np.float32)
-        targets = np.zeros((seeds, 4, models * num_labels), dtype=np.uint8)
+        signs = np.ones((seeds, 4, models * num_labels), dtype=np.int8)
         tracemalloc.start()
         try:
             weights, bias, failure = trainer_module._train_lockstep(
-                frames, 1, np.arange(4), targets, list(range(seeds)),
+                frames, 1, np.arange(4), signs, list(range(seeds)),
                 TrainConfig(epochs=0, context_frames=1), models)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -830,7 +927,7 @@ class TestLockstep:
             lambda s, p: pieces[s, p].astype(np.float32), 3, PIECES, 5)
         seeds = [11, 12, 13]
         weights, bias, failure = trainer_module._train_lockstep(
-            frames, 5, starts, targets, seeds, cfg, 3)
+            frames, 5, starts, signs_of(targets), seeds, cfg, 3)
         assert failure is None
         for s, seed in enumerate(seeds):
             inputs = np.concatenate([trainer_module._windows(piece, 5) for piece in pieces[s]])
@@ -947,7 +1044,7 @@ class TestSensitivityExperiment:
     def test_divergence_annotated_with_fn_and_seed(self, monkeypatch):
         synth_cfg, train_cfg, train_grid, eval_grid = tiny_experiment_args()
 
-        def exploding_kernel(frames, width, starts, targets, seeds, cfg, models):
+        def exploding_kernel(frames, width, starts, signs, seeds, cfg, models):
             return None, None, (1, DivergenceError("non-finite loss at epoch 0, batch 1",
                                                    epoch=0, batch=1, models=(0,)))
 
@@ -962,34 +1059,34 @@ class TestSensitivityExperiment:
         calls = []
         kernel = trainer_module._train_lockstep
 
-        def counting_kernel(frames, width, starts, targets, seeds, cfg, models):
-            calls.append((targets.shape[0], targets.shape[2], targets.dtype, models))
-            return kernel(frames, width, starts, targets, seeds, cfg, models)
+        def counting_kernel(frames, width, starts, signs, seeds, cfg, models):
+            calls.append((signs.shape[0], signs.shape[2], signs.dtype, models))
+            return kernel(frames, width, starts, signs, seeds, cfg, models)
 
         monkeypatch.setattr(trainer_module, "_train_lockstep", counting_kernel)
         table = run_sensitivity_experiment(synth_cfg, [A, E, F, A], train_grid,
                                            eval_grid, train_cfg, [1, 2, 1])
         # the distinct seeds train in one lockstep call, each one stacked model
         k = synth_cfg.num_labels
-        assert calls == [(2, 3 * k, np.uint8, 3)]
+        assert calls == [(2, 3 * k, np.int8, 3)]
         assert [(r.fn, r.seed) for r in table.rows] == [
             (A, 1), (E, 1), (F, 1), (A, 1), (A, 2), (E, 2), (F, 2), (A, 2),
             (A, 1), (E, 1), (F, 1), (A, 1)]
         assert table.rows[0] == table.rows[3]
         assert table.rows[:4] == table.rows[8:]
 
-    def test_kernel_gets_float32_features_and_uint8_targets(self, monkeypatch):
+    def test_kernel_gets_float32_features_and_int8_signs(self, monkeypatch):
         synth_cfg, train_cfg, train_grid, eval_grid = tiny_experiment_args()
-        dtypes = []
+        seen = []
         kernel = trainer_module._train_lockstep
 
-        def recording_kernel(frames, width, starts, targets, seeds, cfg, models):
-            dtypes.append((frames.dtype, targets.dtype))
-            return kernel(frames, width, starts, targets, seeds, cfg, models)
+        def recording_kernel(frames, width, starts, signs, seeds, cfg, models):
+            seen.append((frames.dtype, signs.dtype, set(np.unique(signs).tolist())))
+            return kernel(frames, width, starts, signs, seeds, cfg, models)
 
         monkeypatch.setattr(trainer_module, "_train_lockstep", recording_kernel)
         run_sensitivity_experiment(synth_cfg, [A, E], train_grid, eval_grid, train_cfg, [1])
-        assert dtypes == [(np.float32, np.uint8)]
+        assert seen == [(np.float32, np.int8, {-1, 1})]
 
     def test_one_prediction_per_test_piece(self, monkeypatch):
         synth_cfg, train_cfg, train_grid, eval_grid = tiny_experiment_args()

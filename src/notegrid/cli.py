@@ -6,8 +6,8 @@ fully resolved configuration and input digests; re-running a command
 with the same arguments (or with --config pointed at a manifest)
 reproduces its outputs byte for byte.
 
-Exit codes: 0 success, 2 usage error, 3 runtime error or training
-divergence, 4 input format error.
+Exit codes: 0 success, 2 usage error, 3 training divergence, 4 input,
+format or file error.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import numbers
 import sys
 import typing
 from dataclasses import asdict
@@ -23,8 +22,7 @@ from pathlib import Path
 
 from . import __version__
 from .annotation import Annotation, parse_tsv, to_tsv, validate
-from .errors import (ContractError, DivergenceError, FormatError, NotegridError,
-                     RangeError, UnsupportedError, ValidationError)
+from .errors import ContractError, DivergenceError, NotegridError
 from .metrics import disagreement, evaluate_against_reference, prf, windowed_counts
 from .midi import parse_midi
 from .quantize import FrameGrid, LabelingFunction, rasterize
@@ -47,9 +45,9 @@ _EXPERIMENT_DEFAULTS = {
 _EXPERIMENT_KEYS = {
     "fns": (list[str], "a list of strings"),
     "seeds": (list[int], "a list of integers"),
-    "train_fps": (numbers.Real, "a number"),
-    "eval_fps": (numbers.Real, "a number"),
-    "window_sec": (numbers.Real, "a number"),
+    "train_fps": (float, "a finite number"),
+    "eval_fps": (float, "a finite number"),
+    "window_sec": (float, "a finite number"),
     "synth": (dict, "a JSON object"),
     "train": (dict, "a JSON object"),
 }
@@ -443,16 +441,9 @@ def main(argv: list[str] | None = None) -> int:
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (FormatError, RangeError, ValidationError, UnsupportedError,
-            ContractError) as exc:
+    except (NotegridError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except NotegridError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

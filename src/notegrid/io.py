@@ -276,7 +276,7 @@ def write_experiment_csv(table: ExperimentTable, path: Path) -> None:
     lines = [EXPERIMENT_CSV_HEADER]
     for row in table.rows:
         lines.append(",".join([
-            row.fn.letter, str(row.seed), row.split,
+            row.fn.letter, str(row.seed), "test",
             _format_float(row.precision), _format_float(row.recall),
             _format_float(row.fmeasure),
         ]))

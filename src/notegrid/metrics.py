@@ -69,7 +69,8 @@ def _check_comparable(a: LabelMatrix, b: LabelMatrix) -> None:
 
 
 def count_cells(pred: np.ndarray, ref: np.ndarray) -> EvalCounts:
-    """Count TP/FP/FN cells between two boolean arrays of the same shape."""
+    """Count TP/FP/FN cells between two boolean or 0/1 arrays of the same
+    shape."""
     tp = int(np.count_nonzero(pred & ref))
     return EvalCounts(tp=tp, fp=int(np.count_nonzero(pred)) - tp,
                       fn_=int(np.count_nonzero(ref)) - tp)
@@ -78,7 +79,7 @@ def count_cells(pred: np.ndarray, ref: np.ndarray) -> EvalCounts:
 def framewise_counts(pred: LabelMatrix, ref: LabelMatrix) -> EvalCounts:
     """Count TP/FP/FN cells between a prediction and a reference matrix."""
     _check_comparable(pred, ref)
-    return count_cells(pred.frames.astype(bool), ref.frames.astype(bool))
+    return count_cells(pred.frames, ref.frames)
 
 
 def prf(counts: EvalCounts) -> EvalResult:

@@ -25,8 +25,8 @@ from .util import MASK64
 # Work budgets that SynthConfig checks, so a huge but finite value fails at
 # once instead of looping on or exhausting memory:
 # - the notes a piece may be expected to hold, note_rate x
-#   piece_duration_sec; generate_piece draws notes one at a time, and 10**6
-#   of them take about 9 s and 200 MB on a 2-core VM;
+#   piece_duration_sec; generate_piece draws notes one at a time (README
+#   gives the time and memory measured at the budget);
 # - the pieces of a corpus, each generated by its own call;
 # - feature bins, each a float64 column of every rendered piece;
 # - label_templates' loop steps, num_labels x harmonics.

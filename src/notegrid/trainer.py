@@ -142,20 +142,21 @@ class TrainConfig:
                 (math.floor(0.85 * self.epochs), 0.5))
 
 
+def _window_view(rows: np.ndarray, width: int) -> np.ndarray:
+    """Row t is rows[t:t + width].ravel() of the C-contiguous 2-D `rows`:
+    every window in one read-only strided view, one row per step, no copy."""
+    return np.lib.stride_tricks.as_strided(
+        rows, shape=(len(rows) - width + 1, width * rows.shape[1]), strides=rows.strides,
+        writeable=False)
+
+
 def _windows(values: np.ndarray, context_frames: int) -> np.ndarray:
     """Flattened sliding windows over the rows of `values`, zero-padded at
     the edges so every frame yields one example."""
     if context_frames < 1 or context_frames % 2 == 0:
         raise ContractError(f"context_frames must be odd, got {context_frames}")
-    num_frames, dim = values.shape
-    if num_frames == 0:  # the padding alone is shorter than a window
-        return np.zeros((0, context_frames * dim))
-    pad = context_frames // 2
-    padded = np.zeros((num_frames + 2 * pad, dim))
-    padded[pad:pad + num_frames] = values
-    # a window is whole rows, so the flattened view is still a view: copy it out
-    windows = np.lib.stride_tricks.sliding_window_view(padded, (context_frames, dim))
-    return windows.reshape(num_frames, context_frames * dim).copy()
+    frames, starts = _pad_pieces(lambda s, p: values, 1, 1, context_frames)
+    return _window_view(frames[0], context_frames)[starts]
 
 
 def make_examples(features: FeatureMatrix, labels: LabelMatrix,
@@ -186,8 +187,7 @@ def bce_loss(params: ModelParams, inputs: np.ndarray, targets: np.ndarray) -> fl
     Computed from logits as softplus(z) - y*z, which is exact and stable
     for any magnitude of z.
     """
-    z = inputs @ params.weights + params.bias
-    return float(np.mean(np.logaddexp(0.0, z) - targets * z))
+    return float(_block_losses(inputs @ params.weights + params.bias, targets, 1)[0])
 
 
 def _block_losses(z: np.ndarray, targets: np.ndarray, models: int) -> np.ndarray:
@@ -239,10 +239,8 @@ def bce_loss_and_gradient(params: ModelParams, inputs: np.ndarray,
     return float(losses[0]), grad_w, grad_b
 
 
-def _init_params(dim: int, num_labels: int, seed: int) -> ModelParams:
-    rng = np.random.default_rng([seed & MASK64, 0])
-    return ModelParams(weights=rng.normal(0.0, 0.01, size=(dim, num_labels)),
-                       bias=np.zeros(num_labels))
+def _init_weights(dim: int, num_labels: int, seed: int) -> np.ndarray:
+    return np.random.default_rng([seed & MASK64, 0]).normal(0.0, 0.01, size=(dim, num_labels))
 
 
 # cache line and AVX-512 store width: a buffer starting on it splits no store
@@ -281,14 +279,14 @@ def _pad_pieces(piece, num_problems: int, num_pieces: int,
     return frames, np.arange(num_pieces * span).reshape(num_pieces, span)[:, :span - pad].ravel()
 
 
-def _first_divergence(half_logits: np.ndarray, signs: np.ndarray, half_limits: np.ndarray,
+def _first_divergence(half_logits: np.ndarray, signs: np.ndarray, half_limit: float,
                       models: int) -> tuple[int, np.ndarray] | None:
     """The first problem of a lockstep batch with a non-finite block loss,
     and those blocks' indices; only the problems whose halved logits fail
-    their halved screen limit compute their losses, from z = 2t and
+    the halved screen limit compute their losses, from z = 2t and
     y = (1 - s) / 2, which are exact for binary targets."""
     peaks = np.abs(half_logits).reshape(len(half_logits), -1).max(axis=1, initial=0.0)
-    for problem in np.flatnonzero(~(peaks < half_limits)).tolist():
+    for problem in np.flatnonzero(~(peaks < half_limit)).tolist():
         z = half_logits[problem] * 2
         targets = np.subtract(1, signs[problem], dtype=z.dtype)
         targets /= 2
@@ -318,11 +316,11 @@ def _train_lockstep(frames: np.ndarray, width: int, starts: np.ndarray,
 
     frames is (S, R, D), C-contiguous; example i of problem s is the
     `width` rows frames[s, starts[i]:starts[i] + width], flattened, with
-    signs[s, i] = 1 - 2 * targets (S, n, G*K >= 1, of any signed real
-    dtype). Problem s trains as train() would with cfg.seed = seeds[s]:
-    its own initialization and shuffle stream, the same float operations,
-    and its own divergence screen. Each batch gathers every problem's rows
-    with one fancy index and makes one 3-D matmul each way.
+    signs[s, i] = 1 - 2 * targets (S, n >= 1, G*K >= 1, of any signed real
+    dtype). Problem s trains as train() would with cfg.seed = seeds[s]: its
+    own initialization and shuffle stream, the same float operations, under
+    one divergence screen limit for all. Each batch gathers every problem's
+    rows with one fancy index and makes one 3-D matmul each way.
 
     Returns weights (S, width*D, G*K) and biases (S, G*K), views of the
     first rows and the last row of the parameter buffer, and None, or, when
@@ -343,47 +341,36 @@ def _train_lockstep(frames: np.ndarray, width: int, starts: np.ndarray,
     params, velocity, ahead = (
         _aligned_empty((num_problems, rows + 1, columns), frames.dtype) for _ in range(3))
     for problem, seed in enumerate(seeds):  # one float64 draw at a time, halved as it is cast
-        init = _init_params(rows, num_labels, seed)
-        np.multiply(init.weights[:, None], 0.5, casting="same_kind",
+        np.multiply(_init_weights(rows, num_labels, seed)[:, None], 0.5, casting="same_kind",
                     out=params[problem, :rows].reshape(rows, models, num_labels))
         params[problem, rows] = 0  # the zero bias
-        del init  # freed before the next draw, and before training
     velocity.fill(0)
-    # every window is `width` contiguous rows, so one strided view, one
-    # frame per step, holds all of them without a copy
-    flat = frames.reshape(num_problems * rows_per_problem, dim)
-    windows = np.lib.stride_tricks.as_strided(
-        flat, shape=(len(flat) - width + 1, width * dim), strides=flat.strides,
-        writeable=False)
+    windows = _window_view(frames.reshape(num_problems * rows_per_problem, dim), width)
     offsets = np.arange(num_problems)[:, None]
     flat_signs = signs.reshape(num_problems * n, columns)
     # each epoch's signs in its shuffled order, gathered once into one buffer
     epoch_signs = np.empty((num_problems, n, columns), signs.dtype)
 
+    batch = min(cfg.batch_size, n)  # a batch larger than the training set is that set
     # Divergence screen: a cell softplus(z) - y*z is at most 1 + |z|(1 + ymax)
-    # in size, so while every |z| of a problem's batch stays below its
-    # `limit` no sum of that batch's cells can reach `bound` and every block
-    # loss is finite. `bound` is 10**(floor(log10(largest float)) - 8) of the
-    # kernel's dtype: 1e300 in float64, 1e30 in float32. Only a problem whose
-    # batch fails the comparison (a NaN or inf logit included) computes its
-    # losses, to decide divergence exactly as on every batch. A NaN target
-    # makes the limit 0. The kernel compares |z/2| with limit/2.
+    # in size, so while every |z| of a batch stays below `limit` no sum of
+    # that batch's cells can reach `bound` and every block loss is finite.
+    # `bound` is 10**(floor(log10(largest float)) - 8) of the kernel's dtype:
+    # 1e300 in float64, 1e30 in float32, and ymax is taken over every
+    # problem's targets. Only a problem whose batch fails the comparison (a
+    # NaN or inf logit included) computes its losses, to decide divergence
+    # exactly as on every batch. A NaN target makes the limit 0. The kernel
+    # compares |z/2| with limit/2.
     bound = float(10 ** (math.floor(math.log10(np.finfo(frames.dtype).max)) - 8))
-    cells = cfg.batch_size * columns
-    half_limits = []
-    for problem_signs in signs:
-        # |y| = |1 - s| / 2 is largest at the smallest or the largest sign
-        ends = np.array([problem_signs.min(initial=1), problem_signs.max(initial=1)], float)
-        ymax = float(np.abs(1.0 - ends).max()) / 2
-        half_limits.append(bound / (cells * (1.0 + ymax)) / 2
-                           if math.isfinite(ymax) else 0.0)
-    half_limits = np.array(half_limits)
-    lowest = half_limits.min()
+    # |y| = |1 - s| / 2 is largest at the smallest or the largest sign
+    ends = np.array([signs.min(initial=1), signs.max(initial=1)], float)
+    ymax = float(np.abs(1.0 - ends).max()) / 2
+    half_limit = bound / (batch * columns * (1.0 + ymax)) / 2 if math.isfinite(ymax) else 0.0
 
     shuffle_rngs = [np.random.default_rng([seed & MASK64, 1]) for seed in seeds]
     schedule = cfg.resolved_schedule()
     failure = None
-    tail = n % cfg.batch_size or cfg.batch_size  # the rows of the last batch
+    tail = n % batch or batch  # the rows of the last batch
 
     # lr is scheduled in float64 and folded into each epoch's two slopes,
     # 0.25 * lr / cells of a full and of the last batch; these and mu are
@@ -396,22 +383,22 @@ def _train_lockstep(frames: np.ndarray, width: int, starts: np.ndarray,
             if at_epoch == epoch:
                 lr *= multiplier
         full_slope, tail_slope = (frames.dtype.type(0.25 * lr / (size * num_labels))
-                                  for size in (cfg.batch_size, tail))
+                                  for size in (batch, tail))
         orders = np.stack([rng.permutation(n) for rng in shuffle_rngs])
         window_rows = starts[orders] + offsets[:len(orders)] * rows_per_problem
         # "clip" gathers straight into the buffer; the default "raise" would
         # gather into a temporary first. Every row is in range.
         np.take(flat_signs, orders + offsets[:len(orders)] * n, axis=0,
                 out=epoch_signs, mode="clip")
-        for batch_index, start in enumerate(range(0, n, cfg.batch_size)):
-            x = windows[window_rows[:, start:start + cfg.batch_size]]
-            s = epoch_signs[:, start:start + cfg.batch_size]
+        for batch_index, start in enumerate(range(0, n, batch)):
+            x = windows[window_rows[:, start:start + batch]]
+            s = epoch_signs[:, start:start + batch]
             velocity *= mu
             np.add(params, velocity, out=ahead)
             t = np.matmul(x, ahead_w)
             t += ahead_b
-            if not np.abs(t).max(initial=0.0) < lowest:
-                found = _first_divergence(t, s, half_limits, models)
+            if not np.abs(t).max(initial=0.0) < half_limit:
+                found = _first_divergence(t, s, half_limit, models)
                 if found is not None:
                     problem, blocks = found
                     failure = problem, DivergenceError(
@@ -421,14 +408,12 @@ def _train_lockstep(frames: np.ndarray, width: int, starts: np.ndarray,
                         params *= 2
                         return params[:, :rows], params[:, rows], failure
                     # the problems from the diverged one on stop here
-                    (params, velocity, ahead, half_limits, window_rows, epoch_signs,
-                     x, s, t) = (a[:problem] for a in (
-                         params, velocity, ahead, half_limits, window_rows, epoch_signs,
-                         x, s, t))
+                    params, velocity, ahead, window_rows, epoch_signs, x, s, t = (
+                        a[:problem] for a in (
+                            params, velocity, ahead, window_rows, epoch_signs, x, s, t))
                     ahead_w, ahead_b, grad_b = ahead[:, :rows], ahead[:, rows:], ahead[:, rows]
                     shuffle_rngs = shuffle_rngs[:problem]
-                    lowest = half_limits.min()
-            _gradient(t, x, s, full_slope if start + cfg.batch_size <= n else tail_slope,
+            _gradient(t, x, s, full_slope if start + batch <= n else tail_slope,
                       out=ahead_w, out_bias=grad_b)
             velocity -= ahead
             params += velocity
@@ -495,11 +480,10 @@ def predict(params: ModelParams, features: FeatureMatrix, context_frames: int,
 
 @dataclass(frozen=True)
 class ExperimentRow:
-    """Evaluation of one (labeling function, seed) cell on one split."""
+    """Evaluation of one (labeling function, seed) cell on the test split."""
 
     fn: LabelingFunction
     seed: int
-    split: str
     precision: float
     recall: float
     fmeasure: float
@@ -645,6 +629,6 @@ def run_sensitivity_experiment(synth_cfg: SynthConfig,
                             for fn, total in zip(distinct, totals)}
 
     return ExperimentTable(rows=tuple(
-        ExperimentRow(fn=fn, seed=seed, split="test", precision=scores[seed][fn].precision,
+        ExperimentRow(fn=fn, seed=seed, precision=scores[seed][fn].precision,
                       recall=scores[seed][fn].recall, fmeasure=scores[seed][fn].fmeasure)
         for seed in seeds for fn in fns))

@@ -41,6 +41,10 @@ class TestParseTsv:
         with pytest.raises(ValidationError, match="line 2: non-finite"):
             parse_tsv(HEADER + "\n" + line + "\n")
 
+    def test_non_integer_pitch_rejected(self):
+        with pytest.raises(FormatError, match="line 2: non-integer pitch 60.5"):
+            parse_tsv(HEADER + "\n0.5 1.0 60.5\n")
+
     def test_malformed_header(self):
         with pytest.raises(FormatError):
             parse_tsv("Onset Offset Pitch\n0.5 1.0 60\n")

@@ -579,7 +579,15 @@ WRONG_TYPED = [
     (None, "train_fps", "x"),
     (None, "eval_fps", True),
     (None, "window_sec", "x"),
+    # integers too large for a float: these used to end in an OverflowError
+    (None, "train_fps", 10 ** 400),
+    (None, "eval_fps", 10 ** 400),
+    (None, "window_sec", 10 ** 400),
 ]
+
+# values of the right type that TrainConfig rejects, one per check
+TRAIN_REJECTED = [("batch_size", 0), ("context_frames", 4), ("threshold", 0.0),
+                  ("threshold", 1.0), ("momentum", -0.1), ("momentum", 1.0), ("epochs", -1)]
 
 
 class TestTypedConfigValues:
@@ -607,6 +615,31 @@ class TestTypedConfigValues:
         assert code in (2, 4)
         assert "Traceback" not in captured.out + captured.err
         assert key in captured.err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", ["train_fps", "eval_fps", "window_sec"])
+    @pytest.mark.parametrize("value", [10 ** 400, float("nan")], ids=["1e400", "nan"])
+    def test_rate_past_float_range_or_nan_is_a_usage_error(self, tmp_path, capsys, key,
+                                                           value):
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({key: value}))
+        assert run_cli(["experiment", "--config", str(path),
+                        "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"experiment config key {key!r} must hold a finite number" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key,value", TRAIN_REJECTED,
+                             ids=[f"{k}-{v}" for k, v in TRAIN_REJECTED])
+    def test_train_config_rejections_exit_4(self, tmp_path, capsys, key, value):
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({"train": {key: value}}))
+        assert run_cli(["experiment", "--config", str(path),
+                        "--out", str(tmp_path / "out")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad train config: {key} must")
+        assert len(err.splitlines()) == 1
         assert not (tmp_path / "out").exists()
 
     def test_int_for_float_and_null_schedule_accepted(self, tmp_path):
@@ -690,6 +723,15 @@ class TestRasterizeCommand:
                             "--fn", "f", "--seed", "9", "--out", str(out)]) == 0
         for name in ("notes.csv", "notes.json", "notes.manifest.json"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+    def test_missing_input_exits_4(self, tmp_path, capsys):
+        missing = tmp_path / "missing.tsv"
+        assert run_cli(["rasterize", str(missing), "--fps", "100", "--fn", "a",
+                        "--out", str(tmp_path / "out")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "missing.tsv" in err
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
 
     def test_random_fn_requires_seed(self, tmp_path, notes_tsv):
         code = run_cli(["rasterize", str(notes_tsv), "--fps", "100",
@@ -844,6 +886,22 @@ class TestEvalCommand:
         assert code == 4
         assert "naked.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("options,message", [
+        (["--ref-fps", "0"], "--ref-fps must be positive"),
+        (["--fn", "e"], "--seed is required for labeling function e"),
+    ], ids=["zero-ref-fps", "random-fn-without-seed"])
+    def test_bad_reference_is_a_usage_error(self, tmp_path, notes_tsv, capsys, options,
+                                            message):
+        out = tmp_path / "out"
+        run_cli(["rasterize", str(notes_tsv), "--fps", "100", "--fn", "a",
+                 "--out", str(out)])
+        capsys.readouterr()
+        assert run_cli(["eval", "--pred", str(out / "notes.csv"),
+                        "--annotation", str(notes_tsv), "--out", str(out / "eval")]
+                       + options) == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "eval").exists()
+
     def test_requires_ref_or_annotation(self, tmp_path, notes_tsv):
         out = tmp_path / "out"
         run_cli(["rasterize", str(notes_tsv), "--fps", "100", "--fn", "a",
@@ -939,6 +997,7 @@ class TestExperimentCommand:
         lines = (out / "results.csv").read_text().splitlines()
         assert lines[0] == "fn,seed,split,precision,recall,fmeasure"
         assert len(lines) == 1 + 6
+        assert {line.split(",")[2] for line in lines[1:]} == {"test"}
         summary = json.loads((out / "summary.json").read_text())
         assert set(summary) == {"a", "f"}
         assert len(summary["a"]["per_seed_f"]) == 3
@@ -1134,6 +1193,36 @@ class TestExperimentCommand:
     def test_bad_seeds_usage_error(self, tmp_path):
         assert run_cli(["experiment", "--fns", "a", "--seeds", "one",
                         "--out", str(tmp_path)]) == 2
+
+    def test_seeds_of_separators_only_usage_error(self, tmp_path, capsys):
+        assert run_cli(["experiment", "--fns", "a", "--seeds", ",",
+                        "--out", str(tmp_path / "out")]) == 2
+        assert "--seeds must name at least one seed" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_rate_and_epoch_flags_reach_the_manifest(self, tmp_path):
+        config = tmp_path / "exp.json"
+        config.write_text(json.dumps(TINY_EXPERIMENT))
+        out = tmp_path / "out"
+        assert run_cli(["experiment", "--config", str(config), "--fns", "a", "--seeds", "1",
+                        "--train-fps", "25", "--epochs", "2", "--out", str(out)]) == 0
+        resolved = json.loads((out / "experiment.manifest.json").read_text())["config"]
+        assert resolved["train_fps"] == 25.0
+        assert resolved["train"]["epochs"] == 2
+
+    def test_batch_past_float_range_trains_on_the_whole_set(self, tmp_path):
+        # a batch size past float range used to exit 1 with an OverflowError;
+        # like any batch larger than the training set, it trains on the set
+        results = []
+        for batch_size in (10 ** 400, 10 ** 6):
+            config = json.loads(json.dumps(TINY_EXPERIMENT))
+            config["train"]["batch_size"] = batch_size
+            path = tmp_path / "exp.json"
+            path.write_text(json.dumps(config))
+            out = tmp_path / str(len(str(batch_size)))
+            assert run_cli(["experiment", "--config", str(path), "--out", str(out)]) == 0
+            results.append((out / "results.csv").read_bytes())
+        assert results[0] == results[1]
 
 
 class TestInspectCommand:

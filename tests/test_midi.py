@@ -247,6 +247,11 @@ class TestErrors:
         with pytest.raises(UnsupportedError, match="format 2"):
             parse_midi(data)
 
+    def test_zero_tempo_rejected(self):
+        data = smf.simple_file([(0, 480, 60)], tempo_events=[(0, 0)])
+        with pytest.raises(FormatError, match="non-positive tempo 0 at tick 0"):
+            parse_midi(data)
+
     def test_unknown_format_rejected(self):
         data = smf.build([smf.track([])], fmt=7)
         with pytest.raises(FormatError):

@@ -161,6 +161,18 @@ class TestQuantize:
         q = quantize(F, [], [], 0.01, shifts=seeded_shifts(F, 0, 0))
         assert all(field.shape == (0,) for field in q)
 
+    @pytest.mark.parametrize("onsets,offsets", [([0.1, 0.2], [0.3]),      # lengths differ
+                                                ([[0.1]], [[0.3]])])      # not 1-D
+    def test_mismatched_or_nested_times_rejected(self, onsets, offsets):
+        with pytest.raises(ContractError, match="differ or not 1-D"):
+            quantize(A, onsets, offsets, 0.01)
+
+    def test_offset_past_exact_frame_indices_rejected(self):
+        # from 2**52 frames on, a float64 index is no longer exact
+        with pytest.raises(ContractError, match="too many frames"):
+            quantize(A, [0.0], [2.0 ** 52], 1.0)
+        assert quantize(A, [0.0], [2.0 ** 52 - 1], 1.0).t_e.tolist() == [2 ** 52 - 1]
+
 
 class TestQuantizeInterval:
     def test_exact_grid_multiples(self):
@@ -347,6 +359,12 @@ class TestLabelMatrix:
         with pytest.raises(ContractError):
             LabelMatrix(frames=np.zeros((2, 4), dtype=np.uint8), grid=grid)
 
+    @pytest.mark.parametrize("shape", [(3,), (3, 2, 1)])
+    def test_frames_must_be_2d(self, shape):
+        with pytest.raises(ContractError, match="2-D"):
+            LabelMatrix(frames=np.zeros(shape, dtype=np.uint8),
+                        grid=FrameGrid(fps=100.0, num_frames=3))
+
     def test_frames_immutable(self):
         grid = FrameGrid(fps=100.0, num_frames=2)
         matrix = LabelMatrix(frames=np.zeros((2, 3), dtype=np.uint8), grid=grid)
@@ -504,6 +522,12 @@ def composite_key_parts(num_frames, num_labels, starts, ends, labels):
 
 
 class TestPaintRanges:
+    @pytest.mark.parametrize("bound", [math.nan, math.inf, -math.inf])
+    def test_non_finite_bounds_rejected(self, bound):
+        for starts, ends in (([bound], [3.0]), ([0.0], [bound])):
+            with pytest.raises(ContractError, match="range bounds must be finite"):
+                paint_ranges(5, 2, starts, ends, [1])
+
     # rows of 0, 1 and 2 words, and word edges at 8 and 64 bits
     @pytest.mark.parametrize("num_labels", [0, 1, 7, 8, 9, 63, 64, 65, 88, 200])
     @pytest.mark.parametrize("num_frames", [1, 37])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import annotation_of, notes_of
-from notegrid import (ContractError, FrameGrid, SynthConfig,
+from notegrid import (ContractError, FeatureMatrix, FrameGrid, SynthConfig,
                       generate_corpus, label_templates, render_features,
                       validate)
 from notegrid.synth import (MAX_FEATURE_DIM, MAX_NOTES_PER_PIECE, MAX_PIECES,
@@ -222,3 +222,15 @@ class TestRenderFeatures:
         ann = annotation_of([(0.0, 1.0, 0)], num_labels=4, duration_sec=1.0)
         with pytest.raises(ContractError):
             render_features(ann, FrameGrid.covering(31.25, 1.0), cfg)
+
+
+class TestFeatureMatrix:
+    @pytest.mark.parametrize("values,match", [
+        (np.zeros(3), "2-D"),                       # one row of bins, not a matrix
+        (np.zeros((4, 2)), "grid expects 3"),       # a row more than the grid
+        (np.array([[0.0], [np.nan], [1.0]]), "finite"),
+        (np.array([[0.0], [1.0], [-np.inf]]), "finite"),
+    ])
+    def test_shape_and_finiteness_checked(self, values, match):
+        with pytest.raises(ContractError, match=match):
+            FeatureMatrix(values=values, grid=FrameGrid(fps=10.0, num_frames=3))

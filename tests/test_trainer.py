@@ -383,6 +383,18 @@ class TestLossAndGradient:
             extremes = trainer_module._sigmoid(np.array([-1e308, 0.0, 1e308]))
         assert extremes.tolist() == [0.0, 0.5, 1.0]
 
+    def test_loss_is_the_written_out_mean(self):
+        # bce_loss goes through the block-loss kernel, and its one block's
+        # mean is np.mean's of the same cells, bit for bit
+        rng = np.random.default_rng(23)
+        for _ in range(300):
+            n, dim, k = (int(v) for v in rng.integers(1, (300, 12, 90)))
+            params = ModelParams(weights=rng.normal(0, 2, (dim, k)), bias=rng.normal(0, 2, k))
+            x = rng.normal(0, 3, (n, dim))
+            y = (rng.random((n, k)) < 0.4).astype(float)
+            z = x @ params.weights + params.bias
+            assert bce_loss(params, x, y) == float(np.mean(np.logaddexp(0, z) - y * z))
+
     def test_loss_stable_for_huge_logits(self):
         params = ModelParams(weights=np.full((2, 1), 500.0), bias=np.zeros(1))
         x = np.array([[1.0, 1.0], [-1.0, -1.0]])
@@ -437,6 +449,28 @@ class TestLossAndGradient:
         assert np.array_equal(grad_w, x.T @ residual)
         assert np.array_equal(grad_b, residual.sum(axis=0))
         assert grad_b.shape == (k,) and grad_b.base is None
+
+
+class TestContainers:
+    @pytest.mark.parametrize("inputs,targets,match", [
+        (np.zeros(3), np.zeros((3, 1)), "2-D"),
+        (np.zeros((3, 2)), np.zeros(3), "2-D"),
+        (np.zeros((3, 2)), np.zeros((4, 1)), "inputs has 3 rows, targets 4"),
+    ])
+    def test_dataset_shapes_checked(self, inputs, targets, match):
+        with pytest.raises(ContractError, match=match):
+            Dataset(inputs=inputs, targets=targets)
+
+    @pytest.mark.parametrize("weights,bias,match", [
+        (np.zeros(3), np.zeros(3), "inconsistent"),          # 1-D weights
+        (np.zeros((3, 2)), np.zeros((1, 2)), "inconsistent"),  # 2-D bias
+        (np.zeros((3, 2)), np.zeros(3), "inconsistent"),     # widths differ
+        (np.full((3, 2), np.nan), np.zeros(2), "finite"),
+        (np.zeros((3, 2)), np.array([0.0, np.inf]), "finite"),
+    ])
+    def test_model_params_shapes_and_finiteness_checked(self, weights, bias, match):
+        with pytest.raises(ContractError, match=match):
+            ModelParams(weights=weights, bias=bias)
 
 
 class TestTrain:
@@ -642,6 +676,17 @@ class TestTrain:
         with pytest.raises(ContractError):
             train(train_set, valid_set, TrainConfig(epochs=1, context_frames=1),
                   models=models)
+
+    @pytest.mark.parametrize("batch_size", [41, 10 ** 400], ids=["41", "1e400"])
+    def test_batch_larger_than_the_set_is_the_set(self, batch_size):
+        # a batch size past float range used to overflow in the slope and
+        # the screen limit; any batch larger than the set trains on the set
+        ds = two_cluster_dataset(n=20)
+        cfg = TrainConfig(learning_rate=0.5, epochs=3, context_frames=1, seed=2)
+        expected = train(ds, ds, replace(cfg, batch_size=ds.num_examples))
+        params = train(ds, ds, replace(cfg, batch_size=batch_size))
+        assert np.array_equal(params.weights, expected.weights)
+        assert np.array_equal(params.bias, expected.bias)
 
     def test_empty_dataset_rejected(self):
         ds = two_cluster_dataset(n=4)
@@ -1010,8 +1055,7 @@ class TestSensitivityExperiment:
         table = run_sensitivity_experiment(synth_cfg, [A, F], train_grid,
                                            eval_grid, train_cfg, [1, 2])
         assert len(table.rows) == 4
-        assert [(r.fn, r.seed, r.split) for r in table.rows] == [
-            (A, 1, "test"), (F, 1, "test"), (A, 2, "test"), (F, 2, "test")]
+        assert [(r.fn, r.seed) for r in table.rows] == [(A, 1), (F, 1), (A, 2), (F, 2)]
 
     def test_duplicate_fn_gives_identical_rows(self):
         synth_cfg, train_cfg, train_grid, eval_grid = tiny_experiment_args()

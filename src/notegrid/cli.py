@@ -47,7 +47,7 @@ _EXPERIMENT_KEYS = {
     "seeds": (list[int], "a list of integers"),
     "train_fps": (float, "a finite number"),
     "eval_fps": (float, "a finite number"),
-    "window_sec": (float, "a finite number"),
+    "window_sec": (float, "a finite number or Infinity"),
     "synth": (dict, "a JSON object"),
     "train": (dict, "a JSON object"),
 }
@@ -260,7 +260,8 @@ def cmd_experiment(args, parser) -> int:
             if key not in _EXPERIMENT_KEYS:
                 parser.error(f"unknown experiment config key {key!r}")
             kind, description = _EXPERIMENT_KEYS[key]
-            if not _fits(kind, value):
+            # an infinite window scores the whole piece, and a manifest records it so
+            if not (_fits(kind, value) or key == "window_sec" and value == float("inf")):
                 parser.error(f"experiment config key {key!r} must hold {description}, "
                              f"got {value!r}")
             config[key] = value

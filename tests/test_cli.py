@@ -1186,6 +1186,32 @@ class TestExperimentCommand:
             results.append((out / "results.csv").read_bytes())
         assert results[0] == results[1]
 
+    def test_infinite_window_manifest_reruns(self, tmp_path):
+        config = tmp_path / "exp.json"
+        config.write_text(json.dumps(EXPERIMENT_CONFIG))
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert run_cli(["experiment", "--config", str(config), "--fns", "a",
+                        "--seeds", "1", "--window-sec", "inf", "--out", str(first)]) == 0
+        manifest = first / "experiment.manifest.json"
+        assert '"window_sec": Infinity' in manifest.read_text()
+        assert run_cli(["experiment", "--config", str(manifest),
+                        "--out", str(second)]) == 0
+        for name in ("results.csv", "summary.json", "experiment.manifest.json"):
+            assert (first / name).read_bytes() == (second / name).read_bytes()
+
+    @pytest.mark.parametrize("key,value", [("train_fps", float("inf")),
+                                           ("eval_fps", float("inf")),
+                                           ("window_sec", float("-inf"))],
+                             ids=["train_fps", "eval_fps", "window_sec"])
+    def test_other_infinities_in_config_are_usage_errors(self, tmp_path, capsys, key,
+                                                         value):
+        config = tmp_path / "exp.json"
+        config.write_text(json.dumps({key: value}))
+        assert run_cli(["experiment", "--config", str(config),
+                        "--out", str(tmp_path / "out")]) == 2
+        assert f"experiment config key {key!r} must hold" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_empty_fns_usage_error(self, tmp_path):
         assert run_cli(["experiment", "--fns", "", "--seeds", "1",
                         "--out", str(tmp_path)]) == 2

@@ -13,6 +13,7 @@ format or file error.
 from __future__ import annotations
 
 import argparse
+import copy
 import dataclasses
 import functools
 import sys
@@ -28,28 +29,20 @@ from .midi import parse_midi
 from .quantize import FrameGrid, LabelingFunction, rasterize
 from .synth import SynthConfig, generate_corpus, render_features
 from .trainer import TrainConfig, run_sensitivity_experiment
+from .util import brief
 from . import io
 
 _ANNOTATION_SUFFIXES = {".tsv", ".txt", ".mid", ".midi"}
 
-_EXPERIMENT_DEFAULTS = {
-    "fns": ["a", "b", "c", "d", "e", "f"],
-    "seeds": [1, 2, 3],
-    "train_fps": 31.25,
-    "eval_fps": 100.0,
-    "window_sec": 30.0,
-}
-
-
-# what each top-level experiment config key must hold
+# each top-level experiment config key: its default, and what it must hold
 _EXPERIMENT_KEYS = {
-    "fns": (list[str], "a list of strings"),
-    "seeds": (list[int], "a list of integers"),
-    "train_fps": (float, "a finite number"),
-    "eval_fps": (float, "a finite number"),
-    "window_sec": (float, "a finite number or Infinity"),
-    "synth": (dict, "a JSON object"),
-    "train": (dict, "a JSON object"),
+    "fns": (["a", "b", "c", "d", "e", "f"], list[str], "a list of strings"),
+    "seeds": ([1, 2, 3], list[int], "a list of integers"),
+    "train_fps": (31.25, float, "a finite number"),
+    "eval_fps": (100.0, float, "a finite number"),
+    "window_sec": (30.0, float, "a finite number or Infinity"),
+    "synth": ({}, dict, "a JSON object"),
+    "train": ({}, dict, "a JSON object"),
 }
 
 
@@ -100,7 +93,7 @@ def _build_config(cls, overrides: dict, what: str):
     for field in dataclasses.fields(cls):
         if field.name in overrides and not _fits(kinds[field.name], overrides[field.name]):
             raise ContractError(f"bad {what} config: {field.name} must be {field.type}"
-                                f", got {overrides[field.name]!r}")
+                                f", got {brief(overrides[field.name])}")
     try:
         return cls(**overrides)
     except (TypeError, ValueError, ContractError) as exc:
@@ -163,22 +156,17 @@ def cmd_eval(args, parser) -> int:
             reference_fn=ref_fn, reference_seed=args.seed if args.seed is not None else 0)
         inputs.append(Path(args.annotation))
 
-    piece = Path(args.pred).stem
     fn_letter = pred.labeling_function.letter if pred.labeling_function else ""
-    row = io.eval_row(piece, fn_letter, pred.seed, pred.grid.fps, result)
+    # the eval.json row; its values, in EVAL_CSV_HEADER's order, are the CSV row
+    record = {"piece": Path(args.pred).stem, "fn": fn_letter, "seed": pred.seed,
+              "fps": pred.grid.fps, "tp": result.counts.tp, "fp": result.counts.fp,
+              "fn_": result.counts.fn_, "precision": result.precision,
+              "recall": result.recall, "fmeasure": result.fmeasure}
 
     out_dir = Path(args.out)
-    io.write_eval_csv([row], out_dir / "eval.csv")
-    summary = {
-        "rows": [{
-            "piece": piece, "fn": fn_letter, "seed": pred.seed,
-            "fps": pred.grid.fps, "tp": result.counts.tp, "fp": result.counts.fp,
-            "fn_": result.counts.fn_, "precision": result.precision,
-            "recall": result.recall, "fmeasure": result.fmeasure,
-        }],
-        "per_fn_mean_fmeasure": {fn_letter: result.fmeasure} if fn_letter else {},
-    }
-    io.write_json(out_dir / "eval.json", summary)
+    io.write_csv(out_dir / "eval.csv", io.EVAL_CSV_HEADER, [record.values()])
+    means = {fn_letter: result.fmeasure} if fn_letter else {}
+    io.write_json(out_dir / "eval.json", {"rows": [record], "per_fn_mean_fmeasure": means})
     config = {
         "pred": Path(args.pred).name,
         "ref": Path(args.ref).name if args.ref else None,
@@ -189,8 +177,7 @@ def cmd_eval(args, parser) -> int:
     }
     io.write_manifest(out_dir / "eval.manifest.json", "eval", config,
                       [s for s in [args.seed] if s is not None], inputs, __version__)
-    print(io.EVAL_CSV_HEADER)
-    print(row)
+    print(io.EVAL_CSV_HEADER, io.csv_line(record.values()), sep="\n")
     return 0
 
 
@@ -222,10 +209,9 @@ def cmd_disagree(args, parser) -> int:
 
 def cmd_synth(args, parser) -> int:
     overrides = _load_config_file(Path(args.config)) if args.config else {}
-    if args.pieces is not None:
-        overrides["num_pieces"] = args.pieces
-    if args.seed is not None:
-        overrides["seed"] = args.seed
+    for key, value in (("num_pieces", args.pieces), ("seed", args.seed)):
+        if value is not None:
+            overrides[key] = value
     cfg = _build_config(SynthConfig, overrides, "synth")
 
     corpus = generate_corpus(cfg)
@@ -251,19 +237,18 @@ def cmd_synth(args, parser) -> int:
 
 
 def cmd_experiment(args, parser) -> int:
-    config = dict(_EXPERIMENT_DEFAULTS)
-    config["synth"] = {}
-    config["train"] = {}
+    # a copy of each default, so no call's overrides reach the next call's defaults
+    config = {key: copy.copy(default) for key, (default, _, _) in _EXPERIMENT_KEYS.items()}
     if args.config:
         loaded = _load_config_file(Path(args.config))
         for key, value in loaded.items():
             if key not in _EXPERIMENT_KEYS:
-                parser.error(f"unknown experiment config key {key!r}")
-            kind, description = _EXPERIMENT_KEYS[key]
+                parser.error(f"unknown experiment config key {brief(key)}")
+            _, kind, description = _EXPERIMENT_KEYS[key]
             # an infinite window scores the whole piece, and a manifest records it so
             if not (_fits(kind, value) or key == "window_sec" and value == float("inf")):
                 parser.error(f"experiment config key {key!r} must hold {description}, "
-                             f"got {value!r}")
+                             f"got {brief(value)}")
             config[key] = value
     if args.fns is not None:
         config["fns"] = [letter.strip() for letter in args.fns.split(",") if letter.strip()]
@@ -272,16 +257,10 @@ def cmd_experiment(args, parser) -> int:
             config["seeds"] = [int(s) for s in args.seeds.split(",") if s.strip()]
         except ValueError:
             parser.error(f"--seeds must be comma-separated integers, got {args.seeds!r}")
-    if args.train_fps is not None:
-        config["train_fps"] = args.train_fps
-    if args.eval_fps is not None:
-        config["eval_fps"] = args.eval_fps
-    if args.window_sec is not None:
-        config["window_sec"] = args.window_sec
-    if args.epochs is not None:
-        config["train"]["epochs"] = args.epochs
-    if args.learning_rate is not None:
-        config["train"]["learning_rate"] = args.learning_rate
+    for section, key in ((config, "train_fps"), (config, "eval_fps"), (config, "window_sec"),
+                         (config["train"], "epochs"), (config["train"], "learning_rate")):
+        if (value := getattr(args, key)) is not None:
+            section[key] = value
 
     if not config["fns"]:
         parser.error("--fns must name at least one labeling function")
@@ -301,17 +280,12 @@ def cmd_experiment(args, parser) -> int:
         window_sec=config["window_sec"])
 
     out_dir = Path(args.out)
-    io.write_experiment_csv(table, out_dir / "results.csv")
+    io.write_csv(out_dir / "results.csv", io.EXPERIMENT_CSV_HEADER,
+                 [(row.fn.letter, row.seed, "test", row.precision, row.recall, row.fmeasure)
+                  for row in table.rows])
     io.write_json(out_dir / "summary.json", table.summary())
-    resolved = {
-        "fns": [fn.letter for fn in fns],
-        "seeds": config["seeds"],
-        "train_fps": config["train_fps"],
-        "eval_fps": config["eval_fps"],
-        "window_sec": config["window_sec"],
-        "synth": asdict(synth_cfg),
-        "train": asdict(train_cfg),
-    }
+    resolved = {**config, "fns": [fn.letter for fn in fns],
+                "synth": asdict(synth_cfg), "train": asdict(train_cfg)}
     io.write_manifest(out_dir / "experiment.manifest.json", "experiment", resolved,
                       config["seeds"], [], __version__)
     for fn in fns:
@@ -377,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--out", default=".", help="output directory")
     sub.add_argument("--name", help="output file stem (default: input stem)")
     _add_annotation_options(sub)
-    sub.set_defaults(handler=cmd_rasterize)
+    sub.set_defaults(handler=cmd_rasterize, parser=sub)
 
     sub = commands.add_parser("eval", help="score a matrix against a reference")
     sub.add_argument("--pred", required=True, help="prediction matrix CSV")
@@ -392,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="evaluation window in seconds (default 30)")
     sub.add_argument("--out", default=".", help="output directory")
     _add_annotation_options(sub)
-    sub.set_defaults(handler=cmd_eval)
+    sub.set_defaults(handler=cmd_eval, parser=sub)
 
     sub = commands.add_parser("disagree", help="compare two rasterizations")
     sub.add_argument("--a", required=True, help="first matrix CSV")
@@ -400,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--annotation", required=True, help="common source annotation")
     sub.add_argument("--out", default=".", help="output directory")
     _add_annotation_options(sub)
-    sub.set_defaults(handler=cmd_disagree)
+    sub.set_defaults(handler=cmd_disagree, parser=sub)
 
     sub = commands.add_parser("synth", help="generate a synthetic corpus")
     sub.add_argument("--out", default=".", help="output directory")
@@ -412,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="feature frame rate with --features (default 31.25)")
     sub.add_argument("--pitch-offset", type=int, default=21,
                      help="MIDI pitch written for label 0 (default 21)")
-    sub.set_defaults(handler=cmd_synth)
+    sub.set_defaults(handler=cmd_synth, parser=sub)
 
     sub = commands.add_parser("experiment", help="run the sensitivity experiment")
     sub.add_argument("--config", help="experiment config JSON (or a manifest)")
@@ -424,21 +398,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--epochs", type=int, help="override training epochs")
     sub.add_argument("--learning-rate", type=float, help="override learning rate")
     sub.add_argument("--out", default=".", help="output directory")
-    sub.set_defaults(handler=cmd_experiment)
+    sub.set_defaults(handler=cmd_experiment, parser=sub)
 
     sub = commands.add_parser("inspect", help="print annotation or matrix stats")
     sub.add_argument("input", help="annotation or matrix file")
     _add_annotation_options(sub)
-    sub.set_defaults(handler=cmd_inspect)
+    sub.set_defaults(handler=cmd_inspect, parser=sub)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.handler(args, parser)
+        return args.handler(args, args.parser)
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

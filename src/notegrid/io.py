@@ -21,10 +21,8 @@ import numpy as np
 
 from ._reprcsv import csv_body
 from .errors import ContractError, FormatError
-from .metrics import EvalResult
 from .quantize import FrameGrid, LabelingFunction, LabelMatrix
 from .synth import FeatureMatrix
-from .trainer import ExperimentTable
 from .util import count_line_breaks, line_and_column, split_lines
 
 
@@ -101,10 +99,6 @@ def write_json(path: Path, obj) -> None:
 
 def sidecar_path(csv_path: Path) -> Path:
     return Path(csv_path).with_suffix(".json")
-
-
-def _format_float(x: float) -> str:
-    return repr(float(x))
 
 
 def _write_matrix_csv(body: str | bytes, csv_path: Path, sidecar: dict) -> None:
@@ -253,34 +247,18 @@ def read_feature_matrix(csv_path: Path) -> FeatureMatrix:
 
 
 EVAL_CSV_HEADER = "piece,fn,seed,fps,tp,fp,fn,precision,recall,fmeasure"
-
-
-def eval_row(piece: str, fn_letter: str, seed, fps: float, result: EvalResult) -> str:
-    seed_field = "" if seed is None else str(seed)
-    return ",".join([
-        piece, fn_letter, seed_field, _format_float(fps),
-        str(result.counts.tp), str(result.counts.fp), str(result.counts.fn_),
-        _format_float(result.precision), _format_float(result.recall),
-        _format_float(result.fmeasure),
-    ])
-
-
-def write_eval_csv(rows: list[str], path: Path) -> None:
-    atomic_write_text(path, "\n".join([EVAL_CSV_HEADER] + rows) + "\n")
-
-
 EXPERIMENT_CSV_HEADER = "fn,seed,split,precision,recall,fmeasure"
 
 
-def write_experiment_csv(table: ExperimentTable, path: Path) -> None:
-    lines = [EXPERIMENT_CSV_HEADER]
-    for row in table.rows:
-        lines.append(",".join([
-            row.fn.letter, str(row.seed), "test",
-            _format_float(row.precision), _format_float(row.recall),
-            _format_float(row.fmeasure),
-        ]))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+def csv_line(values) -> str:
+    """A result CSV row: a float as repr(float(v)), None empty, else str(v)."""
+    return ",".join(repr(float(v)) if isinstance(v, float) else "" if v is None else str(v)
+                    for v in values)
+
+
+def write_csv(path: Path, header: str, rows) -> None:
+    """A result CSV: the header line, then one csv_line per row of values."""
+    atomic_write_text(path, "\n".join([header, *map(csv_line, rows)]) + "\n")
 
 
 def file_digest(path: Path) -> str:

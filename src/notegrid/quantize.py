@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import Decimal
 from enum import Enum
 from typing import NamedTuple
 
@@ -33,7 +32,7 @@ import numpy as np
 
 from .annotation import Annotation
 from .errors import ContractError
-from .util import MASK64, derive_seed, splitmix64
+from .util import MASK64, brief, derive_seed, splitmix64
 
 
 class LabelingFunction(Enum):
@@ -270,13 +269,13 @@ def _parts(num_frames: int, num_labels: int, starts, ends, labels
     """
     if num_labels < 0:
         raise ContractError(f"num_labels must be >= 0, got {num_labels}")
-    frames = num_frames if num_frames < 2 ** 64 else f"{Decimal(num_frames):.3g}"
     if int(num_frames) * int(num_labels) > MAX_LABEL_CELLS:
         raise ContractError(
-            f"a label matrix of {frames} frames x {num_labels} labels exceeds "
+            f"a label matrix of {brief(num_frames)} frames x {brief(num_labels)} labels exceeds "
             f"the budget of {MAX_LABEL_CELLS} cells")
     if num_frames + 1 >= 2 ** 63:
-        raise ContractError(f"a grid of {frames} frames does not fit an int64 frame line")
+        raise ContractError(
+            f"a grid of {brief(num_frames)} frames does not fit an int64 frame line")
     labels = np.asarray(labels, dtype=np.int64)
     outside = (labels < 0) | (labels >= num_labels)
     if outside.any():

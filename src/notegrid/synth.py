@@ -19,7 +19,7 @@ import numpy as np
 from .annotation import Annotation
 from .errors import ContractError
 from .quantize import FrameGrid, paint_ranges
-from .util import MASK64
+from .util import MASK64, brief
 
 
 # Work budgets that SynthConfig checks, so a huge but finite value fails at
@@ -65,9 +65,9 @@ class SynthConfig:
             raise ContractError(f"num_labels must be >= 1, got {self.num_labels}")
         if self.feature_dim < self.num_labels:
             raise ContractError(
-                f"feature_dim {self.feature_dim} < num_labels {self.num_labels}")
+                f"feature_dim {brief(self.feature_dim)} < num_labels {brief(self.num_labels)}")
         if self.feature_dim > MAX_FEATURE_DIM:
-            raise ContractError(f"feature_dim = {self.feature_dim} exceeds the budget "
+            raise ContractError(f"feature_dim = {brief(self.feature_dim)} exceeds the budget "
                                 f"of {MAX_FEATURE_DIM} feature bins")
         if not 0 <= self.noise_sigma < math.inf:
             raise ContractError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
@@ -76,7 +76,7 @@ class SynthConfig:
         if self.num_pieces < 1 or self.piece_duration_sec <= 0:
             raise ContractError("need at least one piece of positive duration")
         if self.num_pieces > MAX_PIECES:
-            raise ContractError(f"num_pieces = {self.num_pieces} exceeds the budget "
+            raise ContractError(f"num_pieces = {brief(self.num_pieces)} exceeds the budget "
                                 f"of {MAX_PIECES} pieces")
         expected_notes = self.note_rate * self.piece_duration_sec
         if not expected_notes <= MAX_NOTES_PER_PIECE:
@@ -87,7 +87,7 @@ class SynthConfig:
             raise ContractError(f"harmonics must be >= 1, got {self.harmonics}")
         if self.num_labels * self.harmonics > MAX_TEMPLATE_TERMS:
             raise ContractError(
-                f"num_labels x harmonics = {self.num_labels * self.harmonics} exceeds "
+                f"num_labels x harmonics = {brief(self.num_labels * self.harmonics)} exceeds "
                 f"the budget of {MAX_TEMPLATE_TERMS} template terms")
 
 

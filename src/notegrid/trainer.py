@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from decimal import Decimal
 
 import numpy as np
 
@@ -21,7 +20,7 @@ from .errors import ContractError, DivergenceError
 from .metrics import EvalCounts, _window_grid, prf, windowed_block_counts
 from .quantize import FrameGrid, LabelingFunction, LabelMatrix, rasterize
 from .synth import FeatureMatrix, SynthConfig, generate_corpus, render_features
-from .util import MASK64, derive_seed
+from .util import MASK64, brief, derive_seed
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,10 +107,11 @@ class TrainConfig:
         if self.batch_size < 1:
             raise ContractError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.context_frames < 1 or self.context_frames % 2 == 0:
-            raise ContractError(f"context_frames must be odd, got {self.context_frames}")
+            raise ContractError(
+                f"context_frames must be odd, got {brief(self.context_frames)}")
         if self.context_frames > MAX_CONTEXT_FRAMES:
-            raise ContractError(f"context_frames = {self.context_frames} exceeds the budget "
-                                f"of {MAX_CONTEXT_FRAMES} frames")
+            raise ContractError(f"context_frames = {brief(self.context_frames)} exceeds "
+                                f"the budget of {MAX_CONTEXT_FRAMES} frames")
         if not 0 < self.threshold < 1:
             raise ContractError(f"threshold must be in (0, 1), got {self.threshold}")
         if not 0 <= self.momentum < 1:
@@ -122,7 +122,7 @@ class TrainConfig:
         if self.epochs < 0:
             raise ContractError(f"epochs must be >= 0, got {self.epochs}")
         if self.epochs > MAX_EPOCHS:
-            raise ContractError(f"epochs = {self.epochs} exceeds the budget "
+            raise ContractError(f"epochs = {brief(self.epochs)} exceeds the budget "
                                 f"of {MAX_EPOCHS} epochs")
         if self.lr_schedule is not None:
             object.__setattr__(self, "lr_schedule",
@@ -422,8 +422,7 @@ def _train_lockstep(frames: np.ndarray, width: int, starts: np.ndarray,
     return params[:, :rows], params[:, rows], failure
 
 
-def train(train_set: Dataset, valid_set: Dataset, cfg: TrainConfig, *,
-          models: int = 1) -> ModelParams:
+def train(train_set: Dataset, cfg: TrainConfig, *, models: int = 1) -> ModelParams:
     """Train the linear classifier with Nesterov-momentum mini-batch SGD.
 
     Weights start from seeded N(0, 0.01), bias from zero. Each epoch
@@ -437,17 +436,12 @@ def train(train_set: Dataset, valid_set: Dataset, cfg: TrainConfig, *,
     inputs, and G models train in lockstep: each block starts from the
     same initialization and is normalised per rows x K cells, so block j
     equals training on block j alone, up to BLAS summation order.
-    valid_set is only checked: non-empty, with train_set's widths.
 
     Raises DivergenceError, with epoch, batch and the indices of the
     models whose own batch loss went non-finite, at the first such batch.
     """
-    if train_set.num_examples == 0 or valid_set.num_examples == 0:
-        raise ContractError("train and valid sets must be non-empty")
-    if train_set.inputs.shape[1] != valid_set.inputs.shape[1]:
-        raise ContractError("train and valid input dimensions differ")
-    if train_set.targets.shape[1] != valid_set.targets.shape[1]:
-        raise ContractError("train and valid target widths differ")
+    if train_set.num_examples == 0:
+        raise ContractError("the train set must be non-empty")
     columns = train_set.targets.shape[1]
     if models < 1 or columns < 1 or columns % models:
         raise ContractError(f"{columns} target columns cannot be split into {models} models")
@@ -572,8 +566,7 @@ def run_sensitivity_experiment(synth_cfg: SynthConfig,
     for what, cells in (("a seed's weights", window_dim * len(distinct) * synth_cfg.num_labels),
                         ("a test piece's windows", train_grid.num_frames * window_dim)):
         if cells > MAX_MODEL_CELLS:
-            count = cells if cells < 2 ** 64 else f"{Decimal(cells):.3g}"
-            raise ContractError(f"{what} take {count} cells, over the budget "
+            raise ContractError(f"{what} take {brief(cells)} cells, over the budget "
                                 f"of {MAX_MODEL_CELLS} cells")
     _window_grid(eval_grid, window_sec)  # a window of no frame fails before any training
     distinct_seeds = list(dict.fromkeys(seeds))

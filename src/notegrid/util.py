@@ -1,4 +1,4 @@
-"""Deterministic seed derivation helpers, and the one rule for text lines.
+"""Deterministic seed derivation, and one rule each for text lines and echoed values.
 
 All randomness in the package flows from explicit integer seeds. Derived
 seeds are produced with a splitmix64-style hash so that streams for
@@ -7,6 +7,10 @@ independent of platform and library versions.
 """
 
 from __future__ import annotations
+
+import numbers
+import reprlib
+from decimal import Decimal
 
 MASK64 = (1 << 64) - 1
 
@@ -57,3 +61,11 @@ def line_and_column(text: str, pos: int) -> tuple[int, int]:
     """The 1-based line and column of text[pos] under split_lines' rule."""
     head = text[:pos]
     return count_line_breaks(head) + 1, pos - max(head.rfind("\n"), head.rfind("\r"))
+
+
+def brief(value) -> str:
+    """A value as an error echoes it: an integer (NumPy's too) in full below
+    2**64 in size, else in three digits (1.00e+400); the rest as reprlib has it."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return f"{Decimal(int(value)):.3g}" if abs(int(value)) >= 2 ** 64 else str(value)
+    return reprlib.repr(value)

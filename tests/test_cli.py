@@ -176,6 +176,18 @@ def label_frames(shape) -> np.ndarray:
     return frames
 
 
+class TestResultCsv:
+    def test_one_formatting_rule(self):
+        values = ["p", "", None, 0, 3, 2.0, np.float64(0.1), 1e-300, True]
+        assert ngio.csv_line(values) == "p,,,0,3,2.0,0.1,1e-300,True"
+
+    def test_write_csv_header_then_rows(self, tmp_path):
+        ngio.write_csv(tmp_path / "r.csv", "x,y", [(1, 0.5), ("a", None)])
+        assert (tmp_path / "r.csv").read_bytes() == b"x,y\n1,0.5\na,\n"
+        ngio.write_csv(tmp_path / "empty.csv", "x,y", [])
+        assert (tmp_path / "empty.csv").read_bytes() == b"x,y\n"
+
+
 class TestLabelCodec:
     """The byte-level label codec against the cell-by-cell formatter and
     the line parser."""
@@ -583,6 +595,8 @@ WRONG_TYPED = [
     (None, "train_fps", 10 ** 400),
     (None, "eval_fps", 10 ** 400),
     (None, "window_sec", 10 ** 400),
+    (None, "synth", [1]),
+    (None, "train", "x"),
 ]
 
 # values of the right type that TrainConfig rejects, one per check
@@ -595,12 +609,12 @@ class TestTypedConfigValues:
         import dataclasses
 
         from notegrid import SynthConfig, TrainConfig
-        from notegrid.cli import _EXPERIMENT_DEFAULTS
+        from notegrid.cli import _EXPERIMENT_KEYS
 
         covered = {(section, key) for section, key, _ in WRONG_TYPED}
         expected = ({("synth", f.name) for f in dataclasses.fields(SynthConfig)}
                     | {("train", f.name) for f in dataclasses.fields(TrainConfig)}
-                    | {(None, key) for key in _EXPERIMENT_DEFAULTS})
+                    | {(None, key) for key in _EXPERIMENT_KEYS})
         assert covered == expected
 
     @pytest.mark.parametrize("section,key,value", WRONG_TYPED,
@@ -671,6 +685,25 @@ class TestTypedConfigValues:
         err = capsys.readouterr().err
         assert "Traceback" not in err and key in err
 
+    # an integer of 400 digits used to be echoed in full on the error line
+    @pytest.mark.parametrize("section,key,value", [
+        (None, "eval_fps", 10 ** 400), (None, "train_fps", "x" * 1000),
+        ("synth", "num_pieces", 10 ** 400), ("synth", "feature_dim", 10 ** 400),
+        ("synth", "num_labels", 10 ** 400), ("synth", "harmonics", 10 ** 400),
+        ("train", "epochs", 10 ** 400), ("train", "context_frames", 10 ** 400),
+        ("train", "context_frames", 10 ** 400 + 1), ("train", "learning_rate", 10 ** 400),
+        ("train", "seed", "x" * 1000)],
+        ids=lambda v: f"{v!r:.12}")
+    def test_huge_value_echoed_briefly(self, tmp_path, capsys, section, key, value):
+        config = {section: {key: value}} if section else {key: value}
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(config))
+        assert run_cli(["experiment", "--config", str(path),
+                        "--out", str(tmp_path / "out")]) in (2, 4)
+        line = capsys.readouterr().err.splitlines()[-1]
+        assert "error: " in line and key in line
+        assert len(line) < 200, line
+
 
 class TestParserReuse:
     """main parses with one parser per process; no call leaks into the next."""
@@ -703,6 +736,25 @@ class TestParserReuse:
                     == (tmp_path / "after" / name).read_bytes())
 
 
+class TestUsageErrors:
+    """A usage error found by a handler prints its own subcommand's usage."""
+
+    @pytest.mark.parametrize("command", ["rasterize", "eval", "experiment", "inspect"])
+    def test_subcommand_usage_is_printed(self, tmp_path, notes_tsv, capsys, command):
+        config = tmp_path / "exp.json"
+        config.write_text(json.dumps({"no_such_key": 1}))
+        out = ["--out", str(tmp_path / "out")]
+        argv = {"rasterize": [str(notes_tsv), "--fps", "-1", "--fn", "a", *out],
+                "eval": ["--pred", "pred.csv", *out],  # neither --ref nor --annotation
+                "experiment": ["--config", str(config), *out],
+                "inspect": [str(tmp_path / "x.wav")]}[command]
+        assert run_cli([command, *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: notegrid {command} ")
+        assert f"notegrid {command}: error: " in err
+        assert not (tmp_path / "out").exists()
+
+
 class TestRasterizeCommand:
     def test_writes_matrix_sidecar_manifest(self, tmp_path, notes_tsv):
         out = tmp_path / "out"
@@ -732,6 +784,22 @@ class TestRasterizeCommand:
         assert err.startswith("error: ") and "missing.tsv" in err
         assert len(err.splitlines()) == 1
         assert not (tmp_path / "out").exists()
+
+    def test_huge_label_count_echoed_briefly(self, tmp_path, notes_tsv, capsys):
+        assert run_cli(["rasterize", str(notes_tsv), "--fps", "100", "--fn", "a",
+                        "--num-labels", str(10 ** 400), "--out", str(tmp_path / "out")]) == 4
+        assert capsys.readouterr().err == (
+            "error: a label matrix of 90 frames x 1.00e+400 labels exceeds "
+            "the budget of 2147483648 cells\n")
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, notes_tsv, capsys):
+        out = tmp_path / "out"
+        (out / "x.csv").mkdir(parents=True)  # the rename onto it fails
+        assert run_cli(["rasterize", str(notes_tsv), "--fps", "100", "--fn", "a",
+                        "--name", "x", "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert sorted(p.name for p in out.iterdir()) == ["x.csv"]
 
     def test_random_fn_requires_seed(self, tmp_path, notes_tsv):
         code = run_cli(["rasterize", str(notes_tsv), "--fps", "100",
@@ -811,6 +879,42 @@ class TestEvalCommand:
         fields = rows[1].split(",")
         assert fields[0] == "notes"
         assert float(fields[-1]) == 1.0
+
+    @pytest.mark.parametrize("reference", ["--ref", "--annotation"])
+    def test_csv_json_and_stdout_hold_one_record(self, tmp_path, notes_tsv, capsys,
+                                                 reference):
+        out = tmp_path / "out"
+        assert run_cli(["rasterize", str(notes_tsv), "--fps", "31.25", "--fn", "e",
+                        "--seed", "4", "--out", str(out)]) == 0
+        source = str(out / "notes.csv") if reference == "--ref" else str(notes_tsv)
+        capsys.readouterr()
+        assert run_cli(["eval", "--pred", str(out / "notes.csv"), reference, source,
+                        "--ref-fps", "31.25", "--out", str(out)]) == 0
+        text = (out / "eval.csv").read_text()
+        assert capsys.readouterr().out == text
+        header, line = text.splitlines()
+        record = json.loads((out / "eval.json").read_text())["rows"][0]
+        assert header == ngio.EVAL_CSV_HEADER
+        # the eval.json row's fields, in the header's order ("fn_" for the
+        # second "fn", the false negatives), are the CSV row
+        keys = ["piece", "fn", "seed", "fps", "tp", "fp", "fn_", "precision", "recall",
+                "fmeasure"]
+        assert sorted(record) == sorted(keys)
+        assert line == ngio.csv_line(record[key] for key in keys)
+        assert line.startswith("notes,e,4,31.25,")
+
+    def test_unlabelled_prediction_has_empty_fn_and_seed(self, tmp_path, notes_tsv):
+        out = tmp_path / "out"
+        assert run_cli(["rasterize", str(notes_tsv), "--fps", "100", "--fn", "a",
+                        "--out", str(out)]) == 0
+        sidecar = json.loads((out / "notes.json").read_text())
+        (out / "notes.json").write_text(json.dumps(
+            {**sidecar, "labeling_function": None, "seed": None}))
+        assert run_cli(["eval", "--pred", str(out / "notes.csv"),
+                        "--ref", str(out / "notes.csv"), "--out", str(out)]) == 0
+        assert (out / "eval.csv").read_text().splitlines()[1] == (
+            "notes,,,100.0,65,0,0,1.0,1.0,1.0")
+        assert json.loads((out / "eval.json").read_text())["per_fn_mean_fmeasure"] == {}
 
     def test_cross_rate_matches_library_composition(self, tmp_path, notes_tsv):
         out = tmp_path / "out"
@@ -1235,6 +1339,18 @@ class TestExperimentCommand:
         resolved = json.loads((out / "experiment.manifest.json").read_text())["config"]
         assert resolved["train_fps"] == 25.0
         assert resolved["train"]["epochs"] == 2
+
+    def test_flags_do_not_reach_the_next_calls_defaults(self, tmp_path):
+        config = tmp_path / "exp.json"
+        config.write_text(json.dumps({"fns": ["a"], "seeds": [1], "synth": {
+            "num_pieces": 5, "piece_duration_sec": 2.0}}))
+        for name, flags in (("first", ["--epochs", "1", "--learning-rate", "0.5"]),
+                            ("second", [])):
+            assert run_cli(["experiment", "--config", str(config), *flags,
+                            "--out", str(tmp_path / name)]) == 0
+        manifest = tmp_path / "second" / "experiment.manifest.json"
+        resolved = json.loads(manifest.read_text())["config"]
+        assert (resolved["train"]["epochs"], resolved["train"]["learning_rate"]) == (12, 1.0)
 
     def test_batch_past_float_range_trains_on_the_whole_set(self, tmp_path):
         # a batch size past float range used to exit 1 with an OverflowError;

@@ -342,6 +342,11 @@ class TestFrameGrid:
         with pytest.raises(ContractError):
             FrameGrid(fps=100.0, num_frames=0)
 
+    @pytest.mark.parametrize("fps", [0.0, -1.0, float("nan"), float("inf")])
+    def test_covering_rejects_a_bad_rate(self, fps):
+        with pytest.raises(ContractError, match="fps must be positive and finite"):
+            FrameGrid.covering(fps, 1.0)
+
     @pytest.mark.parametrize("seconds", [float("inf"), float("nan"), 1e307])
     def test_covering_rejects_non_finite_span(self, seconds):
         with pytest.raises(ContractError):

@@ -71,6 +71,11 @@ class TestGenerateCorpus:
         with pytest.raises(ContractError, match=match):
             SynthConfig(**fields)
 
+    @pytest.mark.parametrize("harmonics", [0, -1])
+    def test_harmonics_must_be_positive(self, harmonics):
+        with pytest.raises(ContractError, match=f"harmonics must be >= 1, got {harmonics}"):
+            SynthConfig(harmonics=harmonics)
+
     def test_duration_range_list_is_a_tuple(self):
         cfg = SynthConfig(duration_range=[0.2, 0.5])
         assert cfg.duration_range == (0.2, 0.5)

@@ -6,9 +6,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from notegrid import (ContractError, Dataset, DivergenceError, FeatureMatrix,
-                      FrameGrid, LabelingFunction, LabelMatrix, ModelParams,
-                      SynthConfig, TrainConfig, bce_loss,
+from notegrid import (ContractError, Dataset, DivergenceError, ExperimentRow,
+                      ExperimentTable, FeatureMatrix, FrameGrid, LabelingFunction,
+                      LabelMatrix, ModelParams, SynthConfig, TrainConfig, bce_loss,
                       bce_loss_and_gradient, framewise_counts, make_examples,
                       predict, prf, run_sensitivity_experiment, train)
 from notegrid import trainer as trainer_module
@@ -44,7 +44,7 @@ def exact_loss_training(train_set, cfg, models, dtype=np.float64):
     """Reference: the training loop in dtype with every batch's per-block
     losses computed by the checked kernel. Returns (epoch, batch, models) of
     the first non-finite loss, or the final (weights, bias)."""
-    init = train(train_set, train_set, replace(cfg, epochs=0), models=models)
+    init = train(train_set, replace(cfg, epochs=0), models=models)
     weights, bias = init.weights.astype(dtype), init.bias.astype(dtype)
     with np.errstate(over="ignore"):  # a huge target is inf in float32
         inputs, targets = train_set.inputs.astype(dtype), train_set.targets.astype(dtype)
@@ -242,8 +242,7 @@ def screen_case(name, dtype=np.float64):
     # bound is 1e300 in float64 and 1e30 in float32
     cfg = replace(cfg, batch_size=8, epochs=1)
     inputs, targets = inputs[:8], targets[:8]
-    init = train(Dataset(inputs, targets), Dataset(inputs, targets),
-                 replace(cfg, epochs=0), models=2)
+    init = train(Dataset(inputs, targets), replace(cfg, epochs=0), models=2)
     bound, hair = {np.float64: (1e300, 1e-6), np.float32: (1e30, 1e-4)}[dtype]
     weights = init.weights.astype(dtype)
     limit = bound / (8 * 6 * 2)
@@ -477,8 +476,8 @@ class TestTrain:
     def test_zero_epochs_returns_initialization(self):
         ds = two_cluster_dataset()
         cfg = TrainConfig(epochs=0, context_frames=1, seed=5)
-        params_a = train(ds, ds, cfg)
-        params_b = train(ds, ds, cfg)
+        params_a = train(ds, cfg)
+        params_b = train(ds, cfg)
         assert np.array_equal(params_a.weights, params_b.weights)
         assert np.array_equal(params_a.bias, np.zeros(1))
         assert abs(params_a.weights.std() - 0.01) < 0.01
@@ -494,8 +493,8 @@ class TestTrain:
                      targets=(rng.random((40, 3)) < 0.4).astype(float))
         base = dict(learning_rate=1.0, momentum=0.0, batch_size=40,
                     lr_schedule=(), context_frames=1, seed=8)
-        init = train(ds, ds, TrainConfig(epochs=0, **base))
-        stepped = train(ds, ds, TrainConfig(epochs=1, **base))
+        init = train(ds, TrainConfig(epochs=0, **base))
+        stepped = train(ds, TrainConfig(epochs=1, **base))
         _, grad_w, grad_b = bce_loss_and_gradient(init, ds.inputs, ds.targets)
         assert np.abs(stepped.weights - (init.weights - grad_w)).max() <= 1e-12
         assert np.abs(stepped.bias - (init.bias - grad_b)).max() <= 1e-12
@@ -503,7 +502,7 @@ class TestTrain:
     def test_separable_toy_reaches_perfect_fmeasure(self):
         ds = two_cluster_dataset()
         cfg = TrainConfig(learning_rate=0.5, epochs=40, context_frames=1, seed=3)
-        decisions = window_decisions(train(ds, ds, cfg), ds, cfg.threshold)
+        decisions = window_decisions(train(ds, cfg), ds, cfg.threshold)
         assert prf(count_cells(decisions, ds.targets >= 0.5)).fmeasure == 1.0
 
     def test_loss_monotone_at_small_learning_rate(self):
@@ -514,7 +513,7 @@ class TestTrain:
         losses = []
         for e in range(11):
             reached = tuple((at, m) for at, m in cfg.resolved_schedule() if at < e)
-            params = train(ds, ds, replace(cfg, epochs=e, lr_schedule=reached))
+            params = train(ds, replace(cfg, epochs=e, lr_schedule=reached))
             losses.append(bce_loss(params, ds.inputs, ds.targets))
         assert all(later <= earlier for earlier, later in zip(losses, losses[1:]))
         assert losses[-1] < losses[0]
@@ -522,8 +521,8 @@ class TestTrain:
     def test_deterministic(self):
         ds = two_cluster_dataset()
         cfg = TrainConfig(learning_rate=0.2, epochs=3, context_frames=1, seed=11)
-        params_a = train(ds, ds, cfg)
-        params_b = train(ds, ds, cfg)
+        params_a = train(ds, cfg)
+        params_b = train(ds, cfg)
         assert np.array_equal(params_a.weights, params_b.weights)
         assert np.array_equal(params_a.bias, params_b.bias)
 
@@ -557,7 +556,7 @@ class TestTrain:
                            context_frames=1, seed=2, lr_schedule=((1, 1e-12),))
         fast = TrainConfig(learning_rate=0.2, momentum=0.0, epochs=4,
                            context_frames=1, seed=2, lr_schedule=())
-        losses = [bce_loss(train(ds, ds, cfg), ds.inputs, ds.targets)
+        losses = [bce_loss(train(ds, cfg), ds.inputs, ds.targets)
                   for cfg in (replace(fast, epochs=1), slow, fast)]
         first_epoch, slow_loss, fast_loss = losses
         assert abs(slow_loss - first_epoch) < 1e-9
@@ -569,7 +568,7 @@ class TestTrain:
                      targets=(rng.random((64, 1)) < 0.5).astype(float))
         cfg = TrainConfig(learning_rate=1e308, epochs=1, context_frames=1, seed=1)
         with pytest.raises(DivergenceError) as info:
-            train(ds, ds, cfg)
+            train(ds, cfg)
         assert info.value.epoch == 0
         assert info.value.batch is not None
 
@@ -583,7 +582,7 @@ class TestTrain:
                      targets=(rng.random((45, 3)) < 0.4).astype(float))
         cfg = TrainConfig(learning_rate=0.7, momentum=0.9, batch_size=8, epochs=4,
                           lr_schedule=((1, 0.5), (3, 0.5)), context_frames=1, seed=6)
-        init = train(ds, ds, TrainConfig(epochs=0, context_frames=1, seed=6))
+        init = train(ds, TrainConfig(epochs=0, context_frames=1, seed=6))
         weights, bias = init.weights, init.bias
         velocity_w, velocity_b = np.zeros_like(weights), np.zeros_like(bias)
         shuffle_rng = np.random.default_rng([cfg.seed & MASK64, 1])
@@ -602,7 +601,7 @@ class TestTrain:
                 velocity_b = mu * velocity_b - residual.sum(axis=0)
                 weights = weights + velocity_w
                 bias = bias + velocity_b
-        params = train(ds, ds, cfg)
+        params = train(ds, cfg)
         assert np.array_equal(params.weights, weights)
         assert np.array_equal(params.bias, bias)
 
@@ -618,7 +617,7 @@ class TestTrain:
         def peak_bytes(epochs):
             tracemalloc.start()
             try:
-                train(ds, ds, replace(cfg, epochs=epochs))
+                train(ds, replace(cfg, epochs=epochs))
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -633,10 +632,10 @@ class TestTrain:
         cfg = TrainConfig(learning_rate=0.5, momentum=0.9, batch_size=8, epochs=5,
                           lr_schedule=((2, 0.5), (4, 0.25)), context_frames=1, seed=4)
         stacked = Dataset(inputs=inputs, targets=np.hstack(blocks))
-        params = train(stacked, stacked, cfg, models=3)
+        params = train(stacked, cfg, models=3)
         for j, targets in enumerate(blocks):
             alone = Dataset(inputs=inputs, targets=targets)
-            expected = train(alone, alone, cfg)
+            expected = train(alone, cfg)
             assert np.abs(params.weights[:, j * k:(j + 1) * k]
                           - expected.weights).max() <= 1e-12
             assert np.abs(params.bias[j * k:(j + 1) * k] - expected.bias).max() <= 1e-12
@@ -651,7 +650,7 @@ class TestTrain:
                           context_frames=1, seed=3)
         order = np.random.default_rng([cfg.seed & MASK64, 1]).permutation(n)
         with pytest.raises(DivergenceError) as info:
-            train(ds, ds, cfg, models=3)
+            train(ds, cfg, models=3)
         assert info.value.models == (1,)
         assert info.value.epoch == 0
         assert info.value.batch == int(np.flatnonzero(order == row)[0]) // cfg.batch_size
@@ -664,18 +663,14 @@ class TestTrain:
                                                     losses_computed):
         train_set, cfg, models = screen_case(name)
         check_screen(monkeypatch, exact_loss_training(train_set, cfg, models),
-                     lambda: train(train_set, train_set, cfg, models=models),
+                     lambda: train(train_set, cfg, models=models),
                      losses_computed)
 
-    @pytest.mark.parametrize("models,width,valid_width",
-                             [(0, 4, 4), (-1, 4, 4), (3, 4, 4), (2, 5, 5), (2, 4, 6),
-                              (1, 0, 0)])
-    def test_bad_model_count_or_width_rejected(self, models, width, valid_width):
+    @pytest.mark.parametrize("models,width", [(0, 4), (-1, 4), (3, 4), (2, 5), (1, 0)])
+    def test_bad_model_count_or_width_rejected(self, models, width):
         train_set = Dataset(inputs=np.ones((6, 2)), targets=np.zeros((6, width)))
-        valid_set = Dataset(inputs=np.ones((6, 2)), targets=np.zeros((6, valid_width)))
         with pytest.raises(ContractError):
-            train(train_set, valid_set, TrainConfig(epochs=1, context_frames=1),
-                  models=models)
+            train(train_set, TrainConfig(epochs=1, context_frames=1), models=models)
 
     @pytest.mark.parametrize("batch_size", [41, 10 ** 400], ids=["41", "1e400"])
     def test_batch_larger_than_the_set_is_the_set(self, batch_size):
@@ -683,18 +678,15 @@ class TestTrain:
         # the screen limit; any batch larger than the set trains on the set
         ds = two_cluster_dataset(n=20)
         cfg = TrainConfig(learning_rate=0.5, epochs=3, context_frames=1, seed=2)
-        expected = train(ds, ds, replace(cfg, batch_size=ds.num_examples))
-        params = train(ds, ds, replace(cfg, batch_size=batch_size))
+        expected = train(ds, replace(cfg, batch_size=ds.num_examples))
+        params = train(ds, replace(cfg, batch_size=batch_size))
         assert np.array_equal(params.weights, expected.weights)
         assert np.array_equal(params.bias, expected.bias)
 
     def test_empty_dataset_rejected(self):
-        ds = two_cluster_dataset(n=4)
         empty = Dataset(inputs=np.zeros((0, 3)), targets=np.zeros((0, 1)))
         with pytest.raises(ContractError):
-            train(empty, ds, TrainConfig(context_frames=1))
-        with pytest.raises(ContractError):
-            train(ds, empty, TrainConfig(context_frames=1))
+            train(empty, TrainConfig(context_frames=1))
 
 
 class TestLockstep:
@@ -724,7 +716,7 @@ class TestLockstep:
             assert np.array_equal(weights[s], expected_w)
             assert np.array_equal(bias[s], expected_b)
             # train() is the one-problem case of the same kernel
-            params = train(alone, alone, replace(cfg, seed=seed), models=models)
+            params = train(alone, replace(cfg, seed=seed), models=models)
             assert np.array_equal(params.weights, expected_w)
             assert np.array_equal(params.bias, expected_b)
 
@@ -743,7 +735,7 @@ class TestLockstep:
         for s, seed in enumerate(seeds):
             dataset = Dataset(inputs=pieces[s].reshape(-1, DIM), targets=targets[s])
             try:
-                train(dataset, dataset, replace(cfg, seed=seed))
+                train(dataset, replace(cfg, seed=seed))
             except DivergenceError as exc:
                 alone.append((str(exc), exc.epoch, exc.batch, exc.models))
             else:
@@ -791,7 +783,7 @@ class TestLockstep:
         # train() hands back its one problem's weights and bias without a copy
         inputs = np.concatenate([trainer_module._windows(piece, 5) for piece in pieces[0]])
         alone = Dataset(inputs=inputs, targets=targets[0])
-        params = train(alone, alone, replace(cfg, seed=11), models=3)
+        params = train(alone, replace(cfg, seed=11), models=3)
         assert params.weights.ctypes.data % 64 == 0
         assert params.bias.ctypes.data == params.weights.ctypes.data + params.weights.nbytes
 
@@ -820,7 +812,7 @@ class TestLockstep:
         # no input columns: (0, K) weights, and the bias still trains
         rng = np.random.default_rng(2)
         ds = Dataset(inputs=np.ones((12, 0)), targets=(rng.random((12, 2)) < 0.5).astype(float))
-        params = train(ds, ds, TrainConfig(learning_rate=0.5, epochs=2, context_frames=1))
+        params = train(ds, TrainConfig(learning_rate=0.5, epochs=2, context_frames=1))
         assert params.weights.shape == (0, 2)
         assert params.bias.shape == (2,) and np.isfinite(params.bias).all()
         assert (params.bias != 0).all()
@@ -977,7 +969,7 @@ class TestLockstep:
         for s, seed in enumerate(seeds):
             inputs = np.concatenate([trainer_module._windows(piece, 5) for piece in pieces[s]])
             alone = Dataset(inputs=inputs, targets=targets[s])
-            params = train(alone, alone, replace(cfg, seed=seed), models=3)
+            params = train(alone, replace(cfg, seed=seed), models=3)
             assert np.abs(weights[s] - params.weights).max() <= DRIFT
             assert np.abs(bias[s] - params.bias).max() <= DRIFT
 
@@ -1012,7 +1004,7 @@ class TestPredict:
         labels = rasterize(piece, grid, A)
         train_cfg = TrainConfig(learning_rate=1.0, epochs=4, seed=1)
         ds = make_examples(feats, labels, train_cfg.context_frames)
-        params = train(ds, ds, train_cfg)
+        params = train(ds, train_cfg)
         pred = predict(params, feats, train_cfg.context_frames, train_cfg.threshold)
         # predict applies the decision rule to the windows make_examples built
         assert (framewise_counts(pred, labels)
@@ -1029,7 +1021,7 @@ class TestPredict:
         labels = rasterize(piece, grid, A)
         train_cfg = TrainConfig(learning_rate=1.0, epochs=6, seed=2)
         ds = make_examples(feats, labels, train_cfg.context_frames)
-        params = train(ds, ds, train_cfg)
+        params = train(ds, train_cfg)
 
         results = []
         for threshold in (0.3, 0.5, 0.7):
@@ -1084,6 +1076,13 @@ class TestSensitivityExperiment:
             assert len(entry["per_seed_f"]) == 2
             assert entry["mean_f"] == pytest.approx(
                 sum(entry["per_seed_f"]) / 2, abs=1e-15)
+
+    def test_mean_of_a_function_without_rows_rejected(self):
+        table = ExperimentTable(rows=(ExperimentRow(fn=A, seed=1, precision=1.0, recall=0.5,
+                                                    fmeasure=2 / 3),))
+        assert table.mean_fmeasure(A) == 2 / 3
+        with pytest.raises(ContractError, match="no rows for labeling function f"):
+            table.mean_fmeasure(F)
 
     def test_divergence_annotated_with_fn_and_seed(self, monkeypatch):
         synth_cfg, train_cfg, train_grid, eval_grid = tiny_experiment_args()

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError, FormatError, RangeError, ValidationError
-from .util import split_lines
+from .util import brief, split_lines
 
 # MIDI pitch of the lowest piano key (A0); pitches 21..108 map to labels
 # 0..87. Both values can be overridden for non-piano label spaces.
@@ -48,7 +48,10 @@ class Annotation:
     def __post_init__(self):
         onsets = np.asarray(self.onsets, dtype=np.float64)
         offsets = np.asarray(self.offsets, dtype=np.float64)
-        labels = np.asarray(self.labels, dtype=np.int64)
+        try:
+            labels = np.asarray(self.labels, dtype=np.int64)
+        except OverflowError:
+            raise ContractError("labels must lie within the int64 range") from None
         if onsets.ndim != 1 or not onsets.shape == offsets.shape == labels.shape:
             raise ContractError(f"onsets {onsets.shape}, offsets {offsets.shape} and "
                                 f"labels {labels.shape} differ or are not 1-D")
@@ -85,7 +88,7 @@ def validate(annotation: Annotation) -> tuple[str, ...]:
     num_labels, duration = annotation.num_labels, annotation.duration_sec
     violations: list[str] = []
     if num_labels <= 0:
-        violations.append(f"num_labels must be positive, got {num_labels}")
+        violations.append(f"num_labels must be positive, got {brief(num_labels)}")
     if not 0 <= duration < math.inf:
         violations.append(f"duration_sec must be finite and >= 0, got {duration}")
     non_finite = ~(np.isfinite(onsets) & np.isfinite(offsets))
@@ -105,7 +108,7 @@ def validate(annotation: Annotation) -> tuple[str, ...]:
             violations.append(
                 f"event {i}: non-positive duration (onset {onset}, offset {offset})")
         if outside[i]:
-            violations.append(f"event {i}: label {label} outside [0, {num_labels})")
+            violations.append(f"event {i}: label {label} outside [0, {brief(num_labels)})")
         if late[i]:
             violations.append(f"event {i}: offset {offset} past duration {duration}")
     return tuple(violations)
@@ -134,8 +137,7 @@ def parse_tsv(text: str, *, pitch_offset: int = PIANO_PITCH_OFFSET,
             f"malformed header {lines[0]!r}: expected columns {' '.join(_TSV_COLUMNS)}")
     column = {name: header.index(name) for name in _TSV_COLUMNS}
 
-    lowest = pitch_offset
-    highest = pitch_offset + num_labels - 1
+    lowest, highest = pitch_offset, pitch_offset + num_labels - 1
     onsets, offsets, labels = [], [], []
     for lineno, line in enumerate(lines[1:], start=2):
         fields = line.split()
@@ -153,7 +155,8 @@ def parse_tsv(text: str, *, pitch_offset: int = PIANO_PITCH_OFFSET,
             raise FormatError(f"line {lineno}: non-integer pitch {fields[column['MidiPitch']]}")
         pitch = int(pitch_value)
         if not lowest <= pitch <= highest:
-            raise RangeError(f"line {lineno}: MIDI pitch {pitch} outside [{lowest}, {highest}]")
+            raise RangeError(f"line {lineno}: MIDI pitch {brief(pitch)} outside "
+                             f"[{brief(lowest)}, {brief(highest)}]")
         if not (math.isfinite(onset) and math.isfinite(offset)):
             raise ValidationError(f"line {lineno}: non-finite onset or offset")
         if onset < 0:

@@ -3,8 +3,8 @@
 Subcommands: rasterize, eval, disagree, synth, experiment, inspect.
 Every command that writes files also writes a manifest recording the
 fully resolved configuration and input digests; re-running a command
-with the same arguments (or with --config pointed at a manifest)
-reproduces its outputs byte for byte.
+with the same arguments, or with --config pointed at its manifest and
+the same flags, reproduces its outputs byte for byte.
 
 Exit codes: 0 success, 2 usage error, 3 training divergence, 4 input,
 format or file error.
@@ -61,7 +61,7 @@ def load_annotation(path: Path, pitch_offset: int, num_labels: int) -> Annotatio
 
 def _load_config_file(path: Path) -> dict:
     obj = io.read_json_object(path, "config")
-    if "command" in obj and "config" in obj:
+    if "command" in obj and isinstance(obj.get("config"), dict):
         return obj["config"]  # accept a previously written manifest
     return obj
 
@@ -136,6 +136,11 @@ def cmd_eval(args, parser) -> int:
         parser.error("--window-sec must be positive")
     if args.ref is None and args.annotation is None:
         parser.error("either --ref or --annotation is required")
+    ref_fn = LabelingFunction.from_letter(args.fn)
+    if args.ref is None and not args.ref_fps > 0:
+        parser.error("--ref-fps must be positive")
+    if args.ref is None and ref_fn.is_random and args.seed is None:
+        parser.error(f"--seed is required for labeling function {ref_fn.letter}")
 
     pred = io.read_label_matrix(Path(args.pred))
     inputs = [Path(args.pred), io.sidecar_path(Path(args.pred))]
@@ -144,13 +149,8 @@ def cmd_eval(args, parser) -> int:
         inputs += [Path(args.ref), io.sidecar_path(Path(args.ref))]
         result = prf(windowed_counts(pred, ref, args.window_sec))
     else:
-        if not args.ref_fps > 0:
-            parser.error("--ref-fps must be positive")
         annotation = load_annotation(Path(args.annotation), args.pitch_offset,
                                      args.num_labels)
-        ref_fn = LabelingFunction.from_letter(args.fn)
-        if ref_fn.is_random and args.seed is None:
-            parser.error(f"--seed is required for labeling function {ref_fn.letter}")
         result = evaluate_against_reference(
             pred, annotation, window_sec=args.window_sec, ref_fps=args.ref_fps,
             reference_fn=ref_fn, reference_seed=args.seed if args.seed is not None else 0)
@@ -209,6 +209,8 @@ def cmd_disagree(args, parser) -> int:
 
 def cmd_synth(args, parser) -> int:
     overrides = _load_config_file(Path(args.config)) if args.config else {}
+    if isinstance(overrides.get("synth"), dict):  # a synth manifest's config
+        overrides = overrides["synth"]
     for key, value in (("num_pieces", args.pieces), ("seed", args.seed)):
         if value is not None:
             overrides[key] = value

@@ -109,16 +109,16 @@ def _write_matrix_csv(body: str | bytes, csv_path: Path, sidecar: dict) -> None:
                       json.dumps(sidecar, sort_keys=True) + "\n")
 
 
-def _read_matrix_csv(csv_path: Path, parse_cell, cell_kind: str, width_key: str,
-                     decode_exact=None) -> tuple[dict, FrameGrid, np.ndarray]:
+def _read_matrix_csv(csv_path: Path, parse_cell, cell_kind: str,
+                     width_key: str) -> tuple[dict, FrameGrid, np.ndarray]:
     """Read a matrix CSV and its sidecar: (sidecar, grid, 2-D cell array).
 
-    `decode_exact`, if given, maps the CSV's bytes to the cell array when
-    they are in the writer's exact layout and returns None otherwise. The
-    line parser reads every file it declines, and is the only source of
-    line-numbered errors. Malformed input raises FormatError naming the
-    file, and the line where one is at fault. A missing sidecar, or one
-    without fps, is a ContractError.
+    A CSV in the label writer's exact layout, which is also the feature
+    writer's for 0/1 cells and for no columns, is decoded by
+    _label_cells_exact; the line parser reads every file it declines, and
+    is the only source of line-numbered errors. Malformed input raises
+    FormatError naming the file, and the line where one is at fault. A
+    missing sidecar, or one without fps, is a ContractError.
     """
     csv_path = Path(csv_path)
     side = sidecar_path(csv_path)
@@ -134,7 +134,7 @@ def _read_matrix_csv(csv_path: Path, parse_cell, cell_kind: str, width_key: str,
         raise FormatError(f"{side}: fps must be a finite number")
 
     data = csv_path.read_bytes()
-    cells = decode_exact(data) if decode_exact is not None else None
+    cells = _label_cells_exact(data)
     if cells is None:
         rows = []
         for lineno, line in enumerate(split_lines(_decode_utf8(csv_path, data)), start=1):
@@ -175,9 +175,9 @@ def _label_csv_bytes(frames: np.ndarray) -> bytes:
 
 
 def _label_cells_exact(data: bytes) -> np.ndarray | None:
-    """The uint8 cells of a label CSV whose every row is "d,d,...,d\\n" with
+    """The uint8 cells of a matrix CSV whose every row is "d,d,...,d\\n" with
     d in {0, 1} and the first row's width, or "\\n" alone when there are no
-    labels; None for any other bytes."""
+    columns; None for any other bytes."""
     width = data.find(b"\n") + 1
     if width == 0 or (width > 1 and width % 2) or len(data) % width:
         return None
@@ -203,8 +203,7 @@ def write_label_matrix(matrix: LabelMatrix, csv_path: Path) -> None:
 
 def read_label_matrix(csv_path: Path) -> LabelMatrix:
     """Read a matrix CSV and its sidecar back into a LabelMatrix."""
-    meta, grid, frames = _read_matrix_csv(csv_path, int, "non-integer", "num_labels",
-                                          decode_exact=_label_cells_exact)
+    meta, grid, frames = _read_matrix_csv(csv_path, int, "non-integer", "num_labels")
     if frames.size and (frames.min() < 0 or frames.max() > 1):
         raise FormatError(f"{csv_path}: cells must be 0 or 1")
     side = sidecar_path(csv_path)
@@ -231,18 +230,8 @@ def write_feature_matrix(features: FeatureMatrix, csv_path: Path) -> None:
     })
 
 
-def _feature_cells_exact(data: bytes) -> np.ndarray | None:
-    """The (T, 0) cells of a feature CSV of T >= 1 newline-only rows, which
-    write_feature_matrix writes for no feature columns; None for any other
-    bytes, which the line parser reads."""
-    if data[:1] != b"\n" or data.count(b"\n") != len(data):
-        return None
-    return np.zeros((len(data), 0))
-
-
 def read_feature_matrix(csv_path: Path) -> FeatureMatrix:
-    _, grid, values = _read_matrix_csv(csv_path, float, "non-numeric", "feature_dim",
-                                       decode_exact=_feature_cells_exact)
+    _, grid, values = _read_matrix_csv(csv_path, float, "non-numeric", "feature_dim")
     return FeatureMatrix(values=values, grid=grid)
 
 

@@ -19,6 +19,7 @@ import numpy as np
 
 from .annotation import PIANO_NUM_LABELS, PIANO_PITCH_OFFSET, Annotation
 from .errors import FormatError, RangeError, UnsupportedError, ValidationError
+from .util import brief
 
 _DEFAULT_TEMPO_US = 500000  # microseconds per quarter note (120 bpm)
 
@@ -198,8 +199,7 @@ def parse_midi(data: bytes, *, pitch_offset: int = PIANO_PITCH_OFFSET,
     tempo_changes.sort(key=lambda change: change[0])
     tempo_map = _TempoMap(tempo_changes, ppqn)
 
-    lowest = pitch_offset
-    highest = pitch_offset + num_labels - 1
+    lowest, highest = pitch_offset, pitch_offset + num_labels - 1
     pending: dict[tuple[int, int], deque[int]] = {}
     onset_ticks, offset_ticks, labels = [], [], []
     # a stable sort by tick keeps arrival order among equal ticks
@@ -215,7 +215,7 @@ def parse_midi(data: bytes, *, pitch_offset: int = PIANO_PITCH_OFFSET,
             raise ValidationError(
                 f"zero-duration note for pitch {pitch} at tick {tick}")
         if not lowest <= pitch <= highest:
-            raise RangeError(f"MIDI pitch {pitch} outside [{lowest}, {highest}]")
+            raise RangeError(f"MIDI pitch {pitch} outside [{brief(lowest)}, {brief(highest)}]")
         onset_ticks.append(onset_tick)
         offset_ticks.append(tick)
         labels.append(pitch - pitch_offset)

@@ -268,7 +268,7 @@ def _parts(num_frames: int, num_labels: int, starts, ends, labels
     [0, num_labels) and non-finite bounds.
     """
     if num_labels < 0:
-        raise ContractError(f"num_labels must be >= 0, got {num_labels}")
+        raise ContractError(f"num_labels must be >= 0, got {brief(num_labels)}")
     if int(num_frames) * int(num_labels) > MAX_LABEL_CELLS:
         raise ContractError(
             f"a label matrix of {brief(num_frames)} frames x {brief(num_labels)} labels exceeds "

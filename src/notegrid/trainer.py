@@ -325,9 +325,10 @@ def _train_lockstep(frames: np.ndarray, width: int, starts: np.ndarray,
     Returns weights (S, width*D, G*K) and biases (S, G*K), views of the
     first rows and the last row of the parameter buffer, and None, or, when
     a problem diverges, a failure (s, error) for the first problem in order
-    whose training diverges: the error train() raises for it alone. The
-    problems after a diverged one stop there, and those before it run to
-    the end, so s is the one sequential training would report.
+    whose training diverges: the error train() raises for it alone. Every
+    problem keeps stepping after a divergence, but only those before the
+    diverged one are screened from there on, so s is the one sequential
+    training would report; a failed call's parameters are not meaningful.
     """
     num_problems, rows_per_problem, dim = frames.shape
     n, columns = signs.shape[1:]
@@ -369,7 +370,7 @@ def _train_lockstep(frames: np.ndarray, width: int, starts: np.ndarray,
 
     shuffle_rngs = [np.random.default_rng([seed & MASK64, 1]) for seed in seeds]
     schedule = cfg.resolved_schedule()
-    failure = None
+    failure, screened = None, num_problems  # the problems before the first diverged one
     tail = n % batch or batch  # the rows of the last batch
 
     # lr is scheduled in float64 and folded into each epoch's two slopes,
@@ -385,11 +386,10 @@ def _train_lockstep(frames: np.ndarray, width: int, starts: np.ndarray,
         full_slope, tail_slope = (frames.dtype.type(0.25 * lr / (size * num_labels))
                                   for size in (batch, tail))
         orders = np.stack([rng.permutation(n) for rng in shuffle_rngs])
-        window_rows = starts[orders] + offsets[:len(orders)] * rows_per_problem
+        window_rows = starts[orders] + offsets * rows_per_problem
         # "clip" gathers straight into the buffer; the default "raise" would
         # gather into a temporary first. Every row is in range.
-        np.take(flat_signs, orders + offsets[:len(orders)] * n, axis=0,
-                out=epoch_signs, mode="clip")
+        np.take(flat_signs, orders + offsets * n, axis=0, out=epoch_signs, mode="clip")
         for batch_index, start in enumerate(range(0, n, batch)):
             x = windows[window_rows[:, start:start + batch]]
             s = epoch_signs[:, start:start + batch]
@@ -398,21 +398,14 @@ def _train_lockstep(frames: np.ndarray, width: int, starts: np.ndarray,
             t = np.matmul(x, ahead_w)
             t += ahead_b
             if not np.abs(t).max(initial=0.0) < half_limit:
-                found = _first_divergence(t, s, half_limit, models)
+                found = _first_divergence(t[:screened], s[:screened], half_limit, models)
                 if found is not None:
-                    problem, blocks = found
-                    failure = problem, DivergenceError(
+                    screened, blocks = found
+                    failure = screened, DivergenceError(
                         f"non-finite loss at epoch {epoch}, batch {batch_index}",
                         epoch=epoch, batch=batch_index, models=tuple(blocks.tolist()))
-                    if problem == 0:
-                        params *= 2
+                    if not screened:
                         return params[:, :rows], params[:, rows], failure
-                    # the problems from the diverged one on stop here
-                    params, velocity, ahead, window_rows, epoch_signs, x, s, t = (
-                        a[:problem] for a in (
-                            params, velocity, ahead, window_rows, epoch_signs, x, s, t))
-                    ahead_w, ahead_b, grad_b = ahead[:, :rows], ahead[:, rows:], ahead[:, rows]
-                    shuffle_rngs = shuffle_rngs[:problem]
             _gradient(t, x, s, full_slope if start + batch <= n else tail_slope,
                       out=ahead_w, out_bias=grad_b)
             velocity -= ahead

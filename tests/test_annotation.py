@@ -9,6 +9,7 @@ import notegrid
 from conftest import annotation_of, notes_of
 from notegrid import (Annotation, ContractError, FormatError, RangeError,
                       ValidationError, parse_tsv, to_tsv, validate)
+from notegrid.util import brief
 
 HEADER = "OnsetTime\tOffsetTime\tMidiPitch"
 
@@ -187,6 +188,11 @@ class TestAnnotationType:
         with pytest.raises(ContractError):
             Annotation(onsets, offsets, labels, num_labels=2, duration_sec=2.0)
 
+    @pytest.mark.parametrize("label", [2 ** 63, -2 ** 63 - 1])
+    def test_label_past_int64_is_a_contract_error(self, label):
+        with pytest.raises(ContractError, match="int64"):
+            Annotation([0.0], [1.0], [label], 1, 1.0)
+
     def test_hundred_notes_fixture_is_frozen(self, hundred_notes):
         # the golden numbers in the acceptance tests are frozen against
         # these exact columns, dtypes and fields
@@ -211,7 +217,7 @@ def reference_validate(annotation: Annotation) -> tuple[str, ...]:
     column masks must equal message for message."""
     violations: list[str] = []
     if annotation.num_labels <= 0:
-        violations.append(f"num_labels must be positive, got {annotation.num_labels}")
+        violations.append(f"num_labels must be positive, got {brief(annotation.num_labels)}")
     if not 0 <= annotation.duration_sec < math.inf:
         violations.append(f"duration_sec must be finite and >= 0, got {annotation.duration_sec}")
     for i, (onset, offset, label) in enumerate(notes_of(annotation)):
@@ -224,7 +230,7 @@ def reference_validate(annotation: Annotation) -> tuple[str, ...]:
                 f"event {i}: non-positive duration (onset {onset}, offset {offset})")
         if not 0 <= label < annotation.num_labels:
             violations.append(
-                f"event {i}: label {label} outside [0, {annotation.num_labels})")
+                f"event {i}: label {label} outside [0, {brief(annotation.num_labels)})")
         if offset > annotation.duration_sec:
             violations.append(
                 f"event {i}: offset {offset} past duration {annotation.duration_sec}")
@@ -239,6 +245,10 @@ class TestValidate:
     def test_label_at_num_labels(self):
         ann = annotation_of([(0.0, 1.0, 4)], num_labels=4)
         assert validate(ann) == ("event 0: label 4 outside [0, 4)",)
+
+    def test_huge_label_count_echoed_briefly(self):
+        ann = Annotation([0.0], [1.0], [-1], num_labels=10 ** 400, duration_sec=1.0)
+        assert validate(ann) == ("event 0: label -1 outside [0, 1.00e+400)",)
 
     def test_event_past_duration(self):
         ann = Annotation([0.0], [5.0], [0], num_labels=4, duration_sec=2.0)

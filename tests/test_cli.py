@@ -240,6 +240,22 @@ class TestLabelCodec:
         frames = ngio.read_label_matrix(tmp_path / "m.csv").frames
         assert np.array_equal(frames, np.array(expected, dtype=np.uint8))
 
+    def test_feature_csv_of_0_1_cells_reads_as_the_line_parser_does(self, tmp_path):
+        # one decoder serves both matrix kinds: a feature file in the exact
+        # layout reads as the same file with CRLF breaks, which it declines
+        exact = b"0,1,1\n1,0,0\n0,0,1\n"
+        lenient = exact.replace(b"\n", b"\r\n")
+        assert ngio._label_cells_exact(exact) is not None
+        assert ngio._label_cells_exact(lenient) is None
+        read = []
+        for data in (exact, lenient):
+            (tmp_path / "f.csv").write_bytes(data)
+            (tmp_path / "f.json").write_text('{"fps": 31.25, "feature_dim": 3}')
+            read.append(ngio.read_feature_matrix(tmp_path / "f.csv").values)
+        assert read[0].dtype == read[1].dtype == np.float64
+        assert np.array_equal(read[0], read[1])
+        assert np.array_equal(read[0], [[0, 1, 1], [1, 0, 0], [0, 0, 1]])
+
     def test_exact_layout_with_cell_2_exit_4(self, tmp_path, capsys):
         # a valid feature CSV, so not in MALFORMED_MATRICES
         (tmp_path / "m.csv").write_text("0,1\n1,2\n")
@@ -859,6 +875,51 @@ class TestRasterizeCommand:
         assert capsys.readouterr().err == "error: num_labels must be >= 0, got -5\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("suffix", [".tsv", ".mid"])
+    def test_label_past_int64_exit_4(self, tmp_path, capsys, suffix):
+        # pitch 60 is in range, but its label 60 + 10**20 is no int64
+        path = tmp_path / f"one{suffix}"
+        if suffix == ".tsv":
+            path.write_text("OnsetTime\tOffsetTime\tMidiPitch\n0.5\t1.25\t60\n")
+        else:
+            path.write_bytes(smf.simple_file([(0, 480, 60)]))
+        assert run_cli(["rasterize", str(path), "--fps", "100", "--fn", "a",
+                        "--pitch-offset", str(-10 ** 20), "--num-labels", str(2 * 10 ** 20),
+                        "--out", str(tmp_path / "out")]) == 4
+        assert capsys.readouterr().err == (
+            f"error: one{suffix}: labels must lie within the int64 range\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_huge_negative_label_count_echoed_briefly(self, tmp_path, capsys):
+        empty = tmp_path / "empty.tsv"
+        empty.write_text("OnsetTime\tOffsetTime\tMidiPitch\n")
+        assert run_cli(["rasterize", str(empty), "--fps", "100", "--fn", "a",
+                        "--num-labels", str(-10 ** 400), "--out", str(tmp_path / "out")]) == 4
+        assert capsys.readouterr().err == "error: num_labels must be >= 0, got -1.00e+400\n"
+        assert run_cli(["inspect", str(empty), "--num-labels", str(-10 ** 400)]) == 0
+        assert "  num_labels must be positive, got -1.00e+400\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("pitch,options,bounds", [
+        ("1e300", [], "pitch 1.00e+300 outside [21, 108]"),
+        ("60", ["--pitch-offset", str(10 ** 400)], "pitch 60 outside [1.00e+400, 1.00e+400]"),
+        ("60", ["--num-labels", str(-10 ** 400)], "pitch 60 outside [21, -1.00e+400]"),
+    ], ids=["huge-pitch", "huge-pitch-offset", "huge-negative-label-count"])
+    def test_huge_numbers_echoed_briefly(self, tmp_path, capsys, pitch, options, bounds):
+        path = tmp_path / "one.tsv"
+        path.write_text(f"OnsetTime\tOffsetTime\tMidiPitch\n0.5\t1.25\t{pitch}\n")
+        assert run_cli(["rasterize", str(path), "--fps", "100", "--fn", "a", *options,
+                        "--out", str(tmp_path / "out")]) == 4
+        err = capsys.readouterr().err
+        assert err == f"error: one.tsv: line 2: MIDI {bounds}\n" and len(err) < 200
+
+    def test_huge_pitch_offset_echoed_briefly_from_midi(self, tmp_path, capsys):
+        path = tmp_path / "one.mid"
+        path.write_bytes(smf.simple_file([(0, 480, 60)]))
+        assert run_cli(["rasterize", str(path), "--fps", "100", "--fn", "a",
+                        "--pitch-offset", str(10 ** 400), "--out", str(tmp_path / "out")]) == 4
+        assert capsys.readouterr().err == (
+            "error: one.mid: MIDI pitch 60 outside [1.00e+400, 1.00e+400]\n")
+
     def test_bad_extension_usage_error(self, tmp_path):
         weird = tmp_path / "notes.xyz"
         weird.write_text(TSV)
@@ -1006,6 +1067,20 @@ class TestEvalCommand:
         assert message in capsys.readouterr().err
         assert not (out / "eval").exists()
 
+    @pytest.mark.parametrize("options", [["--ref-fps", "0"], ["--fn", "e"]],
+                             ids=["zero-ref-fps", "random-fn-without-seed"])
+    def test_usage_error_comes_before_a_missing_file(self, tmp_path, notes_tsv, capsys,
+                                                     options):
+        missing = str(tmp_path / "missing.csv")
+        out = ["--out", str(tmp_path / "out")]
+        assert run_cli(["eval", "--pred", missing, "--annotation", str(notes_tsv),
+                        *out, *options]) == 2
+        assert capsys.readouterr().err.startswith("usage: notegrid eval ")
+        # with --ref neither option is read, so the missing file is the error
+        assert run_cli(["eval", "--pred", missing, "--ref", missing, *out, *options]) == 4
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
     def test_requires_ref_or_annotation(self, tmp_path, notes_tsv):
         out = tmp_path / "out"
         run_cli(["rasterize", str(notes_tsv), "--fps", "100", "--fn", "a",
@@ -1076,6 +1151,28 @@ class TestSynthCommand:
                  "--out", str(out)])
         corpus = json.loads((out / "corpus.json").read_text())
         assert len(corpus["pieces"]) == 2
+
+    def test_rerun_from_manifest_is_byte_identical(self, tmp_path):
+        first, second = tmp_path / "first", tmp_path / "second"
+        flags = ["--features", "--fps", "50"]
+        assert run_cli(["synth", "--pieces", "2", "--seed", "4", *flags,
+                        "--out", str(first)]) == 0
+        assert run_cli(["synth", "--config", str(first / "synth.manifest.json"), *flags,
+                        "--out", str(second)]) == 0
+        names = sorted(path.name for path in first.iterdir())
+        assert names == sorted(path.name for path in second.iterdir())
+        assert "piece_001.features.csv" in names
+        for name in names:
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+    @pytest.mark.parametrize("command,code", [("synth", 4), ("experiment", 2)])
+    def test_manifest_shape_without_a_config_object(self, tmp_path, capsys, command, code):
+        # read as a plain config, whose "command" key neither command knows
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"command": "synth", "config": 5}))
+        assert run_cli([command, "--config", str(config), "--out", str(tmp_path / "x")]) == code
+        err = capsys.readouterr().err
+        assert "command" in err and "Traceback" not in err
 
     def test_unknown_config_key(self, tmp_path):
         config = tmp_path / "synth.json"

@@ -787,27 +787,6 @@ class TestLockstep:
         assert params.weights.ctypes.data % 64 == 0
         assert params.bias.ctypes.data == params.weights.ctypes.data + params.weights.nbytes
 
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_buffers_kept_after_a_divergence_stay_aligned(self, dtype):
-        # a NaN target stops problem 2 at batch 0: problems 0 and 1 train on
-        # in the first two rows of every buffer
-        pieces, uint8_targets = lockstep_problems(3, 1)
-        targets = uint8_targets.astype(float)
-        seeds = [21, 22, 23]
-        shuffled = np.random.default_rng([seeds[2], 1]).permutation(PIECES * FRAMES)
-        targets[2, shuffled[1], 1] = np.nan
-        frames, starts = trainer_module._pad_pieces(
-            lambda s, p: pieces[s, p].astype(dtype), 3, PIECES, 1)
-        cfg = TrainConfig(learning_rate=0.5, batch_size=4, epochs=2, context_frames=1)
-        (weights, bias, (s, exc)), buffers = kernel_buffers(
-            frames, 1, starts, signs_of(targets), seeds, cfg, 1)
-        assert (s, exc.epoch, exc.batch) == (2, 0, 0)
-        for name, buffer in buffers.items():
-            assert (buffer.dtype, buffer.shape) == (dtype, (2, DIM + 1, LABELS))
-            assert buffer.ctypes.data % 64 == 0, name
-        assert weights.ctypes.data == buffers["params"].ctypes.data
-        assert np.isfinite(weights).all() and np.isfinite(bias).all()
-
     def test_zero_width_inputs(self):
         # no input columns: (0, K) weights, and the bias still trains
         rng = np.random.default_rng(2)

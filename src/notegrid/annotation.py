@@ -48,8 +48,13 @@ class Annotation:
     def __post_init__(self):
         onsets = np.asarray(self.onsets, dtype=np.float64)
         offsets = np.asarray(self.offsets, dtype=np.float64)
+        labels = np.asarray(self.labels)
         try:
-            labels = np.asarray(self.labels, dtype=np.int64)
+            # a NaN or a float label past int64 would cast with a warning, a uint64 one wrap
+            if labels.dtype.kind in "fu" and not (labels.min(initial=0) >= -2 ** 63
+                                                 and labels.max(initial=0) < 2 ** 63):
+                raise OverflowError
+            labels = labels.astype(np.int64, copy=False)  # a Python int past int64 raises
         except OverflowError:
             raise ContractError("labels must lie within the int64 range") from None
         if onsets.ndim != 1 or not onsets.shape == offsets.shape == labels.shape:
@@ -134,7 +139,7 @@ def parse_tsv(text: str, *, pitch_offset: int = PIANO_PITCH_OFFSET,
     header = lines[0].split()
     if sorted(header) != sorted(_TSV_COLUMNS):
         raise FormatError(
-            f"malformed header {lines[0]!r}: expected columns {' '.join(_TSV_COLUMNS)}")
+            f"malformed header {brief(lines[0])}: expected columns {' '.join(_TSV_COLUMNS)}")
     column = {name: header.index(name) for name in _TSV_COLUMNS}
 
     lowest, highest = pitch_offset, pitch_offset + num_labels - 1
@@ -146,13 +151,14 @@ def parse_tsv(text: str, *, pitch_offset: int = PIANO_PITCH_OFFSET,
         if len(fields) != 3:
             raise FormatError(f"line {lineno}: expected 3 fields, got {len(fields)}")
         try:
-            onset = float(fields[column["OnsetTime"]])
-            offset = float(fields[column["OffsetTime"]])
-            pitch_value = float(fields[column["MidiPitch"]])
-        except ValueError as exc:
-            raise FormatError(f"line {lineno}: non-numeric field ({exc})") from None
+            # cell names the one that float rejects
+            onset = float(cell := fields[column["OnsetTime"]])
+            offset = float(cell := fields[column["OffsetTime"]])
+            pitch_value = float(cell := fields[column["MidiPitch"]])
+        except ValueError:
+            raise FormatError(f"line {lineno}: non-numeric field {brief(cell)}") from None
         if not pitch_value.is_integer():
-            raise FormatError(f"line {lineno}: non-integer pitch {fields[column['MidiPitch']]}")
+            raise FormatError(f"line {lineno}: non-integer pitch {brief(pitch_value)}")
         pitch = int(pitch_value)
         if not lowest <= pitch <= highest:
             raise RangeError(f"line {lineno}: MIDI pitch {brief(pitch)} outside "

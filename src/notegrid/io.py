@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import sys
 import tempfile
 from pathlib import Path
 
@@ -23,7 +22,7 @@ from ._reprcsv import csv_body
 from .errors import ContractError, FormatError
 from .quantize import FrameGrid, LabelingFunction, LabelMatrix
 from .synth import FeatureMatrix
-from .util import count_line_breaks, line_and_column, split_lines
+from .util import brief, count_line_breaks, fits, line_and_column, split_lines
 
 
 def _umask() -> int:
@@ -128,10 +127,8 @@ def _read_matrix_csv(csv_path: Path, parse_cell, cell_kind: str,
     if "fps" not in meta:
         raise ContractError(f"fps metadata missing from sidecar {side}")
     fps = meta["fps"]
-    if isinstance(fps, bool) or not isinstance(fps, (int, float)):
-        raise FormatError(f"{side}: fps must be a number, got {fps!r}")
-    if abs(fps) > sys.float_info.max:
-        raise FormatError(f"{side}: fps must be a finite number")
+    if not fits(float, fps):
+        raise FormatError(f"{side}: fps must be a finite number, got {brief(fps)}")
 
     data = csv_path.read_bytes()
     cells = _label_cells_exact(data)
@@ -211,9 +208,9 @@ def read_label_matrix(csv_path: Path) -> LabelMatrix:
     if letter not in (None, "") and not (
             isinstance(letter, str) and letter.lower() in [fn.letter for fn in LabelingFunction]):
         raise FormatError(f"{side}: labeling_function must be one of a-f or null, "
-                          f"got {letter!r}")
-    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
-        raise FormatError(f"{side}: seed must be an integer or null, got {seed!r}")
+                          f"got {brief(letter)}")
+    if not fits(int | None, seed):
+        raise FormatError(f"{side}: seed must be an integer or null, got {brief(seed)}")
     return LabelMatrix(
         frames=frames.astype(np.uint8),
         grid=grid,

@@ -62,7 +62,8 @@ class LabelingFunction(Enum):
         try:
             return cls(letter.lower())
         except ValueError:
-            raise ContractError(f"unknown labeling function {letter!r}, expected a-f") from None
+            raise ContractError(
+                f"unknown labeling function {brief(letter)}, expected a-f") from None
 
 
 def _draws(counter: int, n: int) -> np.ndarray:
@@ -98,7 +99,7 @@ class FrameGrid:
 
     def __post_init__(self):
         if not (self.fps > 0 and math.isfinite(self.fps)):
-            raise ContractError(f"fps must be positive and finite, got {self.fps}")
+            raise ContractError(f"fps must be positive and finite, got {brief(self.fps)}")
         if self.num_frames < 1:
             raise ContractError(f"num_frames must be >= 1, got {self.num_frames}")
 
@@ -115,9 +116,9 @@ class FrameGrid:
     def covering(cls, fps: float, seconds: float) -> "FrameGrid":
         """Smallest grid at the given rate whose frames span `seconds`."""
         if not (fps > 0 and math.isfinite(fps)):
-            raise ContractError(f"fps must be positive and finite, got {fps}")
+            raise ContractError(f"fps must be positive and finite, got {brief(fps)}")
         if not math.isfinite(seconds * fps):
-            raise ContractError(f"cannot cover {seconds} s at {fps} fps: not finite")
+            raise ContractError(f"cannot cover {brief(seconds)} s at {brief(fps)} fps: not finite")
         return cls(fps=fps, num_frames=max(1, math.ceil(seconds * fps)))
 
 
@@ -190,7 +191,7 @@ def quantize(fn: LabelingFunction, onsets, offsets, dt: float,
     if onsets.ndim != 1 or onsets.shape != offsets.shape:
         raise ContractError(f"onsets {onsets.shape} and offsets {offsets.shape} differ or not 1-D")
     if not (dt > 0 and math.isfinite(dt)):
-        raise ContractError(f"dt must be positive and finite, got {dt}")
+        raise ContractError(f"dt must be positive and finite, got {brief(dt)}")
     if fn.is_random != (shifts is not None):
         raise ContractError(f"labeling function {fn.letter} takes shifts "
                             "if and only if it is random (e, f)")
@@ -248,10 +249,9 @@ def quantize_interval(fn: LabelingFunction, onset_sec: float, offset_sec: float,
     return QuantizedArrays(*(field.item() for field in q))
 
 
-# The most cells a label matrix may have: 2**31 uint8 cells is 2 GiB, or
-# about 67 h of 88 labels at 100 fps. _parts, behind the one painter of
-# rasterize and render_features and behind noise_ceiling, checks it before
-# anything is allocated or counted.
+# The most cells a label matrix may have: 2**31 uint8 cells is 2 GiB.
+# _parts, behind the one painter of rasterize and render_features and behind
+# noise_ceiling, checks it before anything is allocated or counted.
 MAX_LABEL_CELLS = 2 ** 31
 
 
@@ -339,7 +339,6 @@ def _paint(num_frames: int, num_labels: int, lo: np.ndarray, hi: np.ndarray,
 
 # The most quantizations _quantized keeps per Annotation, oldest dropped
 # first: twice the 8 (grid, function, seed) keys one label-study file uses.
-# An entry holds about 58 bytes per note.
 MAX_CACHED_QUANTIZATIONS = 16
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from .annotation import Annotation
 from .errors import ContractError
 from .quantize import FrameGrid, paint_ranges
-from .util import MASK64, brief
+from .util import MASK64, brief, check_config
 
 
 # Work budgets that SynthConfig checks, so a huge but finite value fails at
@@ -56,35 +56,25 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # a NaN or infinite piece_duration_sec or note_rate fails the notes budget below
+        check_config(self, {
+            "num_pieces": (">= 1", lambda v: v >= 1, MAX_PIECES, "pieces"),
+            "piece_duration_sec": ("positive", lambda v: not v <= 0),
+            "num_labels": (">= 1", lambda v: v >= 1),
+            "note_rate": ("positive", lambda v: not v <= 0),
+            "duration_range": ("(min, max) with 0 < min <= max", lambda r: 0 < r[0] <= r[1]),
+            "feature_dim": (">= 1", lambda v: v >= 1, MAX_FEATURE_DIM, "feature bins"),
+            "noise_sigma": ("finite and >= 0", lambda v: 0 <= v < math.inf),
+            "harmonics": (">= 1", lambda v: v >= 1)})
         object.__setattr__(self, "duration_range", tuple(self.duration_range))
-        d_min, d_max = self.duration_range
-        if not 0 < d_min <= d_max < math.inf:
-            raise ContractError(f"duration_range must be finite with 0 < min <= max, "
-                                f"got {self.duration_range}")
-        if self.num_labels < 1:
-            raise ContractError(f"num_labels must be >= 1, got {self.num_labels}")
         if self.feature_dim < self.num_labels:
             raise ContractError(
                 f"feature_dim {brief(self.feature_dim)} < num_labels {brief(self.num_labels)}")
-        if self.feature_dim > MAX_FEATURE_DIM:
-            raise ContractError(f"feature_dim = {brief(self.feature_dim)} exceeds the budget "
-                                f"of {MAX_FEATURE_DIM} feature bins")
-        if not 0 <= self.noise_sigma < math.inf:
-            raise ContractError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
-        if self.note_rate <= 0:
-            raise ContractError(f"note_rate must be positive, got {self.note_rate}")
-        if self.num_pieces < 1 or self.piece_duration_sec <= 0:
-            raise ContractError("need at least one piece of positive duration")
-        if self.num_pieces > MAX_PIECES:
-            raise ContractError(f"num_pieces = {brief(self.num_pieces)} exceeds the budget "
-                                f"of {MAX_PIECES} pieces")
         expected_notes = self.note_rate * self.piece_duration_sec
         if not expected_notes <= MAX_NOTES_PER_PIECE:
             raise ContractError(
                 f"note_rate x piece_duration_sec = {expected_notes:.3g} notes per piece "
                 f"exceeds the budget of {MAX_NOTES_PER_PIECE} notes")
-        if self.harmonics < 1:
-            raise ContractError(f"harmonics must be >= 1, got {self.harmonics}")
         if self.num_labels * self.harmonics > MAX_TEMPLATE_TERMS:
             raise ContractError(
                 f"num_labels x harmonics = {brief(self.num_labels * self.harmonics)} exceeds "

@@ -20,7 +20,7 @@ from .errors import ContractError, DivergenceError
 from .metrics import EvalCounts, _window_grid, prf, windowed_block_counts
 from .quantize import FrameGrid, LabelingFunction, LabelMatrix, rasterize
 from .synth import FeatureMatrix, SynthConfig, generate_corpus, render_features
-from .util import MASK64, brief, derive_seed
+from .util import MASK64, brief, check_config, derive_seed
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,35 +104,21 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ContractError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.context_frames < 1 or self.context_frames % 2 == 0:
-            raise ContractError(
-                f"context_frames must be odd, got {brief(self.context_frames)}")
-        if self.context_frames > MAX_CONTEXT_FRAMES:
-            raise ContractError(f"context_frames = {brief(self.context_frames)} exceeds "
-                                f"the budget of {MAX_CONTEXT_FRAMES} frames")
-        if not 0 < self.threshold < 1:
-            raise ContractError(f"threshold must be in (0, 1), got {self.threshold}")
-        if not 0 <= self.momentum < 1:
-            raise ContractError(f"momentum must be in [0, 1), got {self.momentum}")
-        if not 0 < self.learning_rate < math.inf:
-            raise ContractError(
-                f"learning_rate must be positive and finite, got {self.learning_rate}")
-        if self.epochs < 0:
-            raise ContractError(f"epochs must be >= 0, got {self.epochs}")
-        if self.epochs > MAX_EPOCHS:
-            raise ContractError(f"epochs = {brief(self.epochs)} exceeds the budget "
-                                f"of {MAX_EPOCHS} epochs")
+        check_config(self, {
+            "batch_size": (">= 1", lambda v: v >= 1),
+            "learning_rate": ("positive and finite", lambda v: 0 < v < math.inf),
+            "momentum": ("in [0, 1)", lambda v: 0 <= v < 1),
+            "lr_schedule": ("None or (epoch, multiplier) pairs with each multiplier positive",
+                            lambda s: s is None or all(m > 0 for _, m in s)),
+            "epochs": (">= 0", lambda v: v >= 0, MAX_EPOCHS, "epochs"),
+            "context_frames": ("odd", lambda v: v >= 1 and v % 2, MAX_CONTEXT_FRAMES, "frames"),
+            "threshold": ("in (0, 1)", lambda v: 0 < v < 1)})
         if self.lr_schedule is not None:
             object.__setattr__(self, "lr_schedule",
                                tuple((int(e), float(m)) for e, m in self.lr_schedule))
-            for epoch, multiplier in self.lr_schedule:
-                if not 0 < multiplier < math.inf:
-                    raise ContractError(f"lr_schedule multiplier at epoch {epoch} must be "
-                                        f"positive and finite, got {multiplier}")
+            for epoch, _ in self.lr_schedule:
                 if not 0 <= epoch < self.epochs:
-                    raise ContractError(f"lr_schedule epoch {epoch} is not in "
+                    raise ContractError(f"lr_schedule epoch {brief(epoch)} is not in "
                                         f"[0, {self.epochs}), so it would never apply")
 
     def resolved_schedule(self) -> tuple[tuple[int, float], ...]:

@@ -1,4 +1,4 @@
-"""Deterministic seed derivation, and one rule each for text lines and echoed values.
+"""Deterministic seeds, and one rule each for text lines, echoed values and config fields.
 
 All randomness in the package flows from explicit integer seeds. Derived
 seeds are produced with a splitmix64-style hash so that streams for
@@ -8,9 +8,14 @@ independent of platform and library versions.
 
 from __future__ import annotations
 
+import dataclasses
 import numbers
 import reprlib
+import sys
+import typing
 from decimal import Decimal
+
+from .errors import ContractError
 
 MASK64 = (1 << 64) - 1
 
@@ -69,3 +74,43 @@ def brief(value) -> str:
     if isinstance(value, numbers.Integral) and not isinstance(value, bool):
         return f"{Decimal(int(value)):.3g}" if abs(int(value)) >= 2 ** 64 else str(value)
     return reprlib.repr(value)
+
+
+def fits(kind, value) -> bool:
+    """Whether value has the declared type `kind`, where a bool is no number,
+    an `int` is any integer (NumPy's too) and a `float` a finite float or int."""
+    if isinstance(value, bool):
+        return False
+    if kind is float:
+        return isinstance(value, (numbers.Integral, float)) and abs(value) <= sys.float_info.max
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if origin is None:
+        return isinstance(value, numbers.Integral if kind is int else kind)
+    if origin not in (list, tuple):
+        return any(fits(arg, value) for arg in args)  # a union such as X | None
+    if not isinstance(value, (list, tuple)):
+        return False
+    if origin is list or args[-1] is Ellipsis:
+        return all(fits(args[0], item) for item in value)
+    return len(value) == len(args) and all(map(fits, args, value))
+
+
+def check_config(cfg, rules: dict) -> None:
+    """Check the fields of the frozen dataclass `cfg` in order, as a ContractError:
+    each one's type (a float field leaves NaN and infinity to its rule; an int
+    becomes a Python int), then rules[name] = (what it must be, test[, budget, unit])."""
+    kinds = typing.get_type_hints(type(cfg))
+    for field in dataclasses.fields(cfg):
+        name, value = field.name, getattr(cfg, field.name)
+        if not (fits(kinds[name], value) or kinds[name] is float and isinstance(value, float)):
+            raise ContractError(f"{name} must be {field.type}, got {brief(value)}")
+        if kinds[name] is int:  # a NumPy integer would overflow `seed & MASK64`
+            object.__setattr__(cfg, name, value := int(value))
+        if name not in rules:
+            continue
+        want, test, *budget = rules[name]
+        if not test(value):
+            raise ContractError(f"{name} must be {want}, got {brief(value)}")
+        if budget and value > budget[0]:
+            raise ContractError(f"{name} = {brief(value)} exceeds the budget of "
+                                f"{budget[0]} {budget[1]}")

@@ -193,6 +193,21 @@ class TestAnnotationType:
         with pytest.raises(ContractError, match="int64"):
             Annotation([0.0], [1.0], [label], 1, 1.0)
 
+    # the first two used to cast to -2**63 with a RuntimeWarning, the last to
+    # wrap to -2**63 without one
+    @pytest.mark.parametrize("labels", [np.array([1e300]), np.array([np.nan]),
+                                        np.array([2 ** 63], dtype=np.uint64)],
+                             ids=["1e300", "nan", "uint64-2**63"])
+    def test_label_array_past_int64_is_a_contract_error(self, labels):
+        with pytest.raises(ContractError, match="^labels must lie within the int64 range$"):
+            Annotation([0.0], [1.0], labels, 1, 1.0)
+
+    def test_label_arrays_within_int64_are_kept(self):
+        for labels in (np.array([2.0, -2.0 ** 63]), np.array([2 ** 63 - 1, 0], dtype=np.uint64)):
+            ann = Annotation([0.0, 0.5], [1.0, 1.0], labels, 1, 1.0)
+            assert ann.labels.dtype == np.int64
+            assert sorted(ann.labels.tolist()) == sorted(int(label) for label in labels)
+
     def test_hundred_notes_fixture_is_frozen(self, hundred_notes):
         # the golden numbers in the acceptance tests are frozen against
         # these exact columns, dtypes and fields

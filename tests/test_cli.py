@@ -479,6 +479,101 @@ class TestConfigFuzz:
         assert 0 in experiment_codes and len(experiment_codes) > 1  # some run, some fail
 
 
+# the tiny experiment with every top-level key and every synth and train
+# field spelled out
+FULL_TINY_EXPERIMENT = {
+    "fns": ["a", "e"], "seeds": [1, 2], "train_fps": 31.25, "eval_fps": 100.0,
+    "window_sec": 30.0,
+    "synth": {"num_pieces": 5, "piece_duration_sec": 2.0, "num_labels": 12, "note_rate": 2.0,
+              "duration_range": [0.1, 1.0], "feature_dim": 48, "noise_sigma": 0.1,
+              "harmonics": 3, "seed": 0},
+    "train": {"batch_size": 8, "learning_rate": 1.0, "momentum": 0.9, "lr_schedule": [[0, 1.0]],
+              "epochs": 1, "context_frames": 5, "threshold": 0.5, "seed": 0},
+}
+
+CONFIG_TOKENS = ['"' + "x" * 300 + '"', '"a"', '"1"', "1e300", "-1e300", "NaN", "Infinity",
+                 "-Infinity", "true", "null", "[]", "{}", "[[0]]", "0", "-1", "0.5", "3",
+                 str(2 ** 63), str(2 ** 70), str(-2 ** 70), str(-10 ** 300), str(10 ** 400)]
+TOKEN_FUZZ_SEED = 0x70C3
+TOKEN_FUZZ_CASES = 300
+
+
+def token_config(config: dict, rng: random.Random) -> bytes:
+    """The config as JSON with one of its values, or of the items of its
+    lists, replaced by a token from CONFIG_TOKENS; in a quarter of the cases
+    two or three of them."""
+    copy, slots = json.loads(json.dumps(config)), []
+
+    def collect(holder):
+        for key in (holder if isinstance(holder, dict) else range(len(holder))):
+            slots.append((holder, key))
+            if isinstance(holder[key], (dict, list)):
+                collect(holder[key])
+
+    collect(copy)
+    tokens = {}
+    for i, (holder, key) in enumerate(rng.sample(slots, rng.choice((1, 1, 1, 2, 3)))):
+        holder[key] = f"@{i}@"
+        tokens[f'"@{i}@"'] = rng.choice(CONFIG_TOKENS)
+    text = json.dumps(copy)
+    for placeholder, token in tokens.items():
+        text = text.replace(placeholder, token)
+    return text.encode()
+
+
+def messy_output(command, code, out, err) -> str | None:
+    """What breaks the exit contract in one run, or None: an exit code
+    outside 0, 2, 3 and 4, a traceback, a line of 200 characters or more, or
+    a failure that prints other than one error line (after the usage, for
+    exit 2)."""
+    lines = err.splitlines()
+    if code not in (0, 2, 3, 4):
+        return f"exit {code}"
+    if "Traceback" in out + err:
+        return "traceback"
+    if any(len(line) >= 200 for line in out.splitlines() + lines):
+        return "a line of 200 characters or more"
+    if code == 2 and not (lines and lines[0].startswith(f"usage: notegrid {command} ")
+                          and lines[-1].startswith(f"notegrid {command}: error: ")
+                          and sum(": error: " in line for line in lines) == 1):
+        return "not the usage and one error line"
+    if code in (3, 4) and not (len(lines) == 1 and lines[0].startswith("error: ")):
+        return "not one error line"
+    return None
+
+
+class TestConfigTokenFuzz:
+    def test_configs_with_tokens_exit_cleanly(self, tmp_path, capsys, monkeypatch):
+        """The full tiny experiment config, and its synth section, with
+        seeded token replacements through experiment and synth: every exit
+        code is 0, 2, 3 or 4, nothing prints a traceback, every line is
+        under 200 characters, and a failure prints one error line (after
+        the usage, for exit 2)."""
+        monkeypatch.setenv("COLUMNS", "80")  # the width argparse wraps usage at
+        config = tmp_path / "config.json"
+        rng = random.Random(TOKEN_FUZZ_SEED)
+        failures, codes = [], {"synth": set(), "experiment": set()}
+        for case in range(TOKEN_FUZZ_CASES):
+            for command, base in (("synth", FULL_TINY_EXPERIMENT["synth"]),
+                                  ("experiment", FULL_TINY_EXPERIMENT)):
+                data = token_config(base, rng)
+                config.write_bytes(data)
+                capsys.readouterr()
+                try:
+                    code = run_cli([command, "--config", str(config),
+                                    "--out", str(tmp_path / command)])
+                except Exception as exc:  # an escape is a failure to report
+                    code = f"{type(exc).__name__}: {exc}"
+                captured = capsys.readouterr()
+                codes[command].add(code)
+                fault = messy_output(command, code, captured.out, captured.err)
+                if fault:
+                    failures.append((case, command, fault, data, captured.err[-300:]))
+        assert not failures, failures[:5]
+        for command_codes in codes.values():  # some run, some fail
+            assert 0 in command_codes and len(command_codes) > 1
+
+
 class TestNonUtf8Input:
     """A byte that is not UTF-8 is a FormatError naming the file (exit 4)."""
 
@@ -615,6 +710,16 @@ WRONG_TYPED = [
     (None, "train", "x"),
 ]
 
+# each synth and train row of WRONG_TYPED, passed to the class directly, and
+# values a library caller could pass that used to be accepted (context_frames
+# 5.0, seed True) or to fail later with a TypeError or an OverflowError
+LIBRARY_WRONG_TYPED = [row for row in WRONG_TYPED if row[0]] + [
+    ("train", "batch_size", 2.5), ("synth", "num_pieces", 2.5),
+    ("train", "learning_rate", 10 ** 400), ("train", "lr_schedule", ((0, 10 ** 400),)),
+    ("synth", "feature_dim", "48"), ("train", "context_frames", 5.0), ("train", "seed", True),
+    ("train", "momentum", np.float32(0.9)), ("synth", "duration_range", 5),
+]
+
 # values of the right type that TrainConfig rejects, one per check
 TRAIN_REJECTED = [("batch_size", 0), ("context_frames", 4), ("threshold", 0.0),
                   ("threshold", 1.0), ("momentum", -0.1), ("momentum", 1.0), ("epochs", -1)]
@@ -646,6 +751,25 @@ class TestTypedConfigValues:
         assert "Traceback" not in captured.out + captured.err
         assert key in captured.err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("section,key,value", LIBRARY_WRONG_TYPED,
+                             ids=[f"{s}-{k}-{v!r:.12}" for s, k, v in LIBRARY_WRONG_TYPED])
+    def test_wrong_type_rejected_by_the_class(self, section, key, value):
+        from notegrid import SynthConfig, TrainConfig
+
+        cls = SynthConfig if section == "synth" else TrainConfig
+        with pytest.raises(ContractError, match=f"^{key} (must be|=) "):
+            cls(**{key: value})
+
+    def test_numpy_integers_accepted(self):
+        from notegrid import SynthConfig, TrainConfig, generate_corpus
+
+        cfg = TrainConfig(epochs=np.int64(3), lr_schedule=[[np.int64(1), 0.5]])
+        assert cfg.epochs == 3 and cfg.lr_schedule == ((1, 0.5),)
+        assert type(cfg.lr_schedule[0][0]) is int
+        synth_cfg = SynthConfig(num_pieces=np.int64(2), harmonics=np.uint8(2), seed=np.int64(7))
+        assert generate_corpus(synth_cfg) == generate_corpus(
+            SynthConfig(num_pieces=2, harmonics=2, seed=7))
 
     @pytest.mark.parametrize("key", ["train_fps", "eval_fps", "window_sec"])
     @pytest.mark.parametrize("value", [10 ** 400, float("nan")], ids=["1e400", "nan"])
@@ -919,6 +1043,25 @@ class TestRasterizeCommand:
                         "--pitch-offset", str(10 ** 400), "--out", str(tmp_path / "out")]) == 4
         assert capsys.readouterr().err == (
             "error: one.mid: MIDI pitch 60 outside [1.00e+400, 1.00e+400]\n")
+
+    # each of these used to echo the whole header or cell on the error line
+    @pytest.mark.parametrize("text,where", [
+        ("OnsetTime\tOffsetTime\tMidiPitch" + "x" * 270 + "\n0.5\t1.25\t60\n",
+         "malformed header 'OnsetTime"),
+        ("OnsetTime\tOffsetTime\tMidiPitch\n0.5\t" + "1" * 150 + "x" * 150 + "\t60\n",
+         "line 2: non-numeric field '111"),
+        ("OnsetTime\tOffsetTime\tMidiPitch\n0.5\t1.25\t60.5" + "0" * 295 + "\n",
+         "line 2: non-integer pitch 60.5\n"),
+    ], ids=["header", "cell", "pitch"])
+    def test_long_header_or_cell_echoed_briefly(self, tmp_path, capsys, text, where):
+        path = tmp_path / "long.tsv"
+        path.write_text(text)
+        assert max(len(line) for line in text.splitlines()) >= 300
+        assert run_cli(["rasterize", str(path), "--fps", "100", "--fn", "a",
+                        "--out", str(tmp_path / "out")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: long.tsv: ") and where in err
+        assert len(err.splitlines()) == 1 and len(err) < 200, err
 
     def test_bad_extension_usage_error(self, tmp_path):
         weird = tmp_path / "notes.xyz"

@@ -13,10 +13,11 @@ format or file error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import functools
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import __version__
@@ -44,17 +45,24 @@ _EXPERIMENT_KEYS = {
 }
 
 
+@contextlib.contextmanager
+def _naming(path: Path):
+    """Put the file's name before the message of a NotegridError raised
+    inside, alongside any line context the message gives."""
+    try:
+        yield
+    except NotegridError as exc:
+        raise type(exc)(f"{path.name}: {exc}") from None
+
+
 def load_annotation(path: Path, pitch_offset: int, num_labels: int) -> Annotation:
     path = Path(path)
     if path.suffix.lower() in (".mid", ".midi"):
         parse, data = parse_midi, path.read_bytes()
     else:
         parse, data = parse_tsv, io.read_text(path)
-    try:
+    with _naming(path):
         return parse(data, pitch_offset=pitch_offset, num_labels=num_labels)
-    except NotegridError as exc:
-        # surface the file name alongside the parser's line context
-        raise type(exc)(f"{path.name}: {exc}") from None
 
 
 def _load_config_file(path: Path) -> dict:
@@ -65,10 +73,15 @@ def _load_config_file(path: Path) -> dict:
 
 
 def _build_config(cls, overrides: dict, what: str):
-    """cls(**overrides), where a key cls lacks or a value it rejects is a ContractError."""
+    """cls(**overrides), where the first key cls lacks, in the file's order,
+    or a value it rejects is a ContractError."""
+    names = {field.name for field in fields(cls)}
+    unknown = next((key for key in overrides if key not in names), None)
+    if unknown is not None:
+        raise ContractError(f"bad {what} config: unknown key {brief(unknown)}")
     try:
         return cls(**overrides)
-    except (TypeError, ContractError) as exc:
+    except ContractError as exc:
         raise ContractError(f"bad {what} config: {exc}") from None
 
 
@@ -85,8 +98,9 @@ def cmd_rasterize(args, parser) -> int:
         parser.error(f"unrecognized annotation extension {input_path.suffix!r} "
                      "(expected .tsv, .txt, .mid, .midi)")
     annotation = load_annotation(input_path, args.pitch_offset, args.num_labels)
-    grid = FrameGrid.covering(args.fps, annotation.duration_sec)
-    matrix = rasterize(annotation, grid, fn, seed)
+    with _naming(input_path):
+        grid = FrameGrid.covering(args.fps, annotation.duration_sec)
+        matrix = rasterize(annotation, grid, fn, seed)
 
     out_dir = Path(args.out)
     stem = args.name or input_path.stem

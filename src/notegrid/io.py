@@ -127,8 +127,10 @@ def _read_matrix_csv(csv_path: Path, parse_cell, cell_kind: str,
     if "fps" not in meta:
         raise ContractError(f"fps metadata missing from sidecar {side}")
     fps = meta["fps"]
-    if not fits(float, fps):
-        raise FormatError(f"{side}: fps must be a finite number, got {brief(fps)}")
+    try:
+        FrameGrid(fps=fps, num_frames=1)  # the rate's check, before the CSV is read
+    except ContractError as exc:
+        raise FormatError(f"{side}: {exc}") from None
 
     data = csv_path.read_bytes()
     cells = _label_cells_exact(data)
@@ -150,7 +152,7 @@ def _read_matrix_csv(csv_path: Path, parse_cell, cell_kind: str,
     num_frames, width = cells.shape
     for key, found in (("num_frames", num_frames), (width_key, width)):
         if meta.get(key, found) != found:
-            raise FormatError(f"{csv_path}: {found} {key} but sidecar says {meta[key]!r}")
+            raise FormatError(f"{csv_path}: {found} {key} but sidecar says {brief(meta[key])}")
     return meta, FrameGrid(fps=float(fps), num_frames=num_frames), cells
 
 
@@ -247,14 +249,6 @@ def write_csv(path: Path, header: str, rows) -> None:
     atomic_write_text(path, "\n".join([header, *map(csv_line, rows)]) + "\n")
 
 
-def file_digest(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for block in iter(lambda: handle.read(65536), b""):
-            digest.update(block)
-    return digest.hexdigest()
-
-
 def write_manifest(path: Path, command: str, config: dict,
                    seeds: list[int], inputs: list[Path], version: str) -> None:
     """Record everything needed to reproduce a run byte-identically.
@@ -267,7 +261,8 @@ def write_manifest(path: Path, command: str, config: dict,
         "command": command,
         "config": config,
         "seeds": list(seeds),
-        "inputs": {Path(p).name: file_digest(p) for p in inputs},
+        "inputs": {Path(p).name: hashlib.sha256(Path(p).read_bytes()).hexdigest()
+                   for p in inputs},
         "tool_version": version,
     }
     write_json(path, manifest)

@@ -188,19 +188,11 @@ def disagreement(a: LabelMatrix, b: LabelMatrix, events: Annotation,
 
     bounds_a = _boundaries(a, events, records_a)
     bounds_b = _boundaries(b, events, records_b)
-    onset_hist: dict[int, int] = {}
-    offset_hist: dict[int, int] = {}
-    if bounds_a is not None and bounds_b is not None:
-        shifts = bounds_b - bounds_a
-        onset_hist = _shift_histogram(shifts[:, 0])
-        offset_hist = _shift_histogram(shifts[:, 1])
-
-    return DisagreementStats(
-        differing_frames=differing,
-        frame_rate_of_disagreement=rate,
-        onset_shift_histogram=onset_hist,
-        offset_shift_histogram=offset_hist,
-    )
+    if bounds_a is None or bounds_b is None:
+        return DisagreementStats(differing, rate)
+    shifts = bounds_b - bounds_a
+    return DisagreementStats(differing, rate, _shift_histogram(shifts[:, 0]),
+                             _shift_histogram(shifts[:, 1]))
 
 
 def windowed_counts(pred: LabelMatrix, ref: LabelMatrix,

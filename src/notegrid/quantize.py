@@ -32,7 +32,7 @@ import numpy as np
 
 from .annotation import Annotation
 from .errors import ContractError
-from .util import MASK64, brief, derive_seed, splitmix64
+from .util import MASK64, brief, derive_seed, fits, splitmix64
 
 
 class LabelingFunction(Enum):
@@ -90,7 +90,9 @@ def seeded_shifts(fn: LabelingFunction, seed: int, num_intervals: int) -> np.nda
 class FrameGrid:
     """A frame rate and a frame count; the discretization target.
 
-    dt is derived as 1/fps, so the dt*fps == 1 invariant holds to float
+    The package's one check of a rate is here: fps is a finite float, or
+    an integer that fits one (util.fits, so no bool), above 0. dt is
+    derived as 1/fps, so the dt*fps == 1 invariant holds to float
     precision by construction.
     """
 
@@ -98,7 +100,7 @@ class FrameGrid:
     num_frames: int
 
     def __post_init__(self):
-        if not (self.fps > 0 and math.isfinite(self.fps)):
+        if not (fits(float, self.fps) and self.fps > 0):
             raise ContractError(f"fps must be positive and finite, got {brief(self.fps)}")
         if self.num_frames < 1:
             raise ContractError(f"num_frames must be >= 1, got {self.num_frames}")
@@ -115,8 +117,7 @@ class FrameGrid:
     @classmethod
     def covering(cls, fps: float, seconds: float) -> "FrameGrid":
         """Smallest grid at the given rate whose frames span `seconds`."""
-        if not (fps > 0 and math.isfinite(fps)):
-            raise ContractError(f"fps must be positive and finite, got {brief(fps)}")
+        cls(fps=fps, num_frames=1)  # the rate's check, before it multiplies
         if not math.isfinite(seconds * fps):
             raise ContractError(f"cannot cover {brief(seconds)} s at {brief(fps)} fps: not finite")
         return cls(fps=fps, num_frames=max(1, math.ceil(seconds * fps)))

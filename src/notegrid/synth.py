@@ -109,13 +109,9 @@ class FeatureMatrix:
         return self.values.shape[1]
 
 
-def _piece_rng(cfg: SynthConfig, piece_index: int) -> np.random.Generator:
-    return np.random.default_rng([cfg.seed & MASK64, 0, piece_index])
-
-
 def generate_piece(cfg: SynthConfig, piece_index: int) -> Annotation:
     """Generate one piece; pieces use independent derived seeds."""
-    rng = _piece_rng(cfg, piece_index)
+    rng = np.random.default_rng([cfg.seed & MASK64, 0, piece_index])
     d_min, d_max = cfg.duration_range
     onsets, offsets, labels = [], [], []
     t = rng.exponential(1.0 / cfg.note_rate)

@@ -176,6 +176,7 @@ class TestAnnotationType:
         assert ann != Annotation([0.5], [1.0], [1], num_labels=3, duration_sec=1.0)
         assert ann != Annotation([0.5], [1.0], [2], num_labels=4, duration_sec=1.0)
         assert ann != Annotation([0.5], [1.0], [2], num_labels=3, duration_sec=2.0)
+        assert (ann == 5) is False  # no Annotation: Python falls back to identity
         with pytest.raises(TypeError):
             hash(ann)
 

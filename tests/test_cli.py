@@ -276,6 +276,8 @@ MALFORMED_MATRICES = [
     pytest.param("0,1\n", '{"fps": "abc"}', "fps", id="string-fps"),
     pytest.param("0,1\n", '{"fps": [1]}', "fps", id="list-fps"),
     pytest.param("0,1\n", '{"fps": true}', "fps", id="boolean-fps"),
+    pytest.param("0,1\n", '{"fps": 0}', "fps must be positive", id="zero-fps"),
+    pytest.param("0,1\n", '{"fps": -5}', "fps must be positive", id="negative-fps"),
     pytest.param("0,1\n", '{"fps": 1' + "0" * 400 + '}', "fps", id="fps-past-float-range"),
     pytest.param("0,1\n", '{"fps": 1' + "0" * 5000 + '}', "unreadable sidecar",
                  id="integer-past-digit-limit"),
@@ -494,27 +496,35 @@ FULL_TINY_EXPERIMENT = {
 CONFIG_TOKENS = ['"' + "x" * 300 + '"', '"a"', '"1"', "1e300", "-1e300", "NaN", "Infinity",
                  "-Infinity", "true", "null", "[]", "{}", "[[0]]", "0", "-1", "0.5", "3",
                  str(2 ** 63), str(2 ** 70), str(-2 ** 70), str(-10 ** 300), str(10 ** 400)]
+KEY_TOKENS = [token for token in CONFIG_TOKENS if token.startswith('"')]
 TOKEN_FUZZ_SEED = 0x70C3
 TOKEN_FUZZ_CASES = 300
 
 
 def token_config(config: dict, rng: random.Random) -> bytes:
-    """The config as JSON with one of its values, or of the items of its
-    lists, replaced by a token from CONFIG_TOKENS; in a quarter of the cases
-    two or three of them."""
+    """The config as JSON with one of its keys or values, or of the items of
+    its lists, replaced by a token: a value by one from CONFIG_TOKENS, a key
+    by one from KEY_TOKENS. In a quarter of the cases two or three of them."""
     copy, slots = json.loads(json.dumps(config)), []
 
     def collect(holder):
         for key in (holder if isinstance(holder, dict) else range(len(holder))):
-            slots.append((holder, key))
+            slots.append((holder, key, False))
+            if isinstance(holder, dict):
+                slots.append((holder, key, True))
             if isinstance(holder[key], (dict, list)):
                 collect(holder[key])
 
     collect(copy)
     tokens = {}
-    for i, (holder, key) in enumerate(rng.sample(slots, rng.choice((1, 1, 1, 2, 3)))):
-        holder[key] = f"@{i}@"
-        tokens[f'"@{i}@"'] = rng.choice(CONFIG_TOKENS)
+    # values before keys, so that a value's key is not yet renamed
+    chosen = sorted(rng.sample(slots, rng.choice((1, 1, 1, 2, 3))), key=lambda slot: slot[2])
+    for i, (holder, key, is_key) in enumerate(chosen):
+        if is_key:
+            holder[f"@{i}@"] = holder.pop(key)
+        else:
+            holder[key] = f"@{i}@"
+        tokens[f'"@{i}@"'] = rng.choice(KEY_TOKENS if is_key else CONFIG_TOKENS)
     text = json.dumps(copy)
     for placeholder, token in tokens.items():
         text = text.replace(placeholder, token)
@@ -542,6 +552,18 @@ def messy_output(command, code, out, err) -> str | None:
     return None
 
 
+def run_captured(argv, capsys) -> tuple:
+    """(exit code, stdout, stderr) of one run of main; an exception that
+    escapes main is reported as a string in place of the code."""
+    capsys.readouterr()
+    try:
+        code = run_cli(argv)
+    except Exception as exc:  # an escape is a failure to report
+        code = f"{type(exc).__name__}: {exc}"
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
 class TestConfigTokenFuzz:
     def test_configs_with_tokens_exit_cleanly(self, tmp_path, capsys, monkeypatch):
         """The full tiny experiment config, and its synth section, with
@@ -558,20 +580,82 @@ class TestConfigTokenFuzz:
                                   ("experiment", FULL_TINY_EXPERIMENT)):
                 data = token_config(base, rng)
                 config.write_bytes(data)
-                capsys.readouterr()
-                try:
-                    code = run_cli([command, "--config", str(config),
-                                    "--out", str(tmp_path / command)])
-                except Exception as exc:  # an escape is a failure to report
-                    code = f"{type(exc).__name__}: {exc}"
-                captured = capsys.readouterr()
+                code, out, err = run_captured([command, "--config", str(config),
+                                               "--out", str(tmp_path / command)], capsys)
                 codes[command].add(code)
-                fault = messy_output(command, code, captured.out, captured.err)
+                fault = messy_output(command, code, out, err)
                 if fault:
-                    failures.append((case, command, fault, data, captured.err[-300:]))
+                    failures.append((case, command, fault, data, err[-300:]))
         assert not failures, failures[:5]
         for command_codes in codes.values():  # some run, some fail
             assert 0 in command_codes and len(command_codes) > 1
+
+
+FILE_TOKENS = ["x" * 300, "1e300", "-1e300", "NaN", "Infinity", "9" * 30, "0", "-1", "1e-300"]
+FILE_TOKEN_FUZZ_SEED = 0xF17E
+FILE_TOKEN_FUZZ_CASES = 300
+
+
+def token_file(suffix: str, data: bytes, rng: random.Random) -> bytes:
+    """The file with one token from FILE_TOKENS in place of a cell of a
+    TSV's note lines or a matrix CSV, or of a sidecar's value (a JSON
+    string for the text token)."""
+    if suffix == ".json":
+        sidecar = json.loads(data)
+        key, token = rng.choice(sorted(sidecar)), rng.choice(FILE_TOKENS)
+        sidecar[key] = "@"
+        return json.dumps(sidecar).replace('"@"', json.dumps(token) if token[0] == "x"
+                                           else token).encode()
+    sep = "\t" if suffix == ".tsv" else ","
+    lines = [line.split(sep) for line in data.decode().splitlines()]
+    row = lines[rng.randrange(suffix == ".tsv", len(lines))]  # past a TSV's header
+    row[rng.randrange(len(row))] = rng.choice(FILE_TOKENS)
+    return "".join(sep.join(line) + "\n" for line in lines).encode()
+
+
+class TestFileTokenFuzz:
+    def test_files_with_tokens_exit_cleanly(self, tmp_path, capsys, monkeypatch):
+        """A TSV annotation, and a label matrix and its sidecar, with one
+        seeded token each, through inspect, rasterize, eval --annotation,
+        eval --ref and disagree: the exit contract of messy_output holds,
+        and a failing inspect or rasterize names the file at fault."""
+        monkeypatch.chdir(tmp_path)  # short relative paths in every message
+        labels = ["--pitch-offset", "60", "--num-labels", "8"]
+        Path("clean.tsv").write_text(FUZZ_TSV)
+        assert run_cli(["rasterize", "clean.tsv", "--fps", "10", "--fn", "f", "--seed", "3",
+                        "--name", "clean", *labels]) == 0
+        clean = {suffix: Path(f"clean{suffix}").read_bytes() for suffix in (".tsv", ".csv",
+                                                                           ".json")}
+        commands = {
+            ".tsv": [["inspect", "mutant.tsv", *labels],
+                     ["rasterize", "mutant.tsv", "--fps", "10", "--fn", "f", "--seed", "3",
+                      "--out", "out", *labels],
+                     ["eval", "--pred", "clean.csv", "--annotation", "mutant.tsv",
+                      "--ref-fps", "10", "--out", "out", *labels],
+                     ["disagree", "--a", "clean.csv", "--b", "clean.csv",
+                      "--annotation", "mutant.tsv", "--out", "out", *labels]],
+            ".csv": [["inspect", "mutant.csv"],
+                     ["eval", "--pred", "mutant.csv", "--ref", "clean.csv", "--out", "out"],
+                     ["disagree", "--a", "clean.csv", "--b", "mutant.csv",
+                      "--annotation", "clean.tsv", "--out", "out", *labels]]}
+        rng = random.Random(FILE_TOKEN_FUZZ_SEED)
+        failures, codes = [], set()
+        for case in range(FILE_TOKEN_FUZZ_CASES):
+            suffix = rng.choice((".tsv", ".csv", ".json"))
+            for name, data in clean.items():
+                Path(f"mutant{name}").write_bytes(
+                    token_file(suffix, data, rng) if name == suffix else data)
+            for argv in commands[".tsv" if suffix == ".tsv" else ".csv"]:
+                code, out, err = run_captured(argv, capsys)
+                codes.add(code)
+                fault = messy_output(argv[0], code, out, err)
+                if not fault and code == 4 and argv[0] in ("inspect", "rasterize") \
+                        and "mutant." not in err:
+                    fault = "the error names no mutated file"
+                if fault:
+                    failures.append((case, argv[0], fault, err))
+        assert not failures, failures[:5]
+        assert 0 in codes and 4 in codes  # some pass, some fail
 
 
 class TestNonUtf8Input:
@@ -929,7 +1013,7 @@ class TestRasterizeCommand:
         assert run_cli(["rasterize", str(notes_tsv), "--fps", "100", "--fn", "a",
                         "--num-labels", str(10 ** 400), "--out", str(tmp_path / "out")]) == 4
         assert capsys.readouterr().err == (
-            "error: a label matrix of 90 frames x 1.00e+400 labels exceeds "
+            "error: notes.tsv: a label matrix of 90 frames x 1.00e+400 labels exceeds "
             "the budget of 2147483648 cells\n")
 
     def test_failed_write_leaves_no_temp_file(self, tmp_path, notes_tsv, capsys):
@@ -996,7 +1080,8 @@ class TestRasterizeCommand:
             empty.write_bytes(smf.build([smf.track([])], fmt=0))
         assert run_cli(["rasterize", str(empty), "--fps", "100", "--fn", "a",
                         "--num-labels", "-5", "--out", str(tmp_path / "out")]) == 4
-        assert capsys.readouterr().err == "error: num_labels must be >= 0, got -5\n"
+        assert capsys.readouterr().err == (
+            f"error: empty{suffix}: num_labels must be >= 0, got -5\n")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("suffix", [".tsv", ".mid"])
@@ -1019,7 +1104,8 @@ class TestRasterizeCommand:
         empty.write_text("OnsetTime\tOffsetTime\tMidiPitch\n")
         assert run_cli(["rasterize", str(empty), "--fps", "100", "--fn", "a",
                         "--num-labels", str(-10 ** 400), "--out", str(tmp_path / "out")]) == 4
-        assert capsys.readouterr().err == "error: num_labels must be >= 0, got -1.00e+400\n"
+        assert capsys.readouterr().err == (
+            "error: empty.tsv: num_labels must be >= 0, got -1.00e+400\n")
         assert run_cli(["inspect", str(empty), "--num-labels", str(-10 ** 400)]) == 0
         assert "  num_labels must be positive, got -1.00e+400\n" in capsys.readouterr().out
 

@@ -342,8 +342,13 @@ class TestFrameGrid:
         with pytest.raises(ContractError):
             FrameGrid(fps=100.0, num_frames=0)
 
-    @pytest.mark.parametrize("fps", [0.0, -1.0, float("nan"), float("inf")])
+    # past float range, a bool, a float32 and a string are no float either
+    @pytest.mark.parametrize("fps", [0.0, -1.0, float("nan"), float("inf"),
+                                     pytest.param(10 ** 400, id="1e400"), True,
+                                     pytest.param(np.float32(100.0), id="float32"), "100"])
     def test_covering_rejects_a_bad_rate(self, fps):
+        with pytest.raises(ContractError, match="fps must be positive and finite"):
+            FrameGrid(fps, 1)
         with pytest.raises(ContractError, match="fps must be positive and finite"):
             FrameGrid.covering(fps, 1.0)
 

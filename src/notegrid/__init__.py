@@ -12,9 +12,9 @@ from .annotation import Annotation, parse_tsv, to_tsv, validate
 from .errors import (ContractError, DivergenceError, FormatError,
                      NotegridError, RangeError, UnsupportedError,
                      ValidationError)
-from .metrics import (DisagreementStats, EvalCounts, EvalResult, disagreement,
-                      evaluate_against_reference, framewise_counts, prf,
-                      resample, truncate, windowed_counts)
+from .metrics import (DisagreementStats, EvalCounts, disagreement,
+                      evaluate_against_reference, framewise_counts, resample,
+                      truncate, windowed_counts)
 from .midi import parse_midi
 from .quantize import (FrameGrid, LabelingFunction, LabelMatrix,
                        QuantizedArrays, noise_ceiling, quantize_interval,
@@ -35,8 +35,8 @@ __all__ = [
     "FrameGrid", "LabelingFunction", "LabelMatrix", "QuantizedArrays",
     "quantize_interval", "rasterize", "rasterize_with_records",
     "noise_ceiling",
-    "DisagreementStats", "EvalCounts", "EvalResult", "disagreement",
-    "evaluate_against_reference", "framewise_counts", "prf", "resample",
+    "DisagreementStats", "EvalCounts", "disagreement",
+    "evaluate_against_reference", "framewise_counts", "resample",
     "truncate", "windowed_counts",
     "FeatureMatrix", "SynthConfig", "generate_corpus", "generate_piece",
     "label_templates", "render_features",

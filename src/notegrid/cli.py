@@ -23,7 +23,7 @@ from pathlib import Path
 from . import __version__
 from .annotation import Annotation, parse_tsv, to_tsv, validate
 from .errors import ContractError, DivergenceError, NotegridError
-from .metrics import disagreement, evaluate_against_reference, prf, windowed_counts
+from .metrics import disagreement, evaluate_against_reference, windowed_counts
 from .midi import parse_midi
 from .quantize import FrameGrid, LabelingFunction, rasterize
 from .synth import SynthConfig, generate_corpus, render_features
@@ -85,9 +85,16 @@ def _build_config(cls, overrides: dict, what: str):
         raise ContractError(f"bad {what} config: {exc}") from None
 
 
+def _check_rate(parser, flag: str, value: float) -> None:
+    """A frame rate flag that FrameGrid rejects is a usage error."""
+    try:
+        FrameGrid(fps=value, num_frames=1)
+    except ContractError:
+        parser.error(f"{flag} must be positive and finite, got {brief(value)}")
+
+
 def cmd_rasterize(args, parser) -> int:
-    if not args.fps > 0:
-        parser.error("--fps must be positive")
+    _check_rate(parser, "--fps", args.fps)
     fn = LabelingFunction.from_letter(args.fn)
     if fn.is_random and args.seed is None:
         parser.error(f"--seed is required for labeling function {fn.letter}")
@@ -123,17 +130,17 @@ def cmd_eval(args, parser) -> int:
     if args.ref is None and args.annotation is None:
         parser.error("either --ref or --annotation is required")
     ref_fn = LabelingFunction.from_letter(args.fn)
-    if args.ref is None and not args.ref_fps > 0:
-        parser.error("--ref-fps must be positive")
-    if args.ref is None and ref_fn.is_random and args.seed is None:
-        parser.error(f"--seed is required for labeling function {ref_fn.letter}")
+    if args.ref is None:
+        _check_rate(parser, "--ref-fps", args.ref_fps)
+        if ref_fn.is_random and args.seed is None:
+            parser.error(f"--seed is required for labeling function {ref_fn.letter}")
 
     pred = io.read_label_matrix(Path(args.pred))
     inputs = [Path(args.pred), io.sidecar_path(Path(args.pred))]
     if args.ref is not None:
         ref = io.read_label_matrix(Path(args.ref))
         inputs += [Path(args.ref), io.sidecar_path(Path(args.ref))]
-        result = prf(windowed_counts(pred, ref, args.window_sec))
+        result = windowed_counts(pred, ref, args.window_sec)
     else:
         annotation = load_annotation(Path(args.annotation), args.pitch_offset,
                                      args.num_labels)
@@ -145,8 +152,8 @@ def cmd_eval(args, parser) -> int:
     fn_letter = pred.labeling_function.letter if pred.labeling_function else ""
     # the eval.json row; its values, in EVAL_CSV_HEADER's order, are the CSV row
     record = {"piece": Path(args.pred).stem, "fn": fn_letter, "seed": pred.seed,
-              "fps": pred.grid.fps, "tp": result.counts.tp, "fp": result.counts.fp,
-              "fn_": result.counts.fn_, "precision": result.precision,
+              "fps": pred.grid.fps, "tp": result.tp, "fp": result.fp,
+              "fn_": result.fn_, "precision": result.precision,
               "recall": result.recall, "fmeasure": result.fmeasure}
 
     out_dir = Path(args.out)
@@ -194,6 +201,8 @@ def cmd_disagree(args, parser) -> int:
 
 
 def cmd_synth(args, parser) -> int:
+    if args.features:
+        _check_rate(parser, "--fps", args.fps)
     overrides = _load_config_file(Path(args.config)) if args.config else {}
     if isinstance(overrides.get("synth"), dict):  # a synth manifest's config
         overrides = overrides["synth"]
@@ -256,6 +265,9 @@ def cmd_experiment(args, parser) -> int:
         parser.error("--seeds must name at least one seed")
     if not config["window_sec"] > 0:
         parser.error("--window-sec must be positive")
+    for flag, value in (("--train-fps", args.train_fps), ("--eval-fps", args.eval_fps)):
+        if value is not None:
+            _check_rate(parser, flag, value)
 
     fns = [LabelingFunction.from_letter(letter) for letter in config["fns"]]
     synth_cfg = _build_config(SynthConfig, config["synth"], "synth")

@@ -3,8 +3,8 @@ windowing, and disagreement statistics between two rasterizations.
 
 Precision is TP/(TP+FP), recall TP/(TP+FN), f-measure their harmonic
 mean, with counts summed over all frames and labels. Any 0/0 evaluates
-to 0.0 and lowers the corresponding `defined` flag instead of raising,
-so batch evaluation stays total.
+to 0.0 instead of raising, so batch evaluation stays total; whether a
+score is defined is read from the counts.
 """
 
 from __future__ import annotations
@@ -22,24 +22,25 @@ from .quantize import (FrameGrid, LabelingFunction, LabelMatrix,
 
 @dataclass(frozen=True)
 class EvalCounts:
-    """True/false positive and false negative totals over all (t, k) cells."""
+    """True/false positive and false negative totals over all (t, k) cells,
+    and the precision, recall and f-measure they give."""
 
     tp: int
     fp: int
     fn_: int
 
+    @property
+    def precision(self) -> float:
+        return self.tp / (self.tp + self.fp) if self.tp + self.fp else 0.0
 
-@dataclass(frozen=True)
-class EvalResult:
-    """Precision/recall/f-measure with their zero-denominator flags."""
+    @property
+    def recall(self) -> float:
+        return self.tp / (self.tp + self.fn_) if self.tp + self.fn_ else 0.0
 
-    precision: float
-    recall: float
-    fmeasure: float
-    counts: EvalCounts
-    precision_defined: bool = True
-    recall_defined: bool = True
-    fmeasure_defined: bool = True
+    @property
+    def fmeasure(self) -> float:
+        p, r = self.precision, self.recall
+        return 2.0 * p * r / (p + r) if p + r else 0.0
 
 
 @dataclass(frozen=True)
@@ -80,22 +81,6 @@ def framewise_counts(pred: LabelMatrix, ref: LabelMatrix) -> EvalCounts:
     """Count TP/FP/FN cells between a prediction and a reference matrix."""
     _check_comparable(pred, ref)
     return count_cells(pred.frames, ref.frames)
-
-
-def prf(counts: EvalCounts) -> EvalResult:
-    """Precision, recall and f-measure from cell counts."""
-    p_denom = counts.tp + counts.fp
-    r_denom = counts.tp + counts.fn_
-    precision = counts.tp / p_denom if p_denom else 0.0
-    recall = counts.tp / r_denom if r_denom else 0.0
-    f_denom = precision + recall
-    fmeasure = 2.0 * precision * recall / f_denom if f_denom else 0.0
-    return EvalResult(
-        precision=precision, recall=recall, fmeasure=fmeasure, counts=counts,
-        precision_defined=p_denom > 0,
-        recall_defined=r_denom > 0,
-        fmeasure_defined=f_denom > 0,
-    )
 
 
 def resample(matrix: LabelMatrix, target: FrameGrid) -> LabelMatrix:
@@ -223,7 +208,7 @@ def windowed_block_counts(pred: LabelMatrix, ref: LabelMatrix, window_sec: float
 def evaluate_against_reference(pred: LabelMatrix, annotation: Annotation, *,
                                window_sec: float = 30.0, ref_fps: float = 100.0,
                                reference_fn: LabelingFunction = LabelingFunction.A,
-                               reference_seed: int = 0) -> EvalResult:
+                               reference_seed: int = 0) -> EvalCounts:
     """Standard evaluation of a prediction matrix against an annotation.
 
     The reference is the round-both rasterization of the annotation at
@@ -234,4 +219,4 @@ def evaluate_against_reference(pred: LabelMatrix, annotation: Annotation, *,
     ref_grid = _window_grid(FrameGrid.covering(ref_fps, annotation.duration_sec),
                             window_sec)
     ref = rasterize(annotation, ref_grid, reference_fn, reference_seed)
-    return prf(windowed_counts(pred, ref, window_sec))
+    return windowed_counts(pred, ref, window_sec)

@@ -436,7 +436,7 @@ def noise_ceiling(annotation: Annotation, grid: FrameGrid, fn: LabelingFunction,
     painted; they equal framewise_counts of the two matrices exactly. Both
     quantizations are the ones rasterize keeps with the annotation.
     """
-    from .metrics import EvalCounts, prf
+    from .metrics import EvalCounts
 
     pred_lo, pred_hi, _ = _quantized(annotation, grid, fn, seed)[1]
     ref_lo, ref_hi, _ = _quantized(annotation, grid, LabelingFunction.A, 0)[1]
@@ -449,4 +449,4 @@ def noise_ceiling(annotation: Annotation, grid: FrameGrid, fn: LabelingFunction,
     below = ref_below[j] - np.maximum(ref_ends[j] - x, 0)
     tp = int((below[1] - below[0]).sum())
     pred_cells = int((pred_hi - pred_lo).sum())
-    return prf(EvalCounts(tp=tp, fp=pred_cells - tp, fn_=int(ref_below[-1]) - tp))
+    return EvalCounts(tp=tp, fp=pred_cells - tp, fn_=int(ref_below[-1]) - tp)

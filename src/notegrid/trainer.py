@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ContractError, DivergenceError
-from .metrics import EvalCounts, _window_grid, prf, windowed_block_counts
+from .metrics import EvalCounts, _window_grid, windowed_block_counts
 from .quantize import FrameGrid, LabelingFunction, LabelMatrix, rasterize
 from .synth import FeatureMatrix, SynthConfig, generate_corpus, render_features
 from .util import MASK64, brief, check_config, derive_seed
@@ -452,14 +452,11 @@ def predict(params: ModelParams, features: FeatureMatrix, context_frames: int,
 
 
 @dataclass(frozen=True)
-class ExperimentRow:
-    """Evaluation of one (labeling function, seed) cell on the test split."""
+class ExperimentRow(EvalCounts):
+    """The counts of one (labeling function, seed) cell on the test split."""
 
     fn: LabelingFunction
     seed: int
-    precision: float
-    recall: float
-    fmeasure: float
 
 
 @dataclass(frozen=True)
@@ -597,10 +594,8 @@ def run_sensitivity_experiment(synth_cfg: SynthConfig,
                 for j, counts in enumerate(windowed_block_counts(pred, reference, window_sec,
                                                                  len(distinct))):
                     totals[j] += (counts.tp, counts.fp, counts.fn_)
-            scores[seed] = {fn: prf(EvalCounts(*map(int, total)))
-                            for fn, total in zip(distinct, totals)}
+            # Python ints, so the scores are floats and not np.float64
+            scores[seed] = dict(zip(distinct, totals.tolist()))
 
-    return ExperimentTable(rows=tuple(
-        ExperimentRow(fn=fn, seed=seed, precision=scores[seed][fn].precision,
-                      recall=scores[seed][fn].recall, fmeasure=scores[seed][fn].fmeasure)
-        for seed in seeds for fn in fns))
+    return ExperimentTable(rows=tuple(ExperimentRow(*scores[seed][fn], fn=fn, seed=seed)
+                                      for seed in seeds for fn in fns))

@@ -18,7 +18,7 @@ import smf
 from conftest import annotation_of, notes_of
 from notegrid import (FrameGrid, LabelingFunction, LabelMatrix, ModelParams,
                       SynthConfig, TrainConfig, bce_loss, bce_loss_and_gradient, framewise_counts,
-                      noise_ceiling, parse_midi, parse_tsv, prf,
+                      noise_ceiling, parse_midi, parse_tsv,
                       quantize_interval, rasterize, resample,
                       run_sensitivity_experiment, to_tsv, truncate)
 from notegrid.cli import main as cli_main
@@ -133,7 +133,7 @@ def test_criterion_3_metric_oracle():
         recall = tp / (tp + fn_) if tp + fn_ else 0.0
         fmeasure = (2 * precision * recall / (precision + recall)
                     if precision + recall else 0.0)
-        result = prf(counts)
+        result = counts
         assert abs(result.precision - precision) <= 1e-12
         assert abs(result.recall - recall) <= 1e-12
         assert abs(result.fmeasure - fmeasure) <= 1e-12
@@ -163,7 +163,7 @@ def test_criterion_5_cross_rate_protocol(hundred_notes):
     ref_grid = FrameGrid.covering(100.0, hundred_notes.duration_sec)
     ref = truncate(rasterize(hundred_notes, ref_grid, A, 0), 30.0)
     upsampled = truncate(resample(low, ref_grid), 30.0)
-    result = prf(framewise_counts(upsampled, ref))
+    result = framewise_counts(upsampled, ref)
     assert result.fmeasure < 1.0
     assert abs(result.fmeasure - CROSS_RATE_F) <= GOLDEN_TOL
     print(f"criterion 5: PASS - cross-rate F = {result.fmeasure:.12f} "

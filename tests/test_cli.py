@@ -15,7 +15,7 @@ import notegrid
 import smf
 from conftest import annotation_of
 from notegrid import (ContractError, FeatureMatrix, FormatError, FrameGrid,
-                      LabelingFunction, LabelMatrix, framewise_counts, prf,
+                      LabelingFunction, LabelMatrix, framewise_counts,
                       rasterize, resample, to_tsv, truncate)
 from notegrid import _reprcsv
 from notegrid import io as ngio
@@ -978,6 +978,36 @@ class TestUsageErrors:
         assert f"notegrid {command}: error: " in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command,argv,message", [
+        ("rasterize", ["NOTES", "--fn", "a", "--fps", "inf"], "--fps must be positive and "
+                                                            "finite, got inf"),
+        ("eval", ["--pred", "pred.csv", "--annotation", "NOTES", "--ref-fps", "inf"],
+         "--ref-fps must be positive and finite, got inf"),
+        ("synth", ["--pieces", "1", "--features", "--fps", "0"],
+         "--fps must be positive and finite, got 0.0"),
+        ("experiment", ["--fns", "a", "--seeds", "1", "--train-fps", "0"],
+         "--train-fps must be positive and finite, got 0.0"),
+        ("experiment", ["--fns", "a", "--seeds", "1", "--eval-fps", "nan"],
+         "--eval-fps must be positive and finite, got nan"),
+    ], ids=["rasterize-fps-inf", "eval-ref-fps-inf", "synth-features-fps-0",
+            "experiment-train-fps-0", "experiment-eval-fps-nan"])
+    def test_rate_flag_frame_grid_rejects(self, tmp_path, notes_tsv, capsys, command, argv,
+                                          message):
+        argv = [str(notes_tsv) if arg == "NOTES" else arg for arg in argv]
+        assert run_cli([command, *argv, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: notegrid {command} ")
+        assert err.endswith(f"notegrid {command}: error: {message}\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_rate_from_a_config_file_is_not_a_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "exp.json"
+        config.write_text(json.dumps({"train_fps": 0}))
+        assert run_cli(["experiment", "--config", str(config), "--fns", "a", "--seeds", "1",
+                        "--out", str(tmp_path / "out")]) == 4
+        assert capsys.readouterr().err == "error: fps must be positive and finite, got 0\n"
+        assert not (tmp_path / "out").exists()
+
 
 class TestRasterizeCommand:
     def test_writes_matrix_sidecar_manifest(self, tmp_path, notes_tsv):
@@ -1219,10 +1249,10 @@ class TestEvalCommand:
         ann = annotation_of([(0.1, 0.25, 39), (0.4, 0.9, 43)], num_labels=88)
         low = rasterize(ann, FrameGrid.covering(31.25, ann.duration_sec), A)
         ref = rasterize(ann, FrameGrid.covering(100.0, ann.duration_sec), A)
-        expected = prf(framewise_counts(
-            truncate(resample(low, ref.grid), 30.0), truncate(ref, 30.0)))
+        expected = framewise_counts(
+            truncate(resample(low, ref.grid), 30.0), truncate(ref, 30.0))
         assert reported["fmeasure"] == expected.fmeasure
-        assert reported["tp"] == expected.counts.tp
+        assert reported["tp"] == expected.tp
 
     def test_zero_window_usage_error(self, tmp_path, notes_tsv):
         out = tmp_path / "out"
@@ -1255,9 +1285,9 @@ class TestEvalCommand:
         ann = annotation_of([(0.1, 0.25, 39), (0.4, 0.9, 43)], num_labels=88)
         low = rasterize(ann, FrameGrid.covering(31.25, ann.duration_sec), A)
         ref = rasterize(ann, FrameGrid.covering(100.0, ann.duration_sec), A)
-        expected = prf(framewise_counts(resample(low, ref.grid), ref))
+        expected = framewise_counts(resample(low, ref.grid), ref)
         assert reported["fmeasure"] == expected.fmeasure
-        assert reported["tp"] == expected.counts.tp
+        assert reported["tp"] == expected.tp
 
     @pytest.mark.parametrize("reference", ["--ref", "--annotation"])
     def test_window_of_no_frame_exit_4(self, tmp_path, notes_tsv, capsys, reference):

@@ -6,10 +6,10 @@ import pytest
 
 from conftest import annotation_of
 from notegrid import (ContractError, EvalCounts, FrameGrid,
-                      LabelingFunction, LabelMatrix, QuantizedArrays,
-                      disagreement, evaluate_against_reference, framewise_counts,
-                      prf, rasterize, rasterize_with_records, resample, truncate,
-                      windowed_counts)
+                      LabelingFunction, LabelMatrix, QuantizedArrays, SynthConfig,
+                      TrainConfig, disagreement, evaluate_against_reference,
+                      framewise_counts, noise_ceiling, rasterize, rasterize_with_records,
+                      resample, run_sensitivity_experiment, truncate, windowed_counts)
 from notegrid import metrics as metrics_module
 from notegrid.metrics import windowed_block_counts
 
@@ -90,37 +90,77 @@ class TestFramewiseCounts:
 
 class TestPrf:
     def test_hand_evaluated(self):
-        result = prf(EvalCounts(tp=3, fp=1, fn_=1))
+        result = EvalCounts(tp=3, fp=1, fn_=1)
         assert result.precision == 0.75
         assert result.recall == 0.75
         assert result.fmeasure == 0.75
 
     def test_all_zero_counts(self):
-        result = prf(EvalCounts(tp=0, fp=0, fn_=0))
+        result = EvalCounts(tp=0, fp=0, fn_=0)
         assert (result.precision, result.recall, result.fmeasure) == (0.0, 0.0, 0.0)
-        assert not result.precision_defined
-        assert not result.recall_defined
-        assert not result.fmeasure_defined
+        assert result.tp + result.fp == 0
+        assert result.tp + result.fn_ == 0
+        assert result.precision + result.recall == 0
 
     def test_perfect_prediction(self):
-        result = prf(EvalCounts(tp=7, fp=0, fn_=0))
+        result = EvalCounts(tp=7, fp=0, fn_=0)
         assert (result.precision, result.recall, result.fmeasure) == (1.0, 1.0, 1.0)
-        assert result.precision_defined and result.recall_defined
+        assert result.tp + result.fp > 0 and result.tp + result.fn_ > 0
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
             tp, fp, fn_ = (int(rng.integers(0, 40)) for _ in range(3))
             scale = int(rng.integers(1, 9))
-            base = prf(EvalCounts(tp, fp, fn_))
-            scaled = prf(EvalCounts(tp * scale, fp * scale, fn_ * scale))
+            base = EvalCounts(tp, fp, fn_)
+            scaled = EvalCounts(tp * scale, fp * scale, fn_ * scale)
             assert abs(base.fmeasure - scaled.fmeasure) < 1e-12
 
     def test_self_comparison_is_perfect(self):
         rng = np.random.default_rng(6)
         m = random_matrix(rng, 15, 4)
-        result = prf(framewise_counts(m, m))
+        result = framewise_counts(m, m)
         assert (result.precision, result.recall, result.fmeasure) == (1.0, 1.0, 1.0)
+
+
+class TestOneScoreType:
+    """Every score is an EvalCounts of Python ints, whose P, R and F are
+    floats by the written-out formulas."""
+
+    @staticmethod
+    def assert_scores(score):
+        assert isinstance(score, EvalCounts)
+        tp, fp, fn_ = score.tp, score.fp, score.fn_
+        assert [type(n) for n in (tp, fp, fn_)] == [int, int, int]
+        precision = tp / (tp + fp) if tp + fp else 0.0
+        recall = tp / (tp + fn_) if tp + fn_ else 0.0
+        fmeasure = (2.0 * precision * recall / (precision + recall)
+                    if precision + recall else 0.0)
+        values = (score.precision, score.recall, score.fmeasure)
+        assert [type(v) for v in values] == [float, float, float]
+        assert values == (precision, recall, fmeasure)
+
+    def test_every_score_is_eval_counts(self, hundred_notes):
+        grid = FrameGrid.covering(100.0, hundred_notes.duration_sec)
+        ref = rasterize(hundred_notes, grid, A, 0)
+        pred = rasterize(hundred_notes, FrameGrid.covering(31.25, 30.0), E, 3)
+        synth_cfg = SynthConfig(num_pieces=5, piece_duration_sec=6.0, seed=0)
+        table = run_sensitivity_experiment(
+            synth_cfg, [A, E], FrameGrid.covering(31.25, 6.0), FrameGrid.covering(100.0, 6.0),
+            TrainConfig(epochs=2, seed=0), [1, 2])
+        scores = [framewise_counts(rasterize(hundred_notes, grid, C, 0), ref),
+                  windowed_counts(pred, ref, 12.5),
+                  evaluate_against_reference(pred, hundred_notes),
+                  noise_ceiling(hundred_notes, grid, E, 3), *table.rows]
+        assert len(scores) == 8
+        for score in scores:
+            self.assert_scores(score)
+
+    @pytest.mark.parametrize("counts", [EvalCounts(0, 0, 5), EvalCounts(0, 3, 0)],
+                             ids=["no-prediction", "no-reference"])
+    def test_zero_denominator_reads_zero(self, counts):
+        self.assert_scores(counts)
+        assert (counts.precision, counts.recall, counts.fmeasure) == (0.0, 0.0, 0.0)
 
 
 class TestResample:
@@ -330,10 +370,10 @@ class TestEvaluationProtocol:
                                             window_sec=window_sec, ref_fps=100.0)
         ref_grid = FrameGrid.covering(100.0, hundred_notes.duration_sec)
         ref = truncate(rasterize(hundred_notes, ref_grid, A, 0), window_sec)
-        manual = prf(framewise_counts(truncate(resample(pred, ref_grid), window_sec), ref))
+        manual = framewise_counts(truncate(resample(pred, ref_grid), window_sec), ref)
         assert result == manual
         full_ref = rasterize(hundred_notes, ref_grid, A, 0)
-        assert windowed_counts(pred, full_ref, window_sec) == manual.counts
+        assert windowed_counts(pred, full_ref, window_sec) == manual
         assert result.fmeasure < 1.0
         # column blocks resampled and truncated together count as each alone
         blocks = [pred] + [rasterize(hundred_notes, low_grid, fn, 3) for fn in (C, E)]
@@ -354,7 +394,7 @@ class TestEvaluationProtocol:
         pred = rasterize(hundred_notes, FrameGrid.covering(31.25, 30.0), E, 3)
         covering = FrameGrid.covering(ref_fps, hundred_notes.duration_sec)
         whole = rasterize(hundred_notes, covering, reference_fn, reference_seed)
-        expected = prf(windowed_counts(pred, whole, window_sec))
+        expected = windowed_counts(pred, whole, window_sec)
         painted = []
 
         def recording_rasterize(annotation, grid, *args):

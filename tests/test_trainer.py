@@ -10,7 +10,7 @@ from notegrid import (ContractError, Dataset, DivergenceError, ExperimentRow,
                       ExperimentTable, FeatureMatrix, FrameGrid, LabelingFunction,
                       LabelMatrix, ModelParams, SynthConfig, TrainConfig, bce_loss,
                       bce_loss_and_gradient, framewise_counts, make_examples,
-                      predict, prf, run_sensitivity_experiment, train)
+                      predict, run_sensitivity_experiment, train)
 from notegrid import trainer as trainer_module
 from notegrid.metrics import count_cells
 from notegrid.util import MASK64
@@ -503,7 +503,7 @@ class TestTrain:
         ds = two_cluster_dataset()
         cfg = TrainConfig(learning_rate=0.5, epochs=40, context_frames=1, seed=3)
         decisions = window_decisions(train(ds, cfg), ds, cfg.threshold)
-        assert prf(count_cells(decisions, ds.targets >= 0.5)).fmeasure == 1.0
+        assert count_cells(decisions, ds.targets >= 0.5).fmeasure == 1.0
 
     def test_loss_monotone_at_small_learning_rate(self):
         ds = two_cluster_dataset()
@@ -1005,8 +1005,8 @@ class TestPredict:
         results = []
         for threshold in (0.3, 0.5, 0.7):
             pred = predict(params, feats, train_cfg.context_frames, threshold)
-            results.append(prf(framewise_counts(pred, labels)))
-        assert all(r.precision_defined and r.recall_defined for r in results)
+            results.append(framewise_counts(pred, labels))
+        assert all(r.tp + r.fp > 0 and r.tp + r.fn_ > 0 for r in results)
         for lower, higher in zip(results, results[1:]):
             assert higher.recall <= lower.recall
             assert higher.precision >= lower.precision
@@ -1057,8 +1057,7 @@ class TestSensitivityExperiment:
                 sum(entry["per_seed_f"]) / 2, abs=1e-15)
 
     def test_mean_of_a_function_without_rows_rejected(self):
-        table = ExperimentTable(rows=(ExperimentRow(fn=A, seed=1, precision=1.0, recall=0.5,
-                                                    fmeasure=2 / 3),))
+        table = ExperimentTable(rows=(ExperimentRow(tp=1, fp=0, fn_=1, fn=A, seed=1),))
         assert table.mean_fmeasure(A) == 2 / 3
         with pytest.raises(ContractError, match="no rows for labeling function f"):
             table.mean_fmeasure(F)

@@ -265,9 +265,14 @@ def cmd_experiment(args, parser) -> int:
         parser.error("--seeds must name at least one seed")
     if not config["window_sec"] > 0:
         parser.error("--window-sec must be positive")
-    for flag, value in (("--train-fps", args.train_fps), ("--eval-fps", args.eval_fps)):
-        if value is not None:
-            _check_rate(parser, flag, value)
+    for key in ("train_fps", "eval_fps"):
+        if (value := getattr(args, key)) is not None:
+            _check_rate(parser, "--" + key.replace("_", "-"), value)
+            continue
+        try:  # the defaults pass, so a rate that fails here is the config file's
+            FrameGrid(fps=config[key], num_frames=1)
+        except ContractError as exc:
+            raise ContractError(f"{Path(args.config).name}: {key}: {exc}") from None
 
     fns = [LabelingFunction.from_letter(letter) for letter in config["fns"]]
     synth_cfg = _build_config(SynthConfig, config["synth"], "synth")

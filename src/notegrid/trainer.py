@@ -79,8 +79,8 @@ MAX_CONTEXT_FRAMES = 10 ** 3 + 1
 # (frames x context_frames x feature_dim). Training holds three weight-sized
 # buffers per seed of a lockstep group (weights, velocity and look-ahead,
 # each with the bias as one more row), one seed's float64 draw at a time, and
-# one copy of the int8 signs in the epoch's shuffled order; README gives the
-# memory measured at the budget.
+# one chunk's windows and signs; README gives the memory measured at the
+# budget.
 MAX_MODEL_CELLS = 2 ** 24
 
 
@@ -232,6 +232,9 @@ def _init_weights(dim: int, num_labels: int, seed: int) -> np.ndarray:
 # cache line and AVX-512 store width: a buffer starting on it splits no store
 _ALIGN = 64
 
+# the lockstep kernel gathers the windows and signs of this many batches at once
+_CHUNK_BATCHES = 16
+
 
 def _aligned_empty(shape: tuple[int, ...], dtype) -> np.ndarray:
     """An uninitialized C-contiguous array whose data starts on an
@@ -298,15 +301,17 @@ def _train_lockstep(frames: np.ndarray, width: int, starts: np.ndarray,
     barring underflow. The weights, velocity and look-ahead point are three
     (S, width*D + 1, G*K) buffers on _ALIGN-byte boundaries, the bias the
     last row of each, so every elementwise step is one call for weights
-    and bias; each epoch's signs are gathered once, in its shuffled order.
+    and bias. Each chunk of _CHUNK_BATCHES batches gathers its windows and
+    its signs, these in the dtype the residual adds them in, once, each
+    batch into a contiguous block that the batch then takes as a view.
 
     frames is (S, R, D), C-contiguous; example i of problem s is the
     `width` rows frames[s, starts[i]:starts[i] + width], flattened, with
     signs[s, i] = 1 - 2 * targets (S, n >= 1, G*K >= 1, of any signed real
     dtype). Problem s trains as train() would with cfg.seed = seeds[s]: its
     own initialization and shuffle stream, the same float operations, under
-    one divergence screen limit for all. Each batch gathers every problem's
-    rows with one fancy index and makes one 3-D matmul each way.
+    one divergence screen limit for all. Each chunk gathers every problem's
+    rows with one fancy index, and each batch makes one 3-D matmul each way.
 
     Returns weights (S, width*D, G*K) and biases (S, G*K), views of the
     first rows and the last row of the parameter buffer, and None, or, when
@@ -335,10 +340,20 @@ def _train_lockstep(frames: np.ndarray, width: int, starts: np.ndarray,
     windows = _window_view(frames.reshape(num_problems * rows_per_problem, dim), width)
     offsets = np.arange(num_problems)[:, None]
     flat_signs = signs.reshape(num_problems * n, columns)
-    # each epoch's signs in its shuffled order, gathered once into one buffer
-    epoch_signs = np.empty((num_problems, n, columns), signs.dtype)
 
     batch = min(cfg.batch_size, n)  # a batch larger than the training set is that set
+    batches = -(-n // batch)
+    # A chunk gathers each of its batches' windows and signs into a
+    # contiguous (S, batch, ...) block, as a per-batch gather would lay them
+    # out; an add of a strided view of signs takes twice as long. The signs
+    # are gathered in their own dtype and cast once to the dtype the
+    # residual adds them in: exact for int8 signs, and the cast each batch's
+    # add would make.
+    sign_dtype = np.result_type(signs.dtype, frames.dtype)
+    chunk_signs = np.empty((min(_CHUNK_BATCHES, batches), num_problems, batch, columns),
+                           sign_dtype)
+    gathered = chunk_signs if signs.dtype == sign_dtype else np.empty(chunk_signs.shape,
+                                                                       signs.dtype)
     # Divergence screen: a cell softplus(z) - y*z is at most 1 + |z|(1 + ymax)
     # in size, so while every |z| of a batch stays below `limit` no sum of
     # that batch's cells can reach `bound` and every block loss is finite.
@@ -364,6 +379,18 @@ def _train_lockstep(frames: np.ndarray, width: int, starts: np.ndarray,
     # cast to the computing dtype once, as every ufunc call would cast them
     lr = cfg.learning_rate
     mu = frames.dtype.type(cfg.momentum)
+
+    # An epoch skips the screen when, from its start, no batch of it can
+    # reach half_limit. With xmax = max|x| and smax = max|s|, a halved logit
+    # is at most (rows * xmax + 1) * max|ahead| in size, and a step moves
+    # the velocity by at most `step`, since |tanh(t) + s| <= 1 + smax; so
+    # |v| stays under vmax = max(|v0|, step / (1 - mu)), each step moves the
+    # parameters by at most vmax, and the factor of 4 covers the roundings.
+    # np.max keeps a NaN, so a NaN or inf anywhere makes `reach` non-finite,
+    # and that epoch is screened.
+    xmax = float(max(frames.max(initial=0), -frames.min(initial=0)))
+    smax = float(np.abs(ends).max())
+    growth = 1 / (1 - float(mu)) if mu < 1 else math.inf  # float32 may round mu up to 1
     ahead_w, ahead_b, grad_b = ahead[:, :rows], ahead[:, rows:], ahead[:, rows]
     for epoch in range(cfg.epochs):
         for at_epoch, multiplier in schedule:
@@ -371,31 +398,48 @@ def _train_lockstep(frames: np.ndarray, width: int, starts: np.ndarray,
                 lr *= multiplier
         full_slope, tail_slope = (frames.dtype.type(0.25 * lr / (size * num_labels))
                                   for size in (batch, tail))
-        orders = np.stack([rng.permutation(n) for rng in shuffle_rngs])
+        step = batch * max(xmax, 1) * (1 + smax) * float(max(full_slope, tail_slope))
+        vmax = float(np.max([velocity.max(), -velocity.min(), step * growth]))
+        pmax = float(max(params.max(), -params.min())) + (batches + 1) * vmax
+        reach = (rows * xmax + 1) * (pmax + vmax)  # over every |t| of the epoch
+        screen = screened < num_problems or not 4 * reach < half_limit
+        # each problem's shuffled order, padded to whole batches with row 0,
+        # which the last batch gathers but does not step on; orders[b] holds
+        # every problem's rows of batch b
+        orders = np.zeros((num_problems, batches * batch), dtype=np.intp)
+        for problem, rng in enumerate(shuffle_rngs):
+            orders[problem, :n] = rng.permutation(n)
+        orders = orders.reshape(num_problems, batches, batch).swapaxes(0, 1)
         window_rows = starts[orders] + offsets * rows_per_problem
-        # "clip" gathers straight into the buffer; the default "raise" would
-        # gather into a temporary first. Every row is in range.
-        np.take(flat_signs, orders + offsets * n, axis=0, out=epoch_signs, mode="clip")
-        for batch_index, start in enumerate(range(0, n, batch)):
-            x = windows[window_rows[:, start:start + batch]]
-            s = epoch_signs[:, start:start + batch]
-            velocity *= mu
-            np.add(params, velocity, out=ahead)
-            t = np.matmul(x, ahead_w)
-            t += ahead_b
-            if not np.abs(t).max(initial=0.0) < half_limit:
-                found = _first_divergence(t[:screened], s[:screened], half_limit, models)
-                if found is not None:
-                    screened, blocks = found
-                    failure = screened, DivergenceError(
-                        f"non-finite loss at epoch {epoch}, batch {batch_index}",
-                        epoch=epoch, batch=batch_index, models=tuple(blocks.tolist()))
-                    if not screened:
-                        return params[:, :rows], params[:, rows], failure
-            _gradient(t, x, s, full_slope if start + batch <= n else tail_slope,
-                      out=ahead_w, out_bias=grad_b)
-            velocity -= ahead
-            params += velocity
+        for first in range(0, batches, _CHUNK_BATCHES):
+            xs = windows[window_rows[first:first + _CHUNK_BATCHES]]
+            ss = chunk_signs[:len(xs)]  # the last chunk may be short
+            # "clip" gathers straight into the buffer; the default "raise"
+            # would gather into a temporary first. Every row is in range.
+            np.take(flat_signs, orders[first:first + _CHUNK_BATCHES] + offsets * n, axis=0,
+                    out=gathered[:len(xs)], mode="clip")
+            if gathered is not chunk_signs:
+                np.copyto(ss, gathered[:len(xs)])
+            for batch_index, x, s in zip(range(first, batches), xs, ss):
+                slope = full_slope
+                if batch_index == batches - 1:  # the last batch may be short
+                    x, s, slope = x[:, :tail], s[:, :tail], tail_slope
+                velocity *= mu
+                np.add(params, velocity, out=ahead)
+                t = np.matmul(x, ahead_w)
+                t += ahead_b
+                if screen and not np.abs(t).max(initial=0.0) < half_limit:
+                    found = _first_divergence(t[:screened], s[:screened], half_limit, models)
+                    if found is not None:
+                        screened, blocks = found
+                        failure = screened, DivergenceError(
+                            f"non-finite loss at epoch {epoch}, batch {batch_index}",
+                            epoch=epoch, batch=batch_index, models=tuple(blocks.tolist()))
+                        if not screened:
+                            return params[:, :rows], params[:, rows], failure
+                _gradient(t, x, s, slope, out=ahead_w, out_bias=grad_b)
+                velocity -= ahead
+                params += velocity
 
     params *= 2  # W = 2U and b = 2c
     return params[:, :rows], params[:, rows], failure

@@ -1005,8 +1005,25 @@ class TestUsageErrors:
         config.write_text(json.dumps({"train_fps": 0}))
         assert run_cli(["experiment", "--config", str(config), "--fns", "a", "--seeds", "1",
                         "--out", str(tmp_path / "out")]) == 4
-        assert capsys.readouterr().err == "error: fps must be positive and finite, got 0\n"
+        assert capsys.readouterr().err == ("error: exp.json: train_fps: fps must be positive "
+                                           "and finite, got 0\n")
         assert not (tmp_path / "out").exists()
+
+    # a rate from the file names the file and its key; a flag's rate
+    # overrides a bad one in the file
+    @pytest.mark.parametrize("key,value,shown", [
+        ("train_fps", -1, "-1"), ("eval_fps", 0.0, "0.0"), ("eval_fps", 0, "0")])
+    def test_config_rate_names_file_and_key(self, tmp_path, capsys, key, value, shown):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({**EXPERIMENT_CONFIG, key: value}))
+        argv = ["experiment", "--config", str(config), "--fns", "a", "--seeds", "1",
+                "--out", str(tmp_path / "out")]
+        assert run_cli(argv) == 4
+        assert capsys.readouterr().err == (f"error: cfg.json: {key}: fps must be positive "
+                                           f"and finite, got {shown}\n")
+        assert not (tmp_path / "out").exists()
+        flag = "--" + key.replace("_", "-")
+        assert run_cli([*argv, flag, "31.25" if key == "train_fps" else "100"]) == 0
 
 
 class TestRasterizeCommand:

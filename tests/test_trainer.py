@@ -216,6 +216,30 @@ def kernel_buffers(*args):
     return result, seen
 
 
+def screen_records(monkeypatch):
+    """Records, for every batch the lockstep kernel steps, (epoch, whether
+    the epoch runs the screen, the epoch's bound on |t|, the batch's largest
+    |t|), read from the kernel's locals as it computes the gradient."""
+    records = []
+    gradient = trainer_module._gradient
+
+    def recording_gradient(half_logits, *args, **kwargs):
+        caller = sys._getframe(1)
+        if caller.f_code.co_name == "_train_lockstep":
+            kernel = caller.f_locals
+            records.append((kernel["epoch"], kernel["screen"], kernel["reach"],
+                            float(np.abs(half_logits).max(initial=0.0))))
+        return gradient(half_logits, *args, **kwargs)
+
+    monkeypatch.setattr(trainer_module, "_gradient", recording_gradient)
+    return records
+
+
+def screened_epochs(records):
+    """{epoch: whether it ran the screen} of screen_records' records."""
+    return {epoch: screen for epoch, screen, _, _ in records}
+
+
 def screen_case(name, dtype=np.float64):
     """(train set, cfg, models) of one divergence-screen case, for a kernel
     that computes in dtype."""
@@ -953,6 +977,90 @@ class TestLockstep:
             assert np.abs(bias[s] - params.bias).max() <= DRIFT
 
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_screen_bound_holds_on_random_configs(self, monkeypatch, dtype):
+        # no |t| of an epoch that skips the screen reaches the bound that
+        # epoch computed from its start, over rates, momenta, batch sizes and
+        # feature scales from tame to far past any limit, most configs
+        # ending in a short batch
+        records = screen_records(monkeypatch)
+        rng = np.random.default_rng(30)
+        for _ in range(200):
+            problems, dim, columns = (int(v) for v in rng.integers(1, 4, 3))
+            width, batch = int(rng.choice([1, 3])), int(rng.integers(1, 10))
+            n = int(batch * rng.integers(1, 6) - rng.integers(0, batch))
+            scale = 10 ** rng.uniform(-3, 15)
+            frames = (rng.normal(0, 1, (problems, n + width - 1, dim)) * scale).astype(dtype)
+            signs = signs_of((rng.random((problems, n, columns)) < 0.4).astype(np.uint8))
+            cfg = TrainConfig(learning_rate=10 ** rng.uniform(-3, 30),
+                              momentum=rng.uniform(0, 0.99), batch_size=batch, epochs=3,
+                              context_frames=width)
+            trainer_module._train_lockstep(frames, width, np.arange(n), signs,
+                                           list(range(problems)), cfg, 1)
+        unscreened = [(reach, peak) for _, screen, reach, peak in records if not screen]
+        assert [(reach, peak) for reach, peak in unscreened if not peak < reach] == []
+        assert len(unscreened) > len(records) // 4
+        if dtype == np.float32:  # float64's limit is past every bound here
+            assert len(unscreened) < len(records)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_late_divergence_after_unscreened_epochs(self, monkeypatch, dtype):
+        # epochs 0 and 1 skip the screen, and the rate's jump at epoch 2
+        # diverges the problem with the largest features alone; in lockstep,
+        # wherever it stands, the report is the one it makes alone
+        rng = np.random.default_rng(12)
+        scales = np.array([1e-3, 1e5, 1.0])[:, None, None]
+        frames = (rng.normal(0, 1, (3, 30, 3)) * scales).astype(dtype)
+        targets = (rng.random((3, 30, 4)) < 0.5).astype(np.uint8)
+        jump = {np.float64: 1e300, np.float32: 1e30}[dtype]
+        cfg = TrainConfig(batch_size=4, epochs=3, lr_schedule=((2, jump),), context_frames=1)
+        seeds = [5, 6, 7]
+        records = screen_records(monkeypatch)
+
+        def lockstep(order):
+            del records[:]
+            _, _, failure = trainer_module._train_lockstep(
+                frames[order], 1, np.arange(30), signs_of(targets[order]),
+                [seeds[p] for p in order], cfg, 2)
+            assert screened_epochs(records) == {0: False, 1: False, 2: True}
+            return failure and (failure[0], failure[1].epoch, failure[1].batch,
+                                failure[1].models)
+
+        assert [lockstep([p]) for p in range(3)] == [None, (0, 2, 1, (0, 1)), None]
+        assert lockstep([0, 1, 2]) == (1, 2, 1, (0, 1))
+        assert lockstep([1, 2, 0]) == (0, 2, 1, (0, 1))
+        if dtype == np.float64:  # train() raises what the kernel reports
+            with pytest.raises(DivergenceError) as info:
+                train(Dataset(inputs=frames[1], targets=targets[1]), replace(cfg, seed=seeds[1]),
+                      models=2)
+            assert (info.value.epoch, info.value.batch, info.value.models) == (2, 1, (0, 1))
+
+    # (examples, batch size, batches per chunk): a last chunk shorter than
+    # the others, a set within one chunk, a batch larger than the set, and
+    # short last batches within several chunks
+    @pytest.mark.parametrize("n,batch,chunk", [
+        (40, 1, 16), (45, 2, 16), (21, 2, 16), (21, 30, 16), (21, 4, 1), (21, 4, 3),
+        (24, 4, 3)])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_chunk_edges_match_the_reference(self, monkeypatch, dtype, n, batch, chunk):
+        monkeypatch.setattr(trainer_module, "_CHUNK_BATCHES", chunk)
+        rng = np.random.default_rng(n * batch)
+        frames = rng.normal(0, 1, (3, n + 2, DIM)).astype(dtype)
+        targets = (rng.random((3, n, 2 * LABELS)) < 0.4).astype(np.uint8)
+        cfg = TrainConfig(learning_rate=0.5, batch_size=batch, epochs=3,
+                          lr_schedule=((1, 0.5),), context_frames=3)
+        seeds = [11, 12, 13]
+        weights, bias, failure = trainer_module._train_lockstep(
+            frames, 3, np.arange(n), signs_of(targets), seeds, cfg, 2)
+        assert failure is None
+        for s, seed in enumerate(seeds):
+            inputs = trainer_module._window_view(frames[s], 3)
+            alone = Dataset(inputs=inputs, targets=targets[s])
+            expected_w, expected_b = reference_train(alone, replace(cfg, seed=seed), 2, dtype)
+            assert np.array_equal(weights[s], expected_w)
+            assert np.array_equal(bias[s], expected_b)
+
+
 class TestPredict:
     def test_all_zero_params_predict_everything(self):
         feats = feature_matrix(np.zeros((4, 3)))
@@ -1158,6 +1266,33 @@ class TestSensitivityExperiment:
                                            train_cfg, seeds)
             return str(info.value), info.value.epoch, info.value.batch, info.value.models
 
+        alone = [outcome([seed]) for seed in seeds]
+        assert len(set(alone)) == 3
+        assert outcome(seeds) == alone[0]
+
+    # a jump in the rate at epoch 2, after two epochs that skip the screen,
+    # and features past float32's range, which stop the first seed in order
+    # at its first batch, before any step
+    @pytest.mark.parametrize("synth_changes,train_changes,epochs", [
+        ({}, {"epochs": 3, "lr_schedule": ((2, 1e300),)}, {0: False, 1: False, 2: True}),
+        ({"noise_sigma": 1e200}, {}, {}),
+    ], ids=["rate-jump", "noise-1e200"])
+    def test_divergence_matches_seed_by_seed_runs(self, monkeypatch, synth_changes,
+                                                  train_changes, epochs):
+        synth_cfg, train_cfg, train_grid, eval_grid = tiny_experiment_args()
+        synth_cfg = replace(synth_cfg, **synth_changes)
+        train_cfg = replace(train_cfg, **train_changes)
+        records = screen_records(monkeypatch)
+
+        def outcome(seeds):
+            del records[:]
+            with pytest.raises(DivergenceError) as info:
+                run_sensitivity_experiment(synth_cfg, [A, E], train_grid, eval_grid,
+                                           train_cfg, seeds)
+            assert screened_epochs(records) == epochs
+            return str(info.value), info.value.epoch, info.value.batch, info.value.models
+
+        seeds = [3, 1, 2]
         alone = [outcome([seed]) for seed in seeds]
         assert len(set(alone)) == 3
         assert outcome(seeds) == alone[0]

@@ -23,7 +23,7 @@ from pathlib import Path
 from . import __version__
 from .annotation import Annotation, parse_tsv, to_tsv, validate
 from .errors import ContractError, DivergenceError, NotegridError
-from .metrics import disagreement, evaluate_against_reference, windowed_counts
+from .metrics import disagreement, event_records, reference_labels, windowed_counts
 from .midi import parse_midi
 from .quantize import FrameGrid, LabelingFunction, rasterize
 from .synth import SynthConfig, generate_corpus, render_features
@@ -85,12 +85,22 @@ def _build_config(cls, overrides: dict, what: str):
         raise ContractError(f"bad {what} config: {exc}") from None
 
 
-def _check_rate(parser, flag: str, value: float) -> None:
-    """A frame rate flag that FrameGrid rejects is a usage error."""
+def _check_flag(parser, flag: str, check, field: str = "") -> None:
+    """Run check(), the flag's own check of its value. A value it rejects is
+    a usage error, found before anything is written, with the check's
+    message: the flag in place of `field` where the message starts with
+    it, else the flag before it."""
     try:
-        FrameGrid(fps=value, num_frames=1)
-    except ContractError:
-        parser.error(f"{flag} must be positive and finite, got {brief(value)}")
+        check()
+    except ContractError as exc:
+        message = str(exc)
+        if field and message.startswith(field + " "):
+            parser.error(flag + message[len(field):])
+        parser.error(f"{flag}: {message}")
+
+
+def _check_rate(parser, flag: str, value: float) -> None:
+    _check_flag(parser, flag, lambda: FrameGrid(fps=value, num_frames=1), "fps")
 
 
 def cmd_rasterize(args, parser) -> int:
@@ -140,14 +150,15 @@ def cmd_eval(args, parser) -> int:
     if args.ref is not None:
         ref = io.read_label_matrix(Path(args.ref))
         inputs += [Path(args.ref), io.sidecar_path(Path(args.ref))]
-        result = windowed_counts(pred, ref, args.window_sec)
     else:
         annotation = load_annotation(Path(args.annotation), args.pitch_offset,
                                      args.num_labels)
-        result = evaluate_against_reference(
-            pred, annotation, window_sec=args.window_sec, ref_fps=args.ref_fps,
-            reference_fn=ref_fn, reference_seed=args.seed if args.seed is not None else 0)
+        with _naming(Path(args.annotation)):
+            ref = reference_labels(
+                annotation, window_sec=args.window_sec, ref_fps=args.ref_fps,
+                reference_fn=ref_fn, reference_seed=args.seed if args.seed is not None else 0)
         inputs.append(Path(args.annotation))
+    result = windowed_counts(pred, ref, args.window_sec)
 
     fn_letter = pred.labeling_function.letter if pred.labeling_function else ""
     # the eval.json row; its values, in EVAL_CSV_HEADER's order, are the CSV row
@@ -179,7 +190,9 @@ def cmd_disagree(args, parser) -> int:
     matrix_b = io.read_label_matrix(Path(args.b))
     annotation = load_annotation(Path(args.annotation), args.pitch_offset,
                                  args.num_labels)
-    stats = disagreement(matrix_a, matrix_b, annotation)
+    with _naming(Path(args.annotation)):
+        records = [event_records(matrix, annotation) for matrix in (matrix_a, matrix_b)]
+    stats = disagreement(matrix_a, matrix_b, annotation, *records)
 
     out_dir = Path(args.out)
     payload = {
@@ -249,6 +262,8 @@ def cmd_experiment(args, parser) -> int:
             config[key] = value
     if args.fns is not None:
         config["fns"] = [letter.strip() for letter in args.fns.split(",") if letter.strip()]
+        _check_flag(parser, "--fns",
+                    lambda: [LabelingFunction.from_letter(letter) for letter in config["fns"]])
     if args.seeds is not None:
         try:
             config["seeds"] = [int(s) for s in args.seeds.split(",") if s.strip()]
@@ -257,6 +272,9 @@ def cmd_experiment(args, parser) -> int:
     for section, key in ((config, "train_fps"), (config, "eval_fps"), (config, "window_sec"),
                          (config["train"], "epochs"), (config["train"], "learning_rate")):
         if (value := getattr(args, key)) is not None:
+            if section is config["train"]:  # TrainConfig's own check of the flag
+                _check_flag(parser, "--" + key.replace("_", "-"),
+                            lambda: TrainConfig(**{key: value}), key)
             section[key] = value
 
     if not config["fns"]:

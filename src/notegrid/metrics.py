@@ -137,14 +137,22 @@ def truncate(matrix: LabelMatrix, seconds: float) -> LabelMatrix:
     )
 
 
+def event_records(matrix: LabelMatrix, events: Annotation) -> QuantizedArrays | None:
+    """The per-event records behind a matrix, re-derived from its recorded
+    labeling function and seed, or None if it records too little."""
+    fn = matrix.labeling_function
+    if fn is None or (fn.is_random and matrix.seed is None):
+        return None
+    return _seeded_records(events, matrix.grid, fn, matrix.seed)
+
+
 def _boundaries(matrix: LabelMatrix, events: Annotation,
                 records: QuantizedArrays | None) -> np.ndarray | None:
     """Per-event (t_s, t_e) rows behind a matrix, or None if unknown."""
     if records is None:
-        fn = matrix.labeling_function
-        if fn is None or (fn.is_random and matrix.seed is None):
+        records = event_records(matrix, events)
+        if records is None:
             return None
-        records = _seeded_records(events, matrix.grid, fn, matrix.seed)
     elif len(records.t_s) != len(events):
         raise ContractError("records do not match the annotation's event count")
     return np.column_stack((records.t_s, records.t_e))
@@ -164,8 +172,9 @@ def disagreement(a: LabelMatrix, b: LabelMatrix, events: Annotation,
     Cellwise statistics come straight from the matrices. The per-event
     onset/offset shift histograms need the per-event quantized indices;
     these are re-derived from each matrix's recorded labeling function and
-    seed, or taken from explicitly passed records (as returned by
-    rasterize_with_records). Without either, the histograms stay empty.
+    seed (event_records), or taken from explicitly passed records (as
+    event_records or rasterize_with_records return them). Without either,
+    the histograms stay empty.
     """
     _check_comparable(a, b)
     differing = int(np.count_nonzero(a.frames != b.frames))
@@ -205,18 +214,28 @@ def windowed_block_counts(pred: LabelMatrix, ref: LabelMatrix, window_sec: float
             for j in range(blocks)]
 
 
+def reference_labels(annotation: Annotation, *, window_sec: float = 30.0,
+                     ref_fps: float = 100.0,
+                     reference_fn: LabelingFunction = LabelingFunction.A,
+                     reference_seed: int = 0) -> LabelMatrix:
+    """The reference of evaluate_against_reference: the annotation
+    rasterized by reference_fn at ref_fps, painted only on the frames the
+    window keeps of the grid covering the annotation, which are the rows
+    truncating the whole one would keep. A window that keeps no frame
+    gets one, so that windowed_counts reports it."""
+    grid = FrameGrid.covering(ref_fps, annotation.duration_sec)
+    grid = (_window_grid(grid, window_sec) if window_sec * grid.fps >= 1
+            else FrameGrid(fps=grid.fps, num_frames=1))
+    return rasterize(annotation, grid, reference_fn, reference_seed)
+
+
 def evaluate_against_reference(pred: LabelMatrix, annotation: Annotation, *,
                                window_sec: float = 30.0, ref_fps: float = 100.0,
                                reference_fn: LabelingFunction = LabelingFunction.A,
                                reference_seed: int = 0) -> EvalCounts:
-    """Standard evaluation of a prediction matrix against an annotation.
-
-    The reference is the round-both rasterization of the annotation at
-    100 fps (both configurable), scored by windowed_counts. It is painted
-    only on the frames the window keeps of the grid covering the
-    annotation, which are the rows truncating the whole one would keep.
-    """
-    ref_grid = _window_grid(FrameGrid.covering(ref_fps, annotation.duration_sec),
-                            window_sec)
-    ref = rasterize(annotation, ref_grid, reference_fn, reference_seed)
+    """Standard evaluation of a prediction matrix against an annotation:
+    windowed_counts against reference_labels, the round-both rasterization
+    of the annotation at 100 fps (both configurable)."""
+    ref = reference_labels(annotation, window_sec=window_sec, ref_fps=ref_fps,
+                           reference_fn=reference_fn, reference_seed=reference_seed)
     return windowed_counts(pred, ref, window_sec)

@@ -93,11 +93,10 @@ def simple_file(notes: list[tuple[int, int, int]], *, ppqn: int = 480,
     return build([track(events)], fmt=fmt, ppqn=ppqn)
 
 
-def mixed_file() -> bytes:
-    """A format-1 file with a tempo track and a note track holding a
-    sysex event, running status and a program change."""
-    tempo = track([(0, set_tempo(600000)), (700, set_tempo(400000))])
-    notes = track([
+def mixed_tracks() -> list[list[tuple[int, bytes]]]:
+    """The (delta, event bytes) pairs of mixed_file's two tracks."""
+    tempo = [(0, set_tempo(600000)), (700, set_tempo(400000))]
+    notes = [
         (0, bytes([0xF0, 0x03, 0x01, 0x02, 0xF7])),
         (0, note_on(60, 80)),
         (120, bytes([64, 80])),         # running status: on(64)
@@ -106,8 +105,14 @@ def mixed_file() -> bytes:
         (40, note_on(67, 70, channel=1)),
         (1000, note_off(64)),
         (100, note_off(67, channel=1)),
-    ])
-    return build([tempo, notes], fmt=1)
+    ]
+    return [tempo, notes]
+
+
+def mixed_file() -> bytes:
+    """A format-1 file with a tempo track and a note track holding a
+    sysex event, running status and a program change."""
+    return build([track(events) for events in mixed_tracks()], fmt=1)
 
 
 MUTATION_BYTES = (0x00, 0x7F, 0x80, 0x81, 0xF0, 0xF2, 0xF7, 0xFE, 0xFF, 0x51, 0x2F, 0x90)
@@ -130,3 +135,35 @@ def mutate(data: bytes, rng: random.Random) -> bytes:
             else:
                 del out[at]
     return bytes(out)
+
+
+VLQ_MAX = 0x0FFFFFFF  # the largest four-byte variable-length quantity
+FIELD_MUTATIONS = ("vlq-max-delta", "tempo-0", "ppqn-0", "chunk-past-end",
+                   "broken-running-status")
+
+
+def mutate_field(kind: str, rng: random.Random) -> bytes:
+    """mixed_file with one field edited as `kind` names, where rng picks:
+    an event's delta time set to VLQ_MAX; a Set Tempo of 0 inserted in the
+    tempo track; the ppqn set to 0; a chunk's length set past the end of
+    the file; or a data byte pair inserted where no running status holds,
+    first in a track or after a meta or sysex event."""
+    tracks = mixed_tracks()
+    if kind == "vlq-max-delta":
+        events = rng.choice(tracks)
+        at = rng.randrange(len(events))
+        events[at] = (VLQ_MAX, events[at][1])
+    elif kind == "tempo-0":  # in the tempo track, where it breaks no running status
+        tracks[0].insert(rng.randrange(len(tracks[0]) + 1), (rng.randrange(500), set_tempo(0)))
+    elif kind == "broken-running-status":
+        places = [(0, at) for at in range(len(tracks[0]) + 1)] + [(1, 0), (1, 1)]
+        which, at = rng.choice(places)
+        tracks[which].insert(at, (rng.randrange(500), bytes([rng.randrange(128),
+                                                             rng.randrange(128)])))
+    data = build([track(events) for events in tracks], fmt=1,
+                 ppqn=0 if kind == "ppqn-0" else 480)
+    if kind == "chunk-past-end":
+        at = rng.choice([0] + [i for i in range(len(data)) if data.startswith(b"MTrk", i)])
+        length = len(data) - (at + 8) + rng.randint(1, 2 ** 16)
+        data = data[:at + 4] + length.to_bytes(4, "big") + data[at + 8:]
+    return data

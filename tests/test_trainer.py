@@ -1004,6 +1004,24 @@ class TestLockstep:
             assert len(unscreened) < len(records)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_screen_bound_holds_for_aligned_residuals(self, monkeypatch, dtype):
+        # every feature 1 and every target 0: each step moves the weight and
+        # the bias the same way, by about half the step bound, so the logits
+        # reach up to 0.87 of the epoch's bound. Without the parameters'
+        # (batches + 1) steps, or the velocity's growth 1 / (1 - mu), the
+        # bound falls below them
+        records = screen_records(monkeypatch)
+        frames = np.ones((1, 200, 1), dtype)
+        signs = signs_of(np.zeros((1, 200, 1), np.uint8))
+        cfg = TrainConfig(learning_rate=1e-3, batch_size=10, epochs=3, context_frames=1)
+        _, _, failure = trainer_module._train_lockstep(frames, 1, np.arange(200), signs, [0],
+                                                       cfg, 1)
+        assert failure is None
+        assert screened_epochs(records) == {0: False, 1: False, 2: False}
+        assert [(epoch, reach, peak) for epoch, _, reach, peak in records
+                if not peak < reach] == []
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_late_divergence_after_unscreened_epochs(self, monkeypatch, dtype):
         # epochs 0 and 1 skip the screen, and the rate's jump at epoch 2
         # diverges the problem with the largest features alone; in lockstep,

@@ -309,6 +309,9 @@ CASES = [
          2, USAGE, files=NOTES, absent=("e",)),
     Case("eval-neither-ref-nor-annotation", (NOTES_CSV, "eval --pred m/notes.csv --out e"),
          2, USAGE, files=NOTES, absent=("e",)),
+    Case("eval-neither-ref-nor-annotation-before-missing-pred",
+         ("eval --pred missing.csv --out e",), 2,
+         "notegrid eval: error: either --ref or --annotation is required", absent=("e",)),
     Case("eval-missing-sidecar", ("eval --pred naked.csv --ref naked.csv --out e",), 4,
          re.compile("naked.json"), files={"naked.csv": "0,1\n1,0\n"}, absent=("e",)),
     Case("eval-ref-fps-0", (NOTES_CSV, "eval --pred m/notes.csv --annotation notes.tsv "

@@ -2,7 +2,10 @@ import json
 import os
 import random
 import re
+import signal
 import stat
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,6 +13,7 @@ import numpy as np
 import pytest
 
 import cli_cases
+import notegrid
 import smf
 from conftest import annotation_of
 from notegrid import (ContractError, FeatureMatrix, FormatError, FrameGrid,
@@ -32,10 +36,52 @@ def run_cli(argv):
         return exc.code if isinstance(exc.code, int) else 2
 
 
+class RowOverdue(BaseException):
+    """A row ran past its bound; not an Exception, so no handler in the
+    program takes it for an input's error."""
+
+
+@pytest.fixture
+def bounded():
+    """Fail a test that runs past 60 s instead of letting it run without
+    end, as a budget check that stops working would."""
+    def overdue(signum, frame):
+        raise RowOverdue("ran past 60 s")
+
+    previous = signal.signal(signal.SIGALRM, overdue)
+    signal.setitimer(signal.ITIMER_REAL, 60)
+    yield
+    signal.setitimer(signal.ITIMER_REAL, 0)
+    signal.signal(signal.SIGALRM, previous)
+
+
 @pytest.mark.parametrize("case", cli_cases.CASES, ids=lambda case: case.name)
-def test_entry_point_case(case, tmp_path, monkeypatch):
+def test_entry_point_case(case, tmp_path, monkeypatch, bounded):
     monkeypatch.setenv("COLUMNS", "80")  # the width argparse wraps usage at
     report = cli_cases.check(case, tmp_path, cli_cases.in_process)
+    assert report is None, report
+
+
+def as_module(argv: list[str], where: Path) -> tuple:
+    """(exit code, stdout, stderr) of `python -m notegrid` from this source
+    tree, run in `where` with every warning shown, killed after 60 s."""
+    env = {**os.environ, "COLUMNS": "80", "PYTHONWARNINGS": "default",
+           "PYTHONPATH": os.pathsep.join([str(Path(notegrid.__file__).parents[1]),
+                                          os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-m", "notegrid", *argv], cwd=where,
+                          capture_output=True, text=True, env=env, timeout=60)
+    return done.returncode, done.stdout, done.stderr
+
+
+# the package's __main__; rows where NumPy could warn past the one error
+# line; and the budgets that, before they held, ran without end
+@pytest.mark.parametrize("name", ["version", "experiment-diverging-rate",
+                                  "experiment-features-past-float32",
+                                  "experiment-context_frames-past-budget-1e+05",
+                                  "experiment-epochs-past-budget-1e+09"])
+def test_entry_point_case_as_module(name, tmp_path):
+    case = next(case for case in cli_cases.CASES if case.name == name)
+    report = cli_cases.check(case, tmp_path, as_module)
     assert report is None, report
 
 

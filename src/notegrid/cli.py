@@ -325,7 +325,7 @@ def cmd_inspect(args, parser) -> int:
         violations = validate(annotation)
         print(f"input: {path.name}")
         print(f"events: {len(annotation)}")
-        print(f"num_labels: {annotation.num_labels}")
+        print(f"num_labels: {brief(annotation.num_labels)}")
         print(f"duration_sec: {annotation.duration_sec!r}")
         if len(annotation):
             print(f"label_range: [{annotation.labels.min()}, {annotation.labels.max()}]")
@@ -341,7 +341,7 @@ def cmd_inspect(args, parser) -> int:
         print(f"active_cells: {int(matrix.frames.sum())}")
         fn = matrix.labeling_function
         print(f"labeling_function: {fn.letter if fn else None}")
-        print(f"seed: {matrix.seed}")
+        print(f"seed: {brief(matrix.seed)}")
     else:
         parser.error(f"cannot inspect {path.suffix!r} files")
     return 0

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
 import tempfile
 from pathlib import Path
 
@@ -82,10 +83,12 @@ def read_json_object(path: Path, what: str) -> dict:
         line, column = line_and_column(text, exc.pos)
         raise FormatError(f"{path}: line {line} column {column}: "
                           f"unreadable {what}: {exc.msg}") from None
-    except (ValueError, RecursionError) as exc:
-        # ValueError: an integer past the digit limit;
-        # RecursionError: arrays or objects nested too deeply
-        raise FormatError(f"{path}: unreadable {what}: {exc}") from None
+    except ValueError:  # json's one other ValueError: an integer past the digit limit
+        raise FormatError(f"{path}: unreadable {what}: an integer of more than "
+                          f"{sys.get_int_max_str_digits()} digits") from None
+    except RecursionError:
+        raise FormatError(f"{path}: unreadable {what}: "
+                          "arrays or objects nested too deeply") from None
     if not isinstance(obj, dict):
         line, _ = line_and_column(text, len(text) - len(text.lstrip(" \t\n\r")))
         raise FormatError(f"{path}: line {line}: {what} must hold a JSON object")

@@ -200,29 +200,20 @@ def _gradient(half_logits: np.ndarray, inputs: np.ndarray, signs: np.ndarray,
             np.add.reduce(residual, axis=-2, out=out_bias))
 
 
-def _loss_and_gradient(weights: np.ndarray, bias: np.ndarray, inputs: np.ndarray,
-                       targets: np.ndarray, models: int = 1,
-                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-block mean losses and the gradient at lr = 1, from one set of logits.
-
-    train() runs the same gradient on every batch, computing the losses
-    only when the divergence screen cannot rule out a non-finite one.
-    """
-    z = inputs @ weights + bias
-    losses = _block_losses(z, targets, models)  # before _gradient overwrites z
-    cells = max(len(targets) * (targets.shape[1] // models), 1)  # an empty block has no cell
-    z *= 0.5
-    return (losses, *_gradient(z, inputs, 1 - 2 * targets, z.dtype.type(0.5 / cells)))
-
-
 def bce_loss_and_gradient(params: ModelParams, inputs: np.ndarray,
                           targets: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """Loss plus its analytic gradient with respect to weights and bias.
+    """Loss plus its analytic gradient with respect to weights and bias,
+    from one set of logits.
 
-    train() evaluates every mini-batch through the same gradient kernel.
+    train() runs the same gradient kernel on every mini-batch, computing
+    the losses only when the divergence screen cannot rule out a
+    non-finite one.
     """
-    losses, grad_w, grad_b = _loss_and_gradient(params.weights, params.bias, inputs, targets)
-    return float(losses[0]), grad_w, grad_b
+    z = inputs @ params.weights + params.bias
+    loss = float(_block_losses(z, targets, 1)[0])  # before _gradient overwrites z
+    z *= 0.5
+    slope = z.dtype.type(0.5 / max(targets.size, 1))  # an empty batch has no cell
+    return (loss, *_gradient(z, inputs, 1 - 2 * targets, slope))
 
 
 def _init_weights(dim: int, num_labels: int, seed: int) -> np.ndarray:

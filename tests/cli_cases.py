@@ -12,10 +12,12 @@ last one is checked:
 
 Every row also holds the exit contract of `contract_fault`.
 
-tests/test_cli.py runs each row in-process through notegrid.cli.main. Run
-as a script, this module runs each row through the installed `notegrid`
-console script instead, in a new directory under the one it is started
-in, and imports nothing of the package:
+tests/test_cli.py runs each row in-process through `in_process`, the one
+runner of notegrid.cli.main in the tests, and checks every other command
+it runs against `contract_fault` too. Run as a script, this module runs
+each row through the installed `notegrid` console script instead, in a
+new directory under the one it is started in, and imports nothing of
+the package:
 
     pip install .
     cd "$(mktemp -d)" && python <checkout>/tests/cli_cases.py
@@ -37,8 +39,10 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import smf
 
@@ -120,9 +124,17 @@ def check(case: Case, where: Path, run) -> str | None:
                       f"  failed: {'; '.join(faults)}"])
 
 
-def in_process(argv: list[str], where: Path) -> tuple:
+class Run(NamedTuple):
+    code: object  # the exit code
+    out: str
+    err: str
+
+
+def in_process(argv: list[str], where: Path) -> Run:
     """(exit code, stdout, stderr) of notegrid.cli.main(argv) run in
-    `where`; the SystemExit of --version or a usage error gives the code."""
+    `where`; the SystemExit of --version or a usage error gives the code,
+    and an exception that escapes main ends it as the console script
+    would: its traceback on stderr, exit 1."""
     from notegrid.cli import main  # the console script's runner imports none of this
 
     out, err, home = io.StringIO(), io.StringIO(), os.getcwd()
@@ -133,9 +145,12 @@ def in_process(argv: list[str], where: Path) -> tuple:
                 code = main(argv)
             except SystemExit as exc:
                 code = exc.code
+            except Exception:
+                code = 1
+                traceback.print_exc()
     finally:
         os.chdir(home)
-    return code, out.getvalue(), err.getvalue()
+    return Run(code, out.getvalue(), err.getvalue())
 
 
 def installed(argv: list[str], where: Path) -> tuple:
@@ -196,10 +211,19 @@ CASES = [
          out=("input: empty.tsv", "events: 0", "num_labels: 0", "duration_sec: 0.0",
               "violations: 1", "  num_labels must be positive, got 0"),
          files={"empty.tsv": HEADER}),
+    # a label count or a seed of 2**64 or more is echoed in three digits
     Case("inspect-label-space-past-int64", (f"inspect one.tsv --num-labels {2 ** 70}",),
-         out=("input: one.tsv", "events: 1", f"num_labels: {2 ** 70}", "duration_sec: 1.25",
+         out=("input: one.tsv", "events: 1", "num_labels: 1.18e+21", "duration_sec: 1.25",
               "label_range: [39, 39]", "violations: 0"),
          files={"one.tsv": HEADER + "0.5\t1.25\t60\n"}),
+    Case("inspect-huge-negative-label-count", (f"inspect empty.tsv --num-labels {-10 ** 400}",),
+         out=("input: empty.tsv", "events: 0", "num_labels: -1.00e+400", "duration_sec: 0.0",
+              "violations: 1", "  num_labels must be positive, got -1.00e+400"),
+         files={"empty.tsv": HEADER}),
+    Case("inspect-sidecar-huge-seed", ("inspect m.csv",),
+         out=("input: m.csv", "num_frames: 1", "num_labels: 2", "fps: 100.0", "active_cells: 1",
+              "labeling_function: None", "seed: 1.00e+400"),
+         files={"m.csv": "0,1\n", "m.json": '{"fps": 100.0, "seed": 1' + "0" * 400 + "}"}),
     Case("inspect-matrix", (NOTES_CSV, "inspect m/notes.csv"),
          out=("input: notes.csv", "num_frames: 90", "num_labels: 88", "fps: 100.0",
               "active_cells: 65", "labeling_function: a", "seed: 0"), files=NOTES),
@@ -424,6 +448,18 @@ CASES = [
          "notegrid experiment: error: experiment config key 'eval_fps' must hold a finite "
          "number, got 1.00e+400",
          files={"hugefps.json": '{"eval_fps": 1' + "0" * 400 + "}"}, absent=("hugefps",)),
+    # json's own text used to be echoed: a line of 200 bytes for the first,
+    # which advised calling sys.set_int_max_str_digits()
+    Case("experiment-config-integer-past-digit-limit",
+         ("experiment --config experiments-2026-10-config.json --out out",), 4,
+         "error: experiments-2026-10-config.json: unreadable config: an integer of more than "
+         "4300 digits", files={"experiments-2026-10-config.json": '{"seed": 1' + "0" * 5000 + "}"},
+         absent=("out",)),
+    Case("experiment-config-nested-too-deeply",
+         ("experiment --config experiments-2026-10-config.json --out out",), 4,
+         "error: experiments-2026-10-config.json: unreadable config: arrays or objects nested "
+         "too deeply", files={"experiments-2026-10-config.json": "[" * 100000 + "]" * 100000},
+         absent=("out",)),
     # lines that break at a lone CR: the error names line 3, where the bad token is
     Case("experiment-config-lone-cr", ("experiment --config lonecr.json --out lonecr",), 4,
          re.compile("lonecr.json: line 3 column 1: unreadable config"),

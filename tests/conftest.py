@@ -44,3 +44,10 @@ def hundred_note_annotation() -> Annotation:
 @pytest.fixture(scope="session")
 def hundred_notes() -> Annotation:
     return hundred_note_annotation()
+
+
+@pytest.fixture(autouse=True)
+def usage_width(monkeypatch):
+    """argparse wraps a usage message at the terminal's $COLUMNS, and the
+    exit contract bounds every line: every test runs at 80 columns."""
+    monkeypatch.setenv("COLUMNS", "80")

@@ -2,6 +2,7 @@ import json
 import os
 import random
 import re
+import shlex
 import signal
 import stat
 import subprocess
@@ -21,19 +22,20 @@ from notegrid import (ContractError, FeatureMatrix, FormatError, FrameGrid,
                       rasterize, resample, to_tsv, truncate)
 from notegrid import _reprcsv
 from notegrid import io as ngio
-from notegrid.cli import build_parser, main
+from notegrid.cli import build_parser
 
 A = LabelingFunction.A
 
 TSV = "OnsetTime\tOffsetTime\tMidiPitch\n0.100\t0.250\t60\n0.400\t0.900\t64\n"
 
 
-def run_cli(argv):
-    """Invoke the CLI in-process, mapping SystemExit to its code."""
-    try:
-        return main(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+def run_cli(argv: list[str], where: Path = Path(".")) -> cli_cases.Run:
+    """(exit code, stdout, stderr) of one in-process run in `where`; fails
+    the test if the run breaks the exit contract."""
+    run = cli_cases.in_process(argv, where)
+    fault = cli_cases.contract_fault(argv[0], *run)
+    assert fault is None, f"notegrid {shlex.join(argv)}: {fault}\n{run.err}"
+    return run
 
 
 class RowOverdue(BaseException):
@@ -56,8 +58,7 @@ def bounded():
 
 
 @pytest.mark.parametrize("case", cli_cases.CASES, ids=lambda case: case.name)
-def test_entry_point_case(case, tmp_path, monkeypatch, bounded):
-    monkeypatch.setenv("COLUMNS", "80")  # the width argparse wraps usage at
+def test_entry_point_case(case, tmp_path, bounded):
     report = cli_cases.check(case, tmp_path, cli_cases.in_process)
     assert report is None, report
 
@@ -333,13 +334,11 @@ MALFORMED_MATRICES = [
 
 class TestMalformedMatrices:
     @pytest.mark.parametrize("csv_text,sidecar_text,where", MALFORMED_MATRICES)
-    def test_label_matrix_exit_4(self, tmp_path, capsys, csv_text, sidecar_text, where):
+    def test_label_matrix_exit_4(self, tmp_path, csv_text, sidecar_text, where):
         (tmp_path / "m.csv").write_text(csv_text)
         (tmp_path / "m.json").write_text(sidecar_text)
-        assert run_cli(["inspect", str(tmp_path / "m.csv")]) == 4
-        captured = capsys.readouterr()
-        assert "Traceback" not in captured.out + captured.err
-        assert where in captured.err and "m." in captured.err
+        code, _, err = run_cli(["inspect", str(tmp_path / "m.csv")])
+        assert code == 4 and where in err and "m." in err
 
     @pytest.mark.parametrize("csv_text,sidecar_text,where", MALFORMED_MATRICES)
     def test_feature_matrix_format_error(self, tmp_path, csv_text, sidecar_text, where):
@@ -348,16 +347,14 @@ class TestMalformedMatrices:
         with pytest.raises(FormatError, match=where):
             ngio.read_feature_matrix(tmp_path / "f.csv")
 
-
     @pytest.mark.parametrize("key,value", [("labeling_function", 7),
                                            ("labeling_function", "z"), ("seed", "1"),
                                            ("seed", 1.5), ("seed", True)])
-    def test_label_sidecar_field_type_exit_4(self, tmp_path, capsys, key, value):
+    def test_label_sidecar_field_type_exit_4(self, tmp_path, key, value):
         (tmp_path / "m.csv").write_text("0,1\n")
         (tmp_path / "m.json").write_text(json.dumps({"fps": 100.0, key: value}))
-        assert run_cli(["inspect", str(tmp_path / "m.csv")]) == 4
-        err = capsys.readouterr().err
-        assert "m.json" in err and key in err and "Traceback" not in err
+        code, _, err = run_cli(["inspect", str(tmp_path / "m.csv")])
+        assert code == 4 and "m.json" in err and key in err
 
 
 FUZZ_SEED = 0x5EED
@@ -381,36 +378,38 @@ def mutate(data: bytes, rng: random.Random, alphabet: bytes = FUZZ_BYTES) -> byt
     return bytes(out)
 
 
-def exit_codes(commands, capsys) -> list:
-    """Each argv's exit code from main, or, when an exception escapes main
-    or the output holds a traceback, a string that says so."""
-    codes = []
-    capsys.readouterr()
-    for argv in commands:
-        try:
-            code = run_cli(argv)
-        except Exception as exc:  # an escape is a failure to report
-            code = f"{type(exc).__name__}: {exc}"
-        captured = capsys.readouterr()
-        codes.append(f"traceback, exit {code}"
-                     if "Traceback" in captured.out + captured.err else code)
-    return codes
+def fuzz(cases: int, steps, where: Path) -> list:
+    """Seeded cases through the CLI in-process, in `where`: for each case,
+    steps(case) gives its (mutants, commands) pairs, each a {path: bytes}
+    to write and then the argv lists to run. Fails the test on the runs
+    that break the exit contract; else returns every run as (case, argv,
+    exit code, stderr)."""
+    runs, faults = [], []
+    for case in range(cases):
+        for mutants, commands in steps(case):
+            for path, data in mutants.items():
+                (where / path).write_bytes(data)
+            for argv in commands:
+                code, out, err = cli_cases.in_process(argv, where)
+                runs.append((case, argv, code, err))
+                if fault := cli_cases.contract_fault(argv[0], code, out, err):
+                    faults.append((case, shlex.join(argv), fault, err[-300:]))
+    assert not faults, faults[:5]
+    return runs
 
 
-def unclean(case, commands, codes, data) -> list:
-    """(case, command, code, data) for each exit code not in 0, 2, 3 or 4."""
-    return [(case, argv[0], code, data) for argv, code in zip(commands, codes)
-            if code not in (0, 2, 3, 4)]
+def codes_of(runs, command: str | None = None) -> set:
+    """The exit codes of the runs, or of those of one subcommand."""
+    return {code for _, argv, code, _ in runs if command in (None, argv[0])}
 
 
 class TestLabelFileFuzz:
-    def test_mutated_label_files_exit_cleanly(self, tmp_path, notes_tsv, capsys):
+    def test_mutated_label_files_exit_cleanly(self, tmp_path, notes_tsv):
         """Mutated label CSVs and sidecars through inspect, eval --ref and
-        disagree: every exit code is 0, 2, 3 or 4, and nothing prints a
-        traceback or escapes main."""
+        disagree: every run keeps the exit contract."""
         clean = tmp_path / "clean"
         assert run_cli(["rasterize", str(notes_tsv), "--fps", "100", "--fn", "f",
-                        "--seed", "9", "--out", str(clean), "--name", "r"]) == 0
+                        "--seed", "9", "--out", str(clean), "--name", "r"]).code == 0
         originals = {suffix: (clean / f"r{suffix}").read_bytes() for suffix in (".csv", ".json")}
         ref, mutant, out = clean / "r.csv", tmp_path / "m.csv", str(tmp_path / "out")
         commands = [["inspect", str(mutant)],
@@ -418,35 +417,29 @@ class TestLabelFileFuzz:
                     ["disagree", "--a", str(ref), "--b", str(mutant),
                      "--annotation", str(notes_tsv), "--out", out]]
         rng = random.Random(FUZZ_SEED)
-        failures = []
-        for case in range(FUZZ_CASES):
+
+        def steps(case):
             files = dict(originals)
             for suffix in rng.choice([(".csv",), (".json",), (".csv", ".json")]):
                 files[suffix] = mutate(files[suffix], rng)
-            for suffix, data in files.items():
-                mutant.with_suffix(suffix).write_bytes(data)
-            failures += unclean(case, commands, exit_codes(commands, capsys), files[".json"])
-        assert not failures, failures[:5]
+            return [({mutant.with_suffix(suffix): data for suffix, data in files.items()},
+                     commands)]
+
+        fuzz(FUZZ_CASES, steps, tmp_path)
 
 
 class TestSmfFuzz:
-    def test_mutated_smf_files_exit_cleanly(self, tmp_path, capsys):
+    def test_mutated_smf_files_exit_cleanly(self, tmp_path):
         """Seeded mutations of one SMF file through inspect and rasterize:
-        every exit code is 0, 2, 3 or 4, and nothing prints a traceback or
-        escapes main."""
+        every run keeps the exit contract."""
         mutant, out = tmp_path / "m.mid", str(tmp_path / "out")
         commands = [["inspect", str(mutant)],
                     ["rasterize", str(mutant), "--fps", "100", "--fn", "f", "--seed", "3",
                      "--out", out]]
         base = smf.mixed_file()
         rng = random.Random(FUZZ_SEED)
-        failures, codes = [], set()
-        for case in range(100):
-            mutant.write_bytes(smf.mutate(base, rng))
-            case_codes = exit_codes(commands, capsys)
-            codes.update(case_codes)
-            failures += unclean(case, commands, case_codes, mutant.read_bytes())
-        assert not failures, failures[:5]
+        codes = codes_of(fuzz(100, lambda case: [({mutant: smf.mutate(base, rng)}, commands)],
+                              tmp_path))
         assert 0 in codes and len(codes) > 1  # some cases parse, some fail
 
 
@@ -455,27 +448,22 @@ SMF_FIELD_CASES = 60
 
 
 class TestSmfFieldFuzz:
-    def test_edge_fields_exit_0_or_4(self, tmp_path, capsys):
+    def test_edge_fields_exit_0_or_4(self, tmp_path):
         """SMF files with one field at an edge value, each kind of
         smf.FIELD_MUTATIONS in turn, through inspect and rasterize: each
-        exits 0 or 4, with one error line and no traceback."""
+        keeps the exit contract and exits 0 or 4."""
         mutant = tmp_path / "m.mid"
         labels = ["--pitch-offset", "60", "--num-labels", "8"]
         commands = [["inspect", str(mutant), *labels],
                     ["rasterize", str(mutant), "--fps", "1", "--fn", "f", "--seed", "3",
                      "--out", str(tmp_path / "out"), *labels]]
+        kinds = smf.FIELD_MUTATIONS
         rng = random.Random(SMF_FIELD_SEED)
-        failures, codes = [], {kind: set() for kind in smf.FIELD_MUTATIONS}
-        for case in range(SMF_FIELD_CASES):
-            kind = smf.FIELD_MUTATIONS[case % len(smf.FIELD_MUTATIONS)]
-            mutant.write_bytes(smf.mutate_field(kind, rng))
-            for argv in commands:
-                code, out, err = run_captured(argv, capsys)
-                codes[kind].add(code)
-                fault = cli_cases.contract_fault(argv[0], code, out, err)
-                if fault or code not in (0, 4):
-                    failures.append((case, kind, argv[0], fault or f"exit {code}", err))
-        assert not failures, failures[:5]
+        runs = fuzz(SMF_FIELD_CASES, lambda case: [
+            ({mutant: smf.mutate_field(kinds[case % len(kinds)], rng)}, commands)], tmp_path)
+        codes = {kind: set() for kind in kinds}
+        for case, _, code, _ in runs:
+            codes[kinds[case % len(kinds)]].add(code)
         # a delta time at the VLQ maximum is valid, if far off; the rest are not
         assert codes == {kind: {0} if kind == "vlq-max-delta" else {4}
                          for kind in smf.FIELD_MUTATIONS}
@@ -487,28 +475,22 @@ FUZZ_TSV = ("OnsetTime\tOffsetTime\tMidiPitch\n" + "".join(
 
 
 class TestTsvFuzz:
-    def test_mutated_tsv_files_exit_cleanly(self, tmp_path, capsys):
+    def test_mutated_tsv_files_exit_cleanly(self, tmp_path):
         """Seeded mutations of one TSV annotation through inspect, rasterize
-        and eval --annotation: every exit code is 0, 2, 3 or 4, and nothing
-        prints a traceback or escapes main."""
+        and eval --annotation: every run keeps the exit contract."""
         labels = ["--pitch-offset", "60", "--num-labels", "8"]
         clean, mutant, out = tmp_path / "clean.tsv", tmp_path / "m.tsv", str(tmp_path / "out")
         clean.write_text(FUZZ_TSV)
         assert run_cli(["rasterize", str(clean), "--fps", "10", "--fn", "a",
-                        "--out", out, *labels]) == 0
+                        "--out", out, *labels]).code == 0
         commands = [["inspect", str(mutant), *labels],
                     ["rasterize", str(mutant), "--fps", "10", "--fn", "f", "--seed", "3",
                      "--out", out, "--name", "r", *labels],
                     ["eval", "--pred", str(tmp_path / "out" / "clean.csv"),
                      "--annotation", str(mutant), "--ref-fps", "10", "--out", out, *labels]]
         rng = random.Random(FUZZ_SEED)
-        failures, codes = [], set()
-        for case in range(FUZZ_CASES):
-            mutant.write_bytes(mutate(FUZZ_TSV.encode(), rng, b"\t\n\r -+.e9na"))
-            case_codes = exit_codes(commands, capsys)
-            codes.update(case_codes)
-            failures += unclean(case, commands, case_codes, mutant.read_bytes())
-        assert not failures, failures[:5]
+        codes = codes_of(fuzz(FUZZ_CASES, lambda case: [
+            ({mutant: mutate(FUZZ_TSV.encode(), rng, b"\t\n\r -+.e9na")}, commands)], tmp_path))
         assert 0 in codes and len(codes) > 1  # some cases parse, some fail
 
 
@@ -536,25 +518,19 @@ def mutate_config(config: dict, rng: random.Random) -> bytes:
 
 
 class TestConfigFuzz:
-    def test_mutated_configs_exit_cleanly(self, tmp_path, capsys):
+    def test_mutated_configs_exit_cleanly(self, tmp_path):
         """Seeded mutations of the tiny experiment config through experiment,
-        and of its synth section through synth: every exit code is 0, 2, 3 or
-        4, and nothing prints a traceback or escapes main."""
+        and of its synth section through synth: every run keeps the exit
+        contract."""
         synth_config, config = tmp_path / "synth.json", tmp_path / "exp.json"
         commands = [["synth", "--config", str(synth_config), "--out", str(tmp_path / "s")],
                     ["experiment", "--config", str(config), "--out", str(tmp_path / "e")]]
         rng = random.Random(FUZZ_SEED)
-        failures, experiment_codes = [], set()
-        for case in range(FUZZ_CASES):
-            synth_config.write_bytes(mutate_config(TINY_EXPERIMENT["synth"], rng))
-            config.write_bytes(mutate_config(TINY_EXPERIMENT, rng))
-            case_codes = exit_codes(commands, capsys)
-            experiment_codes.add(case_codes[1])
-            failures += unclean(case, commands, case_codes, config.read_bytes())
-        assert not failures, failures[:5]
+        runs = fuzz(FUZZ_CASES, lambda case: [
+            ({synth_config: mutate_config(TINY_EXPERIMENT["synth"], rng),
+              config: mutate_config(TINY_EXPERIMENT, rng)}, commands)], tmp_path)
+        experiment_codes = codes_of(runs, "experiment")
         assert 0 in experiment_codes and len(experiment_codes) > 1  # some run, some fail
-
-
 # the tiny experiment with every top-level key and every synth and train
 # field spelled out
 FULL_TINY_EXPERIMENT = {
@@ -605,45 +581,20 @@ def token_config(config: dict, rng: random.Random) -> bytes:
     return text.encode()
 
 
-def run_captured(argv, capsys) -> tuple:
-    """(exit code, stdout, stderr) of one run of main; an exception that
-    escapes main is reported as a string in place of the code."""
-    capsys.readouterr()
-    try:
-        code = run_cli(argv)
-    except Exception as exc:  # an escape is a failure to report
-        code = f"{type(exc).__name__}: {exc}"
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
-
-
 class TestConfigTokenFuzz:
-    def test_configs_with_tokens_exit_cleanly(self, tmp_path, capsys, monkeypatch):
+    def test_configs_with_tokens_exit_cleanly(self, tmp_path):
         """The full tiny experiment config, and its synth section, with
-        seeded token replacements through experiment and synth: every exit
-        code is 0, 2, 3 or 4, nothing prints a traceback, every line is
-        under 200 characters, and a failure prints one error line (after
-        the usage, for exit 2)."""
-        monkeypatch.setenv("COLUMNS", "80")  # the width argparse wraps usage at
+        seeded token replacements through experiment and synth: every run
+        keeps the exit contract."""
         config = tmp_path / "config.json"
         rng = random.Random(TOKEN_FUZZ_SEED)
-        failures, codes = [], {"synth": set(), "experiment": set()}
-        for case in range(TOKEN_FUZZ_CASES):
+        runs = fuzz(TOKEN_FUZZ_CASES, lambda case: [
+            ({config: token_config(base, rng)},
+             [[command, "--config", str(config), "--out", str(tmp_path / command)]])
             for command, base in (("synth", FULL_TINY_EXPERIMENT["synth"]),
-                                  ("experiment", FULL_TINY_EXPERIMENT)):
-                data = token_config(base, rng)
-                config.write_bytes(data)
-                code, out, err = run_captured([command, "--config", str(config),
-                                               "--out", str(tmp_path / command)], capsys)
-                codes[command].add(code)
-                fault = cli_cases.contract_fault(command, code, out, err)
-                if fault:
-                    failures.append((case, command, fault, data, err[-300:]))
-        assert not failures, failures[:5]
-        for command_codes in codes.values():  # some run, some fail
-            assert 0 in command_codes and len(command_codes) > 1
-
-
+                                  ("experiment", FULL_TINY_EXPERIMENT))], tmp_path)
+        for command in ("synth", "experiment"):  # some run, some fail
+            assert 0 in codes_of(runs, command) and len(codes_of(runs, command)) > 1
 FILE_TOKENS = ["x" * 300, "1e300", "-1e300", "NaN", "Infinity", "9" * 30, "0", "-1", "1e-300"]
 FILE_TOKEN_FUZZ_SEED = 0xF17E
 FILE_TOKEN_FUZZ_CASES = 300
@@ -667,19 +618,19 @@ def token_file(suffix: str, data: bytes, rng: random.Random) -> bytes:
 
 
 class TestFileTokenFuzz:
-    def test_files_with_tokens_exit_cleanly(self, tmp_path, capsys, monkeypatch):
+    def test_files_with_tokens_exit_cleanly(self, tmp_path):
         """A TSV annotation, and a label matrix and its sidecar, with one
         seeded token each, through inspect, rasterize, eval --annotation,
-        eval --ref and disagree: the exit contract of cli_cases.contract_fault holds,
-        and a failing inspect or rasterize, or any failing command that reads a
+        eval --ref and disagree: every run keeps the exit contract, and a
+        failing inspect or rasterize, or any failing command that reads a
         mutated annotation, names the file at fault."""
-        monkeypatch.chdir(tmp_path)  # short relative paths in every message
         labels = ["--pitch-offset", "60", "--num-labels", "8"]
-        Path("clean.tsv").write_text(FUZZ_TSV)
+        (tmp_path / "clean.tsv").write_text(FUZZ_TSV)
+        # short relative paths in every message
         assert run_cli(["rasterize", "clean.tsv", "--fps", "10", "--fn", "f", "--seed", "3",
-                        "--name", "clean", *labels]) == 0
-        clean = {suffix: Path(f"clean{suffix}").read_bytes() for suffix in (".tsv", ".csv",
-                                                                           ".json")}
+                        "--name", "clean", *labels], tmp_path).code == 0
+        clean = {suffix: (tmp_path / f"clean{suffix}").read_bytes()
+                 for suffix in (".tsv", ".csv", ".json")}
         commands = {
             ".tsv": [["inspect", "mutant.tsv", *labels],
                      ["rasterize", "mutant.tsv", "--fps", "10", "--fn", "f", "--seed", "3",
@@ -693,66 +644,63 @@ class TestFileTokenFuzz:
                      ["disagree", "--a", "clean.csv", "--b", "mutant.csv",
                       "--annotation", "clean.tsv", "--out", "out", *labels]]}
         rng = random.Random(FILE_TOKEN_FUZZ_SEED)
-        failures, codes = [], set()
-        for case in range(FILE_TOKEN_FUZZ_CASES):
+        suffixes = []  # the file each case mutates
+
+        def steps(case):
             suffix = rng.choice((".tsv", ".csv", ".json"))
-            for name, data in clean.items():
-                Path(f"mutant{name}").write_bytes(
-                    token_file(suffix, data, rng) if name == suffix else data)
-            for argv in commands[".tsv" if suffix == ".tsv" else ".csv"]:
-                code, out, err = run_captured(argv, capsys)
-                codes.add(code)
-                fault = cli_cases.contract_fault(argv[0], code, out, err)
-                # a mutated annotation is named by every command that reads it
-                if not fault and code == 4 and (argv[0] in ("inspect", "rasterize")
-                                                 or suffix == ".tsv") and "mutant." not in err:
-                    fault = "the error names no mutated file"
-                if fault:
-                    failures.append((case, argv[0], fault, err))
-        assert not failures, failures[:5]
-        assert 0 in codes and 4 in codes  # some pass, some fail
+            suffixes.append(suffix)
+            return [({f"mutant{name}": token_file(suffix, data, rng) if name == suffix else data
+                      for name, data in clean.items()},
+                     commands[".tsv" if suffix == ".tsv" else ".csv"])]
+
+        runs = fuzz(FILE_TOKEN_FUZZ_CASES, steps, tmp_path)
+        # a mutated annotation is named by every command that reads it
+        unnamed = [(case, argv[0], err) for case, argv, code, err in runs
+                   if code == 4 and (argv[0] in ("inspect", "rasterize")
+                                     or suffixes[case] == ".tsv") and "mutant." not in err]
+        assert not unnamed, unnamed[:5]
+        assert 0 in codes_of(runs) and 4 in codes_of(runs)  # some pass, some fail
 
 
 class TestNonUtf8Input:
     """A byte that is not UTF-8 is a FormatError naming the file (exit 4)."""
 
     @staticmethod
-    def assert_exit_4(argv, where, capsys):
-        assert run_cli(argv) == 4
-        err = capsys.readouterr().err
-        assert where in err and "UTF-8" in err and "Traceback" not in err
+    def assert_exit_4(argv, where):
+        code, _, err = run_cli(argv)
+        assert code == 4 and where in err and "UTF-8" in err
 
-    def test_annotation(self, tmp_path, capsys):
+    def test_annotation(self, tmp_path):
         path = tmp_path / "notes.tsv"
         path.write_bytes(TSV.encode() + b"0.5\t0.9\t6\xff\n")
         self.assert_exit_4(["rasterize", str(path), "--fps", "100", "--fn", "a",
-                            "--out", str(tmp_path)], "notes.tsv: line 4", capsys)
+                            "--out", str(tmp_path)], "notes.tsv: line 4")
 
     @pytest.mark.parametrize("body", [b"0,1\n1,0\n", b"0,1\r\n1,0\r\n", b"0,1\r1,0\r",
                                       b"0,1\x0c\n1,0\x0b\n"],
                              ids=["lf", "crlf", "lone-cr", "other-separators"])
-    def test_line_of_a_bad_byte_counts_only_newline_breaks(self, tmp_path, capsys, body):
+    def test_line_of_a_bad_byte_counts_only_newline_breaks(self, tmp_path, body):
         (tmp_path / "m.csv").write_bytes(body + b"\xff")
         (tmp_path / "m.json").write_bytes(b'{"fps": 100.0}')
-        self.assert_exit_4(["inspect", str(tmp_path / "m.csv")], "m.csv: line 3", capsys)
+        self.assert_exit_4(["inspect", str(tmp_path / "m.csv")], "m.csv: line 3")
 
     @pytest.mark.parametrize("broken,line", [("m.csv", 2), ("m.json", 1)])
-    def test_matrix_and_sidecar(self, tmp_path, capsys, broken, line):
+    def test_matrix_and_sidecar(self, tmp_path, broken, line):
         where = f"{broken}: line {line}"
         (tmp_path / "m.csv").write_bytes(b"0,1\n")
         (tmp_path / "m.json").write_bytes(b'{"fps": 100.0}')
         with open(tmp_path / broken, "ab") as handle:
             handle.write(b"\xff")
-        self.assert_exit_4(["inspect", str(tmp_path / "m.csv")], where, capsys)
+        self.assert_exit_4(["inspect", str(tmp_path / "m.csv")], where)
         with pytest.raises(FormatError, match=where):
             ngio.read_feature_matrix(tmp_path / "m.csv")
 
     @pytest.mark.parametrize("command", ["synth", "experiment"])
-    def test_config(self, tmp_path, capsys, command):
+    def test_config(self, tmp_path, command):
         config = tmp_path / "cfg.json"
         config.write_bytes(b'{"seed": 1}\xff')
         self.assert_exit_4([command, "--config", str(config), "--out", str(tmp_path / "out")],
-                           "cfg.json: line 1", capsys)
+                           "cfg.json: line 1")
 
 
 class TestConfigFiles:
@@ -783,13 +731,11 @@ class TestConfigFiles:
         ("[1, 2]", "line 1: config must hold a JSON object"),
     ], ids=["integer-past-digit-limit", "nested-too-deeply", "bad-json", "bad-json-lone-cr",
             "not-an-object"])
-    def test_unreadable_config_exit_4(self, tmp_path, capsys, command, text, where):
+    def test_unreadable_config_exit_4(self, tmp_path, command, text, where):
         config = tmp_path / "cfg.json"
         config.write_bytes(text.encode())
-        assert run_cli([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 4
-        captured = capsys.readouterr()
-        assert "Traceback" not in captured.out + captured.err
-        assert "cfg.json" in captured.err and where in captured.err
+        code, _, err = run_cli([command, "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == 4 and "cfg.json" in err and where in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command,config,where", [
@@ -804,12 +750,11 @@ class TestConfigFiles:
         ("experiment", {"train": {"epochs": 12, "lr_schedule": [[99, 0.5]]}},
          "bad train config: lr_schedule epoch 99 "),
     ])
-    def test_bad_config_value_exit_4(self, tmp_path, capsys, command, config, where):
+    def test_bad_config_value_exit_4(self, tmp_path, command, config, where):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))
-        assert run_cli([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 4
-        err = capsys.readouterr().err
-        assert where in err and "Traceback" not in err
+        code, _, err = run_cli([command, "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 4 and where in err
 
 
 # one wrong-typed value per config field: (section, key, value), where
@@ -879,16 +824,14 @@ class TestTypedConfigValues:
 
     @pytest.mark.parametrize("section,key,value", WRONG_TYPED,
                              ids=[f"{s or 'top'}-{k}-{v!r:.12}" for s, k, v in WRONG_TYPED])
-    def test_wrong_type_exits_2_or_4(self, tmp_path, capsys, section, key, value):
+    def test_wrong_type_exits_2_or_4(self, tmp_path, section, key, value):
         config = json.loads(json.dumps(EXPERIMENT_CONFIG))
         (config[section] if section else config)[key] = value
         path = tmp_path / "exp.json"
         path.write_text(json.dumps(config))
-        code = run_cli(["experiment", "--config", str(path), "--out", str(tmp_path / "out")])
-        captured = capsys.readouterr()
-        assert code in (2, 4)
-        assert "Traceback" not in captured.out + captured.err
-        assert key in captured.err
+        code, _, err = run_cli(["experiment", "--config", str(path),
+                                "--out", str(tmp_path / "out")])
+        assert code in (2, 4) and key in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("section,key,value", LIBRARY_WRONG_TYPED,
@@ -912,27 +855,22 @@ class TestTypedConfigValues:
 
     @pytest.mark.parametrize("key", ["train_fps", "eval_fps", "window_sec"])
     @pytest.mark.parametrize("value", [10 ** 400, float("nan")], ids=["1e400", "nan"])
-    def test_rate_past_float_range_or_nan_is_a_usage_error(self, tmp_path, capsys, key,
-                                                           value):
+    def test_rate_past_float_range_or_nan_is_a_usage_error(self, tmp_path, key, value):
         path = tmp_path / "exp.json"
         path.write_text(json.dumps({key: value}))
-        assert run_cli(["experiment", "--config", str(path),
-                        "--out", str(tmp_path / "out")]) == 2
-        err = capsys.readouterr().err
-        assert f"experiment config key {key!r} must hold a finite number" in err
-        assert "Traceback" not in err
+        code, _, err = run_cli(["experiment", "--config", str(path),
+                                "--out", str(tmp_path / "out")])
+        assert code == 2 and f"experiment config key {key!r} must hold a finite number" in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key,value", TRAIN_REJECTED,
                              ids=[f"{k}-{v}" for k, v in TRAIN_REJECTED])
-    def test_train_config_rejections_exit_4(self, tmp_path, capsys, key, value):
+    def test_train_config_rejections_exit_4(self, tmp_path, key, value):
         path = tmp_path / "exp.json"
         path.write_text(json.dumps({"train": {key: value}}))
-        assert run_cli(["experiment", "--config", str(path),
-                        "--out", str(tmp_path / "out")]) == 4
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: bad train config: {key} must")
-        assert len(err.splitlines()) == 1
+        code, _, err = run_cli(["experiment", "--config", str(path),
+                                "--out", str(tmp_path / "out")])
+        assert code == 4 and err.startswith(f"error: bad train config: {key} must")
         assert not (tmp_path / "out").exists()
 
     def test_int_for_float_and_null_schedule_accepted(self, tmp_path):
@@ -943,7 +881,7 @@ class TestTypedConfigValues:
         path = tmp_path / "exp.json"
         path.write_text(json.dumps(config))
         assert run_cli(["experiment", "--config", str(path), "--fns", "a",
-                        "--seeds", "1", "--out", str(tmp_path / "out")]) == 0
+                        "--seeds", "1", "--out", str(tmp_path / "out")]).code == 0
 
     @pytest.mark.parametrize("key,value", [("num_labels", True), ("seed", 1e30),
                                            ("num_labels", 0), ("duration_range", [0.1]),
@@ -956,13 +894,12 @@ class TestTypedConfigValues:
                                            # with a MemoryError for the label templates
                                            ("harmonics", 10 ** 12), ("num_pieces", 10 ** 9),
                                            ("feature_dim", 10 ** 9)])
-    def test_synth_command_bad_values_exit_4(self, tmp_path, capsys, key, value):
+    def test_synth_command_bad_values_exit_4(self, tmp_path, key, value):
         path = tmp_path / "synth.json"
         path.write_text(json.dumps({key: value}))
-        assert run_cli(["synth", "--features", "--config", str(path),
-                        "--out", str(tmp_path / "out")]) == 4
-        err = capsys.readouterr().err
-        assert "Traceback" not in err and key in err
+        code, _, err = run_cli(["synth", "--features", "--config", str(path),
+                                "--out", str(tmp_path / "out")])
+        assert code == 4 and key in err
 
     # an integer of 400 digits used to be echoed in full on the error line
     @pytest.mark.parametrize("section,key,value", [
@@ -973,15 +910,13 @@ class TestTypedConfigValues:
         ("train", "context_frames", 10 ** 400 + 1), ("train", "learning_rate", 10 ** 400),
         ("train", "seed", "x" * 1000)],
         ids=lambda v: f"{v!r:.12}")
-    def test_huge_value_echoed_briefly(self, tmp_path, capsys, section, key, value):
+    def test_huge_value_echoed_briefly(self, tmp_path, section, key, value):
         config = {section: {key: value}} if section else {key: value}
         path = tmp_path / "exp.json"
         path.write_text(json.dumps(config))
-        assert run_cli(["experiment", "--config", str(path),
-                        "--out", str(tmp_path / "out")]) in (2, 4)
-        line = capsys.readouterr().err.splitlines()[-1]
-        assert "error: " in line and key in line
-        assert len(line) < 200, line
+        code, _, err = run_cli(["experiment", "--config", str(path),
+                                "--out", str(tmp_path / "out")])
+        assert code in (2, 4) and key in err.splitlines()[-1]
 
 
 class TestParserReuse:
@@ -993,22 +928,21 @@ class TestParserReuse:
     def test_option_left_out_gets_its_default(self, tmp_path, notes_tsv):
         assert run_cli(["rasterize", str(notes_tsv), "--fps", "100", "--fn", "a",
                         "--seed", "3", "--name", "named", "--pitch-offset", "20",
-                        "--out", str(tmp_path / "first")]) == 0
+                        "--out", str(tmp_path / "first")]).code == 0
         assert run_cli(["rasterize", str(notes_tsv), "--fps", "100", "--fn", "a",
-                        "--out", str(tmp_path / "second")]) == 0
+                        "--out", str(tmp_path / "second")]).code == 0
         manifest = json.loads((tmp_path / "second" / "notes.manifest.json").read_text())
         config = manifest["config"]
         assert (config["name"], config["seed"], config["pitch_offset"]) == ("notes", 0, 21)
 
-    def test_usage_error_leaves_the_next_call_unchanged(self, tmp_path, notes_tsv, capsys):
+    def test_usage_error_leaves_the_next_call_unchanged(self, tmp_path, notes_tsv):
         argv = ["rasterize", str(notes_tsv), "--fps", "100", "--fn", "e", "--seed", "3"]
-        assert run_cli(argv + ["--out", str(tmp_path / "before")]) == 0
+        assert run_cli(argv + ["--out", str(tmp_path / "before")]).code == 0
         # one error from argparse itself, one from the handler's parser.error
-        assert run_cli(["rasterize", str(notes_tsv), "--fps", "50", "--fn", "z",
-                        "--seed", "9", "--name", "bad", "--out", str(tmp_path / "bad")]) == 2
-        assert run_cli(["rasterize", str(notes_tsv), "--fps", "-1", "--fn", "f",
-                        "--seed", "9", "--name", "bad", "--out", str(tmp_path / "bad")]) == 2
-        assert run_cli(argv + ["--out", str(tmp_path / "after")]) == 0
+        bad = ["--seed", "9", "--name", "bad", "--out", str(tmp_path / "bad")]
+        assert run_cli(["rasterize", str(notes_tsv), "--fps", "50", "--fn", "z", *bad]).code == 2
+        assert run_cli(["rasterize", str(notes_tsv), "--fps", "-1", "--fn", "f", *bad]).code == 2
+        assert run_cli(argv + ["--out", str(tmp_path / "after")]).code == 0
         assert not (tmp_path / "bad").exists()
         for name in ("notes.csv", "notes.json", "notes.manifest.json"):
             assert ((tmp_path / "before" / name).read_bytes()
@@ -1022,25 +956,24 @@ class TestUsageErrors:
     # overrides a bad one in the file
     @pytest.mark.parametrize("key,value,shown", [
         ("train_fps", -1, "-1"), ("eval_fps", 0.0, "0.0"), ("eval_fps", 0, "0")])
-    def test_config_rate_names_file_and_key(self, tmp_path, capsys, key, value, shown):
+    def test_config_rate_names_file_and_key(self, tmp_path, key, value, shown):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({**EXPERIMENT_CONFIG, key: value}))
         argv = ["experiment", "--config", str(config), "--fns", "a", "--seeds", "1",
                 "--out", str(tmp_path / "out")]
-        assert run_cli(argv) == 4
-        assert capsys.readouterr().err == (f"error: cfg.json: {key}: fps must be positive "
-                                           f"and finite, got {shown}\n")
+        code, _, err = run_cli(argv)
+        assert (code, err) == (4, f"error: cfg.json: {key}: fps must be positive "
+                                  f"and finite, got {shown}\n")
         assert not (tmp_path / "out").exists()
         flag = "--" + key.replace("_", "-")
-        assert run_cli([*argv, flag, "31.25" if key == "train_fps" else "100"]) == 0
+        assert run_cli([*argv, flag, "31.25" if key == "train_fps" else "100"]).code == 0
 
 
 class TestRasterizeCommand:
     def test_writes_matrix_sidecar_manifest(self, tmp_path, notes_tsv):
         out = tmp_path / "out"
-        code = run_cli(["rasterize", str(notes_tsv), "--fps", "100",
-                        "--fn", "a", "--out", str(out)])
-        assert code == 0
+        assert run_cli(["rasterize", str(notes_tsv), "--fps", "100",
+                        "--fn", "a", "--out", str(out)]).code == 0
         matrix = ngio.read_label_matrix(out / "notes.csv")
         assert matrix.grid.fps == 100.0
         assert matrix.frames[10:25, 39].all()
@@ -1048,43 +981,38 @@ class TestRasterizeCommand:
         assert manifest["command"] == "rasterize"
         assert "notes.tsv" in manifest["inputs"]
 
-    def test_failed_write_leaves_no_temp_file(self, tmp_path, notes_tsv, capsys):
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, notes_tsv):
         out = tmp_path / "out"
         (out / "x.csv").mkdir(parents=True)  # the rename onto it fails
         assert run_cli(["rasterize", str(notes_tsv), "--fps", "100", "--fn", "a",
-                        "--name", "x", "--out", str(out)]) == 4
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and len(err.splitlines()) == 1
+                        "--name", "x", "--out", str(out)]).code == 4
         assert sorted(p.name for p in out.iterdir()) == ["x.csv"]
 
     def test_midi_input(self, tmp_path):
         midi_path = tmp_path / "notes.mid"
         midi_path.write_bytes(smf.simple_file([(0, 480, 60)]))
-        code = run_cli(["rasterize", str(midi_path), "--fps", "100",
-                        "--fn", "a", "--out", str(tmp_path / "out")])
-        assert code == 0
+        assert run_cli(["rasterize", str(midi_path), "--fps", "100",
+                        "--fn", "a", "--out", str(tmp_path / "out")]).code == 0
         matrix = ngio.read_label_matrix(tmp_path / "out" / "notes.csv")
         assert matrix.frames[:50, 39].all()
 
-    def test_huge_negative_label_count_echoed_briefly(self, tmp_path, capsys):
+    def test_huge_negative_label_count_echoed_briefly(self, tmp_path):
         empty = tmp_path / "empty.tsv"
         empty.write_text("OnsetTime\tOffsetTime\tMidiPitch\n")
-        assert run_cli(["rasterize", str(empty), "--fps", "100", "--fn", "a",
-                        "--num-labels", str(-10 ** 400), "--out", str(tmp_path / "out")]) == 4
-        assert capsys.readouterr().err == (
-            "error: empty.tsv: num_labels must be >= 0, got -1.00e+400\n")
-        assert run_cli(["inspect", str(empty), "--num-labels", str(-10 ** 400)]) == 0
-        assert "  num_labels must be positive, got -1.00e+400\n" in capsys.readouterr().out
+        code, _, err = run_cli(["rasterize", str(empty), "--fps", "100", "--fn", "a",
+                                "--num-labels", str(-10 ** 400), "--out", str(tmp_path / "out")])
+        assert (code, err) == (4, "error: empty.tsv: num_labels must be >= 0, got -1.00e+400\n")
+        code, out, _ = run_cli(["inspect", str(empty), "--num-labels", str(-10 ** 400)])
+        assert code == 0 and "  num_labels must be positive, got -1.00e+400\n" in out
 
 
 class TestEvalCommand:
     def test_pred_equals_ref_scores_one(self, tmp_path, notes_tsv):
         out = tmp_path / "out"
-        run_cli(["rasterize", str(notes_tsv), "--fps", "100", "--fn", "a",
-                 "--out", str(out)])
-        code = run_cli(["eval", "--pred", str(out / "notes.csv"),
-                        "--ref", str(out / "notes.csv"), "--out", str(out)])
-        assert code == 0
+        assert run_cli(["rasterize", str(notes_tsv), "--fps", "100", "--fn", "a",
+                        "--out", str(out)]).code == 0
+        assert run_cli(["eval", "--pred", str(out / "notes.csv"),
+                        "--ref", str(out / "notes.csv"), "--out", str(out)]).code == 0
         rows = (out / "eval.csv").read_text().splitlines()
         assert rows[0] == ngio.EVAL_CSV_HEADER
         fields = rows[1].split(",")
@@ -1092,17 +1020,15 @@ class TestEvalCommand:
         assert float(fields[-1]) == 1.0
 
     @pytest.mark.parametrize("reference", ["--ref", "--annotation"])
-    def test_csv_json_and_stdout_hold_one_record(self, tmp_path, notes_tsv, capsys,
-                                                 reference):
+    def test_csv_json_and_stdout_hold_one_record(self, tmp_path, notes_tsv, reference):
         out = tmp_path / "out"
         assert run_cli(["rasterize", str(notes_tsv), "--fps", "31.25", "--fn", "e",
-                        "--seed", "4", "--out", str(out)]) == 0
+                        "--seed", "4", "--out", str(out)]).code == 0
         source = str(out / "notes.csv") if reference == "--ref" else str(notes_tsv)
-        capsys.readouterr()
-        assert run_cli(["eval", "--pred", str(out / "notes.csv"), reference, source,
-                        "--ref-fps", "31.25", "--out", str(out)]) == 0
+        code, stdout, _ = run_cli(["eval", "--pred", str(out / "notes.csv"), reference, source,
+                                   "--ref-fps", "31.25", "--out", str(out)])
         text = (out / "eval.csv").read_text()
-        assert capsys.readouterr().out == text
+        assert code == 0 and stdout == text
         header, line = text.splitlines()
         record = json.loads((out / "eval.json").read_text())["rows"][0]
         assert header == ngio.EVAL_CSV_HEADER
@@ -1117,24 +1043,23 @@ class TestEvalCommand:
     def test_unlabelled_prediction_has_empty_fn_and_seed(self, tmp_path, notes_tsv):
         out = tmp_path / "out"
         assert run_cli(["rasterize", str(notes_tsv), "--fps", "100", "--fn", "a",
-                        "--out", str(out)]) == 0
+                        "--out", str(out)]).code == 0
         sidecar = json.loads((out / "notes.json").read_text())
         (out / "notes.json").write_text(json.dumps(
             {**sidecar, "labeling_function": None, "seed": None}))
         assert run_cli(["eval", "--pred", str(out / "notes.csv"),
-                        "--ref", str(out / "notes.csv"), "--out", str(out)]) == 0
+                        "--ref", str(out / "notes.csv"), "--out", str(out)]).code == 0
         assert (out / "eval.csv").read_text().splitlines()[1] == (
             "notes,,,100.0,65,0,0,1.0,1.0,1.0")
         assert json.loads((out / "eval.json").read_text())["per_fn_mean_fmeasure"] == {}
 
     def test_cross_rate_matches_library_composition(self, tmp_path, notes_tsv):
         out = tmp_path / "out"
-        run_cli(["rasterize", str(notes_tsv), "--fps", "31.25", "--fn", "a",
-                 "--out", str(out), "--name", "low"])
-        code = run_cli(["eval", "--pred", str(out / "low.csv"),
+        assert run_cli(["rasterize", str(notes_tsv), "--fps", "31.25", "--fn", "a",
+                        "--out", str(out), "--name", "low"]).code == 0
+        assert run_cli(["eval", "--pred", str(out / "low.csv"),
                         "--annotation", str(notes_tsv), "--out", str(out),
-                        "--window-sec", "30", "--ref-fps", "100"])
-        assert code == 0
+                        "--window-sec", "30", "--ref-fps", "100"]).code == 0
         reported = json.loads((out / "eval.json").read_text())["rows"][0]
 
         ann = annotation_of([(0.1, 0.25, 39), (0.4, 0.9, 43)], num_labels=88)
@@ -1147,12 +1072,11 @@ class TestEvalCommand:
 
     def test_infinite_window_scores_whole_piece(self, tmp_path, notes_tsv):
         out = tmp_path / "out"
-        run_cli(["rasterize", str(notes_tsv), "--fps", "31.25", "--fn", "a",
-                 "--out", str(out)])
-        code = run_cli(["eval", "--pred", str(out / "notes.csv"),
+        assert run_cli(["rasterize", str(notes_tsv), "--fps", "31.25", "--fn", "a",
+                        "--out", str(out)]).code == 0
+        assert run_cli(["eval", "--pred", str(out / "notes.csv"),
                         "--annotation", str(notes_tsv), "--out", str(out),
-                        "--window-sec", "inf"])
-        assert code == 0
+                        "--window-sec", "inf"]).code == 0
         reported = json.loads((out / "eval.json").read_text())["rows"][0]
         ann = annotation_of([(0.1, 0.25, 39), (0.4, 0.9, 43)], num_labels=88)
         low = rasterize(ann, FrameGrid.covering(31.25, ann.duration_sec), A)
@@ -1165,26 +1089,24 @@ class TestEvalCommand:
 class TestDisagreeCommand:
     def test_identical_matrices(self, tmp_path, notes_tsv):
         out = tmp_path / "out"
-        run_cli(["rasterize", str(notes_tsv), "--fps", "100", "--fn", "a",
-                 "--out", str(out)])
-        code = run_cli(["disagree", "--a", str(out / "notes.csv"),
+        assert run_cli(["rasterize", str(notes_tsv), "--fps", "100", "--fn", "a",
+                        "--out", str(out)]).code == 0
+        assert run_cli(["disagree", "--a", str(out / "notes.csv"),
                         "--b", str(out / "notes.csv"),
-                        "--annotation", str(notes_tsv), "--out", str(out)])
-        assert code == 0
+                        "--annotation", str(notes_tsv), "--out", str(out)]).code == 0
         stats = json.loads((out / "disagree.json").read_text())
         assert stats["differing_frames"] == 0
         assert stats["onset_shift_histogram"] == {}
 
     def test_shifted_matrices_have_histograms(self, tmp_path, notes_tsv):
         out = tmp_path / "out"
-        run_cli(["rasterize", str(notes_tsv), "--fps", "100", "--fn", "a",
-                 "--out", str(out), "--name", "ref"])
-        run_cli(["rasterize", str(notes_tsv), "--fps", "100", "--fn", "f",
-                 "--seed", "3", "--out", str(out), "--name", "noisy"])
-        code = run_cli(["disagree", "--a", str(out / "ref.csv"),
+        assert run_cli(["rasterize", str(notes_tsv), "--fps", "100", "--fn", "a",
+                        "--out", str(out), "--name", "ref"]).code == 0
+        assert run_cli(["rasterize", str(notes_tsv), "--fps", "100", "--fn", "f",
+                        "--seed", "3", "--out", str(out), "--name", "noisy"]).code == 0
+        assert run_cli(["disagree", "--a", str(out / "ref.csv"),
                         "--b", str(out / "noisy.csv"),
-                        "--annotation", str(notes_tsv), "--out", str(out)])
-        assert code == 0
+                        "--annotation", str(notes_tsv), "--out", str(out)]).code == 0
         stats = json.loads((out / "disagree.json").read_text())
         hist = {**stats["onset_shift_histogram"], **stats["offset_shift_histogram"]}
         assert set(hist) <= {"-1", "1"}
@@ -1197,8 +1119,7 @@ class TestSynthCommand:
         config = tmp_path / "synth.json"
         config.write_text(json.dumps({"num_pieces": 3, "piece_duration_sec": 4.0,
                                       "seed": 5}))
-        code = run_cli(["synth", "--config", str(config), "--out", str(out)])
-        assert code == 0
+        assert run_cli(["synth", "--config", str(config), "--out", str(out)]).code == 0
         corpus = json.loads((out / "corpus.json").read_text())
         assert len(corpus["pieces"]) == 3
         assert corpus["config"]["seed"] == 5
@@ -1210,9 +1131,8 @@ class TestSynthCommand:
 
     def test_features_flag(self, tmp_path):
         out = tmp_path / "corpus"
-        code = run_cli(["synth", "--pieces", "2", "--seed", "1",
-                        "--features", "--out", str(out)])
-        assert code == 0
+        assert run_cli(["synth", "--pieces", "2", "--seed", "1",
+                        "--features", "--out", str(out)]).code == 0
         feats = ngio.read_feature_matrix(out / "piece_000.features.csv")
         assert feats.grid.fps == 31.25
 
@@ -1220,8 +1140,8 @@ class TestSynthCommand:
         out = tmp_path / "corpus"
         config = tmp_path / "synth.json"
         config.write_text(json.dumps({"num_pieces": 9}))
-        run_cli(["synth", "--config", str(config), "--pieces", "2",
-                 "--out", str(out)])
+        assert run_cli(["synth", "--config", str(config), "--pieces", "2",
+                        "--out", str(out)]).code == 0
         corpus = json.loads((out / "corpus.json").read_text())
         assert len(corpus["pieces"]) == 2
 
@@ -1229,9 +1149,9 @@ class TestSynthCommand:
         first, second = tmp_path / "first", tmp_path / "second"
         flags = ["--features", "--fps", "50"]
         assert run_cli(["synth", "--pieces", "2", "--seed", "4", *flags,
-                        "--out", str(first)]) == 0
+                        "--out", str(first)]).code == 0
         assert run_cli(["synth", "--config", str(first / "synth.manifest.json"), *flags,
-                        "--out", str(second)]) == 0
+                        "--out", str(second)]).code == 0
         names = sorted(path.name for path in first.iterdir())
         assert names == sorted(path.name for path in second.iterdir())
         assert "piece_001.features.csv" in names
@@ -1250,9 +1170,8 @@ class TestExperimentCommand:
         config = tmp_path / "exp.json"
         config.write_text(json.dumps(EXPERIMENT_CONFIG))
         out = tmp_path / "run"
-        code = run_cli(["experiment", "--config", str(config), "--fns", "a,f",
-                        "--seeds", "1,2,3", "--out", str(out)])
-        assert code == 0
+        assert run_cli(["experiment", "--config", str(config), "--fns", "a,f",
+                        "--seeds", "1,2,3", "--out", str(out)]).code == 0
         lines = (out / "results.csv").read_text().splitlines()
         assert lines[0] == "fn,seed,split,precision,recall,fmeasure"
         assert len(lines) == 1 + 6
@@ -1266,17 +1185,17 @@ class TestExperimentCommand:
         config.write_text(json.dumps(EXPERIMENT_CONFIG))
         first = tmp_path / "first"
         assert run_cli(["experiment", "--config", str(config), "--fns", "a",
-                        "--seeds", "7", "--out", str(first)]) == 0
+                        "--seeds", "7", "--out", str(first)]).code == 0
         second = tmp_path / "second"
         assert run_cli(["experiment",
                         "--config", str(first / "experiment.manifest.json"),
-                        "--out", str(second)]) == 0
+                        "--out", str(second)]).code == 0
         assert ((first / "results.csv").read_bytes()
                 == (second / "results.csv").read_bytes())
         assert ((first / "summary.json").read_bytes()
                 == (second / "summary.json").read_bytes())
 
-    def test_divergence_exit_code_with_context(self, tmp_path, monkeypatch, capsys):
+    def test_divergence_exit_code_with_context(self, tmp_path, monkeypatch):
         from notegrid import DivergenceError
         from notegrid import trainer as trainer_module
 
@@ -1287,29 +1206,24 @@ class TestExperimentCommand:
         monkeypatch.setattr(trainer_module, "_train_lockstep", exploding_kernel)
         config = tmp_path / "exp.json"
         config.write_text(json.dumps(EXPERIMENT_CONFIG))
-        code = run_cli(["experiment", "--config", str(config), "--fns", "e",
-                        "--seeds", "4", "--out", str(tmp_path / "out")])
-        assert code == 3
-        err = capsys.readouterr().err
-        assert "fn=e" in err and "seed=4" in err
+        code, _, err = run_cli(["experiment", "--config", str(config), "--fns", "e",
+                                "--seeds", "4", "--out", str(tmp_path / "out")])
+        assert code == 3 and "fn=e" in err and "seed=4" in err
 
-    def test_real_divergence_exit_code(self, tmp_path, capsys):
+    def test_real_divergence_exit_code(self, tmp_path):
         config = tmp_path / "exp.json"
         config.write_text(json.dumps(EXPERIMENT_CONFIG))
-        code = run_cli(["experiment", "--config", str(config), "--fns", "a,f",
-                        "--seeds", "5", "--learning-rate", "1e308",
-                        "--out", str(tmp_path / "out")])
-        assert code == 3
-        err = capsys.readouterr().err
-        assert "Traceback" not in err
-        assert re.fullmatch(r"error: fn=[af,]+ seed=5: non-finite loss at "
-                            r"epoch \d+, batch \d+\n", err)
+        code, _, err = run_cli(["experiment", "--config", str(config), "--fns", "a,f",
+                                "--seeds", "5", "--learning-rate", "1e308",
+                                "--out", str(tmp_path / "out")])
+        assert code == 3 and re.fullmatch(r"error: fn=[af,]+ seed=5: non-finite loss at "
+                                          r"epoch \d+, batch \d+\n", err)
 
     @pytest.mark.parametrize("option,value,message", [
         ("--window-sec", "0.001", "a window of 0.001 s holds no frame at 100.0 fps"),
         ("--eval-fps", "1e-300", "a window of 30.0 s holds no frame at 1e-300 fps"),
     ], ids=["window-sec", "eval-fps"])
-    def test_window_of_no_frame_exit_4_before_generating(self, tmp_path, monkeypatch, capsys,
+    def test_window_of_no_frame_exit_4_before_generating(self, tmp_path, monkeypatch,
                                                          option, value, message):
         from notegrid import trainer as trainer_module
 
@@ -1319,9 +1233,9 @@ class TestExperimentCommand:
         monkeypatch.setattr(trainer_module, "generate_corpus", no_corpus)
         config = tmp_path / "exp.json"
         config.write_text(json.dumps(EXPERIMENT_CONFIG))
-        assert run_cli(["experiment", "--config", str(config), "--fns", "a", "--seeds", "1",
-                        option, value, "--out", str(tmp_path / "out")]) == 4
-        assert capsys.readouterr().err == f"error: {message}\n"
+        code, _, err = run_cli(["experiment", "--config", str(config), "--fns", "a",
+                                "--seeds", "1", option, value, "--out", str(tmp_path / "out")])
+        assert (code, err) == (4, f"error: {message}\n")
         assert not (tmp_path / "out").exists()
 
     def test_infinite_window_equals_whole_piece(self, tmp_path):
@@ -1332,7 +1246,7 @@ class TestExperimentCommand:
             out = tmp_path / window
             assert run_cli(["experiment", "--config", str(config), "--fns", "a",
                             "--seeds", "1", "--window-sec", window,
-                            "--out", str(out)]) == 0
+                            "--out", str(out)]).code == 0
             results.append((out / "results.csv").read_bytes())
         assert results[0] == results[1]
 
@@ -1341,11 +1255,11 @@ class TestExperimentCommand:
         config.write_text(json.dumps(EXPERIMENT_CONFIG))
         first, second = tmp_path / "first", tmp_path / "second"
         assert run_cli(["experiment", "--config", str(config), "--fns", "a",
-                        "--seeds", "1", "--window-sec", "inf", "--out", str(first)]) == 0
+                        "--seeds", "1", "--window-sec", "inf", "--out", str(first)]).code == 0
         manifest = first / "experiment.manifest.json"
         assert '"window_sec": Infinity' in manifest.read_text()
         assert run_cli(["experiment", "--config", str(manifest),
-                        "--out", str(second)]) == 0
+                        "--out", str(second)]).code == 0
         for name in ("results.csv", "summary.json", "experiment.manifest.json"):
             assert (first / name).read_bytes() == (second / name).read_bytes()
 
@@ -1354,7 +1268,7 @@ class TestExperimentCommand:
         config.write_text(json.dumps(TINY_EXPERIMENT))
         out = tmp_path / "out"
         assert run_cli(["experiment", "--config", str(config), "--fns", "a", "--seeds", "1",
-                        "--train-fps", "25", "--epochs", "2", "--out", str(out)]) == 0
+                        "--train-fps", "25", "--epochs", "2", "--out", str(out)]).code == 0
         resolved = json.loads((out / "experiment.manifest.json").read_text())["config"]
         assert resolved["train_fps"] == 25.0
         assert resolved["train"]["epochs"] == 2
@@ -1366,7 +1280,7 @@ class TestExperimentCommand:
         for name, flags in (("first", ["--epochs", "1", "--learning-rate", "0.5"]),
                             ("second", [])):
             assert run_cli(["experiment", "--config", str(config), *flags,
-                            "--out", str(tmp_path / name)]) == 0
+                            "--out", str(tmp_path / name)]).code == 0
         manifest = tmp_path / "second" / "experiment.manifest.json"
         resolved = json.loads(manifest.read_text())["config"]
         assert (resolved["train"]["epochs"], resolved["train"]["learning_rate"]) == (12, 1.0)
@@ -1381,7 +1295,7 @@ class TestExperimentCommand:
             path = tmp_path / "exp.json"
             path.write_text(json.dumps(config))
             out = tmp_path / str(len(str(batch_size)))
-            assert run_cli(["experiment", "--config", str(path), "--out", str(out)]) == 0
+            assert run_cli(["experiment", "--config", str(path), "--out", str(out)]).code == 0
             results.append((out / "results.csv").read_bytes())
         assert results[0] == results[1]
 

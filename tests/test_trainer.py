@@ -58,12 +58,15 @@ def exact_loss_training(train_set, cfg, models, dtype=np.float64):
         order = shuffle_rng.permutation(train_set.num_examples)
         for batch, start in enumerate(range(0, train_set.num_examples, cfg.batch_size)):
             idx = order[start:start + cfg.batch_size]
-            losses, grad_w, grad_b = trainer_module._loss_and_gradient(
-                weights + mu * velocity_w, bias + mu * velocity_b,
-                inputs[idx], targets[idx], models)
-            diverged = np.flatnonzero(~np.isfinite(losses))
+            x, y = inputs[idx], targets[idx]
+            z = x @ (weights + mu * velocity_w) + (bias + mu * velocity_b)
+            diverged = np.flatnonzero(~np.isfinite(trainer_module._block_losses(z, y, models)))
             if diverged.size:
                 return epoch, batch, tuple(diverged.tolist())
+            # the gradient at lr = 1, each block normalised by its own cells
+            z *= 0.5
+            grad_w, grad_b = trainer_module._gradient(
+                z, x, 1 - 2 * y, z.dtype.type(0.5 / max(len(y) * (y.shape[1] // models), 1)))
             grad_w *= lr  # in place, so in dtype whatever the size of lr
             grad_b *= lr
             velocity_w = mu * velocity_w - grad_w
@@ -431,7 +434,7 @@ class TestLossAndGradient:
         bias = rng.normal(0, 0.5, 3 * k)
         x = rng.normal(0, 1, (n, dim))
         y = (rng.random((n, 3 * k)) < 0.4).astype(float)
-        losses, _, _ = trainer_module._loss_and_gradient(weights, bias, x, y, models=3)
+        losses = trainer_module._block_losses(x @ weights + bias, y, models=3)
         assert losses.shape == (3,)
         for j in range(3):
             block = slice(j * k, (j + 1) * k)

@@ -14,35 +14,48 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import copy
 import functools
+import math
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from . import __version__
 from .annotation import Annotation, parse_tsv, to_tsv, validate
 from .errors import ContractError, DivergenceError, NotegridError
-from .metrics import disagreement, event_records, reference_labels, windowed_counts
+from .metrics import disagreement, reference_labels, windowed_counts
 from .midi import parse_midi
-from .quantize import FrameGrid, LabelingFunction, rasterize
+from .quantize import FrameGrid, LabelingFunction, event_records, rasterize
 from .synth import SynthConfig, generate_corpus, render_features
 from .trainer import TrainConfig, run_sensitivity_experiment
-from .util import brief, fits
+from .util import brief, check_config
 from . import io
 
 _ANNOTATION_SUFFIXES = {".tsv", ".txt", ".mid", ".midi"}
 
-# each top-level experiment config key: its default, and what it must hold
-_EXPERIMENT_KEYS = {
-    "fns": (["a", "b", "c", "d", "e", "f"], list[str], "a list of strings"),
-    "seeds": ([1, 2, 3], list[int], "a list of integers"),
-    "train_fps": (31.25, float, "a finite number"),
-    "eval_fps": (100.0, float, "a finite number"),
-    "window_sec": (30.0, float, "a finite number or Infinity"),
-    "synth": ({}, dict, "a JSON object"),
-    "train": ({}, dict, "a JSON object"),
-}
+
+@dataclass(frozen=True)
+class _ExperimentConfig:
+    """The top level of an experiment config. synth and train hold fields
+    of SynthConfig and TrainConfig, which check them; an infinite
+    window_sec scores the whole piece."""
+
+    fns: list[str] = field(default_factory=lambda: list("abcdef"))
+    seeds: list[int] = field(default_factory=lambda: [1, 2, 3])
+    train_fps: float = 31.25
+    eval_fps: float = 100.0
+    window_sec: float = 30.0
+    synth: dict = field(default_factory=dict)
+    train: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        check_config(self, {
+            "fns": ("one or more letters of a-f",  # as LabelingFunction.from_letter reads them
+                    lambda v: v and {letter.lower() for letter in v} <= set("abcdef")),
+            "seeds": ("one or more integers", lambda v: len(v) > 0),
+            "train_fps": ("positive and finite", lambda v: 0 < v < math.inf),
+            "eval_fps": ("positive and finite", lambda v: 0 < v < math.inf),
+            "window_sec": ("positive", lambda v: v > 0)})
 
 
 @contextlib.contextmanager
@@ -65,11 +78,15 @@ def load_annotation(path: Path, pitch_offset: int, num_labels: int) -> Annotatio
         return parse(data, pitch_offset=pitch_offset, num_labels=num_labels)
 
 
-def _load_config_file(path: Path) -> dict:
-    obj = io.read_json_object(path, "config")
+@contextlib.contextmanager
+def _config_file(name: str | None):
+    """Give the --config file's object, or {} without one; a manifest gives
+    the config it records. A NotegridError raised inside names the file."""
+    obj = io.read_json_object(Path(name), "config") if name else {}
     if "command" in obj and isinstance(obj.get("config"), dict):
-        return obj["config"]  # accept a previously written manifest
-    return obj
+        obj = obj["config"]
+    with _naming(Path(name)) if name else contextlib.nullcontext():
+        yield obj
 
 
 def _build_config(cls, overrides: dict, what: str):
@@ -85,22 +102,24 @@ def _build_config(cls, overrides: dict, what: str):
         raise ContractError(f"bad {what} config: {exc}") from None
 
 
-def _check_flag(parser, flag: str, check, field: str = "") -> None:
-    """Run check(), the flag's own check of its value. A value it rejects is
-    a usage error, found before anything is written, with the check's
-    message: the flag in place of `field` where the message starts with
-    it, else the flag before it."""
-    try:
-        check()
-    except ContractError as exc:
-        message = str(exc)
-        if field and message.startswith(field + " "):
-            parser.error(flag + message[len(field):])
-        parser.error(f"{flag}: {message}")
+def _check_flags(parser, cls, flags: dict) -> dict:
+    """{key: value} of each flag given, from {flag: (key, value)}. Each value
+    is checked alone as cls's `key`, before any file is read: one that cls
+    rejects is a usage error, with the flag in place of the key in cls's
+    message."""
+    given = {}
+    for flag, (key, value) in flags.items():
+        if value is not None:
+            try:
+                cls(**{key: value})
+            except ContractError as exc:
+                parser.error(flag + str(exc).removeprefix(key))
+            given[key] = value
+    return given
 
 
 def _check_rate(parser, flag: str, value: float) -> None:
-    _check_flag(parser, flag, lambda: FrameGrid(fps=value, num_frames=1), "fps")
+    _check_flags(parser, functools.partial(FrameGrid, num_frames=1), {flag: ("fps", value)})
 
 
 def cmd_rasterize(args, parser) -> int:
@@ -129,7 +148,7 @@ def cmd_rasterize(args, parser) -> int:
         "input": input_path.name, "name": stem,
     }
     io.write_manifest(out_dir / f"{stem}.manifest.json", "rasterize", config,
-                      [seed], [input_path], __version__)
+                      [seed], [input_path])
     print(f"wrote {csv_path}")
     return 0
 
@@ -180,7 +199,7 @@ def cmd_eval(args, parser) -> int:
         "pitch_offset": args.pitch_offset, "num_labels": args.num_labels,
     }
     io.write_manifest(out_dir / "eval.manifest.json", "eval", config,
-                      [s for s in [args.seed] if s is not None], inputs, __version__)
+                      [s for s in [args.seed] if s is not None], inputs)
     print(io.EVAL_CSV_HEADER, io.csv_line(record.values()), sep="\n")
     return 0
 
@@ -202,12 +221,12 @@ def cmd_disagree(args, parser) -> int:
         "offset_shift_histogram": {str(k): v for k, v in stats.offset_shift_histogram.items()},
     }
     io.write_json(out_dir / "disagree.json", payload)
-    inputs = [Path(args.a), Path(args.b), Path(args.annotation)]
+    inputs = [Path(args.a), io.sidecar_path(Path(args.a)),
+              Path(args.b), io.sidecar_path(Path(args.b)), Path(args.annotation)]
     config = {"a": Path(args.a).name, "b": Path(args.b).name,
               "annotation": Path(args.annotation).name,
               "pitch_offset": args.pitch_offset, "num_labels": args.num_labels}
-    io.write_manifest(out_dir / "disagree.manifest.json", "disagree", config,
-                      [], inputs, __version__)
+    io.write_manifest(out_dir / "disagree.manifest.json", "disagree", config, [], inputs)
     print(f"differing frames: {stats.differing_frames} "
           f"({stats.frame_rate_of_disagreement:.6f} of cells)")
     return 0
@@ -216,13 +235,12 @@ def cmd_disagree(args, parser) -> int:
 def cmd_synth(args, parser) -> int:
     if args.features:
         _check_rate(parser, "--fps", args.fps)
-    overrides = _load_config_file(Path(args.config)) if args.config else {}
-    if isinstance(overrides.get("synth"), dict):  # a synth manifest's config
-        overrides = overrides["synth"]
-    for key, value in (("num_pieces", args.pieces), ("seed", args.seed)):
-        if value is not None:
-            overrides[key] = value
-    cfg = _build_config(SynthConfig, overrides, "synth")
+    flags = _check_flags(parser, SynthConfig, {"--pieces": ("num_pieces", args.pieces),
+                                                 "--seed": ("seed", args.seed)})
+    with _config_file(args.config) as loaded:
+        if isinstance(loaded.get("synth"), dict):  # a synth manifest's config
+            loaded = loaded["synth"]
+        cfg = _build_config(SynthConfig, {**loaded, **flags}, "synth")
 
     corpus = generate_corpus(cfg)
     out_dir = Path(args.out)
@@ -241,76 +259,48 @@ def cmd_synth(args, parser) -> int:
     io.write_manifest(out_dir / "synth.manifest.json", "synth",
                       {"synth": asdict(cfg), "features": bool(args.features),
                        "fps": args.fps, "pitch_offset": args.pitch_offset},
-                      [cfg.seed], [], __version__)
+                      [cfg.seed], [])
     print(f"wrote {len(corpus)} pieces to {out_dir}")
     return 0
 
 
 def cmd_experiment(args, parser) -> int:
-    # a copy of each default, so no call's overrides reach the next call's defaults
-    config = {key: copy.copy(default) for key, (default, _, _) in _EXPERIMENT_KEYS.items()}
-    if args.config:
-        loaded = _load_config_file(Path(args.config))
-        for key, value in loaded.items():
-            if key not in _EXPERIMENT_KEYS:
-                parser.error(f"unknown experiment config key {brief(key)}")
-            _, kind, description = _EXPERIMENT_KEYS[key]
-            # an infinite window scores the whole piece, and a manifest records it so
-            if not (fits(kind, value) or key == "window_sec" and value == float("inf")):
-                parser.error(f"experiment config key {key!r} must hold {description}, "
-                             f"got {brief(value)}")
-            config[key] = value
+    fns = seeds = None
     if args.fns is not None:
-        config["fns"] = [letter.strip() for letter in args.fns.split(",") if letter.strip()]
-        _check_flag(parser, "--fns",
-                    lambda: [LabelingFunction.from_letter(letter) for letter in config["fns"]])
+        fns = [letter.strip() for letter in args.fns.split(",") if letter.strip()]
     if args.seeds is not None:
         try:
-            config["seeds"] = [int(s) for s in args.seeds.split(",") if s.strip()]
+            seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
         except ValueError:
-            parser.error(f"--seeds must be comma-separated integers, got {args.seeds!r}")
-    for section, key in ((config, "train_fps"), (config, "eval_fps"), (config, "window_sec"),
-                         (config["train"], "epochs"), (config["train"], "learning_rate")):
-        if (value := getattr(args, key)) is not None:
-            if section is config["train"]:  # TrainConfig's own check of the flag
-                _check_flag(parser, "--" + key.replace("_", "-"),
-                            lambda: TrainConfig(**{key: value}), key)
-            section[key] = value
+            parser.error(f"--seeds must be comma-separated integers, got {brief(args.seeds)}")
+    flags = _check_flags(parser, _ExperimentConfig, {
+        "--fns": ("fns", fns), "--seeds": ("seeds", seeds),
+        "--train-fps": ("train_fps", args.train_fps), "--eval-fps": ("eval_fps", args.eval_fps),
+        "--window-sec": ("window_sec", args.window_sec)})
+    train_flags = _check_flags(parser, TrainConfig, {
+        "--epochs": ("epochs", args.epochs),
+        "--learning-rate": ("learning_rate", args.learning_rate)})
+    with _config_file(args.config) as loaded:
+        config = _build_config(_ExperimentConfig, {**loaded, **flags}, "experiment")
+        synth_cfg = _build_config(SynthConfig, config.synth, "synth")
+        train_cfg = _build_config(TrainConfig, {**config.train, **train_flags}, "train")
 
-    if not config["fns"]:
-        parser.error("--fns must name at least one labeling function")
-    if not config["seeds"]:
-        parser.error("--seeds must name at least one seed")
-    if not config["window_sec"] > 0:
-        parser.error("--window-sec must be positive")
-    for key in ("train_fps", "eval_fps"):
-        if (value := getattr(args, key)) is not None:
-            _check_rate(parser, "--" + key.replace("_", "-"), value)
-            continue
-        try:  # the defaults pass, so a rate that fails here is the config file's
-            FrameGrid(fps=config[key], num_frames=1)
-        except ContractError as exc:
-            raise ContractError(f"{Path(args.config).name}: {key}: {exc}") from None
+    fns = [LabelingFunction.from_letter(letter) for letter in config.fns]
+    train_grid = FrameGrid.covering(config.train_fps, synth_cfg.piece_duration_sec)
+    eval_grid = FrameGrid.covering(config.eval_fps, synth_cfg.piece_duration_sec)
 
-    fns = [LabelingFunction.from_letter(letter) for letter in config["fns"]]
-    synth_cfg = _build_config(SynthConfig, config["synth"], "synth")
-    train_cfg = _build_config(TrainConfig, config["train"], "train")
-    train_grid = FrameGrid.covering(config["train_fps"], synth_cfg.piece_duration_sec)
-    eval_grid = FrameGrid.covering(config["eval_fps"], synth_cfg.piece_duration_sec)
-
-    table = run_sensitivity_experiment(
-        synth_cfg, fns, train_grid, eval_grid, train_cfg, config["seeds"],
-        window_sec=config["window_sec"])
+    table = run_sensitivity_experiment(synth_cfg, fns, train_grid, eval_grid, train_cfg,
+                                       config.seeds, window_sec=config.window_sec)
 
     out_dir = Path(args.out)
     io.write_csv(out_dir / "results.csv", io.EXPERIMENT_CSV_HEADER,
                  [(row.fn.letter, row.seed, "test", row.precision, row.recall, row.fmeasure)
                   for row in table.rows])
     io.write_json(out_dir / "summary.json", table.summary())
-    resolved = {**config, "fns": [fn.letter for fn in fns],
+    resolved = {**asdict(config), "fns": [fn.letter for fn in fns],
                 "synth": asdict(synth_cfg), "train": asdict(train_cfg)}
     io.write_manifest(out_dir / "experiment.manifest.json", "experiment", resolved,
-                      config["seeds"], [], __version__)
+                      config.seeds, [])
     for fn in fns:
         print(f"fn {fn.letter}: mean test F = {table.mean_fmeasure(fn):.6f}")
     print(f"wrote {out_dir / 'results.csv'}")

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from ._reprcsv import csv_body
 from .errors import ContractError, FormatError
 from .quantize import FrameGrid, LabelingFunction, LabelMatrix
@@ -253,19 +254,20 @@ def write_csv(path: Path, header: str, rows) -> None:
 
 
 def write_manifest(path: Path, command: str, config: dict,
-                   seeds: list[int], inputs: list[Path], version: str) -> None:
+                   seeds: list[int], inputs: list[Path]) -> None:
     """Record everything needed to reproduce a run byte-identically.
 
-    Contains the command, the fully resolved configuration, the seeds,
-    sha256 digests of all input files, and the tool version. Deliberately
-    no timestamps or host data.
+    Contains the command, the fully resolved configuration, the seeds, a
+    [name, sha256] pair for each input file read, in the order given, and
+    the tool version. A name holds no directory, so a rerun elsewhere
+    writes the same bytes. Deliberately no timestamps or host data.
     """
     manifest = {
         "command": command,
         "config": config,
         "seeds": list(seeds),
-        "inputs": {Path(p).name: hashlib.sha256(Path(p).read_bytes()).hexdigest()
-                   for p in inputs},
-        "tool_version": version,
+        "inputs": [[Path(p).name, hashlib.sha256(Path(p).read_bytes()).hexdigest()]
+                   for p in inputs],
+        "tool_version": __version__,
     }
     write_json(path, manifest)

@@ -17,7 +17,7 @@ import numpy as np
 from .annotation import Annotation
 from .errors import ContractError
 from .quantize import (FrameGrid, LabelingFunction, LabelMatrix,
-                       QuantizedArrays, _seeded_records, rasterize)
+                       QuantizedArrays, event_records, rasterize)
 
 
 @dataclass(frozen=True)
@@ -135,15 +135,6 @@ def truncate(matrix: LabelMatrix, seconds: float) -> LabelMatrix:
         labeling_function=matrix.labeling_function,
         seed=matrix.seed,
     )
-
-
-def event_records(matrix: LabelMatrix, events: Annotation) -> QuantizedArrays | None:
-    """The per-event records behind a matrix, re-derived from its recorded
-    labeling function and seed, or None if it records too little."""
-    fn = matrix.labeling_function
-    if fn is None or (fn.is_random and matrix.seed is None):
-        return None
-    return _seeded_records(events, matrix.grid, fn, matrix.seed)
 
 
 def _boundaries(matrix: LabelMatrix, events: Annotation,

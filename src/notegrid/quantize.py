@@ -376,16 +376,20 @@ def _quantized(annotation: Annotation, grid: FrameGrid, fn: LabelingFunction, se
     return entry
 
 
-def _seeded_records(annotation: Annotation, grid: FrameGrid, fn: LabelingFunction,
-                    seed: int) -> QuantizedArrays:
-    """The records of _quantized's entry if the annotation keeps it, else
-    the seeded quantization computed afresh and not kept, so the annotation
-    need not pass rasterize's checks on the grid."""
-    entry = annotation._quantized.get(_cache_key(grid, fn, seed))
+def event_records(matrix: LabelMatrix, events: Annotation) -> QuantizedArrays | None:
+    """The per-event records behind a matrix, re-derived from its recorded
+    labeling function and seed, or None if it records too little: those of
+    _quantized's entry if the annotation keeps it, else the seeded
+    quantization computed afresh and not kept, so the annotation need not
+    pass rasterize's checks on the grid."""
+    fn, seed = matrix.labeling_function, matrix.seed
+    if fn is None or (fn.is_random and seed is None):
+        return None
+    entry = events._quantized.get(_cache_key(matrix.grid, fn, seed))
     if entry is not None:
         return entry[0]
-    return quantize(fn, annotation.onsets, annotation.offsets, grid.dt,
-                    seeded_shifts(fn, seed, len(annotation)))
+    return quantize(fn, events.onsets, events.offsets, matrix.grid.dt,
+                    seeded_shifts(fn, seed, len(events)))
 
 
 def rasterize_with_records(annotation: Annotation, grid: FrameGrid,

@@ -196,10 +196,18 @@ CASES = [
          "notegrid synth: error: --fps must be positive and finite, got 0.0",
          absent=("zerofps",)),
     Case("synth-unknown-config-key", ("synth --config synth.json --out x",), 4,
-         re.compile("^error: bad synth config: unknown key 'num_pyces'$"),
+         "error: synth.json: bad synth config: unknown key 'num_pyces'",
          files=json_file("synth.json", {"num_pyces": 3}), absent=("x",)),
     Case("synth-manifest-without-a-config-object", ("synth --config c.json --out x",), 4,
-         re.compile("command"), files=json_file("c.json", {"command": "synth", "config": 5})),
+         "error: c.json: bad synth config: unknown key 'command'",
+         files=json_file("c.json", {"command": "synth", "config": 5})),
+    # a flag's value is checked before the config file is read
+    Case("synth-pieces-0-before-missing-config",
+         ("synth --config missing.json --pieces 0 --out x",), 2,
+         "notegrid synth: error: --pieces must be >= 1, got 0", absent=("x",)),
+    Case("synth-pieces-past-budget", ("synth --pieces 1000000000 --out x",), 2,
+         "notegrid synth: error: --pieces = 1000000000 exceeds the budget of 10000 pieces",
+         absent=("x",)),
 
     # inspect
     Case("inspect-synth-piece", (SMOKE, "inspect smoke/piece_000.tsv")),
@@ -385,6 +393,13 @@ CASES = [
           "rasterize one.tsv --fps 50 --fn a --out q",
           "disagree --a p/one.csv --b q/one.csv --annotation one.tsv --out d"), 4,
          "error: shape mismatch: (50, 88) vs (25, 88)", files=BIG, absent=("d",)),
+    # its manifest must list each file it read (tests/test_cli.py checks every
+    # manifest): both sidecars, and both files named one.csv
+    Case("disagree-inputs-of-one-name",
+         ("rasterize one.tsv --fps 100 --fn a --out A",
+          "rasterize one.tsv --fps 100 --fn f --seed 1 --out F",
+          "disagree --a A/one.csv --b F/one.csv --annotation one.tsv --out d"),
+         files=BIG),
 
     # experiment: a rerun into a second directory writes the same bytes
     Case("experiment-rerun", ("experiment --config tiny.json --out tiny",
@@ -409,7 +424,7 @@ CASES = [
          absent=("late",)),
     Case("experiment-train-value-of-wrong-type",
          ("experiment --config badtype.json --out badtype",), 4,
-         "error: bad train config: batch_size must be int, got 2.5",
+         "error: badtype.json: bad train config: batch_size must be int, got 2.5",
          files=json_file("badtype.json", {"train": {"batch_size": 2.5}}),
          absent=("badtype",)),
     # past the train and model-size budgets: exit 4 before any piece is generated
@@ -432,7 +447,7 @@ CASES = [
          absent=("out",)),
     *(Case(f"experiment-{key}-past-budget-{value:.0e}", ("experiment --config exp.json "
                                                          "--out out",), 4,
-           f"error: bad train config: {key} = {value} exceeds the budget of {limit}",
+           f"error: exp.json: bad train config: {key} = {value} exceeds the budget of {limit}",
            files=json_file("exp.json", {"train": {key: value}}), absent=("out",))
       for key, value, limit in (("context_frames", 2 ** 63 + 1, "1001 frames"),
                                 ("context_frames", 100001, "1001 frames"),
@@ -444,9 +459,8 @@ CASES = [
          files=json_file("tiny.json", TINY), absent=("short",)),
     # an eval_fps integer past float range: it used to end in an OverflowError
     Case("experiment-eval-fps-past-float-range",
-         ("experiment --config hugefps.json --out hugefps",), 2,
-         "notegrid experiment: error: experiment config key 'eval_fps' must hold a finite "
-         "number, got 1.00e+400",
+         ("experiment --config hugefps.json --out hugefps",), 4,
+         "error: hugefps.json: bad experiment config: eval_fps must be float, got 1.00e+400",
          files={"hugefps.json": '{"eval_fps": 1' + "0" * 400 + "}"}, absent=("hugefps",)),
     # json's own text used to be echoed: a line of 200 bytes for the first,
     # which advised calling sys.set_int_max_str_digits()
@@ -466,25 +480,35 @@ CASES = [
          files={"lonecr.json": '{\r"fps": 1,\r,}'}, absent=("lonecr",)),
     # an unknown key of 300 characters, where Python's own message echoed it whole
     Case("experiment-long-unknown-key", ("experiment --config longkey.json --out longkey",),
-         4, re.compile("^error: bad synth config: unknown key 'xxx"),
+         4, re.compile("^error: longkey.json: bad synth config: unknown key 'xxx"),
          files={"longkey.json": '{"synth": {"' + "x" * 300 + '": 1}}'}, absent=("longkey",)),
-    Case("experiment-unknown-config-key", ("experiment --config exp.json --out out",), 2,
-         USAGE, files=json_file("exp.json", {"no_such_key": 1}), absent=("out",)),
+    # a config file's fault exits 4 naming the file and the key: an unknown
+    # key, a wrong type, or a value that the key's rule rejects
+    *(Case(f"experiment-{name}", ("experiment --config exp.json --out out",), 4,
+           f"error: exp.json: bad experiment config: {line}", files={"exp.json": text},
+           absent=("out",))
+      for name, text, line in (
+          ("unknown-config-key", '{"no_such_key": 1}', "unknown key 'no_such_key'"),
+          ("config-seed-of-wrong-kind", '{"seed": [1]}', "unknown key 'seed'"),
+          ("config-synth-of-wrong-kind", '{"synth": 5}', "synth must be dict, got 5"),
+          ("config-train-of-wrong-kind", '{"train": [1, 2]}', "train must be dict, got [1, 2]"),
+          ("config-train_fps-Infinity", '{"train_fps": Infinity}',
+           "train_fps must be positive and finite, got inf"),
+          ("config-eval_fps-Infinity", '{"eval_fps": Infinity}',
+           "eval_fps must be positive and finite, got inf"),
+          ("config-window_sec--Infinity", '{"window_sec": -Infinity}',
+           "window_sec must be positive, got -inf"),
+          ("config-window-sec-0", '{"window_sec": 0}', "window_sec must be positive, got 0"),
+          ("config-empty-fns", '{"fns": []}', "fns must be one or more letters of a-f, got []"),
+          ("config-empty-seeds", '{"seeds": []}', "seeds must be one or more integers, got []"),
+          ("config-fns-z", json.dumps({**TINY, "fns": ["z"]}),
+           "fns must be one or more letters of a-f, got ['z']"))),
     Case("experiment-manifest-without-a-config-object",
-         ("experiment --config c.json --out x",), 2, re.compile("command"),
+         ("experiment --config c.json --out x",), 4,
+         "error: c.json: bad experiment config: unknown key 'command'",
          files=json_file("c.json", {"command": "synth", "config": 5})),
-    *(Case(f"experiment-config-{key}-of-wrong-kind", ("experiment --config exp.json "
-                                                      "--out out",), 2,
-           re.compile(repr(key)), files=json_file("exp.json", tree), absent=("out",))
-      for key, tree in (("seed", {"seed": [1]}), ("synth", {"synth": 5}),
-                        ("train", {"train": [1, 2]}))),
-    *(Case(f"experiment-config-{key}-{text}", ("experiment --config exp.json --out out",), 2,
-           re.compile(f"experiment config key '{key}' must hold"),
-           files={"exp.json": f'{{"{key}": {text}}}'}, absent=("out",))
-      for key, text in (("train_fps", "Infinity"), ("eval_fps", "Infinity"),
-                        ("window_sec", "-Infinity"))),
-    # a rate flag that FrameGrid rejects is a usage error; the same rate read
-    # from a config file names the file and key
+    # a rate flag that the rule of its key rejects is a usage error; the same
+    # rate read from a config file names the file and key
     Case("experiment-train-fps-0", ("experiment --fns a --seeds 1 --train-fps 0 --out out",),
          2, "notegrid experiment: error: --train-fps must be positive and finite, got 0.0",
          absent=("out",)),
@@ -493,16 +517,19 @@ CASES = [
          absent=("out",)),
     Case("experiment-config-train-fps-0",
          ("experiment --config exp.json --fns a --seeds 1 --out out",), 4,
-         "error: exp.json: train_fps: fps must be positive and finite, got 0",
+         "error: exp.json: bad experiment config: train_fps must be positive and finite, got 0",
          files=json_file("exp.json", {"train_fps": 0}), absent=("out",)),
-    # so are --fns, --epochs and --learning-rate: each flag's own check, found
-    # before anything is written; from a config file the same values exit 4
+    # so are --fns, --epochs and --learning-rate: each flag's value is checked
+    # alone, before any file is read; from a config file the same values exit 4
     Case("experiment-fns-z", ("experiment --config tiny.json --fns z --out out",), 2,
-         "notegrid experiment: error: --fns: unknown labeling function 'z', expected a-f",
+         "notegrid experiment: error: --fns must be one or more letters of a-f, got ['z']",
          files=json_file("tiny.json", TINY), absent=("out",)),
     Case("experiment-epochs-negative", ("experiment --config tiny.json --epochs -1 --out out",),
          2, "notegrid experiment: error: --epochs must be >= 0, got -1",
          files=json_file("tiny.json", TINY), absent=("out",)),
+    Case("experiment-epochs-negative-before-missing-config",
+         ("experiment --config missing.json --epochs -1 --out out",), 2,
+         "notegrid experiment: error: --epochs must be >= 0, got -1", absent=("out",)),
     Case("experiment-epochs-past-budget",
          ("experiment --config tiny.json --epochs 100000 --out out",), 2,
          "notegrid experiment: error: --epochs = 100000 exceeds the budget of 1000 epochs",
@@ -515,21 +542,22 @@ CASES = [
          ("experiment --config tiny.json --learning-rate inf --out out",), 2,
          "notegrid experiment: error: --learning-rate must be positive and finite, got inf",
          files=json_file("tiny.json", TINY), absent=("out",)),
-    Case("experiment-config-fns-z", ("experiment --config exp.json --out out",), 4,
-         "error: unknown labeling function 'z', expected a-f",
-         files=json_file("exp.json", {**TINY, "fns": ["z"]}), absent=("out",)),
     Case("experiment-config-learning-rate-0", ("experiment --config exp.json --out out",), 4,
-         "error: bad train config: learning_rate must be positive and finite, got 0",
+         "error: exp.json: bad train config: learning_rate must be positive and finite, got 0",
          files=json_file("exp.json", {**TINY, "train": {"learning_rate": 0}}),
          absent=("out",)),
     Case("experiment-nan-window",
          ("experiment --config exp.json --fns a --seeds 1 --window-sec nan --out out",), 2,
-         re.compile("--window-sec"), files=json_file("exp.json", EXPERIMENT),
-         absent=("out",)),
+         "notegrid experiment: error: --window-sec must be positive, got nan",
+         files=json_file("exp.json", EXPERIMENT), absent=("out",)),
     Case("experiment-empty-fns", ("experiment --fns '' --seeds 1 --out out",), 2, USAGE),
     Case("experiment-bad-seeds", ("experiment --fns a --seeds one --out out",), 2, USAGE),
+    # a long --seeds used to be echoed whole, on a line past 200 bytes
+    Case("experiment-long-bad-seeds", (f"experiment --seeds {'x' * 300} --out out",), 2,
+         "notegrid experiment: error: --seeds must be comma-separated integers, "
+         "got 'xxxxxxxxxxxx...xxxxxxxxxxxxx'", absent=("out",)),
     Case("experiment-seeds-of-separators-only", ("experiment --fns a --seeds , --out out",),
-         2, "notegrid experiment: error: --seeds must name at least one seed",
+         2, "notegrid experiment: error: --seeds must be one or more integers, got []",
          absent=("out",)),
 ]
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -61,6 +62,44 @@ def bounded():
 def test_entry_point_case(case, tmp_path, bounded):
     report = cli_cases.check(case, tmp_path, cli_cases.in_process)
     assert report is None, report
+
+
+def writes_a_manifest(case: cli_cases.Case) -> bool:
+    """Whether the row runs a command that must exit 0 and writes a manifest."""
+    passing = case.commands if case.code == 0 else case.commands[:-1]
+    return any(shlex.split(command)[0] in ("rasterize", "eval", "disagree", "synth", "experiment")
+               for command in passing)
+
+
+@pytest.mark.parametrize("case", list(filter(writes_a_manifest, cli_cases.CASES)),
+                         ids=lambda case: case.name)
+def test_manifest_lists_every_file_read(case, tmp_path, monkeypatch, bounded):
+    """Each manifest that a row's commands write lists each file its command
+    read, but the --config file, as often as it was read: by name, with the
+    digest of that file."""
+    read_bytes, write_manifest = Path.read_bytes, ngio.write_manifest
+    reads, config, manifests = [], [], []
+
+    def recorded_read(path):
+        reads.append(path)
+        return read_bytes(path)
+
+    def checked_write(path, command, *rest):
+        read = sorted([file.name, hashlib.sha256(read_bytes(file)).hexdigest()]
+                      for file in reads if file not in config)
+        write_manifest(path, command, *rest)  # its digests read each input again
+        manifests.append((command, read, sorted(json.loads(read_bytes(path))["inputs"])))
+
+    def run(argv, where):
+        reads.clear()
+        config[:] = [Path(argv[argv.index("--config") + 1])] if "--config" in argv else []
+        return cli_cases.in_process(argv, where)
+
+    monkeypatch.setattr(Path, "read_bytes", recorded_read)
+    monkeypatch.setattr(ngio, "write_manifest", checked_write)
+    report = cli_cases.check(case, tmp_path, run)
+    assert report is None, report
+    assert manifests and all(read == listed for _, read, listed in manifests), manifests
 
 
 def as_module(argv: list[str], where: Path) -> tuple:
@@ -531,6 +570,7 @@ class TestConfigFuzz:
               config: mutate_config(TINY_EXPERIMENT, rng)}, commands)], tmp_path)
         experiment_codes = codes_of(runs, "experiment")
         assert 0 in experiment_codes and len(experiment_codes) > 1  # some run, some fail
+        assert 2 not in codes_of(runs)  # a config file's fault is no usage error
 # the tiny experiment with every top-level key and every synth and train
 # field spelled out
 FULL_TINY_EXPERIMENT = {
@@ -595,6 +635,7 @@ class TestConfigTokenFuzz:
                                   ("experiment", FULL_TINY_EXPERIMENT))], tmp_path)
         for command in ("synth", "experiment"):  # some run, some fail
             assert 0 in codes_of(runs, command) and len(codes_of(runs, command)) > 1
+        assert 2 not in codes_of(runs)  # a config file's fault is no usage error
 FILE_TOKENS = ["x" * 300, "1e300", "-1e300", "NaN", "Infinity", "9" * 30, "0", "-1", "1e-300"]
 FILE_TOKEN_FUZZ_SEED = 0xF17E
 FILE_TOKEN_FUZZ_CASES = 300
@@ -754,7 +795,7 @@ class TestConfigFiles:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))
         code, _, err = run_cli([command, "--config", str(path), "--out", str(tmp_path / "out")])
-        assert code == 4 and where in err
+        assert code == 4 and err.startswith("error: cfg.json: " + where)
 
 
 # one wrong-typed value per config field: (section, key, value), where
@@ -814,12 +855,12 @@ class TestTypedConfigValues:
         import dataclasses
 
         from notegrid import SynthConfig, TrainConfig
-        from notegrid.cli import _EXPERIMENT_KEYS
+        from notegrid.cli import _ExperimentConfig
 
         covered = {(section, key) for section, key, _ in WRONG_TYPED}
         expected = ({("synth", f.name) for f in dataclasses.fields(SynthConfig)}
                     | {("train", f.name) for f in dataclasses.fields(TrainConfig)}
-                    | {(None, key) for key in _EXPERIMENT_KEYS})
+                    | {(None, f.name) for f in dataclasses.fields(_ExperimentConfig)})
         assert covered == expected
 
     @pytest.mark.parametrize("section,key,value", WRONG_TYPED,
@@ -855,12 +896,17 @@ class TestTypedConfigValues:
 
     @pytest.mark.parametrize("key", ["train_fps", "eval_fps", "window_sec"])
     @pytest.mark.parametrize("value", [10 ** 400, float("nan")], ids=["1e400", "nan"])
-    def test_rate_past_float_range_or_nan_is_a_usage_error(self, tmp_path, key, value):
+    def test_rate_past_float_range_or_nan_names_the_file(self, tmp_path, key, value):
         path = tmp_path / "exp.json"
         path.write_text(json.dumps({key: value}))
         code, _, err = run_cli(["experiment", "--config", str(path),
                                 "--out", str(tmp_path / "out")])
-        assert code == 2 and f"experiment config key {key!r} must hold a finite number" in err
+        if value == 10 ** 400:  # not a float, so the key's type rejects it
+            want = "float, got 1.00e+400"
+        else:  # the key's rule rejects NaN
+            want = "positive, got nan" if key == "window_sec" else "positive and finite, got nan"
+        assert (code, err) == (4, f"error: exp.json: bad experiment config: {key} must be "
+                                  f"{want}\n")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key,value", TRAIN_REJECTED,
@@ -870,7 +916,7 @@ class TestTypedConfigValues:
         path.write_text(json.dumps({"train": {key: value}}))
         code, _, err = run_cli(["experiment", "--config", str(path),
                                 "--out", str(tmp_path / "out")])
-        assert code == 4 and err.startswith(f"error: bad train config: {key} must")
+        assert code == 4 and err.startswith(f"error: exp.json: bad train config: {key} must")
         assert not (tmp_path / "out").exists()
 
     def test_int_for_float_and_null_schedule_accepted(self, tmp_path):
@@ -962,8 +1008,8 @@ class TestUsageErrors:
         argv = ["experiment", "--config", str(config), "--fns", "a", "--seeds", "1",
                 "--out", str(tmp_path / "out")]
         code, _, err = run_cli(argv)
-        assert (code, err) == (4, f"error: cfg.json: {key}: fps must be positive "
-                                  f"and finite, got {shown}\n")
+        assert (code, err) == (4, f"error: cfg.json: bad experiment config: {key} must be "
+                                  f"positive and finite, got {shown}\n")
         assert not (tmp_path / "out").exists()
         flag = "--" + key.replace("_", "-")
         assert run_cli([*argv, flag, "31.25" if key == "train_fps" else "100"]).code == 0
@@ -979,7 +1025,8 @@ class TestRasterizeCommand:
         assert matrix.frames[10:25, 39].all()
         manifest = json.loads((out / "notes.manifest.json").read_text())
         assert manifest["command"] == "rasterize"
-        assert "notes.tsv" in manifest["inputs"]
+        digest = hashlib.sha256(notes_tsv.read_bytes()).hexdigest()
+        assert manifest["inputs"] == [["notes.tsv", digest]]
 
     def test_failed_write_leaves_no_temp_file(self, tmp_path, notes_tsv):
         out = tmp_path / "out"

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import math
 import sys
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -25,7 +24,7 @@ from .annotation import Annotation, parse_tsv, to_tsv, validate
 from .errors import ContractError, DivergenceError, NotegridError
 from .metrics import disagreement, reference_labels, windowed_counts
 from .midi import parse_midi
-from .quantize import FrameGrid, LabelingFunction, event_records, rasterize
+from .quantize import FrameGrid, LabelingFunction, event_records, is_rate, rasterize
 from .synth import SynthConfig, generate_corpus, render_features
 from .trainer import TrainConfig, run_sensitivity_experiment
 from .util import brief, check_config
@@ -53,8 +52,8 @@ class _ExperimentConfig:
             "fns": ("one or more letters of a-f",  # as LabelingFunction.from_letter reads them
                     lambda v: v and {letter.lower() for letter in v} <= set("abcdef")),
             "seeds": ("one or more integers", lambda v: len(v) > 0),
-            "train_fps": ("positive and finite", lambda v: 0 < v < math.inf),
-            "eval_fps": ("positive and finite", lambda v: 0 < v < math.inf),
+            "train_fps": ("positive and finite", is_rate),
+            "eval_fps": ("positive and finite", is_rate),
             "window_sec": ("positive", lambda v: v > 0)})
 
 

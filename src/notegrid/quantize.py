@@ -86,21 +86,25 @@ def seeded_shifts(fn: LabelingFunction, seed: int, num_intervals: int) -> np.nda
                   fn.shifts_per_interval * num_intervals)
 
 
+def is_rate(fps) -> bool:
+    """The package's one check of a frame rate: a finite float, or an
+    integer that fits one (util.fits, so no bool), above 0."""
+    return fits(float, fps) and fps > 0
+
+
 @dataclass(frozen=True)
 class FrameGrid:
     """A frame rate and a frame count; the discretization target.
 
-    The package's one check of a rate is here: fps is a finite float, or
-    an integer that fits one (util.fits, so no bool), above 0. dt is
-    derived as 1/fps, so the dt*fps == 1 invariant holds to float
-    precision by construction.
+    fps passes is_rate. dt is derived as 1/fps, so the dt*fps == 1
+    invariant holds to float precision by construction.
     """
 
     fps: float
     num_frames: int
 
     def __post_init__(self):
-        if not (fits(float, self.fps) and self.fps > 0):
+        if not is_rate(self.fps):
             raise ContractError(f"fps must be positive and finite, got {brief(self.fps)}")
         if self.num_frames < 1:
             raise ContractError(f"num_frames must be >= 1, got {self.num_frames}")

@@ -153,15 +153,11 @@ def cmd_rasterize(args, parser) -> int:
 
 
 def cmd_eval(args, parser) -> int:
-    if not args.window_sec > 0:
-        parser.error("--window-sec must be positive")
+    _check_flags(parser, _ExperimentConfig, {"--window-sec": ("window_sec", args.window_sec)})
     if args.ref is None and args.annotation is None:
         parser.error("either --ref or --annotation is required")
-    ref_fn = LabelingFunction.from_letter(args.fn)
     if args.ref is None:
         _check_rate(parser, "--ref-fps", args.ref_fps)
-        if ref_fn.is_random and args.seed is None:
-            parser.error(f"--seed is required for labeling function {ref_fn.letter}")
 
     pred = io.read_label_matrix(Path(args.pred))
     inputs = [Path(args.pred), io.sidecar_path(Path(args.pred))]
@@ -172,9 +168,7 @@ def cmd_eval(args, parser) -> int:
         annotation = load_annotation(Path(args.annotation), args.pitch_offset,
                                      args.num_labels)
         with _naming(Path(args.annotation)):
-            ref = reference_labels(
-                annotation, window_sec=args.window_sec, ref_fps=args.ref_fps,
-                reference_fn=ref_fn, reference_seed=args.seed if args.seed is not None else 0)
+            ref = reference_labels(annotation, window_sec=args.window_sec, ref_fps=args.ref_fps)
         inputs.append(Path(args.annotation))
     result = windowed_counts(pred, ref, args.window_sec)
 
@@ -193,12 +187,10 @@ def cmd_eval(args, parser) -> int:
         "pred": Path(args.pred).name,
         "ref": Path(args.ref).name if args.ref else None,
         "annotation": Path(args.annotation).name if args.annotation else None,
-        "fn": args.fn, "seed": args.seed, "ref_fps": args.ref_fps,
-        "window_sec": args.window_sec,
+        "ref_fps": args.ref_fps, "window_sec": args.window_sec,
         "pitch_offset": args.pitch_offset, "num_labels": args.num_labels,
     }
-    io.write_manifest(out_dir / "eval.manifest.json", "eval", config,
-                      [s for s in [args.seed] if s is not None], inputs)
+    io.write_manifest(out_dir / "eval.manifest.json", "eval", config, [], inputs)
     print(io.EVAL_CSV_HEADER, io.csv_line(record.values()), sep="\n")
     return 0
 
@@ -240,6 +232,8 @@ def cmd_synth(args, parser) -> int:
         if isinstance(loaded.get("synth"), dict):  # a synth manifest's config
             loaded = loaded["synth"]
         cfg = _build_config(SynthConfig, {**loaded, **flags}, "synth")
+        # every piece lasts piece_duration_sec, so one grid serves them all
+        grid = FrameGrid.covering(args.fps, cfg.piece_duration_sec) if args.features else None
 
     corpus = generate_corpus(cfg)
     out_dir = Path(args.out)
@@ -248,7 +242,6 @@ def cmd_synth(args, parser) -> int:
         name = f"piece_{i:03d}.tsv"
         io.atomic_write_text(out_dir / name, to_tsv(piece, pitch_offset=args.pitch_offset))
         if args.features:
-            grid = FrameGrid.covering(args.fps, piece.duration_sec)
             features = render_features(piece, grid, cfg, noise_seed=i)
             io.write_feature_matrix(features, out_dir / f"piece_{i:03d}.features.csv")
         pieces_meta.append({"id": i, "noise_seed": i, "path": name,
@@ -283,10 +276,10 @@ def cmd_experiment(args, parser) -> int:
         config = _build_config(_ExperimentConfig, {**loaded, **flags}, "experiment")
         synth_cfg = _build_config(SynthConfig, config.synth, "synth")
         train_cfg = _build_config(TrainConfig, {**config.train, **train_flags}, "train")
+        train_grid = FrameGrid.covering(config.train_fps, synth_cfg.piece_duration_sec)
+        eval_grid = FrameGrid.covering(config.eval_fps, synth_cfg.piece_duration_sec)
 
     fns = [LabelingFunction.from_letter(letter) for letter in config.fns]
-    train_grid = FrameGrid.covering(config.train_fps, synth_cfg.piece_duration_sec)
-    eval_grid = FrameGrid.covering(config.eval_fps, synth_cfg.piece_duration_sec)
 
     table = run_sensitivity_experiment(synth_cfg, fns, train_grid, eval_grid, train_cfg,
                                        config.seeds, window_sec=config.window_sec)
@@ -336,10 +329,22 @@ def cmd_inspect(args, parser) -> int:
     return 0
 
 
+def _number(kind):
+    """argparse's `type` for an int or float flag, whose error echoes the value as brief does."""
+    def convert(text: str):
+        try:
+            return kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {kind.__name__} value: {brief(text)}") from None
+    return convert
+
+
+
 def _add_annotation_options(sub) -> None:
-    sub.add_argument("--pitch-offset", type=int, default=21,
+    sub.add_argument("--pitch-offset", type=_number(int), default=21,
                      help="MIDI pitch mapped to label 0 (default 21)")
-    sub.add_argument("--num-labels", type=int, default=88,
+    sub.add_argument("--num-labels", type=_number(int), default=88,
                      help="size of the label space (default 88)")
 
 
@@ -356,10 +361,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("rasterize", help="annotation file to label matrix CSV")
     sub.add_argument("input", help="annotation file (.tsv/.txt/.mid/.midi)")
-    sub.add_argument("--fps", type=float, required=True, help="frame rate")
+    sub.add_argument("--fps", type=_number(float), required=True, help="frame rate")
     sub.add_argument("--fn", required=True, choices=list("abcdef"),
                      help="labeling function")
-    sub.add_argument("--seed", type=int, help="draw seed (required for e/f)")
+    sub.add_argument("--seed", type=_number(int), help="draw seed (required for e/f)")
     sub.add_argument("--out", default=".", help="output directory")
     sub.add_argument("--name", help="output file stem (default: input stem)")
     _add_annotation_options(sub)
@@ -368,13 +373,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser("eval", help="score a matrix against a reference")
     sub.add_argument("--pred", required=True, help="prediction matrix CSV")
     sub.add_argument("--ref", help="reference matrix CSV")
-    sub.add_argument("--annotation", help="annotation for an on-the-fly reference")
-    sub.add_argument("--fn", default="a", choices=list("abcdef"),
-                     help="reference labeling function (default a)")
-    sub.add_argument("--seed", type=int, help="reference draw seed")
-    sub.add_argument("--ref-fps", type=float, default=100.0,
+    sub.add_argument("--annotation", help="annotation for an on-the-fly reference by fn a")
+    sub.add_argument("--ref-fps", type=_number(float), default=100.0,
                      help="reference frame rate (default 100)")
-    sub.add_argument("--window-sec", type=float, default=30.0,
+    sub.add_argument("--window-sec", type=_number(float), default=30.0,
                      help="evaluation window in seconds (default 30)")
     sub.add_argument("--out", default=".", help="output directory")
     _add_annotation_options(sub)
@@ -391,12 +393,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser("synth", help="generate a synthetic corpus")
     sub.add_argument("--out", default=".", help="output directory")
     sub.add_argument("--config", help="synth config JSON")
-    sub.add_argument("--pieces", type=int, help="override number of pieces")
-    sub.add_argument("--seed", type=int, help="override corpus seed")
+    sub.add_argument("--pieces", type=_number(int), help="override number of pieces")
+    sub.add_argument("--seed", type=_number(int), help="override corpus seed")
     sub.add_argument("--features", action="store_true", help="also render features")
-    sub.add_argument("--fps", type=float, default=31.25,
+    sub.add_argument("--fps", type=_number(float), default=31.25,
                      help="feature frame rate with --features (default 31.25)")
-    sub.add_argument("--pitch-offset", type=int, default=21,
+    sub.add_argument("--pitch-offset", type=_number(int), default=21,
                      help="MIDI pitch written for label 0 (default 21)")
     sub.set_defaults(handler=cmd_synth, parser=sub)
 
@@ -404,11 +406,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--config", help="experiment config JSON (or a manifest)")
     sub.add_argument("--fns", help="comma-separated labeling functions (default a..f)")
     sub.add_argument("--seeds", help="comma-separated seeds (default 1,2,3)")
-    sub.add_argument("--train-fps", type=float, help="training frame rate (default 31.25)")
-    sub.add_argument("--eval-fps", type=float, help="evaluation frame rate (default 100)")
-    sub.add_argument("--window-sec", type=float, help="evaluation window (default 30)")
-    sub.add_argument("--epochs", type=int, help="override training epochs")
-    sub.add_argument("--learning-rate", type=float, help="override learning rate")
+    sub.add_argument("--train-fps", type=_number(float),
+                     help="training frame rate (default 31.25)")
+    sub.add_argument("--eval-fps", type=_number(float), help="evaluation frame rate (default 100)")
+    sub.add_argument("--window-sec", type=_number(float), help="evaluation window (default 30)")
+    sub.add_argument("--epochs", type=_number(int), help="override training epochs")
+    sub.add_argument("--learning-rate", type=_number(float), help="override learning rate")
     sub.add_argument("--out", default=".", help="output directory")
     sub.set_defaults(handler=cmd_experiment, parser=sub)
 
@@ -421,15 +424,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args, extra = build_parser().parse_known_args(argv)
+    if extra:  # parse_args would show the top-level usage and echo them whole
+        args.parser.error(f"unrecognized arguments: {brief(' '.join(extra))}")
     try:
         return args.handler(args, args.parser)
-    except DivergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except (NotegridError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return 3 if isinstance(exc, DivergenceError) else 4
 
 
 if __name__ == "__main__":

@@ -206,27 +206,22 @@ def windowed_block_counts(pred: LabelMatrix, ref: LabelMatrix, window_sec: float
 
 
 def reference_labels(annotation: Annotation, *, window_sec: float = 30.0,
-                     ref_fps: float = 100.0,
-                     reference_fn: LabelingFunction = LabelingFunction.A,
-                     reference_seed: int = 0) -> LabelMatrix:
+                     ref_fps: float = 100.0) -> LabelMatrix:
     """The reference of evaluate_against_reference: the annotation
-    rasterized by reference_fn at ref_fps, painted only on the frames the
-    window keeps of the grid covering the annotation, which are the rows
-    truncating the whole one would keep. A window that keeps no frame
-    gets one, so that windowed_counts reports it."""
+    rasterized by the round-both function a at ref_fps, painted only on the
+    frames the window keeps of the grid covering the annotation, which are
+    the rows truncating the whole one would keep. A window that keeps no
+    frame gets one, so that windowed_counts reports it."""
     grid = FrameGrid.covering(ref_fps, annotation.duration_sec)
     grid = (_window_grid(grid, window_sec) if window_sec * grid.fps >= 1
             else FrameGrid(fps=grid.fps, num_frames=1))
-    return rasterize(annotation, grid, reference_fn, reference_seed)
+    return rasterize(annotation, grid, LabelingFunction.A)
 
 
 def evaluate_against_reference(pred: LabelMatrix, annotation: Annotation, *,
-                               window_sec: float = 30.0, ref_fps: float = 100.0,
-                               reference_fn: LabelingFunction = LabelingFunction.A,
-                               reference_seed: int = 0) -> EvalCounts:
+                               window_sec: float = 30.0, ref_fps: float = 100.0) -> EvalCounts:
     """Standard evaluation of a prediction matrix against an annotation:
     windowed_counts against reference_labels, the round-both rasterization
-    of the annotation at 100 fps (both configurable)."""
-    ref = reference_labels(annotation, window_sec=window_sec, ref_fps=ref_fps,
-                           reference_fn=reference_fn, reference_seed=reference_seed)
+    of the annotation at 100 fps (the rate configurable)."""
+    ref = reference_labels(annotation, window_sec=window_sec, ref_fps=ref_fps)
     return windowed_counts(pred, ref, window_sec)

@@ -318,6 +318,14 @@ CASES = [
     Case("rasterize-fps-inf", (SMOKE, "rasterize smoke/piece_000.tsv --fps inf --fn a --out inf"),
          2, "notegrid rasterize: error: --fps must be positive and finite, got inf",
          absent=("inf",)),
+    # argparse's own messages would echo these whole, on a line past 200 bytes
+    Case("rasterize-long-stray-argument",
+         (f"rasterize notes.tsv --fps 100 --fn a --out out {'z' * 300}",), 2,
+         "notegrid rasterize: error: unrecognized arguments: 'zzzzzzzzzzzz...zzzzzzzzzzzzz'",
+         files=NOTES, absent=("out",)),
+    Case("rasterize-long-fps", (f"rasterize notes.tsv --fps {'y' * 300} --fn a --out out",), 2,
+         "notegrid rasterize: error: argument --fps: invalid float value: "
+         "'yyyyyyyyyyyy...yyyyyyyyyyyyy'", files=NOTES, absent=("out",)),
     Case("rasterize-bad-extension", ("rasterize notes.xyz --fps 100 --fn a",), 2, USAGE,
          files={"notes.xyz": NOTES["notes.tsv"]}),
 
@@ -333,12 +341,15 @@ CASES = [
                      "--window-sec 1e-300"),
          4, "error: a window of 1e-300 s holds no frame at 100.0 fps", files=NOTES,
          absent=("e",)),
+    # the rule of the experiment's window_sec
     Case("eval-zero-window", (NOTES_CSV, "eval --pred m/notes.csv --ref m/notes.csv "
                                          "--out e --window-sec 0"),
-         2, USAGE, files=NOTES, absent=("e",)),
+         2, "notegrid eval: error: --window-sec must be positive, got 0.0", files=NOTES,
+         absent=("e",)),
     Case("eval-nan-window", (NOTES_CSV, "eval --pred m/notes.csv --ref m/notes.csv "
                                         "--out e --window-sec nan"),
-         2, USAGE, files=NOTES, absent=("e",)),
+         2, "notegrid eval: error: --window-sec must be positive, got nan", files=NOTES,
+         absent=("e",)),
     Case("eval-neither-ref-nor-annotation", (NOTES_CSV, "eval --pred m/notes.csv --out e"),
          2, USAGE, files=NOTES, absent=("e",)),
     Case("eval-neither-ref-nor-annotation-before-missing-pred",
@@ -353,23 +364,20 @@ CASES = [
                               "--out e",),
          2, "notegrid eval: error: --ref-fps must be positive and finite, got inf",
          files=NOTES, absent=("e",)),
-    Case("eval-random-fn-without-seed",
+    # the reference is always function a; another function's labels are
+    # scored by rasterizing them and passing them as --ref
+    Case("eval-fn-is-unrecognized",
          (NOTES_CSV, "eval --pred m/notes.csv --annotation notes.tsv --out e --fn e"),
-         2, re.compile("--seed is required for labeling function e"), files=NOTES,
+         2, "notegrid eval: error: unrecognized arguments: '--fn e'", files=NOTES,
          absent=("e",)),
     # a usage error comes before a missing file; with --ref neither option is
     # read, so the missing file is the error
     Case("eval-ref-fps-0-before-missing-pred",
          ("eval --pred missing.csv --annotation notes.tsv --out e --ref-fps 0",), 2, USAGE,
          files=NOTES, absent=("e",)),
-    Case("eval-random-fn-before-missing-pred",
-         ("eval --pred missing.csv --annotation notes.tsv --out e --fn e",), 2, USAGE,
-         files=NOTES, absent=("e",)),
     Case("eval-ref-ignores-ref-fps", ("eval --pred missing.csv --ref missing.csv --out e "
                                       "--ref-fps 0",), 4, re.compile("^error: "),
          absent=("e",)),
-    Case("eval-ref-ignores-fn", ("eval --pred missing.csv --ref missing.csv --out e --fn e",),
-         4, re.compile("^error: "), absent=("e",)),
     # quantizing the annotation fails: the error names it, and only it
     Case("eval-annotation-past-frame-index",
          ("rasterize one.tsv --fps 100 --fn a --out p",
@@ -452,6 +460,14 @@ CASES = [
       for key, value, limit in (("context_frames", 2 ** 63 + 1, "1001 frames"),
                                 ("context_frames", 100001, "1001 frames"),
                                 ("epochs", 10 ** 9, "1000 epochs"))),
+    # a duration that passes the notes budget but that no grid covers: the
+    # fault names the file, and nothing is written
+    *(Case(f"{command}-duration-no-grid-covers", (f"{command} --config exp.json {flags}"
+                                                   "--out out",), 4,
+           "error: exp.json: cannot cover 1e+308 s at 31.25 fps: not finite",
+           files=json_file("exp.json", {"synth": {"piece_duration_sec": 1e308,
+                                                   "note_rate": 1e-310}}), absent=("out",))
+      for command, flags in (("experiment", ""), ("synth", "--features "))),
     # an evaluation window shorter than one frame, before any piece is generated
     Case("experiment-window-of-no-frame",
          ("experiment --config tiny.json --window-sec 0.001 --out short",), 4,
@@ -550,6 +566,9 @@ CASES = [
          ("experiment --config exp.json --fns a --seeds 1 --window-sec nan --out out",), 2,
          "notegrid experiment: error: --window-sec must be positive, got nan",
          files=json_file("exp.json", EXPERIMENT), absent=("out",)),
+    Case("experiment-long-epochs", (f"experiment --epochs {'x' * 300} --out out",), 2,
+         "notegrid experiment: error: argument --epochs: invalid int value: "
+         "'xxxxxxxxxxxx...xxxxxxxxxxxxx'", absent=("out",)),
     Case("experiment-empty-fns", ("experiment --fns '' --seeds 1 --out out",), 2, USAGE),
     Case("experiment-bad-seeds", ("experiment --fns a --seeds one --out out",), 2, USAGE),
     # a long --seeds used to be echoed whole, on a line past 200 bytes

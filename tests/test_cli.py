@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -970,6 +971,14 @@ class TestParserReuse:
 
     def test_parser_is_built_once(self):
         assert build_parser() is build_parser()
+
+    def test_no_flag_takes_a_bare_number_type(self):
+        # argparse's error for a value that int or float rejects echoes it whole
+        subparsers = next(action for action in build_parser()._actions
+                          if isinstance(action, argparse._SubParsersAction))
+        bare = [f"{name} {action.dest}" for name, sub in subparsers.choices.items()
+                for action in sub._actions if action.type in (int, float)]
+        assert bare == []
 
     def test_option_left_out_gets_its_default(self, tmp_path, notes_tsv):
         assert run_cli(["rasterize", str(notes_tsv), "--fps", "100", "--fn", "a",

@@ -375,6 +375,9 @@ CASES = [
     Case("eval-ref-fps-0-before-missing-pred",
          ("eval --pred missing.csv --annotation notes.tsv --out e --ref-fps 0",), 2, USAGE,
          files=NOTES, absent=("e",)),
+    Case("eval-random-fn-before-missing-pred",
+         ("eval --pred missing.csv --annotation notes.tsv --out e --fn e",), 2, USAGE,
+         files=NOTES, absent=("e",)),
     Case("eval-ref-ignores-ref-fps", ("eval --pred missing.csv --ref missing.csv --out e "
                                       "--ref-fps 0",), 4, re.compile("^error: "),
          absent=("e",)),

@@ -386,11 +386,13 @@ class TestEvaluationProtocol:
 
     @pytest.mark.parametrize("ref_fps", [100.0, 86.1328125])
     @pytest.mark.parametrize("window_sec", [0.0123, 12.345, 29.99, 30.0, 45.0, math.inf])
+    @pytest.mark.parametrize("pred_fn,pred_seed", [(A, 0), (E, 9)])
     def test_reference_painted_only_over_the_window(self, hundred_notes, monkeypatch, ref_fps,
-                                                    window_sec):
+                                                    window_sec, pred_fn, pred_seed):
         # the 30 s piece covers 3,000 frames at 100 fps and 2,584 at 86.13
-        # fps, of which a 30 s window keeps 2,583
-        pred = rasterize(hundred_notes, FrameGrid.covering(31.25, 30.0), E, 3)
+        # fps, of which a 30 s window keeps 2,583; the reference is function
+        # a whichever function labeled the prediction
+        pred = rasterize(hundred_notes, FrameGrid.covering(31.25, 30.0), pred_fn, pred_seed)
         covering = FrameGrid.covering(ref_fps, hundred_notes.duration_sec)
         whole = rasterize(hundred_notes, covering, A)
         expected = windowed_counts(pred, whole, window_sec)

@@ -68,7 +68,6 @@ def _naming(path: Path):
 
 
 def load_annotation(path: Path, pitch_offset: int, num_labels: int) -> Annotation:
-    path = Path(path)
     if path.suffix.lower() in (".mid", ".midi"):
         parse, data = parse_midi, path.read_bytes()
     else:
@@ -78,13 +77,13 @@ def load_annotation(path: Path, pitch_offset: int, num_labels: int) -> Annotatio
 
 
 @contextlib.contextmanager
-def _config_file(name: str | None):
+def _config_file(path: Path | None):
     """Give the --config file's object, or {} without one; a manifest gives
     the config it records. A NotegridError raised inside names the file."""
-    obj = io.read_json_object(Path(name), "config") if name else {}
+    obj = io.read_json_object(path, "config") if path else {}
     if "command" in obj and isinstance(obj.get("config"), dict):
         obj = obj["config"]
-    with _naming(Path(name)) if name else contextlib.nullcontext():
+    with _naming(path) if path else contextlib.nullcontext():
         yield obj
 
 
@@ -123,31 +122,27 @@ def _check_rate(parser, flag: str, value: float) -> None:
 
 def cmd_rasterize(args, parser) -> int:
     _check_rate(parser, "--fps", args.fps)
-    fn = LabelingFunction.from_letter(args.fn)
-    if fn.is_random and args.seed is None:
-        parser.error(f"--seed is required for labeling function {fn.letter}")
+    if args.fn.is_random and args.seed is None:
+        parser.error(f"--seed is required for labeling function {args.fn.letter}")
     seed = args.seed if args.seed is not None else 0
+    stem = str(args.name or args.input.stem)
+    if Path(stem).name != stem:  # the file would land outside --out
+        parser.error(f"--name must be a file name, got {brief(stem)}")
 
-    input_path = Path(args.input)
-    if input_path.suffix.lower() not in _ANNOTATION_SUFFIXES:
-        parser.error(f"unrecognized annotation extension {input_path.suffix!r} "
+    if args.input.suffix.lower() not in _ANNOTATION_SUFFIXES:
+        parser.error(f"unrecognized annotation extension {brief(args.input.suffix)} "
                      "(expected .tsv, .txt, .mid, .midi)")
-    annotation = load_annotation(input_path, args.pitch_offset, args.num_labels)
-    with _naming(input_path):
+    annotation = load_annotation(args.input, args.pitch_offset, args.num_labels)
+    with _naming(args.input):
         grid = FrameGrid.covering(args.fps, annotation.duration_sec)
-        matrix = rasterize(annotation, grid, fn, seed)
+        matrix = rasterize(annotation, grid, args.fn, seed)
 
-    out_dir = Path(args.out)
-    stem = args.name or input_path.stem
-    csv_path = out_dir / f"{stem}.csv"
+    csv_path = args.out / f"{stem}.csv"
     io.write_label_matrix(matrix, csv_path)
-    config = {
-        "fps": args.fps, "fn": fn.letter, "seed": seed,
-        "pitch_offset": args.pitch_offset, "num_labels": args.num_labels,
-        "input": input_path.name, "name": stem,
-    }
-    io.write_manifest(out_dir / f"{stem}.manifest.json", "rasterize", config,
-                      [seed], [input_path])
+    config = {"fps": args.fps, "fn": args.fn.letter, "seed": seed, "input": args.input.name,
+              "name": stem, "pitch_offset": args.pitch_offset, "num_labels": args.num_labels}
+    io.write_manifest(args.out / f"{stem}.manifest.json", "rasterize", config,
+                      [seed], [args.input])
     print(f"wrote {csv_path}")
     return 0
 
@@ -159,65 +154,48 @@ def cmd_eval(args, parser) -> int:
     if args.ref is None:
         _check_rate(parser, "--ref-fps", args.ref_fps)
 
-    pred = io.read_label_matrix(Path(args.pred))
-    inputs = [Path(args.pred), io.sidecar_path(Path(args.pred))]
+    pred = io.read_label_matrix(args.pred)
+    inputs = [args.pred, io.sidecar_path(args.pred)]
     if args.ref is not None:
-        ref = io.read_label_matrix(Path(args.ref))
-        inputs += [Path(args.ref), io.sidecar_path(Path(args.ref))]
+        ref = io.read_label_matrix(args.ref)
+        inputs += [args.ref, io.sidecar_path(args.ref)]
     else:
-        annotation = load_annotation(Path(args.annotation), args.pitch_offset,
-                                     args.num_labels)
-        with _naming(Path(args.annotation)):
+        annotation = load_annotation(args.annotation, args.pitch_offset, args.num_labels)
+        with _naming(args.annotation):
             ref = reference_labels(annotation, window_sec=args.window_sec, ref_fps=args.ref_fps)
-        inputs.append(Path(args.annotation))
+        inputs.append(args.annotation)
     result = windowed_counts(pred, ref, args.window_sec)
 
-    fn_letter = pred.labeling_function.letter if pred.labeling_function else ""
-    # the eval.json row; its values, in EVAL_CSV_HEADER's order, are the CSV row
-    record = {"piece": Path(args.pred).stem, "fn": fn_letter, "seed": pred.seed,
-              "fps": pred.grid.fps, "tp": result.tp, "fp": result.fp,
-              "fn_": result.fn_, "precision": result.precision,
-              "recall": result.recall, "fmeasure": result.fmeasure}
-
-    out_dir = Path(args.out)
-    io.write_csv(out_dir / "eval.csv", io.EVAL_CSV_HEADER, [record.values()])
-    means = {fn_letter: result.fmeasure} if fn_letter else {}
-    io.write_json(out_dir / "eval.json", {"rows": [record], "per_fn_mean_fmeasure": means})
-    config = {
-        "pred": Path(args.pred).name,
-        "ref": Path(args.ref).name if args.ref else None,
-        "annotation": Path(args.annotation).name if args.annotation else None,
-        "ref_fps": args.ref_fps, "window_sec": args.window_sec,
-        "pitch_offset": args.pitch_offset, "num_labels": args.num_labels,
-    }
-    io.write_manifest(out_dir / "eval.manifest.json", "eval", config, [], inputs)
-    print(io.EVAL_CSV_HEADER, io.csv_line(record.values()), sep="\n")
+    fn = pred.labeling_function
+    row = [args.pred.stem, fn.letter if fn else "", pred.seed, pred.grid.fps,
+           result.tp, result.fp, result.fn_, result.precision, result.recall, result.fmeasure]
+    io.write_csv(args.out / "eval.csv", io.EVAL_CSV_HEADER, [row])
+    config = {"pred": args.pred.name, "ref": args.ref.name if args.ref else None,
+              "annotation": args.annotation.name if args.annotation else None,
+              "ref_fps": args.ref_fps, "window_sec": args.window_sec,
+              "pitch_offset": args.pitch_offset, "num_labels": args.num_labels}
+    io.write_manifest(args.out / "eval.manifest.json", "eval", config, [], inputs)
+    print(io.EVAL_CSV_HEADER, io.csv_line(row), sep="\n")
     return 0
 
 
 def cmd_disagree(args, parser) -> int:
-    matrix_a = io.read_label_matrix(Path(args.a))
-    matrix_b = io.read_label_matrix(Path(args.b))
-    annotation = load_annotation(Path(args.annotation), args.pitch_offset,
-                                 args.num_labels)
-    with _naming(Path(args.annotation)):
+    matrix_a = io.read_label_matrix(args.a)
+    matrix_b = io.read_label_matrix(args.b)
+    annotation = load_annotation(args.annotation, args.pitch_offset, args.num_labels)
+    with _naming(args.annotation):
         records = [event_records(matrix, annotation) for matrix in (matrix_a, matrix_b)]
     stats = disagreement(matrix_a, matrix_b, annotation, *records)
 
-    out_dir = Path(args.out)
-    payload = {
+    io.write_json(args.out / "disagree.json", {
         "differing_frames": stats.differing_frames,
         "frame_rate_of_disagreement": stats.frame_rate_of_disagreement,
         "onset_shift_histogram": {str(k): v for k, v in stats.onset_shift_histogram.items()},
-        "offset_shift_histogram": {str(k): v for k, v in stats.offset_shift_histogram.items()},
-    }
-    io.write_json(out_dir / "disagree.json", payload)
-    inputs = [Path(args.a), io.sidecar_path(Path(args.a)),
-              Path(args.b), io.sidecar_path(Path(args.b)), Path(args.annotation)]
-    config = {"a": Path(args.a).name, "b": Path(args.b).name,
-              "annotation": Path(args.annotation).name,
+        "offset_shift_histogram": {str(k): v for k, v in stats.offset_shift_histogram.items()}})
+    inputs = [args.a, io.sidecar_path(args.a), args.b, io.sidecar_path(args.b), args.annotation]
+    config = {"a": args.a.name, "b": args.b.name, "annotation": args.annotation.name,
               "pitch_offset": args.pitch_offset, "num_labels": args.num_labels}
-    io.write_manifest(out_dir / "disagree.manifest.json", "disagree", config, [], inputs)
+    io.write_manifest(args.out / "disagree.manifest.json", "disagree", config, [], inputs)
     print(f"differing frames: {stats.differing_frames} "
           f"({stats.frame_rate_of_disagreement:.6f} of cells)")
     return 0
@@ -236,23 +214,20 @@ def cmd_synth(args, parser) -> int:
         grid = FrameGrid.covering(args.fps, cfg.piece_duration_sec) if args.features else None
 
     corpus = generate_corpus(cfg)
-    out_dir = Path(args.out)
     pieces_meta = []
     for i, piece in enumerate(corpus):
         name = f"piece_{i:03d}.tsv"
-        io.atomic_write_text(out_dir / name, to_tsv(piece, pitch_offset=args.pitch_offset))
+        io.atomic_write_text(args.out / name, to_tsv(piece, pitch_offset=args.pitch_offset))
         if args.features:
             features = render_features(piece, grid, cfg, noise_seed=i)
-            io.write_feature_matrix(features, out_dir / f"piece_{i:03d}.features.csv")
-        pieces_meta.append({"id": i, "noise_seed": i, "path": name,
-                            "num_events": len(piece)})
-    io.write_json(out_dir / "corpus.json",
-                  {"config": asdict(cfg), "pieces": pieces_meta})
-    io.write_manifest(out_dir / "synth.manifest.json", "synth",
+            io.write_feature_matrix(features, args.out / f"piece_{i:03d}.features.csv")
+        pieces_meta.append({"id": i, "path": name, "num_events": len(piece)})
+    io.write_json(args.out / "corpus.json", {"pieces": pieces_meta})
+    io.write_manifest(args.out / "synth.manifest.json", "synth",
                       {"synth": asdict(cfg), "features": bool(args.features),
                        "fps": args.fps, "pitch_offset": args.pitch_offset},
                       [cfg.seed], [])
-    print(f"wrote {len(corpus)} pieces to {out_dir}")
+    print(f"wrote {len(corpus)} pieces to {args.out}")
     return 0
 
 
@@ -284,23 +259,22 @@ def cmd_experiment(args, parser) -> int:
     table = run_sensitivity_experiment(synth_cfg, fns, train_grid, eval_grid, train_cfg,
                                        config.seeds, window_sec=config.window_sec)
 
-    out_dir = Path(args.out)
-    io.write_csv(out_dir / "results.csv", io.EXPERIMENT_CSV_HEADER,
+    io.write_csv(args.out / "results.csv", io.EXPERIMENT_CSV_HEADER,
                  [(row.fn.letter, row.seed, "test", row.precision, row.recall, row.fmeasure)
                   for row in table.rows])
-    io.write_json(out_dir / "summary.json", table.summary())
+    io.write_json(args.out / "summary.json", table.summary())
     resolved = {**asdict(config), "fns": [fn.letter for fn in fns],
                 "synth": asdict(synth_cfg), "train": asdict(train_cfg)}
-    io.write_manifest(out_dir / "experiment.manifest.json", "experiment", resolved,
+    io.write_manifest(args.out / "experiment.manifest.json", "experiment", resolved,
                       config.seeds, [])
     for fn in fns:
         print(f"fn {fn.letter}: mean test F = {table.mean_fmeasure(fn):.6f}")
-    print(f"wrote {out_dir / 'results.csv'}")
+    print(f"wrote {args.out / 'results.csv'}")
     return 0
 
 
 def cmd_inspect(args, parser) -> int:
-    path = Path(args.input)
+    path = args.input
     suffix = path.suffix.lower()
     if suffix in _ANNOTATION_SUFFIXES:
         annotation = load_annotation(path, args.pitch_offset, args.num_labels)
@@ -325,26 +299,42 @@ def cmd_inspect(args, parser) -> int:
         print(f"labeling_function: {fn.letter if fn else None}")
         print(f"seed: {brief(matrix.seed)}")
     else:
-        parser.error(f"cannot inspect {path.suffix!r} files")
+        parser.error(f"cannot inspect {brief(path.suffix)} files")
     return 0
 
 
-def _number(kind):
-    """argparse's `type` for an int or float flag, whose error echoes the value as brief does."""
+def _typed(kind):
+    """argparse's `type` for a flag that kind(text) reads, an int, a float or a
+    LabelingFunction.from_letter, whose error echoes the value as brief does."""
     def convert(text: str):
         try:
             return kind(text)
         except ValueError:
             raise argparse.ArgumentTypeError(
                 f"invalid {kind.__name__} value: {brief(text)}") from None
+        except ContractError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
     return convert
 
 
+def _directory(text: str) -> Path:
+    """argparse's `type` for a directory flag: an empty value names none."""
+    if not text:
+        raise argparse.ArgumentTypeError("must not be empty")
+    return Path(text)
+
+
+def _file(text: str) -> Path:
+    """argparse's `type` for a file flag: a path that ends in a file's name."""
+    if not _directory(text).name:
+        raise argparse.ArgumentTypeError(f"must name a file, got {brief(text)}")
+    return Path(text)
+
 
 def _add_annotation_options(sub) -> None:
-    sub.add_argument("--pitch-offset", type=_number(int), default=21,
+    sub.add_argument("--pitch-offset", type=_typed(int), default=21,
                      help="MIDI pitch mapped to label 0 (default 21)")
-    sub.add_argument("--num-labels", type=_number(int), default=88,
+    sub.add_argument("--num-labels", type=_typed(int), default=88,
                      help="size of the label space (default 88)")
 
 
@@ -360,63 +350,64 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     sub = commands.add_parser("rasterize", help="annotation file to label matrix CSV")
-    sub.add_argument("input", help="annotation file (.tsv/.txt/.mid/.midi)")
-    sub.add_argument("--fps", type=_number(float), required=True, help="frame rate")
-    sub.add_argument("--fn", required=True, choices=list("abcdef"),
-                     help="labeling function")
-    sub.add_argument("--seed", type=_number(int), help="draw seed (required for e/f)")
-    sub.add_argument("--out", default=".", help="output directory")
-    sub.add_argument("--name", help="output file stem (default: input stem)")
+    sub.add_argument("input", type=_file, help="annotation file (.tsv/.txt/.mid/.midi)")
+    sub.add_argument("--fps", type=_typed(float), required=True, help="frame rate")
+    sub.add_argument("--fn", type=_typed(LabelingFunction.from_letter), required=True,
+                     metavar="{a,b,c,d,e,f}", help="labeling function")
+    sub.add_argument("--seed", type=_typed(int), help="draw seed (required for e/f)")
+    sub.add_argument("--out", type=_directory, default=".", help="output directory")
+    sub.add_argument("--name", type=_file, help="output file stem (default: input stem)")
     _add_annotation_options(sub)
     sub.set_defaults(handler=cmd_rasterize, parser=sub)
 
     sub = commands.add_parser("eval", help="score a matrix against a reference")
-    sub.add_argument("--pred", required=True, help="prediction matrix CSV")
-    sub.add_argument("--ref", help="reference matrix CSV")
-    sub.add_argument("--annotation", help="annotation for an on-the-fly reference by fn a")
-    sub.add_argument("--ref-fps", type=_number(float), default=100.0,
+    sub.add_argument("--pred", type=_file, required=True, help="prediction matrix CSV")
+    sub.add_argument("--ref", type=_file, help="reference matrix CSV")
+    sub.add_argument("--annotation", type=_file,
+                     help="annotation for an on-the-fly reference by fn a")
+    sub.add_argument("--ref-fps", type=_typed(float), default=100.0,
                      help="reference frame rate (default 100)")
-    sub.add_argument("--window-sec", type=_number(float), default=30.0,
+    sub.add_argument("--window-sec", type=_typed(float), default=30.0,
                      help="evaluation window in seconds (default 30)")
-    sub.add_argument("--out", default=".", help="output directory")
+    sub.add_argument("--out", type=_directory, default=".", help="output directory")
     _add_annotation_options(sub)
     sub.set_defaults(handler=cmd_eval, parser=sub)
 
     sub = commands.add_parser("disagree", help="compare two rasterizations")
-    sub.add_argument("--a", required=True, help="first matrix CSV")
-    sub.add_argument("--b", required=True, help="second matrix CSV")
-    sub.add_argument("--annotation", required=True, help="common source annotation")
-    sub.add_argument("--out", default=".", help="output directory")
+    sub.add_argument("--a", type=_file, required=True, help="first matrix CSV")
+    sub.add_argument("--b", type=_file, required=True, help="second matrix CSV")
+    sub.add_argument("--annotation", type=_file, required=True, help="common source annotation")
+    sub.add_argument("--out", type=_directory, default=".", help="output directory")
     _add_annotation_options(sub)
     sub.set_defaults(handler=cmd_disagree, parser=sub)
 
     sub = commands.add_parser("synth", help="generate a synthetic corpus")
-    sub.add_argument("--out", default=".", help="output directory")
-    sub.add_argument("--config", help="synth config JSON")
-    sub.add_argument("--pieces", type=_number(int), help="override number of pieces")
-    sub.add_argument("--seed", type=_number(int), help="override corpus seed")
+    sub.add_argument("--out", type=_directory, default=".", help="output directory")
+    sub.add_argument("--config", type=_file, help="synth config JSON")
+    sub.add_argument("--pieces", type=_typed(int), help="override number of pieces")
+    sub.add_argument("--seed", type=_typed(int), help="override corpus seed")
     sub.add_argument("--features", action="store_true", help="also render features")
-    sub.add_argument("--fps", type=_number(float), default=31.25,
+    sub.add_argument("--fps", type=_typed(float), default=31.25,
                      help="feature frame rate with --features (default 31.25)")
-    sub.add_argument("--pitch-offset", type=_number(int), default=21,
+    sub.add_argument("--pitch-offset", type=_typed(int), default=21,
                      help="MIDI pitch written for label 0 (default 21)")
     sub.set_defaults(handler=cmd_synth, parser=sub)
 
     sub = commands.add_parser("experiment", help="run the sensitivity experiment")
-    sub.add_argument("--config", help="experiment config JSON (or a manifest)")
+    sub.add_argument("--config", type=_file, help="experiment config JSON (or a manifest)")
     sub.add_argument("--fns", help="comma-separated labeling functions (default a..f)")
     sub.add_argument("--seeds", help="comma-separated seeds (default 1,2,3)")
-    sub.add_argument("--train-fps", type=_number(float),
+    sub.add_argument("--train-fps", type=_typed(float),
                      help="training frame rate (default 31.25)")
-    sub.add_argument("--eval-fps", type=_number(float), help="evaluation frame rate (default 100)")
-    sub.add_argument("--window-sec", type=_number(float), help="evaluation window (default 30)")
-    sub.add_argument("--epochs", type=_number(int), help="override training epochs")
-    sub.add_argument("--learning-rate", type=_number(float), help="override learning rate")
-    sub.add_argument("--out", default=".", help="output directory")
+    sub.add_argument("--eval-fps", type=_typed(float), help="evaluation frame rate (default 100)")
+    sub.add_argument("--window-sec", type=_typed(float), help="evaluation window (default 30)")
+    sub.add_argument("--epochs", type=_typed(int), help="override training epochs")
+    sub.add_argument("--learning-rate", type=_typed(float), help="override learning rate")
+    sub.add_argument("--out", type=_directory, default=".", help="output directory")
     sub.set_defaults(handler=cmd_experiment, parser=sub)
 
     sub = commands.add_parser("inspect", help="print annotation or matrix stats")
-    sub.add_argument("input", help="annotation or matrix file")
+    sub.add_argument("input", type=_file, help="annotation or matrix file")
     _add_annotation_options(sub)
     sub.set_defaults(handler=cmd_inspect, parser=sub)
 
@@ -430,6 +421,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.handler(args, args.parser)
     except (NotegridError, OSError) as exc:
+        if isinstance(exc, OSError) and exc.filename is not None:  # echo its names as brief does
+            names = (brief(name) for name in (exc.filename, exc.filename2) if name is not None)
+            exc = f"[Errno {exc.errno}] {exc.strerror}: {' -> '.join(names)}"
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, DivergenceError) else 4
 

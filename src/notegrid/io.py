@@ -2,10 +2,10 @@
 
 Label and feature matrices are stored as plain CSV (one row per frame)
 next to a one-line JSON sidecar holding the grid and provenance metadata.
-Evaluation and experiment results are CSV plus a JSON summary. Every file
-is written atomically (temp file + rename) so interrupted runs never
-leave corrupt outputs, and manifests contain no wall-clock data, keeping
-reruns byte-identical.
+Evaluation results are CSV, and experiment results CSV plus a JSON
+summary. Every file is written atomically (temp file + rename) so
+interrupted runs never leave corrupt outputs, and manifests contain no
+wall-clock data, keeping reruns byte-identical.
 """
 
 from __future__ import annotations

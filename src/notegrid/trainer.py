@@ -494,11 +494,22 @@ class ExperimentRow(EvalCounts):
     seed: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExperimentTable:
-    """All rows of a sensitivity experiment plus per-function aggregates."""
+    """A sensitivity experiment's test counts, and the rows and per-function
+    aggregates they give: counts[s, j, p] holds the tp, fp and fn of fns[j]
+    under seeds[s] on test piece p, both axes in the caller's order."""
 
-    rows: tuple[ExperimentRow, ...]
+    fns: tuple[LabelingFunction, ...]
+    seeds: tuple[int, ...]
+    counts: np.ndarray
+
+    @property
+    def rows(self) -> tuple[ExperimentRow, ...]:
+        # Python ints, so the scores are floats and not np.float64
+        totals = self.counts.sum(axis=2).tolist()
+        return tuple(ExperimentRow(*totals[s][j], fn=fn, seed=seed)
+                     for s, seed in enumerate(self.seeds) for j, fn in enumerate(self.fns))
 
     def per_seed_fmeasures(self, fn: LabelingFunction) -> list[float]:
         return [r.fmeasure for r in self.rows if r.fn is fn]
@@ -510,13 +521,9 @@ class ExperimentTable:
         return sum(values) / len(values)
 
     def summary(self) -> dict:
-        return {
-            fn.letter: {
-                "mean_f": self.mean_fmeasure(fn),
-                "per_seed_f": self.per_seed_fmeasures(fn),
-            }
-            for fn in dict.fromkeys(row.fn for row in self.rows)
-        }
+        return {fn.letter: {"mean_f": self.mean_fmeasure(fn),
+                            "per_seed_f": self.per_seed_fmeasures(fn)}
+                for fn in dict.fromkeys(self.fns)}
 
 
 def _split_indices(num_pieces: int) -> tuple[range, range, range]:
@@ -562,7 +569,8 @@ def run_sensitivity_experiment(synth_cfg: SynthConfig,
     Each seed's stacked model predicts each test piece once, in float64,
     and windowed_block_counts scores every function's column block against
     the reference rasterization (function a on eval_grid).
-    Returns one test row per (fn, seed), for each seed in fns order.
+    Returns the test counts per (seed, fn, test piece) in the order of
+    seeds and fns, repeats included.
     DivergenceError from training is re-raised annotated with the failing
     function(s) and seed: the first seed in list order whose training
     diverges, the one that training seed by seed would report.
@@ -582,7 +590,8 @@ def run_sensitivity_experiment(synth_cfg: SynthConfig,
     _window_grid(eval_grid, window_sec)  # a window of no frame fails before any training
     distinct_seeds = list(dict.fromkeys(seeds))
 
-    scores = {}
+    # tp, fp and fn per (distinct seed, distinct fn, test piece)
+    counts = np.zeros((len(distinct_seeds), len(distinct), len(test_idx), 3), dtype=np.int64)
     for first in range(0, len(distinct_seeds), _LOCKSTEP_SEEDS):
         group = distinct_seeds[first:first + _LOCKSTEP_SEEDS]
         corpus_cfgs = [replace(synth_cfg, seed=derive_seed(synth_cfg.seed, seed))
@@ -618,19 +627,15 @@ def run_sensitivity_experiment(synth_cfg: SynthConfig,
                 epoch=exc.epoch, batch=exc.batch, models=exc.models) from exc
 
         # one prediction per test piece; column block j is function j's
-        for s, (seed, corpus_cfg, corpus) in enumerate(zip(group, corpus_cfgs, corpora)):
+        for s, (corpus_cfg, corpus) in enumerate(zip(corpus_cfgs, corpora)):
             params = ModelParams(weights=weights[s], bias=bias[s])
-            totals = np.zeros((len(distinct), 3), dtype=np.int64)
-            for i in test_idx:
+            for p, i in enumerate(test_idx):
                 features = render_features(corpus[i], train_grid, corpus_cfg, noise_seed=i)
                 pred = predict(params, features, train_cfg.context_frames,
                                train_cfg.threshold)
                 reference = rasterize(corpus[i], eval_grid, LabelingFunction.A, 0)
-                for j, counts in enumerate(windowed_block_counts(pred, reference, window_sec,
-                                                                 len(distinct))):
-                    totals[j] += (counts.tp, counts.fp, counts.fn_)
-            # Python ints, so the scores are floats and not np.float64
-            scores[seed] = dict(zip(distinct, totals.tolist()))
+                counts[first + s, :, p] = [(c.tp, c.fp, c.fn_) for c in windowed_block_counts(
+                    pred, reference, window_sec, len(distinct))]
 
-    return ExperimentTable(rows=tuple(ExperimentRow(*scores[seed][fn], fn=fn, seed=seed)
-                                      for seed in seeds for fn in fns))
+    return ExperimentTable(fns=tuple(fns), seeds=tuple(seeds), counts=counts[np.ix_(
+        [distinct_seeds.index(seed) for seed in seeds], [distinct.index(fn) for fn in fns])])

@@ -8,6 +8,7 @@ last one is checked:
   contain;
 - every line of its stdout, where the row lists them;
 - the paths that must not exist after it;
+- the names that directories must hold after it, and no others;
 - the pairs of files or directories that must be byte-identical.
 
 Every row also holds the exit contract of `contract_fault`.
@@ -56,6 +57,7 @@ class Case:
     out: tuple[str, ...] | None = None  # every line of stdout
     files: dict = field(default_factory=dict)  # name: text or bytes
     absent: tuple[str, ...] = ()
+    listing: dict = field(default_factory=dict)  # directory: every name it holds, sorted
     same: tuple[tuple[str, str], ...] = ()
 
 
@@ -113,6 +115,8 @@ def check(case: Case, where: Path, run) -> str | None:
     if case.out is not None and out.splitlines() != list(case.out):
         faults.append(f"stdout {out!r}")
     faults += [f"{path} exists" for path in case.absent if (where / path).exists()]
+    faults += [f"{path} does not hold exactly {names}" for path, names in case.listing.items()
+               if _contents(where / path) is None or list(_contents(where / path)) != list(names)]
     faults += [f"{a} and {b} differ" for a, b in case.same
                if _contents(where / a) is None or _contents(where / a) != _contents(where / b)]
     if not faults:
@@ -192,6 +196,37 @@ CASES = [
     Case("synth-rerun-from-manifest",
          (SMOKE, "synth --config smoke/synth.manifest.json --features --out smoke-rerun"),
          same=(("smoke", "smoke-rerun"),)),
+    # corpus.json lists the pieces, each one's notes counted; the resolved
+    # config is the manifest's alone
+    Case("synth-corpus-lists-pieces", (SMOKE,), same=(("smoke/corpus.json", "corpus.json"),),
+         files={"corpus.json": json.dumps({"pieces": [{"id": 0, "num_events": 58,
+                                                       "path": "piece_000.tsv"}]},
+                                          indent=2) + "\n"}),
+    # an empty path names no file: a usage error that names the flag; eval and
+    # disagree used to end in a traceback, synth and experiment to run as if
+    # no --config were given, and rasterize to write into the working directory
+    *(Case(f"{command}-empty-{flag}", (*before, f"{command} {flags} --{flag} ''"), 2,
+           f"notegrid {command}: error: argument --{flag}: must not be empty", files=NOTES,
+           absent=("out", "notes.csv", "piece_000.tsv"))
+      for before, command, flags, flag in (
+          ((), "eval", "--ref m.csv --out out", "pred"),
+          ((NOTES_CSV,), "eval", "--pred m/notes.csv --out out", "ref"),
+          ((NOTES_CSV,), "eval", "--pred m/notes.csv --out out", "annotation"),
+          ((), "disagree", "--b m.csv --annotation notes.tsv --out out", "a"),
+          ((), "synth", "--pieces 1 --out out", "config"),
+          ((), "experiment", "--fns a --seeds 1 --epochs 0 --out out", "config"),
+          ((), "rasterize", "notes.tsv --fps 100 --fn a", "out"))),
+    # --name is a file name in --out: "../esc" used to write esc.csv beside
+    # --out, and an empty one fell back to the input's stem
+    *(Case(f"rasterize-name-{label}", (f"rasterize notes.tsv --fps 100 --fn a --out out "
+                                       f"--name {name}",), 2,
+           f"notegrid rasterize: error: {message}", files=NOTES, absent=("out", "esc.csv"))
+      for label, name, message in (
+          ("empty", "''", "argument --name: must not be empty"),
+          ("with-separator", "../esc", "--name must be a file name, got '../esc'"))),
+    # a file flag must end in a file's name: "." used to end in a traceback
+    Case("eval-pred-of-no-name", ("eval --pred . --ref m.csv --out out",), 2,
+         "notegrid eval: error: argument --pred: must name a file, got '.'", absent=("out",)),
     Case("synth-fps-0", ("synth --pieces 1 --features --fps 0 --out zerofps",), 2,
          "notegrid synth: error: --fps must be positive and finite, got 0.0",
          absent=("zerofps",)),
@@ -241,6 +276,13 @@ CASES = [
     # a valid feature CSV, but a label cell of 2
     Case("inspect-label-cell-2", ("inspect m.csv",), 4, re.compile("^error: m.csv: .*0 or 1"),
          files={"m.csv": "0,1\n1,2\n", "m.json": '{"fps": 100.0}'}),
+    # the OSError's file name is echoed as brief echoes it: whole, it made a
+    # line of 344 bytes
+    Case("inspect-file-name-too-long", (f"inspect {'z' * 300}.tsv",), 4,
+         "error: [Errno 36] File name too long: 'zzzzzzzzzzzz...zzzzzzzzz.tsv'"),
+    # a long extension was echoed whole, on a line of 350 bytes
+    Case("inspect-long-extension", (f"inspect x.{'z' * 300}",), 2,
+         "notegrid inspect: error: cannot inspect '.zzzzzzzzzzz...zzzzzzzzzzzzz' files"),
     Case("inspect-unknown-extension", ("inspect x.bin",), 2, USAGE, files={"x.bin": b"\x00"}),
     Case("inspect-wav-usage", ("inspect x.wav",), 2, USAGE),
 
@@ -313,6 +355,10 @@ CASES = [
          "notegrid rasterize: error: --seed is required for labeling function e", files=NOTES),
     Case("rasterize-unknown-fn", ("rasterize notes.tsv --fps 100 --fn z",), 2, USAGE,
          files=NOTES),
+    # argparse's "invalid choice" echoed it whole, on a line of 403 bytes
+    Case("rasterize-long-fn", (f"rasterize notes.tsv --fps 100 --fn {'z' * 300} --out out",),
+         2, "notegrid rasterize: error: argument --fn: unknown labeling function "
+            "'zzzzzzzzzzzz...zzzzzzzzzzzzz', expected a-f", files=NOTES, absent=("out",)),
     Case("rasterize-negative-fps", ("rasterize notes.tsv --fps -1 --fn a --out out",), 2,
          USAGE, files=NOTES, absent=("out",)),
     Case("rasterize-fps-inf", (SMOKE, "rasterize smoke/piece_000.tsv --fps inf --fn a --out inf"),
@@ -326,12 +372,21 @@ CASES = [
     Case("rasterize-long-fps", (f"rasterize notes.tsv --fps {'y' * 300} --fn a --out out",), 2,
          "notegrid rasterize: error: argument --fps: invalid float value: "
          "'yyyyyyyyyyyy...yyyyyyyyyyyyy'", files=NOTES, absent=("out",)),
+    # and on one of 400 bytes here
+    Case("rasterize-long-extension", (f"rasterize notes.{'z' * 300} --fps 100 --fn a",), 2,
+         "notegrid rasterize: error: unrecognized annotation extension "
+         "'.zzzzzzzzzzz...zzzzzzzzzzzzz' (expected .tsv, .txt, .mid, .midi)"),
     Case("rasterize-bad-extension", ("rasterize notes.xyz --fps 100 --fn a",), 2, USAGE,
          files={"notes.xyz": NOTES["notes.tsv"]}),
 
     # eval: a rerun into a second directory writes the same bytes
     Case("eval-rerun", (SMOKE, f"{PAINT} paint1", f"{SCORE} scored", f"{SCORE} scored2"),
          same=(("scored", "scored2"),)),
+    # eval writes its row to stdout and eval.csv, and nothing else but its manifest
+    Case("eval-outputs", (NOTES_CSV, "eval --pred m/notes.csv --ref m/notes.csv --out e"),
+         out=("piece,fn,seed,fps,tp,fp,fn,precision,recall,fmeasure",
+              "notes,a,0,100.0,65,0,0,1.0,1.0,1.0"),
+         files=NOTES, listing={"e": ("eval.csv", "eval.manifest.json")}),
     Case("eval-window-of-no-frame-ref",
          (NOTES_CSV, "eval --pred m/notes.csv --ref m/notes.csv --out e --window-sec 1e-300"),
          4, "error: a window of 1e-300 s holds no frame at 100.0 fps", files=NOTES,

@@ -19,7 +19,7 @@ import cli_cases
 import notegrid
 import smf
 from conftest import annotation_of
-from notegrid import (ContractError, FeatureMatrix, FormatError, FrameGrid,
+from notegrid import (ContractError, EvalCounts, FeatureMatrix, FormatError, FrameGrid,
                       LabelingFunction, LabelMatrix, framewise_counts,
                       rasterize, resample, to_tsv, truncate)
 from notegrid import _reprcsv
@@ -966,6 +966,35 @@ class TestTypedConfigValues:
         assert code in (2, 4) and key in err.splitlines()[-1]
 
 
+def valued_arguments() -> list[tuple[str, str]]:
+    """(subcommand, flag) of each argument that takes a value, a positional
+    by its name."""
+    subparsers = next(action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    return [(name, action.option_strings[0] if action.option_strings else action.dest)
+            for name, sub in subparsers.choices.items() for action in sub._actions
+            if action.nargs != 0]
+
+
+# the arguments each subcommand needs besides the one left empty; no file
+# of theirs exists, since a usage error comes before any file is read
+NEEDED = {"rasterize": ["notes.tsv", "--fps", "100", "--fn", "a"],
+          "eval": ["--pred", "m.csv", "--ref", "m.csv"],
+          "disagree": ["--a", "m.csv", "--b", "m.csv", "--annotation", "notes.tsv"],
+          "synth": ["--pieces", "1"],
+          "experiment": ["--fns", "a", "--seeds", "1", "--epochs", "0"],
+          "inspect": ["notes.tsv"]}
+
+
+@pytest.mark.parametrize("command, flag", valued_arguments())
+def test_empty_value_is_a_usage_error_naming_its_argument(command, flag, tmp_path):
+    argv = ([command, *NEEDED[command], flag, ""] if flag.startswith("-")
+            else [command, "", *NEEDED[command][1:]])
+    code, _, err = run_cli(argv, tmp_path)
+    assert code == 2 and flag in err.splitlines()[-1], err
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestParserReuse:
     """main parses with one parser per process; no call leaks into the next."""
 
@@ -1062,6 +1091,16 @@ class TestRasterizeCommand:
         assert code == 0 and "  num_labels must be positive, got -1.00e+400\n" in out
 
 
+def eval_row(out: Path) -> dict:
+    """eval.csv's one row, keyed by EVAL_CSV_HEADER's names with "fn_" for
+    the second "fn", the false negatives, and its counts and scores read
+    back as numbers."""
+    keys = ["piece", "fn", "seed", "fps", "tp", "fp", "fn_", "precision", "recall", "fmeasure"]
+    row = dict(zip(keys, (out / "eval.csv").read_text().splitlines()[1].split(",")))
+    return {**row, **{key: int(row[key]) for key in ("tp", "fp", "fn_")},
+            **{key: float(row[key]) for key in ("precision", "recall", "fmeasure")}}
+
+
 class TestEvalCommand:
     def test_pred_equals_ref_scores_one(self, tmp_path, notes_tsv):
         out = tmp_path / "out"
@@ -1076,7 +1115,7 @@ class TestEvalCommand:
         assert float(fields[-1]) == 1.0
 
     @pytest.mark.parametrize("reference", ["--ref", "--annotation"])
-    def test_csv_json_and_stdout_hold_one_record(self, tmp_path, notes_tsv, reference):
+    def test_csv_and_stdout_hold_one_record(self, tmp_path, notes_tsv, reference):
         out = tmp_path / "out"
         assert run_cli(["rasterize", str(notes_tsv), "--fps", "31.25", "--fn", "e",
                         "--seed", "4", "--out", str(out)]).code == 0
@@ -1086,15 +1125,15 @@ class TestEvalCommand:
         text = (out / "eval.csv").read_text()
         assert code == 0 and stdout == text
         header, line = text.splitlines()
-        record = json.loads((out / "eval.json").read_text())["rows"][0]
         assert header == ngio.EVAL_CSV_HEADER
-        # the eval.json row's fields, in the header's order ("fn_" for the
-        # second "fn", the false negatives), are the CSV row
-        keys = ["piece", "fn", "seed", "fps", "tp", "fp", "fn_", "precision", "recall",
-                "fmeasure"]
-        assert sorted(record) == sorted(keys)
-        assert line == ngio.csv_line(record[key] for key in keys)
+        # the row's scores are those of its counts, in full precision
+        fields = line.split(",")
+        counts = EvalCounts(*map(int, fields[4:7]))
+        assert fields[7:] == [repr(counts.precision), repr(counts.recall),
+                              repr(counts.fmeasure)]
         assert line.startswith("notes,e,4,31.25,")
+        assert sorted(path.name for path in out.iterdir()) == [
+            "eval.csv", "eval.manifest.json", "notes.csv", "notes.json", "notes.manifest.json"]
 
     def test_unlabelled_prediction_has_empty_fn_and_seed(self, tmp_path, notes_tsv):
         out = tmp_path / "out"
@@ -1107,7 +1146,6 @@ class TestEvalCommand:
                         "--ref", str(out / "notes.csv"), "--out", str(out)]).code == 0
         assert (out / "eval.csv").read_text().splitlines()[1] == (
             "notes,,,100.0,65,0,0,1.0,1.0,1.0")
-        assert json.loads((out / "eval.json").read_text())["per_fn_mean_fmeasure"] == {}
 
     def test_cross_rate_matches_library_composition(self, tmp_path, notes_tsv):
         out = tmp_path / "out"
@@ -1116,7 +1154,7 @@ class TestEvalCommand:
         assert run_cli(["eval", "--pred", str(out / "low.csv"),
                         "--annotation", str(notes_tsv), "--out", str(out),
                         "--window-sec", "30", "--ref-fps", "100"]).code == 0
-        reported = json.loads((out / "eval.json").read_text())["rows"][0]
+        reported = eval_row(out)
 
         ann = annotation_of([(0.1, 0.25, 39), (0.4, 0.9, 43)], num_labels=88)
         low = rasterize(ann, FrameGrid.covering(31.25, ann.duration_sec), A)
@@ -1133,7 +1171,7 @@ class TestEvalCommand:
         assert run_cli(["eval", "--pred", str(out / "notes.csv"),
                         "--annotation", str(notes_tsv), "--out", str(out),
                         "--window-sec", "inf"]).code == 0
-        reported = json.loads((out / "eval.json").read_text())["rows"][0]
+        reported = eval_row(out)
         ann = annotation_of([(0.1, 0.25, 39), (0.4, 0.9, 43)], num_labels=88)
         low = rasterize(ann, FrameGrid.covering(31.25, ann.duration_sec), A)
         ref = rasterize(ann, FrameGrid.covering(100.0, ann.duration_sec), A)
@@ -1178,7 +1216,11 @@ class TestSynthCommand:
         assert run_cli(["synth", "--config", str(config), "--out", str(out)]).code == 0
         corpus = json.loads((out / "corpus.json").read_text())
         assert len(corpus["pieces"]) == 3
-        assert corpus["config"]["seed"] == 5
+        assert [sorted(piece) for piece in corpus["pieces"]] == [["id", "num_events", "path"]] * 3
+        # the resolved config is the manifest's alone
+        assert "config" not in corpus
+        manifest = json.loads((out / "synth.manifest.json").read_text())
+        assert manifest["config"]["synth"]["seed"] == 5
         from notegrid import parse_tsv
 
         piece0 = parse_tsv((out / "piece_000.tsv").read_text(),

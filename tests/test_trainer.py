@@ -10,10 +10,11 @@ from notegrid import (ContractError, Dataset, DivergenceError, ExperimentRow,
                       ExperimentTable, FeatureMatrix, FrameGrid, LabelingFunction,
                       LabelMatrix, ModelParams, SynthConfig, TrainConfig, bce_loss,
                       bce_loss_and_gradient, framewise_counts, make_examples,
-                      predict, run_sensitivity_experiment, train)
+                      generate_corpus, predict, rasterize, run_sensitivity_experiment,
+                      train, windowed_counts)
 from notegrid import trainer as trainer_module
 from notegrid.metrics import count_cells
-from notegrid.util import MASK64
+from notegrid.util import MASK64, derive_seed
 
 A, E, F = LabelingFunction.A, LabelingFunction.E, LabelingFunction.F
 
@@ -1172,7 +1173,38 @@ class TestSensitivityExperiment:
                                              eval_grid, train_cfg, [3])
         table_b = run_sensitivity_experiment(synth_cfg, [A, E], train_grid,
                                              eval_grid, train_cfg, [3])
-        assert table_a == table_b
+        assert table_a.counts.dtype == np.int64
+        assert np.array_equal(table_a.counts, table_b.counts)
+        assert table_a.rows == table_b.rows
+        # Python numbers, so a row's repr is the same as from summed Python ints
+        assert all(type(row.tp) is int and type(row.fmeasure) is float for row in table_a.rows)
+
+    def test_counts_of_a_test_piece_by_brute_force(self, monkeypatch):
+        # counts[s, j, p]: block j of seed s's prediction of test piece p,
+        # scored alone against function a's rasterization of that piece
+        synth_cfg, train_cfg, train_grid, eval_grid = tiny_experiment_args()
+        predictions = []
+
+        def recording_predict(*args, **kwargs):
+            predictions.append(predict(*args, **kwargs))
+            return predictions[-1]
+
+        monkeypatch.setattr(trainer_module, "predict", recording_predict)
+        fns, seeds = [E, A, F], [4, 2]
+        table = run_sensitivity_experiment(synth_cfg, fns, train_grid, eval_grid, train_cfg,
+                                           seeds)
+        test_idx = trainer_module._split_indices(synth_cfg.num_pieces)[2]
+        assert table.counts.shape == (2, 3, len(test_idx), 3)
+        s, j, p = 1, 2, len(test_idx) - 1
+        piece = generate_corpus(replace(synth_cfg, seed=derive_seed(synth_cfg.seed,
+                                                                    seeds[s])))[test_idx[p]]
+        k = synth_cfg.num_labels
+        pred = predictions[s * len(test_idx) + p]
+        block = LabelMatrix(frames=pred.frames[:, j * k:(j + 1) * k], grid=pred.grid)
+        want = windowed_counts(block, rasterize(piece, eval_grid, A), 30.0)
+        assert table.counts[s, j, p].tolist() == [want.tp, want.fp, want.fn_]
+        assert table.counts[s, j].sum(axis=0).tolist() == [
+            table.rows[s * 3 + j].tp, table.rows[s * 3 + j].fp, table.rows[s * 3 + j].fn_]
 
     def test_summary_structure(self):
         synth_cfg, train_cfg, train_grid, eval_grid = tiny_experiment_args()
@@ -1186,7 +1218,8 @@ class TestSensitivityExperiment:
                 sum(entry["per_seed_f"]) / 2, abs=1e-15)
 
     def test_mean_of_a_function_without_rows_rejected(self):
-        table = ExperimentTable(rows=(ExperimentRow(tp=1, fp=0, fn_=1, fn=A, seed=1),))
+        table = ExperimentTable(fns=(A,), seeds=(1,), counts=np.array([[[[1, 0, 1]]]]))
+        assert table.rows == (ExperimentRow(tp=1, fp=0, fn_=1, fn=A, seed=1),)
         assert table.mean_fmeasure(A) == 2 / 3
         with pytest.raises(ContractError, match="no rows for labeling function f"):
             table.mean_fmeasure(F)
@@ -1224,6 +1257,7 @@ class TestSensitivityExperiment:
             (A, 1), (E, 1), (F, 1), (A, 1)]
         assert table.rows[0] == table.rows[3]
         assert table.rows[:4] == table.rows[8:]
+        assert np.array_equal(table.counts[0], table.counts[2])
 
     def test_kernel_gets_float32_features_and_int8_signs(self, monkeypatch):
         synth_cfg, train_cfg, train_grid, eval_grid = tiny_experiment_args()

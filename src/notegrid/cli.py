@@ -30,7 +30,7 @@ from .trainer import TrainConfig, run_sensitivity_experiment
 from .util import brief, check_config
 from . import io
 
-_ANNOTATION_SUFFIXES = {".tsv", ".txt", ".mid", ".midi"}
+_ANNOTATION_SUFFIXES = (".tsv", ".txt", ".mid", ".midi")
 
 
 @dataclass(frozen=True)
@@ -59,12 +59,12 @@ class _ExperimentConfig:
 
 @contextlib.contextmanager
 def _naming(path: Path):
-    """Put the file's name before the message of a NotegridError raised
-    inside, alongside any line context the message gives."""
+    """Put the file's name, echoed as brief does, before the message of a
+    NotegridError raised inside, alongside any line context the message gives."""
     try:
         yield
     except NotegridError as exc:
-        raise type(exc)(f"{path.name}: {exc}") from None
+        raise type(exc)(f"{brief(path.name)}: {exc}") from None
 
 
 def load_annotation(path: Path, pitch_offset: int, num_labels: int) -> Annotation:
@@ -87,51 +87,26 @@ def _config_file(path: Path | None):
         yield obj
 
 
-def _build_config(cls, overrides: dict, what: str):
-    """cls(**overrides), where the first key cls lacks, in the file's order,
-    or a value it rejects is a ContractError."""
+def _build_config(cls, overrides: dict, what: str, args=None):
+    """cls(**overrides), each value replaced by that of a flag in args whose
+    dest is the key, if given. The first key cls lacks, in the file's order,
+    or a value it rejects is a ContractError; a flag's type checked its own."""
     names = {field.name for field in fields(cls)}
     unknown = next((key for key in overrides if key not in names), None)
     if unknown is not None:
         raise ContractError(f"bad {what} config: unknown key {brief(unknown)}")
+    flags = {key: getattr(args, key) for key in names if getattr(args, key, None) is not None}
     try:
-        return cls(**overrides)
+        return cls(**{**overrides, **flags})
     except ContractError as exc:
         raise ContractError(f"bad {what} config: {exc}") from None
 
 
-def _check_flags(parser, cls, flags: dict) -> dict:
-    """{key: value} of each flag given, from {flag: (key, value)}. Each value
-    is checked alone as cls's `key`, before any file is read: one that cls
-    rejects is a usage error, with the flag in place of the key in cls's
-    message."""
-    given = {}
-    for flag, (key, value) in flags.items():
-        if value is not None:
-            try:
-                cls(**{key: value})
-            except ContractError as exc:
-                parser.error(flag + str(exc).removeprefix(key))
-            given[key] = value
-    return given
-
-
-def _check_rate(parser, flag: str, value: float) -> None:
-    _check_flags(parser, functools.partial(FrameGrid, num_frames=1), {flag: ("fps", value)})
-
-
 def cmd_rasterize(args, parser) -> int:
-    _check_rate(parser, "--fps", args.fps)
-    if args.fn.is_random and args.seed is None:
+    if args.fn.is_random and args.seed is None:  # the one rule of two flags
         parser.error(f"--seed is required for labeling function {args.fn.letter}")
     seed = args.seed if args.seed is not None else 0
-    stem = str(args.name or args.input.stem)
-    if Path(stem).name != stem:  # the file would land outside --out
-        parser.error(f"--name must be a file name, got {brief(stem)}")
-
-    if args.input.suffix.lower() not in _ANNOTATION_SUFFIXES:
-        parser.error(f"unrecognized annotation extension {brief(args.input.suffix)} "
-                     "(expected .tsv, .txt, .mid, .midi)")
+    stem = args.name or args.input.stem
     annotation = load_annotation(args.input, args.pitch_offset, args.num_labels)
     with _naming(args.input):
         grid = FrameGrid.covering(args.fps, annotation.duration_sec)
@@ -143,17 +118,11 @@ def cmd_rasterize(args, parser) -> int:
               "name": stem, "pitch_offset": args.pitch_offset, "num_labels": args.num_labels}
     io.write_manifest(args.out / f"{stem}.manifest.json", "rasterize", config,
                       [seed], [args.input])
-    print(f"wrote {csv_path}")
+    print(f"wrote {brief(csv_path)}")
     return 0
 
 
 def cmd_eval(args, parser) -> int:
-    _check_flags(parser, _ExperimentConfig, {"--window-sec": ("window_sec", args.window_sec)})
-    if args.ref is None and args.annotation is None:
-        parser.error("either --ref or --annotation is required")
-    if args.ref is None:
-        _check_rate(parser, "--ref-fps", args.ref_fps)
-
     pred = io.read_label_matrix(args.pred)
     inputs = [args.pred, io.sidecar_path(args.pred)]
     if args.ref is not None:
@@ -202,14 +171,10 @@ def cmd_disagree(args, parser) -> int:
 
 
 def cmd_synth(args, parser) -> int:
-    if args.features:
-        _check_rate(parser, "--fps", args.fps)
-    flags = _check_flags(parser, SynthConfig, {"--pieces": ("num_pieces", args.pieces),
-                                                 "--seed": ("seed", args.seed)})
     with _config_file(args.config) as loaded:
         if isinstance(loaded.get("synth"), dict):  # a synth manifest's config
             loaded = loaded["synth"]
-        cfg = _build_config(SynthConfig, {**loaded, **flags}, "synth")
+        cfg = _build_config(SynthConfig, loaded, "synth", args)
         # every piece lasts piece_duration_sec, so one grid serves them all
         grid = FrameGrid.covering(args.fps, cfg.piece_duration_sec) if args.features else None
 
@@ -227,30 +192,15 @@ def cmd_synth(args, parser) -> int:
                       {"synth": asdict(cfg), "features": bool(args.features),
                        "fps": args.fps, "pitch_offset": args.pitch_offset},
                       [cfg.seed], [])
-    print(f"wrote {len(corpus)} pieces to {args.out}")
+    print(f"wrote {len(corpus)} pieces to {brief(args.out)}")
     return 0
 
 
 def cmd_experiment(args, parser) -> int:
-    fns = seeds = None
-    if args.fns is not None:
-        fns = [letter.strip() for letter in args.fns.split(",") if letter.strip()]
-    if args.seeds is not None:
-        try:
-            seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
-        except ValueError:
-            parser.error(f"--seeds must be comma-separated integers, got {brief(args.seeds)}")
-    flags = _check_flags(parser, _ExperimentConfig, {
-        "--fns": ("fns", fns), "--seeds": ("seeds", seeds),
-        "--train-fps": ("train_fps", args.train_fps), "--eval-fps": ("eval_fps", args.eval_fps),
-        "--window-sec": ("window_sec", args.window_sec)})
-    train_flags = _check_flags(parser, TrainConfig, {
-        "--epochs": ("epochs", args.epochs),
-        "--learning-rate": ("learning_rate", args.learning_rate)})
     with _config_file(args.config) as loaded:
-        config = _build_config(_ExperimentConfig, {**loaded, **flags}, "experiment")
+        config = _build_config(_ExperimentConfig, loaded, "experiment", args)
         synth_cfg = _build_config(SynthConfig, config.synth, "synth")
-        train_cfg = _build_config(TrainConfig, {**config.train, **train_flags}, "train")
+        train_cfg = _build_config(TrainConfig, config.train, "train", args)
         train_grid = FrameGrid.covering(config.train_fps, synth_cfg.piece_duration_sec)
         eval_grid = FrameGrid.covering(config.eval_fps, synth_cfg.piece_duration_sec)
 
@@ -269,17 +219,16 @@ def cmd_experiment(args, parser) -> int:
                       config.seeds, [])
     for fn in fns:
         print(f"fn {fn.letter}: mean test F = {table.mean_fmeasure(fn):.6f}")
-    print(f"wrote {args.out / 'results.csv'}")
+    print(f"wrote {brief(args.out / 'results.csv')}")
     return 0
 
 
 def cmd_inspect(args, parser) -> int:
     path = args.input
-    suffix = path.suffix.lower()
-    if suffix in _ANNOTATION_SUFFIXES:
+    if path.suffix.lower() in _ANNOTATION_SUFFIXES:
         annotation = load_annotation(path, args.pitch_offset, args.num_labels)
         violations = validate(annotation)
-        print(f"input: {path.name}")
+        print(f"input: {brief(path.name)}")
         print(f"events: {len(annotation)}")
         print(f"num_labels: {brief(annotation.num_labels)}")
         print(f"duration_sec: {annotation.duration_sec!r}")
@@ -288,9 +237,9 @@ def cmd_inspect(args, parser) -> int:
         print(f"violations: {len(violations)}")
         for violation in violations:
             print(f"  {violation}")
-    elif suffix == ".csv":
+    else:  # a .csv, as the type of input allows
         matrix = io.read_label_matrix(path)
-        print(f"input: {path.name}")
+        print(f"input: {brief(path.name)}")
         print(f"num_frames: {matrix.num_frames}")
         print(f"num_labels: {matrix.num_labels}")
         print(f"fps: {matrix.grid.fps!r}")
@@ -298,23 +247,31 @@ def cmd_inspect(args, parser) -> int:
         fn = matrix.labeling_function
         print(f"labeling_function: {fn.letter if fn else None}")
         print(f"seed: {brief(matrix.seed)}")
-    else:
-        parser.error(f"cannot inspect {brief(path.suffix)} files")
     return 0
 
 
-def _typed(kind):
-    """argparse's `type` for a flag that kind(text) reads, an int, a float or a
-    LabelingFunction.from_letter, whose error echoes the value as brief does."""
+def _typed(read, cls=None, key=None):
+    """argparse's `type` for a flag whose value read(text) gives, such as an int,
+    a float or a LabelingFunction.from_letter, and that sets cls's `key`: checked
+    alone by that key's rule. Either fault is the flag's usage error, and echoes
+    the value as brief does."""
     def convert(text: str):
         try:
-            return kind(text)
+            value = read(text)
+            if cls is not None:
+                cls(**{key: value})
+            return value
         except ValueError:
             raise argparse.ArgumentTypeError(
-                f"invalid {kind.__name__} value: {brief(text)}") from None
+                f"invalid {read.__name__} value: {brief(text)}") from None
         except ContractError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
     return convert
+
+
+def _listed(read):
+    """Read a comma-separated list, each item by read and empty items skipped."""
+    return lambda text: [read(item) for item in map(str.strip, text.split(",")) if item]
 
 
 def _directory(text: str) -> Path:
@@ -324,11 +281,33 @@ def _directory(text: str) -> Path:
     return Path(text)
 
 
-def _file(text: str) -> Path:
-    """argparse's `type` for a file flag: a path that ends in a file's name."""
-    if not _directory(text).name:
+def _file(text: str, suffixes: tuple = ()) -> Path:
+    """argparse's `type` for a file flag: a path that ends in a file's name,
+    with one of the suffixes where they are given."""
+    path = _directory(text)
+    if not path.name:
         raise argparse.ArgumentTypeError(f"must name a file, got {brief(text)}")
-    return Path(text)
+    if suffixes and path.suffix.lower() not in suffixes:
+        raise argparse.ArgumentTypeError(f"unrecognized extension {brief(path.suffix)} "
+                                         f"(expected {', '.join(suffixes)})")
+    return path
+
+
+def _name(text: str) -> str:
+    """argparse's `type` for --name: a file name, so the file lands in --out."""
+    if _file(text).name != text:
+        raise argparse.ArgumentTypeError(f"must be a file name, got {brief(text)}")
+    return text
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, but a value outside its choices, such as an
+    unknown command, is echoed as brief does: argparse echoes it whole."""
+
+    def _check_value(self, action, value):
+        if action.choices is not None and value not in action.choices:
+            raise argparse.ArgumentError(action, f"invalid choice: {brief(value)} "
+                                         f"(choose from {', '.join(action.choices)})")
 
 
 def _add_annotation_options(sub) -> None:
@@ -341,34 +320,39 @@ def _add_annotation_options(sub) -> None:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing reads it and
-    never changes it, and every call gets a fresh namespace."""
-    parser = argparse.ArgumentParser(
+    never changes it, and every call gets a fresh namespace. Each flag's
+    type checks its value alone, by the rule of the setting it gives."""
+    parser = _Parser(
         prog="notegrid",
         description="Framewise label matrices from interval annotations, "
                     "their quantization noise, and its effect on training.")
     parser.add_argument("--version", action="version", version=f"notegrid {__version__}")
     commands = parser.add_subparsers(dest="command", required=True)
+    annotation = functools.partial(_file, suffixes=_ANNOTATION_SUFFIXES)
+    inspectable = functools.partial(_file, suffixes=(*_ANNOTATION_SUFFIXES, ".csv"))
+    rate = _typed(float, functools.partial(FrameGrid, num_frames=1), "fps")
 
     sub = commands.add_parser("rasterize", help="annotation file to label matrix CSV")
-    sub.add_argument("input", type=_file, help="annotation file (.tsv/.txt/.mid/.midi)")
-    sub.add_argument("--fps", type=_typed(float), required=True, help="frame rate")
+    sub.add_argument("input", type=annotation, help="annotation file (.tsv/.txt/.mid/.midi)")
+    sub.add_argument("--fps", type=rate, required=True, help="frame rate")
     sub.add_argument("--fn", type=_typed(LabelingFunction.from_letter), required=True,
                      metavar="{a,b,c,d,e,f}", help="labeling function")
     sub.add_argument("--seed", type=_typed(int), help="draw seed (required for e/f)")
     sub.add_argument("--out", type=_directory, default=".", help="output directory")
-    sub.add_argument("--name", type=_file, help="output file stem (default: input stem)")
+    sub.add_argument("--name", type=_name, help="output file stem (default: input stem)")
     _add_annotation_options(sub)
     sub.set_defaults(handler=cmd_rasterize, parser=sub)
 
     sub = commands.add_parser("eval", help="score a matrix against a reference")
     sub.add_argument("--pred", type=_file, required=True, help="prediction matrix CSV")
-    sub.add_argument("--ref", type=_file, help="reference matrix CSV")
-    sub.add_argument("--annotation", type=_file,
-                     help="annotation for an on-the-fly reference by fn a")
-    sub.add_argument("--ref-fps", type=_typed(float), default=100.0,
-                     help="reference frame rate (default 100)")
-    sub.add_argument("--window-sec", type=_typed(float), default=30.0,
-                     help="evaluation window in seconds (default 30)")
+    reference = sub.add_mutually_exclusive_group(required=True)
+    reference.add_argument("--ref", type=_file, help="reference matrix CSV")
+    reference.add_argument("--annotation", type=annotation,
+                           help="annotation for an on-the-fly reference by fn a")
+    sub.add_argument("--ref-fps", type=rate, default=100.0,
+                     help="reference frame rate with --annotation (default 100)")
+    sub.add_argument("--window-sec", type=_typed(float, _ExperimentConfig, "window_sec"),
+                     default=30.0, help="evaluation window in seconds (default 30)")
     sub.add_argument("--out", type=_directory, default=".", help="output directory")
     _add_annotation_options(sub)
     sub.set_defaults(handler=cmd_eval, parser=sub)
@@ -376,7 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser("disagree", help="compare two rasterizations")
     sub.add_argument("--a", type=_file, required=True, help="first matrix CSV")
     sub.add_argument("--b", type=_file, required=True, help="second matrix CSV")
-    sub.add_argument("--annotation", type=_file, required=True, help="common source annotation")
+    sub.add_argument("--annotation", type=annotation, required=True,
+                     help="common source annotation")
     sub.add_argument("--out", type=_directory, default=".", help="output directory")
     _add_annotation_options(sub)
     sub.set_defaults(handler=cmd_disagree, parser=sub)
@@ -384,10 +369,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser("synth", help="generate a synthetic corpus")
     sub.add_argument("--out", type=_directory, default=".", help="output directory")
     sub.add_argument("--config", type=_file, help="synth config JSON")
-    sub.add_argument("--pieces", type=_typed(int), help="override number of pieces")
-    sub.add_argument("--seed", type=_typed(int), help="override corpus seed")
+    sub.add_argument("--pieces", type=_typed(int, SynthConfig, "num_pieces"),
+                     dest="num_pieces", metavar="PIECES", help="override number of pieces")
+    sub.add_argument("--seed", type=_typed(int, SynthConfig, "seed"), help="override corpus seed")
     sub.add_argument("--features", action="store_true", help="also render features")
-    sub.add_argument("--fps", type=_typed(float), default=31.25,
+    sub.add_argument("--fps", type=rate, default=31.25,
                      help="feature frame rate with --features (default 31.25)")
     sub.add_argument("--pitch-offset", type=_typed(int), default=21,
                      help="MIDI pitch written for label 0 (default 21)")
@@ -395,19 +381,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("experiment", help="run the sensitivity experiment")
     sub.add_argument("--config", type=_file, help="experiment config JSON (or a manifest)")
-    sub.add_argument("--fns", help="comma-separated labeling functions (default a..f)")
-    sub.add_argument("--seeds", help="comma-separated seeds (default 1,2,3)")
-    sub.add_argument("--train-fps", type=_typed(float),
+    sub.add_argument("--fns", type=_typed(_listed(str), _ExperimentConfig, "fns"),
+                     help="comma-separated labeling functions (default a..f)")
+    sub.add_argument("--seeds", type=_typed(_listed(_typed(int)), _ExperimentConfig, "seeds"),
+                     help="comma-separated seeds (default 1,2,3)")
+    sub.add_argument("--train-fps", type=_typed(float, _ExperimentConfig, "train_fps"),
                      help="training frame rate (default 31.25)")
-    sub.add_argument("--eval-fps", type=_typed(float), help="evaluation frame rate (default 100)")
-    sub.add_argument("--window-sec", type=_typed(float), help="evaluation window (default 30)")
-    sub.add_argument("--epochs", type=_typed(int), help="override training epochs")
-    sub.add_argument("--learning-rate", type=_typed(float), help="override learning rate")
+    sub.add_argument("--eval-fps", type=_typed(float, _ExperimentConfig, "eval_fps"),
+                     help="evaluation frame rate (default 100)")
+    sub.add_argument("--window-sec", type=_typed(float, _ExperimentConfig, "window_sec"),
+                     help="evaluation window (default 30)")
+    sub.add_argument("--epochs", type=_typed(int, TrainConfig, "epochs"),
+                     help="override training epochs")
+    sub.add_argument("--learning-rate", type=_typed(float, TrainConfig, "learning_rate"),
+                     help="override learning rate")
     sub.add_argument("--out", type=_directory, default=".", help="output directory")
     sub.set_defaults(handler=cmd_experiment, parser=sub)
 
     sub = commands.add_parser("inspect", help="print annotation or matrix stats")
-    sub.add_argument("input", type=_file, help="annotation or matrix file")
+    sub.add_argument("input", type=inspectable, help="annotation or matrix file")
     _add_annotation_options(sub)
     sub.set_defaults(handler=cmd_inspect, parser=sub)
 

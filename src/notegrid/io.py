@@ -3,7 +3,7 @@
 Label and feature matrices are stored as plain CSV (one row per frame)
 next to a one-line JSON sidecar holding the grid and provenance metadata.
 Evaluation results are CSV, and experiment results CSV plus a JSON
-summary. Every file is written atomically (temp file + rename) so
+summary. An error names its file as util.brief echoes it. Every file is written atomically (temp file + rename) so
 interrupted runs never leave corrupt outputs, and manifests contain no
 wall-clock data, keeping reruns byte-identical.
 """
@@ -63,7 +63,7 @@ def _decode_utf8(path: Path, data: bytes) -> str:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         line = count_line_breaks(data[:exc.start]) + 1
-        raise FormatError(f"{path}: line {line}: not UTF-8 text") from None
+        raise FormatError(f"{brief(path)}: line {line}: not UTF-8 text") from None
 
 
 def read_text(path: Path) -> str:
@@ -82,17 +82,17 @@ def read_json_object(path: Path, what: str) -> dict:
     except json.JSONDecodeError as exc:
         # json's own line and column count only \n as a line break
         line, column = line_and_column(text, exc.pos)
-        raise FormatError(f"{path}: line {line} column {column}: "
+        raise FormatError(f"{brief(path)}: line {line} column {column}: "
                           f"unreadable {what}: {exc.msg}") from None
     except ValueError:  # json's one other ValueError: an integer past the digit limit
-        raise FormatError(f"{path}: unreadable {what}: an integer of more than "
+        raise FormatError(f"{brief(path)}: unreadable {what}: an integer of more than "
                           f"{sys.get_int_max_str_digits()} digits") from None
     except RecursionError:
-        raise FormatError(f"{path}: unreadable {what}: "
+        raise FormatError(f"{brief(path)}: unreadable {what}: "
                           "arrays or objects nested too deeply") from None
     if not isinstance(obj, dict):
         line, _ = line_and_column(text, len(text) - len(text.lstrip(" \t\n\r")))
-        raise FormatError(f"{path}: line {line}: {what} must hold a JSON object")
+        raise FormatError(f"{brief(path)}: line {line}: {what} must hold a JSON object")
     return obj
 
 
@@ -126,15 +126,15 @@ def _read_matrix_csv(csv_path: Path, parse_cell, cell_kind: str,
     csv_path = Path(csv_path)
     side = sidecar_path(csv_path)
     if not side.exists():
-        raise ContractError(f"fps metadata missing: expected sidecar {side}")
+        raise ContractError(f"fps metadata missing: expected sidecar {brief(side)}")
     meta = read_json_object(side, "sidecar")
     if "fps" not in meta:
-        raise ContractError(f"fps metadata missing from sidecar {side}")
+        raise ContractError(f"fps metadata missing from sidecar {brief(side)}")
     fps = meta["fps"]
     try:
         FrameGrid(fps=fps, num_frames=1)  # the rate's check, before the CSV is read
     except ContractError as exc:
-        raise FormatError(f"{side}: {exc}") from None
+        raise FormatError(f"{brief(side)}: {exc}") from None
 
     data = csv_path.read_bytes()
     cells = _label_cells_exact(data)
@@ -146,17 +146,18 @@ def _read_matrix_csv(csv_path: Path, parse_cell, cell_kind: str,
             try:
                 rows.append([parse_cell(v) for v in line.split(",")])
             except ValueError:
-                raise FormatError(f"{csv_path}: line {lineno}: {cell_kind} cell") from None
+                raise FormatError(f"{brief(csv_path)}: line {lineno}: {cell_kind} cell") from None
             if len(rows[-1]) != len(rows[0]):
-                raise FormatError(f"{csv_path}: line {lineno}: ragged row of "
+                raise FormatError(f"{brief(csv_path)}: line {lineno}: ragged row of "
                                   f"{len(rows[-1])} cells, expected {len(rows[0])}")
         if not rows:
-            raise FormatError(f"{csv_path}: line 1: empty matrix")
+            raise FormatError(f"{brief(csv_path)}: line 1: empty matrix")
         cells = np.array(rows)
     num_frames, width = cells.shape
     for key, found in (("num_frames", num_frames), (width_key, width)):
         if meta.get(key, found) != found:
-            raise FormatError(f"{csv_path}: {found} {key} but sidecar says {brief(meta[key])}")
+            raise FormatError(f"{brief(csv_path)}: {found} {key} but sidecar says "
+                              f"{brief(meta[key])}")
     return meta, FrameGrid(fps=float(fps), num_frames=num_frames), cells
 
 
@@ -208,15 +209,15 @@ def read_label_matrix(csv_path: Path) -> LabelMatrix:
     """Read a matrix CSV and its sidecar back into a LabelMatrix."""
     meta, grid, frames = _read_matrix_csv(csv_path, int, "non-integer", "num_labels")
     if frames.size and (frames.min() < 0 or frames.max() > 1):
-        raise FormatError(f"{csv_path}: cells must be 0 or 1")
+        raise FormatError(f"{brief(csv_path)}: cells must be 0 or 1")
     side = sidecar_path(csv_path)
     letter, seed = meta.get("labeling_function"), meta.get("seed")
     if letter not in (None, "") and not (
             isinstance(letter, str) and letter.lower() in [fn.letter for fn in LabelingFunction]):
-        raise FormatError(f"{side}: labeling_function must be one of a-f or null, "
+        raise FormatError(f"{brief(side)}: labeling_function must be one of a-f or null, "
                           f"got {brief(letter)}")
     if not fits(int | None, seed):
-        raise FormatError(f"{side}: seed must be an integer or null, got {brief(seed)}")
+        raise FormatError(f"{brief(side)}: seed must be an integer or null, got {brief(seed)}")
     return LabelMatrix(
         frames=frames.astype(np.uint8),
         grid=grid,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import numbers
+import os
 import reprlib
 import sys
 import typing
@@ -70,7 +71,10 @@ def line_and_column(text: str, pos: int) -> tuple[int, int]:
 
 def brief(value) -> str:
     """A value as an error echoes it: an integer (NumPy's too) in full below
-    2**64 in size, else in three digits (1.00e+400); the rest as reprlib has it."""
+    2**64 in size, else in three digits (1.00e+400); a path as its text, and
+    the rest as reprlib has it."""
+    if isinstance(value, os.PathLike):
+        value = os.fspath(value)
     if isinstance(value, numbers.Integral) and not isinstance(value, bool):
         return f"{Decimal(int(value)):.3g}" if abs(int(value)) >= 2 ** 64 else str(value)
     return reprlib.repr(value)

@@ -61,20 +61,25 @@ class Case:
     same: tuple[tuple[str, str], ...] = ()
 
 
+COMMANDS = ("rasterize", "eval", "disagree", "synth", "experiment", "inspect")
+
+
 def contract_fault(command: str, code, out: str, err: str) -> str | None:
-    """What breaks the exit contract in one run, or None: an exit code
-    outside 0, 2, 3 and 4, a traceback, a line of 200 bytes or more with
-    its newline, or a failure that prints other than one error line (after
-    the usage, for exit 2)."""
+    """What breaks the exit contract in one run whose first argument is
+    `command`, or None: an exit code outside 0, 2, 3 and 4, a traceback, a
+    line of 200 bytes or more with its newline, or a failure that prints
+    other than one error line (for exit 2, after the usage of the command,
+    or of notegrid itself where `command` is none of COMMANDS)."""
     lines = err.splitlines()
+    prog = f"notegrid {command}" if command in COMMANDS else "notegrid"
     if code not in (0, 2, 3, 4):
         return f"exit {code}"
     if "Traceback" in out + err:
         return "traceback"
     if any(len(line.encode()) + 1 >= 200 for line in out.splitlines() + lines):
         return "a line of 200 bytes or more"
-    if code == 2 and not (lines and lines[0].startswith(f"usage: notegrid {command} ")
-                          and lines[-1].startswith(f"notegrid {command}: error: ")
+    if code == 2 and not (lines and lines[0].startswith(f"usage: {prog} ")
+                          and lines[-1].startswith(f"{prog}: error: ")
                           and sum(": error: " in line for line in lines) == 1):
         return "not the usage and one error line"
     if code in (3, 4) and not (len(lines) == 1 and lines[0].startswith("error: ")):
@@ -192,6 +197,10 @@ def json_file(name: str, value) -> dict:
 CASES = [
     # the console script
     Case("version", ("--version",)),
+    # argparse echoed an unknown command whole, on a line of 434 bytes
+    Case("long-command", ("c" * 300,), 2,
+         "notegrid: error: argument command: invalid choice: 'cccccccccccc...ccccccccccccc' "
+         "(choose from rasterize, eval, disagree, synth, experiment, inspect)"),
     # synth: a rerun from the manifest, with the same flags, writes the same bytes
     Case("synth-rerun-from-manifest",
          (SMOKE, "synth --config smoke/synth.manifest.json --features --out smoke-rerun"),
@@ -223,58 +232,62 @@ CASES = [
            f"notegrid rasterize: error: {message}", files=NOTES, absent=("out", "esc.csv"))
       for label, name, message in (
           ("empty", "''", "argument --name: must not be empty"),
-          ("with-separator", "../esc", "--name must be a file name, got '../esc'"))),
+          ("with-separator", "../esc", "argument --name: must be a file name, got '../esc'"))),
     # a file flag must end in a file's name: "." used to end in a traceback
     Case("eval-pred-of-no-name", ("eval --pred . --ref m.csv --out out",), 2,
          "notegrid eval: error: argument --pred: must name a file, got '.'", absent=("out",)),
-    Case("synth-fps-0", ("synth --pieces 1 --features --fps 0 --out zerofps",), 2,
-         "notegrid synth: error: --fps must be positive and finite, got 0.0",
-         absent=("zerofps",)),
+    # --fps is checked with --features or without it
+    *(Case(f"synth-fps-0{label}", (f"synth --pieces 1 {flags}--fps 0 --out zerofps",), 2,
+           "notegrid synth: error: argument --fps: fps must be positive and finite, got 0.0",
+           absent=("zerofps",))
+      for label, flags in (("", "--features "), ("-without-features", ""))),
     Case("synth-unknown-config-key", ("synth --config synth.json --out x",), 4,
-         "error: synth.json: bad synth config: unknown key 'num_pyces'",
+         "error: 'synth.json': bad synth config: unknown key 'num_pyces'",
          files=json_file("synth.json", {"num_pyces": 3}), absent=("x",)),
     Case("synth-manifest-without-a-config-object", ("synth --config c.json --out x",), 4,
-         "error: c.json: bad synth config: unknown key 'command'",
+         "error: 'c.json': bad synth config: unknown key 'command'",
          files=json_file("c.json", {"command": "synth", "config": 5})),
     # a flag's value is checked before the config file is read
     Case("synth-pieces-0-before-missing-config",
          ("synth --config missing.json --pieces 0 --out x",), 2,
-         "notegrid synth: error: --pieces must be >= 1, got 0", absent=("x",)),
+         "notegrid synth: error: argument --pieces: num_pieces must be >= 1, got 0",
+         absent=("x",)),
     Case("synth-pieces-past-budget", ("synth --pieces 1000000000 --out x",), 2,
-         "notegrid synth: error: --pieces = 1000000000 exceeds the budget of 10000 pieces",
+         "notegrid synth: error: argument --pieces: num_pieces = 1000000000 exceeds the budget "
+         "of 10000 pieces",
          absent=("x",)),
 
     # inspect
     Case("inspect-synth-piece", (SMOKE, "inspect smoke/piece_000.tsv")),
     Case("inspect-annotation", ("inspect notes.tsv",),
-         out=("input: notes.tsv", "events: 2", "num_labels: 88", "duration_sec: 0.9",
+         out=("input: 'notes.tsv'", "events: 2", "num_labels: 88", "duration_sec: 0.9",
               "label_range: [39, 43]", "violations: 0"), files=NOTES),
     # validate's column masks: an empty label space is a reported violation
     Case("inspect-empty-label-space", ("inspect empty.tsv --num-labels 0",),
-         out=("input: empty.tsv", "events: 0", "num_labels: 0", "duration_sec: 0.0",
+         out=("input: 'empty.tsv'", "events: 0", "num_labels: 0", "duration_sec: 0.0",
               "violations: 1", "  num_labels must be positive, got 0"),
          files={"empty.tsv": HEADER}),
     # a label count or a seed of 2**64 or more is echoed in three digits
     Case("inspect-label-space-past-int64", (f"inspect one.tsv --num-labels {2 ** 70}",),
-         out=("input: one.tsv", "events: 1", "num_labels: 1.18e+21", "duration_sec: 1.25",
+         out=("input: 'one.tsv'", "events: 1", "num_labels: 1.18e+21", "duration_sec: 1.25",
               "label_range: [39, 39]", "violations: 0"),
          files={"one.tsv": HEADER + "0.5\t1.25\t60\n"}),
     Case("inspect-huge-negative-label-count", (f"inspect empty.tsv --num-labels {-10 ** 400}",),
-         out=("input: empty.tsv", "events: 0", "num_labels: -1.00e+400", "duration_sec: 0.0",
+         out=("input: 'empty.tsv'", "events: 0", "num_labels: -1.00e+400", "duration_sec: 0.0",
               "violations: 1", "  num_labels must be positive, got -1.00e+400"),
          files={"empty.tsv": HEADER}),
     Case("inspect-sidecar-huge-seed", ("inspect m.csv",),
-         out=("input: m.csv", "num_frames: 1", "num_labels: 2", "fps: 100.0", "active_cells: 1",
+         out=("input: 'm.csv'", "num_frames: 1", "num_labels: 2", "fps: 100.0", "active_cells: 1",
               "labeling_function: None", "seed: 1.00e+400"),
          files={"m.csv": "0,1\n", "m.json": '{"fps": 100.0, "seed": 1' + "0" * 400 + "}"}),
     Case("inspect-matrix", (NOTES_CSV, "inspect m/notes.csv"),
-         out=("input: notes.csv", "num_frames: 90", "num_labels: 88", "fps: 100.0",
+         out=("input: 'notes.csv'", "num_frames: 90", "num_labels: 88", "fps: 100.0",
               "active_cells: 65", "labeling_function: a", "seed: 0"), files=NOTES),
     Case("inspect-sidecar-fps-0", ("inspect zerofps.csv",), 4,
-         "error: zerofps.json: fps must be positive and finite, got 0",
+         "error: 'zerofps.json': fps must be positive and finite, got 0",
          files={"zerofps.csv": "0,1\n", "zerofps.json": '{"fps": 0}'}),
     # a valid feature CSV, but a label cell of 2
-    Case("inspect-label-cell-2", ("inspect m.csv",), 4, re.compile("^error: m.csv: .*0 or 1"),
+    Case("inspect-label-cell-2", ("inspect m.csv",), 4, re.compile("^error: 'm.csv': .*0 or 1"),
          files={"m.csv": "0,1\n1,2\n", "m.json": '{"fps": 100.0}'}),
     # the OSError's file name is echoed as brief echoes it: whole, it made a
     # line of 344 bytes
@@ -282,7 +295,14 @@ CASES = [
          "error: [Errno 36] File name too long: 'zzzzzzzzzzzz...zzzzzzzzz.tsv'"),
     # a long extension was echoed whole, on a line of 350 bytes
     Case("inspect-long-extension", (f"inspect x.{'z' * 300}",), 2,
-         "notegrid inspect: error: cannot inspect '.zzzzzzzzzzz...zzzzzzzzzzzzz' files"),
+         "notegrid inspect: error: argument input: unrecognized extension "
+         "'.zzzzzzzzzzz...zzzzzzzzzzzzz' (expected .tsv, .txt, .mid, .midi, .csv)"),
+    # a file is echoed as brief echoes it, on stdout too: the name of 244
+    # bytes was printed whole, on a line of 252 bytes
+    Case("inspect-long-name", (f"inspect {'z' * 240}.tsv",),
+         out=("input: 'zzzzzzzzzzzz...zzzzzzzzz.tsv'", "events: 1", "num_labels: 88",
+              "duration_sec: 0.5", "label_range: [39, 39]", "violations: 0"),
+         files={f"{'z' * 240}.tsv": BIG["one.tsv"]}),
     Case("inspect-unknown-extension", ("inspect x.bin",), 2, USAGE, files={"x.bin": b"\x00"}),
     Case("inspect-wav-usage", ("inspect x.wav",), 2, USAGE),
 
@@ -294,52 +314,61 @@ CASES = [
          absent=("missing.csv", "missing.json", "missing.manifest.json")),
     Case("rasterize-negative-label-count",
          ("rasterize empty.tsv --fps 100 --fn a --num-labels -5 --out negative",), 4,
-         "error: empty.tsv: num_labels must be >= 0, got -5", files={"empty.tsv": HEADER},
+         "error: 'empty.tsv': num_labels must be >= 0, got -5", files={"empty.tsv": HEADER},
          absent=("negative",)),
     Case("rasterize-negative-label-count-midi",
          ("rasterize empty.mid --fps 100 --fn a --num-labels -5 --out negative",), 4,
-         "error: empty.mid: num_labels must be >= 0, got -5",
+         "error: 'empty.mid': num_labels must be >= 0, got -5",
          files={"empty.mid": smf.build([smf.track([])], fmt=0)}, absent=("negative",)),
     # pitch 60 in range, but its label 60 + 10**20 past int64
     Case("rasterize-label-past-int64",
          ("rasterize one.tsv --fps 100 --fn a --pitch-offset -100000000000000000000 "
           "--num-labels 200000000000000000000 --out int64",), 4,
-         "error: one.tsv: labels must lie within the int64 range",
+         "error: 'one.tsv': labels must lie within the int64 range",
          files={"one.tsv": HEADER + "0.1\t0.5\t60\n"}, absent=("int64",)),
     Case("rasterize-label-past-int64-midi",
          (f"rasterize one.mid --fps 100 --fn a --pitch-offset {-10 ** 20} "
           f"--num-labels {2 * 10 ** 20} --out int64",), 4,
-         "error: one.mid: labels must lie within the int64 range",
+         "error: 'one.mid': labels must lie within the int64 range",
          files={"one.mid": smf.simple_file([(0, 480, 60)])}, absent=("int64",)),
     Case("rasterize-huge-label-count",
          (f"rasterize notes.tsv --fps 100 --fn a --num-labels {10 ** 400} --out out",), 4,
-         "error: notes.tsv: a label matrix of 90 frames x 1.00e+400 labels exceeds the budget "
+         "error: 'notes.tsv': a label matrix of 90 frames x 1.00e+400 labels exceeds the budget "
          "of 2147483648 cells", files=NOTES, absent=("out",)),
     Case("rasterize-huge-pitch", ("rasterize one.tsv --fps 100 --fn a --out out",), 4,
-         "error: one.tsv: line 2: MIDI pitch 1.00e+300 outside [21, 108]",
+         "error: 'one.tsv': line 2: MIDI pitch 1.00e+300 outside [21, 108]",
          files={"one.tsv": HEADER + "0.5\t1.25\t1e300\n"}),
     Case("rasterize-huge-pitch-offset",
          (f"rasterize one.tsv --fps 100 --fn a --pitch-offset {10 ** 400} --out out",), 4,
-         "error: one.tsv: line 2: MIDI pitch 60 outside [1.00e+400, 1.00e+400]",
+         "error: 'one.tsv': line 2: MIDI pitch 60 outside [1.00e+400, 1.00e+400]",
          files={"one.tsv": HEADER + "0.5\t1.25\t60\n"}),
     Case("rasterize-huge-negative-label-count",
          (f"rasterize one.tsv --fps 100 --fn a --num-labels {-10 ** 400} --out out",), 4,
-         "error: one.tsv: line 2: MIDI pitch 60 outside [21, -1.00e+400]",
+         "error: 'one.tsv': line 2: MIDI pitch 60 outside [21, -1.00e+400]",
          files={"one.tsv": HEADER + "0.5\t1.25\t60\n"}),
     Case("rasterize-huge-pitch-offset-midi",
          (f"rasterize one.mid --fps 100 --fn a --pitch-offset {10 ** 400} --out out",), 4,
-         "error: one.mid: MIDI pitch 60 outside [1.00e+400, 1.00e+400]",
+         "error: 'one.mid': MIDI pitch 60 outside [1.00e+400, 1.00e+400]",
          files={"one.mid": smf.simple_file([(0, 480, 60)])}),
     # each of these used to echo the whole header or cell on the error line
     Case("rasterize-long-header", ("rasterize long.tsv --fps 100 --fn a --out out",), 4,
-         re.compile("^error: long.tsv: .*malformed header 'OnsetTime"),
+         re.compile("^error: 'long.tsv': .*malformed header 'OnsetTime"),
          files={"long.tsv": HEADER[:-1] + "x" * 270 + "\n0.5\t1.25\t60\n"}),
     Case("rasterize-long-cell", ("rasterize long.tsv --fps 100 --fn a --out out",), 4,
-         re.compile("^error: long.tsv: .*line 2: non-numeric field '111"),
+         re.compile("^error: 'long.tsv': .*line 2: non-numeric field '111"),
          files={"long.tsv": HEADER + "0.5\t" + "1" * 150 + "x" * 150 + "\t60\n"}),
     Case("rasterize-long-pitch", ("rasterize long.tsv --fps 100 --fn a --out out",), 4,
-         re.compile("^error: long.tsv: .*line 2: non-integer pitch 60.5$"),
+         re.compile("^error: 'long.tsv': .*line 2: non-integer pitch 60.5$"),
          files={"long.tsv": HEADER + "0.5\t1.25\t60.5" + "0" * 295 + "\n"}),
+    # the file's name before a fault: whole, it made a line of 283 bytes
+    Case("rasterize-long-name", (f"rasterize {'z' * 240}.tsv --fps 100 --fn a --out out",), 4,
+         "error: 'zzzzzzzzzzzz...zzzzzzzzz.tsv': line 2: non-numeric field 'x'",
+         files={f"{'z' * 240}.tsv": HEADER + "0.5\tx\t60\n"}, absent=("out",)),
+    # and a written path: whole, these made lines of 217, 221 and 224 bytes
+    Case("rasterize-long-out", (f"rasterize notes.tsv --fps 100 --fn a --out {'d' * 200}",),
+         out=("wrote 'dddddddddddd...ddd/notes.csv'",), files=NOTES),
+    Case("synth-long-out", (f"synth --pieces 1 --out {'d' * 200}",),
+         out=("wrote 1 pieces to 'dddddddddddd...ddddddddddddd'",)),
     Case("rasterize-malformed-line", ("rasterize broken.tsv --fps 100 --fn a --out out",), 4,
          re.compile("broken.tsv.*line 2"),
          files={"broken.tsv": "OnsetTime OffsetTime MidiPitch\n1.0 1.0 60\n"}),
@@ -362,7 +391,7 @@ CASES = [
     Case("rasterize-negative-fps", ("rasterize notes.tsv --fps -1 --fn a --out out",), 2,
          USAGE, files=NOTES, absent=("out",)),
     Case("rasterize-fps-inf", (SMOKE, "rasterize smoke/piece_000.tsv --fps inf --fn a --out inf"),
-         2, "notegrid rasterize: error: --fps must be positive and finite, got inf",
+         2, "notegrid rasterize: error: argument --fps: fps must be positive and finite, got inf",
          absent=("inf",)),
     # argparse's own messages would echo these whole, on a line past 200 bytes
     Case("rasterize-long-stray-argument",
@@ -374,7 +403,7 @@ CASES = [
          "'yyyyyyyyyyyy...yyyyyyyyyyyyy'", files=NOTES, absent=("out",)),
     # and on one of 400 bytes here
     Case("rasterize-long-extension", (f"rasterize notes.{'z' * 300} --fps 100 --fn a",), 2,
-         "notegrid rasterize: error: unrecognized annotation extension "
+         "notegrid rasterize: error: argument input: unrecognized extension "
          "'.zzzzzzzzzzz...zzzzzzzzzzzzz' (expected .tsv, .txt, .mid, .midi)"),
     Case("rasterize-bad-extension", ("rasterize notes.xyz --fps 100 --fn a",), 2, USAGE,
          files={"notes.xyz": NOTES["notes.tsv"]}),
@@ -399,25 +428,32 @@ CASES = [
     # the rule of the experiment's window_sec
     Case("eval-zero-window", (NOTES_CSV, "eval --pred m/notes.csv --ref m/notes.csv "
                                          "--out e --window-sec 0"),
-         2, "notegrid eval: error: --window-sec must be positive, got 0.0", files=NOTES,
-         absent=("e",)),
+         2, "notegrid eval: error: argument --window-sec: window_sec must be positive, got 0.0",
+         files=NOTES, absent=("e",)),
     Case("eval-nan-window", (NOTES_CSV, "eval --pred m/notes.csv --ref m/notes.csv "
                                         "--out e --window-sec nan"),
-         2, "notegrid eval: error: --window-sec must be positive, got nan", files=NOTES,
-         absent=("e",)),
+         2, "notegrid eval: error: argument --window-sec: window_sec must be positive, got nan",
+         files=NOTES, absent=("e",)),
     Case("eval-neither-ref-nor-annotation", (NOTES_CSV, "eval --pred m/notes.csv --out e"),
          2, USAGE, files=NOTES, absent=("e",)),
     Case("eval-neither-ref-nor-annotation-before-missing-pred",
          ("eval --pred missing.csv --out e",), 2,
-         "notegrid eval: error: either --ref or --annotation is required", absent=("e",)),
+         "notegrid eval: error: one of the arguments --ref --annotation is required",
+         absent=("e",)),
+    # a path in a reader's message: whole, it made a line of 204 bytes
+    Case("eval-missing-sidecar-in-long-directory",
+         (f"eval --pred {'l' * 150}/m.csv --ref m.csv --out e",), 4,
+         "error: fps metadata missing: expected sidecar 'llllllllllll...llllll/m.json'",
+         absent=("e",)),
     Case("eval-missing-sidecar", ("eval --pred naked.csv --ref naked.csv --out e",), 4,
          re.compile("naked.json"), files={"naked.csv": "0,1\n1,0\n"}, absent=("e",)),
     Case("eval-ref-fps-0", (NOTES_CSV, "eval --pred m/notes.csv --annotation notes.tsv "
                                        "--out e --ref-fps 0"),
-         2, re.compile("--ref-fps must be positive"), files=NOTES, absent=("e",)),
+         2, "notegrid eval: error: argument --ref-fps: fps must be positive and finite, got 0.0",
+         files=NOTES, absent=("e",)),
     Case("eval-ref-fps-inf", ("eval --pred pred.csv --annotation notes.tsv --ref-fps inf "
                               "--out e",),
-         2, "notegrid eval: error: --ref-fps must be positive and finite, got inf",
+         2, "notegrid eval: error: argument --ref-fps: fps must be positive and finite, got inf",
          files=NOTES, absent=("e",)),
     # the reference is always function a; another function's labels are
     # scored by rasterizing them and passing them as --ref
@@ -425,22 +461,39 @@ CASES = [
          (NOTES_CSV, "eval --pred m/notes.csv --annotation notes.tsv --out e --fn e"),
          2, "notegrid eval: error: unrecognized arguments: '--fn e'", files=NOTES,
          absent=("e",)),
-    # a usage error comes before a missing file; with --ref neither option is
-    # read, so the missing file is the error
+    # a usage error comes before a missing file
     Case("eval-ref-fps-0-before-missing-pred",
          ("eval --pred missing.csv --annotation notes.tsv --out e --ref-fps 0",), 2, USAGE,
          files=NOTES, absent=("e",)),
     Case("eval-random-fn-before-missing-pred",
          ("eval --pred missing.csv --annotation notes.tsv --out e --fn e",), 2, USAGE,
          files=NOTES, absent=("e",)),
-    Case("eval-ref-ignores-ref-fps", ("eval --pred missing.csv --ref missing.csv --out e "
-                                      "--ref-fps 0",), 4, re.compile("^error: "),
+    # every flag's value is checked, whether the command reads it or not:
+    # --ref-fps with --ref exited 4 for the missing file, and 0 with the file,
+    # writing the 0 into the manifest
+    Case("eval-ref-fps-0-with-ref", ("eval --pred missing.csv --ref missing.csv --out e "
+                                     "--ref-fps 0",), 2,
+         "notegrid eval: error: argument --ref-fps: fps must be positive and finite, got 0.0",
          absent=("e",)),
+    # the reference is one of --ref and --annotation: with both, the
+    # annotation was not read, but its name went into the manifest
+    Case("eval-ref-and-annotation", (NOTES_CSV, "eval --pred m/notes.csv --ref m/notes.csv "
+                                                "--annotation nothere.tsv --out e"), 2,
+         "notegrid eval: error: argument --annotation: not allowed with argument --ref",
+         files=NOTES, absent=("e",)),
+    # an annotation is a .tsv, .txt, .mid or .midi file: a matrix CSV given
+    # as one was read as TSV
+    *(Case(f"{command}-annotation-csv", (NOTES_CSV, f"{command} {flags} --annotation m/notes.csv "
+                                                    "--out out"), 2,
+           f"notegrid {command}: error: argument --annotation: unrecognized extension '.csv' "
+           "(expected .tsv, .txt, .mid, .midi)", files=NOTES, absent=("out",))
+      for command, flags in (("eval", "--pred m/notes.csv"),
+                             ("disagree", "--a m/notes.csv --b m/notes.csv"))),
     # quantizing the annotation fails: the error names it, and only it
     Case("eval-annotation-past-frame-index",
          ("rasterize one.tsv --fps 100 --fn a --out p",
           "eval --pred p/one.csv --annotation big.tsv --out e"), 4,
-         "error: big.tsv: offset 1e+40 is too many frames of 0.01 s to index", files=BIG,
+         "error: 'big.tsv': offset 1e+40 is too many frames of 0.01 s to index", files=BIG,
          absent=("e",)),
     Case("eval-label-count-mismatch",
          ("rasterize one.tsv --fps 100 --fn a --out p",
@@ -452,7 +505,7 @@ CASES = [
     Case("disagree-annotation-past-frame-index",
          ("rasterize one.tsv --fps 100 --fn a --out p",
           "disagree --a p/one.csv --b p/one.csv --annotation big.tsv --out d"), 4,
-         "error: big.tsv: offset 1e+40 is too many frames of 0.01 s to index", files=BIG,
+         "error: 'big.tsv': offset 1e+40 is too many frames of 0.01 s to index", files=BIG,
          absent=("d",)),
     Case("disagree-shape-mismatch",
          ("rasterize one.tsv --fps 100 --fn a --out p",
@@ -471,6 +524,9 @@ CASES = [
     Case("experiment-rerun", ("experiment --config tiny.json --out tiny",
                               "experiment --config tiny.json --out tiny-rerun"),
          files=json_file("tiny.json", TINY), same=(("tiny", "tiny-rerun"),)),
+    Case("experiment-long-out", (f"experiment --config tiny.json --out {'d' * 200}",),
+         out=("fn a: mean test F = 0.065327", "fn e: mean test F = 0.079208",
+              "wrote 'dddddddddddd...d/results.csv'"), files=json_file("tiny.json", TINY)),
     # a diverging rate, not halved before epoch 1 of 2; no NumPy warning shows
     Case("experiment-diverging-rate",
          ("experiment --config tiny.json --epochs 2 --learning-rate 1e308 --out diverged",), 3,
@@ -490,7 +546,7 @@ CASES = [
          absent=("late",)),
     Case("experiment-train-value-of-wrong-type",
          ("experiment --config badtype.json --out badtype",), 4,
-         "error: badtype.json: bad train config: batch_size must be int, got 2.5",
+         "error: 'badtype.json': bad train config: batch_size must be int, got 2.5",
          files=json_file("badtype.json", {"train": {"batch_size": 2.5}}),
          absent=("badtype",)),
     # past the train and model-size budgets: exit 4 before any piece is generated
@@ -513,7 +569,7 @@ CASES = [
          absent=("out",)),
     *(Case(f"experiment-{key}-past-budget-{value:.0e}", ("experiment --config exp.json "
                                                          "--out out",), 4,
-           f"error: exp.json: bad train config: {key} = {value} exceeds the budget of {limit}",
+           f"error: 'exp.json': bad train config: {key} = {value} exceeds the budget of {limit}",
            files=json_file("exp.json", {"train": {key: value}}), absent=("out",))
       for key, value, limit in (("context_frames", 2 ** 63 + 1, "1001 frames"),
                                 ("context_frames", 100001, "1001 frames"),
@@ -522,7 +578,7 @@ CASES = [
     # fault names the file, and nothing is written
     *(Case(f"{command}-duration-no-grid-covers", (f"{command} --config exp.json {flags}"
                                                    "--out out",), 4,
-           "error: exp.json: cannot cover 1e+308 s at 31.25 fps: not finite",
+           "error: 'exp.json': cannot cover 1e+308 s at 31.25 fps: not finite",
            files=json_file("exp.json", {"synth": {"piece_duration_sec": 1e308,
                                                    "note_rate": 1e-310}}), absent=("out",))
       for command, flags in (("experiment", ""), ("synth", "--features "))),
@@ -534,32 +590,32 @@ CASES = [
     # an eval_fps integer past float range: it used to end in an OverflowError
     Case("experiment-eval-fps-past-float-range",
          ("experiment --config hugefps.json --out hugefps",), 4,
-         "error: hugefps.json: bad experiment config: eval_fps must be float, got 1.00e+400",
+         "error: 'hugefps.json': bad experiment config: eval_fps must be float, got 1.00e+400",
          files={"hugefps.json": '{"eval_fps": 1' + "0" * 400 + "}"}, absent=("hugefps",)),
     # json's own text used to be echoed: a line of 200 bytes for the first,
     # which advised calling sys.set_int_max_str_digits()
     Case("experiment-config-integer-past-digit-limit",
          ("experiment --config experiments-2026-10-config.json --out out",), 4,
-         "error: experiments-2026-10-config.json: unreadable config: an integer of more than "
+         "error: 'experiments-...0-config.json': unreadable config: an integer of more than "
          "4300 digits", files={"experiments-2026-10-config.json": '{"seed": 1' + "0" * 5000 + "}"},
          absent=("out",)),
     Case("experiment-config-nested-too-deeply",
          ("experiment --config experiments-2026-10-config.json --out out",), 4,
-         "error: experiments-2026-10-config.json: unreadable config: arrays or objects nested "
+         "error: 'experiments-...0-config.json': unreadable config: arrays or objects nested "
          "too deeply", files={"experiments-2026-10-config.json": "[" * 100000 + "]" * 100000},
          absent=("out",)),
     # lines that break at a lone CR: the error names line 3, where the bad token is
     Case("experiment-config-lone-cr", ("experiment --config lonecr.json --out lonecr",), 4,
-         re.compile("lonecr.json: line 3 column 1: unreadable config"),
+         re.compile("'lonecr.json': line 3 column 1: unreadable config"),
          files={"lonecr.json": '{\r"fps": 1,\r,}'}, absent=("lonecr",)),
     # an unknown key of 300 characters, where Python's own message echoed it whole
     Case("experiment-long-unknown-key", ("experiment --config longkey.json --out longkey",),
-         4, re.compile("^error: longkey.json: bad synth config: unknown key 'xxx"),
+         4, re.compile("^error: 'longkey.json': bad synth config: unknown key 'xxx"),
          files={"longkey.json": '{"synth": {"' + "x" * 300 + '": 1}}'}, absent=("longkey",)),
     # a config file's fault exits 4 naming the file and the key: an unknown
     # key, a wrong type, or a value that the key's rule rejects
     *(Case(f"experiment-{name}", ("experiment --config exp.json --out out",), 4,
-           f"error: exp.json: bad experiment config: {line}", files={"exp.json": text},
+           f"error: 'exp.json': bad experiment config: {line}", files={"exp.json": text},
            absent=("out",))
       for name, text, line in (
           ("unknown-config-key", '{"no_such_key": 1}', "unknown key 'no_such_key'"),
@@ -579,50 +635,57 @@ CASES = [
            "fns must be one or more letters of a-f, got ['z']"))),
     Case("experiment-manifest-without-a-config-object",
          ("experiment --config c.json --out x",), 4,
-         "error: c.json: bad experiment config: unknown key 'command'",
+         "error: 'c.json': bad experiment config: unknown key 'command'",
          files=json_file("c.json", {"command": "synth", "config": 5})),
     # a rate flag that the rule of its key rejects is a usage error; the same
     # rate read from a config file names the file and key
     Case("experiment-train-fps-0", ("experiment --fns a --seeds 1 --train-fps 0 --out out",),
-         2, "notegrid experiment: error: --train-fps must be positive and finite, got 0.0",
+         2, "notegrid experiment: error: argument --train-fps: train_fps must be positive and "
+         "finite, got 0.0",
          absent=("out",)),
     Case("experiment-eval-fps-nan", ("experiment --fns a --seeds 1 --eval-fps nan --out out",),
-         2, "notegrid experiment: error: --eval-fps must be positive and finite, got nan",
+         2, "notegrid experiment: error: argument --eval-fps: eval_fps must be positive and "
+         "finite, got nan",
          absent=("out",)),
     Case("experiment-config-train-fps-0",
          ("experiment --config exp.json --fns a --seeds 1 --out out",), 4,
-         "error: exp.json: bad experiment config: train_fps must be positive and finite, got 0",
+         "error: 'exp.json': bad experiment config: train_fps must be positive and finite, got 0",
          files=json_file("exp.json", {"train_fps": 0}), absent=("out",)),
     # so are --fns, --epochs and --learning-rate: each flag's value is checked
     # alone, before any file is read; from a config file the same values exit 4
     Case("experiment-fns-z", ("experiment --config tiny.json --fns z --out out",), 2,
-         "notegrid experiment: error: --fns must be one or more letters of a-f, got ['z']",
+         "notegrid experiment: error: argument --fns: fns must be one or more letters of a-f, "
+         "got ['z']",
          files=json_file("tiny.json", TINY), absent=("out",)),
     Case("experiment-epochs-negative", ("experiment --config tiny.json --epochs -1 --out out",),
-         2, "notegrid experiment: error: --epochs must be >= 0, got -1",
+         2, "notegrid experiment: error: argument --epochs: epochs must be >= 0, got -1",
          files=json_file("tiny.json", TINY), absent=("out",)),
     Case("experiment-epochs-negative-before-missing-config",
          ("experiment --config missing.json --epochs -1 --out out",), 2,
-         "notegrid experiment: error: --epochs must be >= 0, got -1", absent=("out",)),
+         "notegrid experiment: error: argument --epochs: epochs must be >= 0, got -1",
+         absent=("out",)),
     Case("experiment-epochs-past-budget",
          ("experiment --config tiny.json --epochs 100000 --out out",), 2,
-         "notegrid experiment: error: --epochs = 100000 exceeds the budget of 1000 epochs",
+         "notegrid experiment: error: argument --epochs: epochs = 100000 exceeds the budget of "
+         "1000 epochs",
          files=json_file("tiny.json", TINY), absent=("out",)),
     Case("experiment-learning-rate-0",
          ("experiment --config tiny.json --learning-rate 0 --out out",), 2,
-         "notegrid experiment: error: --learning-rate must be positive and finite, got 0.0",
+         "notegrid experiment: error: argument --learning-rate: learning_rate must be positive "
+         "and finite, got 0.0",
          files=json_file("tiny.json", TINY), absent=("out",)),
     Case("experiment-learning-rate-inf",
          ("experiment --config tiny.json --learning-rate inf --out out",), 2,
-         "notegrid experiment: error: --learning-rate must be positive and finite, got inf",
+         "notegrid experiment: error: argument --learning-rate: learning_rate must be positive "
+         "and finite, got inf",
          files=json_file("tiny.json", TINY), absent=("out",)),
     Case("experiment-config-learning-rate-0", ("experiment --config exp.json --out out",), 4,
-         "error: exp.json: bad train config: learning_rate must be positive and finite, got 0",
+         "error: 'exp.json': bad train config: learning_rate must be positive and finite, got 0",
          files=json_file("exp.json", {**TINY, "train": {"learning_rate": 0}}),
          absent=("out",)),
     Case("experiment-nan-window",
          ("experiment --config exp.json --fns a --seeds 1 --window-sec nan --out out",), 2,
-         "notegrid experiment: error: --window-sec must be positive, got nan",
+         "notegrid experiment: error: argument --window-sec: window_sec must be positive, got nan",
          files=json_file("exp.json", EXPERIMENT), absent=("out",)),
     Case("experiment-long-epochs", (f"experiment --epochs {'x' * 300} --out out",), 2,
          "notegrid experiment: error: argument --epochs: invalid int value: "
@@ -631,10 +694,11 @@ CASES = [
     Case("experiment-bad-seeds", ("experiment --fns a --seeds one --out out",), 2, USAGE),
     # a long --seeds used to be echoed whole, on a line past 200 bytes
     Case("experiment-long-bad-seeds", (f"experiment --seeds {'x' * 300} --out out",), 2,
-         "notegrid experiment: error: --seeds must be comma-separated integers, "
-         "got 'xxxxxxxxxxxx...xxxxxxxxxxxxx'", absent=("out",)),
+         "notegrid experiment: error: argument --seeds: invalid int value: "
+         "'xxxxxxxxxxxx...xxxxxxxxxxxxx'", absent=("out",)),
     Case("experiment-seeds-of-separators-only", ("experiment --fns a --seeds , --out out",),
-         2, "notegrid experiment: error: --seeds must be one or more integers, got []",
+         2, "notegrid experiment: error: argument --seeds: seeds must be one or more integers, "
+            "got []",
          absent=("out",)),
 ]
 

@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -25,6 +26,7 @@ from notegrid import (ContractError, EvalCounts, FeatureMatrix, FormatError, Fra
 from notegrid import _reprcsv
 from notegrid import io as ngio
 from notegrid.cli import build_parser
+from notegrid.util import brief
 
 A = LabelingFunction.A
 
@@ -716,7 +718,7 @@ class TestNonUtf8Input:
         path = tmp_path / "notes.tsv"
         path.write_bytes(TSV.encode() + b"0.5\t0.9\t6\xff\n")
         self.assert_exit_4(["rasterize", str(path), "--fps", "100", "--fn", "a",
-                            "--out", str(tmp_path)], "notes.tsv: line 4")
+                            "--out", str(tmp_path)], "notes.tsv': line 4")
 
     @pytest.mark.parametrize("body", [b"0,1\n1,0\n", b"0,1\r\n1,0\r\n", b"0,1\r1,0\r",
                                       b"0,1\x0c\n1,0\x0b\n"],
@@ -724,11 +726,11 @@ class TestNonUtf8Input:
     def test_line_of_a_bad_byte_counts_only_newline_breaks(self, tmp_path, body):
         (tmp_path / "m.csv").write_bytes(body + b"\xff")
         (tmp_path / "m.json").write_bytes(b'{"fps": 100.0}')
-        self.assert_exit_4(["inspect", str(tmp_path / "m.csv")], "m.csv: line 3")
+        self.assert_exit_4(["inspect", str(tmp_path / "m.csv")], "m.csv': line 3")
 
     @pytest.mark.parametrize("broken,line", [("m.csv", 2), ("m.json", 1)])
     def test_matrix_and_sidecar(self, tmp_path, broken, line):
-        where = f"{broken}: line {line}"
+        where = f"{broken}': line {line}"  # after the path, which brief may cut
         (tmp_path / "m.csv").write_bytes(b"0,1\n")
         (tmp_path / "m.json").write_bytes(b'{"fps": 100.0}')
         with open(tmp_path / broken, "ab") as handle:
@@ -742,7 +744,7 @@ class TestNonUtf8Input:
         config = tmp_path / "cfg.json"
         config.write_bytes(b'{"seed": 1}\xff')
         self.assert_exit_4([command, "--config", str(config), "--out", str(tmp_path / "out")],
-                           "cfg.json: line 1")
+                           "cfg.json': line 1")
 
 
 class TestConfigFiles:
@@ -753,7 +755,7 @@ class TestConfigFiles:
         path.write_bytes(newline.join(["{", '"fps": 1,', "  ,}"]).encode())
         with pytest.raises(FormatError) as info:
             ngio.read_json_object(path, "config")
-        assert str(info.value) == (f"{path}: line 3 column 3: unreadable config: "
+        assert str(info.value) == (f"{brief(path)}: line 3 column 3: unreadable config: "
                                    "Expecting property name enclosed in double quotes")
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
@@ -762,14 +764,14 @@ class TestConfigFiles:
         path.write_bytes(newline.join(["", " ", "\t[1,", "2]", ""]).encode())
         with pytest.raises(FormatError) as info:
             ngio.read_json_object(path, "sidecar")
-        assert str(info.value) == f"{path}: line 3: sidecar must hold a JSON object"
+        assert str(info.value) == f"{brief(path)}: line 3: sidecar must hold a JSON object"
 
     @pytest.mark.parametrize("command", ["synth", "experiment"])
     @pytest.mark.parametrize("text,where", [
         ('{"seed": 1' + "0" * 5000 + "}", "unreadable config"),
         ('{"seed": ' + "[" * 100000 + "]" * 100000 + "}", "unreadable config"),
         ('{"seed": 1', "line 1"),
-        ('{\r"seed": 1,\r,}', "cfg.json: line 3 column 1: unreadable config"),
+        ('{\r"seed": 1,\r,}', "cfg.json': line 3 column 1: unreadable config"),
         ("[1, 2]", "line 1: config must hold a JSON object"),
     ], ids=["integer-past-digit-limit", "nested-too-deeply", "bad-json", "bad-json-lone-cr",
             "not-an-object"])
@@ -796,7 +798,7 @@ class TestConfigFiles:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))
         code, _, err = run_cli([command, "--config", str(path), "--out", str(tmp_path / "out")])
-        assert code == 4 and err.startswith("error: cfg.json: " + where)
+        assert code == 4 and err.startswith("error: 'cfg.json': " + where)
 
 
 # one wrong-typed value per config field: (section, key, value), where
@@ -906,7 +908,7 @@ class TestTypedConfigValues:
             want = "float, got 1.00e+400"
         else:  # the key's rule rejects NaN
             want = "positive, got nan" if key == "window_sec" else "positive and finite, got nan"
-        assert (code, err) == (4, f"error: exp.json: bad experiment config: {key} must be "
+        assert (code, err) == (4, f"error: 'exp.json': bad experiment config: {key} must be "
                                   f"{want}\n")
         assert not (tmp_path / "out").exists()
 
@@ -917,7 +919,7 @@ class TestTypedConfigValues:
         path.write_text(json.dumps({"train": {key: value}}))
         code, _, err = run_cli(["experiment", "--config", str(path),
                                 "--out", str(tmp_path / "out")])
-        assert code == 4 and err.startswith(f"error: exp.json: bad train config: {key} must")
+        assert code == 4 and err.startswith(f"error: 'exp.json': bad train config: {key} must")
         assert not (tmp_path / "out").exists()
 
     def test_int_for_float_and_null_schedule_accepted(self, tmp_path):
@@ -966,33 +968,68 @@ class TestTypedConfigValues:
         assert code in (2, 4) and key in err.splitlines()[-1]
 
 
-def valued_arguments() -> list[tuple[str, str]]:
-    """(subcommand, flag) of each argument that takes a value, a positional
-    by its name."""
+def valued_arguments() -> dict[tuple[str, str], tuple]:
+    """{(subcommand, flag): (its parser, action)} of each argument that takes
+    a value, a positional by its name."""
     subparsers = next(action for action in build_parser()._actions
                       if isinstance(action, argparse._SubParsersAction))
-    return [(name, action.option_strings[0] if action.option_strings else action.dest)
-            for name, sub in subparsers.choices.items() for action in sub._actions
-            if action.nargs != 0]
+    return {(name, action.option_strings[0] if action.option_strings else action.dest):
+            (sub, action) for name, sub in subparsers.choices.items()
+            for action in sub._actions if action.nargs != 0}
 
 
-# the arguments each subcommand needs besides the one left empty; no file
-# of theirs exists, since a usage error comes before any file is read
-NEEDED = {"rasterize": ["notes.tsv", "--fps", "100", "--fn", "a"],
-          "eval": ["--pred", "m.csv", "--ref", "m.csv"],
-          "disagree": ["--a", "m.csv", "--b", "m.csv", "--annotation", "notes.tsv"],
-          "synth": ["--pieces", "1"],
-          "experiment": ["--fns", "a", "--seeds", "1", "--epochs", "0"],
-          "inspect": ["notes.tsv"]}
+def test_contract_knows_every_command():
+    assert sorted({command for command, _ in valued_arguments()}) == sorted(cli_cases.COMMANDS)
+
+
+# each subcommand's positional, or None, and options: valid, and their files
+# are in WALK_FILES
+VALID = {"rasterize": ("notes.tsv", {"--fps": "100", "--fn": "a"}),
+         "eval": (None, {"--pred": "m.csv", "--ref": "m.csv"}),
+         "disagree": (None, {"--a": "m.csv", "--b": "m.csv", "--annotation": "notes.tsv"}),
+         "synth": (None, {"--pieces": "1"}),
+         "experiment": (None, {"--config": "tiny.json"}),
+         "inspect": ("notes.tsv", {})}
+WALK_FILES = {**{name: text.encode() for name, text in cli_cases.NOTES.items()},
+              "m.csv": b"0,1\n1,0\n", "m.json": b'{"fps": 100.0}',
+              "tiny.json": json.dumps({"fns": ["a"], "seeds": [1], "train": {"epochs": 0},
+                                       "synth": {"num_pieces": 5,
+                                                 "piece_duration_sec": 1.0}}).encode()}
+POOL = ["", "z" * 300, "nan", "inf", "0", "-1", "1" + "0" * 400, "\u00e9" * 150]
+
+
+def walk_argv(command: str, flag: str, value: str) -> list[str]:
+    """The subcommand's valid arguments with `value` for the flag's own, less
+    the flags it excludes."""
+    sub, action = valued_arguments()[command, flag]
+    positional, options = VALID[command]
+    if not action.option_strings:
+        return [command, value, *itertools.chain(*options.items())]
+    rivals = {option for group in sub._mutually_exclusive_groups
+              if action in group._group_actions
+              for other in group._group_actions for option in other.option_strings}
+    kept = {other: text for other, text in options.items() if other not in rivals}
+    return [command, *([positional] if positional else []),
+            *itertools.chain(*kept.items()), flag, value]
 
 
 @pytest.mark.parametrize("command, flag", valued_arguments())
-def test_empty_value_is_a_usage_error_naming_its_argument(command, flag, tmp_path):
-    argv = ([command, *NEEDED[command], flag, ""] if flag.startswith("-")
-            else [command, "", *NEEDED[command][1:]])
-    code, _, err = run_cli(argv, tmp_path)
-    assert code == 2 and flag in err.splitlines()[-1], err
-    assert list(tmp_path.iterdir()) == []
+def test_argv_walk(command, flag, tmp_path):
+    """Each value of the pool, given to an argument that takes a value,
+    keeps the exit contract; a usage error names the argument and writes
+    nothing, and an empty value is one. A new argument is walked with no
+    edit here."""
+    for at, value in enumerate(POOL):
+        where = tmp_path / str(at)
+        where.mkdir()
+        for file, data in WALK_FILES.items():
+            (where / file).write_bytes(data)
+        argv = walk_argv(command, flag, value)
+        code, _, err = run_cli(argv, where)
+        if code == 2:
+            assert f"argument {flag}: " in err.splitlines()[-1], (argv, err)
+            assert {path.name: path.read_bytes() for path in where.iterdir()} == WALK_FILES
+        assert code == 2 or value, (argv, code)
 
 
 class TestParserReuse:
@@ -1022,10 +1059,11 @@ class TestParserReuse:
     def test_usage_error_leaves_the_next_call_unchanged(self, tmp_path, notes_tsv):
         argv = ["rasterize", str(notes_tsv), "--fps", "100", "--fn", "e", "--seed", "3"]
         assert run_cli(argv + ["--out", str(tmp_path / "before")]).code == 0
-        # one error from argparse itself, one from the handler's parser.error
-        bad = ["--seed", "9", "--name", "bad", "--out", str(tmp_path / "bad")]
-        assert run_cli(["rasterize", str(notes_tsv), "--fps", "50", "--fn", "z", *bad]).code == 2
-        assert run_cli(["rasterize", str(notes_tsv), "--fps", "-1", "--fn", "f", *bad]).code == 2
+        # one error from a flag's type, one from the handler's parser.error
+        bad = ["--name", "bad", "--out", str(tmp_path / "bad")]
+        assert run_cli(["rasterize", str(notes_tsv), "--fps", "-1", "--fn", "f", "--seed", "9",
+                        *bad]).code == 2
+        assert run_cli(["rasterize", str(notes_tsv), "--fps", "50", "--fn", "f", *bad]).code == 2
         assert run_cli(argv + ["--out", str(tmp_path / "after")]).code == 0
         assert not (tmp_path / "bad").exists()
         for name in ("notes.csv", "notes.json", "notes.manifest.json"):
@@ -1046,7 +1084,7 @@ class TestUsageErrors:
         argv = ["experiment", "--config", str(config), "--fns", "a", "--seeds", "1",
                 "--out", str(tmp_path / "out")]
         code, _, err = run_cli(argv)
-        assert (code, err) == (4, f"error: cfg.json: bad experiment config: {key} must be "
+        assert (code, err) == (4, f"error: 'cfg.json': bad experiment config: {key} must be "
                                   f"positive and finite, got {shown}\n")
         assert not (tmp_path / "out").exists()
         flag = "--" + key.replace("_", "-")
@@ -1086,7 +1124,7 @@ class TestRasterizeCommand:
         empty.write_text("OnsetTime\tOffsetTime\tMidiPitch\n")
         code, _, err = run_cli(["rasterize", str(empty), "--fps", "100", "--fn", "a",
                                 "--num-labels", str(-10 ** 400), "--out", str(tmp_path / "out")])
-        assert (code, err) == (4, "error: empty.tsv: num_labels must be >= 0, got -1.00e+400\n")
+        assert (code, err) == (4, "error: 'empty.tsv': num_labels must be >= 0, got -1.00e+400\n")
         code, out, _ = run_cli(["inspect", str(empty), "--num-labels", str(-10 ** 400)])
         assert code == 0 and "  num_labels must be positive, got -1.00e+400\n" in out
 

@@ -13,8 +13,11 @@ format or file error.
 from __future__ import annotations
 
 import argparse
+import ast
 import contextlib
 import functools
+import os
+import re
 import sys
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -27,10 +30,12 @@ from .midi import parse_midi
 from .quantize import FrameGrid, LabelingFunction, event_records, is_rate, rasterize
 from .synth import SynthConfig, generate_corpus, render_features
 from .trainer import TrainConfig, run_sensitivity_experiment
-from .util import brief, check_config
+from .util import brief, check_config, is_seed
 from . import io
 
 _ANNOTATION_SUFFIXES = (".tsv", ".txt", ".mid", ".midi")
+# rasterize's longest output name, <stem>.manifest.json, fits a file name's 255 bytes
+_MAX_STEM_BYTES = 255 - len(".manifest.json")
 
 
 @dataclass(frozen=True)
@@ -51,7 +56,8 @@ class _ExperimentConfig:
         check_config(self, {
             "fns": ("one or more letters of a-f",  # as LabelingFunction.from_letter reads them
                     lambda v: v and {letter.lower() for letter in v} <= set("abcdef")),
-            "seeds": ("one or more integers", lambda v: len(v) > 0),
+            "seeds": ("one or more integers below 2**64 in size",
+                      lambda v: len(v) > 0 and all(map(is_seed, v))),
             "train_fps": ("positive and finite", is_rate),
             "eval_fps": ("positive and finite", is_rate),
             "window_sec": ("positive", lambda v: v > 0)})
@@ -107,6 +113,9 @@ def cmd_rasterize(args, parser) -> int:
         parser.error(f"--seed is required for labeling function {args.fn.letter}")
     seed = args.seed if args.seed is not None else 0
     stem = args.name or args.input.stem
+    if len(os.fsencode(stem)) > _MAX_STEM_BYTES:  # checked before anything is written
+        parser.error(f"argument --name: the output stem {brief(stem)} is longer than "
+                     f"{_MAX_STEM_BYTES} bytes")
     annotation = load_annotation(args.input, args.pitch_offset, args.num_labels)
     with _naming(args.input):
         grid = FrameGrid.covering(args.fps, annotation.duration_sec)
@@ -302,12 +311,21 @@ def _name(text: str) -> str:
 
 class _Parser(argparse.ArgumentParser):
     """argparse's parser, but a value outside its choices, such as an
-    unknown command, is echoed as brief does: argparse echoes it whole."""
+    unknown command, a value given to a flag that takes none, as in
+    --features=x, and an ambiguous abbreviation, as in --f=x, are echoed
+    as brief does: argparse echoes them whole."""
 
     def _check_value(self, action, value):
         if action.choices is not None and value not in action.choices:
             raise argparse.ArgumentError(action, f"invalid choice: {brief(value)} "
                                          f"(choose from {', '.join(action.choices)})")
+
+    def error(self, message: str):
+        if found := re.fullmatch(r"(argument \S+: ignored explicit argument )(.*)", message):
+            message = found[1] + brief(ast.literal_eval(found[2]))  # argparse gives its repr
+        elif found := re.fullmatch(r"ambiguous option: (.*) could match (\S+(, \S+)*)", message):
+            message = f"ambiguous option: {brief(found[1])} could match {found[2]}"
+        super().error(message)
 
 
 def _add_annotation_options(sub) -> None:
@@ -337,7 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--fps", type=rate, required=True, help="frame rate")
     sub.add_argument("--fn", type=_typed(LabelingFunction.from_letter), required=True,
                      metavar="{a,b,c,d,e,f}", help="labeling function")
-    sub.add_argument("--seed", type=_typed(int), help="draw seed (required for e/f)")
+    sub.add_argument("--seed", type=_typed(int, SynthConfig, "seed"),  # the one seed rule
+                     help="draw seed (required for e/f)")
     sub.add_argument("--out", type=_directory, default=".", help="output directory")
     sub.add_argument("--name", type=_name, help="output file stem (default: input stem)")
     _add_annotation_options(sub)

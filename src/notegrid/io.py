@@ -3,9 +3,10 @@
 Label and feature matrices are stored as plain CSV (one row per frame)
 next to a one-line JSON sidecar holding the grid and provenance metadata.
 Evaluation results are CSV, and experiment results CSV plus a JSON
-summary. An error names its file as util.brief echoes it. Every file is written atomically (temp file + rename) so
-interrupted runs never leave corrupt outputs, and manifests contain no
-wall-clock data, keeping reruns byte-identical.
+summary. An error names its file as util.brief echoes it. Every file is
+written atomically (temp file + rename) so interrupted runs never leave
+corrupt outputs, and manifests contain no wall-clock data, keeping reruns
+byte-identical.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import hashlib
 import json
 import os
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -24,37 +24,29 @@ from ._reprcsv import csv_body
 from .errors import ContractError, FormatError
 from .quantize import FrameGrid, LabelingFunction, LabelMatrix
 from .synth import FeatureMatrix
-from .util import brief, count_line_breaks, fits, line_and_column, split_lines
-
-
-def _umask() -> int:
-    """The process umask. Reading it means setting it, so this sets 0 for
-    an instant; notegrid writes its files from one thread."""
-    mask = os.umask(0)
-    os.umask(mask)
-    return mask
+from .util import brief, count_line_breaks, fits, is_seed, line_and_column, split_lines
 
 
 def atomic_write_text(path: Path, data: str | bytes) -> None:
     """Write text (encoded as UTF-8) or bytes via a temp file in the same
     directory, then rename.
 
-    The file gets the mode open() gives a new file, 0o666 less the umask:
-    mkstemp creates the temp file 0o600, and the rename keeps its mode.
+    open() creates the temp file as it creates any new file, 0o666 less
+    the umask, and the rename keeps that mode. Its name, .notegrid- and 16
+    hex digits, is 26 bytes however long the target's name is.
     """
     if isinstance(data, str):
         data = data.encode("utf-8")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    tmp = path.with_name(f".notegrid-{os.urandom(8).hex()}")
+    handle = open(tmp, "xb")
     try:
-        with os.fdopen(fd, "wb") as handle:
+        with handle:
             handle.write(data)
-        os.chmod(tmp_name, 0o666 & ~_umask())
-        os.replace(tmp_name, path)
+        os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp_name):
-            os.unlink(tmp_name)
+        tmp.unlink(missing_ok=True)
         raise
 
 
@@ -216,8 +208,9 @@ def read_label_matrix(csv_path: Path) -> LabelMatrix:
             isinstance(letter, str) and letter.lower() in [fn.letter for fn in LabelingFunction]):
         raise FormatError(f"{brief(side)}: labeling_function must be one of a-f or null, "
                           f"got {brief(letter)}")
-    if not fits(int | None, seed):
-        raise FormatError(f"{brief(side)}: seed must be an integer or null, got {brief(seed)}")
+    if not (seed is None or fits(int, seed) and is_seed(seed)):
+        raise FormatError(f"{brief(side)}: seed must be an integer below 2**64 in size or null, "
+                          f"got {brief(seed)}")
     return LabelMatrix(
         frames=frames.astype(np.uint8),
         grid=grid,

@@ -19,7 +19,7 @@ import numpy as np
 from .annotation import Annotation
 from .errors import ContractError
 from .quantize import FrameGrid, paint_ranges
-from .util import MASK64, brief, check_config
+from .util import MASK64, brief, check_config, is_seed
 
 
 # Work budgets that SynthConfig checks, so a huge but finite value fails at
@@ -65,7 +65,8 @@ class SynthConfig:
             "duration_range": ("(min, max) with 0 < min <= max", lambda r: 0 < r[0] <= r[1]),
             "feature_dim": (">= 1", lambda v: v >= 1, MAX_FEATURE_DIM, "feature bins"),
             "noise_sigma": ("finite and >= 0", lambda v: 0 <= v < math.inf),
-            "harmonics": (">= 1", lambda v: v >= 1)})
+            "harmonics": (">= 1", lambda v: v >= 1),
+            "seed": ("an integer below 2**64 in size", is_seed)})
         object.__setattr__(self, "duration_range", tuple(self.duration_range))
         if self.feature_dim < self.num_labels:
             raise ContractError(

@@ -20,7 +20,7 @@ from .errors import ContractError, DivergenceError
 from .metrics import EvalCounts, _window_grid, windowed_block_counts
 from .quantize import FrameGrid, LabelingFunction, LabelMatrix, rasterize
 from .synth import FeatureMatrix, SynthConfig, generate_corpus, render_features
-from .util import MASK64, brief, check_config, derive_seed
+from .util import MASK64, brief, check_config, derive_seed, is_seed
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,7 +112,8 @@ class TrainConfig:
                             lambda s: s is None or all(m > 0 for _, m in s)),
             "epochs": (">= 0", lambda v: v >= 0, MAX_EPOCHS, "epochs"),
             "context_frames": ("odd", lambda v: v >= 1 and v % 2, MAX_CONTEXT_FRAMES, "frames"),
-            "threshold": ("in (0, 1)", lambda v: 0 < v < 1)})
+            "threshold": ("in (0, 1)", lambda v: 0 < v < 1),
+            "seed": ("an integer below 2**64 in size", is_seed)})
         if self.lr_schedule is not None:
             object.__setattr__(self, "lr_schedule",
                                tuple((int(e), float(m)) for e, m in self.lr_schedule))

@@ -23,6 +23,12 @@ MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
+def is_seed(value: int) -> bool:
+    """The one seed rule: an integer below 2**64 in size. Every stream reads
+    seed & MASK64, so a larger seed would only alias a smaller one."""
+    return abs(value) <= MASK64
+
+
 def splitmix64(x):
     """Hash a 64-bit value to a well-mixed 64-bit value. Works elementwise
     on an np.uint64 array too, whose arithmetic wraps at 2**64 like the masks."""

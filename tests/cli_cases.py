@@ -11,7 +11,8 @@ last one is checked:
 - the names that directories must hold after it, and no others;
 - the pairs of files or directories that must be byte-identical.
 
-Every row also holds the exit contract of `contract_fault`.
+Every row also holds the exit contract of `contract_fault`, and leaves no
+temp file of the package's writer, .notegrid-*, anywhere in its directory.
 
 tests/test_cli.py runs each row in-process through `in_process`, the one
 runner of notegrid.cli.main in the tests, and checks every other command
@@ -124,6 +125,7 @@ def check(case: Case, where: Path, run) -> str | None:
                if _contents(where / path) is None or list(_contents(where / path)) != list(names)]
     faults += [f"{a} and {b} differ" for a, b in case.same
                if _contents(where / a) is None or _contents(where / a) != _contents(where / b)]
+    faults += [f"temp file {path.relative_to(where)} left" for path in where.rglob(".notegrid-*")]
     if not faults:
         return None
     shown = wanted.pattern if isinstance(wanted, re.Pattern) else wanted
@@ -225,6 +227,27 @@ CASES = [
           ((), "synth", "--pieces 1 --out out", "config"),
           ((), "experiment", "--fns a --seeds 1 --epochs 0 --out out", "config"),
           ((), "rasterize", "notes.tsv --fps 100 --fn a", "out"))),
+    # the stem, from --name or the input's name, is at most 241 bytes, so that
+    # <stem>.manifest.json fits 255: with 241 the writer's temp names, 10 bytes
+    # longer than their targets, made it write one file of three and exit 4,
+    # and with 242 it exited 4 writing none
+    Case("rasterize-name-of-241-bytes",
+         (f"rasterize notes.tsv --fps 100 --fn a --out out --name {'z' * 241}",), files=NOTES,
+         listing={"out": tuple(sorted(f"{'z' * 241}{suffix}"
+                                      for suffix in (".csv", ".json", ".manifest.json")))}),
+    *(Case(f"rasterize-{label}-of-242-bytes", (f"rasterize {argv} --fps 100 --fn a --out out",),
+           2, f"notegrid rasterize: error: argument --name: the output stem "
+              f"'zzzzzzzzzzzz...zzzzzzzzzzzzz' is longer than 241 bytes", files=files,
+           listing={".": tuple(files)})
+      for label, argv, files in (("name", f"notes.tsv --name {'z' * 242}", NOTES),
+                                 ("input-stem", f"{'z' * 242}.tsv",
+                                  {f"{'z' * 242}.tsv": NOTES["notes.tsv"]}))),
+    # the rename onto out/notes.csv, a directory made by the first command,
+    # fails: one error line, and no temp file is left
+    Case("rasterize-onto-a-directory", (f"{NOTES_CSV}/notes.csv", f"{NOTES_CSV}"), 4,
+         re.compile(r"^error: \[Errno 21\] Is a directory: '.*' -> 'm/notes.csv'$"),
+         files=NOTES, listing={"m": ("notes.csv",), "m/notes.csv": (
+             "notes.csv", "notes.json", "notes.manifest.json")}),
     # --name is a file name in --out: "../esc" used to write esc.csv beside
     # --out, and an empty one fell back to the input's stem
     *(Case(f"rasterize-name-{label}", (f"rasterize notes.tsv --fps 100 --fn a --out out "
@@ -267,7 +290,7 @@ CASES = [
          out=("input: 'empty.tsv'", "events: 0", "num_labels: 0", "duration_sec: 0.0",
               "violations: 1", "  num_labels must be positive, got 0"),
          files={"empty.tsv": HEADER}),
-    # a label count or a seed of 2**64 or more is echoed in three digits
+    # a label count of 2**64 or more is echoed in three digits
     Case("inspect-label-space-past-int64", (f"inspect one.tsv --num-labels {2 ** 70}",),
          out=("input: 'one.tsv'", "events: 1", "num_labels: 1.18e+21", "duration_sec: 1.25",
               "label_range: [39, 39]", "violations: 0"),
@@ -276,10 +299,13 @@ CASES = [
          out=("input: 'empty.tsv'", "events: 0", "num_labels: -1.00e+400", "duration_sec: 0.0",
               "violations: 1", "  num_labels must be positive, got -1.00e+400"),
          files={"empty.tsv": HEADER}),
-    Case("inspect-sidecar-huge-seed", ("inspect m.csv",),
-         out=("input: 'm.csv'", "num_frames: 1", "num_labels: 2", "fps: 100.0", "active_cells: 1",
-              "labeling_function: None", "seed: 1.00e+400"),
-         files={"m.csv": "0,1\n", "m.json": '{"fps": 100.0, "seed": 1' + "0" * 400 + "}"}),
+    # a sidecar's seed follows the one seed rule: one of 401 digits was printed
+    # in three digits, and eval printed it whole, on a stdout line of 429 bytes
+    *(Case(f"{command}-sidecar-huge-seed", (f"{command} {flags}",), 4,
+           "error: 'm.json': seed must be an integer below 2**64 in size or null, got 1.00e+400",
+           files={"m.csv": "0,1\n", "m.json": '{"fps": 100.0, "seed": 1' + "0" * 400 + "}"},
+           absent=("e",))
+      for command, flags in (("inspect", "m.csv"), ("eval", "--pred m.csv --ref m.csv --out e"))),
     Case("inspect-matrix", (NOTES_CSV, "inspect m/notes.csv"),
          out=("input: 'notes.csv'", "num_frames: 90", "num_labels: 88", "fps: 100.0",
               "active_cells: 65", "labeling_function: a", "seed: 0"), files=NOTES),
@@ -398,6 +424,20 @@ CASES = [
          (f"rasterize notes.tsv --fps 100 --fn a --out out {'z' * 300}",), 2,
          "notegrid rasterize: error: unrecognized arguments: 'zzzzzzzzzzzz...zzzzzzzzzzzzz'",
          files=NOTES, absent=("out",)),
+    # a value given to a flag that takes none was echoed whole, on a line of
+    # 373 bytes; a stray argument that reads like that message is no such value
+    Case("synth-features-given-a-value", (f"synth --features={'z' * 300} --out out",), 2,
+         "notegrid synth: error: argument --features: ignored explicit argument "
+         "'zzzzzzzzzzzz...zzzzzzzzzzzzz'", absent=("out",)),
+    # and so was an ambiguous abbreviation, on one of 374 bytes
+    Case("rasterize-ambiguous-abbreviation",
+         (f"rasterize notes.tsv --fps 100 --fn a --out out --f={'z' * 300}",), 2,
+         "notegrid rasterize: error: ambiguous option: '--f=zzzzzzzz...zzzzzzzzzzzzz' could "
+         "match --fps, --fn", files=NOTES, absent=("out",)),
+    Case("synth-stray-argument-like-that-message",
+         ("synth --out out 'ignored explicit argument '",), 2,
+         "notegrid synth: error: unrecognized arguments: 'ignored explicit argument '",
+         absent=("out",)),
     Case("rasterize-long-fps", (f"rasterize notes.tsv --fps {'y' * 300} --fn a --out out",), 2,
          "notegrid rasterize: error: argument --fps: invalid float value: "
          "'yyyyyyyyyyyy...yyyyyyyyyyyyy'", files=NOTES, absent=("out",)),
@@ -630,7 +670,8 @@ CASES = [
            "window_sec must be positive, got -inf"),
           ("config-window-sec-0", '{"window_sec": 0}', "window_sec must be positive, got 0"),
           ("config-empty-fns", '{"fns": []}', "fns must be one or more letters of a-f, got []"),
-          ("config-empty-seeds", '{"seeds": []}', "seeds must be one or more integers, got []"),
+          ("config-empty-seeds", '{"seeds": []}',
+           "seeds must be one or more integers below 2**64 in size, got []"),
           ("config-fns-z", json.dumps({**TINY, "fns": ["z"]}),
            "fns must be one or more letters of a-f, got ['z']"))),
     Case("experiment-manifest-without-a-config-object",
@@ -697,9 +738,30 @@ CASES = [
          "notegrid experiment: error: argument --seeds: invalid int value: "
          "'xxxxxxxxxxxx...xxxxxxxxxxxxx'", absent=("out",)),
     Case("experiment-seeds-of-separators-only", ("experiment --fns a --seeds , --out out",),
-         2, "notegrid experiment: error: argument --seeds: seeds must be one or more integers, "
-            "got []",
+         2, "notegrid experiment: error: argument --seeds: seeds must be one or more integers "
+            "below 2**64 in size, got []",
          absent=("out",)),
+    # a seed is an integer below 2**64 in size, from a config file as from a
+    # flag: each of these ran, as the seed less 2**64 would
+    *(Case(f"{command}-config-{what}-of-2**64", (f"{command} --config c.json --out out",), 4,
+           f"error: 'c.json': bad {section} config: {key} must be {rule}, got {shown}",
+           files=json_file("c.json", config), absent=("out",))
+      for command, what, section, key, rule, shown, config in (
+          ("synth", "seed", "synth", "seed", "an integer below 2**64 in size", "1.84e+19",
+           {"num_pieces": 1, "seed": 2 ** 64}),
+          ("experiment", "seeds", "experiment", "seeds",
+           "one or more integers below 2**64 in size", "[18446744073709551616]",
+           {**TINY, "seeds": [2 ** 64]}),
+          ("experiment", "synth-seed", "synth", "seed", "an integer below 2**64 in size",
+           "1.84e+19", {**TINY, "synth": {**TINY["synth"], "seed": 2 ** 64}}),
+          ("experiment", "train-seed", "train", "seed", "an integer below 2**64 in size",
+           "1.84e+19", {**TINY, "train": {**TINY["train"], "seed": 2 ** 64}}))),
+    # a diverging run named its seed whole, on an error line of 456 bytes
+    Case("experiment-diverging-huge-seed",
+         (f"experiment --config tiny.json --fns a --seeds 1{'0' * 400} --learning-rate 1e308 "
+          "--out out",), 2, re.compile("^notegrid experiment: error: argument --seeds: seeds "
+                                       "must be one or more integers below 2\\*\\*64 in size"),
+         files=json_file("tiny.json", TINY), absent=("out",)),
 ]
 
 

@@ -26,7 +26,7 @@ from notegrid import (ContractError, EvalCounts, FeatureMatrix, FormatError, Fra
 from notegrid import _reprcsv
 from notegrid import io as ngio
 from notegrid.cli import build_parser
-from notegrid.util import brief
+from notegrid.util import MASK64, brief
 
 A = LabelingFunction.A
 
@@ -245,16 +245,31 @@ class TestMatrixIo:
 
     @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o027, 0o640)],
                              ids=["umask-022", "umask-027"])
-    def test_written_files_take_the_umask_mode(self, tmp_path, umask, mode):
-        matrix = LabelMatrix(frames=np.eye(3, dtype=np.uint8),
-                             grid=FrameGrid(fps=100.0, num_frames=3))
+    def test_written_files_take_the_umask_mode(self, tmp_path, monkeypatch, umask, mode):
+        """Every output kind gets the mode open() gives a new file, and the
+        package neither reads nor sets the process umask to give it."""
+        def no_umask(mask):
+            raise AssertionError("os.umask called")
+
+        commands = ["synth --pieces 1 --features --out s",  # TSV, feature CSV, JSON
+                    "rasterize s/piece_000.tsv --fps 100 --fn a --out r",  # label CSV
+                    "eval --pred r/piece_000.csv --ref r/piece_000.csv --out e",
+                    "disagree --a r/piece_000.csv --b r/piece_000.csv "
+                    "--annotation s/piece_000.tsv --out d"]
         old = os.umask(umask)
         try:
-            ngio.write_label_matrix(matrix, tmp_path / "m.csv")
+            monkeypatch.setattr(os, "umask", no_umask)
+            for command in commands:
+                assert run_cli(shlex.split(command), tmp_path).code == 0, command
         finally:
+            monkeypatch.undo()
             os.umask(old)
-        for name in ("m.csv", "m.json"):
-            assert stat.S_IMODE((tmp_path / name).stat().st_mode) == mode
+        written = {path.name: stat.S_IMODE(path.stat().st_mode)
+                   for path in tmp_path.rglob("*") if path.is_file()}
+        assert {"piece_000.tsv", "piece_000.features.csv", "piece_000.features.json",
+                "corpus.json", "synth.manifest.json", "piece_000.csv", "piece_000.json",
+                "eval.csv", "disagree.json"} <= set(written)
+        assert set(written.values()) == {mode}, written
 
 
 def reference_label_csv(frames: np.ndarray) -> bytes:
@@ -887,6 +902,25 @@ class TestTypedConfigValues:
         with pytest.raises(ContractError, match=f"^{key} (must be|=) "):
             cls(**{key: value})
 
+    def test_one_seed_rule(self, tmp_path):
+        """A seed below 2**64 in size is taken, a larger one rejected, by the
+        configs as by a label sidecar."""
+        from notegrid import SynthConfig, TrainConfig
+
+        (tmp_path / "m.csv").write_text("0,1\n")
+        for seed in (MASK64, -MASK64, MASK64 + 1, -MASK64 - 1):
+            (tmp_path / "m.json").write_text(json.dumps({"fps": 100.0, "seed": seed}))
+            if abs(seed) <= MASK64:
+                assert SynthConfig(seed=seed).seed == TrainConfig(seed=seed).seed == seed
+                assert ngio.read_label_matrix(tmp_path / "m.csv").seed == seed
+                continue
+            for cls in (SynthConfig, TrainConfig):
+                with pytest.raises(ContractError, match=r"^seed must be an integer below "
+                                                        r"2\*\*64 in size, got -?1\.84e\+19$"):
+                    cls(seed=seed)
+            with pytest.raises(FormatError, match="m.json': seed must be an integer below"):
+                ngio.read_label_matrix(tmp_path / "m.csv")
+
     def test_numpy_integers_accepted(self):
         from notegrid import SynthConfig, TrainConfig, generate_corpus
 
@@ -968,23 +1002,33 @@ class TestTypedConfigValues:
         assert code in (2, 4) and key in err.splitlines()[-1]
 
 
-def valued_arguments() -> dict[tuple[str, str], tuple]:
-    """{(subcommand, flag): (its parser, action)} of each argument that takes
-    a value, a positional by its name."""
-    subparsers = next(action for action in build_parser()._actions
+def walked_arguments() -> dict[tuple[str, str], tuple]:
+    """{(subcommand, flag): (its parser, action)} of each argument the walk
+    gives a value: one that takes a value, a positional by its name, and an
+    option that takes none as "option=", where subcommand "" is notegrid
+    itself."""
+    parser = build_parser()
+    subparsers = next(action for action in parser._actions
                       if isinstance(action, argparse._SubParsersAction))
-    return {(name, action.option_strings[0] if action.option_strings else action.dest):
-            (sub, action) for name, sub in subparsers.choices.items()
-            for action in sub._actions if action.nargs != 0}
+    walked = {}
+    for name, sub in {"": parser, **subparsers.choices}.items():
+        for action in sub._actions:
+            if action.nargs == 0:
+                walked[name, action.option_strings[0] + "="] = sub, action
+            elif name:  # notegrid's own is the command
+                walked[name, (action.option_strings or [action.dest])[0]] = sub, action
+    return walked
 
 
 def test_contract_knows_every_command():
-    assert sorted({command for command, _ in valued_arguments()}) == sorted(cli_cases.COMMANDS)
+    assert sorted({command for command, _ in walked_arguments()}) == sorted(
+        ["", *cli_cases.COMMANDS])
 
 
 # each subcommand's positional, or None, and options: valid, and their files
 # are in WALK_FILES
-VALID = {"rasterize": ("notes.tsv", {"--fps": "100", "--fn": "a"}),
+VALID = {"": (None, {}),
+         "rasterize": ("notes.tsv", {"--fps": "100", "--fn": "a"}),
          "eval": (None, {"--pred": "m.csv", "--ref": "m.csv"}),
          "disagree": (None, {"--a": "m.csv", "--b": "m.csv", "--annotation": "notes.tsv"}),
          "synth": (None, {"--pieces": "1"}),
@@ -1000,8 +1044,8 @@ POOL = ["", "z" * 300, "nan", "inf", "0", "-1", "1" + "0" * 400, "\u00e9" * 150]
 
 def walk_argv(command: str, flag: str, value: str) -> list[str]:
     """The subcommand's valid arguments with `value` for the flag's own, less
-    the flags it excludes."""
-    sub, action = valued_arguments()[command, flag]
+    the flags it excludes; an "option=" flag takes it after its "="."""
+    sub, action = walked_arguments()[command, flag]
     positional, options = VALID[command]
     if not action.option_strings:
         return [command, value, *itertools.chain(*options.items())]
@@ -1009,16 +1053,19 @@ def walk_argv(command: str, flag: str, value: str) -> list[str]:
               if action in group._group_actions
               for other in group._group_actions for option in other.option_strings}
     kept = {other: text for other, text in options.items() if other not in rivals}
-    return [command, *([positional] if positional else []),
-            *itertools.chain(*kept.items()), flag, value]
+    given = [flag + value] if flag.endswith("=") else [flag, value]
+    return [*([command] if command else []), *([positional] if positional else []),
+            *itertools.chain(*kept.items()), *given]
 
 
-@pytest.mark.parametrize("command, flag", valued_arguments())
+@pytest.mark.parametrize("command, flag", walked_arguments())
 def test_argv_walk(command, flag, tmp_path):
-    """Each value of the pool, given to an argument that takes a value,
-    keeps the exit contract; a usage error names the argument and writes
-    nothing, and an empty value is one. A new argument is walked with no
-    edit here."""
+    """Each value of the pool, given to an argument that takes a value, or
+    after the "=" of an option that takes none, keeps the exit contract; a
+    usage error names the argument and writes nothing, and an empty value
+    is one. A new argument is walked with no edit here."""
+    _, action = walked_arguments()[command, flag]
+    name = "/".join(action.option_strings) or action.dest  # as argparse names it
     for at, value in enumerate(POOL):
         where = tmp_path / str(at)
         where.mkdir()
@@ -1027,7 +1074,7 @@ def test_argv_walk(command, flag, tmp_path):
         argv = walk_argv(command, flag, value)
         code, _, err = run_cli(argv, where)
         if code == 2:
-            assert f"argument {flag}: " in err.splitlines()[-1], (argv, err)
+            assert f"argument {name}: " in err.splitlines()[-1], (argv, err)
             assert {path.name: path.read_bytes() for path in where.iterdir()} == WALK_FILES
         assert code == 2 or value, (argv, code)
 
@@ -1103,13 +1150,6 @@ class TestRasterizeCommand:
         assert manifest["command"] == "rasterize"
         digest = hashlib.sha256(notes_tsv.read_bytes()).hexdigest()
         assert manifest["inputs"] == [["notes.tsv", digest]]
-
-    def test_failed_write_leaves_no_temp_file(self, tmp_path, notes_tsv):
-        out = tmp_path / "out"
-        (out / "x.csv").mkdir(parents=True)  # the rename onto it fails
-        assert run_cli(["rasterize", str(notes_tsv), "--fps", "100", "--fn", "a",
-                        "--name", "x", "--out", str(out)]).code == 4
-        assert sorted(p.name for p in out.iterdir()) == ["x.csv"]
 
     def test_midi_input(self, tmp_path):
         midi_path = tmp_path / "notes.mid"

@@ -279,8 +279,8 @@ def _typed(read, cls=None, key=None):
 
 
 def _listed(read):
-    """Read a comma-separated list, each item by read and empty items skipped."""
-    return lambda text: [read(item) for item in map(str.strip, text.split(",")) if item]
+    """Read a comma-separated list, each item by read, an empty one included."""
+    return lambda text: [read(item) for item in map(str.strip, text.split(","))]
 
 
 def _directory(text: str) -> Path:
@@ -310,10 +310,12 @@ def _name(text: str) -> str:
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse's parser, but a value outside its choices, such as an
-    unknown command, a value given to a flag that takes none, as in
-    --features=x, and an ambiguous abbreviation, as in --f=x, are echoed
-    as brief does: argparse echoes them whole."""
+    """argparse's parser, but a long flag matches only as written, and a
+    value outside its choices, such as an unknown command, or given to a
+    flag that takes none, as in --features=x, is echoed as brief does."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def _check_value(self, action, value):
         if action.choices is not None and value not in action.choices:
@@ -323,8 +325,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
         if found := re.fullmatch(r"(argument \S+: ignored explicit argument )(.*)", message):
             message = found[1] + brief(ast.literal_eval(found[2]))  # argparse gives its repr
-        elif found := re.fullmatch(r"ambiguous option: (.*) could match (\S+(, \S+)*)", message):
-            message = f"ambiguous option: {brief(found[1])} could match {found[2]}"
         super().error(message)
 
 
@@ -430,11 +430,11 @@ def main(argv: list[str] | None = None) -> int:
     if extra:  # parse_args would show the top-level usage and echo them whole
         args.parser.error(f"unrecognized arguments: {brief(' '.join(extra))}")
     try:
-        return args.handler(args, args.parser)
+        with io.output_set():
+            return args.handler(args, args.parser)
     except (NotegridError, OSError) as exc:
-        if isinstance(exc, OSError) and exc.filename is not None:  # echo its names as brief does
-            names = (brief(name) for name in (exc.filename, exc.filename2) if name is not None)
-            exc = f"[Errno {exc.errno}] {exc.strerror}: {' -> '.join(names)}"
+        if isinstance(exc, OSError) and exc.filename is not None:  # echo its name as brief does
+            exc = f"[Errno {exc.errno}] {exc.strerror}: {brief(exc.filename)}"
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, DivergenceError) else 4
 

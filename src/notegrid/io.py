@@ -11,6 +11,8 @@ byte-identical.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import hashlib
 import json
 import os
@@ -27,13 +29,35 @@ from .synth import FeatureMatrix
 from .util import brief, count_line_breaks, fits, is_seed, line_and_column, split_lines
 
 
+# The files atomic_write_text has renamed into place in the current output_set
+_written: contextvars.ContextVar[list[Path]] = contextvars.ContextVar("written")
+
+
+@contextlib.contextmanager
+def output_set():
+    """Record each file atomic_write_text renames into place in the block;
+    if the block raises, unlink them all before the exception goes on, so a
+    failed command leaves none of its files."""
+    token = _written.set([])
+    try:
+        yield
+    except BaseException:
+        for path in _written.get():
+            with contextlib.suppress(OSError):
+                path.unlink()
+        raise
+    finally:
+        _written.reset(token)
+
+
 def atomic_write_text(path: Path, data: str | bytes) -> None:
     """Write text (encoded as UTF-8) or bytes via a temp file in the same
     directory, then rename.
 
     open() creates the temp file as it creates any new file, 0o666 less
     the umask, and the rename keeps that mode. Its name, .notegrid- and 16
-    hex digits, is 26 bytes however long the target's name is.
+    hex digits, is 26 bytes however long the target's name is. A failed
+    rename names the target alone.
     """
     if isinstance(data, str):
         data = data.encode("utf-8")
@@ -44,10 +68,14 @@ def atomic_write_text(path: Path, data: str | bytes) -> None:
     try:
         with handle:
             handle.write(data)
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, path) from None
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    _written.get([]).append(path)  # outside an output_set, to a list that no one keeps
 
 
 def _decode_utf8(path: Path, data: bytes) -> str:

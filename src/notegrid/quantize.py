@@ -254,10 +254,13 @@ def quantize_interval(fn: LabelingFunction, onset_sec: float, offset_sec: float,
     return QuantizedArrays(*(field.item() for field in q))
 
 
-# The most cells a label matrix may have: 2**31 uint8 cells is 2 GiB.
-# _parts, behind the one painter of rasterize and render_features and behind
-# noise_ceiling, checks it before anything is allocated or counted.
+# The most cells a label matrix may have: 2**31 uint8 cells is 2 GiB, and
+# 2**24 for each note it paints (no notes count as one), so that a small
+# file cannot ask for gigabytes. _parts, behind the one painter of rasterize
+# and render_features and behind noise_ceiling, checks both before anything
+# is allocated or counted.
 MAX_LABEL_CELLS = 2 ** 31
+MAX_CELLS_PER_NOTE = 2 ** 24
 
 
 def _parts(num_frames: int, num_labels: int, starts, ends, labels
@@ -268,16 +271,18 @@ def _parts(num_frames: int, num_labels: int, starts, ends, labels
     (lo, hi, label) int64 arrays, one entry per non-empty part.
 
     Bounds may be integers or whole-valued floats. A grid of more than
-    MAX_LABEL_CELLS cells, or of 2**63 - 1 frames or more, raises
-    ContractError, as do a negative num_labels, labels outside
-    [0, num_labels) and non-finite bounds.
+    MAX_LABEL_CELLS cells, or of MAX_CELLS_PER_NOTE per range, or of 2**63 - 1
+    frames or more, raises ContractError, as do a negative num_labels,
+    labels outside [0, num_labels) and non-finite bounds.
     """
     if num_labels < 0:
         raise ContractError(f"num_labels must be >= 0, got {brief(num_labels)}")
-    if int(num_frames) * int(num_labels) > MAX_LABEL_CELLS:
-        raise ContractError(
-            f"a label matrix of {brief(num_frames)} frames x {brief(num_labels)} labels exceeds "
-            f"the budget of {MAX_LABEL_CELLS} cells")
+    cells, notes = int(num_frames) * int(num_labels), len(labels)
+    if cells > min(MAX_LABEL_CELLS, MAX_CELLS_PER_NOTE * max(notes, 1)):
+        budget = (f"{MAX_LABEL_CELLS} cells" if cells > MAX_LABEL_CELLS
+                  else f"{MAX_CELLS_PER_NOTE} cells per note; it paints {notes}")
+        raise ContractError(f"a label matrix of {brief(num_frames)} frames x "
+                            f"{brief(num_labels)} labels exceeds the budget of {budget}")
     if num_frames + 1 >= 2 ** 63:
         raise ContractError(
             f"a grid of {brief(num_frames)} frames does not fit an int64 frame line")

@@ -243,11 +243,32 @@ CASES = [
                                  ("input-stem", f"{'z' * 242}.tsv",
                                   {f"{'z' * 242}.tsv": NOTES["notes.tsv"]}))),
     # the rename onto out/notes.csv, a directory made by the first command,
-    # fails: one error line, and no temp file is left
+    # fails: one error line naming the target, not the temp file, and no
+    # temp file is left
     Case("rasterize-onto-a-directory", (f"{NOTES_CSV}/notes.csv", f"{NOTES_CSV}"), 4,
-         re.compile(r"^error: \[Errno 21\] Is a directory: '.*' -> 'm/notes.csv'$"),
+         "error: [Errno 21] Is a directory: 'm/notes.csv'",
          files=NOTES, listing={"m": ("notes.csv",), "m/notes.csv": (
              "notes.csv", "notes.json", "notes.manifest.json")}),
+    # a failed command leaves none of its files: the label CSV, renamed into
+    # place before its sidecar's rename failed, was left behind, and so were
+    # synth's pieces and features before corpus.json
+    Case("rasterize-sidecar-onto-a-directory", (f"{NOTES_CSV}/notes.json", f"{NOTES_CSV}"), 4,
+         "error: [Errno 21] Is a directory: 'm/notes.json'", files=NOTES,
+         listing={"m": ("notes.json",)}),
+    Case("synth-corpus-onto-a-directory", ("synth --pieces 1 --seed 1 --out s/corpus.json",
+                                           "synth --pieces 1 --seed 1 --features --out s"), 4,
+         "error: [Errno 21] Is a directory: 's/corpus.json'", listing={"s": ("corpus.json",)}),
+    # a file's matrix holds at most 2**24 cells per note: one note ending at
+    # 244,000 s (43 bytes of TSV) or at the largest delta time of an SMF
+    # (44 bytes, 223,696 s) asked for about 2e9 cells at 100 fps, a CSV of 4 GB
+    *(Case(f"rasterize-far-note-in-{label}", (f"rasterize {name} --fps 100 --fn a --out out",),
+           4, f"error: '{name}': a label matrix of {frames} frames x 88 labels exceeds the "
+              "budget of 16777216 cells per note; it paints 1", files={name: data},
+           absent=("out",))
+      for label, name, frames, data in (
+          ("a-43-byte-tsv", "far.tsv", 24400000, HEADER + "0\t244000\t60\n"),
+          ("a-44-byte-smf", "far.mid", 22369622,
+           smf.simple_file([(0, smf.VLQ_MAX, 60)], tempo_events=[(0, 400000)])))),
     # --name is a file name in --out: "../esc" used to write esc.csv beside
     # --out, and an empty one fell back to the input's stem
     *(Case(f"rasterize-name-{label}", (f"rasterize notes.tsv --fps 100 --fn a --out out "
@@ -429,11 +450,12 @@ CASES = [
     Case("synth-features-given-a-value", (f"synth --features={'z' * 300} --out out",), 2,
          "notegrid synth: error: argument --features: ignored explicit argument "
          "'zzzzzzzzzzzz...zzzzzzzzzzzzz'", absent=("out",)),
-    # and so was an ambiguous abbreviation, on one of 374 bytes
+    # and so was an ambiguous abbreviation, on one of 374 bytes; a flag now
+    # matches only as written, so it is an unrecognized argument
     Case("rasterize-ambiguous-abbreviation",
          (f"rasterize notes.tsv --fps 100 --fn a --out out --f={'z' * 300}",), 2,
-         "notegrid rasterize: error: ambiguous option: '--f=zzzzzzzz...zzzzzzzzzzzzz' could "
-         "match --fps, --fn", files=NOTES, absent=("out",)),
+         "notegrid rasterize: error: unrecognized arguments: '--f=zzzzzzzz...zzzzzzzzzzzzz'",
+         files=NOTES, absent=("out",)),
     Case("synth-stray-argument-like-that-message",
          ("synth --out out 'ignored explicit argument '",), 2,
          "notegrid synth: error: unrecognized arguments: 'ignored explicit argument '",
@@ -738,9 +760,19 @@ CASES = [
          "notegrid experiment: error: argument --seeds: invalid int value: "
          "'xxxxxxxxxxxx...xxxxxxxxxxxxx'", absent=("out",)),
     Case("experiment-seeds-of-separators-only", ("experiment --fns a --seeds , --out out",),
-         2, "notegrid experiment: error: argument --seeds: seeds must be one or more integers "
-            "below 2**64 in size, got []",
+         2, "notegrid experiment: error: argument --seeds: invalid int value: ''",
          absent=("out",)),
+    # a list flag takes no empty item, and a flag matches only as written:
+    # each of these ran, --seed as --seeds, and the empty items skipped
+    *(Case(f"experiment-{label}", (f"experiment --config tiny.json {flags} --epochs 0 "
+                                   "--out out",), 2, f"notegrid experiment: error: {message}",
+           files=json_file("tiny.json", TINY), absent=("out",))
+      for label, flags, message in (
+          ("seed-for-seeds", "--seed 1 --fns a", "unrecognized arguments: '--seed 1'"),
+          ("seeds-with-an-empty-item", "--fns a --seeds 1,,3",
+           "argument --seeds: invalid int value: ''"),
+          ("fns-with-an-empty-item", "--fns a, --seeds 1",
+           "argument --fns: fns must be one or more letters of a-f, got ['a', '']"))),
     # a seed is an integer below 2**64 in size, from a config file as from a
     # flag: each of these ran, as the seed less 2**64 would
     *(Case(f"{command}-config-{what}-of-2**64", (f"{command} --config c.json --out out",), 4,

@@ -1079,6 +1079,37 @@ def test_argv_walk(command, flag, tmp_path):
         assert code == 2 or value, (argv, code)
 
 
+def long_options() -> dict[tuple[str, str], argparse.ArgumentParser]:
+    """{(subcommand, long option): the subcommand's parser} of every
+    subcommand's long option that has a proper prefix past "--"."""
+    subparsers = next(action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    return {(name, option): sub for name, sub in subparsers.choices.items()
+            for option in sub._option_string_actions
+            if option.startswith("--") and len(option) > 3}
+
+
+@pytest.mark.parametrize("command, option", long_options())
+def test_option_prefix_walk(command, option, tmp_path):
+    """Each proper prefix of a long option that is no option of its
+    subcommand, alone and with "=1", is an unrecognized argument after the
+    subcommand's valid arguments: exit 2, and nothing is written. argparse
+    took one for the option it begins, or called it ambiguous. A new option
+    is walked with no edit here."""
+    sub = long_options()[command, option]
+    positional, options = VALID[command]
+    valid = [command, *([positional] if positional else []), *itertools.chain(*options.items())]
+    for file, data in WALK_FILES.items():
+        (tmp_path / file).write_bytes(data)
+    prefixes = [option[:end] for end in range(3, len(option))
+                if option[:end] not in sub._option_string_actions]
+    for given in itertools.chain(*((prefix, prefix + "=1") for prefix in prefixes)):
+        code, _, err = run_cli([*valid, given], tmp_path)
+        assert (code, err.splitlines()[-1]) == (
+            2, f"notegrid {command}: error: unrecognized arguments: {brief(given)}"), given
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == WALK_FILES
+
+
 class TestParserReuse:
     """main parses with one parser per process; no call leaks into the next."""
 
@@ -1136,6 +1167,28 @@ class TestUsageErrors:
         assert not (tmp_path / "out").exists()
         flag = "--" + key.replace("_", "-")
         assert run_cli([*argv, flag, "31.25" if key == "train_fps" else "100"]).code == 0
+
+
+class TestOutputSet:
+    def test_a_failed_block_unlinks_what_it_wrote(self, tmp_path):
+        # a file written in the block, new or replacing an earlier version,
+        # is gone when the block raises; a directory it made stays
+        before, new = tmp_path / "before.txt", tmp_path / "sub" / "new.txt"
+        ngio.atomic_write_text(before, "kept")
+        with pytest.raises(KeyError), ngio.output_set():
+            ngio.atomic_write_text(new, "new")
+            ngio.atomic_write_text(before, "replaced")
+            raise KeyError
+        assert not before.exists() and not new.exists()
+        assert [path.name for path in tmp_path.iterdir()] == ["sub"]
+
+    def test_a_block_that_ends_keeps_its_files(self, tmp_path):
+        with ngio.output_set():
+            ngio.atomic_write_text(tmp_path / "a.txt", "a")
+        ngio.atomic_write_text(tmp_path / "b.txt", "b")
+        with pytest.raises(KeyError), ngio.output_set():
+            raise KeyError
+        assert sorted(path.read_text() for path in tmp_path.iterdir()) == ["a", "b"]
 
 
 class TestRasterizeCommand:

@@ -9,14 +9,15 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import smf
 from conftest import annotation_of
 from notegrid import (Annotation, ContractError, FrameGrid, LabelingFunction,
                       LabelMatrix, QuantizedArrays, disagreement, evaluate_against_reference,
-                      noise_ceiling, quantize_interval, rasterize, rasterize_with_records,
-                      render_features)
+                      noise_ceiling, parse_midi, parse_tsv, quantize_interval, rasterize,
+                      rasterize_with_records, render_features)
 from notegrid import quantize as quantize_module
-from notegrid.quantize import (MAX_CACHED_QUANTIZATIONS, _draws, _parts, paint_ranges,
-                               quantize, seeded_shifts)
+from notegrid.quantize import (MAX_CACHED_QUANTIZATIONS, MAX_CELLS_PER_NOTE, MAX_LABEL_CELLS,
+                               _draws, _parts, paint_ranges, quantize, seeded_shifts)
 from notegrid.util import MASK64, derive_seed, splitmix64
 
 A, B, C, D, E, F = LabelingFunction
@@ -482,6 +483,22 @@ class TestRasterize:
                                                 f"the budget of {2 ** 31} cells"):
             rasterize(ann, FrameGrid(fps=100.0, num_frames=2 ** 62), A)
 
+    @pytest.mark.parametrize("ann", [
+        parse_tsv("OnsetTime\tOffsetTime\tMidiPitch\n0\t244000\t60\n"),
+        parse_midi(smf.simple_file([(0, smf.VLQ_MAX, 60)], tempo_events=[(0, 400000)]))],
+        ids=["43-byte-tsv", "44-byte-smf"])
+    def test_far_note_of_a_small_file_rejected(self, ann):
+        # one note that ends at 244,000 s, or at an SMF's largest delta time
+        # (223,696 s), asks for about 2e9 cells at 100 fps: within
+        # MAX_LABEL_CELLS, but past MAX_CELLS_PER_NOTE for its one note
+        grid = FrameGrid.covering(100.0, ann.duration_sec)
+        assert grid.num_frames * 88 <= MAX_LABEL_CELLS
+        for paint in (rasterize, rasterize_with_records, noise_ceiling):
+            with pytest.raises(ContractError, match=f"x 88 labels exceeds the budget of "
+                                                    f"{MAX_CELLS_PER_NOTE} cells per note; "
+                                                    f"it paints 1$"):
+                paint(ann, grid, A)
+
     @pytest.mark.parametrize("num_frames,named", [
         (2 ** 62, None), (2 ** 63 - 1, str(2 ** 63 - 1)), (2 ** 63, str(2 ** 63)),
         (2 ** 64 + 5, "1.84e+19")], ids=["2**62", "2**63-1", "2**63", "2**64+5"])
@@ -532,6 +549,19 @@ def composite_key_parts(num_frames, num_labels, starts, ends, labels):
 
 
 class TestPaintRanges:
+    @pytest.mark.parametrize("notes", [0, 1, 3])
+    def test_cells_per_note_budget(self, notes):
+        # the budget is MAX_CELLS_PER_NOTE cells for each range, an empty
+        # set of ranges counted as one: the matrix at it is painted, and
+        # one label more is rejected
+        frames, labels = MAX_CELLS_PER_NOTE // 2 ** 8, 2 ** 8 * max(notes, 1)
+        ranges = ([0] * notes, [1] * notes, list(range(notes)))
+        assert paint_ranges(frames, labels, *ranges).sum() == notes
+        with pytest.raises(ContractError, match=f"{frames} frames x {labels + 1} labels "
+                                                f"exceeds the budget of {MAX_CELLS_PER_NOTE} "
+                                                f"cells per note; it paints {notes}$"):
+            paint_ranges(frames, labels + 1, *ranges)
+
     @pytest.mark.parametrize("bound", [math.nan, math.inf, -math.inf])
     def test_non_finite_bounds_rejected(self, bound):
         for starts, ends in (([bound], [3.0]), ([0.0], [bound])):

@@ -153,6 +153,8 @@ def cmd_eval(args, parser) -> int:
               "ref_fps": args.ref_fps, "window_sec": args.window_sec,
               "pitch_offset": args.pitch_offset, "num_labels": args.num_labels}
     io.write_manifest(args.out / "eval.manifest.json", "eval", config, [], inputs)
+    if len(row[0]) > 30:  # stdout echoes a long stem as brief does; eval.csv holds it whole
+        row[0] = brief(row[0])
     print(io.EVAL_CSV_HEADER, io.csv_line(row), sep="\n")
     return 0
 
@@ -310,12 +312,19 @@ def _name(text: str) -> str:
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse's parser, but a long flag matches only as written, and a
-    value outside its choices, such as an unknown command, or given to a
-    flag that takes none, as in --features=x, is echoed as brief does."""
+    """argparse's parser, but a long flag matches only as written, an argument
+    it does not take is its own usage error, and a value outside its choices,
+    such as an unknown command, or given to a flag that takes none, as in
+    --features=x, is echoed as brief does."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, allow_abbrev=False, **kwargs)
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extra = super().parse_known_args(args, namespace)
+        if extra:  # argparse would echo them whole, after the top-level usage
+            self.error(f"unrecognized arguments: {brief(' '.join(extra))}")
+        return namespace, extra
 
     def _check_value(self, action, value):
         if action.choices is not None and value not in action.choices:
@@ -345,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Framewise label matrices from interval annotations, "
                     "their quantization noise, and its effect on training.")
     parser.add_argument("--version", action="version", version=f"notegrid {__version__}")
-    commands = parser.add_subparsers(dest="command", required=True)
+    commands = parser.add_subparsers(dest="command")  # main requires it
     annotation = functools.partial(_file, suffixes=_ANNOTATION_SUFFIXES)
     inspectable = functools.partial(_file, suffixes=(*_ANNOTATION_SUFFIXES, ".csv"))
     rate = _typed(float, functools.partial(FrameGrid, num_frames=1), "fps")
@@ -426,9 +435,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args, extra = build_parser().parse_known_args(argv)
-    if extra:  # parse_args would show the top-level usage and echo them whole
-        args.parser.error(f"unrecognized arguments: {brief(' '.join(extra))}")
+    args = build_parser().parse_args(argv)
+    if args.command is None:  # after the parse, which names an unknown option first
+        build_parser().error("the following arguments are required: command")
     try:
         with io.output_set():
             return args.handler(args, args.parser)

@@ -1,12 +1,12 @@
 """File formats and run manifests.
 
 Label and feature matrices are stored as plain CSV (one row per frame)
-next to a one-line JSON sidecar holding the grid and provenance metadata.
-Evaluation results are CSV, and experiment results CSV plus a JSON
-summary. An error names its file as util.brief echoes it. Every file is
-written atomically (temp file + rename) so interrupted runs never leave
-corrupt outputs, and manifests contain no wall-clock data, keeping reruns
-byte-identical.
+next to a one-line JSON sidecar holding the grid and provenance metadata;
+only label CSVs are read back. Evaluation results are CSV, and experiment
+results CSV plus a JSON summary. An error names its file as util.brief
+echoes it. Every file is written atomically (temp file + rename) so
+interrupted runs never leave corrupt outputs, and manifests contain no
+wall-clock data, keeping reruns byte-identical.
 """
 
 from __future__ import annotations
@@ -126,91 +126,60 @@ def sidecar_path(csv_path: Path) -> Path:
 
 def _write_matrix_csv(body: str | bytes, csv_path: Path, sidecar: dict) -> None:
     """Write the CSV body, then the one-line JSON sidecar."""
-    csv_path = Path(csv_path)
     atomic_write_text(csv_path, body)
     atomic_write_text(sidecar_path(csv_path),
                       json.dumps(sidecar, sort_keys=True) + "\n")
 
 
-def _read_matrix_csv(csv_path: Path, parse_cell, cell_kind: str,
-                     width_key: str) -> tuple[dict, FrameGrid, np.ndarray]:
-    """Read a matrix CSV and its sidecar: (sidecar, grid, 2-D cell array).
-
-    A CSV in the label writer's exact layout, which is also the feature
-    writer's for 0/1 cells and for no columns, is decoded by
-    _label_cells_exact; the line parser reads every file it declines, and
-    is the only source of line-numbered errors. Malformed input raises
-    FormatError naming the file, and the line where one is at fault. A
-    missing sidecar, or one without fps, is a ContractError.
-    """
-    csv_path = Path(csv_path)
-    side = sidecar_path(csv_path)
-    if not side.exists():
-        raise ContractError(f"fps metadata missing: expected sidecar {brief(side)}")
-    meta = read_json_object(side, "sidecar")
-    if "fps" not in meta:
-        raise ContractError(f"fps metadata missing from sidecar {brief(side)}")
-    fps = meta["fps"]
-    try:
-        FrameGrid(fps=fps, num_frames=1)  # the rate's check, before the CSV is read
-    except ContractError as exc:
-        raise FormatError(f"{brief(side)}: {exc}") from None
-
-    data = csv_path.read_bytes()
-    cells = _label_cells_exact(data)
-    if cells is None:
-        rows = []
-        for lineno, line in enumerate(split_lines(_decode_utf8(csv_path, data)), start=1):
-            if not line.strip():
-                continue
-            try:
-                rows.append([parse_cell(v) for v in line.split(",")])
-            except ValueError:
-                raise FormatError(f"{brief(csv_path)}: line {lineno}: {cell_kind} cell") from None
-            if len(rows[-1]) != len(rows[0]):
-                raise FormatError(f"{brief(csv_path)}: line {lineno}: ragged row of "
-                                  f"{len(rows[-1])} cells, expected {len(rows[0])}")
-        if not rows:
-            raise FormatError(f"{brief(csv_path)}: line 1: empty matrix")
-        cells = np.array(rows)
-    num_frames, width = cells.shape
-    for key, found in (("num_frames", num_frames), (width_key, width)):
-        if meta.get(key, found) != found:
-            raise FormatError(f"{brief(csv_path)}: {found} {key} but sidecar says "
-                              f"{brief(meta[key])}")
-    return meta, FrameGrid(fps=float(fps), num_frames=num_frames), cells
-
-
-_ZERO, _COMMA, _NEWLINE = b"0,\n"
+def _label_row(num_labels: int) -> np.ndarray:
+    """The label CSV layout, stated once: a row of K all-zero cells as K
+    little-endian cell words, "0," ... "0," then "0\\n". A cell's 0/1 is
+    its word's digit's low bit. With no labels a row is "\\n" alone."""
+    row = np.full(num_labels, int.from_bytes(b"0,", "little"), dtype="<u2")
+    row[-1:] = int.from_bytes(b"0\n", "little")
+    return row
 
 
 def _label_csv_bytes(frames: np.ndarray) -> bytes:
     """The label CSV of 0/1 frames: row r is ",".join(map(str, frames[r]))
-    followed by "\\n".
-
-    With K labels every row is 2K bytes (K digits, K-1 commas, the
-    newline); with none it is the newline alone.
-    """
+    followed by "\\n"."""
     num_frames, num_labels = frames.shape
-    out = np.full((num_frames, max(2 * num_labels, 1)), _COMMA, dtype=np.uint8)
-    out[:, 0:2 * num_labels:2] = frames + _ZERO
-    out[:, -1] = _NEWLINE
-    return out.tobytes()
+    if not num_labels:
+        return b"\n" * num_frames
+    return (_label_row(num_labels) + frames).astype("<u2", copy=False).tobytes()
 
 
 def _label_cells_exact(data: bytes) -> np.ndarray | None:
-    """The uint8 cells of a matrix CSV whose every row is "d,d,...,d\\n" with
-    d in {0, 1} and the first row's width, or "\\n" alone when there are no
-    columns; None for any other bytes."""
+    """The uint8 cells of a label CSV whose every row is the first row's
+    width of _label_row's words, each differing from its template word in
+    the digit's low bit alone; None for any other bytes."""
     width = data.find(b"\n") + 1
-    if width == 0 or (width > 1 and width % 2) or len(data) % width:
+    if width == 1:
+        return np.zeros((len(data), 0), np.uint8) if data.count(b"\n") == len(data) else None
+    if width == 0 or width % 2 or len(data) % width:
         return None
-    raw = np.frombuffer(data, dtype=np.uint8).reshape(-1, width)
-    cells = raw[:, :-1:2] - _ZERO
-    if ((cells > 1).any() or (raw[:, 1:-1:2] != _COMMA).any()
-            or (raw[:, -1] != _NEWLINE).any()):
-        return None
-    return cells
+    cells = np.frombuffer(data, dtype="<u2").reshape(-1, width // 2) ^ _label_row(width // 2)
+    return None if cells.max() > 1 else cells.astype(np.uint8)
+
+
+def _label_cells_parsed(csv_path: Path, data: bytes) -> np.ndarray:
+    """The integer cells of a label CSV read line by line: the lenient
+    reader of every file _label_cells_exact declines, and the only source
+    of line-numbered errors."""
+    rows = []
+    for lineno, line in enumerate(split_lines(_decode_utf8(csv_path, data)), start=1):
+        if not line.strip():
+            continue
+        try:
+            rows.append([int(v) for v in line.split(",")])
+        except ValueError:
+            raise FormatError(f"{brief(csv_path)}: line {lineno}: non-integer cell") from None
+        if len(rows[-1]) != len(rows[0]):
+            raise FormatError(f"{brief(csv_path)}: line {lineno}: ragged row of "
+                              f"{len(rows[-1])} cells, expected {len(rows[0])}")
+    if not rows:
+        raise FormatError(f"{brief(csv_path)}: line 1: empty matrix")
+    return np.array(rows)
 
 
 def write_label_matrix(matrix: LabelMatrix, csv_path: Path) -> None:
@@ -226,12 +195,20 @@ def write_label_matrix(matrix: LabelMatrix, csv_path: Path) -> None:
 
 
 def read_label_matrix(csv_path: Path) -> LabelMatrix:
-    """Read a matrix CSV and its sidecar back into a LabelMatrix."""
-    meta, grid, frames = _read_matrix_csv(csv_path, int, "non-integer", "num_labels")
-    if frames.size and (frames.min() < 0 or frames.max() > 1):
-        raise FormatError(f"{brief(csv_path)}: cells must be 0 or 1")
+    """Read a label CSV and its sidecar, checked first, back into a LabelMatrix.
+    Malformed input raises FormatError naming the file, and the line where
+    one is at fault; a missing sidecar, or one without fps, ContractError."""
     side = sidecar_path(csv_path)
-    letter, seed = meta.get("labeling_function"), meta.get("seed")
+    if not side.exists():
+        raise ContractError(f"fps metadata missing: expected sidecar {brief(side)}")
+    meta = read_json_object(side, "sidecar")
+    if "fps" not in meta:
+        raise ContractError(f"fps metadata missing from sidecar {brief(side)}")
+    fps, letter, seed = meta["fps"], meta.get("labeling_function"), meta.get("seed")
+    try:
+        FrameGrid(fps=fps, num_frames=1)  # the rate's check, before the CSV is read
+    except ContractError as exc:
+        raise FormatError(f"{brief(side)}: {exc}") from None
     if letter not in (None, "") and not (
             isinstance(letter, str) and letter.lower() in [fn.letter for fn in LabelingFunction]):
         raise FormatError(f"{brief(side)}: labeling_function must be one of a-f or null, "
@@ -239,25 +216,31 @@ def read_label_matrix(csv_path: Path) -> LabelMatrix:
     if not (seed is None or fits(int, seed) and is_seed(seed)):
         raise FormatError(f"{brief(side)}: seed must be an integer below 2**64 in size or null, "
                           f"got {brief(seed)}")
-    return LabelMatrix(
-        frames=frames.astype(np.uint8),
-        grid=grid,
-        labeling_function=LabelingFunction.from_letter(letter) if letter else None,
-        seed=seed,
-    )
+
+    data = Path(csv_path).read_bytes()
+    cells = _label_cells_exact(data)
+    if cells is None:
+        cells = _label_cells_parsed(csv_path, data)
+    num_frames, num_labels = cells.shape
+    for key, found in (("num_frames", num_frames), ("num_labels", num_labels)):
+        if meta.get(key, found) != found:
+            raise FormatError(f"{brief(csv_path)}: {found} {key} but sidecar says "
+                              f"{brief(meta[key])}")
+    try:
+        return LabelMatrix(frames=cells, grid=FrameGrid(fps=float(fps), num_frames=num_frames),
+                           labeling_function=LabelingFunction.from_letter(letter)
+                           if letter else None, seed=seed)
+    except ContractError as exc:  # a cell that is not 0 or 1
+        raise FormatError(f"{brief(csv_path)}: {exc}") from None
 
 
 def write_feature_matrix(features: FeatureMatrix, csv_path: Path) -> None:
+    """Write values as CSV, each cell repr(float), plus the one-line JSON sidecar."""
     _write_matrix_csv(csv_body(features.values), csv_path, {
         "fps": features.grid.fps,
         "num_frames": features.num_frames,
         "feature_dim": features.feature_dim,
     })
-
-
-def read_feature_matrix(csv_path: Path) -> FeatureMatrix:
-    _, grid, values = _read_matrix_csv(csv_path, float, "non-numeric", "feature_dim")
-    return FeatureMatrix(values=values, grid=grid)
 
 
 EVAL_CSV_HEADER = "piece,fn,seed,fps,tp,fp,fn,precision,recall,fmeasure"

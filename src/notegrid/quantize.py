@@ -142,14 +142,17 @@ class LabelMatrix:
     seed: int | None = None
 
     def __post_init__(self):
-        frames = np.ascontiguousarray(self.frames, dtype=np.uint8)
+        frames = np.asarray(self.frames)
         if frames.ndim != 2:
             raise ContractError(f"frames must be 2-D, got shape {frames.shape}")
         if frames.shape[0] != self.grid.num_frames:
             raise ContractError(
                 f"frames has {frames.shape[0]} rows but grid expects {self.grid.num_frames}")
-        if frames.size and frames.max() > 1:
-            raise ContractError("frames must contain only 0 and 1")
+        # the one 0/1 gate, before the cast, which wraps 256 to 0, cuts 0.5 to 0, warns on NaN
+        if not (frames.max(initial=0) <= 1 if frames.dtype == np.uint8
+                else ((frames == 0) | (frames == 1)).all()):
+            raise ContractError("cells must be 0 or 1")
+        frames = np.ascontiguousarray(frames, dtype=np.uint8)
         frames.setflags(write=False)
         object.__setattr__(self, "frames", frames)
 

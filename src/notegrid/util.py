@@ -9,6 +9,7 @@ independent of platform and library versions.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import numbers
 import os
 import reprlib
@@ -105,11 +106,14 @@ def fits(kind, value) -> bool:
     return len(value) == len(args) and all(map(fits, args, value))
 
 
+_field_types = functools.cache(typing.get_type_hints)  # a class's hints, resolved once
+
+
 def check_config(cfg, rules: dict) -> None:
     """Check the fields of the frozen dataclass `cfg` in order, as a ContractError:
     each one's type (a float field leaves NaN and infinity to its rule; an int
     becomes a Python int), then rules[name] = (what it must be, test[, budget, unit])."""
-    kinds = typing.get_type_hints(type(cfg))
+    kinds = _field_types(type(cfg))
     for field in dataclasses.fields(cfg):
         name, value = field.name, getattr(cfg, field.name)
         if not (fits(kinds[name], value) or kinds[name] is float and isinstance(value, float)):

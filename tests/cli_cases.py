@@ -199,6 +199,11 @@ def json_file(name: str, value) -> dict:
 CASES = [
     # the console script
     Case("version", ("--version",)),
+    # an unknown option before the command is a usage error of notegrid
+    # itself: it was taken for a missing command, or blamed on the command
+    *(Case(f"unknown-option-before-{label}", (f"--vers {argv}",), 2,
+           "notegrid: error: unrecognized arguments: '--vers'", files=NOTES)
+      for label, argv in (("no-command", ""), ("a-command", "inspect notes.tsv"))),
     # argparse echoed an unknown command whole, on a line of 434 bytes
     Case("long-command", ("c" * 300,), 2,
          "notegrid: error: argument command: invalid choice: 'cccccccccccc...ccccccccccccc' "
@@ -478,6 +483,15 @@ CASES = [
          out=("piece,fn,seed,fps,tp,fp,fn,precision,recall,fmeasure",
               "notes,a,0,100.0,65,0,0,1.0,1.0,1.0"),
          files=NOTES, listing={"e": ("eval.csv", "eval.manifest.json")}),
+    # stdout echoes a stem of more than 30 characters as brief does, where a
+    # 200-character one made a row of 229 bytes; eval.csv holds it whole
+    Case("eval-long-stem", (f"{NOTES_CSV} --name {'z' * 200}",
+                            f"eval --pred m/{'z' * 200}.csv --ref m/{'z' * 200}.csv --out e"),
+         out=("piece,fn,seed,fps,tp,fp,fn,precision,recall,fmeasure",
+              "'zzzzzzzzzzzz...zzzzzzzzzzzzz',a,0,100.0,65,0,0,1.0,1.0,1.0"),
+         files={**NOTES, "eval.csv": "piece,fn,seed,fps,tp,fp,fn,precision,recall,fmeasure\n"
+                                     f"{'z' * 200},a,0,100.0,65,0,0,1.0,1.0,1.0\n"},
+         same=(("e/eval.csv", "eval.csv"),)),
     Case("eval-window-of-no-frame-ref",
          (NOTES_CSV, "eval --pred m/notes.csv --ref m/notes.csv --out e --window-sec 1e-300"),
          4, "error: a window of 1e-300 s holds no frame at 100.0 fps", files=NOTES,

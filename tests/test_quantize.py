@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import re
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
@@ -364,6 +365,16 @@ class TestLabelMatrix:
         grid = FrameGrid(fps=100.0, num_frames=2)
         with pytest.raises(ContractError):
             LabelMatrix(frames=np.array([[0, 2], [0, 0]]), grid=grid)
+
+    @pytest.mark.parametrize("cell", [256, 0.5, 1.9, -255, math.nan])
+    def test_cells_are_checked_before_the_uint8_cast(self, cell):
+        """The cast would make 256 and 0.5 a 0, 1.9 and -255 a 1, and NaN a
+        0 with a RuntimeWarning: each is a ContractError, with no warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractError, match="cells must be 0 or 1"):
+                LabelMatrix(frames=np.array([[0, 1, cell]]),
+                            grid=FrameGrid(fps=100.0, num_frames=1))
 
     def test_shape_must_match_grid(self):
         grid = FrameGrid(fps=100.0, num_frames=3)

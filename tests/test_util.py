@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from notegrid import SynthConfig, TrainConfig, util
 from notegrid.util import brief, fits
 
 
@@ -38,3 +39,14 @@ def test_fits_reads_the_declared_type(kind, value, fit):
     """A bool is no number, an int any integer (NumPy's too), and a float a
     finite float or int: a NumPy float other than float64 is not one."""
     assert fits(kind, value) == fit
+
+
+def test_config_type_hints_resolve_once_per_class():
+    """check_config resolves a config class's string annotations on its
+    first construction only, not on every one."""
+    util._field_types.cache_clear()
+    for seed in range(3):
+        SynthConfig(seed=seed)
+        TrainConfig(seed=seed)
+    resolved = util._field_types.cache_info()
+    assert (resolved.misses, resolved.hits) == (2, 4)
